@@ -53,23 +53,17 @@ from ..workloads.generators import (random_digraph, tree_edges,
 EXECUTORS = ("compiled", "interpreted")
 
 #: Semi-naive executor configurations compared per workload: the plain
-#: columnless baseline against every interning x planner combination,
-#: plus the sharded parallel executor on the full fast path.
-#: ``baseline`` (greedy planner, raw storage, single-threaded compiled)
-#: is the reference the ``interned_speedup`` and ``parallel_speedup``
-#: metrics and the CI gates divide by; ``interned_adaptive`` is the
-#: single-threaded fast path — and the reference ``vectorized_speedup``
-#: divides by; ``parallel`` runs the same knobs through the sharded
-#: executor at :data:`~repro.engine.parallel.DEFAULT_SHARDS`;
-#: ``vectorized`` runs the same knobs as whole-frontier batch kernels
-#: over columnar storage.
+#: columnless baseline against every interning x planner combination.
+#: ``baseline`` (greedy planner, raw storage, compiled) is the reference
+#: the ``interned_speedup`` metric and the CI gates divide by;
+#: ``interned_adaptive`` is the fast path — and the reference
+#: ``vectorized_speedup`` divides by; ``vectorized`` runs the same knobs
+#: as whole-frontier batch kernels over columnar storage.
 SEMINAIVE_CONFIGS = (
     ("baseline", {"planner": "greedy", "interning": "off"}),
     ("interned_greedy", {"planner": "greedy", "interning": "on"}),
     ("adaptive", {"planner": "adaptive", "interning": "off"}),
     ("interned_adaptive", {"planner": "adaptive", "interning": "on"}),
-    ("parallel", {"planner": "adaptive", "interning": "on",
-                  "executor": "parallel", "shards": 4}),
     ("vectorized", {"planner": "adaptive", "interning": "on",
                     "executor": "vectorized"}),
 )
@@ -299,29 +293,27 @@ def run_engine_benchmark(scale: str = "default", repeats: int = 3,
     under both executors; top-down runs once (it has no compiled path);
     the semi-naive evaluation additionally runs under every
     :data:`SEMINAIVE_CONFIGS` configuration (interning x planner, plus
-    the sharded parallel executor).  The report carries per-entry
+    the vectorized executor).  The report carries per-entry
     timings/counters, an ``agreement`` block recording the differential
-    checks, and per-workload ``interned_speedup`` /
-    ``parallel_speedup`` — baseline wall time over the interned+adaptive
-    (resp. parallel) configuration's — plus ``vectorized_speedup``,
-    the interned+adaptive wall time over the vectorized executor's
-    (both run the identical planner and storage knobs, so the ratio
-    isolates the batch-kernel win).
+    checks, and per-workload ``interned_speedup`` — baseline wall time
+    over the interned+adaptive configuration's — plus
+    ``vectorized_speedup``, the interned+adaptive wall time over the
+    vectorized executor's (both run the identical planner and storage
+    knobs, so the ratio isolates the batch-kernel win).
 
-    ``focus_executor`` (``"parallel"`` or ``"vectorized"``) is the CI
-    smoke mode: it skips the method x executor grid and top-down,
-    measuring only the cells the focused speedup needs, and stamps
-    ``focus`` into the report so the gate knows the grid cells are
-    intentionally absent.
+    ``focus_executor`` (``"vectorized"``) is the CI smoke mode: it
+    skips the method x executor grid and top-down, measuring only the
+    cells the focused speedup needs, and stamps ``focus`` into the
+    report so the gate knows the grid cells are intentionally absent.
 
     ``profile=True`` attaches a per-kernel wall-time and per-round
     delta-size breakdown (:class:`~repro.engine.profile.EvalProfile`)
     to every semi-naive configuration cell.
     """
-    if focus_executor not in (None, "parallel", "vectorized"):
+    if focus_executor not in (None, "vectorized"):
         raise ValueError(
             f"unknown focus executor {focus_executor!r}; "
-            "expected 'parallel' or 'vectorized'")
+            "expected 'vectorized'")
     full_grid = focus_executor is None
     report: dict = {
         "version": REPORT_VERSION,
@@ -397,9 +389,7 @@ def run_engine_benchmark(scale: str = "default", repeats: int = 3,
         config_fingerprints: dict[str, str] = {}
         # The vectorized speedup divides interned_adaptive by
         # vectorized, so its focus mode keeps the denominator cell too.
-        focus_configs = {"baseline", focus_executor}
-        if focus_executor == "vectorized":
-            focus_configs.add("interned_adaptive")
+        focus_configs = {"baseline", "interned_adaptive", focus_executor}
         config_runs: dict[str, Callable[[], EvaluationResult]] = {}
         for config_name, knobs in SEMINAIVE_CONFIGS:
             if not full_grid and config_name not in focus_configs:
@@ -434,10 +424,6 @@ def run_engine_benchmark(scale: str = "default", repeats: int = 3,
         if "fingerprint" in baseline and "fingerprint" in fast:
             block["interned_speedup"] = round(
                 baseline["wall_ms"] / max(fast["wall_ms"], 1e-6), 3)
-        sharded = configs.get("parallel", {})
-        if "fingerprint" in baseline and "fingerprint" in sharded:
-            block["parallel_speedup"] = round(
-                baseline["wall_ms"] / max(sharded["wall_ms"], 1e-6), 3)
         batched = configs.get("vectorized", {})
         if "fingerprint" in fast and "fingerprint" in batched:
             # This ratio is a CI gate, so it is re-measured with the
@@ -497,9 +483,6 @@ def run_engine_benchmark(scale: str = "default", repeats: int = 3,
         if "interned_speedup" in block:
             summary[f"{key}_interned_speedup"] = \
                 block["interned_speedup"]
-        if "parallel_speedup" in block:
-            summary[f"{key}_parallel_speedup"] = \
-                block["parallel_speedup"]
         if "vectorized_speedup" in block:
             summary[f"{key}_vectorized_speedup"] = \
                 block["vectorized_speedup"]
@@ -557,7 +540,6 @@ GATED_METHODS = ("naive", "seminaive", "magic")
 def regression_failures(report: dict, max_slowdown: float = 1.5,
                         workload: str = "transitive_closure",
                         min_interned_speedup: float | None = None,
-                        min_parallel_speedup: float | None = None,
                         min_vectorized_speedup: float | None = None,
                         min_repeats: int = MIN_GATE_REPEATS
                         ) -> list[str]:
@@ -572,19 +554,16 @@ def regression_failures(report: dict, max_slowdown: float = 1.5,
     naive/seminaive/magic cell must have completed under budget on both
     executors with the compiled executor no more than ``max_slowdown``x
     slower than the interpreted one, and (b) every semi-naive
-    configuration cell — including the parallel executor's — must be no
-    more than ``max_slowdown``x slower than the compiled baseline.
+    configuration cell must be no more than ``max_slowdown``x slower
+    than the compiled baseline.
 
     With ``min_interned_speedup`` set, additionally fails when the
     interned+adaptive configuration is not at least that many times
     faster than the compiled baseline on the transitive-closure and
-    same-generation workloads.  With ``min_parallel_speedup`` set,
-    fails when the parallel executor is not at least that many times
-    faster than the single-threaded compiled baseline on ``workload``.
-    With ``min_vectorized_speedup`` set, fails when the vectorized
-    executor is not at least that many times faster than the
-    interned+adaptive compiled configuration on the transitive-closure
-    and same-generation workloads.
+    same-generation workloads.  With ``min_vectorized_speedup`` set,
+    fails when the vectorized executor is not at least that many times
+    faster than the interned+adaptive compiled configuration on the
+    same two workloads.
 
     Focused reports (``focus`` stamped by the smoke mode) only carry
     the baseline and focused configuration, so the method-grid floors
@@ -657,18 +636,6 @@ def regression_failures(report: dict, max_slowdown: float = 1.5,
                     f"{name}: interned+adaptive is only {interned:.2f}x "
                     f"the compiled baseline (required "
                     f"{min_interned_speedup:.2f}x)")
-    if min_parallel_speedup is not None:
-        entry = _workload_block(report, workload)
-        parallel = entry.get("parallel_speedup") if entry else None
-        if parallel is None:
-            failures.append(
-                f"{workload}: no parallel_speedup measurement "
-                "(budget exceeded?)")
-        elif parallel < min_parallel_speedup:
-            failures.append(
-                f"{workload}: parallel executor is only "
-                f"{parallel:.2f}x the single-threaded compiled "
-                f"baseline (required {min_parallel_speedup:.2f}x)")
     if min_vectorized_speedup is not None:
         for name in ("transitive_closure", "same_generation"):
             entry = _workload_block(report, name)

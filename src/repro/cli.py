@@ -136,9 +136,7 @@ def _evaluate_cbo(args: argparse.Namespace, program, db: Database) -> int:
     result = cbo_evaluate(program, db, query=seed,
                           budget=_budget_from_args(args),
                           executor=args.executor,
-                          interning=args.interning,
-                          shards=args.shards,
-                          parallel_mode=args.parallel_mode)
+                          interning=args.interning)
     if result.magic is not None:
         from .datalog.terms import Constant
 
@@ -174,8 +172,6 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
                       budget=_budget_from_args(args),
                       executor=args.executor,
                       interning=args.interning,
-                      shards=args.shards,
-                      parallel_mode=args.parallel_mode,
                       dataflow=args.dataflow)
     if args.query:
         for row in sorted(result.query(args.query), key=str):
@@ -225,7 +221,6 @@ def cmd_explain(args: argparse.Namespace) -> int:
         print(explain_kernels(program, db, planner=args.planner,
                               show_stats=args.stats,
                               executor=args.executor,
-                              shards=args.shards,
                               dataflow=flow))
     else:
         print(explain_plan(program, db, planner=args.planner,
@@ -413,9 +408,6 @@ def cmd_bench_engine(args: argparse.Namespace) -> int:
         interned = workload.get("interned_speedup")
         if interned is not None:
             parts.append(f"interned+adaptive {interned:.2f}x")
-        parallel = workload.get("parallel_speedup")
-        if parallel is not None:
-            parts.append(f"parallel {parallel:.2f}x")
         vectorized = workload.get("vectorized_speedup")
         if vectorized is not None:
             parts.append(f"vectorized {vectorized:.2f}x")
@@ -430,7 +422,6 @@ def cmd_bench_engine(args: argparse.Namespace) -> int:
         failures = regression_failures(
             report, max_slowdown=args.max_slowdown,
             min_interned_speedup=args.min_interned_speedup,
-            min_parallel_speedup=args.min_parallel_speedup,
             min_vectorized_speedup=args.min_vectorized_speedup)
         for failure in failures:
             print(f"REGRESSION: {failure}", file=sys.stderr)
@@ -561,7 +552,7 @@ def _serve_concurrent(args: argparse.Namespace, program,
 
 def cmd_serve(args: argparse.Namespace) -> int:
     from .facts.changelog import Changeset
-    from .incremental import Server
+    from .serving import Server
 
     program = _load_program(args)
     db = Database.from_text(_read(args.database))
@@ -731,23 +722,12 @@ def build_parser() -> argparse.ArgumentParser:
                              "residue/linearization/fusion rewrites "
                              "and runs the cheapest)")
     p_eval.add_argument("--executor", default="compiled",
-                        choices=["compiled", "interpreted", "parallel",
+                        choices=["compiled", "interpreted",
                                  "vectorized"],
                         help="compiled slot-based kernels (default), "
-                             "the reference interpreter, sharded "
-                             "parallel execution of the compiled "
-                             "kernels, or columnar whole-frontier "
-                             "batch kernels (vectorized; pair with "
-                             "--interning on)")
-    p_eval.add_argument("--shards", type=int, default=None, metavar="N",
-                        help="with --executor parallel, hash-partition "
-                             "each delta into N shards (default 4)")
-    p_eval.add_argument("--parallel-mode", default="auto",
-                        choices=["auto", "serial", "thread", "fork"],
-                        help="with --executor parallel, how shard "
-                             "firings run: in-process (serial), thread "
-                             "pool, persistent fork workers, or "
-                             "size-based choice (auto, default)")
+                             "the reference interpreter, or columnar "
+                             "whole-frontier batch kernels "
+                             "(vectorized; pair with --interning on)")
     p_eval.add_argument("--interning", default="off",
                         choices=["on", "off"],
                         help="intern constants to dense ints and join "
@@ -779,17 +759,9 @@ def build_parser() -> argparse.ArgumentParser:
                            help="show the compiled step programs "
                                 "instead of the planner view")
     p_explain.add_argument("--executor", default="compiled",
-                           choices=["compiled", "parallel",
-                                    "vectorized"],
-                           help="with --kernels, 'parallel' appends the "
-                                "sharded-execution view (shard count, "
-                                "anchor partition key, kernel reuse); "
-                                "'vectorized' appends the batch "
-                                "lowering per rule")
-    p_explain.add_argument("--shards", type=int, default=None,
-                           metavar="N",
-                           help="shard count for --executor parallel "
-                                "(default 4)")
+                           choices=["compiled", "vectorized"],
+                           help="with --kernels, 'vectorized' appends "
+                                "the batch lowering per rule")
     p_explain.add_argument("--interning", default="off",
                            choices=["on", "off"],
                            help="explain against interned storage")
@@ -889,7 +861,7 @@ def build_parser() -> argparse.ArgumentParser:
                                   "cbo"])
     p_serve.add_argument("--executor", default="compiled",
                          choices=["compiled", "interpreted",
-                                  "parallel", "vectorized"])
+                                  "vectorized"])
     p_serve.add_argument("--interning", default="off",
                          choices=["on", "off"])
     p_serve.add_argument("--describe", action="store_true",
@@ -1002,12 +974,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "to be at least X times the compiled "
                               "baseline on transitive closure and "
                               "same generation")
-    p_bench.add_argument("--min-parallel-speedup", type=float,
-                         default=None, metavar="X",
-                         help="with --check, require the parallel "
-                              "executor to be at least X times the "
-                              "single-threaded compiled baseline on "
-                              "transitive closure")
     p_bench.add_argument("--min-vectorized-speedup", type=float,
                          default=None, metavar="X",
                          help="with --check, require the vectorized "
@@ -1015,7 +981,7 @@ def build_parser() -> argparse.ArgumentParser:
                               "interned+adaptive compiled baseline on "
                               "transitive closure and same generation")
     p_bench.add_argument("--executor", default=None,
-                         choices=["parallel", "vectorized"],
+                         choices=["vectorized"],
                          dest="focus_executor",
                          help="smoke mode: measure only the baseline "
                               "and this executor's configuration per "

@@ -121,9 +121,7 @@ class SemanticOptimizer:
             physical-design judgement the optimizer cannot make alone).
         max_hops: SD-graph depth bound for Algorithm 3.1.
         executor: engine executor used by sample verification
-            (``_spot_check``); ``"parallel"`` shards those evaluations
-            (see :mod:`repro.engine.parallel`).
-        shards: shard count when ``executor="parallel"``.
+            (``_spot_check``).
         planner: engine join planner used by the same verification
             evaluations (``"cbo"`` runs them under the cost-based
             optimizer's adaptive machinery; the semantic rewrites this
@@ -140,7 +138,6 @@ class SemanticOptimizer:
                  collapse: bool = True,
                  compilation: str = "periodic",
                  executor: str = "compiled",
-                 shards: int | None = None,
                  planner: str = "greedy") -> None:
         if compilation not in ("periodic", "automaton"):
             raise ValueError(
@@ -158,7 +155,6 @@ class SemanticOptimizer:
         self.collapse = collapse
         self.compilation = compilation
         self.executor = executor
-        self.shards = shards
         self.planner = planner
         self.pred = pred or self._single_recursive_pred(program)
 
@@ -648,11 +644,10 @@ class SemanticOptimizer:
             numeric_columns=numeric)
         for index, database in enumerate(databases):
             source = evaluate(self.program, database, budget=budget,
-                              executor=self.executor, shards=self.shards,
+                              executor=self.executor,
                               planner=self.planner)
             candidate = evaluate(optimized, database, budget=budget,
                                  executor=self.executor,
-                                 shards=self.shards,
                                  planner=self.planner)
             for pred in sorted(self.program.idb_predicates):
                 left = source.facts(pred)

@@ -5,8 +5,6 @@ from .builtins import holds
 from .compile import (EXECUTORS, CompiledKernel, KernelCache,
                       compile_rule)
 from .stats import RelationStats
-from .parallel import (DEFAULT_SHARDS, PARALLEL_MODES, ShardExecutor,
-                       choose_partition_key, validate_parallel_mode)
 from .profile import EvalProfile
 from .vectorize import (BatchKernel, PredicateCache, VectorRunner,
                         columnar_backend_factory, compile_batch)
@@ -28,8 +26,6 @@ __all__ = [
     "EvalStats", "PLANNERS", "validate_planner", "holds",
     "EXECUTORS", "CompiledKernel", "KernelCache", "compile_rule",
     "RelationStats",
-    "DEFAULT_SHARDS", "PARALLEL_MODES", "ShardExecutor",
-    "choose_partition_key", "validate_parallel_mode",
     "EvalProfile",
     "BatchKernel", "PredicateCache", "VectorRunner",
     "columnar_backend_factory", "compile_batch",

@@ -16,7 +16,7 @@ specific occurrences.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional
+from typing import TYPE_CHECKING, Callable, Iterator, Optional
 
 from ..datalog.atoms import Atom, Comparison, Negation
 from ..datalog.rules import Rule
@@ -24,6 +24,10 @@ from ..datalog.terms import ArithExpr, Constant, ConstValue, Variable
 from ..errors import EvaluationError
 from ..facts.relation import Relation, Row
 from . import builtins
+
+if TYPE_CHECKING:
+    from ..datalog.program import Program
+    from ..facts.database import Database
 
 #: ``fetch(atom, body_index) -> Relation`` — resolves an atom occurrence to
 #: the relation it should scan (full relation, delta, EDB, ...).
@@ -48,6 +52,24 @@ def validate_planner(planner: str) -> None:
     if planner not in PLANNERS:
         raise EvaluationError(
             f"unknown planner {planner!r}; expected one of {PLANNERS}")
+
+
+def check_edb_arities(program: "Program", edb: "Database") -> None:
+    """Reject an EDB relation stored at another arity than the program's.
+
+    Run once at fixpoint entry: the executors index stored rows by the
+    *program's* column positions, so a mismatch would otherwise surface
+    as an ``IndexError`` or as wrong-width derived rows.
+    """
+    idb_predicates = program.idb_predicates
+    for pred, arity in program.predicate_arities().items():
+        if pred in idb_predicates or pred not in edb:
+            continue
+        stored = edb.relation(pred).arity
+        if stored != arity:
+            raise EvaluationError(
+                f"relation {pred!r} has arity {stored}, "
+                f"program uses {pred}/{arity}")
 
 
 @dataclass

@@ -70,12 +70,10 @@ from . import builtins
 from .bindings import (Binding, Cost, EvalStats, Fetch, _check_atom_args,
                        bound_columns_of, plan_body)
 
-#: Known executors for the bottom-up engines.  ``parallel`` runs the
-#: same compiled kernels sharded over a partition of each firing's
-#: anchor scan (see :mod:`repro.engine.parallel`); ``vectorized`` lowers
+#: Known executors for the bottom-up engines.  ``vectorized`` lowers
 #: each firing to a whole-frontier batch kernel over columnar storage
 #: (see :mod:`repro.engine.vectorize`).
-EXECUTORS = ("compiled", "interpreted", "parallel", "vectorized")
+EXECUTORS = ("compiled", "interpreted", "vectorized")
 
 #: ``sizes(atom, body_index) -> int`` — relation-size estimate used by
 #: the greedy planner at compile time.
@@ -350,7 +348,7 @@ class CompiledKernel:
     """
 
     __slots__ = ("rule", "order", "n_slots", "sources", "symbols",
-                 "plan_costs", "fused", "deep_fused", "anchor",
+                 "plan_costs", "fused", "deep_fused",
                  "batch_plan", "batch_head",
                  "_entry", "_fast_entry", "_deep_fn", "_head_fn",
                  "_slot_items", "_step_notes")
@@ -359,15 +357,11 @@ class CompiledKernel:
                  keep_atom_order: bool = False,
                  cost: Cost | None = None,
                  symbols: SymbolTable | None = None,
-                 order: list[int] | None = None,
                  fuse: bool = True) -> None:
         self.rule = rule
         self.symbols = symbols
-        # ``order`` pins the plan (the parallel executor's fork workers
-        # compile against the coordinator's order so probe/scan/member
-        # classification — and hence the sources list — is identical).
-        self.order = list(order) if order is not None else plan_body(
-            rule, sizes, keep_atom_order=keep_atom_order, cost=cost)
+        self.order = plan_body(rule, sizes, keep_atom_order=keep_atom_order,
+                               cost=cost)
         slot_of: dict[Variable, int] = {}
 
         def slot(var: Variable) -> int:
@@ -590,15 +584,6 @@ class CompiledKernel:
             self._deep_fn = self._try_fuse_body(sym_plans, slot_of)
         self.fused = self._fast_entry is not None
         self.deep_fused = self._deep_fn is not None
-        #: Ordinal (into :attr:`sources`) of the anchor: the full-scan
-        #: source that is also the *first executed step* of the plan —
-        #: the outermost loop of the join, and therefore the axis the
-        #: parallel executor partitions a firing over.  None when the
-        #: plan opens with anything else (a probe, a constant check):
-        #: partitioning an inner scan would re-run the outer steps once
-        #: per shard and break exact counter parity.
-        self.anchor = 0 if plans and plans[0][0] == "atom" \
-            and plans[0][2] is None else None
 
     def _try_fuse_tail(self, plans: list[tuple],
                        slot_of: dict[Variable, int]):
@@ -722,48 +707,29 @@ class CompiledKernel:
         return self.symbols is not None
 
     # -- execution -----------------------------------------------------------
-    def resolve(self, fetch: Fetch) -> list:
-        """Resolve every source to its probe target, in ordinal order.
+    def execute(self, fetch: Fetch, stats: EvalStats,
+                hook: Optional[Hook] = None,
+                round_index: int = 0) -> list[Row]:
+        """Run the kernel and return the derived head rows (buffered).
 
-        Returns the list ``execute`` would build internally: the hash
-        index dict for probe sources, the raw row container for
-        scan/neg/member sources.  The parallel executor resolves once,
-        substitutes the anchor slot per shard, and passes the list back
-        through ``execute(rels=...)``.
+        ``fetch`` resolves each atom occurrence to its relation exactly
+        as for the interpreter, so delta redirection works unchanged;
+        probe targets (index dict or row container) are resolved once
+        per call, not per tuple.  Rows come back in the kernel's storage
+        domain: codes when :attr:`interned` (insert them with
+        ``raw_add``), plain values otherwise.  When ``hook`` is given, a
+        value-domain ``Binding`` dict view of the slot environment is
+        materialized per solution and the hook may veto the row — the
+        fast path never builds it.
         """
-        rels: list = []
+        ctx = _Ctx()
+        rels = ctx.rels
         for body_index, atom, cols, kind in self.sources:
             relation = fetch(atom, body_index)
             if kind == "probe":
                 rels.append(relation.index_for(cols))
             else:  # scan / neg / member: the raw (read-only) row container
                 rels.append(relation.raw_rows())
-        return rels
-
-    def execute(self, fetch: Optional[Fetch], stats: EvalStats,
-                hook: Optional[Hook] = None,
-                round_index: int = 0,
-                rels: list | None = None) -> list[Row]:
-        """Run the kernel and return the derived head rows (buffered).
-
-        ``fetch`` resolves each atom occurrence to its relation exactly
-        as for the interpreter, so delta redirection works unchanged;
-        probe targets (index dict or row container) are resolved once
-        per call, not per tuple.  Callers may instead pass ``rels`` (a
-        :meth:`resolve` result, possibly with sources substituted — the
-        parallel executor's shard buckets) and ``fetch`` is then
-        ignored.  Rows come back in the kernel's storage domain: codes
-        when :attr:`interned` (insert them with ``raw_add``), plain
-        values otherwise.  When ``hook`` is given, a value-domain
-        ``Binding`` dict view of the slot environment is materialized
-        per solution and the hook may veto the row — the fast path
-        never builds it.
-        """
-        ctx = _Ctx()
-        if rels is None:
-            assert fetch is not None
-            rels = self.resolve(fetch)
-        ctx.rels = rels
         if hook is None and self._deep_fn is not None:
             out, counts = self._deep_fn(rels)
             # Level k runs once per row matched at level k-1 (plus one

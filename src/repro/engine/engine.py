@@ -75,8 +75,6 @@ def evaluate(program: Program, edb: Database, method: str = "seminaive",
              budget: Budget | None = None,
              executor: str = "compiled",
              interning: str = "off",
-             shards: int | None = None,
-             parallel_mode: str = "auto",
              profile: EvalProfile | None = None,
              dataflow: str = "off") -> EvaluationResult:
     """Evaluate ``program`` bottom-up over ``edb``.
@@ -108,20 +106,12 @@ def evaluate(program: Program, edb: Database, method: str = "seminaive",
         executor: ``"compiled"`` (default) runs rule bodies as cached
             slot-based kernels (:mod:`repro.engine.compile`);
             ``"interpreted"`` uses the reference interpreter;
-            ``"parallel"`` shards each kernel firing over a hash
-            partition of its anchor scan (:mod:`repro.engine.parallel`);
             ``"vectorized"`` stores relations in columnar arrays and
             processes whole delta frontiers per firing as batch kernels
             with column-level predicate caching
             (:mod:`repro.engine.vectorize`; most effective with
             ``interning="on"``).  All derive identical databases with
             identical counters.
-        shards: shard count for ``executor="parallel"`` (default
-            :data:`~repro.engine.parallel.DEFAULT_SHARDS`); ignored by
-            the other executors.
-        parallel_mode: worker pool for ``executor="parallel"`` —
-            ``"auto"`` (in-process below the fork threshold),
-            ``"serial"``, ``"thread"`` or ``"fork"``.
         interning: ``"on"`` re-encodes the EDB over a shared
             :class:`~repro.facts.symbols.SymbolTable` (one pass) so the
             whole fixpoint joins over dense ``int`` codes; ``"off"``
@@ -165,15 +155,13 @@ def evaluate(program: Program, edb: Database, method: str = "seminaive",
     if method == "seminaive":
         idb = seminaive_evaluate(program, edb, stats, hook=hook,
                                  planner=planner, budget=budget,
-                                 executor=executor, shards=shards,
-                                 parallel_mode=parallel_mode,
-                                 profile=profile, dataflow=flow)
+                                 executor=executor, profile=profile,
+                                 dataflow=flow)
     elif method == "naive":
         if hook is not None:
             raise EvaluationError("hooks require the semi-naive method")
         idb = naive_evaluate(program, edb, stats, budget=budget,
                              executor=executor, planner=planner,
-                             shards=shards, parallel_mode=parallel_mode,
                              dataflow=flow)
     else:
         raise EvaluationError(
@@ -187,9 +175,7 @@ def evaluate_with_magic(program: Program, edb: Database, query: Atom,
                         budget: Budget | None = None,
                         executor: str = "compiled",
                         planner: str = "greedy",
-                        interning: str = "off",
-                        shards: int | None = None,
-                        parallel_mode: str = "auto") -> EvaluationResult:
+                        interning: str = "off") -> EvaluationResult:
     """Magic-rewrite ``program`` for ``query`` and evaluate the result.
 
     The returned result's :meth:`EvaluationResult.facts` must be asked for
@@ -207,8 +193,7 @@ def evaluate_with_magic(program: Program, edb: Database, query: Atom,
     stats = EvalStats()
     start = time.perf_counter()
     idb = seminaive_evaluate(rewritten.program, edb, stats, budget=budget,
-                             executor=executor, planner=planner,
-                             shards=shards, parallel_mode=parallel_mode)
+                             executor=executor, planner=planner)
     elapsed = time.perf_counter() - start
     return EvaluationResult(rewritten.program, edb, idb, stats, elapsed,
                             method="seminaive+magic", magic=rewritten,
@@ -219,14 +204,11 @@ def magic_answers(program: Program, edb: Database, query: Atom,
                   budget: Budget | None = None,
                   executor: str = "compiled",
                   planner: str = "greedy",
-                  interning: str = "off",
-                  shards: int | None = None,
-                  parallel_mode: str = "auto") -> frozenset[tuple]:
+                  interning: str = "off") -> frozenset[tuple]:
     """Answers to ``query`` (full tuples) computed via magic sets."""
     result = evaluate_with_magic(program, edb, query, budget=budget,
                                  executor=executor, planner=planner,
-                                 interning=interning, shards=shards,
-                                 parallel_mode=parallel_mode)
+                                 interning=interning)
     assert result.magic is not None
     rows = result.magic.answers(result.idb)
     # Filter on the query's constant positions (magic guarantees relevance

@@ -17,10 +17,9 @@ from ..facts.database import Database
 from ..facts.relation import Relation
 from ..runtime import chaos
 from ..runtime.budget import Budget, resolve_budget
-from .bindings import (EvalStats, instantiate_head, solve_body,
-                       validate_planner)
+from .bindings import (EvalStats, check_edb_arities, instantiate_head,
+                       solve_body, validate_planner)
 from .compile import KernelCache, validate_executor
-from .parallel import DEFAULT_SHARDS, ShardExecutor, validate_parallel_mode
 from .stratify import stratify
 from .vectorize import VectorRunner, columnar_backend_factory
 
@@ -37,8 +36,6 @@ def naive_evaluate(program: Program, edb: Database,
                    budget: Budget | None = None,
                    executor: str = "compiled",
                    planner: str = "greedy",
-                   shards: int | None = None,
-                   parallel_mode: str = "auto",
                    dataflow: "DataflowResult | None" = None) -> Database:
     """Compute the IDB of ``program`` over ``edb`` naively.
 
@@ -49,17 +46,15 @@ def naive_evaluate(program: Program, edb: Database,
 
     ``executor="compiled"`` (default) lowers each rule once into a
     slot-based kernel (:mod:`repro.engine.compile`) reused across all
-    rounds; ``"interpreted"`` keeps the reference interpreter;
-    ``"parallel"`` shards each kernel firing over a hash partition of
-    its anchor scan (:mod:`repro.engine.parallel`; ``shards`` and
-    ``parallel_mode`` as in the semi-naive engine).  ``planner`` is as
-    in :func:`~repro.engine.seminaive.seminaive_evaluate`.  Storage
-    follows the EDB: an interned EDB yields an interned IDB sharing
-    its symbol table.
+    rounds; ``"interpreted"`` keeps the reference interpreter.
+    ``planner`` is as in :func:`~repro.engine.seminaive
+    .seminaive_evaluate`.  Storage follows the EDB: an interned EDB
+    yields an interned IDB sharing its symbol table.
     """
     stats = stats if stats is not None else EvalStats()
     validate_executor(executor)
     validate_planner(planner)
+    check_edb_arities(program, edb)
     budget = resolve_budget(budget)
     chaos_plan = chaos.active_plan()
     arities = program.predicate_arities()
@@ -91,7 +86,6 @@ def naive_evaluate(program: Program, edb: Database,
     # happens before evaluation (:mod:`repro.engine.optimizer`).
     adaptive = planner in ("adaptive", "cbo")
     kernels = None
-    pool = None
     vec = VectorRunner(symbols=edb.symbols,
                        true_checks=dataflow.true_checks
                        if dataflow is not None else None) \
@@ -107,27 +101,6 @@ def naive_evaluate(program: Program, edb: Database,
                               on_replan=vec.invalidate
                               if vec is not None and planner == "cbo"
                               else None)
-    if executor == "parallel":
-        validate_parallel_mode(parallel_mode)
-        pool = ShardExecutor(shards if shards is not None
-                             else DEFAULT_SHARDS,
-                             mode=parallel_mode, symbols=edb.symbols)
-    try:
-        _naive_strata(program, edb, idb, stats, max_iterations, budget,
-                      chaos_plan, fetch, sizes, cost, keep_atom_order,
-                      adaptive, kernels, pool, vec, dataflow)
-    finally:
-        if pool is not None:
-            pool.close()
-    if kernels is not None:
-        stats.replans += kernels.replans
-    return idb
-
-
-def _naive_strata(program, edb, idb, stats, max_iterations, budget,
-                  chaos_plan, fetch, sizes, cost, keep_atom_order,
-                  adaptive, kernels, pool, vec=None,
-                  dataflow=None) -> None:
     for stratum in stratify(program):
         # Provably-dead rules derive no rows under any join order, so
         # skipping them leaves every counter and ordinal unchanged.
@@ -154,11 +127,7 @@ def _naive_strata(program, edb, idb, stats, max_iterations, budget,
                     kernel = kernels.kernel(
                         rule, None, sizes,
                         cost=cost if adaptive else None)
-                    if pool is not None:
-                        derived = pool.run(kernel, fetch, stats,
-                                           budget=budget,
-                                           mutable_preds=stratum)
-                    elif vec is not None:
+                    if vec is not None:
                         derived = vec.run(kernel, fetch, stats)
                     else:
                         derived = kernel.execute(fetch, stats)
@@ -207,5 +176,6 @@ def _naive_strata(program, edb, idb, stats, max_iterations, budget,
                         if countdown <= 0:
                             countdown = budget.checkpoint(
                                 stats, last_round=rounds - 1)
-            if pool is not None:
-                chaos.checkpoint("parallel:barrier")
+    if kernels is not None:
+        stats.replans += kernels.replans
+    return idb

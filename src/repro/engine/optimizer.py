@@ -711,7 +711,6 @@ def cbo_evaluate(program: Program, edb: Database,
                  query: Atom | None = None, ics: Sequence = (),
                  budget: Budget | None = None,
                  executor: str = "compiled", interning: str = "off",
-                 shards: int | None = None, parallel_mode: str = "auto",
                  choice: ChosenPlan | None = None,
                  ) -> "EvaluationResult":
     """Evaluate ``program`` under the plan the enumerating optimizer picks.
@@ -742,8 +741,7 @@ def cbo_evaluate(program: Program, edb: Database,
     stats = EvalStats()
     start = perf_counter()
     idb = seminaive_evaluate(choice.program, edb, stats, budget=budget,
-                             planner="cbo", executor=executor,
-                             shards=shards, parallel_mode=parallel_mode)
+                             planner="cbo", executor=executor)
     elapsed = perf_counter() - start
     return EvaluationResult(choice.program, edb, idb, stats, elapsed,
                             method="seminaive+cbo", magic=choice.magic,
@@ -753,7 +751,6 @@ def cbo_evaluate(program: Program, edb: Database,
 def cbo_answers(program: Program, edb: Database, query: Atom,
                 ics: Sequence = (), budget: Budget | None = None,
                 executor: str = "compiled", interning: str = "off",
-                shards: int | None = None, parallel_mode: str = "auto",
                 choice: ChosenPlan | None = None) -> frozenset[tuple]:
     """Answers to ``query`` under the optimizer's chosen plan.
 
@@ -764,8 +761,7 @@ def cbo_answers(program: Program, edb: Database, query: Atom,
     """
     result = cbo_evaluate(program, edb, query=query, ics=ics,
                           budget=budget, executor=executor,
-                          interning=interning, shards=shards,
-                          parallel_mode=parallel_mode, choice=choice)
+                          interning=interning, choice=choice)
     if result.magic is not None:
         rows: Iterable[tuple] = result.magic.answers(result.idb)
     elif query.pred in result.program.idb_predicates:

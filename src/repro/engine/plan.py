@@ -202,7 +202,6 @@ def explain_kernels(program: Program, edb: Database,
                     planner: str = "greedy",
                     show_stats: bool = False,
                     executor: str = "compiled",
-                    shards: int | None = None,
                     dataflow: "DataflowResult | None" = None) -> str:
     """Render the compiled kernel of every rule of the program.
 
@@ -212,13 +211,6 @@ def explain_kernels(program: Program, edb: Database,
     estimates :func:`plan_rule` uses — including, under
     ``planner="adaptive"``, the statistics-estimated rows per probe,
     and against the EDB's symbol table when it is interned.
-
-    With ``executor="parallel"`` a trailing section describes the
-    sharded execution each kernel would get: the shard count, whether
-    the kernel's plan opens with a shardable anchor scan (and over
-    which atom), the statistics-chosen partition-key column of that
-    anchor's relation, and the kernel reuse — one compiled kernel per
-    (rule, variant), executed once per shard per firing.
 
     With ``executor="vectorized"`` the trailing section shows, per
     rule, the whole-frontier batch lowering — the step kinds the batch
@@ -257,38 +249,12 @@ def explain_kernels(program: Program, edb: Database,
                             cost=cost, symbols=edb.symbols)
                for rule in program]
     body = "\n\n".join(kernel.describe() for kernel in kernels)
-    if executor == "parallel":
-        body += "\n\n" + _parallel_section(kernels, relation_for, shards)
-    elif executor == "vectorized":
+    if executor == "vectorized":
         body += "\n\n" + _vectorized_section(kernels, edb, program, idb,
                                              planner, dataflow)
     if show_stats:
         body += "\n\n" + _stats_section(program, edb, idb)
     return body
-
-
-def _parallel_section(kernels, relation_for, shards: int | None) -> str:
-    """Render the sharded-execution summary for ``explain_kernels``."""
-    from .parallel import DEFAULT_SHARDS, choose_partition_key
-
-    count = shards if shards is not None else DEFAULT_SHARDS
-    lines = [f"parallel execution: {count} shards"]
-    for kernel in kernels:
-        label = kernel.rule.label or str(kernel.rule.head)
-        if kernel.anchor is None:
-            lines.append(
-                f"  {label}: not sharded (plan does not open with a "
-                "full scan); single kernel call per firing")
-            continue
-        _index, atom, _cols, _kind = kernel.sources[kernel.anchor]
-        relation = relation_for(atom, _index)
-        key = choose_partition_key(relation) \
-            if relation is not None and len(relation) else 0
-        lines.append(
-            f"  {label}: anchor scan {atom} hash-partitioned on "
-            f"column {key}; 1 compiled kernel reused across "
-            f"{count} shard calls per firing")
-    return "\n".join(lines)
 
 
 def _vectorized_section(kernels, edb, program=None, idb=None,

@@ -32,11 +32,10 @@ from ..facts.database import Database
 from ..facts.relation import Relation
 from ..runtime import chaos
 from ..runtime.budget import Budget, resolve_budget
-from .bindings import (Binding, EvalStats, instantiate_head, solve_body,
-                       validate_planner)
+from .bindings import (Binding, EvalStats, check_edb_arities,
+                       instantiate_head, solve_body, validate_planner)
 from .compile import KernelCache, validate_executor
 from .naive import DEFAULT_MAX_ITERATIONS
-from .parallel import DEFAULT_SHARDS, ShardExecutor, validate_parallel_mode
 from .profile import EvalProfile
 from .stratify import stratify
 from .vectorize import VectorRunner, columnar_backend_factory
@@ -56,8 +55,6 @@ def seminaive_evaluate(program: Program, edb: Database,
                        planner: str = "greedy",
                        budget: Budget | None = None,
                        executor: str = "compiled",
-                       shards: int | None = None,
-                       parallel_mode: str = "auto",
                        profile: EvalProfile | None = None,
                        dataflow: "DataflowResult | None" = None,
                        ) -> Database:
@@ -74,12 +71,8 @@ def seminaive_evaluate(program: Program, edb: Database,
     slot-based kernel (:mod:`repro.engine.compile`) reused across all
     rounds; ``"interpreted"`` keeps the reference
     :func:`~repro.engine.bindings.solve_body` interpreter, the
-    semantics oracle; ``"parallel"`` runs the same compiled kernels
-    sharded over a hash partition of each firing's anchor scan
-    (:mod:`repro.engine.parallel` — ``shards`` buckets, default
-    :data:`~repro.engine.parallel.DEFAULT_SHARDS`; ``parallel_mode``
-    picks the worker pool); ``"vectorized"`` stores relations
-    columnarly and runs each firing as a whole-frontier batch kernel
+    semantics oracle; ``"vectorized"`` stores relations columnarly and
+    runs each firing as a whole-frontier batch kernel
     (:mod:`repro.engine.vectorize`) with comparison/negation checks
     cached per column.  All derive identical databases with
     identical counters; hooks, chaos injection and budgets behave
@@ -105,6 +98,7 @@ def seminaive_evaluate(program: Program, edb: Database,
     stats = stats if stats is not None else EvalStats()
     validate_executor(executor)
     validate_planner(planner)
+    check_edb_arities(program, edb)
     budget = resolve_budget(budget)
     arities = program.predicate_arities()
     vectorized = executor == "vectorized"
@@ -116,7 +110,6 @@ def seminaive_evaluate(program: Program, edb: Database,
 
     keep_atom_order = planner == "source"
     kernels = None
-    pool = None
     vec = VectorRunner(symbols=edb.symbols,
                        true_checks=dataflow.true_checks
                        if dataflow is not None else None) \
@@ -139,20 +132,10 @@ def seminaive_evaluate(program: Program, edb: Database,
                                            dataflow=dataflow)
         if kernels is not None:
             kernels.on_replan = vec.invalidate
-    if executor == "parallel":
-        validate_parallel_mode(parallel_mode)
-        pool = ShardExecutor(shards if shards is not None
-                             else DEFAULT_SHARDS,
-                             mode=parallel_mode, symbols=edb.symbols)
-    try:
-        for stratum in stratify(program):
-            _evaluate_stratum(program, stratum, edb, idb, stats,
-                              max_iterations, hook, keep_atom_order,
-                              budget, kernels, pool, vec, profile,
-                              dataflow)
-    finally:
-        if pool is not None:
-            pool.close()
+    for stratum in stratify(program):
+        _evaluate_stratum(program, stratum, edb, idb, stats,
+                          max_iterations, hook, keep_atom_order,
+                          budget, kernels, vec, profile, dataflow)
     if kernels is not None:
         stats.replans += kernels.replans
     return idb
@@ -165,7 +148,6 @@ def _evaluate_stratum(program: Program, stratum: frozenset[str],
                       keep_atom_order: bool = False,
                       budget: Budget | None = None,
                       kernels: KernelCache | None = None,
-                      pool: ShardExecutor | None = None,
                       vec: VectorRunner | None = None,
                       profile: EvalProfile | None = None,
                       dataflow: "DataflowResult | None" = None) -> None:
@@ -184,10 +166,6 @@ def _evaluate_stratum(program: Program, stratum: frozenset[str],
 
     def make_delta(pred: str) -> Relation:
         target = idb.relation(pred)
-        if pool is not None:
-            # Sharded buckets: next round's scatter over this delta is
-            # then free (see :meth:`ShardExecutor.make_delta`).
-            return pool.make_delta(pred, target)
         if vec is not None and symbols is not None:
             # Columnar deltas: batch kernels gather frontier columns
             # and probe per-column indexes without tuple allocation.
@@ -255,12 +233,7 @@ def _evaluate_stratum(program: Program, stratum: frozenset[str],
                                         cost=cost_now)
             else:
                 kernel = kernels.kernel(rule, variant, sizes)
-            if pool is not None:
-                derived = pool.run(kernel, fetch, stats,
-                                   round_index=round_index, hook=hook,
-                                   budget=budget,
-                                   mutable_preds=stratum)
-            elif vec is not None:
+            if vec is not None:
                 derived = vec.run(kernel, fetch, stats, hook=hook,
                                   round_index=round_index)
             else:
@@ -331,20 +304,6 @@ def _evaluate_stratum(program: Program, stratum: frozenset[str],
                     countdown = budget.checkpoint(
                         stats, last_round=last_round)
 
-    def barrier() -> None:
-        """Per-round synchronization point of the parallel executor.
-
-        Fired after a round's new-delta rows have merged: a chaos
-        checkpoint for fault injection, then a skew check that may
-        repartition each delta — the relation next round's firings
-        scatter over — by a freshly-chosen key column.
-        """
-        if pool is None:
-            return
-        chaos.checkpoint("parallel:barrier")
-        for delta_rel in deltas.values():
-            pool.rebalance_if_skewed(delta_rel)
-
     # Initialization round.
     next_deltas: dict[str, Relation] = {pred: make_delta(pred)
                                         for pred in stratum}
@@ -355,7 +314,6 @@ def _evaluate_stratum(program: Program, stratum: frozenset[str],
     if profile is not None:
         profile.record_round(0, {pred: len(rel)
                                  for pred, rel in deltas.items()})
-    barrier()
 
     rounds = 0
     while any(len(d) for d in deltas.values()):
@@ -391,7 +349,6 @@ def _evaluate_stratum(program: Program, stratum: frozenset[str],
         if profile is not None:
             profile.record_round(rounds, {pred: len(rel)
                                           for pred, rel in deltas.items()})
-        barrier()
 
 
 def answers(query_literals: Iterable, program: Program, edb: Database,

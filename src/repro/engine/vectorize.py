@@ -70,8 +70,8 @@ def columnar_backend_factory(name: str, arity: int) -> ColumnarBackend:
     Passed by the evaluation entry points when ``executor="vectorized"``
     runs over an interned database, so IDB and delta relations land in
     :class:`~repro.facts.backend.ColumnarBackend` stores (O(1)-copy
-    snapshots, raw-array replica shipping).  Only valid for interned
-    rows — codes are ints, which is what ``array('q')`` holds.
+    snapshots).  Only valid for interned rows — codes are ints, which
+    is what ``array('q')`` holds.
     """
     from ..facts.backend import ColumnarBackend
 

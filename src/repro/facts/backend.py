@@ -11,8 +11,8 @@ checks, value/code translation against a shared symbol table, statistics
   those columns (read-only to callers; kernel probes resolve buckets
   from it directly);
 - every **mutation** goes through the backend's methods, so a backend
-  that maintains extra structure (shard buckets, columnar arrays, a
-  write-ahead log) observes every insert and delete.
+  that maintains extra structure (columnar arrays, a write-ahead log)
+  observes every insert and delete.
 
 Every backend also carries a ``(uid, version)`` identity: ``uid`` is
 unique per backend instance and ``version`` bumps on every mutation that
@@ -34,12 +34,9 @@ Three index families are maintained:
 
 :class:`DictBackend` is the default: a ``set`` of tuples plus on-demand
 ``dict`` indexes — semantically exactly the storage the engine always
-had.  :class:`ShardedBackend` additionally hash-partitions rows into
-``shard_count`` buckets by one *key column*, which is what the parallel
-executor (:mod:`repro.engine.parallel`) scatters kernel firings over.
-:class:`ColumnarBackend` mirrors interned rows into per-column
+had.  :class:`ColumnarBackend` mirrors interned rows into per-column
 ``array('q')`` stores with O(1) copy-on-write snapshots — the substrate
-the vectorized executor and the fork pool's raw-array shipping use.
+the vectorized executor uses.
 """
 
 from __future__ import annotations
@@ -329,144 +326,6 @@ class DictBackend:
         return out
 
 
-class ShardedBackend(DictBackend):
-    """A dict backend that also hash-partitions rows into shard buckets.
-
-    Rows land in ``shard_lists[hash(row[key_column]) % shard_count]`` as
-    they are inserted, so the parallel executor's scatter step is a list
-    access, not a partition pass.  The key column is normally chosen by
-    :func:`repro.engine.parallel.choose_partition_key` (the column with
-    the most distinct values — statistics the relation already
-    maintains); partitioning never affects results, only balance, since
-    derived rows are merged and deduplicated centrally.
-
-    The largest bucket size is tracked incrementally (``_max_shard``)
-    so the barrier-time ``rebalance_if_skewed`` skew probe —
-    :meth:`imbalance` — is O(1) instead of a scan over every shard.
-    """
-
-    __slots__ = ("shard_count", "key_column", "shard_lists", "rebalances",
-                 "_max_shard")
-
-    def __init__(self, shard_count: int, key_column: int = 0,
-                 rows: Iterable[Row] | None = None) -> None:
-        if shard_count < 1:
-            raise ValueError("shard_count must be >= 1")
-        super().__init__()
-        self.shard_count = shard_count
-        self.key_column = key_column
-        self.shard_lists: list[list[Row]] = [
-            [] for _ in range(shard_count)]
-        #: Times :meth:`rebalance` actually repartitioned.
-        self.rebalances = 0
-        #: Incrementally maintained ``max(len(bucket))`` over the shards.
-        self._max_shard = 0
-        if rows is not None:
-            self.merge_new(list(rows))
-
-    # -- mutation (bucket-maintaining overrides) ----------------------------
-    def _scatter(self, new_rows: Iterable[Row]) -> None:
-        lists = self.shard_lists
-        count = self.shard_count
-        column = self.key_column
-        largest = self._max_shard
-        for row in new_rows:
-            bucket = lists[hash(row[column]) % count]
-            bucket.append(row)
-            if len(bucket) > largest:
-                largest = len(bucket)
-        self._max_shard = largest
-
-    def insert(self, row: Row) -> bool:
-        if super().insert(row):
-            bucket = self.shard_lists[
-                hash(row[self.key_column]) % self.shard_count]
-            bucket.append(row)
-            if len(bucket) > self._max_shard:
-                self._max_shard = len(bucket)
-            return True
-        return False
-
-    def add_new(self, rows: Iterable[Row]) -> list[Row]:
-        new_rows = super().add_new(rows)
-        self._scatter(new_rows)
-        return new_rows
-
-    def merge_new(self, rows: Collection[Row]) -> list[Row]:
-        new_rows = super().merge_new(rows)
-        self._scatter(new_rows)
-        return new_rows
-
-    def merge(self, rows: list[Row]) -> None:
-        super().merge(rows)
-        self._scatter(rows)
-
-    def remove(self, row: Row) -> bool:
-        if super().remove(row):
-            bucket = self.shard_lists[
-                hash(row[self.key_column]) % self.shard_count]
-            was_max = len(bucket) >= self._max_shard
-            bucket.remove(row)
-            if was_max:
-                # The shrunk bucket may have been the (only) largest;
-                # the true max is within 1 of the counter, so this
-                # O(shards) recompute runs only on removals from a
-                # maximal bucket — never on the append fast path.
-                self._max_shard = max(
-                    (len(b) for b in self.shard_lists), default=0)
-            return True
-        return False
-
-    def clear(self) -> None:
-        super().clear()
-        self.shard_lists = [[] for _ in range(self.shard_count)]
-        self._max_shard = 0
-
-    # -- sharding -----------------------------------------------------------
-    def imbalance(self) -> float:
-        """Largest bucket over the ideal (rows / shards); 1.0 = perfect.
-
-        O(1): reads the incrementally maintained largest-bucket counter
-        instead of scanning every shard at each barrier-time check.
-        """
-        total = len(self.rows)
-        if not total:
-            return 1.0
-        ideal = total / self.shard_count
-        return self._max_shard / ideal
-
-    def rebalance(self, key_column: int) -> bool:
-        """Repartition every bucket by a new key column.
-
-        Returns True when the key actually changed (a no-op rebalance
-        onto the current key is skipped — hashing is deterministic, so
-        the partition would come out identical).
-        """
-        if key_column == self.key_column:
-            return False
-        self.key_column = key_column
-        self.shard_lists = [[] for _ in range(self.shard_count)]
-        self._max_shard = 0
-        self._scatter(self.rows)
-        self.rebalances += 1
-        return True
-
-    def copy(self) -> "ShardedBackend":
-        out = ShardedBackend.__new__(ShardedBackend)
-        out.rows = set(self.rows)
-        out.indexes = {}
-        out.code_indexes = {}
-        out.proj_indexes = {}
-        out.uid = next(_uids)
-        out.version = 0
-        out.shard_count = self.shard_count
-        out.key_column = self.key_column
-        out.shard_lists = [list(bucket) for bucket in self.shard_lists]
-        out.rebalances = self.rebalances
-        out._max_shard = self._max_shard
-        return out
-
-
 class ColumnarBackend(DictBackend):
     """Interned rows mirrored into append-only per-column ``array('q')``.
 
@@ -475,8 +334,6 @@ class ColumnarBackend(DictBackend):
     every stored column is also kept as a dense signed-64 array of
     interned codes:
 
-    - the fork-mode parallel pool ships replicas as the raw column
-      arrays (no per-row packing pass);
     - ``Relation.column_view`` snapshots are a C-level array copy;
     - :meth:`id_index_for` maps a key-column code to the ``array('q')``
       of row ids carrying it (row-id runs), from which
@@ -496,8 +353,7 @@ class ColumnarBackend(DictBackend):
     are only ever probed through the dict indexes — delta frontiers,
     IDB accumulators — therefore pay exactly what :class:`DictBackend`
     pays on the hot insert path; the arrays exist only where a reader
-    (projection index, column view, fork-pool replica shipping)
-    actually asked for them, and from then on are maintained
+    (projection index, column view) actually asked for them, and from then on are maintained
     incrementally by the append path.
     """
 

@@ -27,8 +27,7 @@ The physical row container and index maintenance live behind a
 pluggable :class:`~repro.facts.backend.StorageBackend`
 (:class:`~repro.facts.backend.DictBackend` by default; pass
 ``backend=`` to supply another, e.g. a
-:class:`~repro.facts.backend.ShardedBackend` whose hash-partitioned
-buckets the parallel executor scatters over).  The relation keeps the
+:class:`~repro.facts.backend.ColumnarBackend`).  The relation keeps the
 semantics — arity checks, interning, statistics — and delegates the
 physical operations.
 
@@ -425,7 +424,7 @@ class Relation:
         reconstruction) therefore pay nothing for indexes the copy
         never probes, which profiling showed dominating copy cost when
         every index was eagerly duplicated.  The backend type is
-        preserved (a sharded relation copies to a sharded relation).
+        preserved (a columnar relation copies to a columnar relation).
         Statistics are not carried over; they rebuild lazily if needed.
         """
         return Relation(self.name, self.arity, symbols=self.symbols,

@@ -1,27 +1,10 @@
-"""Incremental view maintenance (and, via re-export, warm serving).
+"""Incremental view maintenance.
 
-The maintenance engine lives here; the serving layer it powers was
-promoted to :mod:`repro.serving` in PR 6.  The serving names below are
-re-exported lazily for backward compatibility — resolving them on
-first access keeps the ``repro.serving`` <-> ``repro.incremental``
-import graph acyclic (serving imports :mod:`.maintain` eagerly; we
-import serving only when someone actually asks for a serving name).
+The serving layer this engine powers lives in :mod:`repro.serving`.
 """
 
 from .maintain import (MaintenanceResult, SupportCounts,
                        is_recursive_stratum, maintain, support_counts)
 
-_SERVING_NAMES = ("MaterializedView", "Server", "RefreshReport",
-                  "program_fingerprint", "relation_fingerprint")
-
 __all__ = ["MaintenanceResult", "SupportCounts", "is_recursive_stratum",
-           "maintain", "support_counts", *_SERVING_NAMES]
-
-
-def __getattr__(name: str):
-    if name in _SERVING_NAMES:
-        from ..serving import views
-
-        return getattr(views, name)
-    raise AttributeError(
-        f"module {__name__!r} has no attribute {name!r}")
+           "maintain", "support_counts"]

@@ -24,7 +24,7 @@ mixed changesets.  Programs where a changed predicate can reach a
 *negated* occurrence are rejected with
 :class:`~repro.errors.IncrementalUnsupported` — deletions can then grow
 relations and neither pass bounds the effect — and the serving layer
-(:mod:`repro.incremental.serving`) falls back to full recomputation.
+(:mod:`repro.serving`) falls back to full recomputation.
 
 Counting exactness relies on the classic delta partition: for a rule
 with ``k`` occurrences of changed predicates, firing ``i`` redirects
@@ -57,8 +57,9 @@ from ..facts.database import Database
 from ..facts.relation import Relation, Row
 from ..runtime import chaos
 from ..runtime.budget import Budget, resolve_budget
-from ..engine.bindings import (Binding, EvalStats, instantiate_head,
-                               plan_body, solve_body, validate_planner)
+from ..engine.bindings import (Binding, EvalStats, check_edb_arities,
+                               instantiate_head, plan_body, solve_body,
+                               validate_planner)
 from ..engine.compile import KernelCache, validate_executor
 from ..engine.naive import DEFAULT_MAX_ITERATIONS
 from ..engine.seminaive import DerivationHook
@@ -144,7 +145,7 @@ def support_counts(program: Program, edb: Database, idb: Database,
     counts = SupportCounts()
     kernels = KernelCache(symbols=edb.symbols,
                           fuse=executor != "vectorized") \
-        if executor in ("compiled", "parallel", "vectorized") else None
+        if executor in ("compiled", "vectorized") else None
     vec = VectorRunner(symbols=edb.symbols) \
         if executor == "vectorized" else None
     symbols = edb.symbols
@@ -201,6 +202,7 @@ def maintain(program: Program, edb: Database, idb: Database,
     stats = stats if stats is not None else EvalStats()
     validate_executor(executor)
     validate_planner(planner)
+    check_edb_arities(program, edb)
     derived = changeset.predicates() & program.idb_predicates
     if derived:
         raise EvaluationError(
@@ -313,7 +315,7 @@ class _Maintenance:
         self.keep_atom_order = planner == "source"
         if kernels is not None:
             self.kernels: KernelCache | None = kernels
-        elif executor in ("compiled", "parallel", "vectorized"):
+        elif executor in ("compiled", "vectorized"):
             self.kernels = KernelCache(
                 keep_atom_order=self.keep_atom_order,
                 symbols=edb.symbols,

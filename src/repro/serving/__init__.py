@@ -1,8 +1,6 @@
 """The concurrent, fault-tolerant serving tier.
 
-Promoted from ``repro.incremental.serving`` (which remains as a
-compatibility shim) and grown into the layer the ROADMAP's
-"millions of users" story runs on:
+The layer the ROADMAP's "millions of users" story runs on:
 
 * :mod:`~repro.serving.views` — :class:`MaterializedView` /
   :class:`Server`: warm materializations kept live by incremental

@@ -1,8 +1,7 @@
 """Materialized views and the view registry (the serving core).
 
-Promoted from ``repro.incremental.serving`` (PR 5) and extended for the
-concurrent serving tier: a :class:`MaterializedView` pairs one program
-with one :class:`~repro.facts.changelog.VersionedDatabase` and keeps
+A :class:`MaterializedView` pairs one program with one
+:class:`~repro.facts.changelog.VersionedDatabase` and keeps
 the program's full IDB materialized across EDB versions — the first
 use pays a fixpoint evaluation, every later use pays only
 :func:`~repro.incremental.maintain.maintain` over the net changeset
@@ -108,7 +107,7 @@ class MaterializedView:
             keep_atom_order=planner == "source",
             symbols=source.db.symbols,
             fuse=executor != "vectorized") \
-            if executor in ("compiled", "parallel", "vectorized") \
+            if executor in ("compiled", "vectorized") \
             else None
         #: EDB version the materialization reflects; -1 = never built.
         self.version = -1

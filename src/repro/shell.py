@@ -153,7 +153,7 @@ class Shell:
         """
         if self._server is None:
             from .facts.changelog import VersionedDatabase
-            from .incremental import Server
+            from .serving import Server
 
             self._server = Server(source=VersionedDatabase(self.edb))
         return self._server.serve(self.program, literals)
@@ -247,7 +247,7 @@ class Shell:
             return
         if self._server is None:
             from .facts.changelog import VersionedDatabase
-            from .incremental import Server
+            from .serving import Server
 
             self._server = Server(source=VersionedDatabase(self.edb))
         version = self._server.apply(changeset)

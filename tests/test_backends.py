@@ -1,6 +1,6 @@
 """Conformance suite for the pluggable storage backends.
 
-Every backend — dict, sharded, columnar — must satisfy the same
+Every backend — dict, columnar — must satisfy the same
 :class:`~repro.facts.backend.StorageBackend` contract: identical row
 semantics, identical live-index maintenance across all three index
 families, lazily rebuilt indexes on copies, and a ``(uid, version)``
@@ -9,19 +9,15 @@ cache's invalidation rule).  Rows are tuples of ints throughout so the
 columnar backend (interned codes only) runs the same cases verbatim.
 """
 
-import random
-
 import pytest
 
 from repro.facts.backend import (ColumnarBackend, DictBackend,
-                                 ShardedBackend, StorageBackend)
+                                 StorageBackend)
 
 ROWS = [(1, 2), (2, 3), (2, 4), (5, 2)]
 
 BACKENDS = [
     ("dict", lambda rows=None: DictBackend(rows)),
-    ("sharded", lambda rows=None: ShardedBackend(
-        4, 0, rows=list(rows) if rows is not None else None)),
     ("columnar", lambda rows=None: ColumnarBackend(
         2, rows=list(rows) if rows is not None else None)),
 ]
@@ -144,7 +140,7 @@ class TestCopyIdentity:
         assert sorted(clone) == sorted(ROWS + [(9, 9)])
 
     def test_copy_rebuilds_indexes_lazily(self, make):
-        # Regression (sharded-fixpoint PR): a copy must NOT share the
+        # Regression: a copy must NOT share the
         # source's live index dicts — after mutating the copy, probes
         # on it reflect the mutation while the source's index is
         # untouched.
@@ -179,41 +175,6 @@ class TestCopyIdentity:
         assert backend.version == v1
         backend.remove((1, 2))
         assert backend.version > v1
-
-
-class TestShardedSpecifics:
-    def brute_imbalance(self, backend):
-        total = len(backend.rows)
-        if not total:
-            return 1.0
-        largest = max((len(b) for b in backend.shard_lists), default=0)
-        return largest / (total / backend.shard_count)
-
-    def test_imbalance_counter_matches_recompute(self):
-        rng = random.Random(11)
-        backend = ShardedBackend(4)
-        live = []
-        for _ in range(400):
-            action = rng.random()
-            if action < 0.55 or not live:
-                row = (rng.randrange(12), rng.randrange(12))
-                if backend.insert(row):
-                    live.append(row)
-            elif action < 0.85:
-                row = live.pop(rng.randrange(len(live)))
-                assert backend.remove(row)
-            else:
-                backend.rebalance(rng.randrange(2))
-            assert backend.imbalance() == pytest.approx(
-                self.brute_imbalance(backend))
-
-    def test_rebalance_noop_on_same_key(self):
-        backend = ShardedBackend(4, 0, rows=ROWS)
-        assert not backend.rebalance(0)
-        assert backend.rebalances == 0
-        assert backend.rebalance(1)
-        assert backend.rebalances == 1
-        assert sorted(backend) == sorted(ROWS)
 
 
 class TestColumnarSpecifics:

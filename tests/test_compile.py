@@ -13,6 +13,7 @@ import random
 
 import pytest
 
+from repro.cli import main
 from repro.datalog import parse_program
 from repro.datalog.atoms import Atom
 from repro.datalog.terms import Variable
@@ -23,7 +24,9 @@ from repro.engine.bindings import plan_body
 from repro.engine.compile import validate_executor
 from repro.errors import BudgetExceededError, EvaluationError
 from repro.facts import Database
+from repro.facts.changelog import Changeset
 from repro.facts.relation import Relation
+from repro.incremental import maintain
 from repro.runtime import Budget
 from repro.runtime.chaos import ChaosError, ChaosPlan
 from repro.workloads import (GenealogyParams, OrganizationParams,
@@ -236,6 +239,49 @@ def test_validate_executor_rejects_unknown():
     program, edb, _query = _tc_workload()
     with pytest.raises(EvaluationError, match="executor"):
         evaluate(program, edb, executor="gpu")
+
+
+def test_parallel_executor_is_removed(tmp_path):
+    # Removal pin (PR 13): no alias, no accepted-and-ignored keyword.
+    program, edb, _query = _tc_workload()
+    with pytest.raises(EvaluationError) as info:
+        evaluate(program, edb, executor="parallel")
+    assert "('compiled', 'interpreted', 'vectorized')" in str(info.value)
+    with pytest.raises(TypeError):
+        evaluate(program, edb, shards=4)
+    source = tmp_path / "tc.dl"
+    source.write_text("reach(X, Y) :- edge(X, Y).\n")
+    facts = tmp_path / "db.dl"
+    facts.write_text("edge(1, 2).\n")
+    with pytest.raises(SystemExit) as exit_info:
+        main(["evaluate", str(source), str(facts),
+              "--executor", "parallel"])
+    assert exit_info.value.code == 2
+
+
+@pytest.mark.parametrize("facts, stored", [("edge(1). edge(2).", 1),
+                                           ("edge(1, 2, 9).", 3)])
+@pytest.mark.parametrize("interning", ["off", "on"])
+@pytest.mark.parametrize("executor", EXECUTORS)
+def test_edb_arity_mismatch_is_rejected(executor, interning, facts,
+                                        stored):
+    program = parse_program("""
+        r0: reach(X, Y) :- edge(X, Y).
+        r1: reach(X, Y) :- reach(X, Z), edge(Z, Y).
+    """)
+    message = f"relation 'edge' has arity {stored}, program uses edge/2"
+    for method in ("seminaive", "naive"):
+        with pytest.raises(EvaluationError) as info:
+            evaluate(program, Database.from_text(facts), method=method,
+                     executor=executor, interning=interning)
+        assert str(info.value) == message
+    edb = Database.from_text(facts)
+    if interning == "on":
+        edb = edb.interned()
+    with pytest.raises(EvaluationError) as info:
+        maintain(program, edb, Database(symbols=edb.symbols), Changeset(),
+                 executor=executor)
+    assert str(info.value) == message
 
 
 def test_explain_kernels_renders_steps(tc_program, chain_db):

@@ -214,7 +214,6 @@ COMBOS = [
     {"executor": "compiled", "method": "naive"},
     {"executor": "vectorized", "interning": "on"},
     {"executor": "vectorized", "interning": "on", "planner": "adaptive"},
-    {"executor": "parallel", "shards": 2, "parallel_mode": "serial"},
 ]
 
 

@@ -45,7 +45,6 @@ COMBOS = [
     {"executor": "interpreted", "planner": "source"},
     {"executor": "compiled", "method": "naive"},
     {"executor": "vectorized", "interning": "on", "planner": "adaptive"},
-    {"executor": "parallel", "shards": 2, "parallel_mode": "serial"},
 ]
 
 

@@ -28,8 +28,7 @@ def test_build_workloads_rejects_unknown_scale():
 
 
 def _report(speedup, agreement_ok=True, configs_ok=True,
-            interned_speedup=2.0, parallel_speedup=2.0, repeats=3,
-            focus=None):
+            interned_speedup=2.0, repeats=3, focus=None):
     def block(name):
         methods = {
             method: {"compiled": {"wall_ms": 10.0},
@@ -44,10 +43,8 @@ def _report(speedup, agreement_ok=True, configs_ok=True,
                 "baseline": {"wall_ms": 10.0},
                 "interned_adaptive": {
                     "wall_ms": 10.0 / interned_speedup},
-                "parallel": {"wall_ms": 10.0 / parallel_speedup},
             },
             "interned_speedup": interned_speedup,
-            "parallel_speedup": parallel_speedup,
             "agreement": {
                 "methods_agree": agreement_ok,
                 "executors_agree": True,
@@ -101,20 +98,20 @@ def test_per_cell_floor_fails_on_missing_executor_cell():
 def test_per_cell_floor_fails_on_slow_config_cell():
     # 2x slower than the compiled baseline is outside the default 1.5x
     # allowance — the per-cell floor trips even with no speedup gates.
-    failures = regression_failures(_report(2.0, parallel_speedup=0.5))
-    assert any("parallel: 2.00x slower than the compiled baseline"
-               in f for f in failures)
+    failures = regression_failures(_report(2.0, interned_speedup=0.5))
+    assert any("interned_adaptive: 2.00x slower than the compiled "
+               "baseline" in f for f in failures)
 
 
 def test_focused_report_skips_method_grid():
     # Smoke-mode reports carry no methods grid; the config floors and
     # speedup gates still apply.
-    report = _report(2.0, focus="parallel")
+    report = _report(2.0, focus="vectorized")
     assert regression_failures(report,
-                               min_parallel_speedup=1.3) == []
-    report = _report(2.0, parallel_speedup=1.1, focus="parallel")
-    failures = regression_failures(report, min_parallel_speedup=1.3)
-    assert any("parallel executor is only 1.10x" in f
+                               min_interned_speedup=1.3) == []
+    report = _report(2.0, interned_speedup=1.1, focus="vectorized")
+    failures = regression_failures(report, min_interned_speedup=1.3)
+    assert any("interned+adaptive is only 1.10x" in f
                for f in failures)
 
 
@@ -136,27 +133,6 @@ def test_interned_gate_fails_below_threshold():
     # Both gated workloads report the miss.
     assert len(failures) == 2
     assert all("interned+adaptive is only 1.10x" in f for f in failures)
-
-
-def test_parallel_gate_passes_at_threshold():
-    report = _report(2.0, parallel_speedup=1.4)
-    assert regression_failures(report, min_parallel_speedup=1.3) == []
-
-
-def test_parallel_gate_fails_below_threshold():
-    report = _report(2.0, parallel_speedup=1.1)
-    failures = regression_failures(report, min_parallel_speedup=1.3)
-    assert len(failures) == 1
-    assert "parallel executor is only 1.10x" in failures[0]
-
-
-def test_parallel_gate_fails_on_missing_measurement():
-    report = _report(2.0)
-    for block in report["workloads"]:
-        del block["parallel_speedup"]
-        del block["seminaive_configs"]["parallel"]
-    failures = regression_failures(report, min_parallel_speedup=1.3)
-    assert failures and "no parallel_speedup" in failures[0]
 
 
 def test_interned_gate_fails_on_missing_measurement():

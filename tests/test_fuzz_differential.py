@@ -20,10 +20,7 @@ from repro.runtime.budget import Budget
 from repro.runtime.chaos import ChaosPlan
 from repro.workloads import random_linear_program
 
-#: (executor, planner, interning, shards).  ``shards`` is only
-#: meaningful for the parallel executor (None elsewhere); the parallel
-#: combos sweep shard counts so scatter/merge accounting is checked
-#: against the single-threaded executors at every partition width.
+#: (executor, planner, interning).
 #: The vectorized combos sweep every planner both interned (batch
 #: kernels over columnar storage) and not (falls back to the compiled
 #: kernels), so the whole-frontier accounting is differentially checked
@@ -36,14 +33,10 @@ from repro.workloads import random_linear_program
 #: vectorized executor, where cbo additionally makes a per-rule
 #: batch-vs-row kernel choice (both verdicts are pinned to identical
 #: counters).
-COMBOS = [(executor, planner, interning, None)
+COMBOS = [(executor, planner, interning)
           for executor in ("compiled", "interpreted", "vectorized")
           for planner in ("greedy", "adaptive", "source", "cbo")
           for interning in ("off", "on")]
-COMBOS += [("parallel", planner, interning, shards)
-           for planner in ("adaptive", "cbo")
-           for interning in ("off", "on")
-           for shards in (1, 2, 4)]
 
 
 def fingerprint(result):
@@ -59,10 +52,9 @@ def test_all_combos_derive_identical_facts(seed):
     prints = {}
     counts = {}
     for combo in COMBOS:
-        executor, planner, interning, shards = combo
+        executor, planner, interning = combo
         result = evaluate(program, edb, executor=executor,
-                          planner=planner, interning=interning,
-                          shards=shards)
+                          planner=planner, interning=interning)
         prints[combo] = fingerprint(result)
         counts[combo] = (result.stats.derivations,
                          result.stats.duplicate_derivations)
@@ -79,11 +71,11 @@ def test_budget_exhaustion_payloads_match_across_combos(seed):
     text, edb = random_linear_program(random.Random(seed))
     program = parse_program(text)
     payloads = set()
-    for executor, planner, interning, shards in COMBOS:
+    for executor, planner, interning in COMBOS:
         budget = Budget(max_derivations=120)
         with pytest.raises(BudgetExceededError) as info:
             evaluate(program, edb, executor=executor, planner=planner,
-                     interning=interning, shards=shards, budget=budget)
+                     interning=interning, budget=budget)
         error = info.value
         # Which row tipped the counter over differs by enumeration
         # order, but the accounted totals at the boundary must not.
@@ -97,12 +89,11 @@ def test_chaos_fault_ordinals_match_across_combos(seed):
     text, edb = random_linear_program(random.Random(seed))
     program = parse_program(text)
     triggered = set()
-    for executor, planner, interning, shards in COMBOS:
+    for executor, planner, interning in COMBOS:
         plan = ChaosPlan().fail_derivation(40)
         with plan.active():
             with pytest.raises(ChaosError):
                 evaluate(program, edb, executor=executor,
-                         planner=planner, interning=interning,
-                         shards=shards)
+                         planner=planner, interning=interning)
         triggered.add(tuple(plan.triggered))
     assert len(triggered) == 1, triggered

@@ -23,11 +23,11 @@ from repro.errors import (BudgetExceededError, EvaluationError,
 from repro.facts import Database
 from repro.facts.changelog import (Changeset, VersionedDatabase,
                                    random_changeset)
-from repro.incremental import (Server, maintain, relation_fingerprint,
-                               support_counts)
+from repro.incremental import maintain, support_counts
 from repro.runtime import ChaosError
 from repro.runtime.budget import Budget
 from repro.runtime.chaos import ChaosPlan
+from repro.serving import Server, relation_fingerprint
 from repro.shell import run as shell_run
 
 TC = """

@@ -20,11 +20,9 @@ from repro.engine import (EvalProfile, EvalStats, evaluate,
                           evaluate_with_magic, explain_kernels)
 from repro.engine.compile import KernelCache
 from repro.engine.vectorize import (PredicateCache, VectorRunner,
-                                    columnar_backend_factory,
                                     compile_batch)
 from repro.errors import EvaluationError
 from repro.facts import Database
-from repro.facts.backend import ColumnarBackend
 from repro.facts.relation import Relation
 from repro.facts.symbols import SymbolTable
 from repro.workloads import random_digraph, transitive_closure_program
@@ -289,24 +287,6 @@ def test_explain_kernels_vectorized_section():
     assert "falls back to the compiled kernel" in text
     plain = explain_kernels(program, edb, executor="vectorized")
     assert "EDB not interned" in plain
-
-
-# ---------------------------------------------------------------------------
-# Columnar shipping through the fork pool
-# ---------------------------------------------------------------------------
-
-
-def test_parallel_executor_ships_columnar_replicas():
-    program, edb = _tc()
-    columnar = edb.interned(backend_factory=columnar_backend_factory)
-    assert any(isinstance(columnar.relation(p).backend, ColumnarBackend)
-               for p in columnar)
-    reference = _snapshot(evaluate(program, edb, interning="on",
-                                   executor="compiled"))
-    shipped = _snapshot(evaluate(program, columnar, interning="on",
-                                 executor="parallel", shards=2,
-                                 parallel_mode="fork"))
-    assert shipped == reference
 
 
 # ---------------------------------------------------------------------------
