@@ -47,8 +47,7 @@ the engine's existing behavioral envelope.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from ..datalog.atoms import Atom, Comparison, Negation
@@ -563,7 +562,6 @@ class DataflowResult:
     head_kinds: dict[tuple[str, int],
                      tuple[tuple[str, frozenset[str]], ...]]
     converged: bool = True
-    edb_sizes: dict[str, float] = field(default_factory=dict)
 
     def is_dead(self, rule: Rule) -> bool:
         return rule in self.dead_rules
@@ -571,27 +569,6 @@ class DataflowResult:
     def size_bound(self, pred: str) -> float:
         """Cardinality upper bound for ``pred`` (may be ``inf``)."""
         return self.bounds.get(pred, INF)
-
-    def frontier_estimate(self, pred: str) -> float:
-        """Predicted average delta-frontier width for ``pred``.
-
-        The cost-based optimizer prices batch-vectorized kernels by the
-        frontier width their per-firing setup amortizes over.  With a
-        finite size bound ``B`` and no round bound, the uniform
-        heuristic is ``sqrt(B)`` rows per delta round (a fixpoint
-        deriving ``B`` facts over ``~sqrt(B)`` rounds); EDB predicates
-        surface their actual size (the initialization round scans them
-        whole).  ``inf`` when nothing is known.
-        """
-        if self.program.is_edb(pred):
-            size = self.edb_sizes.get(pred)
-            return size if size is not None else INF
-        bound = self.size_bound(pred)
-        if bound == INF:
-            return INF
-        if bound <= 1.0:
-            return max(bound, 0.0)
-        return max(1.0, math.sqrt(bound))
 
     def probe_estimate(self, pred: str, bound_cols: Sequence[int]) -> float:
         """Static stand-in for ``Relation.probe_estimate``.
@@ -804,8 +781,7 @@ def analyze_dataflow(program: Program, edb: "Database | None" = None,
         unsat=tuple(unsat),
         head_kinds={key: tuple(entries)
                     for key, entries in head_kinds.items()},
-        converged=converged,
-        edb_sizes=edb_sizes)
+        converged=converged)
 
 
 def _mul_bound(a: float, b: float) -> float:

@@ -16,7 +16,7 @@ Severities:
   assumption, probable typos (singleton variables), guaranteed
   cross-product joins.
 - ``info`` — advisory perf or applicability notes (a recursive rule
-  that misses whole-body fusion, an IC outside Algorithm 3.1's class).
+  without a generated kernel, an IC outside Algorithm 3.1's class).
 """
 
 from __future__ import annotations

@@ -57,7 +57,7 @@ CODES: dict[str, tuple[str, str]] = {
     "IC002": ("warning", "IC is not connected"),
     "IC003": ("info", "IC is not chain-shaped (Algorithm 3.1)"),
     "IC004": ("info", "IC yields no useful residue for the recursion"),
-    "PERF001": ("info", "recursive rule misses whole-body fusion"),
+    "PERF001": ("info", "recursive rule runs on the per-row chain"),
     "PERF002": ("warning", "positive atoms form a guaranteed cross product"),
     "PERF003": ("warning", "source-order evaluation forces a cross product"),
     "PERF004": ("warning",
@@ -579,20 +579,19 @@ def check_ics(context: AnalysisContext) -> Iterator[Diagnostic]:
 # 10. performance lints
 # ---------------------------------------------------------------------------
 
-def _fusion_blockers(rule: Rule) -> list[str]:
-    """Why ``engine.compile`` whole-body fusion would skip this rule."""
-    blockers: list[str] = []
-    if any(isinstance(lit, Comparison) for lit in rule.body):
-        blockers.append("comparisons in the body")
-    if any(isinstance(lit, Negation) for lit in rule.body):
-        blockers.append("negation in the body")
-    if any(isinstance(arg, ArithExpr) for arg in rule.head.args):
-        blockers.append("an arithmetic head argument")
-    return blockers
+def _has_arithmetic(rule: Rule) -> bool:
+    """Whether ``engine.compile`` must run this rule on its per-row
+    chain: arithmetic round-trips through the value domain per row, so
+    the body has no generated whole-frontier function."""
+    terms = list(rule.head.args)
+    for lit in rule.body:
+        if isinstance(lit, Comparison):
+            terms += [lit.lhs, lit.rhs]
+    return any(isinstance(term, ArithExpr) for term in terms)
 
 
 @register("perf", ["PERF001", "PERF002", "PERF003", "PERF004"],
-          "hot-loop shape: whole-body fusion eligibility, "
+          "hot-loop shape: generated-kernel eligibility, "
           "cross-product-shaped join orders, and existence guards that "
           "degrade deletion maintenance")
 def check_perf(context: AnalysisContext) -> Iterator[Diagnostic]:
@@ -606,16 +605,16 @@ def check_perf(context: AnalysisContext) -> Iterator[Diagnostic]:
     for rule in program:
         if not rule.body:
             continue
-        if rule.head.pred in recursive and len(rule.database_atoms()) > 1:
-            blockers = _fusion_blockers(rule)
-            if blockers:
-                yield make_diagnostic(
-                    "PERF001",
-                    f"recursive rule cannot use whole-body fusion "
-                    f"({' and '.join(blockers)}); its join runs on the "
-                    "generic closure path every round",
-                    span=_rule_span(rule), rule=rule.label,
-                    subject=rule.head.pred)
+        if rule.head.pred in recursive \
+                and len(rule.database_atoms()) > 1 \
+                and _has_arithmetic(rule):
+            yield make_diagnostic(
+                "PERF001",
+                "recursive rule has an arithmetic term, so it has no "
+                "generated kernel; its join runs on the per-row "
+                "closure chain every round",
+                span=_rule_span(rule), rule=rule.label,
+                subject=rule.head.pred)
         yield from _existence_guards(rule, recursive, scc_of)
         atoms = rule.database_atoms()
         if len(atoms) > 1 and not is_connected(atoms):

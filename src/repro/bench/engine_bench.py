@@ -55,17 +55,13 @@ EXECUTORS = ("compiled", "interpreted")
 #: Semi-naive executor configurations compared per workload: the plain
 #: columnless baseline against every interning x planner combination.
 #: ``baseline`` (greedy planner, raw storage, compiled) is the reference
-#: the ``interned_speedup`` metric and the CI gates divide by;
-#: ``interned_adaptive`` is the fast path — and the reference
-#: ``vectorized_speedup`` divides by; ``vectorized`` runs the same knobs
-#: as whole-frontier batch kernels over columnar storage.
+#: the ``interned_speedup`` metric and the per-cell floor of ``--check``
+#: divide by; ``interned_adaptive`` is the fast path.
 SEMINAIVE_CONFIGS = (
     ("baseline", {"planner": "greedy", "interning": "off"}),
     ("interned_greedy", {"planner": "greedy", "interning": "on"}),
     ("adaptive", {"planner": "adaptive", "interning": "off"}),
     ("interned_adaptive", {"planner": "adaptive", "interning": "on"}),
-    ("vectorized", {"planner": "adaptive", "interning": "on",
-                    "executor": "vectorized"}),
 )
 
 #: Report format version (bump when the JSON shape changes).
@@ -285,36 +281,22 @@ def _entry(seconds: list[float],
 def run_engine_benchmark(scale: str = "default", repeats: int = 3,
                          timeout_s: float | None = 120.0,
                          seed: int = DEFAULT_SEED,
-                         focus_executor: str | None = None,
                          profile: bool = False) -> dict:
     """Run the engine baseline and return the report dict.
 
     Per workload: every bottom-up method (naive, seminaive, magic) runs
     under both executors; top-down runs once (it has no compiled path);
     the semi-naive evaluation additionally runs under every
-    :data:`SEMINAIVE_CONFIGS` configuration (interning x planner, plus
-    the vectorized executor).  The report carries per-entry
-    timings/counters, an ``agreement`` block recording the differential
-    checks, and per-workload ``interned_speedup`` — baseline wall time
-    over the interned+adaptive configuration's — plus
-    ``vectorized_speedup``, the interned+adaptive wall time over the
-    vectorized executor's (both run the identical planner and storage
-    knobs, so the ratio isolates the batch-kernel win).
-
-    ``focus_executor`` (``"vectorized"``) is the CI smoke mode: it
-    skips the method x executor grid and top-down, measuring only the
-    cells the focused speedup needs, and stamps ``focus`` into the
-    report so the gate knows the grid cells are intentionally absent.
+    :data:`SEMINAIVE_CONFIGS` configuration (interning x planner).
+    The report carries per-entry timings/counters, an ``agreement``
+    block recording the differential checks, and per-workload
+    ``interned_speedup`` — baseline wall time over the
+    interned+adaptive configuration's.
 
     ``profile=True`` attaches a per-kernel wall-time and per-round
     delta-size breakdown (:class:`~repro.engine.profile.EvalProfile`)
     to every semi-naive configuration cell.
     """
-    if focus_executor not in (None, "vectorized"):
-        raise ValueError(
-            f"unknown focus executor {focus_executor!r}; "
-            "expected 'vectorized'")
-    full_grid = focus_executor is None
     report: dict = {
         "version": REPORT_VERSION,
         "scale": scale,
@@ -323,8 +305,6 @@ def run_engine_benchmark(scale: str = "default", repeats: int = 3,
         "python": platform.python_version(),
         "workloads": [],
     }
-    if focus_executor is not None:
-        report["focus"] = focus_executor
     for workload in build_workloads(scale, seed=seed):
         block: dict = {
             "name": workload.name,
@@ -370,45 +350,34 @@ def run_engine_benchmark(scale: str = "default", repeats: int = 3,
                     == interpreted["stats"]["derivations"])
             _block["methods"][method] = per_method
 
-        if full_grid:
-            bottom_up("naive", lambda executor: evaluate(
-                workload.program, workload.edb, method="naive",
-                executor=executor))
-            bottom_up("seminaive", lambda executor: evaluate(
-                workload.program, workload.edb, executor=executor))
-            bottom_up("magic", lambda executor: evaluate_with_magic(
-                workload.program, workload.edb, workload.query,
-                executor=executor))
+        bottom_up("naive", lambda executor: evaluate(
+            workload.program, workload.edb, method="naive",
+            executor=executor))
+        bottom_up("seminaive", lambda executor: evaluate(
+            workload.program, workload.edb, executor=executor))
+        bottom_up("magic", lambda executor: evaluate_with_magic(
+            workload.program, workload.edb, workload.query,
+            executor=executor))
 
         # Semi-naive evaluation across the configuration matrix.  The
         # baseline configuration equals the seminaive/compiled entry
         # above (greedy planner, raw storage), so its measurement is
-        # reused rather than re-timed — except in focus mode, where
-        # the grid was skipped and baseline is timed directly.
+        # reused rather than re-timed.
         configs: dict = {}
         config_fingerprints: dict[str, str] = {}
-        # The vectorized speedup divides interned_adaptive by
-        # vectorized, so its focus mode keeps the denominator cell too.
-        focus_configs = {"baseline", "interned_adaptive", focus_executor}
-        config_runs: dict[str, Callable[[], EvaluationResult]] = {}
         for config_name, knobs in SEMINAIVE_CONFIGS:
-            if not full_grid and config_name not in focus_configs:
-                continue
             holder: dict = {}
 
             def run_config(_knobs=knobs,
                            _holder=holder) -> EvaluationResult:
                 prof = EvalProfile() if profile else None
                 result = evaluate(workload.program, workload.edb,
-                                  **{"executor": "compiled",
-                                     **_knobs},
-                                  profile=prof)
+                                  **_knobs, profile=prof)
                 if prof is not None:
                     _holder["profile"] = prof
                 return result
 
-            config_runs[config_name] = run_config
-            if config_name == "baseline" and full_grid:
+            if config_name == "baseline":
                 entry = dict(block["methods"]["seminaive"]["compiled"])
             else:
                 seconds, result = _timed(run_config, repeats, timeout_s)
@@ -424,48 +393,32 @@ def run_engine_benchmark(scale: str = "default", repeats: int = 3,
         if "fingerprint" in baseline and "fingerprint" in fast:
             block["interned_speedup"] = round(
                 baseline["wall_ms"] / max(fast["wall_ms"], 1e-6), 3)
-        batched = configs.get("vectorized", {})
-        if "fingerprint" in fast and "fingerprint" in batched:
-            # This ratio is a CI gate, so it is re-measured with the
-            # two cells interleaved (see :func:`_paired_ratio`) rather
-            # than derived from the medians above, which were taken in
-            # separate windows.
-            ratio = _paired_ratio(config_runs["interned_adaptive"],
-                                  config_runs["vectorized"],
-                                  repeats, timeout_s)
-            if ratio is not None:
-                block["vectorized_speedup"] = ratio
 
-        if full_grid:
-            seconds, topdown = _timed_topdown(
-                workload, repeats, timeout_s)
-            td_entry: dict = {
-                "wall_ms": round(statistics.median(seconds) * 1000, 3)}
-            if topdown is None:
-                td_entry["budget_exceeded"] = True
-            else:
-                td_entry["answers"] = len(topdown.answers)
-                td_entry["stats"] = topdown.stats.as_dict()
-                answers["topdown"] = _query_rows(
-                    topdown.project(workload.query), workload.query)
-            block["methods"]["topdown"] = td_entry
+        seconds, topdown = _timed_topdown(workload, repeats, timeout_s)
+        td_entry: dict = {
+            "wall_ms": round(statistics.median(seconds) * 1000, 3)}
+        if topdown is None:
+            td_entry["budget_exceeded"] = True
+        else:
+            td_entry["answers"] = len(topdown.answers)
+            td_entry["stats"] = topdown.stats.as_dict()
+            answers["topdown"] = _query_rows(
+                topdown.project(workload.query), workload.query)
+        block["methods"]["topdown"] = td_entry
 
         block["agreement"] = {
             "configs_agree": len(set(
                 config_fingerprints.values())) <= 1,
             "configs_compared": sorted(config_fingerprints),
+            "methods_agree": len(set(answers.values())) <= 1,
+            "methods_compared": sorted(answers),
+            "executors_agree": all(
+                block["methods"][m].get("executors_agree", True)
+                for m in ("naive", "seminaive", "magic")),
+            "naive_matches_seminaive": fingerprints.get(
+                ("naive", "compiled")) == fingerprints.get(
+                ("seminaive", "compiled")),
         }
-        if full_grid:
-            block["agreement"].update({
-                "methods_agree": len(set(answers.values())) <= 1,
-                "methods_compared": sorted(answers),
-                "executors_agree": all(
-                    block["methods"][m].get("executors_agree", True)
-                    for m in ("naive", "seminaive", "magic")),
-                "naive_matches_seminaive": fingerprints.get(
-                    ("naive", "compiled")) == fingerprints.get(
-                    ("seminaive", "compiled")),
-            })
         report["workloads"].append(block)
 
     tc = _workload_block(report, "transitive_closure")
@@ -483,9 +436,6 @@ def run_engine_benchmark(scale: str = "default", repeats: int = 3,
         if "interned_speedup" in block:
             summary[f"{key}_interned_speedup"] = \
                 block["interned_speedup"]
-        if "vectorized_speedup" in block:
-            summary[f"{key}_vectorized_speedup"] = \
-                block["vectorized_speedup"]
     report["summary"] = summary
     return report
 
@@ -539,8 +489,6 @@ GATED_METHODS = ("naive", "seminaive", "magic")
 
 def regression_failures(report: dict, max_slowdown: float = 1.5,
                         workload: str = "transitive_closure",
-                        min_interned_speedup: float | None = None,
-                        min_vectorized_speedup: float | None = None,
                         min_repeats: int = MIN_GATE_REPEATS
                         ) -> list[str]:
     """Check the report against the CI gate; returns failure messages.
@@ -556,19 +504,6 @@ def regression_failures(report: dict, max_slowdown: float = 1.5,
     slower than the interpreted one, and (b) every semi-naive
     configuration cell must be no more than ``max_slowdown``x slower
     than the compiled baseline.
-
-    With ``min_interned_speedup`` set, additionally fails when the
-    interned+adaptive configuration is not at least that many times
-    faster than the compiled baseline on the transitive-closure and
-    same-generation workloads.  With ``min_vectorized_speedup`` set,
-    fails when the vectorized executor is not at least that many times
-    faster than the interned+adaptive compiled configuration on the
-    same two workloads.
-
-    Focused reports (``focus`` stamped by the smoke mode) only carry
-    the baseline and focused configuration, so the method-grid floors
-    are skipped for them; the config floors and speedup gates still
-    apply.
     """
     failures: list[str] = []
     repeats = report.get("repeats", 0)
@@ -578,26 +513,24 @@ def regression_failures(report: dict, max_slowdown: float = 1.5,
             f">= {min_repeats} for stable medians")
     if _workload_block(report, workload) is None:
         return [*failures, f"workload {workload!r} missing from report"]
-    full_grid = report.get("focus") is None
     for entry in report["workloads"]:
         name = entry["name"]
-        if full_grid:
-            for method in GATED_METHODS:
-                per_method = entry["methods"].get(method, {})
-                for executor in EXECUTORS:
-                    cell = per_method.get(executor, {})
-                    if "wall_ms" not in cell or \
-                            cell.get("budget_exceeded"):
-                        failures.append(
-                            f"{name}/{method}/{executor}: cell missing "
-                            "or budget exceeded")
-                speedup = per_method.get("speedup")
-                if speedup is not None and \
-                        speedup < 1.0 / max_slowdown:
+        for method in GATED_METHODS:
+            per_method = entry["methods"].get(method, {})
+            for executor in EXECUTORS:
+                cell = per_method.get(executor, {})
+                if "wall_ms" not in cell or \
+                        cell.get("budget_exceeded"):
                     failures.append(
-                        f"{name}/{method}: compiled executor is "
-                        f"{1.0 / speedup:.2f}x slower than interpreted "
-                        f"(allowed {max_slowdown:.2f}x)")
+                        f"{name}/{method}/{executor}: cell missing "
+                        "or budget exceeded")
+            speedup = per_method.get("speedup")
+            if speedup is not None and \
+                    speedup < 1.0 / max_slowdown:
+                failures.append(
+                    f"{name}/{method}: compiled executor is "
+                    f"{1.0 / speedup:.2f}x slower than interpreted "
+                    f"(allowed {max_slowdown:.2f}x)")
         configs = entry.get("seminaive_configs", {})
         base_wall = configs.get("baseline", {}).get("wall_ms")
         for config_name, cell in configs.items():
@@ -621,35 +554,4 @@ def regression_failures(report: dict, max_slowdown: float = 1.5,
                      "naive_matches_seminaive", "configs_agree"):
             if agreement.get(flag) is False:
                 failures.append(f"{name}: {flag} is false")
-    if min_interned_speedup is not None:
-        for name in ("transitive_closure", "same_generation"):
-            entry = _workload_block(report, name)
-            if entry is None:
-                continue
-            interned = entry.get("interned_speedup")
-            if interned is None:
-                failures.append(
-                    f"{name}: no interned_speedup measurement "
-                    "(budget exceeded?)")
-            elif interned < min_interned_speedup:
-                failures.append(
-                    f"{name}: interned+adaptive is only {interned:.2f}x "
-                    f"the compiled baseline (required "
-                    f"{min_interned_speedup:.2f}x)")
-    if min_vectorized_speedup is not None:
-        for name in ("transitive_closure", "same_generation"):
-            entry = _workload_block(report, name)
-            if entry is None:
-                continue
-            vectorized = entry.get("vectorized_speedup")
-            if vectorized is None:
-                failures.append(
-                    f"{name}: no vectorized_speedup measurement "
-                    "(budget exceeded?)")
-            elif vectorized < min_vectorized_speedup:
-                failures.append(
-                    f"{name}: vectorized executor is only "
-                    f"{vectorized:.2f}x the interned+adaptive compiled "
-                    f"configuration (required "
-                    f"{min_vectorized_speedup:.2f}x)")
     return failures

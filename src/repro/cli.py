@@ -220,7 +220,6 @@ def cmd_explain(args: argparse.Namespace) -> int:
     if args.kernels:
         print(explain_kernels(program, db, planner=args.planner,
                               show_stats=args.stats,
-                              executor=args.executor,
                               dataflow=flow))
     else:
         print(explain_plan(program, db, planner=args.planner,
@@ -391,13 +390,10 @@ def cmd_bench_engine(args: argparse.Namespace) -> int:
     report = run_engine_benchmark(scale=args.scale, repeats=args.repeats,
                                   timeout_s=args.timeout_s,
                                   seed=args.seed,
-                                  focus_executor=args.focus_executor,
                                   profile=args.profile)
     write_engine_benchmark(report, args.out)
-    focus = f", focus={args.focus_executor}" if args.focus_executor \
-        else ""
     print(f"wrote {args.out} (scale={args.scale}, "
-          f"repeats={args.repeats}, seed={args.seed}{focus})")
+          f"repeats={args.repeats}, seed={args.seed})")
     for workload in report["workloads"]:
         methods = workload.get("methods", {})
         parts = []
@@ -408,9 +404,6 @@ def cmd_bench_engine(args: argparse.Namespace) -> int:
         interned = workload.get("interned_speedup")
         if interned is not None:
             parts.append(f"interned+adaptive {interned:.2f}x")
-        vectorized = workload.get("vectorized_speedup")
-        if vectorized is not None:
-            parts.append(f"vectorized {vectorized:.2f}x")
         agreement = workload["agreement"]
         ok = agreement.get("methods_agree", True) \
             and agreement.get("executors_agree", True) \
@@ -420,9 +413,7 @@ def cmd_bench_engine(args: argparse.Namespace) -> int:
               f"agreement: {'ok' if ok else 'MISMATCH'}")
     if args.check:
         failures = regression_failures(
-            report, max_slowdown=args.max_slowdown,
-            min_interned_speedup=args.min_interned_speedup,
-            min_vectorized_speedup=args.min_vectorized_speedup)
+            report, max_slowdown=args.max_slowdown)
         for failure in failures:
             print(f"REGRESSION: {failure}", file=sys.stderr)
         if failures:
@@ -722,12 +713,10 @@ def build_parser() -> argparse.ArgumentParser:
                              "residue/linearization/fusion rewrites "
                              "and runs the cheapest)")
     p_eval.add_argument("--executor", default="compiled",
-                        choices=["compiled", "interpreted",
-                                 "vectorized"],
-                        help="compiled slot-based kernels (default), "
-                             "the reference interpreter, or columnar "
-                             "whole-frontier batch kernels "
-                             "(vectorized; pair with --interning on)")
+                        choices=["compiled", "interpreted"],
+                        help="compiled kernels (default: a generated "
+                             "whole-frontier function per rule body) "
+                             "or the reference interpreter")
     p_eval.add_argument("--interning", default="off",
                         choices=["on", "off"],
                         help="intern constants to dense ints and join "
@@ -738,7 +727,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="run the static dataflow analysis first "
                              "and feed it into evaluation: dead-rule "
                              "pruning, provably-true check elision in "
-                             "batch kernels, and cold-start size "
+                             "generated kernels, and cold-start size "
                              "bounds for the adaptive planner (same "
                              "answers and counters either way)")
     p_eval.add_argument("--stats", action="store_true",
@@ -758,10 +747,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_explain.add_argument("--kernels", action="store_true",
                            help="show the compiled step programs "
                                 "instead of the planner view")
-    p_explain.add_argument("--executor", default="compiled",
-                           choices=["compiled", "vectorized"],
-                           help="with --kernels, 'vectorized' appends "
-                                "the batch lowering per rule")
     p_explain.add_argument("--interning", default="off",
                            choices=["on", "off"],
                            help="explain against interned storage")
@@ -860,8 +845,7 @@ def build_parser() -> argparse.ArgumentParser:
                          choices=["greedy", "adaptive", "source",
                                   "cbo"])
     p_serve.add_argument("--executor", default="compiled",
-                         choices=["compiled", "interpreted",
-                                  "vectorized"])
+                         choices=["compiled", "interpreted"])
     p_serve.add_argument("--interning", default="off",
                          choices=["on", "off"])
     p_serve.add_argument("--describe", action="store_true",
@@ -968,24 +952,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--max-slowdown", type=float, default=1.5,
                          help="allowed compiled/interpreted ratio for "
                               "--check (default 1.5)")
-    p_bench.add_argument("--min-interned-speedup", type=float,
-                         default=None, metavar="X",
-                         help="with --check, require interned+adaptive "
-                              "to be at least X times the compiled "
-                              "baseline on transitive closure and "
-                              "same generation")
-    p_bench.add_argument("--min-vectorized-speedup", type=float,
-                         default=None, metavar="X",
-                         help="with --check, require the vectorized "
-                              "executor to be at least X times the "
-                              "interned+adaptive compiled baseline on "
-                              "transitive closure and same generation")
-    p_bench.add_argument("--executor", default=None,
-                         choices=["vectorized"],
-                         dest="focus_executor",
-                         help="smoke mode: measure only the baseline "
-                              "and this executor's configuration per "
-                              "workload (skips the full method grid)")
     p_bench.add_argument("--profile", action="store_true",
                          help="attach a per-kernel wall-time and "
                               "per-round delta-size breakdown to each "

@@ -6,15 +6,13 @@ from .compile import (EXECUTORS, CompiledKernel, KernelCache,
                       compile_rule)
 from .stats import RelationStats
 from .profile import EvalProfile
-from .vectorize import (BatchKernel, PredicateCache, VectorRunner,
-                        columnar_backend_factory, compile_batch)
+from .codegen import GeneratedKernel, PredicateCache
 from .engine import (EvaluationResult, consistent_answers, evaluate,
                      evaluate_with_magic, magic_answers, query_answers)
 from .magic import MagicProgram, adornment_of, magic_rewrite
 from .naive import naive_evaluate
-from .optimizer import (ChosenPlan, KernelChoice, Memo, cbo_answers,
-                        cbo_evaluate, choose_plan, enumerate_candidates,
-                        kernel_chooser, predicted_frontier_width)
+from .optimizer import (ChosenPlan, Memo, cbo_answers, cbo_evaluate,
+                        choose_plan, enumerate_candidates)
 from .seminaive import seminaive_evaluate
 from .stratify import stratify
 from .topdown import TabledEvaluator, TopDownResult, topdown_query
@@ -27,14 +25,12 @@ __all__ = [
     "EXECUTORS", "CompiledKernel", "KernelCache", "compile_rule",
     "RelationStats",
     "EvalProfile",
-    "BatchKernel", "PredicateCache", "VectorRunner",
-    "columnar_backend_factory", "compile_batch",
+    "GeneratedKernel", "PredicateCache",
     "EvaluationResult", "consistent_answers", "evaluate",
     "evaluate_with_magic", "magic_answers", "query_answers",
     "MagicProgram", "adornment_of", "magic_rewrite",
-    "ChosenPlan", "KernelChoice", "Memo", "cbo_answers",
+    "ChosenPlan", "Memo", "cbo_answers",
     "cbo_evaluate", "choose_plan", "enumerate_candidates",
-    "kernel_chooser", "predicted_frontier_width",
     "naive_evaluate", "seminaive_evaluate", "stratify",
     "TabledEvaluator", "TopDownResult", "topdown_query",
     "Derivation", "Explainer", "explain", "explain_answer",

@@ -1,4 +1,4 @@
-"""Compiled rule kernels: slot-based join execution.
+"""Compiled rule kernels: one step program per rule body, two back ends.
 
 The reference interpreter in :mod:`repro.engine.bindings` evaluates a
 rule body by threading per-tuple ``dict[Variable, value]`` bindings
@@ -12,15 +12,30 @@ This module lowers a rule body **once** into a :class:`CompiledKernel`:
 - the join plan (:func:`repro.engine.bindings.plan_body`) is computed
   a single time, at compile time — greedy by default, or driven by a
   statistics ``cost`` callback under the adaptive planner;
-- every variable is mapped to an integer *slot* in a flat list
-  environment — no per-tuple dict allocation, no ``Variable`` hashing;
-- each database atom becomes a closure that probes a pre-resolved
-  :meth:`repro.facts.relation.Relation.index_for` hash index with
-  precomputed bound-column extractors, writes unbound columns straight
-  into slots and checks repeated columns in place;
-- comparisons and negations become pre-bound slot checks (negations are
-  ground at plan time, so they compile to a single set-membership test);
-- the head becomes a tuple constructor over slots.
+- every variable is mapped to an integer *slot*;
+- the planned body becomes a symbolic **step program**
+  (:attr:`CompiledKernel.steps`): probes and scans with their key
+  terms, slot writes and in-atom repeats, membership tests, ground
+  negations, comparison checks and ``=`` binds, over terms that are
+  constants, slots or arithmetic.
+
+The step program is the only description of the body, and it has
+exactly two back ends:
+
+- the **generated function** (:mod:`repro.engine.codegen`): the whole
+  body as one function of cascaded comprehensions that processes a
+  firing's entire frontier with no per-row Python call.  Every kernel
+  whose program is expressible runs on it — interned or raw;
+- the **per-row closure chain** (:func:`_chain`): a slot-machine of
+  closures over a flat list environment, one call per matched row.  It
+  runs exactly the cases that need per-row semantics: a derivation
+  hook is installed (each solution's ``Binding`` must be shown to the
+  hook), or the program has no generated form (arithmetic terms must
+  round-trip through the value domain per row; an empty body emits its
+  ground head once).
+
+:meth:`CompiledKernel.execute` picks between them itself; both derive
+the same head rows with bit-identical ``EvalStats`` counters.
 
 Kernels are pure code: they bake in body *positions*, never relation
 objects, so semi-naive evaluation compiles one variant per
@@ -31,34 +46,23 @@ the actual relations (delta vs. full) per firing through the same
 **Interned mode.**  Compiled against a shared
 :class:`~repro.facts.symbols.SymbolTable` (``symbols=``), a kernel
 joins entirely over dense ``int`` codes: program constants are interned
-at compile time, probe keys and negation members are code tuples,
-slots hold codes.  Only two step kinds ever touch values: comparison
-checks decode their operands (``<`` must order values, not codes), and
-arithmetic computes in the value domain and re-interns its result.
-Head rows are emitted *in the storage domain* — the engines insert them
-through :meth:`repro.facts.relation.Relation.raw_add`, so a derived
-fact is never decoded unless a human-facing boundary (result
-materialization, derivation hooks, tracing) asks for it.
-
-Interned storage also unlocks **tail fusion**: when the last planned
-step is a positive atom with no in-atom equality checks and the head is
-built from variables and constants only, the kernel swaps the innermost
-closure call for a generated list comprehension that maps each matching
-bucket row straight to a head tuple.  That removes one Python call per
-matched row on the innermost loop — the hot loop of transitive closure
-— and is the main single-thread win of the columnar representation.
+at compile time, probe keys and negation members are codes, slots hold
+codes.  Only two step kinds ever touch values: comparison checks decode
+their operands (``<`` must order values, not codes), and arithmetic
+computes in the value domain and re-interns its result.  Head rows are
+emitted *in the storage domain* — the engines insert them through
+:meth:`repro.facts.relation.Relation.raw_add`, so a derived fact is
+never decoded unless a human-facing boundary (result materialization,
+derivation hooks, tracing) asks for it.
 
 The interpreter remains the semantics oracle: a kernel must derive
 exactly the same head rows (as a set, and the same number of solutions)
 as :func:`repro.engine.bindings.solve_body` on every rule and database.
-Derivation hooks are honoured by lazily materializing a *value-domain*
-``Binding`` view of the slot environment — the dict is only built when
-a hook is installed, so the hot path never pays for it.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable, Mapping, Optional
 
 from ..datalog.atoms import Atom, Comparison, Negation
 from ..datalog.rules import Rule
@@ -69,11 +73,10 @@ from ..facts.symbols import SymbolTable
 from . import builtins
 from .bindings import (Binding, Cost, EvalStats, Fetch, _check_atom_args,
                        bound_columns_of, plan_body)
+from .codegen import PredicateCache, Unlowerable, generate
 
-#: Known executors for the bottom-up engines.  ``vectorized`` lowers
-#: each firing to a whole-frontier batch kernel over columnar storage
-#: (see :mod:`repro.engine.vectorize`).
-EXECUTORS = ("compiled", "interpreted", "vectorized")
+#: Known executors for the bottom-up engines.
+EXECUTORS = ("compiled", "interpreted")
 
 #: ``sizes(atom, body_index) -> int`` — relation-size estimate used by
 #: the greedy planner at compile time.
@@ -92,82 +95,62 @@ def validate_executor(executor: str) -> None:
 class _Ctx:
     """Mutable per-execution state shared by the step closures."""
 
-    __slots__ = ("rels", "emit", "out", "lookups", "rows", "cmps", "negs")
+    __slots__ = ("rels", "emit", "lookups", "rows", "cmps", "negs")
 
     def __init__(self) -> None:
         self.rels: list = []
         self.emit = None
-        self.out: list = []
         self.lookups = 0
         self.rows = 0
         self.cmps = 0
         self.negs = 0
 
 
-def _term_getter(term, slot_of: dict[Variable, int]):
-    """Compile a term into ``env -> value`` over the slot environment."""
-    if isinstance(term, Constant):
-        value = term.value
-        return lambda env: value
-    if isinstance(term, Variable):
-        slot = slot_of[term]
-        return lambda env: env[slot]
-    # ArithExpr
-    left = _term_getter(term.left, slot_of)
-    right = _term_getter(term.right, slot_of)
-    op = term.op
-    apply_arith = builtins.apply_arith
-    return lambda env: apply_arith(op, left(env), right(env))
+def _value_getter(sym: tuple, symbols: SymbolTable | None):
+    """Compile a symbolic term into ``env -> value``.
 
-
-def _coded_term_getter(term, slot_of: dict[Variable, int],
-                       symbols: SymbolTable | None):
-    """``env -> storage-domain value`` (a code in interned mode).
-
-    Program constants are interned once at compile time; arithmetic is
-    the one term kind that must round-trip — operands are decoded, the
-    result computed in the value domain and re-interned, so derived
-    numbers get codes like any loaded constant.
-    """
-    if symbols is None:
-        return _term_getter(term, slot_of)
-    if isinstance(term, Constant):
-        code = symbols.intern(term.value)
-        return lambda env: code
-    if isinstance(term, Variable):
-        slot = slot_of[term]
-        return lambda env: env[slot]
-    # ArithExpr: value-domain computation, re-interned result.
-    left = _decoded_term_getter(term.left, slot_of, symbols)
-    right = _decoded_term_getter(term.right, slot_of, symbols)
-    op = term.op
-    apply_arith = builtins.apply_arith
-    intern = symbols.intern
-    return lambda env: intern(apply_arith(op, left(env), right(env)))
-
-
-def _decoded_term_getter(term, slot_of: dict[Variable, int],
-                         symbols: SymbolTable | None):
-    """``env -> value`` even when slots hold codes.
-
-    Comparison checks need real values: codes are dense ints in
+    Slots hold codes in interned mode and are decoded here: comparison
+    checks and arithmetic need real values (codes are dense ints in
     interning order, so ``<`` over codes would order by first
-    appearance, not by value.
+    appearance, not by value).
     """
-    if symbols is None:
-        return _term_getter(term, slot_of)
-    if isinstance(term, Constant):
-        value = term.value
+    kind = sym[0]
+    if kind == "const":
+        value = sym[1]
         return lambda env: value
-    if isinstance(term, Variable):
-        slot = slot_of[term]
+    if kind == "slot":
+        slot = sym[1]
+        if symbols is None:
+            return lambda env: env[slot]
         values = symbols.values
         return lambda env: values[env[slot]]
-    left = _decoded_term_getter(term.left, slot_of, symbols)
-    right = _decoded_term_getter(term.right, slot_of, symbols)
-    op = term.op
+    _kind, op, left_sym, right_sym = sym
+    left = _value_getter(left_sym, symbols)
+    right = _value_getter(right_sym, symbols)
     apply_arith = builtins.apply_arith
     return lambda env: apply_arith(op, left(env), right(env))
+
+
+def _coded_getter(sym: tuple, symbols: SymbolTable | None):
+    """Compile a symbolic term into ``env -> storage-domain value``.
+
+    Constants were interned when the step program was built; arithmetic
+    is the one term kind that must round-trip — operands are decoded,
+    the result computed in the value domain and re-interned, so derived
+    numbers get codes like any loaded constant.
+    """
+    kind = sym[0]
+    if kind == "const":
+        code = sym[1]
+        return lambda env: code
+    if kind == "slot":
+        slot = sym[1]
+        return lambda env: env[slot]
+    compute = _value_getter(sym, symbols)
+    if symbols is None:
+        return compute
+    intern = symbols.intern
+    return lambda env: intern(compute(env))
 
 
 def _make_atom_step(src: int, key_getters, writes, checks, cont):
@@ -224,39 +207,6 @@ def _make_atom_step(src: int, key_getters, writes, checks, cont):
     return step
 
 
-def _make_fused_tail_step(src: int, key_getters, builder):
-    """The fused innermost step: bucket rows map straight to head rows.
-
-    ``builder(env, bucket)`` is a generated list comprehension (see
-    :meth:`CompiledKernel._try_fuse_tail`) producing the head tuples for
-    every row of the bucket; the whole batch lands in ``ctx.out`` with
-    one ``extend``, with no per-row closure call and no slot writes.
-    Only valid when the tail atom has no in-atom checks, so every bucket
-    row matches.
-    """
-    if key_getters is not None and len(key_getters) == 1:
-        single_getter = key_getters[0]
-    else:
-        single_getter = None
-
-    def step(env, ctx):
-        ctx.lookups += 1
-        if key_getters is None:
-            bucket = ctx.rels[src]
-        else:
-            if single_getter is not None:
-                key = (single_getter(env),)
-            else:
-                key = tuple(g(env) for g in key_getters)
-            bucket = ctx.rels[src].get(key)
-            if bucket is None:
-                return
-        ctx.out.extend(builder(env, bucket))
-        ctx.rows += len(bucket)
-
-    return step
-
-
 def _make_negation_step(src: int, value_getters, cont):
     """A negation step: the atom is ground here, so it is one membership
     test against the relation's row container."""
@@ -306,30 +256,45 @@ def _make_bind_step(slot: int, value_get, cont):
     return step
 
 
-def _chain(plans: list[tuple], cont):
-    """Fold step descriptions into a closure chain, innermost-first."""
-    for plan in reversed(plans):
-        tag = plan[0]
+def _emit_solution(env, ctx):
+    ctx.emit(env)
+
+
+def _chain(steps: tuple, symbols: SymbolTable | None):
+    """Lower a step program to the per-row closure chain.
+
+    Folded innermost-first; the innermost continuation hands the
+    completed slot environment to ``ctx.emit``.
+    """
+    def coded(syms):
+        return tuple(_coded_getter(sym, symbols) for sym in syms)
+
+    cont = _emit_solution
+    for step in reversed(steps):
+        tag = step[0]
         if tag == "atom":
-            _, src, key_getters, writes, checks = plan
-            cont = _make_atom_step(src, key_getters, writes, checks, cont)
+            _, src, cols, keys, writes, checks = step
+            cont = _make_atom_step(src, coded(keys) if cols else None,
+                                   writes, checks, cont)
         elif tag == "check":
-            _, op, lhs, rhs = plan
-            cont = _make_check_step(op, lhs, rhs, cont)
+            _, op, lhs, rhs, _body_index = step
+            cont = _make_check_step(op, _value_getter(lhs, symbols),
+                                    _value_getter(rhs, symbols), cont)
         elif tag == "bind":
-            _, target_slot, getter = plan
-            cont = _make_bind_step(target_slot, getter, cont)
+            _, target_slot, source = step
+            cont = _make_bind_step(target_slot,
+                                   _coded_getter(source, symbols), cont)
         elif tag == "member":
-            _, src, getters = plan
-            cont = _make_member_step(src, getters, cont)
+            _, src, keys = step
+            cont = _make_member_step(src, coded(keys), cont)
         else:  # neg
-            _, src, getters = plan
-            cont = _make_negation_step(src, getters, cont)
+            _, src, args = step
+            cont = _make_negation_step(src, coded(args), cont)
     return cont
 
 
 class CompiledKernel:
-    """One rule body lowered to a chain of slot-machine closures.
+    """One rule body lowered to a step program and its back end.
 
     Attributes:
         rule: the source rule.
@@ -337,31 +302,49 @@ class CompiledKernel:
         n_slots: size of the flat environment.
         sources: ``(body_index, atom, bound_columns, kind)`` per
             relation-touching step, in execution order; ``kind`` is
-            ``"probe"``, ``"scan"`` or ``"neg"``.  :meth:`execute`
-            resolves each to a probe target through ``fetch``.
+            ``"probe"``, ``"scan"``, ``"member"`` or ``"neg"``.
+            :meth:`execute` resolves each through ``fetch``.
         symbols: the shared intern table, or None for value-domain
             compilation.  Head rows are emitted in the storage domain.
         plan_costs: ``{body_index: estimated rows per probe}`` recorded
             at plan time when a ``cost`` callback was supplied (the
             adaptive planner); empty otherwise.
-        fused: whether the tail step was fused (see module docstring).
+        steps: the symbolic step program — the one description of the
+            body both back ends are built from.  Steps are
+            ``("atom", src, cols, keys, writes, checks)``,
+            ``("member", src, keys)``, ``("neg", src, args)``,
+            ``("check", op, lhs, rhs, body_index)`` and
+            ``("bind", slot, term)``; terms are ``("const", payload)``,
+            ``("slot", n)`` or ``("arith", op, left, right)``.
+            Constants are in the storage domain (interned codes) except
+            the operands of checks and of arithmetic, which stay values.
+        head: the head arguments as storage-domain terms.
+        generated: the generated whole-frontier function
+            (:class:`~repro.engine.codegen.GeneratedKernel`), or None
+            when the program has no generated form.
+        row_reason: why :attr:`generated` is None (``"arithmetic
+            term"``, ``"empty body"``, ...), else None.
     """
 
     __slots__ = ("rule", "order", "n_slots", "sources", "symbols",
-                 "plan_costs", "fused", "deep_fused",
-                 "batch_plan", "batch_head",
-                 "_entry", "_fast_entry", "_deep_fn", "_head_fn",
-                 "_slot_items", "_step_notes")
+                 "plan_costs", "steps", "head", "generated", "row_reason",
+                 "_predicates", "_entry", "_head_fn", "_slot_items",
+                 "_step_notes")
 
     def __init__(self, rule: Rule, sizes: Sizes,
                  keep_atom_order: bool = False,
                  cost: Cost | None = None,
                  symbols: SymbolTable | None = None,
-                 fuse: bool = True) -> None:
+                 true_checks: frozenset[int] = frozenset(),
+                 predicates: PredicateCache | None = None) -> None:
         self.rule = rule
         self.symbols = symbols
         self.order = plan_body(rule, sizes, keep_atom_order=keep_atom_order,
                                cost=cost)
+        #: Column-predicate filters of the generated function; shared
+        #: across a :class:`KernelCache`, private to a lone kernel.
+        self._predicates = predicates if predicates is not None \
+            else PredicateCache(symbols)
         slot_of: dict[Variable, int] = {}
 
         def slot(var: Variable) -> int:
@@ -371,48 +354,24 @@ class CompiledKernel:
                 slot_of[var] = found
             return found
 
-        # First pass: describe each step with compile-time data.
-        plans: list[tuple] = []  # (tag, payload...)
+        def sym(term, coded: bool) -> tuple:
+            """``term`` as a symbolic term; ``coded`` interns constants."""
+            if isinstance(term, Constant):
+                return ("const", symbols.intern(term.value)
+                        if coded and symbols is not None else term.value)
+            if isinstance(term, Variable):
+                return ("slot", slot_of[term])
+            return ("arith", term.op, sym(term.left, False),
+                    sym(term.right, False))
+
+        steps: list[tuple] = []
         self.sources: list[tuple[int, Atom, tuple[int, ...], str]] = []
         self.plan_costs: dict[int, float] = {}
         self._step_notes: list[str] = []
         bound: set[Variable] = set()
-        # Symbolic probe descriptions for whole-body fusion: one entry
-        # per atom step, or None once any non-atom step appears.
-        sym_plans: list[tuple] | None = []
-
-        # Fully symbolic step program for the vectorized batch executor
-        # (:mod:`repro.engine.vectorize`): unlike ``sym_plans`` it also
-        # carries member/negation/comparison/bind steps.  Terms appear
-        # as ``("const", payload)`` / ``("slot", slot)``; arithmetic
-        # (the one term kind that must round-trip through the value
-        # domain per row) disqualifies the batch lowering entirely and
-        # the vectorized executor falls back to this kernel's
-        # :meth:`execute`.
-        batch_ok = True
-        bsteps: list[tuple] = []
-
-        def _sym_coded(term):
-            """Storage-domain symbolic term, or None for arithmetic."""
-            if isinstance(term, Constant):
-                return ("const", symbols.intern(term.value)
-                        if symbols is not None else term.value)
-            if isinstance(term, Variable):
-                return ("slot", slot_of[term])
-            return None
-
-        def _sym_value(term):
-            """Value-domain symbolic term (slots still hold codes)."""
-            if isinstance(term, Constant):
-                return ("const", term.value)
-            if isinstance(term, Variable):
-                return ("slot", slot_of[term])
-            return None
 
         for index in self.order:
             lit = rule.body[index]
-            if not isinstance(lit, Atom) or isinstance(lit, Negation):
-                sym_plans = None
             if isinstance(lit, Comparison):
                 can_check = builtins.can_check(lit, bound)
                 if not can_check and builtins.can_bind(lit, bound):
@@ -422,48 +381,24 @@ class CompiledKernel:
                         target, source = lit.lhs, lit.rhs
                     else:
                         target, source = lit.rhs, lit.lhs
-                    getter = _coded_term_getter(source, slot_of, symbols)
-                    source_sym = _sym_coded(source) if batch_ok else None
-                    target_slot = slot(target)
-                    plans.append(("bind", target_slot, getter))
-                    if source_sym is None:
-                        batch_ok = False
-                    else:
-                        bsteps.append(("bind", target_slot, source_sym))
+                    source_sym = sym(source, True)
+                    steps.append(("bind", slot(target), source_sym))
                     self._step_notes.append(f"bind         {lit}")
                 else:
-                    lhs = _decoded_term_getter(lit.lhs, slot_of, symbols)
-                    rhs = _decoded_term_getter(lit.rhs, slot_of, symbols)
-                    if batch_ok:
-                        lhs_sym = _sym_value(lit.lhs)
-                        rhs_sym = _sym_value(lit.rhs)
-                        if lhs_sym is None or rhs_sym is None:
-                            batch_ok = False
-                        else:
-                            # The trailing body index lets the batch
-                            # lowering match this check against
-                            # dataflow's provably-true comparisons.
-                            bsteps.append(
-                                ("check", lit.op, lhs_sym, rhs_sym,
-                                 index))
-                    plans.append(("check", lit.op, lhs, rhs))
+                    # The trailing body index lets the generated form
+                    # match this check against dataflow's provably-true
+                    # comparisons.
+                    steps.append(("check", lit.op, sym(lit.lhs, False),
+                                  sym(lit.rhs, False), index))
                     self._step_notes.append(f"check        {lit}")
                 bound.update(lit.variable_set())
                 continue
             if isinstance(lit, Negation):
                 _check_atom_args(lit.atom)
-                getters = tuple(_coded_term_getter(arg, slot_of, symbols)
-                                for arg in lit.atom.args)
                 src = len(self.sources)
                 self.sources.append((index, lit.atom, (), "neg"))
-                plans.append(("neg", src, getters))
-                if batch_ok:
-                    neg_syms = tuple(_sym_coded(arg)
-                                     for arg in lit.atom.args)
-                    if any(sym is None for sym in neg_syms):
-                        batch_ok = False
-                    else:
-                        bsteps.append(("neg", src, neg_syms))
+                steps.append(("neg", src, tuple(sym(arg, True)
+                                                for arg in lit.atom.args)))
                 self._step_notes.append(f"absent       {lit}")
                 continue
             # Database atom.
@@ -472,24 +407,14 @@ class CompiledKernel:
                 self.plan_costs[index] = cost(
                     lit, index, bound_columns_of(lit, bound))
             cols: list[int] = []
-            key_getters: list = []
-            key_syms: list[tuple[str, object]] = []
+            keys: list[tuple] = []
             writes: list[tuple[int, int]] = []
             checks: list[tuple[int, int]] = []
             atom_new: set[Variable] = set()
             for column, arg in enumerate(lit.args):
-                if isinstance(arg, Constant):
+                if isinstance(arg, Constant) or arg in bound:
                     cols.append(column)
-                    key_getters.append(
-                        _coded_term_getter(arg, slot_of, symbols))
-                    key_syms.append(
-                        ("const", symbols.intern(arg.value)
-                         if symbols is not None else arg.value))
-                elif arg in bound:
-                    cols.append(column)
-                    key_getters.append(
-                        _coded_term_getter(arg, slot_of, symbols))
-                    key_syms.append(("slot", slot_of[arg]))
+                    keys.append(sym(arg, True))
                 elif arg in atom_new:
                     # Repeated within this atom: first occurrence binds,
                     # later ones must match the just-written slot.
@@ -497,31 +422,20 @@ class CompiledKernel:
                 else:
                     atom_new.add(arg)
                     writes.append((column, slot(arg)))
+            src = len(self.sources)
             if cols and not writes and not checks:
                 # Every column is bound: a membership test against the
                 # row container, not an index probe (see
                 # :func:`_make_member_step`).
-                src = len(self.sources)
                 self.sources.append((index, lit, (), "member"))
-                plans.append(("member", src, tuple(key_getters)))
-                bsteps.append(("member", src, tuple(key_syms)))
-                sym_plans = None
+                steps.append(("member", src, tuple(keys)))
                 self._step_notes.append(f"{'member':12} {lit}")
                 bound.update(lit.variable_set())
                 continue
-            src = len(self.sources)
-            kind = "probe" if cols else "scan"
-            self.sources.append((index, lit, tuple(cols), kind))
-            plans.append(("atom", src,
-                          tuple(key_getters) if cols else None,
+            self.sources.append((index, lit, tuple(cols),
+                                 "probe" if cols else "scan"))
+            steps.append(("atom", src, tuple(cols), tuple(keys),
                           tuple(writes), tuple(checks)))
-            bsteps.append(("atom", src,
-                           tuple(key_syms) if cols else None,
-                           tuple(writes), tuple(checks)))
-            if sym_plans is not None:
-                sym_plans.append((src,
-                                  tuple(key_syms) if cols else None,
-                                  tuple(writes), tuple(checks)))
             detail = f"probe[{','.join(map(str, cols))}]" if cols \
                 else "scan"
             note = f"{detail:12} {lit}"
@@ -531,8 +445,7 @@ class CompiledKernel:
             self._step_notes.append(note)
             bound.update(lit.variable_set())
 
-        # Head constructor: every head variable must have a slot.
-        head_getters = []
+        # Every head variable must have a slot.
         for arg in rule.head.args:
             for var in variables_of(arg):
                 if var not in slot_of:
@@ -540,166 +453,28 @@ class CompiledKernel:
                         f"head variable {var} unbound in rule "
                         f"{rule.label or rule}; rule is not range "
                         "restricted")
-            head_getters.append(_coded_term_getter(arg, slot_of, symbols))
-        head_getters = tuple(head_getters)
-
-        bhead: list[tuple] = []
-        if batch_ok:
-            for arg in rule.head.args:
-                sym = _sym_coded(arg)
-                if sym is None:  # ArithExpr head: generic path only.
-                    batch_ok = False
-                    break
-                bhead.append(sym)
-        #: Symbolic batch program + head for the vectorized executor,
-        #: or None when the body/head uses arithmetic (or is empty) and
-        #: the batch lowering must fall back to :meth:`execute`.
-        self.batch_plan = tuple(bsteps) if batch_ok and bsteps else None
-        self.batch_head = tuple(bhead) if self.batch_plan is not None \
-            else None
-
-        def head_fn(env, _getters=head_getters):
-            return tuple(g(env) for g in _getters)
-
-        self._head_fn = head_fn
+        self.steps = tuple(steps)
+        self.head = tuple(sym(arg, True) for arg in rule.head.args)
         self.n_slots = len(slot_of)
         self._slot_items = tuple(slot_of.items())
+        self._entry = None
+        self._head_fn = None
+        try:
+            self.generated = generate(self.steps, self.head, symbols,
+                                      true_checks)
+            self.row_reason = None
+        except Unlowerable as why:
+            self.generated = None
+            self.row_reason = str(why)
+            self._build_chain()
 
-        # Second pass: chain the closures innermost-first.
-        def emit_solution(env, ctx):
-            ctx.emit(env)
-
-        self._entry = _chain(plans, emit_solution)
-        # ``fuse=False`` skips both fusion passes when the caller knows
-        # this kernel will run through its batch form (the vectorized
-        # executor): fusion's codegen would be paid on every compile
-        # and used only on the rare hook/decline fallback, where the
-        # unfused chain produces identical rows and counters anyway.
-        # Kernels without a batch plan always fall back, so fuse those.
-        if not fuse and self.batch_plan is not None:
-            self._fast_entry = None
-            self._deep_fn = None
-        else:
-            self._fast_entry = self._try_fuse_tail(plans, slot_of)
-            self._deep_fn = self._try_fuse_body(sym_plans, slot_of)
-        self.fused = self._fast_entry is not None
-        self.deep_fused = self._deep_fn is not None
-
-    def _try_fuse_tail(self, plans: list[tuple],
-                       slot_of: dict[Variable, int]):
-        """Build the fused fast entry, or None when fusion doesn't apply.
-
-        Requirements: interned storage, the last planned step is a
-        positive atom with no in-atom equality checks (every bucket row
-        matches), and every head argument is a variable or constant.
-        The head tuple is then a pure projection of earlier-bound slots
-        and the tail row's columns, expressed as one generated list
-        comprehension compiled with :func:`eval` — per matched row the
-        interpreter executes projection bytecode only, no closure call.
-        """
-        if self.symbols is None or not plans:
-            return None
-        tail = plans[-1]
-        if tail[0] != "atom":
-            return None
-        _, src, key_getters, writes, checks = tail
-        if checks or not self.rule.head.args:
-            return None
-        col_of_slot = {s: c for c, s in writes}
-        parts: list[str] = []
-        for arg in self.rule.head.args:
-            if isinstance(arg, Constant):
-                parts.append(repr(self.symbols.intern(arg.value)))
-            elif isinstance(arg, Variable):
-                slot = slot_of[arg]
-                column = col_of_slot.get(slot)
-                parts.append(f"row[{column}]" if column is not None
-                             else f"env[{slot}]")
-            else:  # ArithExpr head: keep the generic path.
-                return None
-        source_text = (f"lambda env, bucket: "
-                       f"[({', '.join(parts)},) for row in bucket]")
-        builder = eval(source_text, {"__builtins__": {}}, {})  # noqa: S307
-        fused = _make_fused_tail_step(src, key_getters, builder)
-        self._step_notes.append(
-            f"fuse         tail -> {self.rule.head} "
-            f"[({', '.join(parts)})]")
-        return _chain(plans[:-1], fused)
-
-    def _try_fuse_body(self, sym_plans: list[tuple] | None,
-                       slot_of: dict[Variable, int]):
-        """Compile the *whole body* to one generated function, or None.
-
-        Whole-body fusion subsumes tail fusion: when every planned step
-        is a positive database atom (no comparisons, binds or
-        negations) and the head is built from variables and constants
-        only, the entire join is expressed as a cascade of generated
-        list comprehensions over int codes — one per atom level, each
-        materializing the matched row prefixes of that level — executed
-        by :func:`exec`-compiled bytecode with **zero** per-row Python
-        calls.  The per-level list lengths reproduce the closure
-        chain's ``lookups``/``rows_matched`` accounting exactly (level
-        ``k`` is entered once per row matched at level ``k-1``), so
-        compiled statistics stay bit-identical to the interpreter's.
-
-        Returns ``kern(rels) -> (head_rows, level_counts)``.
-        """
-        if self.symbols is None or not sym_plans:
-            return None
-        # slot -> "r{level}[{column}]" at the slot's first write.
-        ref: dict[int, str] = {}
-        for level, (_src, _keys, writes, _checks) in enumerate(sym_plans):
-            for column, slot in writes:
-                ref.setdefault(slot, f"r{level}[{column}]")
-        parts: list[str] = []
-        for arg in self.rule.head.args:
-            if isinstance(arg, Constant):
-                parts.append(repr(self.symbols.intern(arg.value)))
-            elif isinstance(arg, Variable):
-                expr = ref.get(slot_of[arg])
-                if expr is None:
-                    return None
-                parts.append(expr)
-            else:  # ArithExpr head: keep the generic path.
-                return None
-        head_expr = f"({', '.join(parts)},)" if parts else "()"
-        last = len(sym_plans) - 1
-        lines = ["def _kern(rels):"]
-        names: list[str] = []
-        for level, (src, keys, writes, checks) in enumerate(sym_plans):
-            if keys is None:
-                source = f"rels[{src}]"
-            else:
-                key = ", ".join(repr(payload) if kind == "const"
-                                else ref[payload]
-                                for kind, payload in keys)
-                source = f"rels[{src}].get(({key},), ())"
-            if level == last:
-                item = head_expr
-            elif level == 0:
-                item = "r0"  # bare rows; tuples only once joined
-            else:
-                item = "(" + ", ".join(f"r{i}"
-                                       for i in range(level + 1)) + ",)"
-            gens = f"for r{level} in {source}"
-            if level == 1:
-                gens = f"for r0 in {names[0]} " + gens
-            elif level > 1:
-                prefix = ", ".join(f"r{i}" for i in range(level))
-                gens = f"for ({prefix},) in {names[-1]} " + gens
-            conds = "".join(f" if r{level}[{column}] == {ref[slot]}"
-                            for column, slot in checks)
-            name = "out" if level == last else f"lvl{level}"
-            names.append(name)
-            lines.append(f"    {name} = [{item} {gens}{conds}]")
-        counts = ", ".join(f"len({name})" for name in names)
-        lines.append(f"    return out, ({counts},)")
-        namespace: dict = {}
-        exec("\n".join(lines), {"__builtins__": {}, "len": len},  # noqa: S102
-             namespace)
-        self._step_notes.append(
-            f"fuse         body -> {self.rule.head} [{head_expr}]")
-        return namespace["_kern"]
+    def _build_chain(self) -> None:
+        """Build the per-row back end (on first need: a kernel with a
+        generated form only runs its chain when a hook is installed)."""
+        getters = tuple(_coded_getter(term, self.symbols)
+                        for term in self.head)
+        self._head_fn = lambda env: tuple(g(env) for g in getters)
+        self._entry = _chain(self.steps, self.symbols)
 
     @property
     def interned(self) -> bool:
@@ -717,11 +492,23 @@ class CompiledKernel:
         probe targets (index dict or row container) are resolved once
         per call, not per tuple.  Rows come back in the kernel's storage
         domain: codes when :attr:`interned` (insert them with
-        ``raw_add``), plain values otherwise.  When ``hook`` is given, a
-        value-domain ``Binding`` dict view of the slot environment is
-        materialized per solution and the hook may veto the row — the
-        fast path never builds it.
+        ``raw_add``), plain values otherwise.
+
+        Without a ``hook`` the generated function runs when there is
+        one.  With a ``hook`` the per-row chain runs: a value-domain
+        ``Binding`` dict view of the slot environment is materialized
+        per solution and the hook may veto the row.
         """
+        if hook is None and self.generated is not None:
+            out, lookups, rows, cmps, negs = self.generated.run(
+                self.sources, fetch, self._predicates)
+            stats.atom_lookups += lookups
+            stats.rows_matched += rows
+            stats.comparisons_checked += cmps
+            stats.negation_checks += negs
+            return out
+        if self._entry is None:
+            self._build_chain()
         ctx = _Ctx()
         rels = ctx.rels
         for body_index, atom, cols, kind in self.sources:
@@ -730,42 +517,30 @@ class CompiledKernel:
                 rels.append(relation.index_for(cols))
             else:  # scan / neg / member: the raw (read-only) row container
                 rels.append(relation.raw_rows())
-        if hook is None and self._deep_fn is not None:
-            out, counts = self._deep_fn(rels)
-            # Level k runs once per row matched at level k-1 (plus one
-            # entry into level 0): identical accounting to the chain.
-            stats.atom_lookups += 1 + sum(counts[:-1])
-            stats.rows_matched += sum(counts)
-            return out
         out: list[Row] = []
-        env: list = [None] * self.n_slots
-        if hook is None and self._fast_entry is not None:
-            ctx.out = out
-            self._fast_entry(env, ctx)
+        head_fn = self._head_fn
+        if hook is None:
+            def emit(e) -> None:
+                out.append(head_fn(e))
         else:
-            head_fn = self._head_fn
-            if hook is None:
+            rule = self.rule
+            slot_items = self._slot_items
+            symbols = self.symbols
+            if symbols is None:
                 def emit(e) -> None:
-                    out.append(head_fn(e))
+                    binding = {var: e[s] for var, s in slot_items}
+                    if hook(rule, binding, round_index):
+                        out.append(head_fn(e))
             else:
-                rule = self.rule
-                slot_items = self._slot_items
-                symbols = self.symbols
-                if symbols is None:
-                    def emit(e) -> None:
-                        binding = {var: e[s] for var, s in slot_items}
-                        if hook(rule, binding, round_index):
-                            out.append(head_fn(e))
-                else:
-                    values = symbols.values
+                values = symbols.values
 
-                    def emit(e) -> None:
-                        binding = {var: values[e[s]]
-                                   for var, s in slot_items}
-                        if hook(rule, binding, round_index):
-                            out.append(head_fn(e))
-            ctx.emit = emit
-            self._entry(env, ctx)
+                def emit(e) -> None:
+                    binding = {var: values[e[s]]
+                               for var, s in slot_items}
+                    if hook(rule, binding, round_index):
+                        out.append(head_fn(e))
+        ctx.emit = emit
+        self._entry([None] * self.n_slots, ctx)
         stats.atom_lookups += ctx.lookups
         stats.rows_matched += ctx.rows
         stats.comparisons_checked += ctx.cmps
@@ -774,14 +549,19 @@ class CompiledKernel:
 
     # -- introspection -------------------------------------------------------
     def describe(self) -> str:
-        """Render the compiled step program (one line per step)."""
+        """Render the step program and the back end it runs on."""
         mode = ", interned" if self.symbols is not None else ""
         lines = [f"{self.rule.label or '?'}: {self.rule} "
                  f"[{self.n_slots} slots{mode}]"]
         for number, note in enumerate(self._step_notes, start=1):
             lines.append(f"  {number}. {note}")
-        if not self._step_notes:
-            lines.append("  (empty body: emits the ground head once)")
+        if self.generated is None:
+            lines.append(f"  row chain: {self.row_reason}")
+        else:
+            lines.append("  generated function (row chain when a hook "
+                         "is installed):")
+            lines.extend(f"    {line}"
+                         for line in self.generated.source.splitlines())
         return "\n".join(lines)
 
 
@@ -805,11 +585,17 @@ class KernelCache:
     rows triggers at most ``log_threshold(n)`` replans — O(log n) per
     (rule, variant) per fixpoint — and ``max_replans`` caps the count
     outright for adversarial oscillation.
+
+    ``true_checks`` maps rules to the body indexes of comparisons the
+    dataflow analysis proved always true; their kernels' generated
+    functions drop those conditions.  All kernels of the cache share
+    one :class:`~repro.engine.codegen.PredicateCache`
+    (:attr:`predicates`).
     """
 
     __slots__ = ("keep_atom_order", "symbols", "adaptive",
                  "replan_threshold", "replan_floor", "max_replans",
-                 "replans", "fuse", "on_replan", "_kernels",
+                 "replans", "true_checks", "predicates", "_kernels",
                  "_replan_counts")
 
     def __init__(self, keep_atom_order: bool = False,
@@ -818,13 +604,10 @@ class KernelCache:
                  replan_threshold: float = 4.0,
                  replan_floor: int = 16,
                  max_replans: int = 16,
-                 fuse: bool = True,
-                 on_replan: Callable[[Rule], None] | None = None) -> None:
+                 true_checks: Mapping[Rule, frozenset[int]] | None = None,
+                 ) -> None:
         self.keep_atom_order = keep_atom_order
         self.symbols = symbols
-        #: False under the vectorized executor: batch-lowerable kernels
-        #: skip the fusion codegen they would never use.
-        self.fuse = fuse
         self.adaptive = adaptive
         self.replan_threshold = replan_threshold
         #: Sources smaller than this (both then and now) never trigger.
@@ -832,11 +615,8 @@ class KernelCache:
         self.max_replans = max_replans
         #: Total recompilations caused by drift, across all keys.
         self.replans = 0
-        #: Optional drift-replan observer (rule that drifted).  The
-        #: cost-based optimizer hooks this to re-enter its per-rule
-        #: enumeration (e.g. batch-vs-row kernel choice) against the
-        #: statistics that triggered the replan.
-        self.on_replan = on_replan
+        self.true_checks = true_checks or {}
+        self.predicates = PredicateCache(symbols)
         self._kernels: dict[tuple[Rule, object],
                             tuple[CompiledKernel, tuple[int, ...]]] = {}
         self._replan_counts: dict[tuple[Rule, object], int] = {}
@@ -878,11 +658,11 @@ class KernelCache:
                 return kernel
             self._replan_counts[key] = self._replan_counts.get(key, 0) + 1
             self.replans += 1
-            if self.on_replan is not None:
-                self.on_replan(rule)
         kernel = CompiledKernel(
             rule, sizes, keep_atom_order=self.keep_atom_order,
-            cost=cost, symbols=self.symbols, fuse=self.fuse)
+            cost=cost, symbols=self.symbols,
+            true_checks=self.true_checks.get(rule, frozenset()),
+            predicates=self.predicates)
         self._kernels[key] = (kernel, self._snapshot(kernel, sizes))
         return kernel
 

@@ -26,7 +26,6 @@ from .magic import MagicProgram, adornment_of, magic_rewrite
 from .naive import naive_evaluate
 from .profile import EvalProfile
 from .seminaive import DerivationHook, answers, seminaive_evaluate
-from .vectorize import columnar_backend_factory
 
 #: Known fixpoint methods.
 METHODS = ("seminaive", "naive")
@@ -94,24 +93,20 @@ def evaluate(program: Program, edb: Database, method: str = "seminaive",
             optimizer (:mod:`repro.engine.optimizer`) — for
             whole-program evaluation its rewrite space degenerates to
             the identity program (every result and counter stays
-            bit-identical to ``"adaptive"``) plus per-rule
-            batch-vs-row kernel choice under the vectorized executor;
-            the full space (magic per adornment, residue pushing,
-            linearization, fusion) engages at the query-bearing entry
+            bit-identical to ``"adaptive"``); the full space (magic per
+            adornment, residue pushing, linearization, fusion)
+            engages at the query-bearing entry
             points :func:`repro.engine.optimizer.cbo_evaluate` /
             :func:`repro.engine.optimizer.cbo_answers`.
         budget: optional :class:`repro.runtime.Budget` bounding the run;
             exhaustion or cancellation raises the typed errors of
             :mod:`repro.errors` carrying the partial stats.
         executor: ``"compiled"`` (default) runs rule bodies as cached
-            slot-based kernels (:mod:`repro.engine.compile`);
-            ``"interpreted"`` uses the reference interpreter;
-            ``"vectorized"`` stores relations in columnar arrays and
-            processes whole delta frontiers per firing as batch kernels
-            with column-level predicate caching
-            (:mod:`repro.engine.vectorize`; most effective with
-            ``interning="on"``).  All derive identical databases with
-            identical counters.
+            kernels (:mod:`repro.engine.compile`): a generated
+            whole-frontier function per body, or the per-row closure
+            chain when ``hook`` is given or the body uses arithmetic;
+            ``"interpreted"`` uses the reference interpreter.  Both
+            derive identical databases with identical counters.
         interning: ``"on"`` re-encodes the EDB over a shared
             :class:`~repro.facts.symbols.SymbolTable` (one pass) so the
             whole fixpoint joins over dense ``int`` codes; ``"off"``
@@ -125,7 +120,7 @@ def evaluate(program: Program, edb: Database, method: str = "seminaive",
             (:mod:`repro.analysis.dataflow`) over the program + EDB
             first and feeds the result into evaluation: provably-dead
             rules are skipped, provably-true comparisons drop out of
-            the vectorized batch kernels, and the adaptive planner
+            the generated kernels, and the adaptive planner
             seeds cold (empty-relation) cost probes with static size
             bounds.  ``"off"`` (default) changes nothing.  Derived
             facts, derivation counts, budget payloads and chaos
@@ -147,10 +142,7 @@ def evaluate(program: Program, edb: Database, method: str = "seminaive",
         except ReproError:
             flow = None  # malformed programs fail at load time instead
     if interning == "on":
-        # The vectorized executor gets columnar EDB storage in the same
-        # single re-encoding pass interning already pays for.
-        edb = edb.interned(backend_factory=columnar_backend_factory
-                           if executor == "vectorized" else None)
+        edb = edb.interned()
     start = time.perf_counter()
     if method == "seminaive":
         idb = seminaive_evaluate(program, edb, stats, hook=hook,
@@ -187,8 +179,7 @@ def evaluate_with_magic(program: Program, edb: Database, query: Atom,
     budget = resolve_budget(budget)
     validate_interning(interning)
     if interning == "on":
-        edb = edb.interned(backend_factory=columnar_backend_factory
-                           if executor == "vectorized" else None)
+        edb = edb.interned()
     rewritten = magic_rewrite(program, query, budget=budget)
     stats = EvalStats()
     start = time.perf_counter()

@@ -21,7 +21,6 @@ from .bindings import (EvalStats, check_edb_arities, instantiate_head,
                        solve_body, validate_planner)
 from .compile import KernelCache, validate_executor
 from .stratify import stratify
-from .vectorize import VectorRunner, columnar_backend_factory
 
 if TYPE_CHECKING:
     from ..analysis.dataflow import DataflowResult
@@ -58,10 +57,7 @@ def naive_evaluate(program: Program, edb: Database,
     budget = resolve_budget(budget)
     chaos_plan = chaos.active_plan()
     arities = program.predicate_arities()
-    vectorized = executor == "vectorized"
-    backend_factory = columnar_backend_factory \
-        if vectorized and edb.symbols is not None else None
-    idb = Database(symbols=edb.symbols, backend_factory=backend_factory)
+    idb = Database(symbols=edb.symbols)
     for pred in program.idb_predicates:
         idb.ensure(pred, arities[pred])
 
@@ -86,21 +82,11 @@ def naive_evaluate(program: Program, edb: Database,
     # happens before evaluation (:mod:`repro.engine.optimizer`).
     adaptive = planner in ("adaptive", "cbo")
     kernels = None
-    vec = VectorRunner(symbols=edb.symbols,
-                       true_checks=dataflow.true_checks
-                       if dataflow is not None else None) \
-        if vectorized else None
-    if vec is not None and planner == "cbo":
-        from .optimizer import kernel_chooser
-        vec.kernel_choice = kernel_chooser(program, edb, idb=idb,
-                                           dataflow=dataflow)
     if executor != "interpreted":
         kernels = KernelCache(keep_atom_order=keep_atom_order,
                               symbols=edb.symbols, adaptive=adaptive,
-                              fuse=not vectorized,
-                              on_replan=vec.invalidate
-                              if vec is not None and planner == "cbo"
-                              else None)
+                              true_checks=dataflow.true_checks
+                              if dataflow is not None else None)
     for stratum in stratify(program):
         # Provably-dead rules derive no rows under any join order, so
         # skipping them leaves every counter and ordinal unchanged.
@@ -127,10 +113,7 @@ def naive_evaluate(program: Program, edb: Database,
                     kernel = kernels.kernel(
                         rule, None, sizes,
                         cost=cost if adaptive else None)
-                    if vec is not None:
-                        derived = vec.run(kernel, fetch, stats)
-                    else:
-                        derived = kernel.execute(fetch, stats)
+                    derived = kernel.execute(fetch, stats)
                     target_add = target.raw_add
                 else:
                     derived = [instantiate_head(rule, binding)

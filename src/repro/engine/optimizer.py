@@ -23,18 +23,14 @@ Wang et al.'s FGH rule does (arXiv:2202.10390):
    magic-restricted predicate will materialize.
 3. **Choose** the cheapest whole-program candidate *before the fixpoint
    starts* and execute it with the adaptive runtime machinery
-   (statistics-driven join orders, drift-triggered replans).  Per-rule
-   kernel choice (batch-vectorized vs compiled row-at-a-time, costed by
-   predicted frontier width) re-enters on every adaptive-drift replan:
-   a replanned kernel is a new identity, so its batch-vs-row decision is
-   re-costed against the statistics that triggered the replan.
+   (statistics-driven join orders, drift-triggered replans).
 
 Equivalence discipline: whole-program evaluation
 (:func:`repro.engine.evaluate` with ``planner="cbo"``) must reproduce
 every IDB relation with exact per-rule counters, so only
-counter-preserving choices are admissible there — join ordering and
-kernel choice — and the differential-fuzz matrix pins them bit-identical
-to ``planner="adaptive"``.  Rewrites that preserve the *answer* but not
+counter-preserving choices are admissible there — join ordering — and
+the differential-fuzz matrix pins them bit-identical to
+``planner="adaptive"``.  Rewrites that preserve the *answer* but not
 the full IDB trace (magic, linearization, fusion) or that rely on
 IC-consistency (residue pushing) engage only at the query-bearing entry
 points (:func:`cbo_evaluate`, :func:`cbo_answers`, ``bench-optimizer``).
@@ -46,8 +42,7 @@ import hashlib
 import math
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import (TYPE_CHECKING, Callable, Iterable, Iterator,
-                    Sequence)
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from ..datalog.atoms import Atom, Comparison, Negation
 from ..datalog.program import Program
@@ -61,16 +56,9 @@ from .magic import MagicProgram, adornment_of, magic_rewrite
 
 if TYPE_CHECKING:
     from ..analysis.dataflow import DataflowResult
-    from .compile import CompiledKernel
     from .engine import EvaluationResult
 
 INF = math.inf
-
-#: Predicted frontier width below which a generated batch kernel loses
-#: to the compiled row-at-a-time kernel: the batch pays per-firing
-#: column gathers and index materializations that only amortize over
-#: wide frontiers.
-MIN_BATCH_WIDTH = 16.0
 
 #: Enumeration ceiling — the rewrite space is bounded by construction
 #: (per-IC on/off, per-adornment weakening, per-pred linearization,
@@ -80,89 +68,6 @@ MAX_CANDIDATES = 32
 #: Cost estimate used for predicates the model knows nothing about
 #: (no rows, no dataflow bound).
 _UNKNOWN_ESTIMATE = 1000.0
-
-
-# ---------------------------------------------------------------------------
-# per-rule kernel choice
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class KernelChoice:
-    """Batch-vs-row decision for one rule, with its rationale."""
-
-    mode: str  # "batch" | "row"
-    width: float
-    reason: str
-
-    @property
-    def use_batch(self) -> bool:
-        return self.mode == "batch"
-
-
-def predicted_frontier_width(rule: Rule, program: Program, edb: Database,
-                             idb: Database | None = None,
-                             dataflow: "DataflowResult | None" = None,
-                             ) -> float:
-    """Predicted average delta-frontier width for ``rule``'s firings.
-
-    The batch kernel processes one whole delta frontier per firing; its
-    setup cost amortizes over the frontier width.  Cold, the dataflow
-    size bound of the head predicate prices the frontier
-    (:meth:`DataflowResult.frontier_estimate`); warm, the largest
-    already-materialized body relation stands in — both feed the same
-    square-root heuristic (a fixpoint deriving ``n`` facts over ``~sqrt
-    n`` rounds averages ``sqrt n`` rows per delta).
-    """
-    if dataflow is not None:
-        estimate = dataflow.frontier_estimate(rule.head.pred)
-        if estimate != INF:
-            return estimate
-    largest = 0
-    for lit in rule.body:
-        if not isinstance(lit, Atom):
-            continue
-        if lit.pred in program.idb_predicates:
-            if idb is not None and lit.pred in idb:
-                largest = max(largest, len(idb.relation(lit.pred)))
-        else:
-            largest = max(largest,
-                          len(edb.relation_or_empty(lit.pred, lit.arity)))
-    if idb is not None and rule.head.pred in idb:
-        largest = max(largest, len(idb.relation(rule.head.pred)))
-    return max(1.0, math.sqrt(largest)) if largest else 1.0
-
-
-def kernel_chooser(program: Program, edb: Database,
-                   idb: Database | None = None,
-                   dataflow: "DataflowResult | None" = None,
-                   ) -> Callable[["CompiledKernel"], KernelChoice]:
-    """Build the per-kernel batch-vs-row chooser for ``planner="cbo"``.
-
-    The returned callable is consulted once per kernel *identity*
-    (:meth:`VectorRunner.batch_for` caches the verdict), so an
-    adaptive-drift replan — which compiles a fresh kernel — re-enters
-    the choice against the statistics that triggered it.  Both verdicts
-    derive identical rows and counters (the row path is exactly the
-    batch lowering's per-rule fallback), so the choice is admissible
-    under the bit-identical fuzz pinning.
-    """
-
-    def choose(kernel: "CompiledKernel") -> KernelChoice:
-        width = predicted_frontier_width(kernel.rule, program, edb,
-                                         idb=idb, dataflow=dataflow)
-        if width >= MIN_BATCH_WIDTH:
-            shown = "inf" if width == INF else f"{width:.0f}"
-            return KernelChoice(
-                "batch", width,
-                f"predicted frontier width ~{shown} >= "
-                f"{MIN_BATCH_WIDTH:.0f}: batch setup amortizes")
-        return KernelChoice(
-            "row", width,
-            f"predicted frontier width ~{width:.0f} < "
-            f"{MIN_BATCH_WIDTH:.0f}: per-firing batch setup would "
-            "dominate; row-at-a-time kernel chosen")
-
-    return choose
 
 
 # ---------------------------------------------------------------------------
@@ -727,14 +632,12 @@ def cbo_evaluate(program: Program, edb: Database,
     from .compile import validate_executor
     from .engine import EvaluationResult
     from .seminaive import seminaive_evaluate
-    from .vectorize import columnar_backend_factory
 
     validate_executor(executor)
     validate_interning(interning)
     budget = resolve_budget(budget)
     if interning == "on":
-        edb = edb.interned(backend_factory=columnar_backend_factory
-                           if executor == "vectorized" else None)
+        edb = edb.interned()
     if choice is None:
         choice = choose_plan(program, edb, query=query, ics=ics,
                              budget=budget)

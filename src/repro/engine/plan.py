@@ -201,24 +201,19 @@ def explain_kernels(program: Program, edb: Database,
                     idb: Database | None = None,
                     planner: str = "greedy",
                     show_stats: bool = False,
-                    executor: str = "compiled",
                     dataflow: "DataflowResult | None" = None) -> str:
     """Render the compiled kernel of every rule of the program.
 
     This is the compiled-executor counterpart of :func:`explain_plan`:
     it shows the step program each rule is lowered to (probe patterns,
-    slot binds, checks, fused tails), compiled against the same size
-    estimates :func:`plan_rule` uses — including, under
-    ``planner="adaptive"``, the statistics-estimated rows per probe,
-    and against the EDB's symbol table when it is interned.
-
-    With ``executor="vectorized"`` the trailing section shows, per
-    rule, the whole-frontier batch lowering — the step kinds the batch
-    kernel chains and which comparison steps hit the column-level
-    predicate cache — or the reason the rule falls back to the
-    row-at-a-time compiled kernel.
+    slot binds, checks) and the back end it runs on — the generated
+    function's source, or why the rule runs the per-row chain —
+    compiled against the same size estimates :func:`plan_rule` uses
+    (including, under ``planner="adaptive"``, the statistics-estimated
+    rows per probe), against the EDB's symbol table when it is
+    interned, and with ``dataflow``'s provably-true comparisons elided.
     """
-    from .compile import compile_rule
+    from .compile import CompiledKernel
 
     validate_planner(planner)
 
@@ -244,85 +239,14 @@ def explain_kernels(program: Program, edb: Database,
                 return 0.0
             return relation.enable_stats().probe_estimate(bound_cols)
 
-    kernels = [compile_rule(rule, relation_size,
-                            keep_atom_order=(planner == "source"),
-                            cost=cost, symbols=edb.symbols)
-               for rule in program]
-    body = "\n\n".join(kernel.describe() for kernel in kernels)
-    if executor == "vectorized":
-        body += "\n\n" + _vectorized_section(kernels, edb, program, idb,
-                                             planner, dataflow)
+    true_checks = dataflow.true_checks if dataflow is not None else {}
+    body = "\n\n".join(
+        CompiledKernel(rule, relation_size,
+                       keep_atom_order=(planner == "source"),
+                       cost=cost, symbols=edb.symbols,
+                       true_checks=true_checks.get(rule, frozenset())
+                       ).describe()
+        for rule in program)
     if show_stats:
         body += "\n\n" + _stats_section(program, edb, idb)
     return body
-
-
-def _vectorized_section(kernels, edb, program=None, idb=None,
-                        planner: str = "greedy",
-                        dataflow: "DataflowResult | None" = None) -> str:
-    """Render the batch-lowering summary for ``explain_kernels``.
-
-    Every rule shows its predicted frontier width (the quantity the
-    cost-based optimizer prices batch kernels by); under
-    ``planner="cbo"`` each batch-lowerable rule additionally shows the
-    optimizer's batch-vs-row verdict with its rationale, next to the
-    existing fallback reasons.
-    """
-    from .optimizer import kernel_chooser, predicted_frontier_width
-    from .vectorize import compile_batch
-
-    choose = kernel_chooser(program, edb, idb=idb, dataflow=dataflow) \
-        if planner == "cbo" and program is not None else None
-
-    def width_note(kernel) -> str:
-        if program is None:
-            return ""
-        width = predicted_frontier_width(kernel.rule, program, edb,
-                                         idb=idb, dataflow=dataflow)
-        shown = "inf" if width == float("inf") else f"{width:.0f}"
-        return f" (predicted frontier width ~{shown})"
-
-    lines = ["vectorized execution: whole-frontier batch kernels"
-             + ("" if edb.symbols is not None
-                else " (EDB not interned: every rule falls back)")]
-    for kernel in kernels:
-        label = kernel.rule.label or str(kernel.rule.head)
-        plan = kernel.batch_plan
-        if plan is None:
-            lines.append(f"  {label}: falls back to the compiled "
-                         f"kernel (body not batch-lowerable)"
-                         + width_note(kernel))
-            continue
-        if compile_batch(kernel) is None:
-            lines.append(f"  {label}: falls back to the compiled "
-                         f"kernel (batch codegen declined)"
-                         + width_note(kernel))
-            continue
-        if choose is not None:
-            choice = choose(kernel)
-            if not choice.use_batch:
-                lines.append(f"  {label}: row-at-a-time compiled "
-                             f"kernel chosen by the optimizer "
-                             f"({choice.reason})")
-                continue
-        steps = []
-        for step in plan:
-            kind = step[0]
-            if kind == "atom":
-                _kind, src, keys, _writes, _checks = step
-                steps.append("probe" if keys else "scan")
-            elif kind == "member":
-                steps.append("member")
-            elif kind == "neg":
-                steps.append("neg")
-            elif kind == "check":
-                steps.append(f"check[{step[1]}]")
-            elif kind == "bind":
-                steps.append("bind")
-        suffix = f"; one call per frontier ({choice.reason})" \
-            if choose is not None else "; one call per frontier"
-        lines.append(f"  {label}: batch chain "
-                     + " -> ".join(steps or ["copy"])
-                     + suffix + ("" if choose is not None
-                                 else width_note(kernel)))
-    return "\n".join(lines)

@@ -38,7 +38,6 @@ from .compile import KernelCache, validate_executor
 from .naive import DEFAULT_MAX_ITERATIONS
 from .profile import EvalProfile
 from .stratify import stratify
-from .vectorize import VectorRunner, columnar_backend_factory
 
 #: Optional per-derivation hook: ``hook(rule, binding, round) -> bool`` —
 #: return False to suppress the derivation (used by residue-guided
@@ -67,16 +66,15 @@ def seminaive_evaluate(program: Program, edb: Database,
     carrying the partial stats and the last completed delta round.
 
     ``executor`` selects how rule bodies run: ``"compiled"`` (default)
-    lowers each rule once per (stratum, delta-variant) into a
-    slot-based kernel (:mod:`repro.engine.compile`) reused across all
-    rounds; ``"interpreted"`` keeps the reference
+    lowers each rule once per (stratum, delta-variant) into a kernel
+    (:mod:`repro.engine.compile`) reused across all rounds — a
+    generated whole-frontier function, or the per-row closure chain
+    when ``hook`` is given or the body uses arithmetic;
+    ``"interpreted"`` keeps the reference
     :func:`~repro.engine.bindings.solve_body` interpreter, the
-    semantics oracle; ``"vectorized"`` stores relations columnarly and
-    runs each firing as a whole-frontier batch kernel
-    (:mod:`repro.engine.vectorize`) with comparison/negation checks
-    cached per column.  All derive identical databases with
-    identical counters; hooks, chaos injection and budgets behave
-    identically under any of them.
+    semantics oracle.  Both derive identical databases with identical
+    counters; hooks, chaos injection and budgets behave identically
+    under either.
 
     ``profile``, when given, accumulates per-kernel wall time and
     per-round delta sizes (:class:`~repro.engine.profile.EvalProfile`).
@@ -86,9 +84,7 @@ def seminaive_evaluate(program: Program, edb: Database,
     with drift-triggered replanning (compiled executor; falls back to
     greedy order under the interpreter), ``"source"`` keeps atoms in
     rule order, ``"cbo"`` runs the adaptive machinery over the program
-    the enumerating optimizer chose (:mod:`repro.engine.optimizer`),
-    adding per-rule batch-vs-row kernel choice under the vectorized
-    executor.
+    the enumerating optimizer chose (:mod:`repro.engine.optimizer`).
 
     Storage follows the EDB: when ``edb`` is interned (carries a
     :class:`~repro.facts.symbols.SymbolTable`) the IDB and deltas share
@@ -101,19 +97,12 @@ def seminaive_evaluate(program: Program, edb: Database,
     check_edb_arities(program, edb)
     budget = resolve_budget(budget)
     arities = program.predicate_arities()
-    vectorized = executor == "vectorized"
-    backend_factory = columnar_backend_factory \
-        if vectorized and edb.symbols is not None else None
-    idb = Database(symbols=edb.symbols, backend_factory=backend_factory)
+    idb = Database(symbols=edb.symbols)
     for pred in program.idb_predicates:
         idb.ensure(pred, arities[pred])
 
     keep_atom_order = planner == "source"
     kernels = None
-    vec = VectorRunner(symbols=edb.symbols,
-                       true_checks=dataflow.true_checks
-                       if dataflow is not None else None) \
-        if vectorized else None
     if executor != "interpreted":
         # planner="cbo" executes its chosen candidate with the adaptive
         # runtime machinery (statistics-driven orders, drift replans):
@@ -123,19 +112,12 @@ def seminaive_evaluate(program: Program, edb: Database,
         kernels = KernelCache(keep_atom_order=keep_atom_order,
                               symbols=edb.symbols,
                               adaptive=planner in ("adaptive", "cbo"),
-                              fuse=not vectorized)
-    if vec is not None and planner == "cbo":
-        # Per-rule kernel choice (batch vs row, costed by predicted
-        # frontier width); drift replans re-enter the choice.
-        from .optimizer import kernel_chooser
-        vec.kernel_choice = kernel_chooser(program, edb, idb=idb,
-                                           dataflow=dataflow)
-        if kernels is not None:
-            kernels.on_replan = vec.invalidate
+                              true_checks=dataflow.true_checks
+                              if dataflow is not None else None)
     for stratum in stratify(program):
         _evaluate_stratum(program, stratum, edb, idb, stats,
                           max_iterations, hook, keep_atom_order,
-                          budget, kernels, vec, profile, dataflow)
+                          budget, kernels, profile, dataflow)
     if kernels is not None:
         stats.replans += kernels.replans
     return idb
@@ -148,7 +130,6 @@ def _evaluate_stratum(program: Program, stratum: frozenset[str],
                       keep_atom_order: bool = False,
                       budget: Budget | None = None,
                       kernels: KernelCache | None = None,
-                      vec: VectorRunner | None = None,
                       profile: EvalProfile | None = None,
                       dataflow: "DataflowResult | None" = None) -> None:
     chaos_plan = chaos.active_plan()
@@ -165,14 +146,7 @@ def _evaluate_stratum(program: Program, stratum: frozenset[str],
     symbols = idb.symbols
 
     def make_delta(pred: str) -> Relation:
-        target = idb.relation(pred)
-        if vec is not None and symbols is not None:
-            # Columnar deltas: batch kernels gather frontier columns
-            # and probe per-column indexes without tuple allocation.
-            return Relation(pred, target.arity, symbols=symbols,
-                            backend=columnar_backend_factory(
-                                pred, target.arity))
-        return Relation(pred, target.arity, symbols=symbols)
+        return Relation(pred, idb.relation(pred).arity, symbols=symbols)
 
     deltas: dict[str, Relation] = {pred: make_delta(pred)
                                    for pred in stratum}
@@ -233,12 +207,8 @@ def _evaluate_stratum(program: Program, stratum: frozenset[str],
                                         cost=cost_now)
             else:
                 kernel = kernels.kernel(rule, variant, sizes)
-            if vec is not None:
-                derived = vec.run(kernel, fetch, stats, hook=hook,
-                                  round_index=round_index)
-            else:
-                derived = kernel.execute(fetch, stats, hook=hook,
-                                         round_index=round_index)
+            derived = kernel.execute(fetch, stats, hook=hook,
+                                     round_index=round_index)
             # Kernel rows are storage-domain already (codes when
             # interned): insert through the raw path, no re-encoding.
             target_add, delta_add = target.raw_add, delta.raw_add

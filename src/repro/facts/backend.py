@@ -11,15 +11,15 @@ checks, value/code translation against a shared symbol table, statistics
   those columns (read-only to callers; kernel probes resolve buckets
   from it directly);
 - every **mutation** goes through the backend's methods, so a backend
-  that maintains extra structure (columnar arrays, a write-ahead log)
-  observes every insert and delete.
+  that maintains extra structure (a write-ahead log, say) observes
+  every insert and delete.
 
 Every backend also carries a ``(uid, version)`` identity: ``uid`` is
 unique per backend instance and ``version`` bumps on every mutation that
-changed content.  The vectorized executor's column-level predicate cache
-(:mod:`repro.engine.vectorize`) keys memoized check results on this pair,
-so the *invalidation rule* is simply "any content change bumps the
-version and orphans the cached entry".
+changed content.  The generated kernels' column-level predicate cache
+(:mod:`repro.engine.codegen`) stamps memoized check results with this
+pair, so the *invalidation rule* is simply "any content change bumps the
+version and the stale entry is replaced".
 
 Three index families are maintained:
 
@@ -32,17 +32,13 @@ Three index families are maintained:
   (``projection_index``), so a final join level can emit projected
   values without touching row tuples at all.
 
-:class:`DictBackend` is the default: a ``set`` of tuples plus on-demand
-``dict`` indexes — semantically exactly the storage the engine always
-had.  :class:`ColumnarBackend` mirrors interned rows into per-column
-``array('q')`` stores with O(1) copy-on-write snapshots — the substrate
-the vectorized executor uses.
+:class:`DictBackend` is the one backend: a ``set`` of tuples plus
+on-demand ``dict`` indexes.
 """
 
 from __future__ import annotations
 
 import itertools
-from array import array
 from typing import (Any, Collection, Iterable, Iterator, Protocol,
                     runtime_checkable)
 
@@ -263,7 +259,7 @@ class DictBackend:
         """A single-column index keyed by the **bare** stored value.
 
         Unlike ``index_for((column,))`` the keys are the column values
-        themselves, not 1-tuples — the vectorized kernels probe it with
+        themselves, not 1-tuples — the generated kernels probe it with
         ``index.get(code)`` and never allocate a key tuple per row.
         """
         index = self.code_indexes.get(column)
@@ -285,7 +281,7 @@ class DictBackend:
         """Bare key-column value -> list of ``value_column`` entries.
 
         One entry per matching row (a multiset, so duplicate projected
-        values are preserved and the vectorized kernels' row counts stay
+        values are preserved and the generated kernels' row counts stay
         exact).  Lets a final join level emit projected head values
         without indexing into row tuples at all.
         """
@@ -323,186 +319,4 @@ class DictBackend:
         out.proj_indexes = {}
         out.uid = next(_uids)
         out.version = 0
-        return out
-
-
-class ColumnarBackend(DictBackend):
-    """Interned rows mirrored into append-only per-column ``array('q')``.
-
-    The row **set** stays the membership/dedup structure (the engines'
-    set-difference bulk inserts and negation probes are untouched), but
-    every stored column is also kept as a dense signed-64 array of
-    interned codes:
-
-    - ``Relation.column_view`` snapshots are a C-level array copy;
-    - :meth:`id_index_for` maps a key-column code to the ``array('q')``
-      of row ids carrying it (row-id runs), from which
-      :meth:`projection_index` gathers projected columns directly.
-
-    ``copy()`` is O(1) copy-on-write: parent and child share the row set
-    and column arrays until either side next mutates, at which point the
-    writer privatizes its containers.  Rows must be tuples of ints
-    (interned codes) — the backend is only ever constructed for interned
-    databases.
-
-    Removals mark the columns *dirty* (append-only arrays cannot cheaply
-    delete); the next columnar read rebuilds them from the row set.
-
-    Column arrays are **lazy**: nothing is materialized until the first
-    columnar read (``columns()`` / ``id_index_for``).  Relations that
-    are only ever probed through the dict indexes — delta frontiers,
-    IDB accumulators — therefore pay exactly what :class:`DictBackend`
-    pays on the hot insert path; the arrays exist only where a reader
-    (projection index, column view) actually asked for them, and from then on are maintained
-    incrementally by the append path.
-    """
-
-    __slots__ = ("arity", "_columns", "_id_indexes", "_shared", "_dirty")
-
-    def __init__(self, arity: int, rows: Iterable[Row] | None = None) -> None:
-        super().__init__()
-        self.arity = arity
-        self._columns: list[array[int]] | None = None
-        self._id_indexes: dict[int, dict[int, array[int]]] = {}
-        self._shared = False
-        self._dirty = False
-        if rows is not None:
-            self.merge_new(list(rows))
-
-    # -- copy-on-write ------------------------------------------------------
-    def _privatize(self) -> None:
-        """Detach from any snapshot sharing this backend's containers."""
-        self.rows = set(self.rows)
-        if self._columns is not None:
-            self._columns = [array("q", col) for col in self._columns]
-        self._id_indexes = {}
-        self._shared = False
-
-    def _append_rows(self, new_rows: Collection[Row]) -> None:
-        cols = self._columns
-        if cols is None or self._dirty or not new_rows:
-            return
-        if not cols:
-            return
-        base = len(cols[0])
-        for i, col in enumerate(cols):
-            col.extend([row[i] for row in new_rows])
-        for column, index in self._id_indexes.items():
-            get = index.get
-            rid = base
-            for row in new_rows:
-                code = row[column]
-                ids = get(code)
-                if ids is None:
-                    index[code] = array("q", (rid,))
-                else:
-                    ids.append(rid)
-                rid += 1
-
-    # -- mutation (column-maintaining overrides) ----------------------------
-    def insert(self, row: Row) -> bool:
-        if self._shared and row not in self.rows:
-            self._privatize()
-        if not super().insert(row):
-            return False
-        self._append_rows((row,))
-        return True
-
-    def add_new(self, rows: Iterable[Row]) -> list[Row]:
-        if self._shared:
-            self._privatize()
-        new_rows = super().add_new(rows)
-        self._append_rows(new_rows)
-        return new_rows
-
-    def merge_new(self, rows: Collection[Row]) -> list[Row]:
-        if self._shared:
-            self._privatize()
-        new_rows = super().merge_new(rows)
-        self._append_rows(new_rows)
-        return new_rows
-
-    def merge(self, rows: list[Row]) -> None:
-        if self._shared:
-            self._privatize()
-        super().merge(rows)
-        self._append_rows(rows)
-
-    def remove(self, row: Row) -> bool:
-        if self._shared and row in self.rows:
-            self._privatize()
-        if not super().remove(row):
-            return False
-        self._dirty = True
-        self._id_indexes.clear()
-        return True
-
-    def clear(self) -> None:
-        # Never clear shared containers in place — replace them.
-        self.rows = set()
-        self.indexes = {}
-        self.code_indexes = {}
-        self.proj_indexes = {}
-        self._columns = None
-        self._id_indexes = {}
-        self._shared = False
-        self._dirty = False
-        self.version += 1
-
-    # -- columnar access ----------------------------------------------------
-    def columns(self) -> list[array[int]]:
-        """The live per-column arrays (built lazily, rebuilt when dirty)."""
-        if self._columns is None or self._dirty:
-            snapshot = list(self.rows)
-            self._columns = [
-                array("q", [row[i] for row in snapshot])
-                for i in range(self.arity)]
-            self._dirty = False
-        return self._columns
-
-    def id_index_for(self, column: int) -> dict[int, array[int]]:
-        """Key-column code -> ``array('q')`` of row ids carrying it."""
-        index = self._id_indexes.get(column)
-        if index is None:
-            index = {}
-            get = index.get
-            for rid, code in enumerate(self.columns()[column]):
-                ids = get(code)
-                if ids is None:
-                    index[code] = array("q", (rid,))
-                else:
-                    ids.append(rid)
-            self._id_indexes[column] = index
-        return index
-
-    def projection_index(self, key_column: int,
-                         value_column: int) -> dict[Any, list[Any]]:
-        key = (key_column, value_column)
-        proj = self.proj_indexes.get(key)
-        if proj is None:
-            # Gather from the dense value column through the row-id runs
-            # — no row-tuple indexing on the build either.
-            vals = self.columns()[value_column]
-            proj = {
-                code: [vals[i] for i in ids]
-                for code, ids in self.id_index_for(key_column).items()}
-            self.proj_indexes[key] = proj
-        return proj
-
-    # -- lifecycle ----------------------------------------------------------
-    def copy(self) -> "ColumnarBackend":
-        """An O(1) snapshot sharing rows and columns copy-on-write."""
-        out = ColumnarBackend.__new__(ColumnarBackend)
-        out.rows = self.rows
-        out.indexes = {}
-        out.code_indexes = {}
-        out.proj_indexes = {}
-        out.uid = next(_uids)
-        out.version = 0
-        out.arity = self.arity
-        out._columns = self._columns
-        out._id_indexes = {}
-        out._shared = True
-        out._dirty = self._dirty
-        self._shared = True
         return out

@@ -2,20 +2,15 @@
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator, Mapping, Optional
+from typing import Iterable, Iterator, Mapping
 
 from ..datalog.atoms import Atom
 from ..datalog.parser import parse_statements
 from ..datalog.rules import Rule
 from ..datalog.terms import Constant, ConstValue
 from ..errors import EvaluationError
-from .backend import StorageBackend
 from .relation import Relation, Row
 from .symbols import SymbolTable
-
-#: Builds the storage backend for a new relation: ``(name, arity)`` ->
-#: backend, or None to use the default :class:`DictBackend`.
-BackendFactory = Callable[[str, int], Optional[StorageBackend]]
 
 
 class Database:
@@ -34,14 +29,10 @@ class Database:
 
     def __init__(self,
                  relations: Mapping[str, Iterable[Row]] | None = None,
-                 symbols: SymbolTable | None = None,
-                 backend_factory: BackendFactory | None = None) -> None:
+                 symbols: SymbolTable | None = None) -> None:
         self._relations: dict[str, Relation] = {}
         #: The shared intern table, or None for raw storage.
         self.symbols = symbols
-        #: Storage factory applied to relations created via :meth:`ensure`
-        #: (e.g. columnar storage under the vectorized executor).
-        self.backend_factory = backend_factory
         if relations:
             for name, rows in relations.items():
                 for row in rows:
@@ -81,10 +72,7 @@ class Database:
         """Get-or-create the relation for ``name``."""
         rel = self._relations.get(name)
         if rel is None:
-            backend = (self.backend_factory(name, arity)
-                       if self.backend_factory is not None else None)
-            rel = Relation(name, arity, symbols=self.symbols,
-                           backend=backend)
+            rel = Relation(name, arity, symbols=self.symbols)
             self._relations[name] = rel
         elif rel.arity != arity:
             raise EvaluationError(
@@ -122,29 +110,24 @@ class Database:
         return rel.rows() if rel is not None else frozenset()
 
     def copy(self) -> "Database":
-        out = Database(symbols=self.symbols,
-                       backend_factory=self.backend_factory)
+        out = Database(symbols=self.symbols)
         for name, rel in self._relations.items():
             out._relations[name] = rel.copy()
         return out
 
-    def interned(self, symbols: SymbolTable | None = None,
-                 backend_factory: BackendFactory | None = None) -> "Database":
+    def interned(self, symbols: SymbolTable | None = None) -> "Database":
         """This database re-encoded over a :class:`SymbolTable`.
 
         Returns ``self`` unchanged when already interned; otherwise a
         new database sharing no storage with this one, with every
-        constant interned into ``symbols`` (a fresh table by default)
-        and relations stored via ``backend_factory`` when given (the
-        vectorized executor passes a columnar factory here).
+        constant interned into ``symbols`` (a fresh table by default).
         Cost is one pass over the facts; evaluation entry points call
         this once per run when ``interning="on"``.
         """
         if self.symbols is not None:
             return self
         out = Database(symbols=symbols if symbols is not None
-                       else SymbolTable(),
-                       backend_factory=backend_factory)
+                       else SymbolTable())
         for name, rel in self._relations.items():
             out.ensure(name, rel.arity).add_all(rel)
         return out

@@ -26,8 +26,7 @@ kernels — never pay an encode/decode per probe.
 The physical row container and index maintenance live behind a
 pluggable :class:`~repro.facts.backend.StorageBackend`
 (:class:`~repro.facts.backend.DictBackend` by default; pass
-``backend=`` to supply another, e.g. a
-:class:`~repro.facts.backend.ColumnarBackend`).  The relation keeps the
+``backend=`` to supply another).  The relation keeps the
 semantics — arity checks, interning, statistics — and delegates the
 physical operations.
 
@@ -42,7 +41,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Collection, Iterable, Iterator, Optional
 
 from ..datalog.terms import ConstValue
-from .backend import ColumnarBackend, DictBackend, Index, StorageBackend
+from .backend import DictBackend, Index, StorageBackend
 from .symbols import SymbolTable
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -88,8 +87,8 @@ class Relation:
         """The backend's mutation counter (see its ``version`` attr).
 
         Bumps on every content change; together with the backend's
-        ``uid`` it keys the vectorized executor's column-level predicate
-        cache, whose invalidation rule is exactly "the version moved".
+        ``uid`` it stamps the generated kernels' column-level predicate
+        cache, whose invalidation rule is exactly "the stamp moved".
         """
         return self.backend.version
 
@@ -387,7 +386,7 @@ class Relation:
         """Single-column index keyed by the bare storage value.
 
         Same buckets as ``index_for((column,))`` but without the 1-tuple
-        key wrapper — the vectorized kernels' probe path.  Live and
+        key wrapper — the generated kernels' probe path.  Live and
         read-only, like :meth:`index_for`.
         """
         return self.backend.code_index_for(column)
@@ -395,24 +394,6 @@ class Relation:
     def projection_index(self, key_column: int, value_column: int) -> dict:
         """Bare key value -> list of ``value_column`` entries (live)."""
         return self.backend.projection_index(key_column, value_column)
-
-    def column_view(self, column: int):
-        """A dense snapshot of one column, in the storage domain.
-
-        In interned mode this is an ``array('q')`` of codes — a compact,
-        cache-friendly columnar view suitable for bulk scans; in raw
-        mode it is a plain list of values.  A snapshot, not a live view.
-        On a :class:`~repro.facts.backend.ColumnarBackend` the snapshot
-        is a C-level copy of the already-materialized column array.
-        """
-        if self.symbols is not None:
-            from array import array
-
-            backend = self.backend
-            if isinstance(backend, ColumnarBackend):
-                return array("q", backend.columns()[column])
-            return array("q", (row[column] for row in backend.rows))
-        return [row[column] for row in self.backend.rows]
 
     def copy(self) -> "Relation":
         """An independent relation with the same rows.
@@ -424,8 +405,7 @@ class Relation:
         reconstruction) therefore pay nothing for indexes the copy
         never probes, which profiling showed dominating copy cost when
         every index was eagerly duplicated.  The backend type is
-        preserved (a columnar relation copies to a columnar relation).
-        Statistics are not carried over; they rebuild lazily if needed.
+        preserved.  Statistics are not carried over; they rebuild lazily if needed.
         """
         return Relation(self.name, self.arity, symbols=self.symbols,
                         backend=self.backend.copy())

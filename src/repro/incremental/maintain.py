@@ -64,7 +64,6 @@ from ..engine.compile import KernelCache, validate_executor
 from ..engine.naive import DEFAULT_MAX_ITERATIONS
 from ..engine.seminaive import DerivationHook
 from ..engine.stratify import stratify
-from ..engine.vectorize import VectorRunner
 
 _MISSING = object()
 
@@ -143,11 +142,8 @@ def support_counts(program: Program, edb: Database, idb: Database,
     stats = stats if stats is not None else EvalStats()
     validate_executor(executor)
     counts = SupportCounts()
-    kernels = KernelCache(symbols=edb.symbols,
-                          fuse=executor != "vectorized") \
-        if executor in ("compiled", "vectorized") else None
-    vec = VectorRunner(symbols=edb.symbols) \
-        if executor == "vectorized" else None
+    kernels = KernelCache(symbols=edb.symbols) \
+        if executor == "compiled" else None
     symbols = edb.symbols
     arities = program.predicate_arities()
 
@@ -162,7 +158,7 @@ def support_counts(program: Program, edb: Database, idb: Database,
             continue
         for rule in rules:
             derived = _fire_rule(rule, fetch, stats, kernels,
-                                 ("support",), symbols, hook, vec=vec)
+                                 ("support",), symbols, hook)
             counter = counts.counter(rule.head.pred)
             for row in derived:
                 counter[row] = counter.get(row, 0) + 1
@@ -243,15 +239,12 @@ def _fire_rule(rule: Rule, fetch, stats: EvalStats,
                kernels: KernelCache | None, variant: object,
                symbols, hook: Optional[DerivationHook],
                round_index: int = 0,
-               keep_atom_order: bool = False,
-               vec: VectorRunner | None = None) -> list[Row]:
+               keep_atom_order: bool = False) -> list[Row]:
     """All derivations of ``rule`` under ``fetch``, storage-domain rows.
 
     The returned list carries *multiplicity* — one entry per body
     derivation — which is what the counting algorithm consumes; the
-    set-based passes simply merge it.  ``vec`` switches the firing to
-    the batch kernel of the vectorized executor (falling back to the
-    compiled kernel when the body is unvectorizable or a hook is set).
+    set-based passes simply merge it.
     """
     stats.rules_fired += 1
     if kernels is not None:
@@ -259,9 +252,6 @@ def _fire_rule(rule: Rule, fetch, stats: EvalStats,
             return len(fetch(atom, index))
 
         kernel = kernels.kernel(rule, variant, sizes)
-        if vec is not None:
-            return vec.run(kernel, fetch, stats, hook=hook,
-                           round_index=round_index)
         return kernel.execute(fetch, stats, hook=hook,
                               round_index=round_index)
     derived: list[Row] = []
@@ -315,15 +305,12 @@ class _Maintenance:
         self.keep_atom_order = planner == "source"
         if kernels is not None:
             self.kernels: KernelCache | None = kernels
-        elif executor in ("compiled", "vectorized"):
+        elif executor == "compiled":
             self.kernels = KernelCache(
                 keep_atom_order=self.keep_atom_order,
-                symbols=edb.symbols,
-                fuse=executor != "vectorized")
+                symbols=edb.symbols)
         else:
             self.kernels = None
-        self.vec = VectorRunner(symbols=edb.symbols) \
-            if executor == "vectorized" else None
         self.arities = dict(program.predicate_arities())
         # Storage-domain changeset rows.
         self.edb_deletes = {pred: self._encode_rows(rows)
@@ -517,8 +504,7 @@ class _Maintenance:
                 lost = _fire_rule(rule, fetch, self.stats, self.kernels,
                                   ("count-del", index), self.symbols,
                                   self.hook,
-                                  keep_atom_order=self.keep_atom_order,
-                                  vec=self.vec)
+                                  keep_atom_order=self.keep_atom_order)
                 self._tick_rows(lost)
                 for row in lost:
                     support = counter.get(row)
@@ -577,8 +563,7 @@ class _Maintenance:
                 derived = _fire_rule(
                     rule, fetch, self.stats, self.kernels,
                     ("dred-seed", index), self.symbols, self.hook,
-                    keep_atom_order=self.keep_atom_order,
-                    vec=self.vec)
+                    keep_atom_order=self.keep_atom_order)
                 self._tick_rows(derived)
                 collect(rule, derived)
 
@@ -613,8 +598,7 @@ class _Maintenance:
                         rule, fetch, self.stats, self.kernels,
                         ("dred-front", index), self.symbols, self.hook,
                         round_index=rounds,
-                        keep_atom_order=self.keep_atom_order,
-                        vec=self.vec)
+                        keep_atom_order=self.keep_atom_order)
                     self._tick_rows(derived, last_round=rounds - 1)
                     collect(rule, derived)
 
@@ -692,8 +676,7 @@ class _Maintenance:
                 derived = _fire_rule(
                     batch_rule, fetch, self.stats, self.kernels,
                     ("dred-rederive",), self.symbols, None,
-                    keep_atom_order=self.keep_atom_order,
-                    vec=self.vec)
+                    keep_atom_order=self.keep_atom_order)
                 self._tick_rows(derived)
                 for row in derived:
                     if row in candidates:
@@ -795,8 +778,7 @@ class _Maintenance:
                 derived = _fire_rule(
                     rule, fetch, self.stats, self.kernels,
                     ("ins-seed", index), self.symbols, self.hook,
-                    keep_atom_order=self.keep_atom_order,
-                    vec=self.vec)
+                    keep_atom_order=self.keep_atom_order)
                 self._tick_rows(derived)
                 new_rows = target.raw_merge_new(derived)
                 if new_rows:
@@ -829,8 +811,7 @@ class _Maintenance:
                 gained = _fire_rule(
                     rule, fetch, self.stats, self.kernels,
                     ("count-ins", index), self.symbols, self.hook,
-                    keep_atom_order=self.keep_atom_order,
-                    vec=self.vec)
+                    keep_atom_order=self.keep_atom_order)
                 self._tick_rows(gained)
                 for row in gained:
                     support = counter.get(row, 0)
@@ -876,8 +857,7 @@ class _Maintenance:
                         rule, fetch, self.stats, self.kernels,
                         ("prop", index), self.symbols, self.hook,
                         round_index=rounds,
-                        keep_atom_order=self.keep_atom_order,
-                        vec=self.vec)
+                        keep_atom_order=self.keep_atom_order)
                     self._tick_rows(derived, last_round=rounds - 1)
                     new_rows = target.raw_merge_new(derived)
                     if new_rows:

@@ -105,10 +105,8 @@ class MaterializedView:
         self.counts: SupportCounts | None = None
         self.kernels = KernelCache(
             keep_atom_order=planner == "source",
-            symbols=source.db.symbols,
-            fuse=executor != "vectorized") \
-            if executor in ("compiled", "vectorized") \
-            else None
+            symbols=source.db.symbols) \
+            if executor == "compiled" else None
         #: EDB version the materialization reflects; -1 = never built.
         self.version = -1
         #: False while the IDB may be mid-maintenance garbage.

@@ -1,11 +1,11 @@
-"""Adaptive planning: statistics costs, drift replanning, body fusion.
+"""Adaptive planning: statistics costs, drift replanning, generated bodies.
 
 Covers the statistics-driven planner end to end: the cost model orders
 probes by estimated selectivity, the kernel cache recompiles when
 observed cardinalities drift past the threshold (and provably no more
-than O(log n) times for monotone growth), and interned kernels fuse
-pure-atom bodies into generated comprehensions without changing any
-observable result or counter.
+than O(log n) times for monotone growth), and kernels run their bodies
+as generated comprehensions without changing any observable result or
+counter.
 """
 
 import pytest
@@ -143,15 +143,15 @@ class TestAdaptiveCostModel:
         assert "edge/2" in text
         assert "distinct" in text
 
-    def test_explain_kernels_marks_interned_and_fused(self):
+    def test_explain_kernels_marks_interned_and_generated(self):
         db = chain_db(5).interned()
         text = explain_kernels(parse_program(TC), db,
                                planner="adaptive")
         assert "interned" in text
-        assert "fuse" in text
+        assert "generated function" in text
 
 
-class TestBodyFusion:
+class TestGeneratedBody:
     def _kernel(self, rule_text, db, **kwargs):
         program = parse_program(rule_text)
         rule = program.rules[-1]
@@ -161,44 +161,46 @@ class TestBodyFusion:
 
         return compile_rule(rule, sizes, symbols=db.symbols, **kwargs)
 
-    def test_pure_atom_body_deep_fuses(self):
+    def test_pure_atom_body_has_a_generated_function(self):
         db = chain_db(5).interned()
         kernel = self._kernel(TC, db)
-        assert kernel.deep_fused
-        assert "fuse" in kernel.describe()
+        assert kernel.generated is not None and kernel.row_reason is None
+        assert "def _kernel(" in kernel.describe()
 
-    def test_comparison_blocks_deep_fusion(self):
+    def test_comparison_body_is_generated_too(self):
         db = chain_db(5).interned()
         kernel = self._kernel(
             "q0: q(X, Y) :- edge(X, Y), X < Y.", db)
-        assert not kernel.deep_fused
+        assert kernel.generated is not None
+        assert "V[" in kernel.generated.source  # decodes to compare
 
-    def test_raw_mode_never_fuses(self):
-        kernel = self._kernel(TC, chain_db(5))
-        assert not kernel.deep_fused and not kernel.fused
+    def test_raw_mode_is_generated_without_decoding(self):
+        kernel = self._kernel(
+            "q0: q(X, Y) :- edge(X, Y), X < Y.", chain_db(5))
+        assert kernel.generated is not None
+        assert "V[" not in kernel.generated.source
 
-    def test_fused_and_generic_paths_agree(self):
-        # Same program, same database: interned (fused) and raw
-        # (closure-chain) kernels must produce identical facts and
-        # identical work counters.
+    def test_interned_and_raw_kernels_agree(self):
+        # Same program, same database: interned and raw kernels must
+        # produce identical facts and identical work counters.
         program = parse_program(TC)
         db = chain_db(25)
         raw = evaluate(program, db, interning="off")
-        fused = evaluate(program, db, interning="on")
-        assert raw.facts("tc") == fused.facts("tc")
+        interned = evaluate(program, db, interning="on")
+        assert raw.facts("tc") == interned.facts("tc")
         for field in ("derivations", "duplicate_derivations",
                       "rows_matched", "atom_lookups", "iterations"):
             assert getattr(raw.stats, field) \
-                == getattr(fused.stats, field), field
+                == getattr(interned.stats, field), field
 
-    def test_repeated_variable_in_atom_fuses_with_filter(self):
+    def test_repeated_variable_in_atom_filters(self):
         program = parse_program("q0: loop(X) :- edge(X, X).")
         db = Database({"edge": [("a", "a"), ("a", "b"), ("c", "c")]})
         raw = evaluate(program, db, interning="off")
-        fused = evaluate(program, db, interning="on")
-        assert raw.facts("loop") == fused.facts("loop") \
+        interned = evaluate(program, db, interning="on")
+        assert raw.facts("loop") == interned.facts("loop") \
             == frozenset({("a",), ("c",)})
-        assert raw.stats.rows_matched == fused.stats.rows_matched
+        assert raw.stats.rows_matched == interned.stats.rows_matched
 
     def test_constant_in_head_and_body(self):
         program = parse_program('q0: tagged("t", Y) :- edge("a", Y).')
@@ -207,10 +209,10 @@ class TestBodyFusion:
             result = evaluate(program, db, interning=interning)
             assert result.facts("tagged") == frozenset({("t", "b")})
 
-    def test_hooks_disable_the_fused_path(self):
+    def test_hooks_run_the_row_chain(self):
         # A derivation hook needs value-domain bindings per solution;
-        # the kernel must fall back to the generic entry and still
-        # decode codes before the hook sees them.
+        # the kernel must run its per-row chain and still decode codes
+        # before the hook sees them.
         from repro.engine.seminaive import seminaive_evaluate
         program = parse_program(TC)
         seen = []

@@ -43,7 +43,7 @@ FIXTURES: dict[str, dict] = {
     "IC004": {"text": transitive_closure_program(),
               "ic_text": "other(X, Y) -> ."},
     "PERF001": {"text": "r0: p(X, Y) :- e(X, Y). "
-                        "r1: p(X, Z) :- p(X, Y), e(Y, Z), Y != Z."},
+                        "r1: p(X, N) :- p(X, Y), e(Y, Z), N = Z + 1."},
     "PERF002": {"text": "p(X, Y) :- q(X, A), r(Y, B), A > 0, B > 0."},
     "PERF003": {"text": "p(X, Y) :- a(X), b(Y), c(X, Y)."},
     "PERF004": {"text": "r0: alive(X) :- seed(X). "

@@ -1,31 +1,23 @@
-"""Conformance suite for the pluggable storage backends.
+"""Conformance suite for the storage backend contract.
 
-Every backend — dict, columnar — must satisfy the same
-:class:`~repro.facts.backend.StorageBackend` contract: identical row
-semantics, identical live-index maintenance across all three index
-families, lazily rebuilt indexes on copies, and a ``(uid, version)``
-identity whose version bumps exactly on content changes (the predicate
-cache's invalidation rule).  Rows are tuples of ints throughout so the
-columnar backend (interned codes only) runs the same cases verbatim.
+A backend must satisfy the
+:class:`~repro.facts.backend.StorageBackend` contract: set row
+semantics, live-index maintenance across all three index families,
+lazily rebuilt indexes on copies, and a ``(uid, version)`` identity
+whose version bumps exactly on content changes (the predicate cache's
+invalidation rule).
 """
 
 import pytest
 
-from repro.facts.backend import (ColumnarBackend, DictBackend,
-                                 StorageBackend)
+from repro.facts.backend import DictBackend, StorageBackend
 
 ROWS = [(1, 2), (2, 3), (2, 4), (5, 2)]
 
-BACKENDS = [
-    ("dict", lambda rows=None: DictBackend(rows)),
-    ("columnar", lambda rows=None: ColumnarBackend(
-        2, rows=list(rows) if rows is not None else None)),
-]
 
-
-@pytest.fixture(params=BACKENDS, ids=[name for name, _ in BACKENDS])
-def make(request):
-    return request.param[1]
+@pytest.fixture
+def make():
+    return DictBackend
 
 
 class TestRowContract:
@@ -175,63 +167,3 @@ class TestCopyIdentity:
         assert backend.version == v1
         backend.remove((1, 2))
         assert backend.version > v1
-
-
-class TestColumnarSpecifics:
-    def test_columns_are_lazy_until_first_read(self):
-        backend = ColumnarBackend(2, rows=ROWS)
-        assert backend._columns is None
-        cols = backend.columns()
-        assert backend._columns is not None
-        assert sorted(zip(cols[0], cols[1])) == sorted(ROWS)
-
-    def test_columns_extend_incrementally_once_materialized(self):
-        backend = ColumnarBackend(2, rows=ROWS)
-        cols = backend.columns()
-        backend.insert((8, 9))
-        assert backend.columns() is cols
-        assert sorted(zip(cols[0], cols[1])) == sorted(ROWS + [(8, 9)])
-
-    def test_remove_marks_dirty_and_rebuilds(self):
-        backend = ColumnarBackend(2, rows=ROWS)
-        backend.columns()
-        backend.remove((2, 3))
-        cols = backend.columns()
-        assert sorted(zip(cols[0], cols[1])) == sorted(
-            row for row in ROWS if row != (2, 3))
-
-    def test_id_index_row_runs(self):
-        backend = ColumnarBackend(2, rows=ROWS)
-        index = backend.id_index_for(0)
-        cols = backend.columns()
-        for code, ids in index.items():
-            assert all(cols[0][i] == code for i in ids)
-        assert sorted(len(ids) for ids in index.values()) == [1, 1, 2]
-        backend.insert((2, 9))
-        assert len(backend.id_index_for(0)[2]) == 3
-
-    def test_copy_is_copy_on_write(self):
-        backend = ColumnarBackend(2, rows=ROWS)
-        cols = backend.columns()
-        clone = backend.copy()
-        assert clone.rows is backend.rows        # shared until a write
-        clone.insert((8, 9))
-        assert clone.rows is not backend.rows    # writer privatized
-        assert (8, 9) not in backend
-        assert backend.columns() is cols
-        assert sorted(zip(*clone.columns())) == sorted(ROWS + [(8, 9)])
-
-    def test_source_write_after_snapshot_detaches(self):
-        backend = ColumnarBackend(2, rows=ROWS)
-        backend.columns()
-        clone = backend.copy()
-        backend.insert((8, 9))
-        assert (8, 9) not in clone
-        assert sorted(zip(*clone.columns())) == sorted(ROWS)
-        assert sorted(zip(*backend.columns())) == sorted(ROWS + [(8, 9)])
-
-    def test_arity_zero(self):
-        backend = ColumnarBackend(0)
-        backend.insert(())
-        assert backend.columns() == []
-        assert len(backend) == 1

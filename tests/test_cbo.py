@@ -3,8 +3,7 @@
 Covers the bounded rewrite space (residue pushing per IC, magic sets
 per adornment weakening, left/right linearization, rule fusion), the
 memo's group-level deduplication, the unified cost model over dataflow
-size bounds, the per-rule batch-vs-row kernel choice under the
-vectorized executor, drift-replan re-entry, and the equivalence
+size bounds, drift replanning under it, and the equivalence
 discipline: whole-program ``planner="cbo"`` runs stay bit-identical to
 the adaptive planner, and every chosen rewrite answers the query
 exactly like the unrewritten program.
@@ -19,15 +18,12 @@ from repro.datalog.atoms import Atom
 from repro.datalog.terms import Constant, Variable
 from repro.engine import (ChosenPlan, cbo_answers, cbo_evaluate,
                           choose_plan, enumerate_candidates, evaluate,
-                          explain_answer, kernel_chooser, magic_answers,
-                          predicted_frontier_width)
+                          explain_answer, magic_answers)
 from repro.engine.compile import KernelCache
 from repro.engine.magic import magic_rewrite
-from repro.engine.optimizer import (MAX_CANDIDATES, MIN_BATCH_WIDTH,
-                                    Memo, PlanCandidate,
+from repro.engine.optimizer import (MAX_CANDIDATES, Memo, PlanCandidate,
                                     _adornment_choices, _linearizations,
                                     estimate_program_cost)
-from repro.engine.plan import explain_kernels
 from repro.errors import TransformError
 from repro.facts import Database
 from repro.workloads import load
@@ -226,11 +222,10 @@ class TestCboEvaluation:
         assert cbo.facts("reach") == adaptive.facts("reach")
         assert cbo.stats.as_dict() == adaptive.stats.as_dict()
 
-    def test_vectorized_cbo_is_bit_identical_to_adaptive(self):
+    def test_interned_cbo_is_bit_identical_to_adaptive(self):
         db = digraph()
-        kwargs = dict(executor="vectorized", interning="on")
-        adaptive = evaluate(TC, db, planner="adaptive", **kwargs)
-        cbo = evaluate(TC, db, planner="cbo", **kwargs)
+        adaptive = evaluate(TC, db, planner="adaptive", interning="on")
+        cbo = evaluate(TC, db, planner="cbo", interning="on")
         assert cbo.facts("reach") == adaptive.facts("reach")
         assert cbo.stats.as_dict() == adaptive.stats.as_dict()
 
@@ -251,67 +246,44 @@ class TestCboEvaluation:
         assert derivation.depth() >= 2
 
 
-class TestKernelChoice:
-    def test_narrow_frontier_chooses_row(self):
-        db = chain_db(5)
-        cache = KernelCache(symbols=db.symbols)
-        kernel = cache.kernel(TC.rules[1], None, lambda a, i: 5)
-        choice = kernel_chooser(TC, db)(kernel)
-        assert choice.mode == "row"
-        assert not choice.use_batch
-        assert "row-at-a-time" in choice.reason
+class TestDriftReplans:
+    """Adaptive-drift replanning on the generated kernels — replans
+    happen, stay bounded, recompile the generated function and change
+    no counter."""
 
-    def test_wide_frontier_chooses_batch(self):
-        db = digraph(400, 1400)
-        cache = KernelCache(symbols=db.symbols)
-        kernel = cache.kernel(TC.rules[1], None, lambda a, i: 1400)
-        choice = kernel_chooser(TC, db)(kernel)
-        assert choice.mode == "batch"
-        assert choice.use_batch
-        assert choice.width >= MIN_BATCH_WIDTH
-
-    def test_predicted_width_uses_sqrt_of_largest_relation(self):
-        db = digraph(400, 1400)
-        width = predicted_frontier_width(TC.rules[1], TC, db)
-        assert 1.0 <= width <= 1400
-        assert width == pytest.approx(1400 ** 0.5, rel=0.01)
-
-    def test_explain_kernels_shows_the_rationale(self):
-        text = explain_kernels(TC, chain_db(5), planner="cbo",
-                               executor="vectorized")
-        assert "chosen by the optimizer" in text
-        assert "predicted frontier width" in text
-
-    def test_explain_kernels_other_planners_unchanged(self):
-        text = explain_kernels(TC, chain_db(5), planner="adaptive",
-                               executor="vectorized")
-        assert "chosen by the optimizer" not in text
-
-
-class TestVectorizedDriftReplans:
-    """Satellite: adaptive-drift replanning under the vectorized
-    executor — replans happen, stay bounded, and change no counter."""
-
-    def test_replans_surface_under_vectorized(self):
+    def test_replans_surface(self):
         result = evaluate(TC, chain_db(40), planner="adaptive",
-                          executor="vectorized", interning="on")
+                          interning="on")
         assert result.stats.replans >= 1
         assert result.stats.replans <= 16  # default max_replans cap
 
-    def test_vectorized_replans_match_compiled_exactly(self):
-        db = chain_db(40)
-        compiled = evaluate(TC, db, planner="adaptive")
-        vectorized = evaluate(TC, db, planner="adaptive",
-                              executor="vectorized", interning="on")
-        assert vectorized.facts("reach") == compiled.facts("reach")
-        assert vectorized.stats.as_dict() == compiled.stats.as_dict()
+    def test_replan_recompiles_the_generated_function(self):
+        db = chain_db(40).interned()
+        cache = KernelCache(symbols=db.symbols, adaptive=True)
+        size = {"now": 4}
+        first = cache.kernel(TC.rules[1], 0, lambda a, i: size["now"])
+        assert cache.kernel(TC.rules[1], 0,
+                            lambda a, i: size["now"]) is first
+        size["now"] = 400  # 100x drift: past the 4x threshold
+        second = cache.kernel(TC.rules[1], 0, lambda a, i: size["now"])
+        assert second is not first and cache.replans == 1
+        assert second.generated is not None
+        assert second.generated is not first.generated
 
-    def test_cbo_replan_reenters_kernel_choice(self):
+    def test_replans_match_the_row_chain_exactly(self):
+        # An always-true hook forces every firing onto the per-row
+        # chain: same plans, same replans, same counters.
         db = chain_db(40)
-        adaptive = evaluate(TC, db, planner="adaptive",
-                            executor="vectorized", interning="on")
-        cbo = evaluate(TC, db, planner="cbo",
-                       executor="vectorized", interning="on")
+        generated = evaluate(TC, db, planner="adaptive", interning="on")
+        chained = evaluate(TC, db, planner="adaptive", interning="on",
+                           hook=lambda rule, binding, round_index: True)
+        assert generated.facts("reach") == chained.facts("reach")
+        assert generated.stats.as_dict() == chained.stats.as_dict()
+
+    def test_cbo_replans_match_adaptive(self):
+        db = chain_db(40)
+        adaptive = evaluate(TC, db, planner="adaptive", interning="on")
+        cbo = evaluate(TC, db, planner="cbo", interning="on")
         assert cbo.stats.replans == adaptive.stats.replans >= 1
         assert cbo.stats.as_dict() == adaptive.stats.as_dict()
         assert cbo.facts("reach") == adaptive.facts("reach")

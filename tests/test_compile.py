@@ -13,13 +13,14 @@ import random
 
 import pytest
 
+from repro.bench.engine_bench import regression_failures
 from repro.cli import main
 from repro.datalog import parse_program
 from repro.datalog.atoms import Atom
 from repro.datalog.terms import Variable
-from repro.engine import (EXECUTORS, EvalStats, KernelCache,
-                          compile_rule, evaluate, evaluate_with_magic,
-                          explain_kernels)
+from repro.engine import (EXECUTORS, CompiledKernel, EvalStats,
+                          KernelCache, compile_rule, evaluate,
+                          evaluate_with_magic, explain_kernels)
 from repro.engine.bindings import plan_body
 from repro.engine.compile import validate_executor
 from repro.errors import BudgetExceededError, EvaluationError
@@ -241,22 +242,56 @@ def test_validate_executor_rejects_unknown():
         evaluate(program, edb, executor="gpu")
 
 
-def test_parallel_executor_is_removed(tmp_path):
-    # Removal pin (PR 13): no alias, no accepted-and-ignored keyword.
+@pytest.mark.parametrize("executor", ["parallel", "vectorized"])
+def test_removed_executors_stay_removed(tmp_path, executor):
+    # Removal pin (PR 13 parallel, PR 14 vectorized): no alias, no
+    # accepted-and-ignored keyword.
     program, edb, _query = _tc_workload()
     with pytest.raises(EvaluationError) as info:
-        evaluate(program, edb, executor="parallel")
-    assert "('compiled', 'interpreted', 'vectorized')" in str(info.value)
-    with pytest.raises(TypeError):
-        evaluate(program, edb, shards=4)
+        evaluate(program, edb, executor=executor)
+    assert "('compiled', 'interpreted')" in str(info.value)
     source = tmp_path / "tc.dl"
     source.write_text("reach(X, Y) :- edge(X, Y).\n")
     facts = tmp_path / "db.dl"
     facts.write_text("edge(1, 2).\n")
-    with pytest.raises(SystemExit) as exit_info:
-        main(["evaluate", str(source), str(facts),
-              "--executor", "parallel"])
-    assert exit_info.value.code == 2
+    for command in ("evaluate", "serve"):
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, str(source), str(facts),
+                  "--executor", executor])
+        assert exit_info.value.code == 2
+
+
+def test_removed_keywords_and_names_stay_removed(tmp_path):
+    program, edb, _query = _tc_workload()
+    with pytest.raises(TypeError):
+        evaluate(program, edb, shards=4)                      # PR 13
+    rule = next(iter(program))
+    with pytest.raises(TypeError):
+        CompiledKernel(rule, lambda atom, index: 0, fuse=False)
+    with pytest.raises(TypeError):
+        KernelCache(fuse=False)
+    with pytest.raises(TypeError):
+        KernelCache(on_replan=lambda rule: None)
+    with pytest.raises(TypeError):
+        Database(backend_factory=lambda name, arity: None)
+    with pytest.raises(TypeError):
+        edb.interned(backend_factory=lambda name, arity: None)
+    with pytest.raises(ImportError):
+        from repro.facts import ColumnarBackend  # noqa: F401
+    with pytest.raises(ImportError):
+        from repro.engine import VectorRunner  # noqa: F401
+    with pytest.raises(TypeError):
+        regression_failures({}, min_interned_speedup=1.3)
+    source = tmp_path / "tc.dl"
+    source.write_text("reach(X, Y) :- edge(X, Y).\n")
+    for argv in (["explain", str(source), "--kernels",
+                  "--executor", "compiled"],
+                 ["bench-engine", "--min-vectorized-speedup", "1.0"],
+                 ["bench-engine", "--min-interned-speedup", "1.3"],
+                 ["bench-engine", "--executor", "vectorized"]):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
 
 
 @pytest.mark.parametrize("facts, stored", [("edge(1). edge(2).", 1),

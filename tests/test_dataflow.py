@@ -1,6 +1,6 @@
 """Tests for the dataflow analysis (``repro.analysis.dataflow``) and
 its engine integrations: dead-rule pruning, provably-true check elision
-in the vectorized executor, and cold-statistics planner seeding."""
+in the generated kernels, and cold-statistics planner seeding."""
 
 import pytest
 
@@ -10,7 +10,7 @@ from repro.analysis.dataflow import (ANY_NUMBER, BOTTOM, INF, MAX_CONSTS,
                                      kinds_domain, meet)
 from repro.datalog import parse_program
 from repro.datalog.parser import parse_query
-from repro.engine import evaluate
+from repro.engine import KernelCache, evaluate
 from repro.engine.plan import plan_rule
 from repro.facts import Database
 
@@ -212,8 +212,8 @@ COMBOS = [
     {"executor": "interpreted"},
     {"executor": "compiled", "planner": "adaptive"},
     {"executor": "compiled", "method": "naive"},
-    {"executor": "vectorized", "interning": "on"},
-    {"executor": "vectorized", "interning": "on", "planner": "adaptive"},
+    {"executor": "compiled", "interning": "on"},
+    {"executor": "compiled", "interning": "on", "planner": "adaptive"},
 ]
 
 
@@ -239,8 +239,9 @@ class TestEvaluateWithDataflow:
         flowed = evaluate(program, tc_db(), dataflow="on")
         assert flowed.stats.rules_fired < baseline.stats.rules_fired
 
-    def test_vectorized_true_check_skips_but_counts(self):
-        # The t0 rule's X < 100 check is provably true; the batch
+    @pytest.mark.parametrize("interning", ["off", "on"])
+    def test_true_check_skips_but_counts(self, interning):
+        # The t0 rule's X < 100 check is provably true; the generated
         # kernel drops the condition but the counter accounting must
         # stay bit-identical.  (No dead rules here: those legitimately
         # shed their own counter contributions when skipped.)
@@ -248,7 +249,7 @@ class TestEvaluateWithDataflow:
             "b0: p(X, Y) :- e(X, Y).\n"
             "r0: p(X, Z) :- p(X, Y), e(Y, Z).\n"
             "t0: low(X) :- e(X, Y), X < 100.\n")
-        combo = {"executor": "vectorized", "interning": "on"}
+        combo = {"executor": "compiled", "interning": interning}
         baseline = evaluate(program, tc_db(), **combo)
         flow = analyze_dataflow(program, edb=tc_db())
         (t0,) = [r for r in program if r.label == "t0"]
@@ -256,6 +257,13 @@ class TestEvaluateWithDataflow:
         flowed = evaluate(program, tc_db(), dataflow="on", **combo)
         assert flowed.stats.as_dict() == baseline.stats.as_dict()
         assert flowed.facts("low") == baseline.facts("low")
+        # ... and the condition really is gone from the generated code.
+        sizes = lambda atom, index: 0  # noqa: E731
+        kept = KernelCache().kernel(t0, None, sizes)
+        dropped = KernelCache(true_checks=flow.true_checks).kernel(
+            t0, None, sizes)
+        assert " if " in kept.generated.source
+        assert " if " not in dropped.generated.source
 
     def test_unknown_mode_rejected(self):
         from repro.errors import EvaluationError

@@ -44,7 +44,7 @@ COMBOS = [
     {"executor": "compiled", "planner": "adaptive"},
     {"executor": "interpreted", "planner": "source"},
     {"executor": "compiled", "method": "naive"},
-    {"executor": "vectorized", "interning": "on", "planner": "adaptive"},
+    {"executor": "compiled", "interning": "on", "planner": "adaptive"},
 ]
 
 

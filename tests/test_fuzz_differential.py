@@ -20,21 +20,15 @@ from repro.runtime.budget import Budget
 from repro.runtime.chaos import ChaosPlan
 from repro.workloads import random_linear_program
 
-#: (executor, planner, interning).
-#: The vectorized combos sweep every planner both interned (batch
-#: kernels over columnar storage) and not (falls back to the compiled
-#: kernels), so the whole-frontier accounting is differentially checked
-#: against the row-at-a-time executors under each join order.
-#: The cbo combos pin the cost-based enumerating optimizer's
-#: whole-program degeneration: with no query in sight its rewrite
-#: space collapses to the identity program running on the adaptive
-#: machinery, so facts, counters, budget payloads and chaos ordinals
-#: must all be bit-identical to every other cell — including under the
-#: vectorized executor, where cbo additionally makes a per-rule
-#: batch-vs-row kernel choice (both verdicts are pinned to identical
-#: counters).
+#: (executor, planner, interning): 16 cells.  ``compiled`` runs the
+#: generated whole-frontier functions (interned and raw); the cbo cells
+#: pin the cost-based enumerating optimizer's whole-program
+#: degeneration — with no query in sight its rewrite space collapses to
+#: the identity program running on the adaptive machinery, so facts,
+#: counters, budget payloads and chaos ordinals must all be
+#: bit-identical to every other cell.
 COMBOS = [(executor, planner, interning)
-          for executor in ("compiled", "interpreted", "vectorized")
+          for executor in ("compiled", "interpreted")
           for planner in ("greedy", "adaptive", "source", "cbo")
           for interning in ("off", "on")]
 
@@ -64,6 +58,37 @@ def test_all_combos_derive_identical_facts(seed):
     # derives the same solution multiset per rule firing.
     assert len(set(counts.values())) == 1, \
         f"seed {seed}: derivation counts diverge: {counts}"
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_full_counters_match_wherever_join_orders_coincide(seed):
+    """The whole ``EvalStats`` dict, not just the derivation totals.
+
+    ``atom_lookups`` / ``rows_matched`` / ``comparisons_checked`` /
+    ``negation_checks`` depend on the join order, so they are compared
+    within a planner: the generated functions against the per-row chain
+    (an always-true hook forces it; same kernels, same plans, same
+    replans) under every planner, against the interpreter under
+    ``source`` (the one planner where it runs the same order), cbo
+    against adaptive, and interned against raw throughout.
+    """
+    text, edb = random_linear_program(random.Random(seed))
+    program = parse_program(text)
+
+    def stats(**knobs):
+        return evaluate(program, edb, **knobs).stats.as_dict()
+
+    for planner in ("greedy", "adaptive", "source", "cbo"):
+        generated = stats(planner=planner)
+        assert stats(planner=planner, interning="on") == generated
+        for interning in ("off", "on"):
+            assert stats(planner=planner, interning=interning,
+                         hook=lambda rule, binding, round_index: True) \
+                == generated, (planner, interning)
+    assert stats(planner="cbo") == stats(planner="adaptive")
+    for interning in ("off", "on"):
+        assert stats(planner="source", interning=interning,
+                     executor="interpreted") == stats(planner="source")
 
 
 @pytest.mark.parametrize("seed", (3, 11))
