@@ -57,7 +57,6 @@ CODES: dict[str, tuple[str, str]] = {
     "IC002": ("warning", "IC is not connected"),
     "IC003": ("info", "IC is not chain-shaped (Algorithm 3.1)"),
     "IC004": ("info", "IC yields no useful residue for the recursion"),
-    "PERF001": ("info", "recursive rule runs on the per-row chain"),
     "PERF002": ("warning", "positive atoms form a guaranteed cross product"),
     "PERF003": ("warning", "source-order evaluation forces a cross product"),
     "PERF004": ("warning",
@@ -579,21 +578,9 @@ def check_ics(context: AnalysisContext) -> Iterator[Diagnostic]:
 # 10. performance lints
 # ---------------------------------------------------------------------------
 
-def _has_arithmetic(rule: Rule) -> bool:
-    """Whether ``engine.compile`` must run this rule on its per-row
-    chain: arithmetic round-trips through the value domain per row, so
-    the body has no generated whole-frontier function."""
-    terms = list(rule.head.args)
-    for lit in rule.body:
-        if isinstance(lit, Comparison):
-            terms += [lit.lhs, lit.rhs]
-    return any(isinstance(term, ArithExpr) for term in terms)
-
-
-@register("perf", ["PERF001", "PERF002", "PERF003", "PERF004"],
-          "hot-loop shape: generated-kernel eligibility, "
-          "cross-product-shaped join orders, and existence guards that "
-          "degrade deletion maintenance")
+@register("perf", ["PERF002", "PERF003", "PERF004"],
+          "hot-loop shape: cross-product-shaped join orders and "
+          "existence guards that degrade deletion maintenance")
 def check_perf(context: AnalysisContext) -> Iterator[Diagnostic]:
     program = context.program
     recursive = program.recursion_info().recursive_predicates
@@ -605,16 +592,6 @@ def check_perf(context: AnalysisContext) -> Iterator[Diagnostic]:
     for rule in program:
         if not rule.body:
             continue
-        if rule.head.pred in recursive \
-                and len(rule.database_atoms()) > 1 \
-                and _has_arithmetic(rule):
-            yield make_diagnostic(
-                "PERF001",
-                "recursive rule has an arithmetic term, so it has no "
-                "generated kernel; its join runs on the per-row "
-                "closure chain every round",
-                span=_rule_span(rule), rule=rule.label,
-                subject=rule.head.pred)
         yield from _existence_guards(rule, recursive, scc_of)
         atoms = rule.database_atoms()
         if len(atoms) > 1 and not is_connected(atoms):

@@ -753,7 +753,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_explain.add_argument("--stats", action="store_true",
                            help="include selectivity estimates' source "
                                 "statistics (cardinality, distinct "
-                                "counts, epoch) per relation")
+                                "counts) per relation")
     p_explain.add_argument("--dataflow", action="store_true",
                            help="run the static dataflow analysis and "
                                 "print the inferred column domains, "

@@ -4,7 +4,6 @@ from .bindings import EvalStats, PLANNERS, validate_planner
 from .builtins import holds
 from .compile import (EXECUTORS, CompiledKernel, KernelCache,
                       compile_rule)
-from .stats import RelationStats
 from .profile import EvalProfile
 from .codegen import GeneratedKernel, PredicateCache
 from .engine import (EvaluationResult, consistent_answers, evaluate,
@@ -23,7 +22,6 @@ from .plan import PlanStep, RulePlan, explain_kernels, explain_plan, \
 __all__ = [
     "EvalStats", "PLANNERS", "validate_planner", "holds",
     "EXECUTORS", "CompiledKernel", "KernelCache", "compile_rule",
-    "RelationStats",
     "EvalProfile",
     "GeneratedKernel", "PredicateCache",
     "EvaluationResult", "consistent_answers", "evaluate",

@@ -2,8 +2,8 @@
 
 A :class:`~repro.engine.compile.CompiledKernel` describes a rule body
 once, as a symbolic step program (``kernel.steps`` / ``kernel.head``).
-This module is that program's fast back end: :func:`generate` lowers it
-into a single generated Python function that processes the whole delta
+This module is that program's back end: :class:`GeneratedKernel` lowers
+it into a single generated Python function that processes the whole delta
 frontier per firing as a cascade of list comprehensions —
 
 - the first join level iterates its source *without* copying it;
@@ -28,17 +28,24 @@ and a body with intermediate levels walks its outermost source in
 slices of :data:`SLICE_ROWS` rows, accumulating head rows and level
 counts across slices.
 
+Every step program has a generated form.  Arithmetic computes in the
+value domain — ``A(op, ...)`` over decoded operands — and re-interns
+its result for storage; an arithmetic ``=`` bind is one extra clause of
+the next level's comprehension.  An empty or bind-only body is a
+degenerate frontier of one.  A constant with no faithful literal
+(``inf``, ``nan``) is passed as an argument instead of embedded.  A
+derivation hook gets a second text of the same program
+(``hooked=True``): no step builds the head, and one closing level
+filters the finished frontier through ``hook(rule, binding, round)``
+before the head rows are built, so the hook sees each solution's
+value-domain ``Binding`` exactly once and vetoed rows compute nothing.
+
 Statistics parity is exact: the generated function returns, alongside
 the derived head rows, closed-form counter sums (lookups per level
 entry, rows per level output, comparison/negation counts per entry)
-that reproduce the per-row closure chain's ``EvalStats`` accounting
-bit-identically — the differential fuzz matrix pins the two back ends
-to each other and to the reference interpreter.
-
-Anything the function cannot express (arithmetic terms, empty or
-bind-only bodies, constants with no faithful literal) raises
-:class:`Unlowerable`, and the kernel runs its per-row chain instead —
-same rows, same stats.
+that reproduce the reference interpreter's row-at-a-time ``EvalStats``
+accounting bit-identically under the same join order — the
+differential fuzz matrix pins the two to each other, hooked and not.
 """
 
 from __future__ import annotations
@@ -46,7 +53,7 @@ from __future__ import annotations
 import math
 import types
 from itertools import islice
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
 from ..errors import EvaluationError
 from ..facts.relation import Relation, Row
@@ -54,8 +61,8 @@ from ..facts.symbols import SymbolTable
 from . import builtins
 from .bindings import Fetch
 
-__all__ = ["GeneratedKernel", "PredicateCache", "Unlowerable", "generate",
-           "SLICE_ROWS", "MAX_CACHED_KERNELS"]
+__all__ = ["GeneratedKernel", "PredicateCache", "SLICE_ROWS",
+           "MAX_CACHED_KERNELS"]
 
 #: Rows of the outermost source processed per pass when the body
 #: materializes intermediate join levels (see the module docstring).
@@ -68,22 +75,18 @@ SLICE_ROWS = 2048
 MAX_CACHED_KERNELS = 1024
 
 
-class Unlowerable(Exception):
-    """This step program has no generated form; ``str()`` says why."""
-
-
-def _lit(value: object) -> str:
-    """Embed a storage constant into generated code, or refuse.
+def _lit(value: object) -> str | None:
+    """``value`` as a literal of the generated code, or None.
 
     Only round-trippable literals are embedded; anything exotic (a
-    non-finite float, an arbitrary object in raw mode) bails out of the
-    lowering entirely rather than risk an unfaithful ``repr``.
+    non-finite float, an arbitrary object in raw mode) has no faithful
+    ``repr`` and reaches the function as an argument instead.
     """
     if value is True or value is False or isinstance(value, (int, str)):
         return repr(value)
     if isinstance(value, float) and math.isfinite(value):
         return repr(value)
-    raise Unlowerable("constant without a literal form")
+    return None
 
 
 def _faithful(obj: Any) -> Any:
@@ -108,7 +111,7 @@ class _CheckedColumn:
     ``compare_values`` raises for mixed-type ordering comparisons; a
     cached column filter must preserve that, so codes whose comparison
     raised at build time re-raise on membership — the same error the
-    per-row chain raises.
+    interpreter raises for that row.
     """
 
     __slots__ = ("passing", "raising", "op", "const", "slot_left", "values")
@@ -218,28 +221,63 @@ class PredicateCache:
 Source = tuple[int, Any, tuple[int, ...], str]
 
 
-class GeneratedKernel:
-    """A generated whole-frontier function plus its resolver specs.
+class _Form(NamedTuple):
+    """One generated text of a step program."""
 
-    ``fn(*args) -> (head_rows, lookups, rows, cmps, negs)`` where
-    ``args`` are the per-firing probe targets described by
-    ``resolvers`` (see :meth:`run`).  ``source`` keeps the generated
-    code for introspection (``explain --kernels``).
+    #: ``fn(*args) -> (head_rows, lookups, rows, cmps, negs)``.
+    fn: Callable[..., tuple[list[Row], int, int, int, int]]
+    #: What each argument of ``fn`` is resolved from, per firing.
+    resolvers: tuple[Any, ...]
+    #: The generated code, for introspection (``explain --kernels``).
+    source: str
+
+
+class GeneratedKernel:
+    """The generated whole-frontier function of one step program.
+
+    A program has two texts (:meth:`form`): the one that
+    runs without a derivation hook, generated with the kernel, and the
+    hooked one, generated the first time a hook is passed.
+
+    ``true_checks`` lists body indexes of comparisons the dataflow
+    analysis proved always true for every reachable row; the generated
+    code drops their per-row conditions (the accounting still counts
+    them, so ``EvalStats`` stay bit-identical to the unskipped form).
+    ``rule`` and ``slot_vars`` (the body's variables by slot number)
+    are what a derivation hook is shown; they are bound into the
+    function's globals, never into its text.
     """
 
-    __slots__ = ("fn", "resolvers", "source")
+    __slots__ = ("_program", "_forms")
 
-    def __init__(self, fn: Callable[..., tuple[list[Row], int, int,
-                                               int, int]],
-                 resolvers: tuple[Any, ...], source: str) -> None:
-        self.fn = fn
-        self.resolvers = resolvers
-        self.source = source
+    def __init__(self, steps: tuple[Any, ...], head: tuple[Any, ...],
+                 symbols: SymbolTable | None,
+                 true_checks: frozenset[int] = frozenset(),
+                 rule: object = None,
+                 slot_vars: tuple[Any, ...] = ()) -> None:
+        self._program = (steps, head, symbols, true_checks, rule, slot_vars)
+        self._forms: dict[bool, _Form] = {}
+        self.form(False)
+
+    def form(self, hooked: bool) -> _Form:
+        """The text that runs with (``hooked``) or without a hook."""
+        found = self._forms.get(hooked)
+        if found is None:
+            found = self._forms[hooked] = _instantiate(*self._program,
+                                                       hooked=hooked)
+        return found
+
+    @property
+    def source(self) -> str:
+        """The generated code of the unhooked text."""
+        return self.form(False).source
 
     def run(self, sources: Sequence[Source], fetch: Fetch,
-            predicates: PredicateCache
+            predicates: PredicateCache,
+            hook: Callable[..., bool] | None = None, round_index: int = 0
             ) -> tuple[list[Row], int, int, int, int]:
-        """Resolve this firing's probe targets and call the function."""
+        """Resolve this firing's arguments and call the function."""
+        fn, resolvers, _source = self.form(hook is not None)
         fetched: dict[int, Relation] = {}
 
         def rel(src: int) -> Relation:
@@ -251,7 +289,7 @@ class GeneratedKernel:
             return relation
 
         args: list[Any] = []
-        for spec in self.resolvers:
+        for spec in resolvers:
             tag = spec[0]
             if tag == "rows":
                 args.append(rel(spec[1]).raw_rows())
@@ -262,23 +300,29 @@ class GeneratedKernel:
             elif tag == "proj":
                 args.append(rel(spec[1]).projection_index(spec[2],
                                                           spec[3]))
-            else:  # pcache
+            elif tag == "pcache":
                 _tag, src, column, op, const, slot_left = spec
                 args.append(predicates.passing(rel(src), column, op,
                                                const, slot_left))
-        return self.fn(*args)
+            elif tag == "const":
+                args.append(spec[1])
+            elif tag == "hook":
+                args.append(hook)
+            else:  # round
+                args.append(round_index)
+        return fn(*args)
 
 
 def _eq_const_codes(steps: tuple[Any, ...],
                     symbols: SymbolTable | None) -> tuple[Any, ...]:
     """Interned codes of ``=``/``!=`` comparison constants.
 
-    These are the only symbol-table lookups :func:`_emit` performs
-    outside the step program itself (which already stores atom
-    constants in the storage domain): equality against a
-    *never-interned* constant lowers to a static ``False``/always-true,
-    so the generated text depends on how each such constant resolves
-    right now.  The tuple completes the structural cache key below.
+    The step program keeps check operands as values; :func:`_emit`
+    compares a slot against such a constant by code, so it interns the
+    constant — like the atom constants ``CompiledKernel`` interned
+    before it — and embeds the code.  A constant no stored value equals
+    *yet* must get a code too: arithmetic interns new values while the
+    kernel runs.  The tuple completes the structural cache key below.
     """
     if symbols is None:
         return ()
@@ -287,86 +331,74 @@ def _eq_const_codes(steps: tuple[Any, ...],
         if step[0] == "check" and step[1] in ("=", "!="):
             for sym in (step[2], step[3]):
                 if sym[0] == "const":
-                    codes.append(symbols.code(sym[1]))
+                    codes.append(symbols.intern(sym[1]))
     return tuple(codes)
 
 
-#: ``(steps, head, interned, eq-codes, true-checks)`` ->
-#: ``(source, specs, bytecode)``, or the refusal reason as a ``str``;
-#: ``steps`` and ``head`` go through :func:`_faithful`, so same-shape
-#: rules that differ in a constant's type never share text.
+#: ``(steps, head, interned, eq-codes, true-checks, hooked)`` ->
+#: ``(source, specs, bytecode)``; ``steps`` and ``head`` go through
+#: :func:`_faithful`, so same-shape rules that differ in a constant's
+#: type never share text.
 #: The generated text is a pure function of this key, so repeat
 #: compilations (every round's replans, every serving refresh, every
 #: benchmark repeat) skip both the string assembly and ``compile`` —
 #: only the per-table ``exec`` instantiation remains.
 _CACHE: dict[tuple[Any, ...],
-             tuple[str, tuple[Any, ...], types.CodeType] | str] = {}
+             tuple[str, tuple[Any, ...], types.CodeType]] = {}
 
 
-def generate(steps: tuple[Any, ...], head: tuple[Any, ...],
-             symbols: SymbolTable | None,
-             true_checks: frozenset[int] = frozenset(),
-             ) -> GeneratedKernel:
-    """Lower a step program to its generated function.
-
-    ``true_checks`` lists body indexes of comparisons the dataflow
-    analysis proved always true for every reachable row; the generated
-    code drops their per-row conditions (the accounting still counts
-    them, so ``EvalStats`` stay bit-identical to the unskipped form).
-    Raises :class:`Unlowerable` when the program has no generated form.
-    """
+def _instantiate(steps: tuple[Any, ...], head: tuple[Any, ...],
+                 symbols: SymbolTable | None, true_checks: frozenset[int],
+                 rule: object, slot_vars: tuple[Any, ...],
+                 hooked: bool) -> _Form:
+    """One text of a step program (cached), bound to this kernel."""
     key = (_faithful(steps), _faithful(head), symbols is not None,
-           _eq_const_codes(steps, symbols), tuple(sorted(true_checks)))
+           _eq_const_codes(steps, symbols), tuple(sorted(true_checks)),
+           hooked)
     cached = _CACHE.get(key)
     if cached is None:
         if len(_CACHE) >= MAX_CACHED_KERNELS:
             _CACHE.clear()
-        try:
-            source_text, specs = _emit(steps, head, symbols, true_checks)
-        except Unlowerable as why:
-            cached = str(why)
-        else:
-            cached = (source_text, specs,
-                      compile(source_text, "<generated-kernel>", "exec"))
+        source_text, specs = _emit(steps, head, symbols, true_checks,
+                                   hooked)
+        cached = (source_text, specs,
+                  compile(source_text, "<generated-kernel>", "exec"))
         _CACHE[key] = cached
-    if isinstance(cached, str):
-        raise Unlowerable(cached)
     source_text, specs, code = cached
     namespace: dict[str, Any] = {}
-    # The globals cannot be cached alongside the bytecode: ``V`` binds
-    # the decode table of *this* kernel's symbol table.
+    # The globals cannot be cached alongside the bytecode: ``V``/``I``
+    # bind *this* kernel's symbol table, ``R``/``K`` its rule and
+    # variables.
     exec(code,  # noqa: S102 - generated from the symbolic step program
          {"__builtins__": {}, "len": len, "list": list, "iter": iter,
           "islice": islice, "E": (), "C": builtins.compare_values,
-          "V": symbols.values if symbols is not None else None},
+          "A": builtins.apply_arith,
+          "V": symbols.values if symbols is not None else None,
+          "I": symbols.intern if symbols is not None else None,
+          "R": rule, "K": slot_vars},
          namespace)
-    return GeneratedKernel(namespace["_kernel"], specs, source_text)
+    return _Form(namespace["_kernel"], specs, source_text)
 
 
 def _emit(steps: tuple[Any, ...], head: tuple[Any, ...],
-          symbols: SymbolTable | None,
-          true_checks: frozenset[int]) -> tuple[str, tuple[Any, ...]]:
+          symbols: SymbolTable | None, true_checks: frozenset[int],
+          hooked: bool) -> tuple[str, tuple[Any, ...]]:
     """The generated source text and resolver specs of a step program."""
-    if not steps:
-        raise Unlowerable("empty body")
-    terms = list(head)
-    for step in steps:
-        if step[0] == "check":
-            terms += step[2:4]
-        elif step[0] == "bind":
-            terms.append(step[2])
-    if any(sym[0] == "arith" for sym in terms):
-        raise Unlowerable("arithmetic term")
     interned = symbols is not None
 
+    # The step that builds the last level builds the head rows too —
+    # unless something must happen between the two: a hook has to see
+    # each solution first, an arithmetic bind trails the last level, or
+    # there is no level at all (empty and bind-only bodies).  Then no
+    # step is last and one closing level builds the heads.
     last_level = -1
     for pos, step in enumerate(steps):
         if step[0] != "bind":
             last_level = pos
-    if last_level < 0:
-        raise Unlowerable("bind-only body")
-    deferred_binds = [step for pos, step in enumerate(steps)
-                      if step[0] == "bind" and pos > last_level]
+    if hooked or last_level < 0 \
+            or any(step[2][0] == "arith" for step in steps[last_level + 1:]):
+        last_level = len(steps)
+    deferred_binds = steps[last_level + 1:]
 
     specs: list[tuple[Any, ...]] = []
     spec_idx: dict[tuple[Any, ...], int] = {}
@@ -384,6 +416,9 @@ def _emit(steps: tuple[Any, ...], head: tuple[Any, ...],
     #: the predicate cache can only filter slots with a column origin.
     origins: dict[int, tuple[int, int]] = {}
     regs: list[str] = []
+    #: Arithmetic binds waiting for the next level: each is one
+    #: ``for bN in (expr,)`` clause of that level's comprehension.
+    pending: list[str] = []
     #: Level-building lines: ``(list name, count name | None, expr)``
     #: (the head level has no count name) or ``("del", name)``.
     lines: list[tuple[Any, ...]] = []
@@ -392,31 +427,53 @@ def _emit(steps: tuple[Any, ...], head: tuple[Any, ...],
     cc: list[str] = []
     nc: list[str] = []
     #: ``virtual`` holds the source expression of an in-place first
-    #: level (named ``s0`` / counted ``n0``), or None.
+    #: level (named ``s0`` / counted ``n0``), or None; ``pattern``
+    #: unpacks one item of ``frontier``.
     state: dict[str, Any] = {"count": "1", "frontier": None, "levels": 0,
-                             "virtual": None}
+                             "virtual": None, "pattern": "_"}
 
-    def sym_storage(sym: tuple[str, Any]) -> str:
-        kind, payload = sym
-        if kind == "const":
-            return _lit(payload)
-        expr = reg_exprs.get(payload)
-        if expr is None:
-            raise Unlowerable("slot read before its level")
-        return expr
+    def lit(value: object) -> str:
+        text = _lit(value)
+        if text is None:
+            text = f"a{len(specs)}"
+            specs.append(("const", value))
+        return text
 
     def decode(expr: str) -> str:
         return f"V[{expr}]" if interned else expr
+
+    def value(sym: tuple[Any, ...]) -> str:
+        """``sym`` in the value domain (check and arithmetic operands,
+        whose constants the step program keeps as values)."""
+        kind = sym[0]
+        if kind == "const":
+            return lit(sym[1])
+        if kind == "slot":
+            return decode(reg_exprs[sym[1]])
+        _kind, op, left, right = sym
+        return f"A({op!r}, {value(left)}, {value(right)})"
+
+    def storage(sym: tuple[Any, ...]) -> str:
+        """``sym`` in the storage domain; arithmetic re-interns."""
+        kind = sym[0]
+        if kind == "const":
+            return lit(sym[1])
+        if kind == "slot":
+            return reg_exprs[sym[1]]
+        return f"I({value(sym)})" if interned else value(sym)
 
     def tup(parts: Sequence[str]) -> str:
         return "(" + ", ".join(parts) + ",)" if parts else "()"
 
     def gens_prefix() -> str:
+        """The clauses every row of the next level starts from: the
+        frontier's unpacking, then the pending arithmetic binds."""
         frontier = state["frontier"]
-        if frontier is None:
-            return ""
-        pattern = regs[0] if len(regs) == 1 else tup(regs) if regs else "_"
-        return f"for {pattern} in {frontier} "
+        prefix = "" if frontier is None \
+            else f"for {state['pattern']} in {frontier} "
+        prefix += "".join(pending)
+        pending.clear()
+        return prefix
 
     def item_expr() -> str:
         return regs[0] if len(regs) == 1 else tup(regs) if regs else "1"
@@ -436,6 +493,7 @@ def _emit(steps: tuple[Any, ...], head: tuple[Any, ...],
             lines.append(("del", consumed))
         state["frontier"] = name
         state["count"] = count
+        state["pattern"] = item_expr() if regs else "_"
 
     def atom_source(src: int, cols: tuple[int, ...],
                     keys: tuple[Any, ...]) -> str:
@@ -443,76 +501,73 @@ def _emit(steps: tuple[Any, ...], head: tuple[Any, ...],
             return f"a{arg_of(('rows', src))}"
         if len(cols) == 1:
             j = arg_of(("probe1", src, cols[0]))
-            return f"g{j}({sym_storage(keys[0])}, E)"
+            return f"g{j}({storage(keys[0])}, E)"
         j = arg_of(("probeN", src, cols))
-        return f"g{j}({tup([sym_storage(k) for k in keys])}, E)"
+        return f"g{j}({tup([storage(k) for k in keys])}, E)"
 
     def membership_cond(src: int, syms: tuple[Any, ...],
                         positive: bool) -> str:
         word = "in" if positive else "not in"
         if len(syms) == 1:
             j = arg_of(("member1", src, 0))
-            return f"{sym_storage(syms[0])} {word} a{j}"
+            return f"{storage(syms[0])} {word} a{j}"
         j = arg_of(("rows", src))
-        return f"{tup([sym_storage(s) for s in syms])} {word} a{j}"
+        return f"{tup([storage(s) for s in syms])} {word} a{j}"
 
-    def check_cond(op: str, lhs_sym: tuple[str, Any],
-                   rhs_sym: tuple[str, Any]) -> str | None:
+    def check_cond(op: str, lhs_sym: tuple[Any, ...],
+                   rhs_sym: tuple[Any, ...]) -> str | None:
         """A per-row condition for a comparison, or None when always
         true.  ``=``/``!=`` compare in the storage domain (interning is
         first-wins over value equality, so code equality is value
         equality); ordering comparisons against a constant route
         through the column-level predicate cache when the slot has a
-        column origin, and decode inline otherwise."""
-        lkind, lval = lhs_sym
-        rkind, rval = rhs_sym
+        column origin, and decode inline otherwise; an arithmetic
+        operand compares in the value domain."""
+        lkind, lval = lhs_sym[:2]
+        rkind, rval = rhs_sym[:2]
+
+        def inline() -> str:
+            return f"C({op!r}, {value(lhs_sym)}, {value(rhs_sym)})"
+
         if lkind == "const" and rkind == "const":
             try:
                 return None if builtins.compare_values(op, lval, rval) \
                     else "False"
             except EvaluationError:
-                # Preserve the per-row raise (only if a row arrives).
-                return f"C({op!r}, {_lit(lval)}, {_lit(rval)})"
+                return inline()  # raises per row, if a row arrives
+        if "arith" in (lkind, rkind):
+            return inline()
         if op in ("=", "!="):
             py = "==" if op == "=" else "!="
             if lkind == "slot" and rkind == "slot":
-                return (f"{sym_storage(lhs_sym)} {py} "
-                        f"{sym_storage(rhs_sym)}")
+                return f"{storage(lhs_sym)} {py} {storage(rhs_sym)}"
             slot_sym, const_val = ((lhs_sym, rval) if lkind == "slot"
                                    else (rhs_sym, lval))
-            sexpr = sym_storage(slot_sym)
+            sexpr = storage(slot_sym)
             if symbols is not None:
-                code = symbols.code(const_val)
-                if code is None:
-                    # Never-interned constant: no stored value equals it.
-                    return "False" if op == "=" else None
-                return f"{sexpr} {py} {code}"
-            return f"{sexpr} {py} {_lit(const_val)}"
+                return f"{sexpr} {py} {symbols.intern(const_val)}"
+            return f"{sexpr} {py} {lit(const_val)}"
         if lkind == "slot" and rkind == "slot":
-            return (f"C({op!r}, {decode(sym_storage(lhs_sym))}, "
-                    f"{decode(sym_storage(rhs_sym))})")
+            return inline()
         slot_left = lkind == "slot"
         slot_no = lval if slot_left else rval
-        const_val = rval if slot_left else lval
-        sexpr = sym_storage(("slot", slot_no))
         origin = origins.get(slot_no)
-        if origin is not None:
-            j = arg_of(("pcache", origin[0], origin[1], op, const_val,
-                        slot_left))
-            return f"{sexpr} in a{j}"
-        if slot_left:
-            return f"C({op!r}, {decode(sexpr)}, {_lit(const_val)})"
-        return f"C({op!r}, {_lit(const_val)}, {decode(sexpr)})"
+        if origin is None:
+            return inline()
+        j = arg_of(("pcache", origin[0], origin[1], op,
+                    rval if slot_left else lval, slot_left))
+        return f"{reg_exprs[slot_no]} in a{j}"
 
     def emit_filter(cond: str | None, is_last: bool,
                     head_expr: str | None = None) -> None:
         if cond is None and not is_last:
             return  # statically true: the level is a no-op copy
+        if cond == "False" and not pending:
+            new_level("[]", is_last)
+            return
         prefix = gens_prefix()
         item = head_expr if is_last else item_expr()
-        if cond == "False":
-            expr = "[]"
-        elif state["frontier"] is None:
+        if not prefix:  # a degenerate frontier of one
             expr = f"[{item}]" if cond is None \
                 else f"[{item}] if {cond} else []"
         elif cond is None:
@@ -522,11 +577,10 @@ def _emit(steps: tuple[Any, ...], head: tuple[Any, ...],
         new_level(expr, is_last)
 
     def head_parts() -> list[str]:
-        for dstep in deferred_binds:
-            _tag, dslot, dsym = dstep
-            reg_exprs[dslot] = sym_storage(dsym)
+        for _tag, dslot, dsym in deferred_binds:
+            reg_exprs[dslot] = storage(dsym)
             cc.append("len(out)")
-        return [sym_storage(sym) for sym in head]
+        return [storage(sym) for sym in head]
 
     for pos, step in enumerate(steps):
         tag = step[0]
@@ -536,14 +590,21 @@ def _emit(steps: tuple[Any, ...], head: tuple[Any, ...],
                 continue  # folded into head_parts, counted vs len(out)
             _tag, slot_no, sym = step
             cc.append(state["count"])
-            reg_exprs[slot_no] = sym_storage(sym)
+            if sym[0] == "arith":
+                # Computed once per row, in a register of its own.
+                bname = f"b{len(regs)}"
+                pending.append(f"for {bname} in ({storage(sym)},) ")
+                regs.append(bname)
+                reg_exprs[slot_no] = bname
+            else:
+                reg_exprs[slot_no] = storage(sym)
             continue
         if tag == "check":
             _tag, op, lhs_sym, rhs_sym, body_index = step
             cc.append(state["count"])
             # Dataflow proved the comparison true for every reachable
             # row: no condition needed (the count above still accrues,
-            # matching the per-row chain exactly).
+            # matching the interpreter exactly).
             cond = None if body_index in true_checks \
                 else check_cond(op, lhs_sym, rhs_sym)
             emit_filter(cond, is_last,
@@ -562,6 +623,7 @@ def _emit(steps: tuple[Any, ...], head: tuple[Any, ...],
         # tag == "atom"
         _tag, src, cols, keys, writes, checks = step
         lk.append(state["count"])
+        first = state["frontier"] is None and not pending
         prefix = gens_prefix()
         rname = f"r{len(regs)}"
         for col, slot_no in writes:
@@ -572,13 +634,14 @@ def _emit(steps: tuple[Any, ...], head: tuple[Any, ...],
         if not is_last:
             source = atom_source(src, cols, keys)
             regs.append(rname)
-            if state["frontier"] is None and not checks:
+            if first and not checks:
                 # Virtual first level: iterate the source in place —
                 # no list copy, count is just its length.
                 state["virtual"] = source
                 state["levels"] += 1
                 state["frontier"] = "s0"
                 state["count"] = "n0"
+                state["pattern"] = rname
             else:
                 new_level(f"[{item_expr()} {prefix}for {rname} in "
                           f"{source}{conds}]", False)
@@ -587,7 +650,7 @@ def _emit(steps: tuple[Any, ...], head: tuple[Any, ...],
         # Final level: emit head rows directly.
         parts = head_parts()
         arity = len(cols) + len(writes) + len(checks)
-        identity = (state["frontier"] is None and not checks and arity > 0
+        identity = (first and not checks and arity > 0
                     and parts == [f"{rname}[{i}]" for i in range(arity)])
         if identity:
             # The head is the row verbatim: one C-level list copy.
@@ -601,7 +664,7 @@ def _emit(steps: tuple[Any, ...], head: tuple[Any, ...],
                 # its entries — no row tuples at all.
                 val_col = used[0]
                 j = arg_of(("proj", src, cols[0], val_col))
-                source = f"g{j}({sym_storage(keys[0])}, E)"
+                source = f"g{j}({storage(keys[0])}, E)"
                 vname = f"v{len(regs)}"
                 parts = [vname if part == f"{rname}[{val_col}]"
                          else part for part in parts]
@@ -612,6 +675,18 @@ def _emit(steps: tuple[Any, ...], head: tuple[Any, ...],
                       f"{source}{conds}]", True)
         rm.append("len(out)")
 
+    if last_level == len(steps):
+        # The closing level: every slot is bound, so a hook can be shown
+        # the whole value-domain binding; it runs after the last
+        # ``rows_matched`` count and before any head term is computed.
+        cond = None
+        if hooked:
+            binding = ", ".join(f"k{slot_no}: {decode(expr)}" for
+                                slot_no, expr in sorted(reg_exprs.items()))
+            cond = (f"a{arg_of(('hook',))}(R, {{{binding}}}, "
+                    f"a{arg_of(('round',))})")
+        emit_filter(cond, True, tup(head_parts()))
+
     def total(terms: list[str]) -> str:
         return " + ".join(terms) if terms else "0"
 
@@ -619,6 +694,9 @@ def _emit(steps: tuple[Any, ...], head: tuple[Any, ...],
     body = [f"def _kernel({params}):"]
     body.extend(f"    g{i} = a{i}.get" for i, spec in enumerate(specs)
                 if spec[0] in ("probe1", "probeN", "proj"))
+    if hooked:
+        body.extend(f"    k{slot_no} = K[{slot_no}]"
+                    for slot_no in sorted(reg_exprs))
     counts = [line[1] for line in lines
               if line[0] != "del" and line[1] is not None]
     sliced = state["virtual"] is not None and bool(counts)

@@ -1,4 +1,4 @@
-"""Compiled rule kernels: one step program per rule body, two back ends.
+"""Compiled rule kernels: one step program per rule body, one back end.
 
 The reference interpreter in :mod:`repro.engine.bindings` evaluates a
 rule body by threading per-tuple ``dict[Variable, value]`` bindings
@@ -19,23 +19,15 @@ This module lowers a rule body **once** into a :class:`CompiledKernel`:
   negations, comparison checks and ``=`` binds, over terms that are
   constants, slots or arithmetic.
 
-The step program is the only description of the body, and it has
-exactly two back ends:
-
-- the **generated function** (:mod:`repro.engine.codegen`): the whole
-  body as one function of cascaded comprehensions that processes a
-  firing's entire frontier with no per-row Python call.  Every kernel
-  whose program is expressible runs on it — interned or raw;
-- the **per-row closure chain** (:func:`_chain`): a slot-machine of
-  closures over a flat list environment, one call per matched row.  It
-  runs exactly the cases that need per-row semantics: a derivation
-  hook is installed (each solution's ``Binding`` must be shown to the
-  hook), or the program has no generated form (arithmetic terms must
-  round-trip through the value domain per row; an empty body emits its
-  ground head once).
-
-:meth:`CompiledKernel.execute` picks between them itself; both derive
-the same head rows with bit-identical ``EvalStats`` counters.
+The step program is the only description of the body, and it has one
+back end: :mod:`repro.engine.codegen` lowers it into a **generated
+function** — the whole body as one function of cascaded comprehensions
+that processes a firing's entire frontier with no per-row Python call,
+interned or raw, arithmetic and empty bodies included.  When a
+derivation hook is installed the same program is generated a second
+time with one closing filter that shows the hook each solution's
+``Binding`` before the head row is built.  Either way the derived head
+rows and every ``EvalStats`` counter equal the reference interpreter's.
 
 Kernels are pure code: they bake in body *positions*, never relation
 objects, so semi-naive evaluation compiles one variant per
@@ -73,7 +65,7 @@ from ..facts.symbols import SymbolTable
 from . import builtins
 from .bindings import (Binding, Cost, EvalStats, Fetch, _check_atom_args,
                        bound_columns_of, plan_body)
-from .codegen import PredicateCache, Unlowerable, generate
+from .codegen import GeneratedKernel, PredicateCache
 
 #: Known executors for the bottom-up engines.
 EXECUTORS = ("compiled", "interpreted")
@@ -92,214 +84,13 @@ def validate_executor(executor: str) -> None:
             f"unknown executor {executor!r}; expected one of {EXECUTORS}")
 
 
-class _Ctx:
-    """Mutable per-execution state shared by the step closures."""
-
-    __slots__ = ("rels", "emit", "lookups", "rows", "cmps", "negs")
-
-    def __init__(self) -> None:
-        self.rels: list = []
-        self.emit = None
-        self.lookups = 0
-        self.rows = 0
-        self.cmps = 0
-        self.negs = 0
-
-
-def _value_getter(sym: tuple, symbols: SymbolTable | None):
-    """Compile a symbolic term into ``env -> value``.
-
-    Slots hold codes in interned mode and are decoded here: comparison
-    checks and arithmetic need real values (codes are dense ints in
-    interning order, so ``<`` over codes would order by first
-    appearance, not by value).
-    """
-    kind = sym[0]
-    if kind == "const":
-        value = sym[1]
-        return lambda env: value
-    if kind == "slot":
-        slot = sym[1]
-        if symbols is None:
-            return lambda env: env[slot]
-        values = symbols.values
-        return lambda env: values[env[slot]]
-    _kind, op, left_sym, right_sym = sym
-    left = _value_getter(left_sym, symbols)
-    right = _value_getter(right_sym, symbols)
-    apply_arith = builtins.apply_arith
-    return lambda env: apply_arith(op, left(env), right(env))
-
-
-def _coded_getter(sym: tuple, symbols: SymbolTable | None):
-    """Compile a symbolic term into ``env -> storage-domain value``.
-
-    Constants were interned when the step program was built; arithmetic
-    is the one term kind that must round-trip — operands are decoded,
-    the result computed in the value domain and re-interned, so derived
-    numbers get codes like any loaded constant.
-    """
-    kind = sym[0]
-    if kind == "const":
-        code = sym[1]
-        return lambda env: code
-    if kind == "slot":
-        slot = sym[1]
-        return lambda env: env[slot]
-    compute = _value_getter(sym, symbols)
-    if symbols is None:
-        return compute
-    intern = symbols.intern
-    return lambda env: intern(compute(env))
-
-
-def _make_atom_step(src: int, key_getters, writes, checks, cont):
-    """An atom step: probe/scan, bind unbound columns, run ``cont``.
-
-    ``ctx.rels[src]`` holds the pre-resolved probe target: the hash
-    index dict when ``key_getters`` is given, the raw row container for
-    a full scan.  ``writes`` are ``(column, slot)`` pairs for first
-    occurrences of unbound variables; ``checks`` are later occurrences
-    of a variable first bound within this same atom.
-    """
-    if key_getters is not None and len(key_getters) == 1:
-        single_getter = key_getters[0]
-    else:
-        single_getter = None
-
-    def step(env, ctx):
-        ctx.lookups += 1
-        if key_getters is None:
-            bucket = ctx.rels[src]
-        else:
-            if single_getter is not None:
-                key = (single_getter(env),)
-            else:
-                key = tuple(g(env) for g in key_getters)
-            bucket = ctx.rels[src].get(key)
-            if bucket is None:
-                return
-        matched = 0
-        if checks:
-            for row in bucket:
-                for col, slot in writes:
-                    env[slot] = row[col]
-                ok = True
-                for col, slot in checks:
-                    if row[col] != env[slot]:
-                        ok = False
-                        break
-                if ok:
-                    matched += 1
-                    cont(env, ctx)
-        elif writes:
-            for row in bucket:
-                for col, slot in writes:
-                    env[slot] = row[col]
-                matched += 1
-                cont(env, ctx)
-        else:
-            for _row in bucket:
-                matched += 1
-                cont(env, ctx)
-        ctx.rows += matched
-
-    return step
-
-
-def _make_negation_step(src: int, value_getters, cont):
-    """A negation step: the atom is ground here, so it is one membership
-    test against the relation's row container."""
-
-    def step(env, ctx):
-        ctx.negs += 1
-        if tuple(g(env) for g in value_getters) not in ctx.rels[src]:
-            cont(env, ctx)
-
-    return step
-
-
-def _make_member_step(src: int, value_getters, cont):
-    """A fully-bound positive atom: one membership test, no index.
-
-    Probing an all-columns index would mean building an index that is
-    just the row set again — a full O(n) construction to answer O(1)
-    questions the row container already answers.
-    """
-
-    def step(env, ctx):
-        ctx.lookups += 1
-        if tuple(g(env) for g in value_getters) in ctx.rels[src]:
-            ctx.rows += 1
-            cont(env, ctx)
-
-    return step
-
-
-def _make_check_step(op: str, lhs_get, rhs_get, cont):
-    compare_values = builtins.compare_values
-
-    def step(env, ctx):
-        ctx.cmps += 1
-        if compare_values(op, lhs_get(env), rhs_get(env)):
-            cont(env, ctx)
-
-    return step
-
-
-def _make_bind_step(slot: int, value_get, cont):
-    def step(env, ctx):
-        ctx.cmps += 1
-        env[slot] = value_get(env)
-        cont(env, ctx)
-
-    return step
-
-
-def _emit_solution(env, ctx):
-    ctx.emit(env)
-
-
-def _chain(steps: tuple, symbols: SymbolTable | None):
-    """Lower a step program to the per-row closure chain.
-
-    Folded innermost-first; the innermost continuation hands the
-    completed slot environment to ``ctx.emit``.
-    """
-    def coded(syms):
-        return tuple(_coded_getter(sym, symbols) for sym in syms)
-
-    cont = _emit_solution
-    for step in reversed(steps):
-        tag = step[0]
-        if tag == "atom":
-            _, src, cols, keys, writes, checks = step
-            cont = _make_atom_step(src, coded(keys) if cols else None,
-                                   writes, checks, cont)
-        elif tag == "check":
-            _, op, lhs, rhs, _body_index = step
-            cont = _make_check_step(op, _value_getter(lhs, symbols),
-                                    _value_getter(rhs, symbols), cont)
-        elif tag == "bind":
-            _, target_slot, source = step
-            cont = _make_bind_step(target_slot,
-                                   _coded_getter(source, symbols), cont)
-        elif tag == "member":
-            _, src, keys = step
-            cont = _make_member_step(src, coded(keys), cont)
-        else:  # neg
-            _, src, args = step
-            cont = _make_negation_step(src, coded(args), cont)
-    return cont
-
-
 class CompiledKernel:
-    """One rule body lowered to a step program and its back end.
+    """One rule body: its plan, its step program, its generated function.
 
     Attributes:
         rule: the source rule.
         order: the body indexes in execution order (the cached plan).
-        n_slots: size of the flat environment.
+        n_slots: how many variables (slots) the body binds.
         sources: ``(body_index, atom, bound_columns, kind)`` per
             relation-touching step, in execution order; ``kind`` is
             ``"probe"``, ``"scan"``, ``"member"`` or ``"neg"``.
@@ -310,7 +101,7 @@ class CompiledKernel:
             at plan time when a ``cost`` callback was supplied (the
             adaptive planner); empty otherwise.
         steps: the symbolic step program — the one description of the
-            body both back ends are built from.  Steps are
+            body, which the generated function is built from.  Steps are
             ``("atom", src, cols, keys, writes, checks)``,
             ``("member", src, keys)``, ``("neg", src, args)``,
             ``("check", op, lhs, rhs, body_index)`` and
@@ -320,16 +111,12 @@ class CompiledKernel:
             the operands of checks and of arithmetic, which stay values.
         head: the head arguments as storage-domain terms.
         generated: the generated whole-frontier function
-            (:class:`~repro.engine.codegen.GeneratedKernel`), or None
-            when the program has no generated form.
-        row_reason: why :attr:`generated` is None (``"arithmetic
-            term"``, ``"empty body"``, ...), else None.
+            (:class:`~repro.engine.codegen.GeneratedKernel`).
     """
 
     __slots__ = ("rule", "order", "n_slots", "sources", "symbols",
-                 "plan_costs", "steps", "head", "generated", "row_reason",
-                 "_predicates", "_entry", "_head_fn", "_slot_items",
-                 "_step_notes")
+                 "plan_costs", "steps", "head", "generated",
+                 "_predicates", "_step_notes")
 
     def __init__(self, rule: Rule, sizes: Sizes,
                  keep_atom_order: bool = False,
@@ -425,8 +212,8 @@ class CompiledKernel:
             src = len(self.sources)
             if cols and not writes and not checks:
                 # Every column is bound: a membership test against the
-                # row container, not an index probe (see
-                # :func:`_make_member_step`).
+                # row container, not a probe — an all-columns index
+                # would just be the row set again, built in O(n).
                 self.sources.append((index, lit, (), "member"))
                 steps.append(("member", src, tuple(keys)))
                 self._step_notes.append(f"{'member':12} {lit}")
@@ -456,25 +243,8 @@ class CompiledKernel:
         self.steps = tuple(steps)
         self.head = tuple(sym(arg, True) for arg in rule.head.args)
         self.n_slots = len(slot_of)
-        self._slot_items = tuple(slot_of.items())
-        self._entry = None
-        self._head_fn = None
-        try:
-            self.generated = generate(self.steps, self.head, symbols,
-                                      true_checks)
-            self.row_reason = None
-        except Unlowerable as why:
-            self.generated = None
-            self.row_reason = str(why)
-            self._build_chain()
-
-    def _build_chain(self) -> None:
-        """Build the per-row back end (on first need: a kernel with a
-        generated form only runs its chain when a hook is installed)."""
-        getters = tuple(_coded_getter(term, self.symbols)
-                        for term in self.head)
-        self._head_fn = lambda env: tuple(g(env) for g in getters)
-        self._entry = _chain(self.steps, self.symbols)
+        self.generated = GeneratedKernel(self.steps, self.head, symbols,
+                                         true_checks, rule, tuple(slot_of))
 
     @property
     def interned(self) -> bool:
@@ -494,74 +264,28 @@ class CompiledKernel:
         domain: codes when :attr:`interned` (insert them with
         ``raw_add``), plain values otherwise.
 
-        Without a ``hook`` the generated function runs when there is
-        one.  With a ``hook`` the per-row chain runs: a value-domain
-        ``Binding`` dict view of the slot environment is materialized
-        per solution and the hook may veto the row.
+        A ``hook`` is shown each solution's value-domain ``Binding``
+        once, after the body's last step, and may veto the row.
         """
-        if hook is None and self.generated is not None:
-            out, lookups, rows, cmps, negs = self.generated.run(
-                self.sources, fetch, self._predicates)
-            stats.atom_lookups += lookups
-            stats.rows_matched += rows
-            stats.comparisons_checked += cmps
-            stats.negation_checks += negs
-            return out
-        if self._entry is None:
-            self._build_chain()
-        ctx = _Ctx()
-        rels = ctx.rels
-        for body_index, atom, cols, kind in self.sources:
-            relation = fetch(atom, body_index)
-            if kind == "probe":
-                rels.append(relation.index_for(cols))
-            else:  # scan / neg / member: the raw (read-only) row container
-                rels.append(relation.raw_rows())
-        out: list[Row] = []
-        head_fn = self._head_fn
-        if hook is None:
-            def emit(e) -> None:
-                out.append(head_fn(e))
-        else:
-            rule = self.rule
-            slot_items = self._slot_items
-            symbols = self.symbols
-            if symbols is None:
-                def emit(e) -> None:
-                    binding = {var: e[s] for var, s in slot_items}
-                    if hook(rule, binding, round_index):
-                        out.append(head_fn(e))
-            else:
-                values = symbols.values
-
-                def emit(e) -> None:
-                    binding = {var: values[e[s]]
-                               for var, s in slot_items}
-                    if hook(rule, binding, round_index):
-                        out.append(head_fn(e))
-        ctx.emit = emit
-        self._entry([None] * self.n_slots, ctx)
-        stats.atom_lookups += ctx.lookups
-        stats.rows_matched += ctx.rows
-        stats.comparisons_checked += ctx.cmps
-        stats.negation_checks += ctx.negs
+        out, lookups, rows, cmps, negs = self.generated.run(
+            self.sources, fetch, self._predicates, hook, round_index)
+        stats.atom_lookups += lookups
+        stats.rows_matched += rows
+        stats.comparisons_checked += cmps
+        stats.negation_checks += negs
         return out
 
     # -- introspection -------------------------------------------------------
     def describe(self) -> str:
-        """Render the step program and the back end it runs on."""
+        """Render the step program and its generated function."""
         mode = ", interned" if self.symbols is not None else ""
         lines = [f"{self.rule.label or '?'}: {self.rule} "
                  f"[{self.n_slots} slots{mode}]"]
         for number, note in enumerate(self._step_notes, start=1):
             lines.append(f"  {number}. {note}")
-        if self.generated is None:
-            lines.append(f"  row chain: {self.row_reason}")
-        else:
-            lines.append("  generated function (row chain when a hook "
-                         "is installed):")
-            lines.extend(f"    {line}"
-                         for line in self.generated.source.splitlines())
+        lines.append("  generated function:")
+        lines.extend(f"    {line}"
+                     for line in self.generated.source.splitlines())
         return "\n".join(lines)
 
 

@@ -102,9 +102,8 @@ def evaluate(program: Program, edb: Database, method: str = "seminaive",
             exhaustion or cancellation raises the typed errors of
             :mod:`repro.errors` carrying the partial stats.
         executor: ``"compiled"`` (default) runs rule bodies as cached
-            kernels (:mod:`repro.engine.compile`): a generated
-            whole-frontier function per body, or the per-row closure
-            chain when ``hook`` is given or the body uses arithmetic;
+            kernels (:mod:`repro.engine.compile`): one generated
+            whole-frontier function per body, ``hook`` or not;
             ``"interpreted"`` uses the reference interpreter.  Both
             derive identical databases with identical counters.
         interning: ``"on"`` re-encodes the EDB over a shared

@@ -7,13 +7,14 @@ inspection, which makes discussions like experiment E2's ("whose
 anchor is better?") concrete: ``explain_plan`` shows, per rule, the
 order literals would run in, which index pattern each atom would be
 probed with, and — under the adaptive planner — the estimated rows per
-probe and the statistics epoch the estimate was derived from.
+probe, read from the same :meth:`Relation.probe_estimate` the engines
+cost their kernels with.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 from ..datalog.atoms import Atom, Comparison, Negation
 from ..datalog.program import Program
@@ -21,7 +22,7 @@ from ..datalog.rules import Rule
 from ..datalog.terms import Variable
 from ..facts.database import Database
 from ..facts.relation import Relation
-from .bindings import bound_columns_of, plan_body, validate_planner
+from .bindings import Cost, bound_columns_of, plan_body, validate_planner
 
 if TYPE_CHECKING:
     from ..analysis.dataflow import DataflowResult
@@ -40,9 +41,6 @@ class PlanStep:
         relation_size: the relation's size at planning time (atoms only).
         estimate: estimated rows matched per probe, from live relation
             statistics (adaptive planner only).
-        stats_epoch: the statistics epoch the estimate was read at
-            (adaptive planner only) — identifies *which* state of the
-            relation the plan was derived from.
     """
 
     literal: object
@@ -50,7 +48,6 @@ class PlanStep:
     bound_columns: tuple[int, ...] = ()
     relation_size: int | None = None
     estimate: float | None = None
-    stats_epoch: int | None = None
 
     def render(self) -> str:
         if self.kind in ("scan", "probe"):
@@ -61,8 +58,6 @@ class PlanStep:
                    f"(~{self.relation_size} rows"
             if self.estimate is not None:
                 text += f", est {self.estimate:g}/probe"
-                if self.stats_epoch is not None:
-                    text += f" @epoch {self.stats_epoch}"
             return text + ")"
         return f"{self.kind:12} {self.literal}"
 
@@ -82,25 +77,24 @@ class RulePlan:
         return "\n".join(lines)
 
 
-def plan_rule(rule: Rule, program: Program, edb: Database,
-              idb: Database | None = None,
-              planner: str = "greedy",
-              dataflow: "DataflowResult | None" = None) -> RulePlan:
-    """Compute the execution plan one rule would use.
+def _estimators(program: Program, edb: Database, idb: Database | None,
+                planner: str, dataflow: "DataflowResult | None"
+                ) -> tuple[Callable[[Atom, int], int], Cost | None]:
+    """The ``sizes`` and (adaptive planners only) ``cost`` callbacks.
 
-    IDB relation sizes come from ``idb`` when given (e.g. a finished
+    They read what the engines read — ``len(relation)`` and
+    :meth:`Relation.probe_estimate` — so an explained plan is the plan
+    a :class:`~repro.engine.compile.KernelCache` would compile.  IDB
+    relations come from ``idb`` when given (e.g. a finished
     evaluation's result) and are treated as empty otherwise, matching
-    what the engine would see at the start of the fixpoint.  The body
-    ``index`` of each occurrence is threaded through to the size and
-    cost callbacks, exactly as the engines' delta-aware ``fetch`` does,
-    so per-occurrence resolution stays faithful to execution.  When
-    ``dataflow`` is given, the adaptive planner seeds cold (missing or
-    empty) relations with the analysis's static size bounds instead of
-    a flat zero, mirroring the engines.
+    what the engine would see at the start of the fixpoint; with
+    ``dataflow`` the adaptive planner seeds cold (missing or empty)
+    relations with the analysis's static size bounds instead of a flat
+    zero, mirroring the engines.
     """
     validate_planner(planner)
 
-    def relation_for(atom: Atom, index: int) -> Relation | None:
+    def relation_for(atom: Atom) -> Relation | None:
         if atom.pred in program.idb_predicates:
             if idb is not None and atom.pred in idb:
                 return idb.relation(atom.pred)
@@ -108,20 +102,34 @@ def plan_rule(rule: Rule, program: Program, edb: Database,
         return edb.relation_or_empty(atom.pred, atom.arity)
 
     def sizes(atom: Atom, index: int) -> int:
-        relation = relation_for(atom, index)
+        relation = relation_for(atom)
         return len(relation) if relation is not None else 0
 
-    cost = None
-    if planner in ("adaptive", "cbo"):
-        def cost(atom: Atom, index: int,
-                 bound_cols: tuple[int, ...]) -> float:
-            relation = relation_for(atom, index)
-            if relation is None or not len(relation):
-                if dataflow is not None:
-                    return dataflow.probe_estimate(atom.pred, bound_cols)
-                return 0.0
-            return relation.enable_stats().probe_estimate(bound_cols)
+    if planner not in ("adaptive", "cbo"):
+        return sizes, None
 
+    def cost(atom: Atom, index: int, bound_cols: tuple[int, ...]) -> float:
+        relation = relation_for(atom)
+        if relation is None or not len(relation):
+            if dataflow is not None:
+                return dataflow.probe_estimate(atom.pred, bound_cols)
+            return 0.0
+        return relation.probe_estimate(bound_cols)
+
+    return sizes, cost
+
+
+def plan_rule(rule: Rule, program: Program, edb: Database,
+              idb: Database | None = None,
+              planner: str = "greedy",
+              dataflow: "DataflowResult | None" = None) -> RulePlan:
+    """Compute the execution plan one rule would use.
+
+    Sizes and estimates come from :func:`_estimators`.  The body
+    ``index`` of each occurrence is threaded through to the size and
+    cost callbacks, exactly as the engines' delta-aware ``fetch`` does.
+    """
+    sizes, cost = _estimators(program, edb, idb, planner, dataflow)
     order = plan_body(rule, sizes,
                       keep_atom_order=(planner == "source"), cost=cost)
     bound: set[Variable] = set()
@@ -138,22 +146,17 @@ def plan_rule(rule: Rule, program: Program, edb: Database,
             steps.append(PlanStep(literal, "check"))
             continue
         columns = bound_columns_of(literal, bound)
-        estimate = epoch = None
-        if cost is not None:
-            estimate = cost(literal, index, columns)
-            relation = relation_for(literal, index)
-            if relation is not None and relation.stats is not None:
-                epoch = relation.stats.epoch
+        estimate = cost(literal, index, columns) \
+            if cost is not None else None
         steps.append(PlanStep(
             literal, "probe" if columns else "scan", columns,
-            sizes(literal, index), estimate, epoch))
+            sizes(literal, index), estimate))
         bound.update(literal.variable_set())
     return RulePlan(rule, tuple(steps), planner=planner)
 
 
-def _stats_section(program: Program, edb: Database,
-                   idb: Database | None) -> str:
-    """Render the live statistics every referenced relation carries."""
+def _stats_section(edb: Database, idb: Database | None) -> str:
+    """Render the statistics the adaptive planner reads per relation."""
     lines = ["statistics:"]
     seen: set[str] = set()
     for label, db in (("edb", edb), ("idb", idb)):
@@ -164,13 +167,11 @@ def _stats_section(program: Program, edb: Database,
                 continue
             seen.add(name)
             relation = db.relation(name)
-            stats = relation.enable_stats()
-            distinct = ",".join(str(stats.distinct(column))
+            distinct = ",".join(str(relation.distinct_count(column))
                                 for column in range(relation.arity))
             lines.append(
                 f"  {label} {name}/{relation.arity}: "
-                f"{stats.cardinality} rows, distinct=[{distinct}], "
-                f"epoch={stats.epoch}")
+                f"{len(relation)} rows, distinct=[{distinct}]")
     if len(lines) == 1:
         lines.append("  (no relations)")
     return "\n".join(lines)
@@ -184,8 +185,8 @@ def explain_plan(program: Program, edb: Database,
     """Render the plans of every rule of the program.
 
     With ``show_stats`` a trailing section lists, per relation, the
-    cardinality, per-column distinct counts and statistics epoch the
-    estimates were derived from (``repro explain --stats``).
+    cardinality and per-column distinct counts the estimates were
+    derived from (``repro explain --stats``).
     ``dataflow`` is as in :func:`plan_rule`.
     """
     body = "\n\n".join(
@@ -193,7 +194,7 @@ def explain_plan(program: Program, edb: Database,
                   dataflow=dataflow).render()
         for rule in program)
     if show_stats:
-        body += "\n\n" + _stats_section(program, edb, idb)
+        body += "\n\n" + _stats_section(edb, idb)
     return body
 
 
@@ -206,47 +207,24 @@ def explain_kernels(program: Program, edb: Database,
 
     This is the compiled-executor counterpart of :func:`explain_plan`:
     it shows the step program each rule is lowered to (probe patterns,
-    slot binds, checks) and the back end it runs on — the generated
-    function's source, or why the rule runs the per-row chain —
-    compiled against the same size estimates :func:`plan_rule` uses
-    (including, under ``planner="adaptive"``, the statistics-estimated
-    rows per probe), against the EDB's symbol table when it is
-    interned, and with ``dataflow``'s provably-true comparisons elided.
+    slot binds, checks) and the source of the generated function it
+    runs as, compiled against the same size estimates :func:`plan_rule`
+    uses (including, under ``planner="adaptive"``, the
+    statistics-estimated rows per probe), against the EDB's symbol
+    table when it is interned, and with ``dataflow``'s provably-true
+    comparisons elided.
     """
     from .compile import CompiledKernel
 
-    validate_planner(planner)
-
-    def relation_for(atom: Atom, index: int) -> Relation | None:
-        if atom.pred in program.idb_predicates:
-            if idb is not None and atom.pred in idb:
-                return idb.relation(atom.pred)
-            return None
-        return edb.relation_or_empty(atom.pred, atom.arity)
-
-    def relation_size(atom: Atom, index: int) -> int:
-        relation = relation_for(atom, index)
-        return len(relation) if relation is not None else 0
-
-    cost = None
-    if planner in ("adaptive", "cbo"):
-        def cost(atom: Atom, index: int,
-                 bound_cols: tuple[int, ...]) -> float:
-            relation = relation_for(atom, index)
-            if relation is None or not len(relation):
-                if dataflow is not None:
-                    return dataflow.probe_estimate(atom.pred, bound_cols)
-                return 0.0
-            return relation.enable_stats().probe_estimate(bound_cols)
-
+    sizes, cost = _estimators(program, edb, idb, planner, dataflow)
     true_checks = dataflow.true_checks if dataflow is not None else {}
     body = "\n\n".join(
-        CompiledKernel(rule, relation_size,
+        CompiledKernel(rule, sizes,
                        keep_atom_order=(planner == "source"),
                        cost=cost, symbols=edb.symbols,
                        true_checks=true_checks.get(rule, frozenset())
                        ).describe()
         for rule in program)
     if show_stats:
-        body += "\n\n" + _stats_section(program, edb, idb)
+        body += "\n\n" + _stats_section(edb, idb)
     return body

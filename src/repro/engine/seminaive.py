@@ -67,9 +67,9 @@ def seminaive_evaluate(program: Program, edb: Database,
 
     ``executor`` selects how rule bodies run: ``"compiled"`` (default)
     lowers each rule once per (stratum, delta-variant) into a kernel
-    (:mod:`repro.engine.compile`) reused across all rounds — a
-    generated whole-frontier function, or the per-row closure chain
-    when ``hook`` is given or the body uses arithmetic;
+    (:mod:`repro.engine.compile`) reused across all rounds — one
+    generated whole-frontier function per body, with a closing hook
+    filter when ``hook`` is given;
     ``"interpreted"`` keeps the reference
     :func:`~repro.engine.bindings.solve_body` interpreter, the
     semantics oracle.  Both derive identical databases with identical

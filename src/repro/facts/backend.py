@@ -1,20 +1,20 @@
-"""Pluggable tuple-storage backends for :class:`~repro.facts.relation.Relation`.
+"""Tuple storage for :class:`~repro.facts.relation.Relation`.
 
 A :class:`Relation` owns the *semantics* of a stored predicate — arity
-checks, value/code translation against a shared symbol table, statistics
-— while the physical row container and its hash indexes live behind a
-*storage backend*.  The contract is deliberately small and concrete:
+checks, value/code translation against a shared symbol table — while
+the physical row container and its hash indexes live in its
+:class:`DictBackend`: a ``set`` of tuples plus on-demand ``dict``
+indexes.
 
 - ``rows`` is the storage-domain row **set** (read-only to callers; the
   kernels' scans and negation membership tests probe it directly);
 - ``indexes`` maps a sorted column tuple to the live hash index over
   those columns (read-only to callers; kernel probes resolve buckets
   from it directly);
-- every **mutation** goes through the backend's methods, so a backend
-  that maintains extra structure (a write-ahead log, say) observes
-  every insert and delete.
+- every **mutation** goes through the backend's methods, which keep
+  every live index current.
 
-Every backend also carries a ``(uid, version)`` identity: ``uid`` is
+Every backend carries a ``(uid, version)`` identity: ``uid`` is
 unique per backend instance and ``version`` bumps on every mutation that
 changed content.  The generated kernels' column-level predicate cache
 (:mod:`repro.engine.codegen`) stamps memoized check results with this
@@ -31,60 +31,24 @@ Three index families are maintained:
   to the list of *another column's* entries for matching rows
   (``projection_index``), so a final join level can emit projected
   values without touching row tuples at all.
-
-:class:`DictBackend` is the one backend: a ``set`` of tuples plus
-on-demand ``dict`` indexes.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import (Any, Collection, Iterable, Iterator, Protocol,
-                    runtime_checkable)
+from typing import Any, Collection, Iterable, Iterator
 
 Row = tuple[Any, ...]
 
 #: A hash index: bound-column key tuple -> list of rows with those values.
 Index = dict[tuple[Any, ...], list[Row]]
 
-#: Monotone source of backend identities (see ``StorageBackend.uid``).
+#: Monotone source of backend identities (see ``DictBackend.uid``).
 _uids = itertools.count(1)
 
 
-@runtime_checkable
-class StorageBackend(Protocol):
-    """The storage contract a :class:`Relation` delegates to.
-
-    ``rows`` and ``indexes`` are exposed as plain containers because the
-    compiled kernels' hot paths read them without per-probe indirection;
-    they must be treated as read-only outside the backend.
-    """
-
-    rows: set[Row]
-    indexes: dict[tuple[int, ...], Index]
-    code_indexes: dict[int, dict[Any, list[Row]]]
-    proj_indexes: dict[tuple[int, int], dict[Any, list[Any]]]
-    uid: int
-    version: int
-
-    def __len__(self) -> int: ...
-    def __contains__(self, row: Row) -> bool: ...
-    def __iter__(self) -> Iterator[Row]: ...
-    def insert(self, row: Row) -> bool: ...
-    def add_new(self, rows: Iterable[Row]) -> list[Row]: ...
-    def merge_new(self, rows: Collection[Row]) -> list[Row]: ...
-    def merge(self, rows: list[Row]) -> None: ...
-    def remove(self, row: Row) -> bool: ...
-    def clear(self) -> None: ...
-    def index_for(self, columns: tuple[int, ...]) -> Index: ...
-    def code_index_for(self, column: int) -> dict[Any, list[Row]]: ...
-    def projection_index(self, key_column: int,
-                         value_column: int) -> dict[Any, list[Any]]: ...
-    def copy(self) -> "StorageBackend": ...
-
-
 class DictBackend:
-    """The default backend: a row set plus on-demand hash indexes."""
+    """A row set plus on-demand hash indexes."""
 
     __slots__ = ("rows", "indexes", "code_indexes", "proj_indexes",
                  "uid", "version")

@@ -23,29 +23,21 @@ In both modes :meth:`index_for` returns the live index over the
 that obtained their probe keys from the same storage domain — the
 kernels — never pay an encode/decode per probe.
 
-The physical row container and index maintenance live behind a
-pluggable :class:`~repro.facts.backend.StorageBackend`
-(:class:`~repro.facts.backend.DictBackend` by default; pass
-``backend=`` to supply another).  The relation keeps the
-semantics — arity checks, interning, statistics — and delegates the
-physical operations.
-
-When :meth:`enable_stats` has been called the relation also maintains a
-:class:`~repro.engine.stats.RelationStats` (cardinality + per-column
-distinct counts) incrementally on every insert, which feeds the
-adaptive join planner.
+The physical row set and its hash indexes live in a
+:class:`~repro.facts.backend.DictBackend`; the relation keeps the
+semantics — arity checks, interning — and delegates the physical
+operations.  The adaptive join planner's statistics
+(:meth:`Relation.distinct_count`, :meth:`Relation.probe_estimate`) are
+read off the live indexes, so no insert pays for them.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Collection, Iterable, Iterator, Optional
+from typing import Collection, Iterable, Iterator
 
 from ..datalog.terms import ConstValue
-from .backend import DictBackend, Index, StorageBackend
+from .backend import DictBackend, Index
 from .symbols import SymbolTable
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ..engine.stats import RelationStats
 
 Row = tuple[ConstValue, ...]
 
@@ -55,13 +47,11 @@ __all__ = ["Relation", "Row", "Index"]
 class Relation:
     """A set of fixed-arity ground tuples with on-demand hash indexes."""
 
-    __slots__ = ("name", "arity", "symbols", "backend",
-                 "_stats", "_distinct_cache")
+    __slots__ = ("name", "arity", "symbols", "backend", "_distinct_cache")
 
     def __init__(self, name: str, arity: int,
                  rows: Iterable[Row] | None = None,
-                 symbols: SymbolTable | None = None,
-                 backend: StorageBackend | None = None) -> None:
+                 symbols: SymbolTable | None = None) -> None:
         if arity < 0:
             raise ValueError("arity must be non-negative")
         self.name = name
@@ -69,9 +59,7 @@ class Relation:
         #: The shared intern table, or None in raw mode.
         self.symbols = symbols
         #: The physical row/index store (see :mod:`repro.facts.backend`).
-        self.backend: StorageBackend = \
-            backend if backend is not None else DictBackend()
-        self._stats: Optional["RelationStats"] = None
+        self.backend = DictBackend()
         #: column -> (cardinality the count was taken at, count); the
         #: scan fallback of :meth:`distinct_count`.
         self._distinct_cache: dict[int, tuple[int, int]] = {}
@@ -124,7 +112,7 @@ class Relation:
                 f"got {len(materialized)}")
         if self.symbols is not None:
             materialized = self.symbols.intern_row(materialized)
-        return self._insert(materialized)
+        return self.backend.insert(materialized)
 
     def raw_add(self, row: Row) -> bool:
         """Insert one storage-domain tuple (codes when interned).
@@ -134,14 +122,7 @@ class Relation:
         kernel's head constructor fixes the arity).  In raw mode this is
         :meth:`add` minus the validation.
         """
-        return self._insert(row)
-
-    def _insert(self, materialized: Row) -> bool:
-        if not self.backend.insert(materialized):
-            return False
-        if self._stats is not None:
-            self._stats.observe(materialized)
-        return True
+        return self.backend.insert(row)
 
     def add_all(self, rows: Iterable[Iterable[ConstValue]]) -> int:
         """Insert many value tuples; returns the number of new ones.
@@ -164,17 +145,11 @@ class Relation:
                     materialized = symbols.intern_row(materialized)
                 yield materialized
 
-        new_rows = self.backend.add_new(materialize())
-        if new_rows and self._stats is not None:
-            self._stats.observe_all(new_rows)
-        return len(new_rows)
+        return len(self.backend.add_new(materialize()))
 
     def raw_add_all(self, rows: Iterable[Row]) -> int:
         """Bulk :meth:`raw_add`: storage-domain rows, one index sweep."""
-        new_rows = self.backend.add_new(rows)
-        if new_rows and self._stats is not None:
-            self._stats.observe_all(new_rows)
-        return len(new_rows)
+        return len(self.backend.add_new(rows))
 
     def raw_merge_new(self, rows: Collection[Row]) -> list[Row]:
         """Bulk raw insert via set difference; returns the new rows.
@@ -186,10 +161,7 @@ class Relation:
         are silently dropped, exactly as a sequence of :meth:`raw_add`
         calls would drop them.
         """
-        new_rows = self.backend.merge_new(rows)
-        if new_rows and self._stats is not None:
-            self._stats.observe_all(new_rows)
-        return new_rows
+        return self.backend.merge_new(rows)
 
     def raw_merge(self, rows: list[Row]) -> None:
         """Bulk raw insert of rows known to be absent from the relation.
@@ -200,8 +172,6 @@ class Relation:
         screen makes this the cheapest insert path.
         """
         self.backend.merge(rows)
-        if rows and self._stats is not None:
-            self._stats.observe_all(rows)
 
     # -- deletion ------------------------------------------------------------
     def discard(self, row: Iterable[ConstValue]) -> bool:
@@ -209,9 +179,7 @@ class Relation:
 
         Every live index drops the row (empty buckets are deleted, so
         single-column index key counts stay exact distinct counts for
-        :meth:`distinct_count`).  Attached statistics are adjusted via
-        :meth:`~repro.engine.stats.RelationStats.forget` — cardinality
-        stays exact, per-column distinct counts become upper bounds.
+        :meth:`distinct_count`).
         """
         materialized = tuple(row)
         if self.symbols is not None:
@@ -230,8 +198,6 @@ class Relation:
             return False
         if self._distinct_cache:
             self._distinct_cache.clear()
-        if self._stats is not None:
-            self._stats.forget(materialized)
         return True
 
     def discard_all(self, rows: Iterable[Iterable[ConstValue]]) -> int:
@@ -245,29 +211,8 @@ class Relation:
     def clear(self) -> None:
         self.backend.clear()
         self._distinct_cache.clear()
-        if self._stats is not None:
-            self._stats.reset()
 
     # -- statistics ------------------------------------------------------------
-    def enable_stats(self) -> "RelationStats":
-        """Attach (or return) incrementally-maintained statistics.
-
-        The first call builds cardinality and per-column distinct counts
-        from the current rows in one pass; afterwards every insert keeps
-        them current.  Idempotent.  (Lazy import: :mod:`repro.engine`
-        imports this module at package load.)
-        """
-        if self._stats is None:
-            from ..engine.stats import RelationStats
-
-            self._stats = RelationStats(self.arity, self.backend.rows)
-        return self._stats
-
-    @property
-    def stats(self) -> Optional["RelationStats"]:
-        """The live statistics, or None when never enabled."""
-        return self._stats
-
     def distinct_count(self, column: int) -> int:
         """Number of distinct values in ``column``, at zero hot-path cost.
 
@@ -299,11 +244,12 @@ class Relation:
     def probe_estimate(self, bound_columns: Collection[int]) -> float:
         """Expected rows matched by one probe with ``bound_columns``.
 
-        The independence-assumption estimate of
-        :meth:`repro.engine.stats.RelationStats.probe_estimate`, but
-        computed from :meth:`distinct_count` — the engines' adaptive
-        planner uses this form so that evaluation never pays per-insert
-        statistics maintenance.
+        The textbook independence-assumption estimate: cardinality
+        divided by the distinct count of every bound column, floored at
+        one distinct value so an empty column does not divide by zero.
+        Computed from :meth:`distinct_count`, so evaluation never pays
+        per-insert statistics maintenance; the engines' adaptive planner
+        and ``explain`` both read it.
         """
         estimate = float(len(self.backend.rows))
         for column in bound_columns:
@@ -404,11 +350,15 @@ class Relation:
         published snapshots, incremental maintenance's state
         reconstruction) therefore pay nothing for indexes the copy
         never probes, which profiling showed dominating copy cost when
-        every index was eagerly duplicated.  The backend type is
-        preserved.  Statistics are not carried over; they rebuild lazily if needed.
+        every index was eagerly duplicated.
         """
-        return Relation(self.name, self.arity, symbols=self.symbols,
-                        backend=self.backend.copy())
+        out = object.__new__(Relation)
+        out.name = self.name
+        out.arity = self.arity
+        out.symbols = self.symbols
+        out.backend = self.backend.copy()
+        out._distinct_cache = {}
+        return out
 
     def difference(self, other: "Relation") -> "Relation":
         """A new relation with this one's rows that are not in ``other``.

@@ -34,22 +34,17 @@ state and occurrences after ``i`` to the *before* state, so every lost
 insertion pass only needs the cheaper superset partition (delta at
 ``i``, current state elsewhere), exactly like the in-evaluation
 semi-naive rounds.
-
-The per-derivation ``hook`` is honoured everywhere a rule fires, so
-residue checks injected by the guided baseline apply to maintenance
-deltas too: a residue that prunes a subquery during evaluation prunes
-the same subquery during every update.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional
+from typing import Iterable
 
 from ..datalog.atoms import Atom
 from ..datalog.program import Program
 from ..datalog.rules import Negation, Rule
-from ..datalog.terms import Constant, ConstValue, Variable
+from ..datalog.terms import ConstValue
 from ..errors import (BudgetExceededError, EvaluationError,
                       IncrementalUnsupported)
 from ..facts.changelog import Changeset
@@ -57,15 +52,12 @@ from ..facts.database import Database
 from ..facts.relation import Relation, Row
 from ..runtime import chaos
 from ..runtime.budget import Budget, resolve_budget
-from ..engine.bindings import (Binding, EvalStats, check_edb_arities,
-                               instantiate_head, plan_body, solve_body,
+from ..engine.bindings import (EvalStats, check_edb_arities,
+                               instantiate_head, solve_body,
                                validate_planner)
 from ..engine.compile import KernelCache, validate_executor
 from ..engine.naive import DEFAULT_MAX_ITERATIONS
-from ..engine.seminaive import DerivationHook
 from ..engine.stratify import stratify
-
-_MISSING = object()
 
 
 @dataclass
@@ -130,14 +122,12 @@ def is_recursive_stratum(stratum: frozenset[str],
 
 def support_counts(program: Program, edb: Database, idb: Database,
                    stats: EvalStats | None = None,
-                   executor: str = "compiled",
-                   hook: Optional[DerivationHook] = None) -> SupportCounts:
+                   executor: str = "compiled") -> SupportCounts:
     """Build derivation counts over a *converged* ``edb``/``idb`` pair.
 
     One extra firing of every non-recursive rule against the final
     state; recursive strata are skipped (DRed handles them without
-    counts).  Pass the same ``hook`` the materialization used so vetoed
-    derivations are not counted.
+    counts).
     """
     stats = stats if stats is not None else EvalStats()
     validate_executor(executor)
@@ -158,7 +148,7 @@ def support_counts(program: Program, edb: Database, idb: Database,
             continue
         for rule in rules:
             derived = _fire_rule(rule, fetch, stats, kernels,
-                                 ("support",), symbols, hook)
+                                 ("support",), symbols)
             counter = counts.counter(rule.head.pred)
             for row in derived:
                 counter[row] = counter.get(row, 0) + 1
@@ -171,7 +161,6 @@ def maintain(program: Program, edb: Database, idb: Database,
              stats: EvalStats | None = None,
              planner: str = "greedy",
              executor: str = "compiled",
-             hook: Optional[DerivationHook] = None,
              budget: Budget | None = None,
              max_iterations: int = DEFAULT_MAX_ITERATIONS,
              kernels: KernelCache | None = None) -> MaintenanceResult:
@@ -208,7 +197,7 @@ def maintain(program: Program, edb: Database, idb: Database,
             "updates EDB relations only")
     _require_monotone_impact(program, changeset.predicates())
     run = _Maintenance(program, edb, idb, changeset, counts, stats,
-                       planner, executor, hook,
+                       planner, executor,
                        resolve_budget(budget), max_iterations, kernels)
     return run.run()
 
@@ -237,9 +226,7 @@ def _require_monotone_impact(program: Program,
 
 def _fire_rule(rule: Rule, fetch, stats: EvalStats,
                kernels: KernelCache | None, variant: object,
-               symbols, hook: Optional[DerivationHook],
-               round_index: int = 0,
-               keep_atom_order: bool = False) -> list[Row]:
+               symbols, keep_atom_order: bool = False) -> list[Row]:
     """All derivations of ``rule`` under ``fetch``, storage-domain rows.
 
     The returned list carries *multiplicity* — one entry per body
@@ -252,35 +239,15 @@ def _fire_rule(rule: Rule, fetch, stats: EvalStats,
             return len(fetch(atom, index))
 
         kernel = kernels.kernel(rule, variant, sizes)
-        return kernel.execute(fetch, stats, hook=hook,
-                              round_index=round_index)
+        return kernel.execute(fetch, stats)
     derived: list[Row] = []
     for binding in solve_body(rule, fetch, stats,
                               keep_atom_order=keep_atom_order):
-        if hook is not None and not hook(rule, binding, round_index):
-            continue
         head = instantiate_head(rule, binding)
         if symbols is not None:
             head = symbols.intern_row(head)
         derived.append(head)
     return derived
-
-
-def _head_binding(rule: Rule,
-                  values: tuple[ConstValue, ...]) -> Binding | None:
-    """Bind the head variables of ``rule`` to ``values`` (None on clash)."""
-    binding: Binding = {}
-    for arg, value in zip(rule.head.args, values):
-        if isinstance(arg, Constant):
-            if arg.value != value:
-                return None
-        elif isinstance(arg, Variable):
-            known = binding.get(arg, _MISSING)
-            if known is _MISSING:
-                binding[arg] = value
-            elif known != value:
-                return None
-    return binding
 
 
 class _Maintenance:
@@ -289,7 +256,7 @@ class _Maintenance:
     def __init__(self, program: Program, edb: Database, idb: Database,
                  changeset: Changeset, counts: SupportCounts | None,
                  stats: EvalStats, planner: str, executor: str,
-                 hook: Optional[DerivationHook], budget: Budget | None,
+                 budget: Budget | None,
                  max_iterations: int,
                  kernels: KernelCache | None) -> None:
         self.program = program
@@ -297,7 +264,6 @@ class _Maintenance:
         self.idb = idb
         self.counts = counts
         self.stats = stats
-        self.hook = hook
         self.budget = budget
         self.max_iterations = max_iterations
         self.chaos_plan = chaos.active_plan()
@@ -337,12 +303,6 @@ class _Maintenance:
             return {tuple(row) for row in rows}
         intern_row = self.symbols.intern_row
         return {intern_row(tuple(row)) for row in rows}
-
-    def _decode_row(self, row: Row) -> tuple[ConstValue, ...]:
-        if self.symbols is None:
-            return row
-        values = self.symbols.values
-        return tuple(values[code] for code in row)
 
     def _delta_relation(self, pred: str, rows: set[Row]) -> Relation:
         rel = Relation(pred, self.arities[pred], symbols=self.symbols)
@@ -503,7 +463,6 @@ class _Maintenance:
                     self._del_before_rel, self._del_current)
                 lost = _fire_rule(rule, fetch, self.stats, self.kernels,
                                   ("count-del", index), self.symbols,
-                                  self.hook,
                                   keep_atom_order=self.keep_atom_order)
                 self._tick_rows(lost)
                 for row in lost:
@@ -562,7 +521,7 @@ class _Maintenance:
 
                 derived = _fire_rule(
                     rule, fetch, self.stats, self.kernels,
-                    ("dred-seed", index), self.symbols, self.hook,
+                    ("dred-seed", index), self.symbols,
                     keep_atom_order=self.keep_atom_order)
                 self._tick_rows(derived)
                 collect(rule, derived)
@@ -596,8 +555,7 @@ class _Maintenance:
 
                     derived = _fire_rule(
                         rule, fetch, self.stats, self.kernels,
-                        ("dred-front", index), self.symbols, self.hook,
-                        round_index=rounds,
+                        ("dred-front", index), self.symbols,
                         keep_atom_order=self.keep_atom_order)
                     self._tick_rows(derived, last_round=rounds - 1)
                     collect(rule, derived)
@@ -612,11 +570,7 @@ class _Maintenance:
         # until rederived; cascades among candidates are left to the
         # phase-4 propagation.
         rederived: dict[str, set[Row]] = {pred: set() for pred in stratum}
-        if self.hook is None:
-            self._rederive_batched(stratum, rules, rels, over, rederived)
-        else:
-            self._rederive_goal_directed(stratum, rules, rels, over,
-                                         rederived)
+        self._rederive_batched(stratum, rules, rels, over, rederived)
 
         # Phase 4 — propagate the rederived rows within the stratum
         # (anything they in turn support must come back too).
@@ -675,7 +629,7 @@ class _Maintenance:
 
                 derived = _fire_rule(
                     batch_rule, fetch, self.stats, self.kernels,
-                    ("dred-rederive",), self.symbols, None,
+                    ("dred-rederive",), self.symbols,
                     keep_atom_order=self.keep_atom_order)
                 self._tick_rows(derived)
                 for row in derived:
@@ -685,56 +639,6 @@ class _Maintenance:
                 rels[pred].raw_merge(list(found))
                 self.stats.rederived += len(found)
                 self.stats.derivations += len(found)
-
-    def _rederive_goal_directed(self, stratum: frozenset[str],
-                                rules: list[Rule],
-                                rels: dict[str, Relation],
-                                over: dict[str, set[Row]],
-                                rederived: dict[str, set[Row]]) -> None:
-        """Per-candidate rederivation: head variables pre-bound, first
-        surviving proof wins.  Used when a derivation hook is active so
-        the hook sees each (original rule, binding) pair exactly as the
-        evaluation engines present them.
-        """
-        head_rules = {pred: [r for r in rules if r.head.pred == pred]
-                      for pred in stratum}
-        # One join order per rule for the whole rederivation sweep —
-        # re-planning per candidate would dwarf the joins themselves.
-        orders = {id(rule): plan_body(
-            rule,
-            lambda atom, index: len(self._del_current(atom, index)),
-            keep_atom_order=self.keep_atom_order)
-            for rule in rules}
-        countdown = 0
-        for pred in sorted(stratum):
-            target = rels[pred]
-            for row in over[pred]:
-                if self.chaos_plan is not None:
-                    self.chaos_plan.derivation()
-                if self.budget is not None:
-                    countdown -= 1
-                    if countdown <= 0:
-                        countdown = self.budget.checkpoint(self.stats)
-                values = self._decode_row(row)
-                proved = False
-                for rule in head_rules[pred]:
-                    initial = _head_binding(rule, values)
-                    if initial is None:
-                        continue
-                    for binding in solve_body(
-                            rule, self._del_current, self.stats,
-                            order=orders[id(rule)], initial=initial):
-                        if not self.hook(rule, binding, 0):
-                            continue
-                        proved = True
-                        break
-                    if proved:
-                        break
-                if proved:
-                    target.raw_add(row)
-                    rederived[pred].add(row)
-                    self.stats.rederived += 1
-                    self.stats.derivations += 1
 
     # -- insertion pass ------------------------------------------------------
     def _ins_changed(self) -> dict[str, set[Row]]:
@@ -777,7 +681,7 @@ class _Maintenance:
 
                 derived = _fire_rule(
                     rule, fetch, self.stats, self.kernels,
-                    ("ins-seed", index), self.symbols, self.hook,
+                    ("ins-seed", index), self.symbols,
                     keep_atom_order=self.keep_atom_order)
                 self._tick_rows(derived)
                 new_rows = target.raw_merge_new(derived)
@@ -810,7 +714,7 @@ class _Maintenance:
                     self._ins_before_rel, self._ins_current)
                 gained = _fire_rule(
                     rule, fetch, self.stats, self.kernels,
-                    ("count-ins", index), self.symbols, self.hook,
+                    ("count-ins", index), self.symbols,
                     keep_atom_order=self.keep_atom_order)
                 self._tick_rows(gained)
                 for row in gained:
@@ -855,8 +759,7 @@ class _Maintenance:
 
                     derived = _fire_rule(
                         rule, fetch, self.stats, self.kernels,
-                        ("prop", index), self.symbols, self.hook,
-                        round_index=rounds,
+                        ("prop", index), self.symbols,
                         keep_atom_order=self.keep_atom_order)
                     self._tick_rows(derived, last_round=rounds - 1)
                     new_rows = target.raw_merge_new(derived)

@@ -50,7 +50,6 @@ from __future__ import annotations
 import hashlib
 import time
 from dataclasses import dataclass, field
-from typing import Optional
 
 from ..datalog.parser import parse_query
 from ..datalog.program import Program
@@ -60,8 +59,7 @@ from ..facts.database import Database
 from ..engine.bindings import EvalStats
 from ..engine.compile import KernelCache, validate_executor
 from ..engine.bindings import validate_planner
-from ..engine.seminaive import DerivationHook, answers, \
-    seminaive_evaluate
+from ..engine.seminaive import answers, seminaive_evaluate
 from ..incremental.maintain import SupportCounts, maintain, \
     support_counts
 from ..runtime import chaos
@@ -90,7 +88,6 @@ class MaterializedView:
 
     def __init__(self, program: Program, source: VersionedDatabase,
                  planner: str = "greedy", executor: str = "compiled",
-                 hook: Optional[DerivationHook] = None,
                  use_counts: bool = True,
                  publish_snapshots: bool = False) -> None:
         validate_executor(executor)
@@ -99,7 +96,6 @@ class MaterializedView:
         self.source = source
         self.planner = planner
         self.executor = executor
-        self.hook = hook
         self.use_counts = use_counts
         self.idb: Database | None = None
         self.counts: SupportCounts | None = None
@@ -155,11 +151,10 @@ class MaterializedView:
         stats = EvalStats()
         idb = seminaive_evaluate(
             self.program, self.source.db, stats=stats,
-            hook=self.hook, planner=self.planner, budget=budget,
-            executor=self.executor)
+            planner=self.planner, budget=budget, executor=self.executor)
         counts = support_counts(
             self.program, self.source.db, idb, stats=stats,
-            executor=self.executor, hook=self.hook) \
+            executor=self.executor) \
             if self.use_counts else None
         self.idb = idb
         self.counts = counts
@@ -202,8 +197,7 @@ class MaterializedView:
             maintain(self.program, self.source.db, self.idb, changes,
                      counts=self.counts, stats=self.stats,
                      planner=self.planner, executor=self.executor,
-                     hook=self.hook, budget=budget,
-                     kernels=self.kernels)
+                     budget=budget, kernels=self.kernels)
         except IncrementalUnsupported:
             return self._materialize(budget)
         self.version = self.source.version
@@ -341,7 +335,6 @@ class Server:
 
     def view(self, program: Program, planner: str = "greedy",
              executor: str = "compiled",
-             hook: Optional[DerivationHook] = None,
              use_counts: bool = True,
              publish_snapshots: bool = False) -> MaterializedView:
         """Get or create the view for ``(program, planner, executor)``."""
@@ -352,7 +345,7 @@ class Server:
                 existing.publish_snapshots = True
             return existing
         view = MaterializedView(program, self.source, planner=planner,
-                                executor=executor, hook=hook,
+                                executor=executor,
                                 use_counts=use_counts,
                                 publish_snapshots=publish_snapshots)
         self.views[key] = view

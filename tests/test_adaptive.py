@@ -11,7 +11,7 @@ counter.
 import pytest
 
 from repro.datalog import parse_program
-from repro.engine import evaluate
+from repro.engine import EvalStats, evaluate
 from repro.engine.compile import KernelCache, compile_rule
 from repro.engine.plan import explain_kernels, explain_plan
 from repro.facts import Database
@@ -164,7 +164,7 @@ class TestGeneratedBody:
     def test_pure_atom_body_has_a_generated_function(self):
         db = chain_db(5).interned()
         kernel = self._kernel(TC, db)
-        assert kernel.generated is not None and kernel.row_reason is None
+        assert kernel.generated is not None
         assert "def _kernel(" in kernel.describe()
 
     def test_comparison_body_is_generated_too(self):
@@ -209,23 +209,31 @@ class TestGeneratedBody:
             result = evaluate(program, db, interning=interning)
             assert result.facts("tagged") == frozenset({("t", "b")})
 
-    def test_hooks_run_the_row_chain(self):
-        # A derivation hook needs value-domain bindings per solution;
-        # the kernel must run its per-row chain and still decode codes
-        # before the hook sees them.
+    def test_hooks_see_decoded_bindings(self):
+        # A derivation hook needs value-domain bindings per solution:
+        # the hooked text of an interned kernel decodes every register
+        # it shows the hook, and joins over codes everywhere else.
         from repro.engine.seminaive import seminaive_evaluate
         program = parse_program(TC)
+        db = chain_db(3).interned()
         seen = []
 
         def hook(rule, binding, round_index):
-            seen.append(dict(binding))
+            seen.append((rule.label, round_index, dict(binding)))
             return True
 
-        idb = seminaive_evaluate(program, chain_db(3).interned(),
-                                 hook=hook)
+        idb = seminaive_evaluate(program, db, hook=hook)
         assert len(idb.relation("tc")) == 6
         assert all(isinstance(v, str) and v.startswith("n")
-                   for b in seen for v in b.values())
+                   for _label, _round, b in seen for v in b.values())
+        assert {len(b) for _label, _round, b in seen} == {2, 3}
+        assert {round_index for _label, round_index, _b in seen} == {0, 1}
+        kernel = self._kernel(TC, db)
+        kernel.execute(lambda atom, index: db.relation_or_empty(
+            atom.pred, atom.arity), EvalStats(), hook=hook)
+        hooked = kernel.generated.form(True).source
+        assert hooked.count("V[") == 3 and "V[" not in \
+            kernel.generated.source
 
 
 class TestSymbolSharingGuards:

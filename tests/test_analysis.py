@@ -42,8 +42,6 @@ FIXTURES: dict[str, dict] = {
               "ic_text": "a(X, Y), b(Y, Z), c(X, Z) -> ."},
     "IC004": {"text": transitive_closure_program(),
               "ic_text": "other(X, Y) -> ."},
-    "PERF001": {"text": "r0: p(X, Y) :- e(X, Y). "
-                        "r1: p(X, N) :- p(X, Y), e(Y, Z), N = Z + 1."},
     "PERF002": {"text": "p(X, Y) :- q(X, A), r(Y, B), A > 0, B > 0."},
     "PERF003": {"text": "p(X, Y) :- a(X), b(Y), c(X, Y)."},
     "PERF004": {"text": "r0: alive(X) :- seed(X). "

@@ -270,15 +270,15 @@ class TestDriftReplans:
         assert second.generated is not None
         assert second.generated is not first.generated
 
-    def test_replans_match_the_row_chain_exactly(self):
-        # An always-true hook forces every firing onto the per-row
-        # chain: same plans, same replans, same counters.
+    def test_replans_match_the_hooked_text_exactly(self):
+        # An always-true hook runs every firing on the kernels' hooked
+        # text: same plans, same replans, same counters.
         db = chain_db(40)
         generated = evaluate(TC, db, planner="adaptive", interning="on")
-        chained = evaluate(TC, db, planner="adaptive", interning="on",
-                           hook=lambda rule, binding, round_index: True)
-        assert generated.facts("reach") == chained.facts("reach")
-        assert generated.stats.as_dict() == chained.stats.as_dict()
+        hooked = evaluate(TC, db, planner="adaptive", interning="on",
+                          hook=lambda rule, binding, round_index: True)
+        assert generated.facts("reach") == hooked.facts("reach")
+        assert generated.stats.as_dict() == hooked.stats.as_dict()
 
     def test_cbo_replans_match_adaptive(self):
         db = chain_db(40)

@@ -1,19 +1,19 @@
-"""Generated kernels: the step program's two back ends agree.
+"""Generated kernels: every rule body runs as one generated function.
 
 ``executor="compiled"`` runs each rule body as one generated
-whole-frontier function (:mod:`repro.engine.codegen`) unless a hook is
-installed or the body has no generated form, in which case it runs the
-per-row closure chain.  Neither is a semantics change — so the spine of
-this file is differential: identical facts *and* identical
-:class:`EvalStats` counters between the generated function, the row
-chain (forced by an always-true hook) and, under the ``source`` planner
-where the join orders coincide, the reference interpreter, across
-feature-covering programs (joins, comparisons, equality against
-constants, negation, membership, binds, arithmetic).  On top of that it
-pins the unit contracts of the pieces: generated source shape, the
-column-level predicate cache's stamp invalidation and boundedness, the
-text cache's cap, slice boundaries, and the ``--profile``
-instrumentation.
+whole-frontier function (:mod:`repro.engine.codegen`) — arithmetic,
+empty and bind-only bodies included — and, when a derivation hook is
+installed, as a second text of the same step program with one closing
+hook filter.  Neither is a semantics change — so the spine of this file
+is differential: identical facts *and* identical :class:`EvalStats`
+counters between the unhooked text, the hooked text (under an
+always-true hook) and, under the ``source`` planner where the join
+orders coincide, the reference interpreter, across feature-covering
+programs (joins, comparisons, equality against constants, negation,
+membership, binds, arithmetic).  On top of that it pins the unit
+contracts of the pieces: generated source shape, the column-level
+predicate cache's stamp invalidation and boundedness, the text cache's
+cap, slice boundaries, and the ``--profile`` instrumentation.
 """
 
 import random
@@ -84,8 +84,7 @@ def _negation_and_bind():
 
 
 def _arithmetic():
-    # ArithExpr bodies have no generated form: r0 runs the row chain
-    # while r1/r2 run generated functions, and all must still agree.
+    # r0 binds through arithmetic and then probes with the result.
     program = parse_program("""
         r0: nxt(X, Y) :- num(X), Y = X + 1, num(Y).
         r1: chain(X, Y) :- nxt(X, Y).
@@ -120,14 +119,14 @@ def _always(rule, binding, round_index):
                          ids=[name for name, _ in CORPUS])
 @pytest.mark.parametrize("planner", ["greedy", "adaptive", "source"])
 @pytest.mark.parametrize("interning", ["off", "on"])
-def test_generated_function_matches_row_chain(name, build, planner,
-                                              interning):
+def test_hooked_text_matches_unhooked_text(name, build, planner,
+                                           interning):
     program, edb = build()
     generated = _snapshot(evaluate(program, edb, planner=planner,
                                    interning=interning))
-    chained = _snapshot(evaluate(program, edb, planner=planner,
-                                 interning=interning, hook=_always))
-    assert generated == chained
+    hooked = _snapshot(evaluate(program, edb, planner=planner,
+                                interning=interning, hook=_always))
+    assert generated == hooked
 
 
 @pytest.mark.parametrize("name,build", CORPUS,
@@ -299,7 +298,7 @@ class TestPredicateCache:
             kernel.execute(fetch, EvalStats())
         cached = {(kernel.sources[spec[1]][1].pred,) + spec[2:]
                   for kernel, _sizes in kernels._kernels.values()
-                  for spec in kernel.generated.resolvers
+                  for spec in kernel.generated.form(False).resolvers
                   if spec[0] == "pcache"}
         assert cached == {("reach", 1, ">", 3, True)}
         assert set(kernels.predicates.entries) == cached
@@ -335,7 +334,7 @@ class TestPredicateCache:
 
 
 # ---------------------------------------------------------------------------
-# Generated source + back-end selection
+# Generated source
 # ---------------------------------------------------------------------------
 
 
@@ -354,21 +353,42 @@ def _edges(*pairs):
     return edb
 
 
-def test_arithmetic_body_runs_the_row_chain():
+def test_arithmetic_bind_is_one_clause_of_the_next_level():
     edb = Database()
     edb.add_fact("num", 1)
-    _interned, kernel = _kernel("r0: nxt(X, Y) :- num(X), Y = X + 1.", edb)
-    assert kernel.generated is None
-    assert kernel.row_reason == "arithmetic term"
-    assert "row chain: arithmetic term" in kernel.describe()
+    interned, kernel = _kernel("r0: nxt(X, Y) :- num(X), Y = X + 1.", edb)
+    source = kernel.generated.source
+    # Computed once per row in the value domain, re-interned, and kept
+    # in a register of its own; no separate level is materialized.
+    assert "for b1 in (I(A('+', V[r0[0]], 1)),)" in source
+    assert "lvl" not in source
+    assert "def _kernel(" in kernel.describe()
+    symbols = interned.symbols
+    stats = EvalStats()
+    rows = kernel.execute(lambda atom, index: interned.relation("num"),
+                          stats)
+    assert rows == [(symbols.code(1), symbols.code(2))]
+    assert (stats.atom_lookups, stats.rows_matched,
+            stats.comparisons_checked) == (1, 1, 1)
 
 
-def test_empty_body_runs_the_row_chain():
+def test_empty_body_is_a_frontier_of_one():
     _interned, kernel = _kernel("r0: fact(1).", Database())
-    assert kernel.generated is None
-    assert "row chain: empty body" in kernel.describe()
-    assert kernel.execute(lambda atom, index: None, EvalStats()) \
+    assert "out = [(" in kernel.generated.source
+    assert kernel.generated.form(False).resolvers == ()
+    stats = EvalStats()
+    assert kernel.execute(lambda atom, index: None, stats) \
         == [(kernel.symbols.code(1),)]
+    assert stats.as_dict() == EvalStats().as_dict()
+
+
+def test_bind_only_body_counts_its_binds():
+    _interned, kernel = _kernel("r0: three(N, K) :- N = 1 + 2, K = N.",
+                                Database())
+    stats = EvalStats()
+    (row,) = kernel.execute(lambda atom, index: None, stats)
+    assert kernel.symbols.decode_row(row) == (3, 3)
+    assert stats.comparisons_checked == 2 and stats.rows_matched == 0
 
 
 def test_identity_head_is_one_list_copy():
@@ -382,7 +402,7 @@ def test_single_column_tail_probes_the_projection_index():
     interned, kernel = _kernel(
         "r1: reach(X, Y) :- reach(X, Z), edge(Z, Y).", _edges((1, 2)))
     source = kernel.generated.source
-    assert [spec[0] for spec in kernel.generated.resolvers] \
+    assert [spec[0] for spec in kernel.generated.form(False).resolvers] \
         == ["rows", "proj"]
     assert "for v1 in g1(r0[1], E)" in source
     # Two levels, no intermediate list: nothing to slice or free.
@@ -399,7 +419,7 @@ def test_intermediate_levels_are_sliced_and_freed():
     assert source.index("out += [") < source.index("del lvl1")
 
 
-def test_hook_runs_the_row_chain_of_a_generated_kernel():
+def test_hook_gets_a_second_text_with_one_closing_filter():
     program, edb = _tc()
     interned = edb.interned()
     rule = next(r for r in program if len(r.body) == 1)
@@ -416,13 +436,45 @@ def test_hook_runs_the_row_chain_of_a_generated_kernel():
         consulted.append(binding)
         return True
 
-    with_hook = kernel.execute(fetch, EvalStats(), hook=hook)
+    with_hook = kernel.execute(fetch, EvalStats(), hook=hook,
+                               round_index=4)
     without = kernel.execute(fetch, EvalStats())
     assert sorted(with_hook) == sorted(without)
     assert len(consulted) == len(without)  # consulted once per row
+    # The hook sees values, not codes, under the rule's own variables.
+    assert {tuple(binding[v] for v in rule.head.variables())
+            for binding in consulted} \
+        == set(interned.relation("edge"))
+    _fn, resolvers, source = kernel.generated.form(True)
+    assert [spec[0] for spec in resolvers] == ["rows", "hook", "round"]
+    assert "if a1(R, {k0: V[r0[0]], k1: V[r0[1]]}, a2)]" in source
+    # ...while the text that runs without one is untouched by it.
+    assert "out = list(a0)" in kernel.generated.source
 
 
-def test_explain_kernels_states_the_back_end_per_rule():
+def test_vetoed_rows_compute_no_head_term():
+    # The hook runs before the head is built: a vetoed row's head
+    # arithmetic (here a division by zero) is never evaluated, exactly
+    # as the interpreter instantiates the head only after the hook.
+    program = parse_program("r0: inv(X, 1 / X) :- num(X).")
+    edb = Database()
+    for n in (0, 1, 2):
+        edb.add_fact("num", n)
+
+    def nonzero(rule, binding, round_index):
+        return all(value != 0 for value in binding.values())
+
+    for interning in ("off", "on"):
+        for executor in ("compiled", "interpreted"):
+            result = evaluate(program, edb, interning=interning,
+                              executor=executor, hook=nonzero)
+            assert result.facts("inv") == {(1, 1.0), (2, 0.5)}
+            with pytest.raises(EvaluationError, match="division by zero"):
+                evaluate(program, edb, interning=interning,
+                         executor=executor)
+
+
+def test_explain_kernels_prints_the_generated_source_per_rule():
     program = parse_program("""
         r0: reach(X, Y) :- edge(X, Y), Y != 3.
         r1: nxt(X, Y) :- num(X), Y = X + 1.
@@ -432,10 +484,9 @@ def test_explain_kernels_states_the_back_end_per_rule():
     edb.add_fact("num", 4)
     for db in (edb, edb.interned()):
         text = explain_kernels(program, db)
-        assert "generated function (row chain when a hook is installed)" \
-            in text
-        assert "def _kernel(" in text and " != " in text
-        assert "row chain: arithmetic term" in text
+        assert text.count("generated function:") == 2
+        assert text.count("def _kernel(") == 2 and " != " in text
+        assert "A('+', " in text and "row chain" not in text
 
 
 # ---------------------------------------------------------------------------

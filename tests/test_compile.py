@@ -294,6 +294,53 @@ def test_removed_keywords_and_names_stay_removed(tmp_path):
         assert exit_info.value.code == 2
 
 
+def test_the_row_chain_and_its_fork_stay_removed():
+    # Removal pin (PR 15): one back end per rule body.  No refusal
+    # exception, no chain builder, no "why not generated" attribute, no
+    # hook on the maintenance/serving entry points, no second
+    # statistics source, no PERF001.
+    import repro.engine.compile as compile_module
+    from repro.analysis.passes import CODES
+    from repro.facts import Relation, VersionedDatabase
+    from repro.incremental.maintain import support_counts
+    from repro.serving import MaterializedView, Server
+
+    with pytest.raises(ImportError):
+        from repro.engine.codegen import Unlowerable  # noqa: F401
+    with pytest.raises(ImportError):
+        from repro.engine import RelationStats  # noqa: F401
+    with pytest.raises(ImportError):
+        import repro.engine.stats  # noqa: F401
+    for name in ("_chain", "_Ctx", "_value_getter", "_coded_getter",
+                 "_make_atom_step", "_emit_solution"):
+        with pytest.raises(AttributeError):
+            getattr(compile_module, name)
+    program, edb, _query = _tc_workload()
+    kernel = compile_rule(next(iter(program)), lambda atom, index: 0)
+    for name in ("row_reason", "_entry", "_head_fn", "_build_chain"):
+        with pytest.raises(AttributeError):
+            getattr(kernel, name)
+    assert kernel.generated is not None
+
+    def hook(rule, binding, round_index):
+        return True
+
+    idb = evaluate(program, edb).idb
+    with pytest.raises(TypeError):
+        maintain(program, edb, idb, Changeset(), hook=hook)
+    with pytest.raises(TypeError):
+        support_counts(program, edb, idb, hook=hook)
+    with pytest.raises(TypeError):
+        MaterializedView(program, VersionedDatabase(edb), hook=hook)
+    with pytest.raises(TypeError):
+        Server(edb).view(program, hook=hook)
+    relation = Relation("r", 1)
+    for name in ("enable_stats", "stats", "_stats"):
+        with pytest.raises(AttributeError):
+            getattr(relation, name)
+    assert "PERF001" not in CODES
+
+
 @pytest.mark.parametrize("facts, stored", [("edge(1). edge(2).", 1),
                                            ("edge(1, 2, 9).", 3)])
 @pytest.mark.parametrize("interning", ["off", "on"])

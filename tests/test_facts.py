@@ -131,6 +131,149 @@ class TestRawMerge:
         assert rel.rows() == {("x",), ("y",)}
 
 
+# ---------------------------------------------------------------------------
+# Storage contract (was tests/test_backends.py, a conformance suite over
+# the one-implementation StorageBackend protocol; same behaviours, checked
+# through the Relation that owns the DictBackend)
+# ---------------------------------------------------------------------------
+
+ROWS = [(1, 2), (2, 3), (2, 4), (5, 2)]
+
+
+class TestStorageRows:
+    def test_backend_parameter_is_gone(self):
+        from repro.facts.backend import DictBackend
+
+        with pytest.raises(TypeError):
+            Relation("r", 2, backend=DictBackend())
+        with pytest.raises(ImportError):
+            from repro.facts.backend import StorageBackend  # noqa: F401
+        with pytest.raises(ImportError):
+            from repro.facts import StorageBackend  # noqa: F401,F811
+
+    def test_raw_add_contains_len_iter(self):
+        rel = Relation("r", 2)
+        assert rel.raw_add((1, 2))
+        assert not rel.raw_add((1, 2))
+        assert rel.raw_add((2, 3))
+        assert (1, 2) in rel and (9, 9) not in rel
+        assert len(rel) == 2
+        assert sorted(rel) == [(1, 2), (2, 3)]
+
+    def test_raw_add_all_counts_only_fresh_rows(self):
+        rel = Relation("r", 2, [(1, 2)])
+        assert rel.raw_add_all([(1, 2), (2, 3), (2, 3), (5, 2)]) == 2
+        assert len(rel) == 3
+        # Order-preserving underneath: the delta relations rely on it.
+        assert rel.backend.add_new([(7, 7), (1, 2), (8, 8)]) \
+            == [(7, 7), (8, 8)]
+
+    def test_merge_new_returns_the_fresh_rows(self):
+        rel = Relation("r", 2, [(1, 2), (2, 3)])
+        assert sorted(rel.raw_merge_new(ROWS)) == [(2, 4), (5, 2)]
+        assert sorted(rel) == sorted(ROWS)
+        assert rel.raw_merge_new(ROWS) == []
+
+    def test_raw_discard(self):
+        rel = Relation("r", 2, ROWS)
+        assert rel.raw_discard((2, 3))
+        assert not rel.raw_discard((2, 3))
+        assert (2, 3) not in rel
+        assert len(rel) == len(ROWS) - 1
+        assert rel.raw_discard_all([(1, 2), (1, 2), (9, 9)]) == [(1, 2)]
+
+    def test_clear_drops_rows_and_indexes(self):
+        rel = Relation("r", 2, ROWS)
+        rel.index_for((0,))
+        rel.clear()
+        assert len(rel) == 0
+        assert rel.index_for((0,)) == {}
+
+
+class TestStorageIndexFamilies:
+    def test_index_for_groups_rows(self):
+        rel = Relation("r", 2, ROWS)
+        assert sorted(rel.index_for((0,))[(2,)]) == [(2, 3), (2, 4)]
+        assert rel.index_for((0, 1))[(5, 2)] == [(5, 2)]
+
+    def test_code_index_keys_are_bare_values(self):
+        rel = Relation("r", 2, ROWS)
+        index = rel.code_index_for(0)
+        assert sorted(index[2]) == [(2, 3), (2, 4)]
+        assert (2,) not in index
+
+    def test_projection_index_is_a_multiset(self):
+        rel = Relation("r", 2, [(1, 7), (2, 7), (2, 7)])
+        # Rows dedup, but two distinct rows projecting the same value
+        # must keep both entries — the kernels' row counts depend on it.
+        rel.raw_add((3, 7))
+        assert sorted(rel.projection_index(1, 1)[7]) == [7, 7, 7]
+        assert rel.projection_index(0, 1)[2] == [7]
+
+    @pytest.mark.parametrize("mutate", ["raw_add", "raw_add_all",
+                                        "raw_merge_new", "raw_merge"])
+    def test_live_indexes_track_inserts(self, mutate):
+        rel = Relation("r", 2, ROWS)
+        plain = rel.index_for((0,))
+        bare = rel.code_index_for(0)
+        proj = rel.projection_index(0, 1)
+        row = (2, 9)
+        getattr(rel, mutate)(row if mutate == "raw_add" else [row])
+        assert row in plain[(2,)]
+        assert row in bare[2]
+        assert 9 in proj[2]
+
+    def test_live_indexes_track_removals(self):
+        rel = Relation("r", 2, ROWS)
+        plain = rel.index_for((0,))
+        bare = rel.code_index_for(0)
+        proj = rel.projection_index(0, 1)
+        rel.raw_discard((2, 3))
+        assert plain[(2,)] == [(2, 4)]
+        assert bare[2] == [(2, 4)]
+        assert proj[2] == [4]
+        rel.raw_discard((2, 4))
+        assert (2,) not in plain and 2 not in bare and 2 not in proj
+
+
+class TestStorageIdentity:
+    def test_copy_shares_no_index_with_its_source(self):
+        rel = Relation("r", 2, ROWS)
+        source_index = rel.index_for((0,))
+        clone = rel.copy()
+        clone.raw_add((2, 9))
+        rel.raw_discard((1, 2))
+        assert (2, 9) not in rel and (1, 2) in clone
+        clone_index = clone.index_for((0,))
+        assert clone_index is not source_index
+        assert sorted(clone_index[(2,)]) == [(2, 3), (2, 4), (2, 9)]
+        assert sorted(source_index[(2,)]) == [(2, 3), (2, 4)]
+
+    def test_copy_gets_fresh_cache_identity(self):
+        rel = Relation("r", 2, ROWS)
+        rel.raw_add((7, 7))
+        clone = rel.copy()
+        assert clone.backend.uid != rel.backend.uid
+        assert clone.version == 0
+        assert clone.name == "r" and clone.arity == 2
+
+    def test_version_bumps_on_content_change_only(self):
+        rel = Relation("r", 2)
+        v0 = rel.version
+        rel.index_for((0,))             # pure index build: no change
+        rel.code_index_for(1)
+        assert rel.version == v0
+        rel.raw_add((1, 2))
+        v1 = rel.version
+        assert v1 > v0
+        rel.raw_add((1, 2))             # duplicate: content unchanged
+        assert rel.version == v1
+        rel.raw_merge_new([(1, 2)])     # all-duplicate bulk: unchanged
+        assert rel.version == v1
+        rel.raw_discard((1, 2))
+        assert rel.version > v1
+
+
 class TestDatabase:
     def test_add_and_facts(self):
         db = Database()

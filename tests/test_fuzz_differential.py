@@ -66,29 +66,47 @@ def test_full_counters_match_wherever_join_orders_coincide(seed):
 
     ``atom_lookups`` / ``rows_matched`` / ``comparisons_checked`` /
     ``negation_checks`` depend on the join order, so they are compared
-    within a planner: the generated functions against the per-row chain
-    (an always-true hook forces it; same kernels, same plans, same
-    replans) under every planner, against the interpreter under
-    ``source`` (the one planner where it runs the same order), cbo
-    against adaptive, and interned against raw throughout.
+    within a planner: hooked generated = unhooked generated under every
+    planner and interning (an always-true hook selects the second text
+    of the same kernels: same plans, same replans), and both = the
+    interpreter — hooked and unhooked as well — under ``source`` (the
+    one planner where it runs the same order); cbo against adaptive,
+    interned against raw throughout.  A hook that vetoes must also
+    leave the same facts whichever executor consults it.
     """
     text, edb = random_linear_program(random.Random(seed))
     program = parse_program(text)
+
+    def always(rule, binding, round_index):
+        return True
 
     def stats(**knobs):
         return evaluate(program, edb, **knobs).stats.as_dict()
 
     for planner in ("greedy", "adaptive", "source", "cbo"):
         generated = stats(planner=planner)
-        assert stats(planner=planner, interning="on") == generated
         for interning in ("off", "on"):
+            assert stats(planner=planner, interning=interning) == generated
             assert stats(planner=planner, interning=interning,
-                         hook=lambda rule, binding, round_index: True) \
-                == generated, (planner, interning)
+                         hook=always) == generated, (planner, interning)
     assert stats(planner="cbo") == stats(planner="adaptive")
     for interning in ("off", "on"):
-        assert stats(planner="source", interning=interning,
-                     executor="interpreted") == stats(planner="source")
+        for hook in (None, always):
+            assert stats(planner="source", interning=interning, hook=hook,
+                         executor="interpreted") == stats(planner="source")
+
+    def veto(rule, binding, round_index):
+        # Deterministic in the binding alone, so order cannot matter.
+        return sum(sum(map(ord, str(v))) for v in binding.values()) % 3
+
+    def vetoed(**knobs):
+        result = evaluate(program, edb, planner="source", hook=veto,
+                          **knobs)
+        return fingerprint(result), result.stats.as_dict()
+
+    reference = vetoed(executor="interpreted")
+    for interning in ("off", "on"):
+        assert vetoed(interning=interning) == reference
 
 
 @pytest.mark.parametrize("seed", (3, 11))

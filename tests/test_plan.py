@@ -72,3 +72,80 @@ class TestGreedyPlans:
     def test_render_contains_sizes(self, join_program, skewed_db):
         plan = plan_rule(join_program.rule("r0"), join_program, skewed_db)
         assert "(~1 rows)" in plan.render()
+
+
+class TestOneStatisticsSource:
+    """``explain`` costs plans from the statistics the engines use.
+
+    Until PR 15 it read a separate, incrementally maintained
+    ``RelationStats`` whose distinct counts kept deleted values, and
+    attached it to the caller's relations as a side effect.
+    """
+
+    def _skewed_after_churn(self):
+        program = parse_program(
+            "r0: out(X, Y, Z) :- seed(X), a(X, Y), b(X, Z).")
+        db = Database()
+        db.add_fact("seed", 0)
+        for i in range(100):
+            db.add_fact("a", i, 0)
+            db.add_fact("b", i % 10, i)
+        # Whatever explain reads is in place before the churn...
+        explain_plan(program, db, planner="adaptive", show_stats=True)
+        a = db.relation("a")
+        for i in range(1, 100):
+            assert a.discard((i, 0))
+        for j in range(1, 100):
+            assert a.add((0, j))
+        # ...after which column 0 of `a` holds one distinct value.
+        return program, db
+
+    def test_plan_rule_reports_what_the_kernel_cache_compiles(self):
+        from repro.engine.compile import KernelCache
+
+        program, db = self._skewed_after_churn()
+        rule = program.rule("r0")
+
+        def sizes(atom, index):
+            return len(db.relation(atom.pred))
+
+        def cost(atom, index, bound_columns):
+            return db.relation(atom.pred).probe_estimate(bound_columns)
+
+        kernel = KernelCache(adaptive=True).kernel(rule, None, sizes,
+                                                   cost=cost)
+        plan = plan_rule(rule, program, db, planner="adaptive")
+        assert [step.literal for step in plan.steps] \
+            == [rule.body[index] for index in kernel.order]
+        assert {index: step.estimate
+                for index, step in zip(kernel.order, plan.steps)} \
+            == kernel.plan_costs
+        estimates = {step.literal.pred: step.estimate
+                     for step in plan.steps}
+        assert estimates == {"seed": 1.0, "b": 10.0, "a": 100.0}
+        assert [step.literal.pred for step in plan.steps] \
+            == ["seed", "b", "a"]
+        text = explain_plan(program, db, planner="adaptive",
+                            show_stats=True)
+        assert "edb a/2: 100 rows, distinct=[1,100]" in text
+        assert "epoch" not in text
+
+    def test_explain_leaves_the_insert_path_alone(self):
+        from repro.engine.plan import explain_kernels
+        from repro.facts import Relation
+
+        program = parse_program("r0: out(X, Z) :- seed(X), b(X, Z).")
+        db = Database()
+        db.add_fact("seed", 0)
+        db.add_fact("b", 0, 1)
+        relation = db.relation("b")
+        before = {slot: getattr(relation, slot)
+                  for slot in Relation.__slots__}
+        for render in (explain_plan, explain_kernels):
+            render(program, db, planner="adaptive", show_stats=True)
+        # Nothing was attached to the relation and no index was built:
+        # the next insert does exactly the work it did before.
+        assert all(getattr(relation, slot) is value
+                   for slot, value in before.items())
+        assert relation.backend.indexes == {} \
+            and relation.backend.code_indexes == {}
