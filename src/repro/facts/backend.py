@@ -98,19 +98,28 @@ class DictBackend:
         self.extend_indexes(new_rows)
         return new_rows
 
-    def merge_new(self, rows: Collection[Row]) -> list[Row]:
-        """Bulk insert via one C-level set difference; returns new rows."""
-        fresh = set(rows)
-        fresh.difference_update(self.rows)
-        if not fresh:
-            return []
-        new_rows = list(fresh)
-        self.rows.update(new_rows)
-        self.extend_indexes(new_rows)
-        return new_rows
+    def merge_new(self, rows: Collection[Row]) -> set[Row]:
+        """Bulk insert via one C-level set difference; returns new rows.
 
-    def merge(self, rows: list[Row]) -> None:
-        """Bulk insert of rows known to be absent (no duplicate screen)."""
+        The result stays a set: merging it here — and into a delta
+        relation by :meth:`merge` — is a set-to-set update, which reuses
+        the stored hashes instead of re-hashing every new row twice.
+        It is built by ``difference``, not ``difference_update``: the
+        latter would hand back the table sized for the whole derived
+        batch, and with the caller holding that while the delta is
+        filled, peak memory on ``genealogy-prune`` rose 7 %.
+        """
+        fresh = set(rows).difference(self.rows)
+        if fresh:
+            self.rows |= fresh
+            self.extend_indexes(fresh)
+        return fresh
+
+    def merge(self, rows: Collection[Row]) -> None:
+        """Bulk insert of rows known to be absent (no duplicate screen).
+
+        ``rows`` is copied in, never adopted as the row set.
+        """
         self.rows.update(rows)
         self.extend_indexes(rows)
 
@@ -149,7 +158,7 @@ class DictBackend:
         self.version += 1
 
     # -- indexes ------------------------------------------------------------
-    def extend_indexes(self, new_rows: list[Row]) -> None:
+    def extend_indexes(self, new_rows: Collection[Row]) -> None:
         """Append already-stored ``new_rows`` to every live index.
 
         Single-column indexes — the overwhelmingly common case in the
@@ -264,6 +273,22 @@ class DictBackend:
             self.proj_indexes[key] = proj
         return proj
 
+    def build_indexes_like(self, other: "DictBackend") -> None:
+        """Build every index column set ``other`` holds and this lacks.
+
+        A relation that replaces ``other`` for the same readers (a
+        compacted snapshot base) warms here, on the writer's clock, the
+        indexes those readers probe — so none of them pays a cold build.
+        The key lists are taken atomically: a reader may be adding an
+        index to ``other`` while this runs.
+        """
+        for columns in list(other.indexes):
+            self.index_for(columns)
+        for column in list(other.code_indexes):
+            self.code_index_for(column)
+        for key_column, value_column in list(other.proj_indexes):
+            self.projection_index(key_column, value_column)
+
     # -- lifecycle ----------------------------------------------------------
     def copy(self) -> "DictBackend":
         """An independent backend with the same rows.
@@ -283,4 +308,27 @@ class DictBackend:
         out.proj_indexes = {}
         out.uid = next(_uids)
         out.version = 0
+        return out
+
+    def warm_copy(self) -> "DictBackend":
+        """:meth:`copy` plus a duplicate of every live index.
+
+        Costs one list copy per bucket on top of the set copy, which is
+        why :meth:`copy` does not do it.  For a *small* backend whose
+        readers probe the same indexes again at once — the patch of a
+        published snapshot (:class:`~repro.facts.relation.
+        PatchedRelation`) — it is cheaper than the rebuild.  The item
+        lists are taken atomically: a reader may be adding an index to
+        this backend while the writer copies it.
+        """
+        def duplicate(family: dict[Any, dict[Any, list[Any]]]
+                      ) -> dict[Any, dict[Any, list[Any]]]:
+            return {columns: {key: bucket[:]
+                              for key, bucket in index.items()}
+                    for columns, index in list(family.items())}
+
+        out = self.copy()
+        out.indexes = duplicate(self.indexes)
+        out.code_indexes = duplicate(self.code_indexes)
+        out.proj_indexes = duplicate(self.proj_indexes)
         return out

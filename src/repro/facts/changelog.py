@@ -284,6 +284,7 @@ class VersionedDatabase:
                 f"{', '.join(sorted(derived))}; only EDB relations can "
                 "be updated")
         normalized = changeset.normalized()
+        self._check_arities(normalized)
         effective = Changeset()
         for pred, rows in normalized.deletes.items():
             rel = self.db.relation_or_empty(pred, _arity_of(rows))
@@ -299,16 +300,42 @@ class VersionedDatabase:
         self.log.append(AppliedChange(self.version, effective))
         return self.version
 
+    def _check_arities(self, changeset: Changeset) -> None:
+        """Reject a changeset with a row of the wrong arity, up front.
+
+        Every row is checked against the stored relation — or, for a
+        predicate the database does not hold yet, against the first row
+        seen — *before* the first mutation, so a bad row leaves ``db``,
+        ``version`` and ``log`` untouched instead of a half-applied,
+        unlogged changeset that every view and snapshot then silently
+        diverges from.
+        """
+        arities = {pred: self.db.relation(pred).arity
+                   for pred in changeset.predicates() if pred in self.db}
+        for by_pred in (changeset.deletes, changeset.inserts):
+            for pred, rows in by_pred.items():
+                for row in rows:
+                    expected = arities.setdefault(pred, len(row))
+                    if len(row) != expected:
+                        raise EvaluationError(
+                            f"changeset row {pred}{row!r} has arity "
+                            f"{len(row)}, relation {pred!r} has arity "
+                            f"{expected}; nothing was applied")
+
     def changes_since(self, version: int) -> Changeset:
-        """The net changeset between ``version`` and :attr:`version`."""
+        """The net changeset between ``version`` and :attr:`version`.
+
+        Entry ``v`` of the log sits at index ``v - 1`` (:meth:`apply`
+        appends exactly one entry per version), so this composes the
+        tail ``log[version:]`` and never scans what is already behind.
+        """
         if version > self.version:
             raise EvaluationError(
                 f"version {version} is ahead of the database "
                 f"(at {self.version})")
         net = Changeset()
-        for entry in self.log:
-            if entry.version > version:
-                net = net.compose(entry.changeset)
+        for entry in self.log[max(version, 0):]:
+            net = net.compose(entry.changeset)
         return net
 
     def snapshot(self) -> Database:

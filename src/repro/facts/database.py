@@ -9,7 +9,7 @@ from ..datalog.parser import parse_statements
 from ..datalog.rules import Rule
 from ..datalog.terms import Constant, ConstValue
 from ..errors import EvaluationError
-from .relation import Relation, Row
+from .relation import PatchedRelation, Relation, Row
 from .symbols import SymbolTable
 
 
@@ -37,6 +37,20 @@ class Database:
             for name, rows in relations.items():
                 for row in rows:
                     self.add_fact(name, *row)
+
+    @classmethod
+    def of_relations(cls, relations: Iterable[Relation | PatchedRelation],
+                     symbols: SymbolTable | None = None) -> "Database":
+        """A database over existing relation objects, adopted as they are.
+
+        With :class:`PatchedRelation` members the result is a read-only
+        database (a published snapshot): every accessor works, every
+        mutator fails on the relation.
+        """
+        out = cls(symbols=symbols)
+        for rel in relations:
+            out._relations[rel.name] = rel  # type: ignore[assignment]
+        return out
 
     # -- container protocol -------------------------------------------------
     def __contains__(self, name: str) -> bool:
@@ -110,10 +124,8 @@ class Database:
         return rel.rows() if rel is not None else frozenset()
 
     def copy(self) -> "Database":
-        out = Database(symbols=self.symbols)
-        for name, rel in self._relations.items():
-            out._relations[name] = rel.copy()
-        return out
+        return Database.of_relations(
+            (rel.copy() for rel in self._relations.values()), self.symbols)
 
     def interned(self, symbols: SymbolTable | None = None) -> "Database":
         """This database re-encoded over a :class:`SymbolTable`.

@@ -33,7 +33,9 @@ read off the live indexes, so no insert pays for them.
 
 from __future__ import annotations
 
-from typing import Collection, Iterable, Iterator
+from itertools import chain, filterfalse
+from typing import (AbstractSet, Callable, Collection, Iterable, Iterator,
+                    Optional)
 
 from ..datalog.terms import ConstValue
 from .backend import DictBackend, Index
@@ -41,7 +43,34 @@ from .symbols import SymbolTable
 
 Row = tuple[ConstValue, ...]
 
-__all__ = ["Relation", "Row", "Index"]
+#: A value-level bound-column pattern: sorted ``(column, value)`` pairs.
+Bound = tuple[tuple[int, ConstValue], ...]
+
+__all__ = ["Relation", "PatchedRelation", "Row", "Index"]
+
+_DECODERS: dict[int, Callable[[Iterable[Row], list], Iterator[Row]]] = {}
+
+
+def _decoder(arity: int) -> Callable[[Iterable[Row], list], Iterator[Row]]:
+    """``decode(coded_rows, values)`` -> iterator of value rows.
+
+    The one decode routine of the value-level API, generated once per
+    arity: unpacking the row in the ``for`` target and building the
+    tuple from subscripts costs no nested generator per row (which
+    ``tuple(values[c] for c in row)`` does).  It stays a generator —
+    callers feed it to ``frozenset``/``list`` — because materializing a
+    decoded list first showed up as peak memory on large closures.
+    """
+    decode = _DECODERS.get(arity)
+    if decode is None:
+        if arity:
+            codes = "".join(f"c{i}, " for i in range(arity))
+            cells = "".join(f"v[c{i}], " for i in range(arity))
+            source = f"lambda rows, v: (({cells}) for ({codes}) in rows)"
+        else:
+            source = "lambda rows, v: (() for _ in rows)"
+        decode = _DECODERS[arity] = eval(source)
+    return decode
 
 
 class Relation:
@@ -87,16 +116,19 @@ class Relation:
     def __iter__(self) -> Iterator[Row]:
         if self.symbols is None:
             return iter(self.backend.rows)
-        values = self.symbols.values
-        return (tuple(values[code] for code in row)
-                for row in self.backend.rows)
+        return _decoder(self.arity)(self.backend.rows, self.symbols.values)
 
     def __contains__(self, row: Row) -> bool:
+        stored = self._stored(row)
+        return stored is not None and stored in self.backend.rows
+
+    def _stored(self, row: Iterable[ConstValue]) -> Optional[Row]:
+        """``row`` in the storage domain; None when a value of it was
+        never interned (so no relation over this table can hold it)."""
         materialized = tuple(row)
         if self.symbols is None:
-            return materialized in self.backend.rows
-        coded = self.symbols.code_row(materialized)
-        return coded is not None and coded in self.backend.rows
+            return materialized
+        return self.symbols.code_row(materialized)
 
     def __repr__(self) -> str:
         mode = ", interned" if self.symbols is not None else ""
@@ -151,7 +183,7 @@ class Relation:
         """Bulk :meth:`raw_add`: storage-domain rows, one index sweep."""
         return len(self.backend.add_new(rows))
 
-    def raw_merge_new(self, rows: Collection[Row]) -> list[Row]:
+    def raw_merge_new(self, rows: Collection[Row]) -> set[Row]:
         """Bulk raw insert via set difference; returns the new rows.
 
         The duplicate screen runs as one C-level set difference instead
@@ -163,13 +195,14 @@ class Relation:
         """
         return self.backend.merge_new(rows)
 
-    def raw_merge(self, rows: list[Row]) -> None:
+    def raw_merge(self, rows: Collection[Row]) -> None:
         """Bulk raw insert of rows known to be absent from the relation.
 
         Caller guarantees ``rows`` is duplicate-free and disjoint from
         the current contents (e.g. the return value of another
         relation's :meth:`raw_merge_new`); skipping the membership
-        screen makes this the cheapest insert path.
+        screen makes this the cheapest insert path.  ``rows`` is copied
+        in, never kept.
         """
         self.backend.merge(rows)
 
@@ -181,13 +214,8 @@ class Relation:
         single-column index key counts stay exact distinct counts for
         :meth:`distinct_count`).
         """
-        materialized = tuple(row)
-        if self.symbols is not None:
-            coded = self.symbols.code_row(materialized)
-            if coded is None:
-                return False
-            materialized = coded
-        return self._remove(materialized)
+        stored = self._stored(row)
+        return stored is not None and self._remove(stored)
 
     def raw_discard(self, row: Row) -> bool:
         """Remove one storage-domain tuple (codes when interned)."""
@@ -260,9 +288,7 @@ class Relation:
     def rows(self) -> frozenset[Row]:
         if self.symbols is None:
             return frozenset(self.backend.rows)
-        values = self.symbols.values
-        return frozenset(tuple(values[code] for code in row)
-                         for row in self.backend.rows)
+        return frozenset(self)
 
     def raw_rows(self) -> Collection[Row]:
         """The internal storage-domain row container, read-only.
@@ -273,8 +299,7 @@ class Relation:
         """
         return self.backend.rows
 
-    def lookup(self, bound: tuple[tuple[int, ConstValue], ...]
-               ) -> Collection[Row]:
+    def lookup(self, bound: Bound) -> Collection[Row]:
         """Rows (as *values*) matching the bound-column pattern.
 
         ``bound`` is a tuple of ``(column, value)`` pairs; columns must be
@@ -290,18 +315,21 @@ class Relation:
         preserved); a pattern mentioning a never-interned value matches
         nothing.
         """
-        symbols = self.symbols
+        bucket = self._probe(bound)
+        if self.symbols is None or not bucket:
+            return bucket
+        return list(_decoder(self.arity)(bucket, self.symbols.values))
+
+    def _probe(self, bound: Bound) -> Collection[Row]:
+        """:meth:`lookup` before the decode: the matching storage-domain
+        rows, as the internal container."""
         if not bound:
-            if symbols is None:
-                return self.backend.rows
-            values = symbols.values
-            return [tuple(values[code] for code in row)
-                    for row in self.backend.rows]
+            return self.backend.rows
         columns = tuple(c for c, _ in bound)
-        if symbols is None:
+        if self.symbols is None:
             key = tuple(v for _, v in bound)
         else:
-            get = symbols.code
+            get = self.symbols.code
             encoded = []
             for _, value in bound:
                 code = get(value)
@@ -309,11 +337,7 @@ class Relation:
                     return ()
                 encoded.append(code)
             key = tuple(encoded)
-        bucket = self.backend.index_for(columns).get(key, ())
-        if symbols is None or not bucket:
-            return bucket
-        values = symbols.values
-        return [tuple(values[code] for code in row) for row in bucket]
+        return self.backend.index_for(columns).get(key, ())
 
     def index_for(self, columns: tuple[int, ...]) -> Index:
         """The hash index over ``columns`` (built on first use).
@@ -346,17 +370,29 @@ class Relation:
 
         Rows are copied (one C-level set copy); indexes are **not** —
         they rebuild lazily on the copy's first probe, exactly as on a
-        freshly loaded relation.  Snapshot-style copies (serving's
-        published snapshots, incremental maintenance's state
-        reconstruction) therefore pay nothing for indexes the copy
+        freshly loaded relation.  State-reconstruction copies
+        (incremental maintenance's before/mid states, a snapshot base
+        taken at compaction) therefore pay nothing for indexes the copy
         never probes, which profiling showed dominating copy cost when
         every index was eagerly duplicated.
         """
+        return self._over(self.backend.copy())
+
+    def warm_copy(self) -> "Relation":
+        """:meth:`copy` with every live index duplicated as well.
+
+        For small relations that are probed again at once (see
+        :meth:`DictBackend.warm_copy <repro.facts.backend.DictBackend.
+        warm_copy>`).
+        """
+        return self._over(self.backend.warm_copy())
+
+    def _over(self, backend: DictBackend) -> "Relation":
         out = object.__new__(Relation)
         out.name = self.name
         out.arity = self.arity
         out.symbols = self.symbols
-        out.backend = self.backend.copy()
+        out.backend = backend
         out._distinct_cache = {}
         return out
 
@@ -375,3 +411,110 @@ class Relation:
         else:
             out.add_all(row for row in self if row not in other)
         return out
+
+
+class PatchedRelation:
+    """A read-only relation: a shared ``base`` under a small patch.
+
+    The content is ``(base - removed) | added``.  ``base`` is a
+    :class:`Relation` that is never mutated again once a view exists
+    over it, so any number of views — the consecutive snapshots of a
+    serving view — share it *and the hash indexes their readers have
+    built on it*.  ``added`` is a small relation of its own and
+    ``removed`` a set of storage-domain rows, under two invariants:
+    ``removed <= base`` and ``added & base == {}``; neither is mutated
+    after construction either.  :meth:`patched` derives the next view
+    in time proportional to the patch, whatever the size of the base.
+
+    Only the value-level *read* API is offered — what
+    :func:`~repro.engine.bindings.solve_body` and the ``Database``
+    accessors use.  The storage API the kernels join over
+    (``raw_rows``, ``index_for``, ...) is deliberately absent: a
+    fixpoint must not run over a view.
+    """
+
+    __slots__ = ("name", "arity", "symbols", "base", "added", "removed")
+
+    def __init__(self, base: Relation, added: Relation | None = None,
+                 removed: AbstractSet[Row] = frozenset()) -> None:
+        self.name = base.name
+        self.arity = base.arity
+        self.symbols = base.symbols
+        self.base = base
+        self.added = added if added is not None \
+            else Relation(base.name, base.arity, symbols=base.symbols)
+        self.removed = removed
+
+    def __repr__(self) -> str:
+        return (f"PatchedRelation({self.name!r}/{self.arity}, "
+                f"{len(self.base)} rows +{len(self.added)} "
+                f"-{len(self.removed)})")
+
+    def patch_size(self) -> int:
+        return len(self.added) + len(self.removed)
+
+    def patched(self, removed: Collection[Row],
+                added: Collection[Row]) -> "PatchedRelation":
+        """The view after removing, *then* adding, storage-domain rows.
+
+        Removing an absent row and adding a present one are no-ops, and
+        a row in both ends up present (maintenance reports a row DRed
+        over-deleted and the insertion pass re-derived in both sets).
+        ``self`` is unchanged — and returned as it is for an empty
+        delta.  Cost is one warm copy of the patch plus the new rows;
+        the base is only probed.
+        """
+        if not removed and not added:
+            return self
+        in_base = self.base.raw_rows()
+        patch = self.added.warm_copy()
+        gone = set(self.removed)
+        for row in removed:
+            if not patch.raw_discard(row) and row in in_base:
+                gone.add(row)
+        for row in added:
+            if row in in_base:
+                gone.discard(row)
+            else:
+                patch.raw_add(row)
+        return PatchedRelation(self.base, patch, gone)
+
+    # -- the value-level read API ---------------------------------------------
+    def __len__(self) -> int:
+        return len(self.base) - len(self.removed) + len(self.added)
+
+    def __iter__(self) -> Iterator[Row]:
+        rows: Iterable[Row] = self.base.raw_rows()
+        if self.removed:
+            rows = filterfalse(self.removed.__contains__, rows)
+        if len(self.added):
+            rows = chain(rows, self.added.raw_rows())
+        if self.symbols is None:
+            return iter(rows)
+        return _decoder(self.arity)(rows, self.symbols.values)
+
+    def __contains__(self, row: Row) -> bool:
+        stored = self.base._stored(row)
+        if stored is None:
+            return False
+        return stored in self.added.raw_rows() or (
+            stored in self.base.raw_rows() and stored not in self.removed)
+
+    def rows(self) -> frozenset[Row]:
+        return frozenset(self)
+
+    def lookup(self, bound: Bound) -> Collection[Row]:
+        """As :meth:`Relation.lookup`: the base bucket minus ``removed``
+        plus the ``added`` bucket, then one decode."""
+        removed = self.removed
+        if not removed and not len(self.added):
+            return self.base.lookup(bound)
+        kept = self.base._probe(bound)
+        if removed and not removed.isdisjoint(kept):
+            kept = [row for row in kept if row not in removed]
+        extra = self.added._probe(bound)
+        if extra:
+            kept = [*kept, *extra]
+        if self.symbols is None or not kept:
+            return kept
+        return list(_decoder(self.arity)(kept, self.symbols.values))

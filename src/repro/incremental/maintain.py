@@ -64,17 +64,21 @@ from ..engine.stratify import stratify
 class MaintenanceResult:
     """What one :func:`maintain` call did to the materialized IDB."""
 
-    #: Net rows added per IDB predicate.
-    added: dict[str, int] = field(default_factory=dict)
-    #: Net rows removed per IDB predicate.
-    removed: dict[str, int] = field(default_factory=dict)
+    #: Net rows added per IDB predicate, in the storage domain (codes
+    #: when interned).  These are the sets the run accumulated, not
+    #: copies: read-only to the caller.
+    added_rows: dict[str, set[Row]] = field(default_factory=dict)
+    #: Net rows removed per IDB predicate, likewise.  A row the deletion
+    #: pass removed and the insertion pass derived again is in both
+    #: sets, so a consumer replaying the delta applies removals first.
+    removed_rows: dict[str, set[Row]] = field(default_factory=dict)
     stats: EvalStats = field(default_factory=EvalStats)
 
     def total_added(self) -> int:
-        return sum(self.added.values())
+        return sum(len(rows) for rows in self.added_rows.values())
 
     def total_removed(self) -> int:
-        return sum(self.removed.values())
+        return sum(len(rows) for rows in self.removed_rows.values())
 
     def __repr__(self) -> str:
         return (f"MaintenanceResult(+{self.total_added()}, "
@@ -306,7 +310,7 @@ class _Maintenance:
 
     def _delta_relation(self, pred: str, rows: set[Row]) -> Relation:
         rel = Relation(pred, self.arities[pred], symbols=self.symbols)
-        rel.raw_merge(list(rows))
+        rel.raw_merge(rows)
         return rel
 
     def _edb_relation(self, pred: str) -> Relation:
@@ -340,7 +344,7 @@ class _Maintenance:
             before = self._del_current(Atom(pred, ()), -1).copy()
             delta = self.edb_deletes.get(pred) \
                 or self.idb_removed.get(pred) or set()
-            before.raw_merge(list(delta))
+            before.raw_merge(delta)
             self._del_before[pred] = before
         return before
 
@@ -395,14 +399,8 @@ class _Maintenance:
         if self.edb_inserts:
             for stratum, rules in zip(strata, rules_by_stratum):
                 self._insert_stratum(stratum, rules)
-        result = MaintenanceResult(stats=self.stats)
-        for pred, rows in self.idb_added.items():
-            if rows:
-                result.added[pred] = len(rows)
-        for pred, rows in self.idb_removed.items():
-            if rows:
-                result.removed[pred] = len(rows)
-        return result
+        return MaintenanceResult(self.idb_added, self.idb_removed,
+                                 self.stats)
 
     # -- deletion pass -------------------------------------------------------
     def _del_changed(self) -> dict[str, set[Row]]:
@@ -605,7 +603,7 @@ class _Maintenance:
             guard_pred = f"__dred__{pred}"
             guard_rel = Relation(guard_pred, self.arities[pred],
                                  symbols=self.symbols)
-            guard_rel.raw_merge(list(candidates))
+            guard_rel.raw_merge(candidates)
             found = rederived[pred]
             for rule in rules:
                 if rule.head.pred != pred:
@@ -636,7 +634,7 @@ class _Maintenance:
                     if row in candidates:
                         found.add(row)
             if found:
-                rels[pred].raw_merge(list(found))
+                rels[pred].raw_merge(found)
                 self.stats.rederived += len(found)
                 self.stats.derivations += len(found)
 

@@ -4,11 +4,17 @@ The write side of the serving tier mutates shared state in place — the
 :class:`~repro.facts.changelog.VersionedDatabase` EDB under ``apply``
 and the view's live IDB under incremental maintenance.  Readers never
 touch either.  Instead, after every successful refresh the view
-publishes a :class:`Snapshot`: an independent copy of the EDB and IDB
-as of one version, swapped in with a single reference assignment
-(atomic under the GIL).  A reader pins whatever snapshot reference it
-observes and answers queries from it without locks, unaffected by any
-refresh — including a *failed* one — running concurrently.
+publishes a :class:`Snapshot`: a read-only view of the EDB and IDB as
+of one version, swapped in with a single reference assignment (atomic
+under the GIL).  A reader pins whatever snapshot reference it observes
+and answers queries from it without locks, unaffected by any refresh —
+including a *failed* one — running concurrently.
+
+Consecutive snapshots share structure: each relation is a
+:class:`~repro.facts.relation.PatchedRelation` — an immutable base,
+shared with its already-built hash indexes by every snapshot until the
+next compaction, under a small per-snapshot patch — so publishing costs
+the refresh's delta, not a copy of the database.
 
 Staleness is a first-class, bounded property rather than an accident:
 a :class:`StalenessBound` says how far behind the live version (and/or
@@ -31,14 +37,20 @@ from ..facts.database import Database
 
 
 class Snapshot:
-    """One immutable (by convention) materialization at one version.
+    """One immutable materialization at one version.
 
-    Holds independent copies of the EDB and IDB, so neither in-place
+    ``edb`` and ``idb`` are read-only databases of
+    :class:`~repro.facts.relation.PatchedRelation` views that share no
+    mutable state with the writer's workspace, so neither in-place
     ``apply`` mutations nor a half-finished maintenance pass can ever
-    show through a reader's result set.  Construction cost is one
-    relation copy per predicate (index buckets are duplicated warm, see
-    :meth:`repro.facts.relation.Relation.copy`), paid once per refresh
-    by the writer — never by readers.
+    show through a reader's result set.  What a snapshot owns is its
+    patches; the bases under them, and the indexes readers have built
+    on those, are shared with its neighbours and are never copied warm
+    or cold between compactions (a new base is a
+    :meth:`~repro.facts.relation.Relation.copy` — rows only — whose
+    indexes the *writer* then builds, see
+    :meth:`MaterializedView._publish <repro.serving.views.
+    MaterializedView._publish>`).
     """
 
     def __init__(self, program: Program, version: int,

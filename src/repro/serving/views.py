@@ -26,8 +26,10 @@ Concurrency additions (PR 6):
 * **Snapshot publication.**  With ``publish_snapshots=True`` every
   successful refresh ends by swapping in an immutable
   :class:`~repro.serving.snapshots.Snapshot` (version-pinned EDB + IDB
-  copies).  Readers use only the snapshot; the live ``idb`` is the
-  writer's workspace.
+  views).  Readers use only the snapshot; the live ``idb`` is the
+  writer's workspace.  A snapshot is the previous one patched with the
+  refresh's delta (PR 18) — the base relations and their indexes are
+  shared, so a write costs the change, not the database.
 * **Chaos fault points** at every serving transition —
   ``serving:refresh`` (incremental maintenance), ``serving:materialize``
   (full rebuild), ``serving:apply`` (changeset ingestion) and
@@ -50,18 +52,21 @@ from __future__ import annotations
 import hashlib
 import time
 from dataclasses import dataclass, field
+from typing import Collection, Mapping, NamedTuple
 
 from ..datalog.parser import parse_query
 from ..datalog.program import Program
 from ..errors import IncrementalUnsupported, ReproError
 from ..facts.changelog import Changeset, VersionedDatabase
 from ..facts.database import Database
+from ..facts.relation import PatchedRelation, Relation, Row
+from ..facts.symbols import SymbolTable
 from ..engine.bindings import EvalStats
 from ..engine.compile import KernelCache, validate_executor
 from ..engine.bindings import validate_planner
 from ..engine.seminaive import answers, seminaive_evaluate
-from ..incremental.maintain import SupportCounts, maintain, \
-    support_counts
+from ..incremental.maintain import MaintenanceResult, SupportCounts, \
+    maintain, support_counts
 from ..runtime import chaos
 from ..runtime.budget import Budget
 from .snapshots import Snapshot
@@ -81,6 +86,65 @@ def relation_fingerprint(db: Database) -> str:
     the property the differential tests lean on.
     """
     return hashlib.sha256(db.to_text().encode()).hexdigest()[:16]
+
+
+#: A snapshot relation is rebuilt over a fresh base once its patch has
+#: outgrown ``len(base) // COMPACTION_RATIO`` rows.  Not a parameter:
+#: one compaction is O(n) and happens once per n/8 delta rows, so it
+#: adds amortised O(1) per delta row whatever the value, while a read
+#: touches at most one patched row per eight base rows.
+COMPACTION_RATIO = 8
+
+#: Storage-domain rows to remove from / add to relations, by predicate.
+_Rows = Mapping[str, Collection[Row]]
+
+
+class _Delta(NamedTuple):
+    """What the last refresh changed, kept until it is published."""
+
+    from_version: int
+    changes: Changeset
+    result: MaintenanceResult
+
+
+def _next_relation(live: Relation, previous: PatchedRelation | None,
+                   patch: tuple[Collection[Row], Collection[Row]] | None
+                   ) -> PatchedRelation:
+    """The snapshot relation for ``live``: ``previous`` patched, or a
+    fresh base when there is nothing to patch or the patch outgrew it."""
+    if previous is not None and patch is not None:
+        view = previous.patched(*patch)
+        if view.patch_size() <= len(view.base) // COMPACTION_RATIO:
+            return view
+    base = live.copy()
+    if previous is not None:
+        # On the writer's clock, so no reader ever pays a cold index.
+        base.backend.build_indexes_like(previous.base.backend)
+    return PatchedRelation(base)
+
+
+def _next_database(live: Database, previous: Database | None,
+                   delta: tuple[_Rows, _Rows] | None) -> Database:
+    """The snapshot of ``live``.  ``delta`` is what to remove from and
+    add to ``previous`` to get there, or None when ``previous`` cannot
+    be patched (it is then only mined for its index column sets)."""
+    relations = []
+    for name in live:
+        before = previous.relation(name) \
+            if previous is not None and name in previous else None
+        patch = (delta[0].get(name, ()), delta[1].get(name, ())) \
+            if delta is not None else None
+        relations.append(_next_relation(live.relation(name), before, patch))
+    return Database.of_relations(relations, live.symbols)
+
+
+def _storage_rows(by_pred: Mapping[str, set[Row]],
+                  symbols: SymbolTable | None) -> _Rows:
+    """One side of a changeset in the storage domain of ``symbols``."""
+    if symbols is None:
+        return by_pred
+    return {pred: [symbols.intern_row(row) for row in rows]
+            for pred, rows in by_pred.items()}
 
 
 class MaterializedView:
@@ -112,6 +176,9 @@ class MaterializedView:
         self.publish_snapshots = publish_snapshots
         #: The last-good snapshot; swapped atomically, never mutated.
         self.snapshot: Snapshot | None = None
+        #: The last refresh's delta, until a publish consumed it; None
+        #: after a full rebuild (the next snapshot is then a full copy).
+        self._delta: _Delta | None = None
         self.stats = EvalStats()
         self.full_refreshes = 0
         self.incremental_refreshes = 0
@@ -158,6 +225,7 @@ class MaterializedView:
             if self.use_counts else None
         self.idb = idb
         self.counts = counts
+        self._delta = None
         self.stats.merge(stats)
         self.version = target_version
         self.valid = True
@@ -184,22 +252,26 @@ class MaterializedView:
             self.last_mode = "fresh"
             self._publish()
             return "fresh"
-        changes = self.source.changes_since(self.version)
+        from_version = self.version
+        changes = self.source.changes_since(from_version)
         if changes.is_empty:
             self.version = self.source.version
             self.last_mode = "fresh"
+            self._delta = _Delta(from_version, changes, MaintenanceResult())
             self._publish()
             return "fresh"
         started = time.perf_counter()
         self.valid = False
         try:
             chaos.checkpoint("serving:refresh")
-            maintain(self.program, self.source.db, self.idb, changes,
-                     counts=self.counts, stats=self.stats,
-                     planner=self.planner, executor=self.executor,
-                     budget=budget, kernels=self.kernels)
+            result = maintain(
+                self.program, self.source.db, self.idb, changes,
+                counts=self.counts, stats=self.stats,
+                planner=self.planner, executor=self.executor,
+                budget=budget, kernels=self.kernels)
         except IncrementalUnsupported:
             return self._materialize(budget)
+        self._delta = _Delta(from_version, changes, result)
         self.version = self.source.version
         self.valid = True
         self.incremental_refreshes += 1
@@ -209,24 +281,45 @@ class MaterializedView:
         return "incremental"
 
     def _publish(self) -> None:
-        """Swap in a fresh snapshot when publication is enabled.
+        """Swap in the next snapshot when publication is enabled.
 
         Runs only on a *valid* view; skipped when the last-good
-        snapshot already reflects the view's version.  The chaos
-        checkpoint sits before the swap, so an injected fault leaves
-        the previous snapshot serving — and because ``refresh`` then
-        raises, the write pipeline retries and the next successful
-        refresh (mode ``"fresh"``) re-attempts the swap.
+        snapshot already reflects the view's version.  When that
+        snapshot stands at the version the kept delta starts from, the
+        next one is the same relations patched — EDB with the net
+        changeset, IDB with what maintenance reported — and shares
+        every base and index with it.  Otherwise (first publish, full
+        rebuild, a delta superseded before it was published) it is a
+        full copy of the live state; and a relation whose patch has
+        outgrown its base is re-based the same way
+        (:data:`COMPACTION_RATIO`).
+
+        The chaos checkpoint sits before the swap, so an injected fault
+        leaves the previous snapshot serving — and because ``refresh``
+        then raises, the write pipeline retries and the next successful
+        refresh (mode ``"fresh"``) re-attempts the swap with the delta
+        still kept.
         """
         if not self.publish_snapshots or self.idb is None:
             return
-        if self.snapshot is not None \
-                and self.snapshot.version >= self.version:
+        previous, delta = self.snapshot, self._delta
+        if previous is not None and previous.version >= self.version:
             return
         chaos.checkpoint("serving:snapshot-swap")
-        snapshot = Snapshot(self.program, self.version,
-                            self.source.db.copy(), self.idb.copy())
-        self.snapshot = snapshot
+        edb_delta = idb_delta = None
+        if previous is not None and delta is not None \
+                and previous.version == delta.from_version:
+            symbols = self.source.db.symbols
+            edb_delta = (_storage_rows(delta.changes.deletes, symbols),
+                         _storage_rows(delta.changes.inserts, symbols))
+            idb_delta = (delta.result.removed_rows, delta.result.added_rows)
+        old_edb, old_idb = (previous.edb, previous.idb) \
+            if previous is not None else (None, None)
+        self.snapshot = Snapshot(
+            self.program, self.version,
+            _next_database(self.source.db, old_edb, edb_delta),
+            _next_database(self.idb, old_idb, idb_delta))
+        self._delta = None
         self.snapshots_published += 1
 
     def invalidate(self) -> None:

@@ -4,7 +4,8 @@ import pytest
 
 from repro.datalog.atoms import atom
 from repro.errors import EvaluationError
-from repro.facts import Database, Relation, SymbolTable
+from repro.facts import (Changeset, Database, Relation, SymbolTable,
+                         VersionedDatabase)
 
 
 class TestRelation:
@@ -84,7 +85,7 @@ class TestRawMerge:
     def test_merge_new_empty_batch(self):
         rel = Relation("r", 2, [("a", 1)])
         rel.index_for((0,))
-        assert rel.raw_merge_new([]) == []
+        assert rel.raw_merge_new([]) == set()
         assert len(rel) == 1
         assert set(rel.lookup(((0, "a"),))) == {("a", 1)}
 
@@ -92,7 +93,7 @@ class TestRawMerge:
         rows = [("a", 1), ("b", 2)]
         rel = Relation("r", 2, rows)
         rel.index_for((1,))
-        assert rel.raw_merge_new(list(rows)) == []
+        assert rel.raw_merge_new(list(rows)) == set()
         assert len(rel) == 2
         # No duplicate index entries either.
         assert list(rel.lookup(((1, 1),))) == [("a", 1)]
@@ -127,7 +128,7 @@ class TestRawMerge:
         rel = Relation("r", 1, symbols=symbols)
         rel.add(("x",))
         coded_y = symbols.intern_row(("y",))
-        assert rel.raw_merge_new([coded_y]) == [coded_y]
+        assert rel.raw_merge_new([coded_y]) == {coded_y}
         assert rel.rows() == {("x",), ("y",)}
 
 
@@ -172,7 +173,7 @@ class TestStorageRows:
         rel = Relation("r", 2, [(1, 2), (2, 3)])
         assert sorted(rel.raw_merge_new(ROWS)) == [(2, 4), (5, 2)]
         assert sorted(rel) == sorted(ROWS)
-        assert rel.raw_merge_new(ROWS) == []
+        assert rel.raw_merge_new(ROWS) == set()
 
     def test_raw_discard(self):
         rel = Relation("r", 2, ROWS)
@@ -371,3 +372,75 @@ class TestInternedDatabase:
     def test_interned_is_idempotent(self):
         db = Database({"p": [("a",)]}).interned()
         assert db.interned() is db
+
+
+# ---------------------------------------------------------------------------
+# The change log: atomic apply, and the log position invariant
+# ---------------------------------------------------------------------------
+
+class TestVersionedDatabase:
+    @staticmethod
+    def _source(interned):
+        db = Database(symbols=SymbolTable() if interned else None)
+        db.add_fact("edge", "a", "b")
+        db.add_fact("edge", "b", "c")
+        return VersionedDatabase(db)
+
+    @pytest.mark.parametrize("interned", [False, True])
+    @pytest.mark.parametrize("text", [
+        # A later row of the wrong arity, after a delete and an insert
+        # that would both have landed.
+        "-edge(a, b). +edge(c, d). +edge(x, y, z).",
+        # The wrong arity first, against the stored relation.
+        "-edge(a, b). +edge(x, y, z).",
+        # Mixed arities within the changeset, on a brand-new relation.
+        "-edge(a, b). +fresh(p). +fresh(q, r).",
+        # A delete of the wrong arity is a malformed changeset too.
+        "+edge(c, d). -edge(a).",
+    ])
+    def test_apply_is_atomic_on_an_arity_mismatch(self, interned, text):
+        source = self._source(interned)
+        with pytest.raises(EvaluationError) as exc:
+            source.apply(Changeset.from_text(text))
+        message = str(exc.value)
+        pred = "fresh" if "fresh" in text else "edge"
+        assert pred in message and "arity" in message
+        assert source.db.facts("edge") == {("a", "b"), ("b", "c")}
+        assert source.db.predicates() == {"edge"}
+        assert source.version == 0 and source.log == []
+
+    def test_mismatch_message_names_both_arities(self):
+        source = self._source(False)
+        with pytest.raises(EvaluationError,
+                           match=r"edge.*arity 3.*arity 2"):
+            source.apply(Changeset.from_text("+edge(x, y, z)."))
+
+    def test_a_valid_changeset_still_applies_and_logs_its_effect(self):
+        source = self._source(True)
+        assert source.apply(Changeset.from_text(
+            "-edge(a, b). -edge(q, q). +edge(c, d). +edge(b, c). "
+            "+fresh(p).")) == 1
+        assert source.db.facts("edge") == {("b", "c"), ("c", "d")}
+        effective = source.log[0].changeset
+        assert effective.deletes == {"edge": {("a", "b")}}
+        assert effective.inserts == {"edge": {("c", "d")},
+                                     "fresh": {("p",)}}
+
+    def test_log_entry_v_sits_at_index_v_minus_one(self):
+        """The invariant ``changes_since`` slices on, and its equality
+        with a scan of the whole log."""
+        source = self._source(False)
+        for text in ("+edge(c, d).", "-edge(a, b).", "+edge(a, b).",
+                     "+edge(q, q). -edge(q, q).", "-edge(c, d). +edge(d, e)."):
+            source.apply(Changeset.from_text(text))
+        assert [entry.version for entry in source.log] \
+            == [index + 1 for index in range(len(source.log))]
+        for version in range(source.version + 1):
+            scanned = Changeset()
+            for entry in source.log:
+                if entry.version > version:
+                    scanned = scanned.compose(entry.changeset)
+            assert source.changes_since(version) == scanned
+        assert source.changes_since(source.version).is_empty
+        with pytest.raises(EvaluationError):
+            source.changes_since(source.version + 1)

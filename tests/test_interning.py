@@ -125,7 +125,7 @@ class TestLiveIndexMaintenance:
         raw_existing = next(iter(rel.raw_rows()))
         fresh = rel.raw_merge_new(
             [raw_existing, raw_existing[:2] + raw_existing[2:]])
-        assert fresh == []  # duplicate of the existing row, twice
+        assert fresh == set()  # duplicate of the existing row, twice
         rel.add(("b", 2, "y"))
         raw_new = [row for row in rel.raw_rows() if row != raw_existing]
         other = Relation("s", 3, symbols=rel.symbols)

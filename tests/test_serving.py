@@ -15,7 +15,8 @@ import pytest
 
 from repro.datalog import parse_program
 from repro.engine.seminaive import seminaive_evaluate
-from repro.errors import BudgetExceededError, ServingUnavailable
+from repro.errors import (BudgetExceededError, EvaluationError,
+                          ServingUnavailable)
 from repro.facts import Database
 from repro.facts.changelog import Changeset, VersionedDatabase
 from repro.runtime import ChaosError
@@ -537,6 +538,28 @@ def test_threaded_server_inline_reads_and_updates():
     assert ("n9",) in fresh.rows
     assert fresh.version == fresh.source_version == 1
     assert fresh.lag == 0
+
+
+def test_threaded_server_rejected_changeset_leaves_the_edb_untouched():
+    """A changeset with a wrong-arity row used to land its deletes and
+    earlier inserts before raising, unlogged: the live EDB then differed
+    from every view and snapshot for good."""
+    program = parse_program(TC)
+    server = ThreadedServer(db=_chain_db(3),
+                            retry=RetryPolicy(max_attempts=1, jitter=0.0))
+    before = server.read(program, "reach(n0, X)").rows
+    server.update(Changeset.from_text(
+        "-edge(n0, n1). +edge(n3, n9). +edge(x, y, z)."))
+    assert isinstance(server.pipeline.last_error, EvaluationError)
+    source = server.server.source
+    assert source.version == 0 and source.log == []
+    assert source.db == _chain_db(3)
+    view = server.view(program)
+    view.refresh()
+    expected = seminaive_evaluate(program, source.db)
+    assert view.fingerprint() == relation_fingerprint(expected)
+    assert view.snapshot.fingerprint() == relation_fingerprint(expected)
+    assert server.read(program, "reach(n0, X)").rows == before
 
 
 def test_threaded_server_stopped_rejects_reads_and_writes():
