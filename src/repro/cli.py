@@ -123,6 +123,7 @@ def _evaluate_cbo(args: argparse.Namespace, program, db: Database) -> int:
     """
     from .datalog.atoms import Atom
     from .datalog.parser import parse_query
+    from .engine.engine import select_answers
     from .engine.optimizer import cbo_evaluate
     from .engine.seminaive import answers as solve_literals
 
@@ -138,15 +139,10 @@ def _evaluate_cbo(args: argparse.Namespace, program, db: Database) -> int:
                           executor=args.executor,
                           interning=args.interning)
     if result.magic is not None:
-        from .datalog.terms import Constant
-
         assert seed is not None
-        filtered = [row for row in result.magic.answers(result.idb)
-                    if all(arg.value == value
-                           for value, arg in zip(row, seed.args)
-                           if isinstance(arg, Constant))]
         overlay = Database()
-        overlay.ensure(seed.pred, seed.arity).add_all(filtered)
+        overlay.ensure(seed.pred, seed.arity).add_all(select_answers(
+            result.idb, seed, pred=result.magic.query_pred))
         out_rows = solve_literals(literals, program, db, overlay,
                                   result.stats)
     else:

@@ -147,13 +147,13 @@ class PredicateCache:
     ``column`` that satisfies ``value <op> const`` (or ``const <op>
     value`` when ``slot_left`` is False).  Entries are keyed by the
     *predicate* — ``(relation name, column, op, const, side)`` — and
-    hold at most :data:`_SLOTS` filters, each stamped with its backend's
+    hold at most :data:`_SLOTS` filters, each stamped with its relation's
     ``(uid, version)``, most recently used first.  Two, because the
     variants of one rule read a predicate's delta and its full relation
     through the same filter: with one slot each firing would evict the
     other's, and an unchanged full relation (the maintenance phases,
     naive evaluation) would be re-filtered every time.  A mutation
-    bumps the version and replaces that backend's slot; a backend never
+    bumps the version and replaces that relation's slot; a relation never
     seen before (each round's fresh delta) replaces the least recently
     used one.  The cache therefore stays bounded by the number of
     distinct cached predicates, however many rounds or refreshes it
@@ -171,9 +171,8 @@ class PredicateCache:
 
     def passing(self, relation: Relation, column: int, op: str,
                 const: object, slot_left: bool) -> object:
-        backend = relation.backend
         key = (relation.name, column, op, _faithful(const), slot_left)
-        stamp = (backend.uid, backend.version)
+        stamp = (relation.uid, relation.version)
         slots = self.entries.setdefault(key, [])
         for position, slot in enumerate(slots):
             if slot[0] == stamp:
@@ -186,9 +185,9 @@ class PredicateCache:
         raising: set[Any] = set()
         # A live index already enumerates the distinct codes; without
         # one (a delta nobody probes on this column) don't build one.
-        index = backend.code_indexes.get(column)
+        index = relation.code_indexes.get(column)
         codes: Iterable[Any] = index if index is not None \
-            else {row[column] for row in backend.rows}
+            else {row[column] for row in relation.raw_rows()}
         for code in codes:
             value = values[code] if values is not None else code
             left, right = ((value, const) if slot_left
@@ -207,8 +206,8 @@ class PredicateCache:
             container = frozenset(passing)
         self.builds += 1
         for position, slot in enumerate(slots):
-            if slot[0][0] == backend.uid:
-                del slots[position]  # the same backend, mutated since
+            if slot[0][0] == relation.uid:
+                del slots[position]  # the same relation, mutated since
                 break
         else:
             del slots[_SLOTS - 1:]

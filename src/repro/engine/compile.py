@@ -289,6 +289,20 @@ class CompiledKernel:
         return "\n".join(lines)
 
 
+#: A kernel is replanned when a positive source has grown or shrunk by
+#: this factor since plan time.  The snapshot resets to the *new* sizes
+#: on every replan, so a source growing monotonically to ``n`` rows
+#: triggers at most ``log_4(n)`` replans — O(log n) per (rule, variant)
+#: per fixpoint — and a recompilation is tens of microseconds.
+REPLAN_THRESHOLD = 4.0
+#: Sources smaller than this (both then and now) never trigger: keeps
+#: empty-to-small churn from counting as drift.
+REPLAN_FLOOR = 16
+#: Replans per (rule, variant), capped outright against adversarial
+#: oscillation.
+MAX_REPLANS = 16
+
+
 class KernelCache:
     """Per-evaluation cache of compiled kernels, with drift replanning.
 
@@ -302,13 +316,10 @@ class KernelCache:
     remembers the sizes of its positive sources at plan time.  On each
     hit those sizes are re-read through the caller's ``sizes`` callback
     (delta-aware); when any source has grown or shrunk past
-    ``replan_threshold`` (default 4x, both directions, ignoring
-    relations that never exceed 16 rows) the kernel is recompiled
-    against current statistics.  Because the snapshot resets to the
-    *new* sizes on every replan, a source growing monotonically to ``n``
-    rows triggers at most ``log_threshold(n)`` replans — O(log n) per
-    (rule, variant) per fixpoint — and ``max_replans`` caps the count
-    outright for adversarial oscillation.
+    :data:`REPLAN_THRESHOLD` (both directions, ignoring relations that
+    never exceed :data:`REPLAN_FLOOR` rows) the kernel is recompiled
+    against current statistics, at most :data:`MAX_REPLANS` times per
+    key.
 
     ``true_checks`` maps rules to the body indexes of comparisons the
     dataflow analysis proved always true; their kernels' generated
@@ -318,25 +329,17 @@ class KernelCache:
     """
 
     __slots__ = ("keep_atom_order", "symbols", "adaptive",
-                 "replan_threshold", "replan_floor", "max_replans",
                  "replans", "true_checks", "predicates", "_kernels",
                  "_replan_counts")
 
     def __init__(self, keep_atom_order: bool = False,
                  symbols: SymbolTable | None = None,
                  adaptive: bool = False,
-                 replan_threshold: float = 4.0,
-                 replan_floor: int = 16,
-                 max_replans: int = 16,
                  true_checks: Mapping[Rule, frozenset[int]] | None = None,
                  ) -> None:
         self.keep_atom_order = keep_atom_order
         self.symbols = symbols
         self.adaptive = adaptive
-        self.replan_threshold = replan_threshold
-        #: Sources smaller than this (both then and now) never trigger.
-        self.replan_floor = replan_floor
-        self.max_replans = max_replans
         #: Total recompilations caused by drift, across all keys.
         self.replans = 0
         self.true_checks = true_checks or {}
@@ -356,8 +359,6 @@ class KernelCache:
 
     def _drifted(self, kernel: CompiledKernel, sizes: Sizes,
                  snapshot: tuple[int, ...]) -> bool:
-        threshold = self.replan_threshold
-        floor = self.replan_floor
         position = 0
         for body_index, atom, _cols, kind in kernel.sources:
             if kind == "neg":
@@ -366,7 +367,8 @@ class KernelCache:
             position += 1
             now = sizes(atom, body_index)
             big, small = (now, then) if now >= then else (then, now)
-            if big >= floor and big >= threshold * max(1, small):
+            if big >= REPLAN_FLOOR \
+                    and big >= REPLAN_THRESHOLD * max(1, small):
                 return True
         return False
 
@@ -377,7 +379,7 @@ class KernelCache:
         if entry is not None:
             kernel, snapshot = entry
             if not self.adaptive \
-                    or self._replan_counts.get(key, 0) >= self.max_replans \
+                    or self._replan_counts.get(key, 0) >= MAX_REPLANS \
                     or not self._drifted(kernel, sizes, snapshot):
                 return kernel
             self._replan_counts[key] = self._replan_counts.get(key, 0) + 1

@@ -20,7 +20,7 @@ from ..errors import EvaluationError, ReproError
 from ..facts.database import Database
 from ..facts.symbols import validate_interning
 from ..runtime.budget import Budget, resolve_budget
-from .bindings import EvalStats
+from .bindings import EvalStats, validate_planner
 from .compile import EXECUTORS, validate_executor
 from .magic import MagicProgram, adornment_of, magic_rewrite
 from .naive import naive_evaluate
@@ -52,7 +52,7 @@ class EvaluationResult:
         return frozenset(self.idb.facts(pred))
 
     def count(self, pred: str) -> int:
-        return len(self.idb.facts(pred))
+        return len(self.idb.relation(pred)) if pred in self.idb else 0
 
     def query(self, text_or_literals) -> set[tuple]:
         """Evaluate a conjunctive query over EDB + IDB.
@@ -126,6 +126,12 @@ def evaluate(program: Program, edb: Database, method: str = "seminaive",
             ordinals are identical either way.
     """
     stats = EvalStats()
+    if method not in METHODS:
+        raise EvaluationError(
+            f"unknown method {method!r}; expected one of {METHODS}")
+    if method == "naive" and hook is not None:
+        raise EvaluationError("hooks require the semi-naive method")
+    validate_planner(planner)
     validate_executor(executor)
     validate_interning(interning)
     budget = resolve_budget(budget)
@@ -148,15 +154,10 @@ def evaluate(program: Program, edb: Database, method: str = "seminaive",
                                  planner=planner, budget=budget,
                                  executor=executor, profile=profile,
                                  dataflow=flow)
-    elif method == "naive":
-        if hook is not None:
-            raise EvaluationError("hooks require the semi-naive method")
+    else:
         idb = naive_evaluate(program, edb, stats, budget=budget,
                              executor=executor, planner=planner,
                              dataflow=flow)
-    else:
-        raise EvaluationError(
-            f"unknown method {method!r}; expected one of {METHODS}")
     elapsed = time.perf_counter() - start
     return EvaluationResult(program, edb, idb, stats, elapsed, method,
                             executor=executor)
@@ -200,19 +201,9 @@ def magic_answers(program: Program, edb: Database, query: Atom,
                                  executor=executor, planner=planner,
                                  interning=interning)
     assert result.magic is not None
-    rows = result.magic.answers(result.idb)
-    # Filter on the query's constant positions (magic guarantees relevance
-    # but adorned relations may contain tuples for every seed binding).
-    wanted = []
-    for row in rows:
-        keep = True
-        for value, arg in zip(row, query.args):
-            if isinstance(arg, Constant) and arg.value != value:
-                keep = False
-                break
-        if keep:
-            wanted.append(row)
-    return frozenset(wanted)
+    # Magic guarantees relevance, but the adorned relation may hold
+    # tuples for every seed binding: select on the query all the same.
+    return select_answers(result.idb, query, pred=result.magic.query_pred)
 
 
 def query_answers(program: Program, edb: Database, query: Atom,
@@ -220,24 +211,44 @@ def query_answers(program: Program, edb: Database, query: Atom,
                   executor: str = "compiled") -> frozenset[tuple]:
     """Answers to a single-atom query without magic rewriting."""
     result = evaluate(program, edb, method=method, executor=executor)
-    rows = result.facts(query.pred) if query.pred in \
-        program.idb_predicates else edb.facts(query.pred)
-    wanted = []
-    for row in rows:
-        binding: dict[Variable, object] = {}
-        keep = True
-        for value, arg in zip(row, query.args):
-            if isinstance(arg, Constant):
-                if arg.value != value:
-                    keep = False
-                    break
-            elif isinstance(arg, Variable):
-                if binding.setdefault(arg, value) != value:
-                    keep = False
-                    break
-        if keep:
-            wanted.append(row)
-    return frozenset(wanted)
+    source = result.idb if query.pred in program.idb_predicates else edb
+    return select_answers(source, query)
+
+
+def select_answers(source: Database, query: Atom,
+                   pred: str | None = None) -> frozenset[tuple]:
+    """The rows of ``source`` that answer the single-atom ``query``.
+
+    The one answer selection of the query-bearing entry points: the
+    query's constants go to :meth:`Relation.lookup
+    <repro.facts.relation.Relation.lookup>` as a bound-column pattern —
+    encoded once, one hash probe, only the matches decoded — and each
+    repeated variable costs one equality check per matching row.
+    ``pred`` names the relation to read when it is not the query's own
+    (the adorned predicate of a magic rewrite).  An unknown relation
+    has no rows; one of another arity than the query is an error.
+    """
+    name = query.pred if pred is None else pred
+    if name not in source:
+        return frozenset()
+    relation = source.relation(name)
+    if relation.arity != query.arity:
+        raise EvaluationError(
+            f"query {query} has arity {query.arity}, but relation "
+            f"{name!r} has arity {relation.arity}")
+    rows = relation.lookup(tuple(
+        (column, arg.value) for column, arg in enumerate(query.args)
+        if isinstance(arg, Constant)))
+    first: dict[Variable, int] = {}
+    repeats = []
+    for column, arg in enumerate(query.args):
+        if isinstance(arg, Variable) \
+                and first.setdefault(arg, column) != column:
+            repeats.append((first[arg], column))
+    if repeats:
+        rows = [row for row in rows
+                if all(row[i] == row[j] for i, j in repeats)]
+    return frozenset(rows)
 
 
 def consistent_answers(programs: Iterable[Program], edb: Database,

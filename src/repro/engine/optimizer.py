@@ -42,7 +42,7 @@ import hashlib
 import math
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from ..datalog.atoms import Atom, Comparison, Negation
 from ..datalog.program import Program
@@ -662,28 +662,14 @@ def cbo_answers(program: Program, edb: Database, query: Atom,
     :func:`repro.engine.magic_answers` regardless of whether the chosen
     candidate was a magic rewrite.
     """
+    from .engine import select_answers
+
     result = cbo_evaluate(program, edb, query=query, ics=ics,
                           budget=budget, executor=executor,
                           interning=interning, choice=choice)
     if result.magic is not None:
-        rows: Iterable[tuple] = result.magic.answers(result.idb)
-    elif query.pred in result.program.idb_predicates:
-        rows = result.facts(query.pred)
-    else:
-        rows = edb.facts(query.pred)
-    wanted = []
-    for row in rows:
-        binding: dict[Variable, object] = {}
-        keep = True
-        for value, arg in zip(row, query.args):
-            if isinstance(arg, Constant):
-                if arg.value != value:
-                    keep = False
-                    break
-            elif isinstance(arg, Variable):
-                if binding.setdefault(arg, value) != value:
-                    keep = False
-                    break
-        if keep:
-            wanted.append(row)
-    return frozenset(wanted)
+        return select_answers(result.idb, query,
+                              pred=result.magic.query_pred)
+    if query.pred in result.program.idb_predicates:
+        return select_answers(result.idb, query)
+    return select_answers(result.edb, query)

@@ -276,15 +276,8 @@ class VersionedDatabase:
         knows the program) guards against changesets that try to
         mutate derived relations directly.
         """
-        derived = changeset.predicates() & frozenset(idb_predicates)
-        if derived:
-            raise EvaluationError(
-                f"changeset touches IDB predicate"
-                f"{'s' if len(derived) > 1 else ''} "
-                f"{', '.join(sorted(derived))}; only EDB relations can "
-                "be updated")
+        self.check(changeset, idb_predicates)
         normalized = changeset.normalized()
-        self._check_arities(normalized)
         effective = Changeset()
         for pred, rows in normalized.deletes.items():
             rel = self.db.relation_or_empty(pred, _arity_of(rows))
@@ -300,16 +293,27 @@ class VersionedDatabase:
         self.log.append(AppliedChange(self.version, effective))
         return self.version
 
-    def _check_arities(self, changeset: Changeset) -> None:
-        """Reject a changeset with a row of the wrong arity, up front.
+    def check(self, changeset: Changeset,
+              idb_predicates: Iterable[str] = ()) -> None:
+        """Raise the ``EvaluationError`` :meth:`apply` would, up front.
 
-        Every row is checked against the stored relation — or, for a
-        predicate the database does not hold yet, against the first row
-        seen — *before* the first mutation, so a bad row leaves ``db``,
+        The pre-mutation guards of :meth:`apply`, callable on their own
+        (the serving write pipeline screens queued changesets with
+        them): no predicate of ``idb_predicates`` is touched, and every
+        row has the arity of the stored relation — or, for a predicate
+        the database does not hold yet, of the first row seen.  Run
+        *before* the first mutation, so a bad row leaves ``db``,
         ``version`` and ``log`` untouched instead of a half-applied,
         unlogged changeset that every view and snapshot then silently
         diverges from.
         """
+        derived = changeset.predicates() & frozenset(idb_predicates)
+        if derived:
+            raise EvaluationError(
+                f"changeset touches IDB predicate"
+                f"{'s' if len(derived) > 1 else ''} "
+                f"{', '.join(sorted(derived))}; only EDB relations can "
+                "be updated")
         arities = {pred: self.db.relation(pred).arity
                    for pred in changeset.predicates() if pred in self.db}
         for by_pred in (changeset.deletes, changeset.inserts):

@@ -27,6 +27,12 @@ behaviour (see ``docs/serving.md`` for the full matrix):
    After the cooldown one probe batch is let through; success closes
    the circuit and re-opens ingestion.
 
+A changeset that can never apply (a row of the wrong arity, an IDB
+predicate) is none of the above — the engine is healthy, the input was
+bad: it is **dropped** at drain with its typed error (``last_error``,
+``dropped_changesets``), never retried, never carried, and moves
+neither the health state nor the breaker.
+
 The pipeline itself never lets an exception escape ``process_once`` —
 every failure is recorded (``last_error``, counters) and mapped to a
 state transition, which is what the chaos tests assert.
@@ -39,7 +45,7 @@ import threading
 import time
 from typing import Callable, Optional
 
-from ..errors import ServingUnavailable
+from ..errors import EvaluationError, ServingUnavailable
 from ..facts.changelog import Changeset
 from ..runtime.budget import Budget
 from ..runtime.retry import CircuitBreaker, HealthState, RetryPolicy
@@ -91,7 +97,7 @@ class WritePipeline:
         #: A drained-but-not-yet-applied net changeset from a batch
         #: whose every retry failed; re-composed *before* newly queued
         #: changesets on the next cycle so update order is preserved
-        #: and no submitted write is ever dropped.
+        #: and no submitted write that can apply is ever dropped.
         self._carry: Changeset | None = None
         self._consecutive_failures = 0
         self.health = HealthState.HEALTHY
@@ -104,6 +110,10 @@ class WritePipeline:
         self.rejected = 0
         self.batches = 0
         self.changesets_coalesced = 0
+        #: Changesets dropped because they could never apply: each
+        #: offender screened out at drain, plus (counted once) a
+        #: composed batch that only failed as a whole.
+        self.dropped_changesets = 0
         self.applied_versions = 0
         self.refresh_failures = 0
         self.full_rebuilds_forced = 0
@@ -166,7 +176,9 @@ class WritePipeline:
 
         Returns ``(net changeset or None, saw any work, changesets
         drained)``; composing here is the batching/coalescing step —
-        one refresh absorbs the whole backlog.
+        one refresh absorbs the whole backlog.  A changeset that can
+        never apply is dropped before it is composed, so neither the
+        net delta nor the carry ever holds one.
         """
         items: list[object] = []
         try:
@@ -187,9 +199,21 @@ class WritePipeline:
             if item is _REFRESH:
                 continue
             drained += 1
-            self.changesets_coalesced += 1
-            net = item if net is None else net.compose(item)
+            if self._appliable(item):
+                self.changesets_coalesced += 1
+                net = item if net is None else net.compose(item)
         return net, True, drained
+
+    def _appliable(self, changeset: Changeset) -> bool:
+        """Whether ``server.apply`` would take ``changeset``; when not,
+        it is counted as dropped with its typed error."""
+        try:
+            self.server.check(changeset)
+        except EvaluationError as error:
+            self.dropped_changesets += 1
+            self.last_error = error
+            return False
+        return True
 
     def process_once(self, block_s: float | None = None) -> bool:
         """Drain, apply, and refresh one batch; returns True if any
@@ -198,8 +222,9 @@ class WritePipeline:
         Never raises: every failure updates counters, health state,
         and the breaker, and leaves recovery to the next call.  The
         batch is only marked done once apply+refresh succeeded — a
-        changeset is either fully applied and materialized, or still
-        owned by the retry/rebuild ladder.
+        changeset is either fully applied and materialized, still owned
+        by the retry/rebuild ladder, or dropped because it can never
+        apply.
         """
         if not self.breaker.allow():
             # Open circuit: don't hammer a struggling engine.  Leave
@@ -216,6 +241,10 @@ class WritePipeline:
             carry, self._carry = self._carry, None
             if carry is not None:
                 net = carry if net is None else carry.compose(net)
+            if net is not None and not self._appliable(net):
+                # Each part applies, the whole does not: two queued
+                # changesets disagree on a new predicate's arity.
+                net = None
             if not saw_work and self.health == HealthState.HEALTHY:
                 return False
             self.batches += 1
@@ -233,7 +262,7 @@ class WritePipeline:
                         and not net.is_empty:
                     # The EDB mutation never landed: carry it into the
                     # next batch (composed before newer submissions) so
-                    # no accepted write is ever dropped.
+                    # no accepted write that can apply is ever dropped.
                     self._carry = net
                 if self._consecutive_failures >= self.rebuild_after:
                     # The incremental path keeps failing batch after
@@ -296,6 +325,7 @@ class WritePipeline:
             "rejected": self.rejected,
             "batches": self.batches,
             "changesets_coalesced": self.changesets_coalesced,
+            "dropped_changesets": self.dropped_changesets,
             "applied_versions": self.applied_versions,
             "refresh_failures": self.refresh_failures,
             "full_rebuilds_forced": self.full_rebuilds_forced,

@@ -119,7 +119,7 @@ def _next_relation(live: Relation, previous: PatchedRelation | None,
     base = live.copy()
     if previous is not None:
         # On the writer's clock, so no reader ever pays a cold index.
-        base.backend.build_indexes_like(previous.base.backend)
+        base.build_indexes_like(previous.base)
     return PatchedRelation(base)
 
 
@@ -152,7 +152,6 @@ class MaterializedView:
 
     def __init__(self, program: Program, source: VersionedDatabase,
                  planner: str = "greedy", executor: str = "compiled",
-                 use_counts: bool = True,
                  publish_snapshots: bool = False) -> None:
         validate_executor(executor)
         validate_planner(planner)
@@ -160,7 +159,6 @@ class MaterializedView:
         self.source = source
         self.planner = planner
         self.executor = executor
-        self.use_counts = use_counts
         self.idb: Database | None = None
         self.counts: SupportCounts | None = None
         self.kernels = KernelCache(
@@ -221,8 +219,7 @@ class MaterializedView:
             planner=self.planner, budget=budget, executor=self.executor)
         counts = support_counts(
             self.program, self.source.db, idb, stats=stats,
-            executor=self.executor) \
-            if self.use_counts else None
+            executor=self.executor)
         self.idb = idb
         self.counts = counts
         self._delta = None
@@ -428,7 +425,6 @@ class Server:
 
     def view(self, program: Program, planner: str = "greedy",
              executor: str = "compiled",
-             use_counts: bool = True,
              publish_snapshots: bool = False) -> MaterializedView:
         """Get or create the view for ``(program, planner, executor)``."""
         key = (program_fingerprint(program), planner, executor)
@@ -439,7 +435,6 @@ class Server:
             return existing
         view = MaterializedView(program, self.source, planner=planner,
                                 executor=executor,
-                                use_counts=use_counts,
                                 publish_snapshots=publish_snapshots)
         self.views[key] = view
         return view
@@ -462,6 +457,13 @@ class Server:
         chaos.checkpoint("serving:apply")
         return self.source.apply(changeset,
                                  idb_predicates=self.idb_predicates())
+
+    def check(self, changeset: Changeset) -> None:
+        """Raise the ``EvaluationError`` :meth:`apply` would refuse
+        ``changeset`` with (a row of the wrong arity, an IDB predicate
+        of a registered view); nothing is touched and no chaos
+        checkpoint fires."""
+        self.source.check(changeset, idb_predicates=self.idb_predicates())
 
     def serve(self, program: Program, query,
               planner: str = "greedy", executor: str = "compiled",

@@ -70,7 +70,7 @@ class TestDriftReplanning:
 
     def test_tiny_relations_never_trigger(self):
         # Both-below-floor churn (0 -> 15 rows) is noise, not drift.
-        cache = KernelCache(adaptive=True, replan_floor=16)
+        cache = KernelCache(adaptive=True)
         rule = self._rule()
         sizes = {"tc": 1, "edge": 8}
         cache.kernel(rule, None, lambda a, i: sizes[a.pred])
@@ -90,8 +90,9 @@ class TestDriftReplanning:
         # on every replan, so the count is logarithmic, not linear.
         assert cache.replans <= 4
 
-    def test_max_replans_caps_oscillation(self):
-        cache = KernelCache(adaptive=True, max_replans=3)
+    def test_max_replans_caps_oscillation(self, monkeypatch):
+        monkeypatch.setattr("repro.engine.compile.MAX_REPLANS", 3)
+        cache = KernelCache(adaptive=True)
         rule = self._rule()
         current = {"n": 16}
         sizes = lambda a, i: current["n"]  # noqa: E731
@@ -99,6 +100,12 @@ class TestDriftReplanning:
             current["n"] = 16 if step % 2 else 100_000
             cache.kernel(rule, None, sizes)
         assert cache.replans == 3
+
+    @pytest.mark.parametrize("knob", ["replan_threshold", "replan_floor",
+                                      "max_replans"])
+    def test_drift_constants_are_not_parameters(self, knob):
+        with pytest.raises(TypeError):
+            KernelCache(adaptive=True, **{knob: 8})
 
     def test_non_adaptive_cache_never_replans(self):
         cache = KernelCache(adaptive=False)

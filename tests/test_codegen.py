@@ -257,7 +257,7 @@ class TestPredicateCache:
         cache = PredicateCache(symbols)
         relation = self._relation(symbols, [(1, 10), (2, 4)])
         cache.passing(relation, 1, ">", 9, True)
-        assert relation.backend.code_indexes == {}
+        assert relation.code_indexes == {}
 
     def test_unorderable_codes_reraise_on_membership(self):
         symbols = SymbolTable()

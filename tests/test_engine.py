@@ -96,6 +96,19 @@ class TestEngineFeatures:
         with pytest.raises(EvaluationError):
             evaluate(tc_program, chain_db, method="bogus")
 
+    @pytest.mark.parametrize("bad", [{"method": "bogus"},
+                                     {"planner": "bogus"}])
+    def test_options_are_validated_before_any_work(
+            self, tc_program, chain_db, monkeypatch, bad):
+        # Neither the dataflow analysis nor the O(EDB) re-encode may
+        # run for a call that is going to be refused.
+        monkeypatch.setattr(Database, "interned",
+                            lambda self, symbols=None: pytest.fail(
+                                "re-encoded the EDB before validating"))
+        with pytest.raises(EvaluationError, match="bogus"):
+            evaluate(tc_program, chain_db, interning="on",
+                     dataflow="on", **bad)
+
     def test_source_planner_same_answers(self, tc_program, diamond_db):
         greedy = evaluate(tc_program, diamond_db, planner="greedy")
         source = evaluate(tc_program, diamond_db, planner="source")
@@ -174,6 +187,118 @@ class TestQueryHelpers:
         different = parse_program("reach(X, Y) :- edge(X, Y).")
         assert not consistent_answers([tc_program, different], chain_db,
                                       "reach")
+
+
+def _all_answers(program, db, query):
+    """``query`` through the three answer entry points, raw and
+    interned: six sets that must be one."""
+    from repro.engine.optimizer import cbo_answers
+
+    return [
+        magic_answers(program, db, query),
+        magic_answers(program, db, query, interning="on"),
+        query_answers(program, db, query),
+        query_answers(program, db.interned(), query),
+        cbo_answers(program, db, query),
+        cbo_answers(program, db, query, interning="on"),
+    ]
+
+
+class TestAnswerSelection:
+    """`select_answers` is the one selection behind `magic_answers`,
+    `query_answers` and `cbo_answers` (each used to carry its own
+    filter loop, and the magic one ignored repeated variables)."""
+
+    THREE_EDGES = {"edge": [("a", "b"), ("b", "a"), ("b", "c")]}
+
+    @pytest.mark.parametrize("args, expected", [
+        (("X", "X"), {("a", "a"), ("b", "b")}),
+        (("a", "X"), {("a", "a"), ("a", "b"), ("a", "c")}),
+        (("X", "a"), {("a", "a"), ("b", "a")}),
+        (("zz", "X"), set()),       # a constant no stored value equals
+        (("X", "Y"), {(x, y) for x in "ab" for y in "abc"}),
+    ])
+    def test_entry_points_agree(self, tc_program, args, expected):
+        db = Database(self.THREE_EDGES)
+        for answers in _all_answers(tc_program, db, atom("reach", *args)):
+            assert answers == expected
+
+    def test_constant_and_repeated_variable_over_three_columns(self):
+        program = parse_program("""
+            p(X, Y, Z) :- t(X, Y, Z).
+            p(X, Y, Z) :- p(X, Y, W), s(W, Z).
+        """)
+        db = Database({"t": [("a", 1, 2), ("a", 3, 3), ("b", 4, 4)],
+                       "s": [(2, 1), (3, 5)]})
+        for answers in _all_answers(program, db, atom("p", "a", "X", "X")):
+            assert answers == {("a", 1, 1), ("a", 3, 3)}
+
+    def test_query_constant_matches_by_hash_equality(self):
+        # 1 == 1.0 == True: `lookup` probes a hash index where the
+        # loops compared with `!=`; both storage modes keep the first
+        # representative, so the rows agree (as sets) everywhere.
+        program = parse_program("q(X, Y) :- n(X, Y).")
+        db = Database({"n": [(1.0, "x"), (True, "y"), (2, "z")]})
+        for answers in _all_answers(program, db, atom("q", 1, "Y")):
+            assert answers == {(1.0, "x"), (1.0, "y")}
+
+    @pytest.mark.parametrize("args", [("a",), ("a", "X", "Y"),
+                                      ("X", "Y", "Z")])
+    def test_arity_mismatch_is_a_typed_error(self, tc_program, args):
+        from repro.engine.optimizer import cbo_answers
+        from repro.errors import ReproError
+
+        db = Database(self.THREE_EDGES)
+        query = atom("reach", *args)
+        for run in (
+                lambda **kw: magic_answers(tc_program, db, query, **kw),
+                lambda **kw: cbo_answers(tc_program, db, query, **kw)):
+            for options in ({}, {"interning": "on"}):
+                with pytest.raises(ReproError):
+                    run(**options)
+        for edb in (db, db.interned()):
+            with pytest.raises(EvaluationError, match="arity"):
+                query_answers(tc_program, edb, query)
+
+    @pytest.fixture
+    def scans(self, monkeypatch):
+        """Names of the relations decoded wholesale (`rows()` or
+        iteration) while the test runs."""
+        from repro.facts.relation import Relation
+
+        seen = []
+        for name in ("rows", "__iter__"):
+            real = getattr(Relation, name)
+            monkeypatch.setattr(
+                Relation, name,
+                lambda self, real=real: seen.append(self.name)
+                or real(self))
+        return seen
+
+    def _long_chain(self):
+        return Database({"edge": [(f"n{i}", f"n{i + 1}")
+                                  for i in range(30)]}).interned()
+
+    def test_selection_never_materializes_the_relation(
+            self, tc_program, scans):
+        """A constant-bound query under the identity plan costs one
+        index probe and the decode of the matches."""
+        from repro.engine.optimizer import cbo_answers, choose_plan
+
+        db = self._long_chain()
+        query = atom("reach", "X", "n30")  # fb: identity beats magic
+        choice = choose_plan(tc_program, db, query=query)
+        assert choice.magic is None
+        del scans[:]
+        answers = cbo_answers(tc_program, db, query, choice=choice)
+        assert answers == {(f"n{i}", "n30") for i in range(30)}
+        assert "reach" not in scans
+
+    def test_count_is_a_len(self, tc_program, scans):
+        result = evaluate(tc_program, self._long_chain())
+        assert result.count("reach") == 31 * 30 // 2
+        assert result.count("nowhere") == 0
+        assert "reach" not in scans
 
 
 class TestMagicSets:

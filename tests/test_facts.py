@@ -69,7 +69,7 @@ class TestRelation:
         cloned = rel.copy()
         # Indexes are not carried: the copy pays only the row-set copy
         # and rebuilds an index on its first probe.
-        assert (0,) not in cloned.backend.indexes
+        assert (0,) not in cloned.indexes
         # Nothing is aliased: mutations on either side leave the
         # other's index answers intact.
         cloned.add(("a", 3))
@@ -135,7 +135,7 @@ class TestRawMerge:
 # ---------------------------------------------------------------------------
 # Storage contract (was tests/test_backends.py, a conformance suite over
 # the one-implementation StorageBackend protocol; same behaviours, checked
-# through the Relation that owns the DictBackend)
+# through the Relation, which is the store since PR 19)
 # ---------------------------------------------------------------------------
 
 ROWS = [(1, 2), (2, 3), (2, 4), (5, 2)]
@@ -143,14 +143,15 @@ ROWS = [(1, 2), (2, 3), (2, 4), (5, 2)]
 
 class TestStorageRows:
     def test_backend_parameter_is_gone(self):
-        from repro.facts.backend import DictBackend
-
+        with pytest.raises(ImportError):
+            import repro.facts.backend  # noqa: F401
+        with pytest.raises(ImportError):
+            from repro.facts import DictBackend  # noqa: F401
+        with pytest.raises(ImportError):
+            from repro.facts import StorageBackend  # noqa: F401
         with pytest.raises(TypeError):
-            Relation("r", 2, backend=DictBackend())
-        with pytest.raises(ImportError):
-            from repro.facts.backend import StorageBackend  # noqa: F401
-        with pytest.raises(ImportError):
-            from repro.facts import StorageBackend  # noqa: F401,F811
+            Relation("r", 2, backend=object())
+        assert not hasattr(Relation("r", 2), "backend")
 
     def test_raw_add_contains_len_iter(self):
         rel = Relation("r", 2)
@@ -165,9 +166,11 @@ class TestStorageRows:
         rel = Relation("r", 2, [(1, 2)])
         assert rel.raw_add_all([(1, 2), (2, 3), (2, 3), (5, 2)]) == 2
         assert len(rel) == 3
-        # Order-preserving underneath: the delta relations rely on it.
-        assert rel.backend.add_new([(7, 7), (1, 2), (8, 8)]) \
-            == [(7, 7), (8, 8)]
+        # The list of new rows `DictBackend.add_new` returned is gone
+        # with it: nothing read it but this count, and no delta relies
+        # on its order (deltas are filled by `raw_merge` of a set).
+        assert rel.raw_add_all([(7, 7), (1, 2), (8, 8)]) == 2
+        assert sorted(rel.raw_rows())[-2:] == [(7, 7), (8, 8)]
 
     def test_merge_new_returns_the_fresh_rows(self):
         rel = Relation("r", 2, [(1, 2), (2, 3)])
@@ -254,7 +257,7 @@ class TestStorageIdentity:
         rel = Relation("r", 2, ROWS)
         rel.raw_add((7, 7))
         clone = rel.copy()
-        assert clone.backend.uid != rel.backend.uid
+        assert clone.uid != rel.uid
         assert clone.version == 0
         assert clone.name == "r" and clone.arity == 2
 

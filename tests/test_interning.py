@@ -90,7 +90,7 @@ def rel(request):
 
 def _assert_indexes_consistent(relation):
     """Every live index must exactly partition the current rows."""
-    for columns in list(relation.backend.indexes):
+    for columns in list(relation.indexes):
         index = relation.index_for(columns)
         indexed = [row for bucket in index.values() for row in bucket]
         assert sorted(indexed) == sorted(relation.raw_rows())

@@ -147,5 +147,5 @@ class TestOneStatisticsSource:
         # the next insert does exactly the work it did before.
         assert all(getattr(relation, slot) is value
                    for slot, value in before.items())
-        assert relation.backend.indexes == {} \
-            and relation.backend.code_indexes == {}
+        assert relation.indexes == {} \
+            and relation.code_indexes == {}

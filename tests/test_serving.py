@@ -108,6 +108,15 @@ def test_staleness_bound_axes():
         StalenessBound(max_age_s=-0.5)
 
 
+def test_support_counts_are_not_optional():
+    server = Server(_chain_db(2))
+    with pytest.raises(TypeError):
+        server.view(parse_program(TC), use_counts=False)
+    view = server.view(parse_program(TC))
+    view.refresh()
+    assert view.counts is not None
+
+
 # -- retry policy ------------------------------------------------------------
 
 def test_retry_backoff_schedule_is_exponential_and_capped():
@@ -233,6 +242,91 @@ def test_pipeline_failed_batch_is_carried_not_dropped():
     assert server.version == 1
     assert pipeline.health == HealthState.HEALTHY
     assert ("n5",) in server.view(program).query("reach(n0, X)")
+
+
+MALFORMED = ["+edge(x, y, z).",     # wrong arity
+             "+reach(q, r)."]       # an IDB predicate
+
+
+def _assert_healthy_after_drop(pipeline, server, program, version):
+    """One changeset was dropped; everything valid landed and nothing
+    climbed the failure ladder."""
+    assert pipeline.drained()
+    assert server.version == version
+    assert pipeline.dropped_changesets == 1
+    assert pipeline.describe()["dropped_changesets"] == 1
+    assert isinstance(pipeline.last_error, EvaluationError)
+    assert pipeline.health == HealthState.HEALTHY
+    assert pipeline.breaker.state == "closed"
+    assert pipeline.full_rebuilds_forced == 0
+    assert pipeline.refresh_failures == 0
+    view = server.view(program)
+    assert view.version == version
+    expected = seminaive_evaluate(program, server.source.db)
+    assert view.fingerprint() == relation_fingerprint(expected)
+
+
+@pytest.mark.parametrize("bad", MALFORMED)
+def test_pipeline_drops_a_changeset_that_can_never_apply(bad):
+    """It used to be parked in the carry and composed before every
+    later batch, so no write ever landed again: version stuck at 0,
+    full rebuilds forced, and the breaker open by the fourth batch."""
+    program = parse_program(TC)
+    server, pipeline = _pipeline(retry=RetryPolicy(jitter=0.0))
+    server.view(program, publish_snapshots=True).refresh()
+    pipeline.submit(Changeset.from_text(bad))
+    assert pipeline.process_once()
+    assert pipeline.drained() and server.version == 0
+    for step in range(3):
+        pipeline.submit(Changeset.from_text(f"+edge(n{4 + step}, "
+                                            f"n{5 + step})."))
+        assert pipeline.process_once()
+        assert server.version == step + 1
+    assert pipeline.applied_versions == 3
+    _assert_healthy_after_drop(pipeline, server, program, version=3)
+    assert ("n7",) in server.view(program).query("reach(n0, X)")
+
+
+@pytest.mark.parametrize("bad", MALFORMED)
+def test_pipeline_coalesced_batch_keeps_the_valid_writes(bad):
+    program = parse_program(TC)
+    server, pipeline = _pipeline()
+    server.view(program, publish_snapshots=True).refresh()
+    pipeline.submit(Changeset.from_text("+edge(n4, n5)."))
+    pipeline.submit(Changeset.from_text(bad))
+    pipeline.submit(Changeset.from_text("+edge(n5, n6)."))
+    assert pipeline.process_once()
+    assert pipeline.batches == 1 and pipeline.changesets_coalesced == 2
+    _assert_healthy_after_drop(pipeline, server, program, version=1)
+    assert ("n6",) in server.view(program).query("reach(n0, X)")
+
+
+def test_pipeline_drops_a_batch_that_only_fails_as_a_whole():
+    """Each changeset applies alone; composed, they disagree on the
+    arity of a predicate the database does not hold yet."""
+    program = parse_program(TC)
+    server, pipeline = _pipeline()
+    server.view(program, publish_snapshots=True).refresh()
+    pipeline.submit(Changeset.from_text("+colour(n0, red)."))
+    pipeline.submit(Changeset.from_text("+colour(n1)."))
+    assert pipeline.process_once()
+    assert "colour" not in server.source.db
+    _assert_healthy_after_drop(pipeline, server, program, version=0)
+    pipeline.submit(Changeset.from_text("+edge(n4, n5)."))
+    assert pipeline.process_once()
+    assert server.version == 1 and pipeline.drained()
+
+
+@pytest.mark.parametrize("bad", MALFORMED)
+def test_threaded_server_sync_update_survives_a_malformed_changeset(bad):
+    program = parse_program(TC)
+    server = ThreadedServer(db=_chain_db(4))
+    server.read(program, "reach(n0, X)")
+    server.update(Changeset.from_text(bad))  # never raises for this
+    server.update(Changeset.from_text("+edge(n4, n5)."))
+    _assert_healthy_after_drop(server.pipeline, server.server, program,
+                               version=1)
+    assert ("n5",) in server.read(program, "reach(n0, X)").rows
 
 
 def test_pipeline_retry_applies_changeset_exactly_once():

@@ -25,7 +25,6 @@ from repro.datalog import parse_program
 from repro.engine.seminaive import seminaive_evaluate
 from repro.facts import (Changeset, Database, Relation, SymbolTable,
                          VersionedDatabase)
-from repro.facts.backend import DictBackend
 from repro.facts.relation import PatchedRelation
 from repro.runtime import ChaosError
 from repro.runtime.chaos import ChaosPlan
@@ -288,12 +287,12 @@ def test_compaction_rebases_on_the_writers_clock(monkeypatch,
     pinned = [view.snapshot]
     answers = [view.snapshot.query("reach(n0, X)")]  # builds index (0,)
     old_base = view.snapshot.idb.relation("reach").base
-    assert set(old_base.backend.indexes) == {(0,)}
+    assert set(old_base.indexes) == {(0,)}
 
     builds = []
-    real_build = DictBackend._build_index
+    real_build = Relation._build_index
     monkeypatch.setattr(
-        DictBackend, "_build_index",
+        Relation, "_build_index",
         lambda self, columns: builds.append(columns)
         or real_build(self, columns))
 
@@ -316,7 +315,7 @@ def test_compaction_rebases_on_the_writers_clock(monkeypatch,
     assert view.snapshot.edb.relation("edge").base \
         is pinned[0].edb.relation("edge").base
     # The new base holds the old base's index column sets already ...
-    assert set(compacted.base.backend.indexes) == {(0,)}
+    assert set(compacted.base.indexes) == {(0,)}
     assert builds == [(0,)]
     # ... so no index is built on a reader's call.
     builds.clear()
