@@ -1,9 +1,6 @@
 """Benchmark harness and the reproduction experiments E1..E10."""
 
-from .harness import (Measurement, Table, check_same_answers,
-                      emit_engine_baseline, measure)
-from .engine_bench import (regression_failures, run_engine_benchmark,
-                           write_engine_benchmark)
+from .harness import Measurement, Table, check_same_answers, measure
 from .experiments import (ALL_EXPERIMENTS, experiment_e1, experiment_e2,
                           experiment_e3, experiment_e4, experiment_e5,
                           experiment_e6, experiment_e7, experiment_e8,
@@ -11,8 +8,6 @@ from .experiments import (ALL_EXPERIMENTS, experiment_e1, experiment_e2,
 
 __all__ = [
     "Measurement", "Table", "check_same_answers", "measure",
-    "emit_engine_baseline", "regression_failures",
-    "run_engine_benchmark", "write_engine_benchmark",
     "ALL_EXPERIMENTS", "experiment_e1", "experiment_e2", "experiment_e3",
     "experiment_e4", "experiment_e5", "experiment_e6", "experiment_e7",
     "experiment_e8", "experiment_e9", "experiment_e10", "run_all",

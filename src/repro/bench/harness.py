@@ -11,7 +11,7 @@ from __future__ import annotations
 import statistics
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 from ..datalog.pretty import format_table
 from ..engine.engine import EvaluationResult
@@ -125,48 +125,7 @@ class Table:
                 writer.writerow([str(cell) for cell in row])
 
 
-def comparison_row(size_label: object,
-                   measurements: Sequence[Measurement],
-                   counter: str = "atom_lookups") -> list[object]:
-    """A standard row: size, then per-engine time/counter/answers."""
-    row: list[object] = [size_label]
-    baseline = measurements[0]
-    for measurement in measurements:
-        if measurement.budget_exceeded:
-            row.append("TIMEOUT")
-        else:
-            row.append(f"{measurement.median_seconds * 1000:.1f}ms")
-        row.append(measurement.counters.get(counter, 0))
-    row.append(f"{baseline.median_seconds / max(measurements[-1].median_seconds, 1e-9):.2f}x")
-    if any(m.budget_exceeded for m in measurements):
-        row.append("budget_exceeded")
-    else:
-        answers = {m.answers for m in measurements}
-        row.append("yes" if len(answers) == 1 else f"MISMATCH {answers}")
-    return row
-
-
 def check_same_answers(measurements: Iterable[Measurement]) -> bool:
     """All engines must agree — semantic optimization preserves answers."""
     answers = {m.answers for m in measurements}
     return len(answers) == 1
-
-
-def emit_engine_baseline(path: str = "BENCH_engine.json",
-                         scale: str = "default", repeats: int = 3,
-                         timeout_s: float | None =
-                         DEFAULT_MEASUREMENT_TIMEOUT_S) -> dict:
-    """Run the engine baseline and write ``BENCH_engine.json``.
-
-    Thin entry point over :mod:`repro.bench.engine_bench` (imported
-    lazily to keep harness import light): standard recursive workloads
-    under every method and both executors, with differential agreement
-    checks baked into the report.  Returns the report dict.
-    """
-    from .engine_bench import run_engine_benchmark, \
-        write_engine_benchmark
-
-    report = run_engine_benchmark(scale=scale, repeats=repeats,
-                                  timeout_s=timeout_s)
-    write_engine_benchmark(report, path)
-    return report

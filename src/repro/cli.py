@@ -378,78 +378,6 @@ def cmd_experiments(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_bench_engine(args: argparse.Namespace) -> int:
-    from .bench.engine_bench import (regression_failures,
-                                     run_engine_benchmark,
-                                     write_engine_benchmark)
-
-    report = run_engine_benchmark(scale=args.scale, repeats=args.repeats,
-                                  timeout_s=args.timeout_s,
-                                  seed=args.seed,
-                                  profile=args.profile)
-    write_engine_benchmark(report, args.out)
-    print(f"wrote {args.out} (scale={args.scale}, "
-          f"repeats={args.repeats}, seed={args.seed})")
-    for workload in report["workloads"]:
-        methods = workload.get("methods", {})
-        parts = []
-        for method in ("naive", "seminaive", "magic"):
-            speedup = methods.get(method, {}).get("speedup")
-            if speedup is not None:
-                parts.append(f"{method} {speedup:.2f}x")
-        interned = workload.get("interned_speedup")
-        if interned is not None:
-            parts.append(f"interned+adaptive {interned:.2f}x")
-        agreement = workload["agreement"]
-        ok = agreement.get("methods_agree", True) \
-            and agreement.get("executors_agree", True) \
-            and agreement.get("configs_agree", True)
-        print(f"  {workload['name']:20} speedups: "
-              f"{', '.join(parts) or 'n/a'}  "
-              f"agreement: {'ok' if ok else 'MISMATCH'}")
-    if args.check:
-        failures = regression_failures(
-            report, max_slowdown=args.max_slowdown)
-        for failure in failures:
-            print(f"REGRESSION: {failure}", file=sys.stderr)
-        if failures:
-            return 1
-        print("regression gate: ok")
-    return 0
-
-
-def cmd_bench_optimizer(args: argparse.Namespace) -> int:
-    from .bench.optimizer_bench import (regression_failures,
-                                        run_optimizer_benchmark,
-                                        write_optimizer_benchmark)
-
-    report = run_optimizer_benchmark(scale=args.scale,
-                                     repeats=args.repeats,
-                                     timeout_s=args.timeout_s,
-                                     seed=args.seed)
-    write_optimizer_benchmark(report, args.out)
-    print(f"wrote {args.out} (scale={args.scale}, "
-          f"repeats={args.repeats}, seed={args.seed})")
-    for workload in report["workloads"]:
-        chosen = workload["chosen"]
-        speedup = workload.get("speedup")
-        agree = workload["agreement"]["answers_agree"]
-        print(f"  {workload['name']:12} chose {chosen['label']:24} "
-              f"enum {workload['enumeration_ms']:6.1f}ms  "
-              f"vs adaptive "
-              + (f"{speedup:.2f}x" if speedup is not None else "n/a")
-              + f"  agreement: {'ok' if agree else 'MISMATCH'}")
-    if args.check:
-        failures = regression_failures(
-            report, min_cbo_speedup=args.min_cbo_speedup)
-        for failure in failures:
-            print(f"REGRESSION: {failure}", file=sys.stderr)
-        if failures:
-            return 1
-        print("regression gate: ok")
-    return 0
-
-
 def _print_query_rows(rows) -> None:
     for row in sorted(rows, key=str):
         print("\t".join(str(v) for v in row))
@@ -597,44 +525,6 @@ def cmd_update(args: argparse.Namespace) -> int:
     print(f"# v{versioned.version}: +{effective.total_inserts()} "
           f"-{effective.total_deletes()} effective, "
           f"{versioned.db.total_facts()} facts", file=sys.stderr)
-    return 0
-
-
-def cmd_bench_incremental(args: argparse.Namespace) -> int:
-    from .bench.incremental_bench import (regression_failures,
-                                          run_incremental_benchmark,
-                                          write_incremental_benchmark)
-
-    report = run_incremental_benchmark(
-        scale=args.scale, repeats=args.repeats,
-        timeout_s=args.timeout_s, seed=args.seed,
-        fraction=args.fraction)
-    write_incremental_benchmark(report, args.out)
-    print(f"wrote {args.out} (scale={args.scale}, "
-          f"repeats={args.repeats}, seed={args.seed})")
-    for block in report["workloads"]:
-        parts = []
-        for mode in ("insert", "delete"):
-            entry = block[mode]
-            speedup = entry.get("speedup")
-            agree = entry.get("fingerprints_agree")
-            if speedup is not None:
-                parts.append(
-                    f"{mode} {speedup:.2f}x"
-                    f"{'' if agree else ' MISMATCH'}")
-            elif entry.get("budget_exceeded"):
-                parts.append(f"{mode} BUDGET")
-        print(f"  {block['name']:20} maintenance vs recompute: "
-              f"{', '.join(parts) or 'n/a'}")
-    if args.check:
-        failures = regression_failures(
-            report, min_insert_speedup=args.min_insert_speedup,
-            min_delete_speedup=args.min_delete_speedup)
-        for failure in failures:
-            print(f"REGRESSION: {failure}", file=sys.stderr)
-        if failures:
-            return 1
-        print("regression gate: ok")
     return 0
 
 
@@ -871,38 +761,6 @@ def build_parser() -> argparse.ArgumentParser:
                                "(default: stdout)")
     p_update.set_defaults(func=cmd_update)
 
-    p_binc = sub.add_parser(
-        "bench-incremental",
-        help="maintenance vs recompute: BENCH_incremental.json")
-    p_binc.add_argument("--out", default="BENCH_incremental.json",
-                        help="report path "
-                             "(default BENCH_incremental.json)")
-    p_binc.add_argument("--scale", default="default",
-                        choices=["smoke", "default", "large"])
-    p_binc.add_argument("--repeats", type=int, default=3)
-    p_binc.add_argument("--timeout-s", type=float, default=120.0,
-                        help="per-run deadline in seconds")
-    p_binc.add_argument("--fraction", type=float, default=0.01,
-                        help="EDB fraction changed per batch "
-                             "(default 0.01)")
-    p_binc.add_argument("--seed", type=int, default=7,
-                        help="RNG seed for EDBs and changesets")
-    p_binc.add_argument("--check", action="store_true",
-                        help="exit 1 when speedups fall below the "
-                             "thresholds, fingerprints disagree, or "
-                             "repeats are too few for stable medians")
-    p_binc.add_argument("--min-insert-speedup", type=float, default=None,
-                        metavar="X",
-                        help="with --check, require insert maintenance "
-                             "to be at least X times faster than "
-                             "recomputation on transitive closure")
-    p_binc.add_argument("--min-delete-speedup", type=float, default=None,
-                        metavar="X",
-                        help="with --check, require delete maintenance "
-                             "(DRed) to be at least X times faster than "
-                             "recomputation on transitive closure")
-    p_binc.set_defaults(func=cmd_bench_incremental)
-
     p_bsrv = sub.add_parser(
         "bench-serving",
         help="concurrent serving under load (and chaos): "
@@ -930,58 +788,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--csv-dir",
                        help="also write each table as CSV here")
     p_exp.set_defaults(func=cmd_experiments)
-
-    p_bench = sub.add_parser(
-        "bench-engine",
-        help="engine baseline: methods x executors, BENCH_engine.json")
-    p_bench.add_argument("--out", default="BENCH_engine.json",
-                         help="report path (default BENCH_engine.json)")
-    p_bench.add_argument("--scale", default="default",
-                         choices=["smoke", "default", "large"])
-    p_bench.add_argument("--repeats", type=int, default=3)
-    p_bench.add_argument("--timeout-s", type=float, default=120.0,
-                         help="per-run deadline in seconds")
-    p_bench.add_argument("--check", action="store_true",
-                         help="exit 1 on regression: compiled slower "
-                              "than allowed, or executors/methods "
-                              "disagree")
-    p_bench.add_argument("--max-slowdown", type=float, default=1.5,
-                         help="allowed compiled/interpreted ratio for "
-                              "--check (default 1.5)")
-    p_bench.add_argument("--profile", action="store_true",
-                         help="attach a per-kernel wall-time and "
-                              "per-round delta-size breakdown to each "
-                              "workload in the report")
-    p_bench.add_argument("--seed", type=int, default=7,
-                         help="RNG seed for the generated EDBs "
-                              "(default 7; fixed for reproducibility)")
-    p_bench.set_defaults(func=cmd_bench_engine)
-
-    p_bopt = sub.add_parser(
-        "bench-optimizer",
-        help="cost-based optimizer vs adaptive planner: "
-             "BENCH_optimizer.json")
-    p_bopt.add_argument("--out", default="BENCH_optimizer.json",
-                        help="report path (default BENCH_optimizer.json)")
-    p_bopt.add_argument("--scale", default="default",
-                        choices=["smoke", "default", "large"])
-    p_bopt.add_argument("--repeats", type=int, default=3)
-    p_bopt.add_argument("--timeout-s", type=float, default=120.0,
-                        help="per-run deadline in seconds")
-    p_bopt.add_argument("--seed", type=int, default=7,
-                        help="RNG seed for the generated EDBs")
-    p_bopt.add_argument("--check", action="store_true",
-                        help="exit 1 when answers disagree, enumeration "
-                             "exceeds its per-workload budget, or the "
-                             "--min-cbo-speedup floor is missed")
-    p_bopt.add_argument("--min-cbo-speedup", type=float, default=None,
-                        metavar="X",
-                        help="with --check, require the optimizer's "
-                             "chosen plan to be at least X times faster "
-                             "than the adaptive planner (paired "
-                             "interleaved best-of) on at least one "
-                             "workload where rewrite choice matters")
-    p_bopt.set_defaults(func=cmd_bench_optimizer)
 
     p_shell = sub.add_parser("shell", help="interactive Datalog shell")
     p_shell.set_defaults(func=lambda args: __import__(

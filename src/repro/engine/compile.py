@@ -27,7 +27,8 @@ interned or raw, arithmetic and empty bodies included.  When a
 derivation hook is installed the same program is generated a second
 time with one closing filter that shows the hook each solution's
 ``Binding`` before the head row is built.  Either way the derived head
-rows and every ``EvalStats`` counter equal the reference interpreter's.
+rows equal the reference interpreter's, and so does every ``EvalStats``
+counter under the same join order.
 
 Kernels are pure code: they bake in body *positions*, never relation
 objects, so semi-naive evaluation compiles one variant per

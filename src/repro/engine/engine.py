@@ -21,8 +21,8 @@ from ..facts.database import Database
 from ..facts.symbols import validate_interning
 from ..runtime.budget import Budget, resolve_budget
 from .bindings import EvalStats, validate_planner
-from .compile import EXECUTORS, validate_executor
-from .magic import MagicProgram, adornment_of, magic_rewrite
+from .compile import validate_executor
+from .magic import MagicProgram, magic_rewrite
 from .naive import naive_evaluate
 from .profile import EvalProfile
 from .seminaive import DerivationHook, answers, seminaive_evaluate
@@ -105,7 +105,14 @@ def evaluate(program: Program, edb: Database, method: str = "seminaive",
             kernels (:mod:`repro.engine.compile`): one generated
             whole-frontier function per body, ``hook`` or not;
             ``"interpreted"`` uses the reference interpreter.  Both
-            derive identical databases with identical counters.
+            derive identical databases, and ``derivations``,
+            ``duplicate_derivations``, ``iterations`` and
+            ``rules_fired`` are equal under every planner.  The
+            per-step counters (``atom_lookups``, ``rows_matched``,
+            ``comparisons_checked``, ``negation_checks``) are equal
+            wherever the join orders coincide (``planner="source"``):
+            a kernel's plan is fixed per (rule, variant) at its first
+            firing, the interpreter re-plans every firing.
         interning: ``"on"`` re-encodes the EDB over a shared
             :class:`~repro.facts.symbols.SymbolTable` (one pass) so the
             whole fixpoint joins over dense ``int`` codes; ``"off"``
@@ -176,8 +183,10 @@ def evaluate_with_magic(program: Program, edb: Database, query: Atom,
     rewriting *and* the evaluation of the rewritten program.
     ``planner`` and ``interning`` are as in :func:`evaluate`.
     """
-    budget = resolve_budget(budget)
+    validate_planner(planner)
+    validate_executor(executor)
     validate_interning(interning)
+    budget = resolve_budget(budget)
     if interning == "on":
         edb = edb.interned()
     rewritten = magic_rewrite(program, query, budget=budget)

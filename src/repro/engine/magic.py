@@ -19,7 +19,6 @@ from ..datalog.program import Program
 from ..datalog.rules import Rule
 from ..datalog.terms import Constant, Term, Variable
 from ..errors import TransformError
-from ..facts.database import Database
 from ..runtime import chaos
 from ..runtime.budget import Budget, resolve_budget
 
@@ -58,10 +57,6 @@ class MagicProgram:
     program: Program
     query_pred: str
     seed: Rule
-
-    def answers(self, idb: Database) -> frozenset[tuple]:
-        """Project the adorned query relation out of an IDB database."""
-        return frozenset(idb.facts(self.query_pred))
 
 
 def magic_rewrite(program: Program, query: Atom,

@@ -33,7 +33,7 @@ the differential-fuzz matrix pins them bit-identical to
 ``planner="adaptive"``.  Rewrites that preserve the *answer* but not
 the full IDB trace (magic, linearization, fusion) or that rely on
 IC-consistency (residue pushing) engage only at the query-bearing entry
-points (:func:`cbo_evaluate`, :func:`cbo_answers`, ``bench-optimizer``).
+points (:func:`cbo_evaluate`, :func:`cbo_answers`).
 """
 
 from __future__ import annotations
@@ -625,8 +625,8 @@ def cbo_evaluate(program: Program, edb: Database,
     runs with the adaptive runtime machinery.  The result's ``choice``
     attribute carries the :class:`ChosenPlan`; when magic was chosen the
     result's ``magic`` field is set and answers should be read through
-    :func:`cbo_answers` (or ``choice.magic.answers``).  ``budget``
-    covers enumeration *and* evaluation.
+    :func:`cbo_answers`.  ``budget`` covers enumeration *and*
+    evaluation.
     """
     from ..facts.symbols import validate_interning
     from .compile import validate_executor

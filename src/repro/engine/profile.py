@@ -11,8 +11,7 @@ collects, without touching the unprofiled hot path:
 - per-round delta sizes: after every semi-naive round, the frontier
   cardinality of each recursive predicate.
 
-``as_dict()`` is the JSON shape embedded in ``BENCH_engine.json`` under
-``--profile``.
+``as_dict()`` is the JSON-ready shape of both.
 """
 
 from __future__ import annotations

@@ -72,9 +72,15 @@ def seminaive_evaluate(program: Program, edb: Database,
     filter when ``hook`` is given;
     ``"interpreted"`` keeps the reference
     :func:`~repro.engine.bindings.solve_body` interpreter, the
-    semantics oracle.  Both derive identical databases with identical
-    counters; hooks, chaos injection and budgets behave identically
-    under either.
+    semantics oracle.  Both derive identical databases with equal
+    ``derivations``, ``duplicate_derivations``, ``iterations`` and
+    ``rules_fired`` under every planner; the per-step counters
+    (``atom_lookups``, ``rows_matched``, ``comparisons_checked``,
+    ``negation_checks``) are equal wherever the join orders coincide
+    (``planner="source"``), because a kernel's plan is fixed per
+    (rule, variant) at its first firing while the interpreter re-plans
+    every firing.  Hooks, chaos injection and budgets behave
+    identically under either.
 
     ``profile``, when given, accumulates per-kernel wall time and
     per-round delta sizes (:class:`~repro.engine.profile.EvalProfile`).

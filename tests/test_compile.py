@@ -9,11 +9,11 @@ the kernels rely on.
 
 from __future__ import annotations
 
+import importlib
 import random
 
 import pytest
 
-from repro.bench.engine_bench import regression_failures
 from repro.cli import main
 from repro.datalog import parse_program
 from repro.datalog.atoms import Atom
@@ -280,8 +280,6 @@ def test_removed_keywords_and_names_stay_removed(tmp_path):
         from repro.facts import ColumnarBackend  # noqa: F401
     with pytest.raises(ImportError):
         from repro.engine import VectorRunner  # noqa: F401
-    with pytest.raises(TypeError):
-        regression_failures({}, min_interned_speedup=1.3)
     source = tmp_path / "tc.dl"
     source.write_text("reach(X, Y) :- edge(X, Y).\n")
     for argv in (["explain", str(source), "--kernels",
@@ -292,6 +290,29 @@ def test_removed_keywords_and_names_stay_removed(tmp_path):
         with pytest.raises(SystemExit) as exit_info:
             main(argv)
         assert exit_info.value.code == 2
+
+
+def test_the_legacy_bench_harnesses_stay_removed():
+    # Removal pin (PR 21): benchmarks/e2e is the one perf record.  No
+    # alias, no stub command, no re-export; bench-serving is the one
+    # harness left (concurrent readers beside a writer under chaos).
+    from repro.engine.magic import MagicProgram
+
+    for command in ("bench-engine", "bench-optimizer",
+                    "bench-incremental"):
+        with pytest.raises(SystemExit) as exit_info:
+            main([command])
+        assert exit_info.value.code == 2
+    for module in ("engine_bench", "optimizer_bench",
+                   "incremental_bench"):
+        with pytest.raises(ImportError):
+            importlib.import_module(f"repro.bench.{module}")
+    with pytest.raises(ImportError):
+        from repro.bench import emit_engine_baseline  # noqa: F401
+    assert not hasattr(MagicProgram, "answers")
+    with pytest.raises(SystemExit) as exit_info:
+        main(["bench-serving", "--help"])
+    assert exit_info.value.code == 0
 
 
 def test_the_row_chain_and_its_fork_stay_removed():

@@ -5,7 +5,8 @@ import random
 import pytest
 
 from repro.datalog import atom, parse_program
-from repro.engine import (consistent_answers, evaluate, magic_answers,
+from repro.engine import (consistent_answers, evaluate,
+                          evaluate_with_magic, magic_answers,
                           naive_evaluate, query_answers,
                           seminaive_evaluate, stratify)
 from repro.engine.bindings import EvalStats
@@ -97,17 +98,28 @@ class TestEngineFeatures:
             evaluate(tc_program, chain_db, method="bogus")
 
     @pytest.mark.parametrize("bad", [{"method": "bogus"},
-                                     {"planner": "bogus"}])
+                                     {"planner": "bogus"},
+                                     {"executor": "bogus"}])
     def test_options_are_validated_before_any_work(
             self, tc_program, chain_db, monkeypatch, bad):
         # Neither the dataflow analysis nor the O(EDB) re-encode may
-        # run for a call that is going to be refused.
+        # run for a call that is going to be refused — nor, at the
+        # magic entry points, the rewrite.
         monkeypatch.setattr(Database, "interned",
                             lambda self, symbols=None: pytest.fail(
                                 "re-encoded the EDB before validating"))
+        monkeypatch.setattr("repro.engine.engine.magic_rewrite",
+                            lambda *args, **kwargs: pytest.fail(
+                                "rewrote the program before validating"))
         with pytest.raises(EvaluationError, match="bogus"):
             evaluate(tc_program, chain_db, interning="on",
                      dataflow="on", **bad)
+        if "method" in bad:
+            return  # the magic entry points are semi-naive only
+        for entry in (evaluate_with_magic, magic_answers):
+            with pytest.raises(EvaluationError, match="bogus"):
+                entry(tc_program, chain_db, atom("reach", "a", "X"),
+                      interning="on", **bad)
 
     def test_source_planner_same_answers(self, tc_program, diamond_db):
         greedy = evaluate(tc_program, diamond_db, planner="greedy")

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.bench.harness import (Measurement, Table, check_same_answers,
-                                 comparison_row, measure)
+                                 measure)
 from repro.datalog import (format_program, format_rule, format_table,
                            parse_program, side_by_side)
 from repro.datalog.pretty import format_substitution
@@ -81,14 +81,6 @@ class TestHarness:
         assert check_same_answers([a, b])
         assert not check_same_answers([a, c])
 
-    def test_comparison_row_flags_mismatch(self):
-        a = Measurement("a", seconds=[0.1], answers=5,
-                        counters={"atom_lookups": 3})
-        c = Measurement("c", seconds=[0.1], answers=6,
-                        counters={"atom_lookups": 3})
-        row = comparison_row("n", [a, c])
-        assert "MISMATCH" in str(row[-1])
-
     def test_measure_records_budget_exceeded(self, tc_program, chain_db):
         m = measure("slow", lambda: evaluate(tc_program, chain_db),
                     "reach", repeats=2, timeout_s=0.0)
@@ -102,16 +94,6 @@ class TestHarness:
         m = measure("ok", lambda: evaluate(tc_program, chain_db),
                     "reach", repeats=1, timeout_s=None)
         assert not m.budget_exceeded and m.answers == 6
-
-    def test_comparison_row_renders_timeout(self):
-        ok = Measurement("ok", seconds=[0.1], answers=5,
-                         counters={"atom_lookups": 3})
-        timed_out = Measurement("t", seconds=[0.2], answers=0,
-                                counters={"atom_lookups": 1},
-                                budget_exceeded=True)
-        row = comparison_row("n", [ok, timed_out])
-        assert "TIMEOUT" in [str(cell) for cell in row]
-        assert str(row[-1]) == "budget_exceeded"
 
 
 class TestFastExperiments:
