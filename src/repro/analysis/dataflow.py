@@ -55,8 +55,10 @@ from ..datalog.program import Program
 from ..datalog.rules import Rule
 from ..datalog.terms import (ArithExpr, Constant, ConstValue, Term,
                              Variable)
+from ..engine.bindings import check_edb_arities
 from ..engine.builtins import compare_values
 from ..errors import EvaluationError
+from ..facts.relation import PROFILE_VALUES, ColumnProfile
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle shield
     from ..facts.database import Database
@@ -64,7 +66,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle shield
 INF = float("inf")
 
 #: A constant set wider than this collapses to an interval/kind domain.
-MAX_CONSTS = 8
+#: A relation's column profile keeps the values themselves up to this
+#: width, so an EDB column gets the domain of its values exactly.
+MAX_CONSTS = PROFILE_VALUES
 
 #: Interval bounds that keep moving widen to +-inf after this many
 #: changes, guaranteeing fixpoint termination under head arithmetic.
@@ -221,6 +225,17 @@ def consts_domain(values: Iterable[ConstValue]) -> Domain:
                        if not isinstance(value, str))
         return interval_domain(min(numbers), max(numbers), integral)
     return kinds_domain(kinds)
+
+
+def _column_domain(column: ColumnProfile) -> Domain:
+    """:func:`consts_domain` of a stored column's values, read off its
+    profile."""
+    if column.values is not None:
+        return consts_domain(column.values)
+    if not column.strings:
+        return interval_domain(float(column.lo), float(column.hi),
+                               column.integral)
+    return kinds_domain(ALL_KINDS if column.lo <= column.hi else {STRING})
 
 
 def join(a: Domain, b: Domain) -> Domain:
@@ -649,9 +664,13 @@ def analyze_dataflow(program: Program, edb: "Database | None" = None,
     """Run all four analyses to a fixpoint over ``program``.
 
     Without ``edb``, EDB columns start at top (lint mode); with it,
-    they start from the actual relation contents, which also supplies
-    exact per-column distinct counts for the size-bound analysis.
+    they start from each relation's column profile (memoised on the
+    relation until its next write), which also supplies exact
+    per-column distinct counts for the size-bound analysis.  A relation
+    stored at another arity than the program's is an ``EvaluationError``.
     """
+    if edb is not None:
+        check_edb_arities(program, edb)
     arities = dict(program.predicate_arities())
     state: dict[str, PredState] = {}
     distinct: dict[tuple[str, int], float] = {}
@@ -664,20 +683,13 @@ def analyze_dataflow(program: Program, edb: "Database | None" = None,
             for column in range(arity):
                 distinct[(pred, column)] = INF
             continue
-        relation = edb.relation_or_empty(pred, arity)
-        seen: list[set[ConstValue]] = [set() for _ in range(arity)]
-        rows = 0
-        for row in relation:
-            rows += 1
-            for column, value in enumerate(row):
-                if column < arity:
-                    seen[column].add(value)
-        edb_sizes[pred] = float(rows)
+        profile = edb.relation_or_empty(pred, arity).profile()
+        edb_sizes[pred] = float(profile.rows)
         state[pred] = PredState(
-            rows > 0,
-            tuple(consts_domain(values) for values in seen))
-        for column in range(arity):
-            distinct[(pred, column)] = float(len(seen[column]))
+            profile.rows > 0,
+            tuple(_column_domain(summary) for summary in profile.columns))
+        for column, summary in enumerate(profile.columns):
+            distinct[(pred, column)] = float(summary.distinct)
     for pred in program.idb_predicates:
         arity = arities.get(pred, 0)
         state[pred] = PredState(False, (BOTTOM,) * arity)

@@ -51,7 +51,7 @@ from ..datalog.terms import Constant, Variable
 from ..errors import ReproError, TransformError
 from ..facts.database import Database
 from ..runtime.budget import Budget, resolve_budget
-from .bindings import EvalStats, plan_body
+from .bindings import EvalStats, check_edb_arities, plan_body
 from .magic import MagicProgram, adornment_of, magic_rewrite
 
 if TYPE_CHECKING:
@@ -578,6 +578,7 @@ def choose_plan(program: Program, edb: Database,
     """
     start = perf_counter()
     budget = resolve_budget(budget)
+    check_edb_arities(program, edb)
     if dataflow is None:
         from ..analysis.dataflow import analyze_dataflow
         try:

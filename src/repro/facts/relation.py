@@ -43,19 +43,25 @@ per relation object and ``version`` bumps on every mutation that
 changed content.  The generated kernels' column-level predicate cache
 (:mod:`repro.engine.codegen`) stamps memoized check results with this
 pair, so the *invalidation rule* is simply "any content change bumps the
-version and the stale entry is replaced".
+version and the stale entry is replaced".  The relation's own column
+profile (:meth:`Relation.profile`: row count, per-column distinct count
+and value summary) is the second consumer of that identity: stamped
+with the version it was built at, rebuilt when the stamp no longer
+matches.
 
 The adaptive join planner's statistics
 (:meth:`Relation.distinct_count`, :meth:`Relation.probe_estimate`) are
-read off the live indexes, so no insert pays for them.
+read off the live indexes, or off the profile for a column without
+one, so no insert pays for them.
 """
 
 from __future__ import annotations
 
 import itertools
 from itertools import chain, filterfalse
+from operator import itemgetter
 from typing import (AbstractSet, Any, Callable, Collection, Iterable,
-                    Iterator, Optional)
+                    Iterator, NamedTuple, Optional, Sequence)
 
 from ..datalog.terms import ConstValue
 from .symbols import SymbolTable
@@ -68,7 +74,8 @@ Index = dict[tuple[ConstValue, ...], list[Row]]
 #: A value-level bound-column pattern: sorted ``(column, value)`` pairs.
 Bound = tuple[tuple[int, ConstValue], ...]
 
-__all__ = ["Relation", "PatchedRelation", "Row", "Index"]
+__all__ = ["Relation", "PatchedRelation", "Row", "Index",
+           "ColumnProfile", "RelationProfile", "build_profile"]
 
 #: Monotone source of relation identities (see ``Relation.uid``).
 _uids = itertools.count(1)
@@ -99,12 +106,60 @@ def _decoder(arity: int) -> _Decoder:
     return decode
 
 
+#: A column's profile keeps its distinct values up to this many.
+PROFILE_VALUES = 8
+
+
+class ColumnProfile(NamedTuple):
+    """The distinct *values* of one column: how many; the values
+    themselves when at most ``PROFILE_VALUES``; whether any is a string;
+    the smallest and largest number as stored (``inf``/``-inf`` without
+    one) and whether every number is integer-valued."""
+
+    distinct: int
+    values: Optional[frozenset[ConstValue]]
+    strings: bool
+    lo: float
+    hi: float
+    integral: bool
+
+
+class RelationProfile(NamedTuple):
+    """Row count and per-column summary of a relation's contents."""
+
+    rows: int
+    columns: tuple[ColumnProfile, ...]
+
+
+def build_profile(rows: Sequence[Row], arity: int,
+                  decode: Sequence[ConstValue] | None = None
+                  ) -> RelationProfile:
+    """The profile of storage-domain ``rows``, from scratch; ``decode``
+    is the symbol table's value list when they are coded (only the
+    *distinct* codes of a column are decoded)."""
+    columns = []
+    for column in range(arity):
+        stored = set(map(itemgetter(column), rows))
+        values: Collection[ConstValue] = (
+            stored if decode is None else [decode[code] for code in stored])
+        numbers = [value for value in values if not isinstance(value, str)]
+        columns.append(ColumnProfile(
+            len(values),
+            frozenset(values) if len(values) <= PROFILE_VALUES else None,
+            len(numbers) < len(values),
+            min(numbers, default=float("inf")),
+            max(numbers, default=float("-inf")),
+            all(isinstance(number, int) or number.is_integer()
+                for number in numbers)))
+    return RelationProfile(len(rows), tuple(columns))
+
+
 class Relation:
     """A set of fixed-arity ground tuples with on-demand hash indexes."""
 
     __slots__ = ("name", "arity", "symbols", "_rows", "indexes",
                  "code_indexes", "proj_indexes", "uid", "version",
-                 "_distinct_cache")
+                 "_profile")
 
     def __init__(self, name: str, arity: int,
                  rows: Iterable[Row] | None = None,
@@ -123,9 +178,8 @@ class Relation:
         self.uid = next(_uids)
         #: Bumps on every content change (see the module docstring).
         self.version = 0
-        #: column -> (cardinality the count was taken at, count); the
-        #: scan fallback of :meth:`distinct_count`.
-        self._distinct_cache: dict[int, tuple[int, int]] = {}
+        #: ``(version built at, profile)``; see :meth:`profile`.
+        self._profile: Optional[tuple[int, RelationProfile]] = None
         if rows:
             self.add_all(rows)
 
@@ -299,8 +353,6 @@ class Relation:
                 if not values:
                     del pindex[row[kcol]]
         self.version += 1
-        if self._distinct_cache:
-            self._distinct_cache.clear()
         return True
 
     def discard_all(self, rows: Iterable[Iterable[ConstValue]]) -> int:
@@ -317,21 +369,38 @@ class Relation:
         self.code_indexes.clear()
         self.proj_indexes.clear()
         self.version += 1
-        self._distinct_cache.clear()
 
     # -- statistics ------------------------------------------------------------
+    def profile(self) -> RelationProfile:
+        """Row count and per-column value summary of the current rows.
+
+        Built on first request and kept until ``version`` moves: the one
+        invalidation rule, and no mutation path pays more for it than
+        its ``version += 1``.  The stamp is read *before* the rows and
+        every mutation bumps it *after* changing them, so a profile
+        filed under a version lacks no row of that version; ``tuple``
+        snapshots the row set without releasing the interpreter lock and
+        the memo is one immutable pair, so a reader beside a writer gets
+        the profile of one recent state of the rows, never a torn one.
+        """
+        version = self.version
+        memo = self._profile
+        if memo is None or memo[0] != version:
+            memo = self._profile = (version, build_profile(
+                tuple(self._rows), self.arity,
+                None if self.symbols is None else self.symbols.values))
+        return memo[1]
+
     def distinct_count(self, column: int) -> int:
         """Number of distinct values in ``column``, at zero hot-path cost.
 
         When a live single-column hash index over ``column`` exists —
         and for columns the joins probe, it does — its key count *is*
         the distinct count, maintained incrementally by the very same
-        index upkeep every insert already pays.  Otherwise one scan
-        computes it, cached until the cardinality changes (inserts only
-        grow the cardinality, and every removal empties the cache
-        outright, so a cached entry always describes the current rows).
-        This is what keeps the adaptive planner's cost model off the
-        insert hot path.
+        index upkeep every insert already pays.  Otherwise it is read
+        off :meth:`profile`, which is rebuilt only after ``version``
+        moved.  This is what keeps the adaptive planner's cost model
+        off the insert hot path.
         """
         index = self.indexes.get((column,))
         if index is not None:
@@ -339,14 +408,7 @@ class Relation:
         cindex = self.code_indexes.get(column)
         if cindex is not None:
             return len(cindex)
-        rows = self._rows
-        cardinality = len(rows)
-        cached = self._distinct_cache.get(column)
-        if cached is not None and cached[0] == cardinality:
-            return cached[1]
-        count = len({row[column] for row in rows})
-        self._distinct_cache[column] = (cardinality, count)
-        return count
+        return self.profile().columns[column].distinct
 
     def probe_estimate(self, bound_columns: Collection[int]) -> float:
         """Expected rows matched by one probe with ``bound_columns``.
@@ -702,6 +764,11 @@ class PatchedRelation:
         if self.symbols is None:
             return iter(rows)
         return _decoder(self.arity)(rows, self.symbols.values)
+
+    def profile(self) -> RelationProfile:
+        """As :meth:`Relation.profile`, built on every call (a view keeps
+        no memo) from the decoded rows."""
+        return build_profile(tuple(self), self.arity)
 
     def __contains__(self, row: Row) -> bool:
         stored = self.base._stored(row)

@@ -387,6 +387,37 @@ def test_edb_arity_mismatch_is_rejected(executor, interning, facts,
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("facts, stored", [("edge(a).", 1),
+                                           ("edge(a, b, c).", 3)])
+@pytest.mark.parametrize("interning", ["off", "on"])
+def test_edb_arity_mismatch_is_rejected_before_planning(interning, facts,
+                                                        stored):
+    """Plan choice and the dataflow analysis run before any fixpoint:
+    they refuse the relation themselves instead of indexing past its
+    rows (``IndexError``) or costing a plan on the wrong columns."""
+    from repro.analysis.dataflow import analyze_dataflow
+    from repro.datalog.terms import Constant
+    from repro.engine import cbo_answers, cbo_evaluate, choose_plan
+
+    program = parse_program("""
+        r0: reach(X, Y) :- edge(X, Y).
+        r1: reach(X, Y) :- edge(X, Z), reach(Z, Y).
+    """)
+    query = Atom("reach", (Constant("a"), Variable("Y")))
+    edb = Database.from_text(facts)
+    if interning == "on":
+        edb = edb.interned()
+    for entry in (lambda: choose_plan(program, edb, query=query),
+                  lambda: cbo_answers(program, edb, query),
+                  lambda: cbo_evaluate(program, edb, query=query),
+                  lambda: analyze_dataflow(program, edb=edb),
+                  lambda: analyze_dataflow(program, edb=edb, query=query)):
+        with pytest.raises(EvaluationError) as info:
+            entry()
+        assert str(info.value) \
+            == f"relation 'edge' has arity {stored}, program uses edge/2"
+
+
 def test_explain_kernels_renders_steps(tc_program, chain_db):
     text = explain_kernels(tc_program, chain_db)
     assert "probe" in text or "scan" in text
