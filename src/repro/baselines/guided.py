@@ -10,10 +10,10 @@ the bottom-up loop.  This engine models that reading:
   recursive rule ``d`` times, optionally closed by an exit rule) veto
   derivations from delta round ``>= d_rec`` whose binding satisfies the
   condition — the delta round is a *lower bound* on the number of
-  recursive applications in the derivation (rules evaluated later within
-  a round already see earlier output), so ``round >= d_rec`` soundly
-  implies the ``d_rec``-fold unfolding the residue was compiled against
-  is present beneath the derivation;
+  recursive applications in the derivation (see
+  :data:`repro.engine.seminaive.DerivationHook`), so ``round >= d_rec``
+  soundly implies the ``d_rec``-fold unfolding the residue was compiled
+  against is present beneath the derivation;
 - every candidate derivation of a guarded rule pays the residue checks
   (``stats.residue_checks``) at run time, on every iteration, for every
   query — the overhead the program-transformation approach avoids by

@@ -16,7 +16,7 @@ specific occurrences.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Iterator, Optional
+from typing import TYPE_CHECKING, Callable, Collection, Iterator, Optional
 
 from ..datalog.atoms import Atom, Comparison, Negation
 from ..datalog.rules import Rule
@@ -32,6 +32,10 @@ if TYPE_CHECKING:
 #: ``fetch(atom, body_index) -> Relation`` — resolves an atom occurrence to
 #: the relation it should scan (full relation, delta, EDB, ...).
 Fetch = Callable[[Atom, int], Relation]
+
+#: ``sizes(atom, body_index) -> int`` — the size of the relation an atom
+#: occurrence reads, as the greedy planner ranks it.
+Sizes = Callable[[Atom, int], int]
 
 #: ``cost(atom, body_index, bound_columns) -> float`` — estimated rows
 #: one placement of the atom would match, given the columns bound so
@@ -157,7 +161,7 @@ def bound_columns_of(atom: Atom, bound: set[Variable]) -> tuple[int, ...]:
         or (isinstance(arg, Variable) and arg in bound))
 
 
-def plan_body(rule: Rule, sizes: Callable[[Atom, int], int],
+def plan_body(rule: Rule, sizes: Sizes,
               keep_atom_order: bool = False,
               cost: Cost | None = None) -> list[int]:
     """Order body literal indexes greedily (see module docstring).
@@ -234,6 +238,56 @@ def plan_body(rule: Rule, sizes: Callable[[Atom, int], int],
         remaining.discard(best_index)
         bound.update(rule.body[best_index].variable_set())
     return order
+
+
+#: What a frontier occurrence's size or estimate is scaled by when a
+#: planner ranks it (see :func:`frontier_occurrences`).
+FRONTIER_BIAS = 0.05
+
+
+def frontier_occurrences(rule: Rule, stratum: Collection[str],
+                         variant: int | None) -> frozenset[int]:
+    """Body indexes whose relation holds only *new* rows at a firing.
+
+    In a delta round that is the delta-redirected occurrence
+    (``variant``).  In the initialization round (``variant is None``)
+    it is every same-stratum atom: whatever earlier rules of the round
+    put there, no firing of this rule has seen any of it — exactly a
+    delta.  Join paths rooted at such an occurrence are the ones that
+    can produce new facts, while anchoring elsewhere re-enumerates old
+    paths *and probes the frontier* — which builds a hash index on a
+    relation that is dropped next round (a delta) or that the recursion
+    is about to grow by orders of magnitude, so that every later insert
+    extends an index no later round reads.  The planners therefore rank
+    these occurrences at :data:`FRONTIER_BIAS` of what they measure
+    (:func:`anchor_sizes`, :func:`anchor_cost`) — the one frontier rule,
+    shared by the fixpoint and by ``explain``.
+    """
+    if variant is not None:
+        return frozenset((variant,))
+    return frozenset(index for index, lit in enumerate(rule.body)
+                     if isinstance(lit, Atom) and lit.pred in stratum)
+
+
+def anchor_sizes(sizes: Sizes, frontier: Collection[int]) -> Sizes:
+    """``sizes`` with the frontier rule applied (greedy planner)."""
+    def anchored(atom: Atom, index: int) -> int:
+        size = sizes(atom, index)
+        return int(size * FRONTIER_BIAS) if index in frontier else size
+    return anchored
+
+
+def anchor_cost(cost: Cost, frontier: Collection[int]) -> Cost:
+    """``cost`` with the frontier rule applied (adaptive planner): only
+    a *scan* of the occurrence is discounted — once a column is bound it
+    is being probed, which is what the rule steers away from."""
+    def anchored(atom: Atom, index: int,
+                 bound_cols: tuple[int, ...]) -> float:
+        estimate = cost(atom, index, bound_cols)
+        if index in frontier and not bound_cols:
+            estimate *= FRONTIER_BIAS
+        return estimate
+    return anchored
 
 
 def _match_row(atom: Atom, row: Row, binding: Binding) -> Optional[Binding]:

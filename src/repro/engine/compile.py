@@ -64,16 +64,12 @@ from ..errors import EvaluationError
 from ..facts.relation import Row
 from ..facts.symbols import SymbolTable
 from . import builtins
-from .bindings import (Binding, Cost, EvalStats, Fetch, _check_atom_args,
-                       bound_columns_of, plan_body)
+from .bindings import (Binding, Cost, EvalStats, Fetch, Sizes,
+                       _check_atom_args, bound_columns_of, plan_body)
 from .codegen import GeneratedKernel, PredicateCache
 
 #: Known executors for the bottom-up engines.
 EXECUTORS = ("compiled", "interpreted")
-
-#: ``sizes(atom, body_index) -> int`` — relation-size estimate used by
-#: the greedy planner at compile time.
-Sizes = Callable[[Atom, int], int]
 
 #: Per-derivation hook, as in :mod:`repro.engine.seminaive`.
 Hook = Callable[[Rule, Binding, int], bool]
@@ -360,6 +356,9 @@ class KernelCache:
 
     def _drifted(self, kernel: CompiledKernel, sizes: Sizes,
                  snapshot: tuple[int, ...]) -> bool:
+        if len(snapshot) < 2:
+            # One positive source has one plan, whatever its size.
+            return False
         position = 0
         for body_index, atom, _cols, kind in kernel.sources:
             if kind == "neg":

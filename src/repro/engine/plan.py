@@ -14,7 +14,7 @@ cost their kernels with.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 from ..datalog.atoms import Atom, Comparison, Negation
 from ..datalog.program import Program
@@ -22,7 +22,9 @@ from ..datalog.rules import Rule
 from ..datalog.terms import Variable
 from ..facts.database import Database
 from ..facts.relation import Relation
-from .bindings import Cost, bound_columns_of, plan_body, validate_planner
+from .bindings import (Cost, Sizes, anchor_cost, anchor_sizes,
+                       bound_columns_of, frontier_occurrences, plan_body,
+                       validate_planner)
 
 if TYPE_CHECKING:
     from ..analysis.dataflow import DataflowResult
@@ -77,46 +79,67 @@ class RulePlan:
         return "\n".join(lines)
 
 
-def _estimators(program: Program, edb: Database, idb: Database | None,
-                planner: str, dataflow: "DataflowResult | None"
-                ) -> tuple[Callable[[Atom, int], int], Cost | None]:
-    """The ``sizes`` and (adaptive planners only) ``cost`` callbacks.
+def _relation_for(atom: Atom, program: Program, edb: Database,
+                  idb: Database | None) -> Relation | None:
+    """The relation ``atom`` would read; None for an IDB predicate
+    ``idb`` does not hold (empty, at the start of the fixpoint)."""
+    if atom.pred in program.idb_predicates:
+        if idb is not None and atom.pred in idb:
+            return idb.relation(atom.pred)
+        return None
+    return edb.relation_or_empty(atom.pred, atom.arity)
+
+
+def _size_of(atom: Atom, program: Program, edb: Database,
+             idb: Database | None) -> int:
+    relation = _relation_for(atom, program, edb, idb)
+    return len(relation) if relation is not None else 0
+
+
+def _estimators(rule: Rule, program: Program, edb: Database,
+                idb: Database | None, planner: str,
+                dataflow: "DataflowResult | None"
+                ) -> tuple[Sizes, Cost | None]:
+    """The ``sizes`` and (adaptive planners only) ``cost`` callbacks
+    ``rule`` is planned with.
 
     They read what the engines read — ``len(relation)`` and
-    :meth:`Relation.probe_estimate` — so an explained plan is the plan
-    a :class:`~repro.engine.compile.KernelCache` would compile.  IDB
-    relations come from ``idb`` when given (e.g. a finished
-    evaluation's result) and are treated as empty otherwise, matching
-    what the engine would see at the start of the fixpoint; with
-    ``dataflow`` the adaptive planner seeds cold (missing or empty)
-    relations with the analysis's static size bounds instead of a flat
-    zero, mirroring the engines.
+    :meth:`Relation.probe_estimate` — and rank the rule's frontier
+    occurrences as the engines do
+    (:func:`~repro.engine.bindings.frontier_occurrences`), so an
+    explained plan is the plan a
+    :class:`~repro.engine.compile.KernelCache` would compile for the
+    rule's firing in the *initialization round* of its stratum: IDB
+    relations come from ``idb`` when given (what earlier strata and
+    earlier rules of the round have derived, or a finished evaluation's
+    result) and are treated as empty otherwise, matching what the engine
+    would see at the start of the fixpoint; with ``dataflow`` the
+    adaptive planner seeds cold (missing or empty) relations with the
+    analysis's static size bounds instead of a flat zero, mirroring the
+    engines.
     """
     validate_planner(planner)
-
-    def relation_for(atom: Atom) -> Relation | None:
-        if atom.pred in program.idb_predicates:
-            if idb is not None and atom.pred in idb:
-                return idb.relation(atom.pred)
-            return None
-        return edb.relation_or_empty(atom.pred, atom.arity)
+    stratum: frozenset[str] = frozenset((rule.head.pred,))
+    for group in program.recursion_info().mutual_groups:
+        if rule.head.pred in group:
+            stratum = group
+    frontier = frontier_occurrences(rule, stratum, None)
 
     def sizes(atom: Atom, index: int) -> int:
-        relation = relation_for(atom)
-        return len(relation) if relation is not None else 0
+        return _size_of(atom, program, edb, idb)
 
     if planner not in ("adaptive", "cbo"):
-        return sizes, None
+        return anchor_sizes(sizes, frontier), None
 
     def cost(atom: Atom, index: int, bound_cols: tuple[int, ...]) -> float:
-        relation = relation_for(atom)
+        relation = _relation_for(atom, program, edb, idb)
         if relation is None or not len(relation):
             if dataflow is not None:
                 return dataflow.probe_estimate(atom.pred, bound_cols)
             return 0.0
         return relation.probe_estimate(bound_cols)
 
-    return sizes, cost
+    return sizes, anchor_cost(cost, frontier)
 
 
 def plan_rule(rule: Rule, program: Program, edb: Database,
@@ -129,7 +152,7 @@ def plan_rule(rule: Rule, program: Program, edb: Database,
     ``index`` of each occurrence is threaded through to the size and
     cost callbacks, exactly as the engines' delta-aware ``fetch`` does.
     """
-    sizes, cost = _estimators(program, edb, idb, planner, dataflow)
+    sizes, cost = _estimators(rule, program, edb, idb, planner, dataflow)
     order = plan_body(rule, sizes,
                       keep_atom_order=(planner == "source"), cost=cost)
     bound: set[Variable] = set()
@@ -150,7 +173,7 @@ def plan_rule(rule: Rule, program: Program, edb: Database,
             if cost is not None else None
         steps.append(PlanStep(
             literal, "probe" if columns else "scan", columns,
-            sizes(literal, index), estimate))
+            _size_of(literal, program, edb, idb), estimate))
         bound.update(literal.variable_set())
     return RulePlan(rule, tuple(steps), planner=planner)
 
@@ -216,15 +239,17 @@ def explain_kernels(program: Program, edb: Database,
     """
     from .compile import CompiledKernel
 
-    sizes, cost = _estimators(program, edb, idb, planner, dataflow)
     true_checks = dataflow.true_checks if dataflow is not None else {}
-    body = "\n\n".join(
-        CompiledKernel(rule, sizes,
-                       keep_atom_order=(planner == "source"),
-                       cost=cost, symbols=edb.symbols,
-                       true_checks=true_checks.get(rule, frozenset())
-                       ).describe()
-        for rule in program)
+
+    def describe(rule: Rule) -> str:
+        sizes, cost = _estimators(rule, program, edb, idb, planner,
+                                  dataflow)
+        return CompiledKernel(
+            rule, sizes, keep_atom_order=(planner == "source"),
+            cost=cost, symbols=edb.symbols,
+            true_checks=true_checks.get(rule, frozenset())).describe()
+
+    body = "\n\n".join(map(describe, program))
     if show_stats:
         body += "\n\n" + _stats_section(edb, idb)
     return body

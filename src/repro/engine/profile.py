@@ -7,7 +7,10 @@ collects, without touching the unprofiled hot path:
 - per-kernel wall time: rule firings keyed by the engine's rule key
   (label or ``pred#index``) plus the delta-variant suffix, with call
   counts and derived-row totals, so a bench regression is attributable
-  to a specific kernel rather than a workload total;
+  to a specific kernel rather than a workload total.  ``seconds`` is
+  the rule body, ``merge_seconds`` the insert of what it derived
+  (duplicate screen, index upkeep, delta fill), so the two together add
+  up to the fixpoint;
 - per-round delta sizes: after every semi-naive round, the frontier
   cardinality of each recursive predicate.
 
@@ -16,7 +19,18 @@ collects, without touching the unprofiled hot path:
 
 from __future__ import annotations
 
-__all__ = ["EvalProfile"]
+from typing import TypedDict
+
+__all__ = ["EvalProfile", "KernelEntry"]
+
+
+class KernelEntry(TypedDict):
+    """One kernel's accumulated firings."""
+
+    calls: int
+    seconds: float
+    merge_seconds: float
+    rows: int
 
 
 class EvalProfile:
@@ -25,19 +39,21 @@ class EvalProfile:
     __slots__ = ("kernels", "rounds")
 
     def __init__(self) -> None:
-        #: kernel key -> {"calls", "seconds", "rows"}
-        self.kernels: dict[str, dict] = {}
+        self.kernels: dict[str, KernelEntry] = {}
         #: one entry per completed round: {"round", "deltas"}
-        self.rounds: list[dict] = []
+        self.rounds: list[dict[str, object]] = []
 
-    def record_fire(self, key: str, seconds: float, rows: int) -> None:
+    def record_fire(self, key: str, seconds: float, merge_seconds: float,
+                    rows: int) -> None:
         entry = self.kernels.get(key)
         if entry is None:
             self.kernels[key] = {"calls": 1, "seconds": seconds,
+                                 "merge_seconds": merge_seconds,
                                  "rows": rows}
         else:
             entry["calls"] += 1
             entry["seconds"] += seconds
+            entry["merge_seconds"] += merge_seconds
             entry["rows"] += rows
 
     def record_round(self, round_index: int,
@@ -45,10 +61,11 @@ class EvalProfile:
         self.rounds.append({"round": round_index,
                             "deltas": dict(delta_sizes)})
 
-    def as_dict(self) -> dict:
+    def as_dict(self) -> dict[str, object]:
         kernels = {
             key: {"calls": entry["calls"],
                   "seconds": round(entry["seconds"], 6),
+                  "merge_seconds": round(entry["merge_seconds"], 6),
                   "rows": entry["rows"]}
             for key, entry in sorted(self.kernels.items())}
         return {"kernels": kernels, "rounds": self.rounds}

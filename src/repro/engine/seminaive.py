@@ -4,8 +4,11 @@ This is the engine the paper's evaluation-paradigm comparison assumes
 ("the various subqueries computed in an iteration of the bottom-up
 evaluation loop", Section 1).  Per stratum:
 
-1. *Initialization round*: every rule fires against the materialized lower
-   strata with same-stratum IDB relations still empty, seeding the deltas.
+1. *Initialization round*: every rule fires once, in program order,
+   against the materialized lower strata and whatever earlier rules of
+   the round have put into the stratum's own relations, seeding the
+   deltas.  A stratum none of whose rules reads a same-stratum atom is
+   complete after this round and keeps no delta at all.
 2. *Delta rounds*: a rule with ``k`` same-stratum body occurrences is
    evaluated ``k`` times, each time redirecting one occurrence to the
    delta of the previous round.  For linear rules — the paper's setting —
@@ -19,7 +22,7 @@ evaluation-based approach lives.
 from __future__ import annotations
 
 from time import perf_counter
-from typing import TYPE_CHECKING, Callable, Iterable, Optional
+from typing import TYPE_CHECKING, Callable, Collection, Iterable, Optional
 
 if TYPE_CHECKING:
     from ..analysis.dataflow import DataflowResult
@@ -27,23 +30,30 @@ if TYPE_CHECKING:
 from ..datalog.atoms import Atom
 from ..datalog.program import Program
 from ..datalog.rules import Rule
+from ..datalog.terms import Variable
 from ..errors import BudgetExceededError
 from ..facts.database import Database
-from ..facts.relation import Relation
+from ..facts.relation import Relation, Row
 from ..runtime import chaos
 from ..runtime.budget import Budget, resolve_budget
-from .bindings import (Binding, EvalStats, check_edb_arities,
-                       instantiate_head, solve_body, validate_planner)
+from .bindings import (Binding, EvalStats, Fetch, anchor_cost,
+                       anchor_sizes, check_edb_arities,
+                       frontier_occurrences, instantiate_head, solve_body,
+                       validate_planner)
 from .compile import KernelCache, validate_executor
 from .naive import DEFAULT_MAX_ITERATIONS
 from .profile import EvalProfile
-from .stratify import stratify
+from .stratify import is_recursive_stratum, stratify
 
 #: Optional per-derivation hook: ``hook(rule, binding, round) -> bool`` —
 #: return False to suppress the derivation (used by residue-guided
 #: evaluation).  ``round`` counts delta rounds within the stratum: 0 for
-#: the initialization round, and a tuple derived in round ``j`` of a
-#: linear recursion used the recursive rule exactly ``j`` times.
+#: the initialization round.  It is a *lower bound* on how often a
+#: linear recursion's recursive rule was applied beneath the derivation,
+#: not the count: rules fired later within a round already see what
+#: earlier rules of the same round derived (the recursive rule reads the
+#: exit rule's output in round 0), so a tuple derived in round ``j``
+#: used the recursive rule at least ``j`` times.
 DerivationHook = Callable[[Rule, Binding, int], bool]
 
 
@@ -80,7 +90,10 @@ def seminaive_evaluate(program: Program, edb: Database,
     (``planner="source"``), because a kernel's plan is fixed per
     (rule, variant) at its first firing while the interpreter re-plans
     every firing.  Hooks, chaos injection and budgets behave
-    identically under either.
+    identically under either.  The compiled executor inserts a pure
+    copy rule ``p(X̄) :- q(X̄)`` as one set union of ``q``'s stored
+    rows — same counters — whenever no hook, chaos plan or
+    derivation/fact limit has to see the rows one at a time.
 
     ``profile``, when given, accumulates per-kernel wall time and
     per-round delta sizes (:class:`~repro.engine.profile.EvalProfile`).
@@ -129,6 +142,20 @@ def seminaive_evaluate(program: Program, edb: Database,
     return idb
 
 
+def _copied_atom(rule: Rule) -> Atom | None:
+    """The body atom of a pure copy rule ``p(X̄) :- q(X̄)`` — one
+    positive atom over distinct variables, handed to the head as they
+    stand — or None for any other rule."""
+    if len(rule.body) != 1:
+        return None
+    (source,) = rule.body
+    if isinstance(source, Atom) and source.args == rule.head.args \
+            and all(isinstance(arg, Variable) for arg in source.args) \
+            and len(set(source.args)) == len(source.args):
+        return source
+    return None
+
+
 def _evaluate_stratum(program: Program, stratum: frozenset[str],
                       edb: Database, idb: Database, stats: EvalStats,
                       max_iterations: int,
@@ -150,12 +177,26 @@ def _evaluate_stratum(program: Program, stratum: frozenset[str],
     rule_keys = {id(rule): rule.label or f"{rule.head.pred}#{index}"
                  for index, rule in enumerate(rules)}
     symbols = idb.symbols
+    # A stratum none of whose rules reads a same-stratum atom is
+    # saturated by its initialization round: it keeps no delta (nothing
+    # would read one) and needs no closing round to find that out.
+    recursive = is_recursive_stratum(stratum, rules)
+    # A copy rule's derived rows *are* its source's row set, so the
+    # insert is one set union — unless something must see the rows one
+    # at a time: a hook each solution, a chaos plan each derivation
+    # event, a counter limit the exact event it is crossed at.
+    whole_sets = kernels is not None and hook is None \
+        and chaos_plan is None \
+        and not (budget is not None and budget.counter_limited)
+    copied: dict[int, Atom | None] = {
+        id(rule): _copied_atom(rule) for rule in rules} \
+        if whole_sets else {}
 
-    def make_delta(pred: str) -> Relation:
-        return Relation(pred, idb.relation(pred).arity, symbols=symbols)
-
-    deltas: dict[str, Relation] = {pred: make_delta(pred)
-                                   for pred in stratum}
+    def make_deltas() -> dict[str, Relation]:
+        if not recursive:
+            return {}
+        return {pred: Relation(pred, idb.relation(pred).arity,
+                               symbols=symbols) for pred in stratum}
 
     def base_fetch(atom: Atom, index: int) -> Relation:
         if atom.pred in program.idb_predicates:
@@ -167,16 +208,23 @@ def _evaluate_stratum(program: Program, stratum: frozenset[str],
 
     adaptive = kernels is not None and kernels.adaptive
 
-    def fire(rule: Rule, fetch, round_index: int,
-             variant: object = None) -> None:
+    def fire(rule: Rule, fetch: Fetch, round_index: int,
+             variant: int | None = None) -> None:
         stats.rules_fired += 1
         target = idb.relation(rule.head.pred)
-        delta = next_deltas[rule.head.pred]
+        delta = next_deltas.get(rule.head.pred)
         rows_before = stats.rows_matched
         fire_start = perf_counter() if profile is not None else 0.0
         # Buffer insertions so the body scan sees a snapshot of the
         # relations (a rule may read the relation it writes).
-        if kernels is not None:
+        derived: Collection[Row]
+        source = copied.get(id(rule))
+        if source is not None:
+            derived = fetch(source, 0).raw_rows()
+            stats.atom_lookups += 1
+            stats.rows_matched += len(derived)
+        elif kernels is not None:
+            frontier = frontier_occurrences(rule, stratum, variant)
             if adaptive:
                 # Delta-aware: the adaptive planner costs each atom
                 # against the relation this occurrence will actually
@@ -186,52 +234,36 @@ def _evaluate_stratum(program: Program, stratum: frozenset[str],
                     return len(fetch(atom, index))
 
                 def cost_now(atom: Atom, index: int,
-                             bound_cols: tuple[int, ...],
-                             _target: object = variant) -> float:
+                             bound_cols: tuple[int, ...]) -> float:
                     relation = fetch(atom, index)
                     if dataflow is not None and not len(relation):
                         # Cold statistics: the relation is still empty
                         # (first stratum rounds), so probe the static
                         # size bounds instead of a flat zero.
-                        estimate = dataflow.probe_estimate(
+                        return dataflow.probe_estimate(
                             atom.pred, bound_cols)
-                    else:
-                        estimate = relation.probe_estimate(bound_cols)
-                    if index == _target and not bound_cols:
-                        # Frontier-anchoring bias: strongly prefer
-                        # scanning the delta occurrence.  Every delta
-                        # row is new, so join paths rooted there are
-                        # exactly the ones that can produce new facts,
-                        # while anchoring elsewhere re-enumerates old
-                        # paths; and the delta is a fresh relation each
-                        # round, so probing it instead would build a
-                        # throwaway hash index per round.
-                        estimate *= 0.05
-                    return estimate
+                    return relation.probe_estimate(bound_cols)
 
-                kernel = kernels.kernel(rule, variant, sizes_now,
-                                        cost=cost_now)
+                kernel = kernels.kernel(
+                    rule, variant, sizes_now,
+                    cost=anchor_cost(cost_now, frontier))
             else:
-                kernel = kernels.kernel(rule, variant, sizes)
+                # Greedy ranks base relations in every round and never
+                # looks at a delta, so the frontier rule reaches it
+                # where a base relation *is* the frontier: round 0.
+                kernel = kernels.kernel(
+                    rule, variant, anchor_sizes(sizes, frontier)
+                    if variant is None else sizes)
             derived = kernel.execute(fetch, stats, hook=hook,
                                      round_index=round_index)
-            # Kernel rows are storage-domain already (codes when
-            # interned): insert through the raw path, no re-encoding.
-            target_add, delta_add = target.raw_add, delta.raw_add
         else:
-            derived = []
-            for binding in solve_body(rule, fetch, stats,
-                                      keep_atom_order=keep_atom_order):
-                if hook is not None \
-                        and not hook(rule, binding, round_index):
-                    continue
-                derived.append(instantiate_head(rule, binding))
-            target_add, delta_add = target.add, delta.add
+            derived = [instantiate_head(rule, binding)
+                       for binding in solve_body(
+                           rule, fetch, stats,
+                           keep_atom_order=keep_atom_order)
+                       if hook is None or hook(rule, binding, round_index)]
+        merge_start = perf_counter() if profile is not None else 0.0
         key = rule_keys[id(rule)]
-        if profile is not None:
-            fire_key = key if variant is None else f"{key}@d{variant}"
-            profile.record_fire(fire_key, perf_counter() - fire_start,
-                                len(derived))
         stats.rule_rows[key] = stats.rule_rows.get(key, 0) \
             + stats.rows_matched - rows_before
         # Budget ticks are amortized: `checkpoint` returns how many
@@ -240,56 +272,77 @@ def _evaluate_stratum(program: Program, stratum: frozenset[str],
         # exact while the hot insert loop pays one Python call per
         # ~interval events instead of one per event.
         last_round = max(round_index - 1, 0)
-        if kernels is not None and chaos_plan is None:
-            # Bulk insert: the duplicate screen is one C-level set
-            # difference per budget window instead of a Python call per
-            # derived row.  Counter totals (derivations, duplicates)
-            # match the sequential path exactly; the chaos path stays
-            # per-row because fault ordinals are per-derivation-event.
-            position, total = 0, len(derived)
-            while position < total:
-                if budget is not None:
-                    countdown = budget.checkpoint(stats,
-                                                  last_round=last_round)
-                    chunk = derived[position:position
-                                    + max(countdown, 1)]
-                else:
-                    chunk = derived if position == 0 \
-                        else derived[position:]
-                position += len(chunk)
-                new_rows = target.raw_merge_new(chunk)
-                if new_rows:
+
+        def merge(chunk: Collection[Row]) -> None:
+            # The duplicate screen is one C-level set difference per
+            # call instead of a Python call per derived row; counter
+            # totals (derivations, duplicates) match the sequential
+            # path exactly.
+            new_rows = target.raw_merge_new(chunk)
+            if new_rows:
+                if delta is not None:
                     delta.raw_merge(new_rows)
-                    stats.derivations += len(new_rows)
-                stats.duplicate_derivations += \
-                    len(chunk) - len(new_rows)
-            return
-        countdown = budget.checkpoint(stats, last_round=last_round) \
-            if budget is not None else 0
-        for row in derived:
-            if chaos_plan is not None:
-                chaos_plan.derivation()
-            if target_add(row):
-                delta_add(row)
-                stats.derivations += 1
-            else:
-                stats.duplicate_derivations += 1
-            if budget is not None:
-                countdown -= 1
-                if countdown <= 0:
-                    countdown = budget.checkpoint(
-                        stats, last_round=last_round)
+                stats.derivations += len(new_rows)
+            stats.duplicate_derivations += len(chunk) - len(new_rows)
+
+        if kernels is None or chaos_plan is not None:
+            # Row at a time: the interpreter's rows are values, and
+            # chaos fault ordinals are per derivation event.  Kernel
+            # rows are storage-domain already (codes when interned) and
+            # go in through the raw path, no re-encoding.
+            target_add: Callable[[Row], bool] = target.add \
+                if kernels is None else target.raw_add
+            delta_add: Callable[[Row], bool] | None = None \
+                if delta is None \
+                else delta.add if kernels is None else delta.raw_add
+            countdown = budget.checkpoint(stats, last_round=last_round) \
+                if budget is not None else 0
+            for row in derived:
+                if chaos_plan is not None:
+                    chaos_plan.derivation()
+                if target_add(row):
+                    if delta_add is not None:
+                        delta_add(row)
+                    stats.derivations += 1
+                else:
+                    stats.duplicate_derivations += 1
+                if budget is not None:
+                    countdown -= 1
+                    if countdown <= 0:
+                        countdown = budget.checkpoint(
+                            stats, last_round=last_round)
+        elif budget is None:
+            merge(derived)
+        elif isinstance(derived, list):
+            # One bulk insert per budget window.
+            position = 0
+            while position < len(derived):
+                countdown = budget.checkpoint(stats, last_round=last_round)
+                chunk = derived[position:position + max(countdown, 1)]
+                position += len(chunk)
+                merge(chunk)
+        else:
+            # A copy rule's row set goes in whole (no counter limit is
+            # set, or it would have come as a list).
+            budget.checkpoint(stats, last_round=last_round)
+            merge(derived)
+        if profile is not None:
+            done = perf_counter()
+            profile.record_fire(
+                key if variant is None else f"{key}@d{variant}",
+                merge_start - fire_start, done - merge_start, len(derived))
 
     # Initialization round.
-    next_deltas: dict[str, Relation] = {pred: make_delta(pred)
-                                        for pred in stratum}
+    next_deltas = make_deltas()
     stats.iterations += 1
     for rule in rules:
         fire(rule, base_fetch, 0)
     deltas = next_deltas
     if profile is not None:
-        profile.record_round(0, {pred: len(rel)
-                                 for pred, rel in deltas.items()})
+        # Every relation of the stratum was empty before this round, so
+        # its size is its round-0 frontier, delta kept or not.
+        profile.record_round(0, {pred: len(idb.relation(pred))
+                                 for pred in stratum})
 
     rounds = 0
     while any(len(d) for d in deltas.values()):
@@ -304,14 +357,11 @@ def _evaluate_stratum(program: Program, stratum: frozenset[str],
             # Exact round-boundary check: deadline, rounds, cancellation
             # (checkpoint above keeps the counters exact mid-round).
             budget.check_round(stats, last_round=rounds - 1)
-        next_deltas = {pred: make_delta(pred) for pred in stratum}
+        next_deltas = make_deltas()
         for rule in rules:
-            occurrences = [index for index, lit in enumerate(rule.body)
-                           if isinstance(lit, Atom) and lit.pred in stratum]
-            if not occurrences:
-                continue  # already saturated in the initialization round
-            for delta_index in occurrences:
-                if not len(deltas[rule.body[delta_index].pred]):
+            for delta_index, lit in enumerate(rule.body):
+                if not isinstance(lit, Atom) or lit.pred not in stratum \
+                        or not len(deltas[lit.pred]):
                     continue
 
                 def fetch(atom: Atom, index: int,
@@ -335,8 +385,6 @@ def answers(query_literals: Iterable, program: Program, edb: Database,
     variables* — the variables of the query literals in order of first
     appearance.
     """
-    from ..datalog.terms import Variable
-
     stats = stats if stats is not None else EvalStats()
     literals = tuple(query_literals)
     distinguished: list[Variable] = []

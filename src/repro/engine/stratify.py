@@ -9,9 +9,13 @@ strata are then the SCC condensation in topological order.
 
 from __future__ import annotations
 
+from typing import Iterable
+
 import networkx as nx
 
+from ..datalog.atoms import Atom
 from ..datalog.program import Program
+from ..datalog.rules import Rule
 from ..errors import EvaluationError
 
 
@@ -39,3 +43,14 @@ def stratify(program: Program) -> list[frozenset[str]]:
         if members:
             strata.append(members)
     return strata
+
+
+def is_recursive_stratum(stratum: frozenset[str],
+                         rules: Iterable[Rule]) -> bool:
+    """True when some rule of the stratum reads a same-stratum atom."""
+    if len(stratum) > 1:
+        return True
+    return any(
+        isinstance(lit, Atom) and lit.pred in stratum
+        for rule in rules if rule.head.pred in stratum
+        for lit in rule.body)

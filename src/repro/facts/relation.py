@@ -297,9 +297,13 @@ class Relation:
         ``difference_update``: the latter would hand back the table
         sized for the whole derived batch, and with the caller holding
         that while the delta is filled, peak memory on
-        ``genealogy-prune`` rose 7 %.
+        ``genealogy-prune`` rose 7 %.  ``rows`` that already *is* a set
+        — another relation's :meth:`raw_rows`, which is how the engine
+        runs a copy rule ``p(X̄) :- q(X̄)`` — is differenced as it
+        stands, its stored hashes reused: a set union, not a re-insert.
         """
-        fresh = set(rows).difference(self._rows)
+        batch = rows if isinstance(rows, set) else set(rows)
+        fresh = batch.difference(self._rows)
         if fresh:
             self._rows |= fresh
             self._extend_indexes(fresh)

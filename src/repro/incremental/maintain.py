@@ -57,7 +57,7 @@ from ..engine.bindings import (EvalStats, check_edb_arities,
                                validate_planner)
 from ..engine.compile import KernelCache, validate_executor
 from ..engine.naive import DEFAULT_MAX_ITERATIONS
-from ..engine.stratify import stratify
+from ..engine.stratify import is_recursive_stratum, stratify
 
 
 @dataclass
@@ -111,17 +111,6 @@ class SupportCounts:
     def __repr__(self) -> str:
         return (f"SupportCounts({len(self.by_pred)} preds, "
                 f"{self.total()} derivations)")
-
-
-def is_recursive_stratum(stratum: frozenset[str],
-                         rules: Iterable[Rule]) -> bool:
-    """True when some rule of the stratum reads a same-stratum atom."""
-    if len(stratum) > 1:
-        return True
-    return any(
-        isinstance(lit, Atom) and lit.pred in stratum
-        for rule in rules if rule.head.pred in stratum
-        for lit in rule.body)
 
 
 def support_counts(program: Program, edb: Database, idb: Database,

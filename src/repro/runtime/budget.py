@@ -100,6 +100,14 @@ class Budget:
     def cancelled(self) -> bool:
         return self._cancel_event.is_set()
 
+    @property
+    def counter_limited(self) -> bool:
+        """Whether a derivation or fact limit is set: bulk inserts must
+        then stop at the exact event that crosses it (see
+        :meth:`checkpoint`)."""
+        return self.max_derivations is not None \
+            or self.max_facts is not None
+
     def elapsed_s(self) -> float:
         """Seconds since :meth:`start` (0.0 before the budget starts)."""
         if self._started_at is None:

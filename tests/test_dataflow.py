@@ -275,14 +275,17 @@ class TestEvaluateWithDataflow:
 class TestPlannerSeeding:
     """Cold statistics: the adaptive planner consumes static bounds."""
 
+    #: ``q`` reads ``p`` from the stratum below: cold in ``explain``
+    #: (absent from ``idb``) without being the firing's frontier.
+    ABOVE = TC + "q0: q(X, Z) :- p(X, Y), e(Y, Z).\n"
+
     def recursive_rule(self, program):
-        return next(rule for rule in program
-                    if rule.label == "r0")
+        return program.rule("r0")
 
     def test_cold_idb_plan_changes_with_bounds(self):
-        program = parse_program(TC)
+        program = parse_program(self.ABOVE)
         db = tc_db()
-        rule = self.recursive_rule(program)
+        rule = program.rule("q0")
         # Without dataflow a cold (absent) IDB relation estimates 0.0
         # rows, so the planner anchors the join on p.
         cold = plan_rule(rule, program, db, planner="adaptive")
@@ -294,14 +297,20 @@ class TestPlannerSeeding:
         assert seeded.steps[0].literal.pred == "e"
         assert [s.literal.pred for s in seeded.steps] != \
             [s.literal.pred for s in cold.steps]
+        # The recursion itself starts from its own stratum's p — the
+        # frontier of its initialization round — whatever the bound, so
+        # that no index is built on the relation it is about to fill.
+        recursive = plan_rule(self.recursive_rule(program), program, db,
+                              planner="adaptive", dataflow=flow)
+        assert [(s.literal.pred, s.kind) for s in recursive.steps] == \
+            [("p", "scan"), ("e", "probe")]
 
     def test_seeded_estimate_is_the_static_bound(self):
-        program = parse_program(TC)
+        program = parse_program(self.ABOVE)
         db = tc_db()
         flow = analyze_dataflow(program, edb=db)
-        rule = self.recursive_rule(program)
-        seeded = plan_rule(rule, program, db, planner="adaptive",
-                           dataflow=flow)
+        seeded = plan_rule(program.rule("q0"), program, db,
+                           planner="adaptive", dataflow=flow)
         probe = next(s for s in seeded.steps if s.literal.pred == "p")
         assert probe.estimate == flow.probe_estimate(
             "p", probe.bound_columns)

@@ -33,15 +33,37 @@ COMBOS = [(executor, planner, interning)
           for interning in ("off", "on")]
 
 
+#: What a ``(seed, flavor)`` draw adds to the generator's program: a pure
+#: copy rule over the recursive predicate, in a stratum of its own or
+#: closed back into the recursion (so it also fires on deltas).  The
+#: compiled executor runs such a rule as a set union unless a hook, a
+#: chaos plan or a counter limit has to see each row — which the cells
+#: below alternate.
+COPY_RULES = {
+    "copy": "c0: c(X, Y) :- p(X, Y).\n",
+    "copy-loop": "c0: c(X, Y) :- p(X, Y).\nc1: p(X, Y) :- c(X, Y).\n",
+}
+
+
+def draw(seed):
+    """``random_linear_program`` for an ``int``; a ``(seed, flavor)``
+    pair appends ``COPY_RULES[flavor]`` to that draw."""
+    if isinstance(seed, int):
+        return random_linear_program(random.Random(seed))
+    number, flavor = seed
+    text, edb = random_linear_program(random.Random(number))
+    return text + COPY_RULES[flavor], edb
+
+
 def fingerprint(result):
     return tuple(sorted(
         (pred, tuple(sorted(result.facts(pred))))
         for pred in result.program.idb_predicates))
 
 
-@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("seed", (*range(8), (2, "copy"), (6, "copy-loop")))
 def test_all_combos_derive_identical_facts(seed):
-    text, edb = random_linear_program(random.Random(seed))
+    text, edb = draw(seed)
     program = parse_program(text)
     prints = {}
     counts = {}
@@ -63,7 +85,7 @@ def test_all_combos_derive_identical_facts(seed):
         f"seed {seed}: semantic counters diverge: {counts}"
 
 
-@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("seed", (*range(8), (2, "copy"), (6, "copy-loop")))
 def test_full_counters_match_wherever_join_orders_coincide(seed):
     """The whole ``EvalStats`` dict, not just the derivation totals.
 
@@ -77,7 +99,7 @@ def test_full_counters_match_wherever_join_orders_coincide(seed):
     interned against raw throughout.  A hook that vetoes must also
     leave the same facts whichever executor consults it.
     """
-    text, edb = random_linear_program(random.Random(seed))
+    text, edb = draw(seed)
     program = parse_program(text)
 
     def always(rule, binding, round_index):
@@ -112,9 +134,9 @@ def test_full_counters_match_wherever_join_orders_coincide(seed):
         assert vetoed(interning=interning) == reference
 
 
-@pytest.mark.parametrize("seed", (3, 11))
+@pytest.mark.parametrize("seed", (3, 11, (3, "copy-loop")))
 def test_budget_exhaustion_payloads_match_across_combos(seed):
-    text, edb = random_linear_program(random.Random(seed))
+    text, edb = draw(seed)
     program = parse_program(text)
     payloads = set()
     for executor, planner, interning in COMBOS:
@@ -130,9 +152,9 @@ def test_budget_exhaustion_payloads_match_across_combos(seed):
     assert len(payloads) == 1, payloads
 
 
-@pytest.mark.parametrize("seed", (5,))
+@pytest.mark.parametrize("seed", (5, (5, "copy-loop")))
 def test_chaos_fault_ordinals_match_across_combos(seed):
-    text, edb = random_linear_program(random.Random(seed))
+    text, edb = draw(seed)
     program = parse_program(text)
     triggered = set()
     for executor, planner, interning in COMBOS:
