@@ -42,7 +42,8 @@ from .bench.experiments import ALL_EXPERIMENTS
 from .constraints import ics_from_text
 from .core import SemanticOptimizer, generate_residues, rule_level_residues
 from .datalog import format_program, parse_program
-from .errors import BudgetExceededError, ParseError, ReproError
+from .errors import (BudgetExceededError, EvaluationError, ParseError,
+                     ReproError)
 from .engine import evaluate
 from .facts import Database
 from .iqa import describe as iqa_describe
@@ -159,16 +160,20 @@ def _evaluate_cbo(args: argparse.Namespace, program, db: Database) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
+    cbo_query = args.planner == "cbo" and args.query
+    if cbo_query and args.method != "seminaive":
+        raise EvaluationError(
+            "--planner cbo --query runs the plan the optimizer chose, "
+            f"semi-naively; it cannot honour --method {args.method}")
     program = _load_program(args)
     db = Database.from_text(_read(args.database))
-    if args.planner == "cbo" and args.query:
+    if cbo_query:
         return _evaluate_cbo(args, program, db)
     result = evaluate(program, db, method=args.method,
                       planner=args.planner,
                       budget=_budget_from_args(args),
                       executor=args.executor,
-                      interning=args.interning,
-                      dataflow=args.dataflow)
+                      interning=args.interning)
     if args.query:
         for row in sorted(result.query(args.query), key=str):
             print("\t".join(str(v) for v in row))
@@ -193,10 +198,8 @@ def cmd_explain(args: argparse.Namespace) -> int:
     program = _load_program(args)
     db = Database.from_text(_read(args.database)) if args.database \
         else Database()
-    flow = None
     if args.dataflow:
-        # Analyze in the value domain, before any interning re-encode
-        # (same order the engine uses).
+        # Analyze in the value domain, before any interning re-encode.
         from .analysis.dataflow import analyze_dataflow
         from .datalog.atoms import Atom
         from .datalog.parser import parse_query
@@ -206,21 +209,18 @@ def cmd_explain(args: argparse.Namespace) -> int:
             query = next((lit for lit
                           in parse_query(args.query).literals
                           if isinstance(lit, Atom)), None)
-        flow = analyze_dataflow(program,
-                                edb=db if args.database else None,
-                                query=query)
-        print(flow.render())
+        print(analyze_dataflow(program,
+                               edb=db if args.database else None,
+                               query=query).render())
         print()
     if args.interning == "on":
         db = db.interned()
     if args.kernels:
         print(explain_kernels(program, db, planner=args.planner,
-                              show_stats=args.stats,
-                              dataflow=flow))
+                              show_stats=args.stats))
     else:
         print(explain_plan(program, db, planner=args.planner,
-                           show_stats=args.stats,
-                           dataflow=flow))
+                           show_stats=args.stats))
     return 0
 
 
@@ -608,14 +608,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="intern constants to dense ints and join "
                              "over codes (on) or evaluate values as-is "
                              "(off, default)")
-    p_eval.add_argument("--dataflow", default="off",
-                        choices=["on", "off"],
-                        help="run the static dataflow analysis first "
-                             "and feed it into evaluation: dead-rule "
-                             "pruning, provably-true check elision in "
-                             "generated kernels, and cold-start size "
-                             "bounds for the adaptive planner (same "
-                             "answers and counters either way)")
     p_eval.add_argument("--stats", action="store_true",
                         help="print counters to stderr")
     _add_budget_flags(p_eval)
@@ -644,9 +636,8 @@ def build_parser() -> argparse.ArgumentParser:
                            help="run the static dataflow analysis and "
                                 "print the inferred column domains, "
                                 "binding-pattern adornments and size "
-                                "bounds per predicate; adaptive cost "
-                                "estimates then seed cold relations "
-                                "from the static bounds")
+                                "bounds per predicate, ahead of the "
+                                "plans")
     p_explain.add_argument("--query", metavar="Q",
                            help="with --dataflow, query atom seeding "
                                 "the binding-pattern analysis")

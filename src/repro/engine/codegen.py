@@ -238,10 +238,6 @@ class GeneratedKernel:
     runs without a derivation hook, generated with the kernel, and the
     hooked one, generated the first time a hook is passed.
 
-    ``true_checks`` lists body indexes of comparisons the dataflow
-    analysis proved always true for every reachable row; the generated
-    code drops their per-row conditions (the accounting still counts
-    them, so ``EvalStats`` stay bit-identical to the unskipped form).
     ``rule`` and ``slot_vars`` (the body's variables by slot number)
     are what a derivation hook is shown; they are bound into the
     function's globals, never into its text.
@@ -251,10 +247,9 @@ class GeneratedKernel:
 
     def __init__(self, steps: tuple[Any, ...], head: tuple[Any, ...],
                  symbols: SymbolTable | None,
-                 true_checks: frozenset[int] = frozenset(),
                  rule: object = None,
                  slot_vars: tuple[Any, ...] = ()) -> None:
-        self._program = (steps, head, symbols, true_checks, rule, slot_vars)
+        self._program = (steps, head, symbols, rule, slot_vars)
         self._forms: dict[bool, _Form] = {}
         self.form(False)
 
@@ -334,7 +329,7 @@ def _eq_const_codes(steps: tuple[Any, ...],
     return tuple(codes)
 
 
-#: ``(steps, head, interned, eq-codes, true-checks, hooked)`` ->
+#: ``(steps, head, interned, eq-codes, hooked)`` ->
 #: ``(source, specs, bytecode)``; ``steps`` and ``head`` go through
 #: :func:`_faithful`, so same-shape rules that differ in a constant's
 #: type never share text.
@@ -347,19 +342,17 @@ _CACHE: dict[tuple[Any, ...],
 
 
 def _instantiate(steps: tuple[Any, ...], head: tuple[Any, ...],
-                 symbols: SymbolTable | None, true_checks: frozenset[int],
+                 symbols: SymbolTable | None,
                  rule: object, slot_vars: tuple[Any, ...],
                  hooked: bool) -> _Form:
     """One text of a step program (cached), bound to this kernel."""
     key = (_faithful(steps), _faithful(head), symbols is not None,
-           _eq_const_codes(steps, symbols), tuple(sorted(true_checks)),
-           hooked)
+           _eq_const_codes(steps, symbols), hooked)
     cached = _CACHE.get(key)
     if cached is None:
         if len(_CACHE) >= MAX_CACHED_KERNELS:
             _CACHE.clear()
-        source_text, specs = _emit(steps, head, symbols, true_checks,
-                                   hooked)
+        source_text, specs = _emit(steps, head, symbols, hooked)
         cached = (source_text, specs,
                   compile(source_text, "<generated-kernel>", "exec"))
         _CACHE[key] = cached
@@ -380,7 +373,7 @@ def _instantiate(steps: tuple[Any, ...], head: tuple[Any, ...],
 
 
 def _emit(steps: tuple[Any, ...], head: tuple[Any, ...],
-          symbols: SymbolTable | None, true_checks: frozenset[int],
+          symbols: SymbolTable | None,
           hooked: bool) -> tuple[str, tuple[Any, ...]]:
     """The generated source text and resolver specs of a step program."""
     interned = symbols is not None
@@ -599,14 +592,9 @@ def _emit(steps: tuple[Any, ...], head: tuple[Any, ...],
                 reg_exprs[slot_no] = storage(sym)
             continue
         if tag == "check":
-            _tag, op, lhs_sym, rhs_sym, body_index = step
+            _tag, op, lhs_sym, rhs_sym = step
             cc.append(state["count"])
-            # Dataflow proved the comparison true for every reachable
-            # row: no condition needed (the count above still accrues,
-            # matching the interpreter exactly).
-            cond = None if body_index in true_checks \
-                else check_cond(op, lhs_sym, rhs_sym)
-            emit_filter(cond, is_last,
+            emit_filter(check_cond(op, lhs_sym, rhs_sym), is_last,
                         tup(head_parts()) if is_last else None)
             continue
         if tag in ("member", "neg"):

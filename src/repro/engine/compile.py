@@ -55,7 +55,7 @@ as :func:`repro.engine.bindings.solve_body` on every rule and database.
 
 from __future__ import annotations
 
-from typing import Callable, Mapping, Optional
+from typing import Callable, Optional
 
 from ..datalog.atoms import Atom, Comparison, Negation
 from ..datalog.rules import Rule
@@ -101,7 +101,7 @@ class CompiledKernel:
             body, which the generated function is built from.  Steps are
             ``("atom", src, cols, keys, writes, checks)``,
             ``("member", src, keys)``, ``("neg", src, args)``,
-            ``("check", op, lhs, rhs, body_index)`` and
+            ``("check", op, lhs, rhs)`` and
             ``("bind", slot, term)``; terms are ``("const", payload)``,
             ``("slot", n)`` or ``("arith", op, left, right)``.
             Constants are in the storage domain (interned codes) except
@@ -119,7 +119,6 @@ class CompiledKernel:
                  keep_atom_order: bool = False,
                  cost: Cost | None = None,
                  symbols: SymbolTable | None = None,
-                 true_checks: frozenset[int] = frozenset(),
                  predicates: PredicateCache | None = None) -> None:
         self.rule = rule
         self.symbols = symbols
@@ -169,11 +168,8 @@ class CompiledKernel:
                     steps.append(("bind", slot(target), source_sym))
                     self._step_notes.append(f"bind         {lit}")
                 else:
-                    # The trailing body index lets the generated form
-                    # match this check against dataflow's provably-true
-                    # comparisons.
                     steps.append(("check", lit.op, sym(lit.lhs, False),
-                                  sym(lit.rhs, False), index))
+                                  sym(lit.rhs, False)))
                     self._step_notes.append(f"check        {lit}")
                 bound.update(lit.variable_set())
                 continue
@@ -241,7 +237,7 @@ class CompiledKernel:
         self.head = tuple(sym(arg, True) for arg in rule.head.args)
         self.n_slots = len(slot_of)
         self.generated = GeneratedKernel(self.steps, self.head, symbols,
-                                         true_checks, rule, tuple(slot_of))
+                                         rule, tuple(slot_of))
 
     @property
     def interned(self) -> bool:
@@ -318,28 +314,22 @@ class KernelCache:
     against current statistics, at most :data:`MAX_REPLANS` times per
     key.
 
-    ``true_checks`` maps rules to the body indexes of comparisons the
-    dataflow analysis proved always true; their kernels' generated
-    functions drop those conditions.  All kernels of the cache share
-    one :class:`~repro.engine.codegen.PredicateCache`
-    (:attr:`predicates`).
+    All kernels of the cache share one
+    :class:`~repro.engine.codegen.PredicateCache` (:attr:`predicates`).
     """
 
     __slots__ = ("keep_atom_order", "symbols", "adaptive",
-                 "replans", "true_checks", "predicates", "_kernels",
+                 "replans", "predicates", "_kernels",
                  "_replan_counts")
 
     def __init__(self, keep_atom_order: bool = False,
                  symbols: SymbolTable | None = None,
-                 adaptive: bool = False,
-                 true_checks: Mapping[Rule, frozenset[int]] | None = None,
-                 ) -> None:
+                 adaptive: bool = False) -> None:
         self.keep_atom_order = keep_atom_order
         self.symbols = symbols
         self.adaptive = adaptive
         #: Total recompilations caused by drift, across all keys.
         self.replans = 0
-        self.true_checks = true_checks or {}
         self.predicates = PredicateCache(symbols)
         self._kernels: dict[tuple[Rule, object],
                             tuple[CompiledKernel, tuple[int, ...]]] = {}
@@ -386,9 +376,7 @@ class KernelCache:
             self.replans += 1
         kernel = CompiledKernel(
             rule, sizes, keep_atom_order=self.keep_atom_order,
-            cost=cost, symbols=self.symbols,
-            true_checks=self.true_checks.get(rule, frozenset()),
-            predicates=self.predicates)
+            cost=cost, symbols=self.symbols, predicates=self.predicates)
         self._kernels[key] = (kernel, self._snapshot(kernel, sizes))
         return kernel
 

@@ -16,7 +16,7 @@ from ..datalog.atoms import Atom
 from ..datalog.parser import parse_query
 from ..datalog.program import Program
 from ..datalog.terms import Constant, Variable
-from ..errors import EvaluationError, ReproError
+from ..errors import EvaluationError
 from ..facts.database import Database
 from ..facts.symbols import validate_interning
 from ..runtime.budget import Budget, resolve_budget
@@ -74,8 +74,7 @@ def evaluate(program: Program, edb: Database, method: str = "seminaive",
              budget: Budget | None = None,
              executor: str = "compiled",
              interning: str = "off",
-             profile: EvalProfile | None = None,
-             dataflow: str = "off") -> EvaluationResult:
+             profile: EvalProfile | None = None) -> EvaluationResult:
     """Evaluate ``program`` bottom-up over ``edb``.
 
     Args:
@@ -122,49 +121,28 @@ def evaluate(program: Program, edb: Database, method: str = "seminaive",
         profile: optional :class:`~repro.engine.profile.EvalProfile`
             collecting per-kernel wall time and per-round delta sizes
             (semi-naive method only).
-        dataflow: ``"on"`` runs the static dataflow analysis
-            (:mod:`repro.analysis.dataflow`) over the program + EDB
-            first and feeds the result into evaluation: provably-dead
-            rules are skipped, provably-true comparisons drop out of
-            the generated kernels, and the adaptive planner
-            seeds cold (empty-relation) cost probes with static size
-            bounds.  ``"off"`` (default) changes nothing.  Derived
-            facts, derivation counts, budget payloads and chaos
-            ordinals are identical either way.
     """
     stats = EvalStats()
     if method not in METHODS:
         raise EvaluationError(
             f"unknown method {method!r}; expected one of {METHODS}")
-    if method == "naive" and hook is not None:
-        raise EvaluationError("hooks require the semi-naive method")
+    if method == "naive" and (hook is not None or profile is not None):
+        raise EvaluationError(
+            "hooks and profiles require the semi-naive method")
     validate_planner(planner)
     validate_executor(executor)
     validate_interning(interning)
     budget = resolve_budget(budget)
-    flow = None
-    if dataflow not in ("off", "on"):
-        raise EvaluationError(
-            f"unknown dataflow mode {dataflow!r}; expected 'off' or 'on'")
-    if dataflow == "on":
-        # Analyze in the value domain, before any interning re-encode.
-        from ..analysis.dataflow import analyze_dataflow
-        try:
-            flow = analyze_dataflow(program, edb=edb)
-        except ReproError:
-            flow = None  # malformed programs fail at load time instead
     if interning == "on":
         edb = edb.interned()
     start = time.perf_counter()
     if method == "seminaive":
         idb = seminaive_evaluate(program, edb, stats, hook=hook,
                                  planner=planner, budget=budget,
-                                 executor=executor, profile=profile,
-                                 dataflow=flow)
+                                 executor=executor, profile=profile)
     else:
         idb = naive_evaluate(program, edb, stats, budget=budget,
-                             executor=executor, planner=planner,
-                             dataflow=flow)
+                             executor=executor, planner=planner)
     elapsed = time.perf_counter() - start
     return EvaluationResult(program, edb, idb, stats, elapsed, method,
                             executor=executor)

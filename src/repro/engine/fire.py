@@ -1,0 +1,210 @@
+"""One way to fire a rule: plan it, run it, merge what it derived.
+
+Every schedule in the repo — the semi-naive rounds
+(:mod:`repro.engine.seminaive`), the naive repeat-until-unchanged loop
+(:mod:`repro.engine.naive`), the delta passes of incremental
+maintenance (:mod:`repro.incremental.maintain`) and ``explain``
+(:mod:`repro.engine.plan`) — decides *which* rule fires against *which*
+relations.  The three decisions of the firing itself are made here,
+once: how the body is ordered (:func:`estimators` — ``explain`` calls
+it too, so an explained plan is a fired plan), what runs it
+(:meth:`Firer.run`) and how its rows go in (:meth:`Firer.merge`).
+"""
+
+from __future__ import annotations
+
+from typing import Collection
+
+from ..datalog.atoms import Atom
+from ..datalog.rules import Rule
+from ..facts.relation import Relation, Row
+from ..facts.symbols import SymbolTable
+from ..runtime import chaos
+from ..runtime.budget import Budget
+from .bindings import (Cost, EvalStats, Fetch, Sizes, anchor_cost,
+                       anchor_sizes, instantiate_head, solve_body,
+                       validate_planner)
+from .compile import Hook, KernelCache, validate_executor
+
+#: Planners that order joins from live statistics, replanning on drift.
+#: ``cbo`` chose its program before the fixpoint
+#: (:mod:`repro.engine.optimizer`) and runs it with the adaptive
+#: machinery, so its counters stay bit-identical to ``adaptive`` on the
+#: same program.
+ADAPTIVE_PLANNERS = ("adaptive", "cbo")
+
+
+def estimators(fetch: Fetch, frontier: Collection[int], planner: str,
+               ranked: Fetch | None = None) -> tuple[Sizes, Cost | None]:
+    """The ``sizes`` and (adaptive only) ``cost`` callbacks of one firing.
+
+    ``fetch`` resolves each body occurrence to the relation the firing
+    reads (the delta for a redirected one) and ``frontier`` lists the
+    occurrences whose relation holds only new rows.  An adaptive
+    ``planner`` (:data:`ADAPTIVE_PLANNERS`) costs every atom against the
+    live cardinality / distinct statistics of what it will read, the
+    frontier rule applied to the cost
+    (:func:`~repro.engine.bindings.anchor_cost`); ``sizes`` is then what
+    :class:`~repro.engine.compile.KernelCache` watches for drift.  Any
+    other planner ranks the same relations greedily by size, the
+    frontier rule applied to the sizes
+    (:func:`~repro.engine.bindings.anchor_sizes`).
+
+    ``ranked`` is greedy's other behaviour: the relations to rank when
+    they are *not* the ones read.  Semi-naive delta rounds pass their
+    base fetch — greedy has always ranked the base relation under a
+    delta (the E1–E10 counters depend on it), and a base relation is no
+    frontier, so the rule has nothing to discount there.
+    """
+    def sizes_of(source: Fetch) -> Sizes:
+        def sizes(atom: Atom, index: int) -> int:
+            return len(source(atom, index))
+        return sizes
+
+    if planner in ADAPTIVE_PLANNERS:
+        def cost(atom: Atom, index: int,
+                 bound_cols: tuple[int, ...]) -> float:
+            return fetch(atom, index).probe_estimate(bound_cols)
+
+        return sizes_of(fetch), anchor_cost(cost, frontier)
+    if ranked is not None:
+        return sizes_of(ranked), None
+    return anchor_sizes(sizes_of(fetch), frontier), None
+
+
+class Firer:
+    """Fires rules for one evaluation or maintenance run.
+
+    Where every schedule's ``planner`` and ``executor`` are turned into
+    behaviour: ``"source"`` keeps atoms in rule order; the
+    :data:`ADAPTIVE_PLANNERS` plan from live statistics with drift
+    replanning; ``"compiled"`` runs a
+    :class:`~repro.engine.compile.KernelCache` — ``kernels`` when the
+    caller keeps one across runs — and ``"interpreted"`` the oracle,
+    which re-plans greedily every firing whatever the planner.
+
+    ``stats`` accumulates every counter; ``budget`` (already resolved
+    and started) and the chaos plan active at construction are consulted
+    per derivation event by :meth:`merge`.
+    """
+
+    __slots__ = ("kernels", "keep_atom_order", "planner", "symbols",
+                 "stats", "budget", "hook", "chaos_plan")
+
+    def __init__(self, planner: str, executor: str,
+                 symbols: SymbolTable | None, stats: EvalStats,
+                 budget: Budget | None = None, hook: Hook | None = None,
+                 kernels: KernelCache | None = None) -> None:
+        validate_executor(executor)
+        validate_planner(planner)
+        self.planner = planner
+        self.keep_atom_order = planner == "source"
+        if kernels is None and executor == "compiled":
+            kernels = KernelCache(keep_atom_order=self.keep_atom_order,
+                                  symbols=symbols,
+                                  adaptive=planner in ADAPTIVE_PLANNERS)
+        self.kernels = kernels
+        self.symbols = symbols
+        self.stats = stats
+        self.budget = budget
+        self.hook = hook
+        self.chaos_plan = chaos.active_plan()
+
+    @property
+    def whole_sets(self) -> bool:
+        """Whether a firing's rows may come and go as one set (a copy
+        rule's union): compiled, and nothing has to see the rows one at
+        a time — a hook each solution, a chaos plan each derivation
+        event, a counter limit the exact event it is crossed at."""
+        return self.kernels is not None and self.hook is None \
+            and self.chaos_plan is None \
+            and not (self.budget is not None
+                     and self.budget.counter_limited)
+
+    def run(self, rule: Rule, fetch: Fetch, variant: object = None,
+            frontier: Collection[int] = (), ranked: Fetch | None = None,
+            round_index: int = 0) -> list[Row]:
+        """All derivations of ``rule`` under ``fetch``, buffered.
+
+        The list is in the storage domain (codes when interned) and
+        carries *multiplicity* — one entry per body solution the hook
+        let through — which is what the counting algorithm consumes; the
+        set-based schedules hand it to :meth:`merge`.  ``variant`` keys
+        the kernel (one per delta-redirected occurrence or maintenance
+        pass); ``frontier`` and ``ranked`` are as in :func:`estimators`.
+        """
+        stats = self.stats
+        stats.rules_fired += 1
+        if self.kernels is not None:
+            sizes, cost = estimators(fetch, frontier, self.planner, ranked)
+            kernel = self.kernels.kernel(rule, variant, sizes, cost=cost)
+            return kernel.execute(fetch, stats, hook=self.hook,
+                                  round_index=round_index)
+        hook = self.hook
+        derived = [instantiate_head(rule, binding)
+                   for binding in solve_body(
+                       rule, fetch, stats,
+                       keep_atom_order=self.keep_atom_order)
+                   if hook is None or hook(rule, binding, round_index)]
+        if self.symbols is not None:
+            return list(map(self.symbols.intern_row, derived))
+        return derived
+
+    def merge(self, derived: Collection[Row], target: Relation,
+              last_round: int = 0) -> Collection[Row]:
+        """Insert one firing's rows into ``target``; returns the new ones.
+
+        Budget ticks are amortized: ``checkpoint`` returns how many
+        derivation events may pass before the next check without a
+        counter limit being crossed, and that many rows go in as one
+        C-level set difference — so exhaustion payloads stay exact while
+        the insert pays one Python call per window instead of one per
+        row.  ``derivations`` and ``duplicate_derivations`` total what a
+        row-at-a-time insert would count.  Under a chaos plan the rows
+        do go in one at a time: fault ordinals are per derivation event.
+        """
+        budget = self.budget
+        if self.chaos_plan is not None:
+            return self._merge_rows(derived, target, last_round)
+        if budget is None or not isinstance(derived, list):
+            if budget is not None:
+                # A copy rule's row set goes in whole (no counter limit
+                # is set, or it would have come as a list).
+                budget.checkpoint(self.stats, last_round=last_round)
+            return self._merge_window(derived, target)
+        fresh: set[Row] = set()
+        position = 0
+        while position < len(derived):
+            countdown = budget.checkpoint(self.stats, last_round=last_round)
+            chunk = derived[position:position + max(countdown, 1)]
+            position += len(chunk)
+            fresh |= self._merge_window(chunk, target)
+        return fresh
+
+    def _merge_window(self, chunk: Collection[Row],
+                      target: Relation) -> set[Row]:
+        new_rows = target.raw_merge_new(chunk)
+        self.stats.derivations += len(new_rows)
+        self.stats.duplicate_derivations += len(chunk) - len(new_rows)
+        return new_rows
+
+    def _merge_rows(self, derived: Collection[Row], target: Relation,
+                    last_round: int) -> list[Row]:
+        stats, budget, chaos_plan = self.stats, self.budget, self.chaos_plan
+        assert chaos_plan is not None
+        new_rows: list[Row] = []
+        countdown = budget.checkpoint(stats, last_round=last_round) \
+            if budget is not None else 0
+        for row in derived:
+            chaos_plan.derivation()
+            if target.raw_add(row):
+                new_rows.append(row)
+                stats.derivations += 1
+            else:
+                stats.duplicate_derivations += 1
+            if budget is not None:
+                countdown -= 1
+                if countdown <= 0:
+                    countdown = budget.checkpoint(stats,
+                                                  last_round=last_round)
+        return new_rows

@@ -14,7 +14,6 @@ cost their kernels with.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from ..datalog.atoms import Atom, Comparison, Negation
 from ..datalog.program import Program
@@ -22,12 +21,9 @@ from ..datalog.rules import Rule
 from ..datalog.terms import Variable
 from ..facts.database import Database
 from ..facts.relation import Relation
-from .bindings import (Cost, Sizes, anchor_cost, anchor_sizes,
-                       bound_columns_of, frontier_occurrences, plan_body,
-                       validate_planner)
-
-if TYPE_CHECKING:
-    from ..analysis.dataflow import DataflowResult
+from .bindings import (Cost, Fetch, Sizes, bound_columns_of,
+                       frontier_occurrences, plan_body, validate_planner)
+from .fire import estimators
 
 
 @dataclass(frozen=True)
@@ -79,80 +75,49 @@ class RulePlan:
         return "\n".join(lines)
 
 
-def _relation_for(atom: Atom, program: Program, edb: Database,
-                  idb: Database | None) -> Relation | None:
-    """The relation ``atom`` would read; None for an IDB predicate
-    ``idb`` does not hold (empty, at the start of the fixpoint)."""
-    if atom.pred in program.idb_predicates:
-        if idb is not None and atom.pred in idb:
-            return idb.relation(atom.pred)
-        return None
-    return edb.relation_or_empty(atom.pred, atom.arity)
+def _round0_firing(rule: Rule, program: Program, edb: Database,
+                   idb: Database | None, planner: str
+                   ) -> tuple[Fetch, Sizes, Cost | None]:
+    """What ``rule``'s firing in the *initialization round* of its
+    stratum reads and is planned with.
 
-
-def _size_of(atom: Atom, program: Program, edb: Database,
-             idb: Database | None) -> int:
-    relation = _relation_for(atom, program, edb, idb)
-    return len(relation) if relation is not None else 0
-
-
-def _estimators(rule: Rule, program: Program, edb: Database,
-                idb: Database | None, planner: str,
-                dataflow: "DataflowResult | None"
-                ) -> tuple[Sizes, Cost | None]:
-    """The ``sizes`` and (adaptive planners only) ``cost`` callbacks
-    ``rule`` is planned with.
-
-    They read what the engines read — ``len(relation)`` and
-    :meth:`Relation.probe_estimate` — and rank the rule's frontier
-    occurrences as the engines do
-    (:func:`~repro.engine.bindings.frontier_occurrences`), so an
-    explained plan is the plan a
-    :class:`~repro.engine.compile.KernelCache` would compile for the
-    rule's firing in the *initialization round* of its stratum: IDB
-    relations come from ``idb`` when given (what earlier strata and
-    earlier rules of the round have derived, or a finished evaluation's
-    result) and are treated as empty otherwise, matching what the engine
-    would see at the start of the fixpoint; with ``dataflow`` the
-    adaptive planner seeds cold (missing or empty) relations with the
-    analysis's static size bounds instead of a flat zero, mirroring the
-    engines.
+    ``fetch`` resolves IDB atoms from ``idb`` when given (what earlier
+    strata and earlier rules of the round have derived, or a finished
+    evaluation's result) and to an empty relation otherwise, matching
+    what the engine sees at the start of the fixpoint.  ``sizes`` and
+    ``cost`` come from :func:`repro.engine.fire.estimators` — the
+    function every engine firing is planned by, same frontier rule — so
+    an explained plan is the plan a
+    :class:`~repro.engine.compile.KernelCache` compiles for that firing.
     """
     validate_planner(planner)
     stratum: frozenset[str] = frozenset((rule.head.pred,))
     for group in program.recursion_info().mutual_groups:
         if rule.head.pred in group:
             stratum = group
-    frontier = frontier_occurrences(rule, stratum, None)
 
-    def sizes(atom: Atom, index: int) -> int:
-        return _size_of(atom, program, edb, idb)
+    def fetch(atom: Atom, index: int) -> Relation:
+        if atom.pred not in program.idb_predicates:
+            return edb.relation_or_empty(atom.pred, atom.arity)
+        if idb is not None and atom.pred in idb:
+            return idb.relation(atom.pred)
+        return Relation(atom.pred, atom.arity)
 
-    if planner not in ("adaptive", "cbo"):
-        return anchor_sizes(sizes, frontier), None
-
-    def cost(atom: Atom, index: int, bound_cols: tuple[int, ...]) -> float:
-        relation = _relation_for(atom, program, edb, idb)
-        if relation is None or not len(relation):
-            if dataflow is not None:
-                return dataflow.probe_estimate(atom.pred, bound_cols)
-            return 0.0
-        return relation.probe_estimate(bound_cols)
-
-    return sizes, anchor_cost(cost, frontier)
+    sizes, cost = estimators(
+        fetch, frontier_occurrences(rule, stratum, None), planner)
+    return fetch, sizes, cost
 
 
 def plan_rule(rule: Rule, program: Program, edb: Database,
               idb: Database | None = None,
-              planner: str = "greedy",
-              dataflow: "DataflowResult | None" = None) -> RulePlan:
+              planner: str = "greedy") -> RulePlan:
     """Compute the execution plan one rule would use.
 
-    Sizes and estimates come from :func:`_estimators`.  The body
+    Sizes and estimates come from :func:`_round0_firing`.  The body
     ``index`` of each occurrence is threaded through to the size and
     cost callbacks, exactly as the engines' delta-aware ``fetch`` does.
     """
-    sizes, cost = _estimators(rule, program, edb, idb, planner, dataflow)
+    fetch, sizes, cost = _round0_firing(rule, program, edb, idb, planner)
     order = plan_body(rule, sizes,
                       keep_atom_order=(planner == "source"), cost=cost)
     bound: set[Variable] = set()
@@ -173,7 +138,7 @@ def plan_rule(rule: Rule, program: Program, edb: Database,
             if cost is not None else None
         steps.append(PlanStep(
             literal, "probe" if columns else "scan", columns,
-            _size_of(literal, program, edb, idb), estimate))
+            len(fetch(literal, index)), estimate))
         bound.update(literal.variable_set())
     return RulePlan(rule, tuple(steps), planner=planner)
 
@@ -203,18 +168,15 @@ def _stats_section(edb: Database, idb: Database | None) -> str:
 def explain_plan(program: Program, edb: Database,
                  idb: Database | None = None,
                  planner: str = "greedy",
-                 show_stats: bool = False,
-                 dataflow: "DataflowResult | None" = None) -> str:
+                 show_stats: bool = False) -> str:
     """Render the plans of every rule of the program.
 
     With ``show_stats`` a trailing section lists, per relation, the
     cardinality and per-column distinct counts the estimates were
     derived from (``repro explain --stats``).
-    ``dataflow`` is as in :func:`plan_rule`.
     """
     body = "\n\n".join(
-        plan_rule(rule, program, edb, idb, planner,
-                  dataflow=dataflow).render()
+        plan_rule(rule, program, edb, idb, planner).render()
         for rule in program)
     if show_stats:
         body += "\n\n" + _stats_section(edb, idb)
@@ -224,8 +186,7 @@ def explain_plan(program: Program, edb: Database,
 def explain_kernels(program: Program, edb: Database,
                     idb: Database | None = None,
                     planner: str = "greedy",
-                    show_stats: bool = False,
-                    dataflow: "DataflowResult | None" = None) -> str:
+                    show_stats: bool = False) -> str:
     """Render the compiled kernel of every rule of the program.
 
     This is the compiled-executor counterpart of :func:`explain_plan`:
@@ -233,21 +194,17 @@ def explain_kernels(program: Program, edb: Database,
     slot binds, checks) and the source of the generated function it
     runs as, compiled against the same size estimates :func:`plan_rule`
     uses (including, under ``planner="adaptive"``, the
-    statistics-estimated rows per probe), against the EDB's symbol
-    table when it is interned, and with ``dataflow``'s provably-true
-    comparisons elided.
+    statistics-estimated rows per probe) and against the EDB's symbol
+    table when it is interned.
     """
     from .compile import CompiledKernel
 
-    true_checks = dataflow.true_checks if dataflow is not None else {}
-
     def describe(rule: Rule) -> str:
-        sizes, cost = _estimators(rule, program, edb, idb, planner,
-                                  dataflow)
+        _fetch, sizes, cost = _round0_firing(rule, program, edb, idb,
+                                             planner)
         return CompiledKernel(
             rule, sizes, keep_atom_order=(planner == "source"),
-            cost=cost, symbols=edb.symbols,
-            true_checks=true_checks.get(rule, frozenset())).describe()
+            cost=cost, symbols=edb.symbols).describe()
 
     body = "\n\n".join(map(describe, program))
     if show_stats:

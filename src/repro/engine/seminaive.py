@@ -22,10 +22,7 @@ evaluation-based approach lives.
 from __future__ import annotations
 
 from time import perf_counter
-from typing import TYPE_CHECKING, Callable, Collection, Iterable, Optional
-
-if TYPE_CHECKING:
-    from ..analysis.dataflow import DataflowResult
+from typing import Callable, Collection, Iterable, Optional
 
 from ..datalog.atoms import Atom
 from ..datalog.program import Program
@@ -34,13 +31,10 @@ from ..datalog.terms import Variable
 from ..errors import BudgetExceededError
 from ..facts.database import Database
 from ..facts.relation import Relation, Row
-from ..runtime import chaos
 from ..runtime.budget import Budget, resolve_budget
-from .bindings import (Binding, EvalStats, Fetch, anchor_cost,
-                       anchor_sizes, check_edb_arities,
-                       frontier_occurrences, instantiate_head, solve_body,
-                       validate_planner)
-from .compile import KernelCache, validate_executor
+from .bindings import (Binding, EvalStats, Fetch, check_edb_arities,
+                       frontier_occurrences, solve_body)
+from .fire import Firer
 from .naive import DEFAULT_MAX_ITERATIONS
 from .profile import EvalProfile
 from .stratify import is_recursive_stratum, stratify
@@ -65,7 +59,6 @@ def seminaive_evaluate(program: Program, edb: Database,
                        budget: Budget | None = None,
                        executor: str = "compiled",
                        profile: EvalProfile | None = None,
-                       dataflow: "DataflowResult | None" = None,
                        ) -> Database:
     """Compute the IDB of ``program`` over ``edb`` semi-naively.
 
@@ -90,7 +83,8 @@ def seminaive_evaluate(program: Program, edb: Database,
     (``planner="source"``), because a kernel's plan is fixed per
     (rule, variant) at its first firing while the interpreter re-plans
     every firing.  Hooks, chaos injection and budgets behave
-    identically under either.  The compiled executor inserts a pure
+    identically under either (one firing path,
+    :mod:`repro.engine.fire`).  The compiled executor inserts a pure
     copy rule ``p(X̄) :- q(X̄)`` as one set union of ``q``'s stored
     rows — same counters — whenever no hook, chaos plan or
     derivation/fact limit has to see the rows one at a time.
@@ -111,34 +105,18 @@ def seminaive_evaluate(program: Program, edb: Database,
     inserting derived rows without ever decoding them.
     """
     stats = stats if stats is not None else EvalStats()
-    validate_executor(executor)
-    validate_planner(planner)
+    firer = Firer(planner, executor, edb.symbols, stats,
+                  resolve_budget(budget), hook)
     check_edb_arities(program, edb)
-    budget = resolve_budget(budget)
     arities = program.predicate_arities()
     idb = Database(symbols=edb.symbols)
     for pred in program.idb_predicates:
         idb.ensure(pred, arities[pred])
-
-    keep_atom_order = planner == "source"
-    kernels = None
-    if executor != "interpreted":
-        # planner="cbo" executes its chosen candidate with the adaptive
-        # runtime machinery (statistics-driven orders, drift replans):
-        # whole-program rewrites were decided before the fixpoint
-        # (:mod:`repro.engine.optimizer`), so counters stay
-        # bit-identical to planner="adaptive" on the same program.
-        kernels = KernelCache(keep_atom_order=keep_atom_order,
-                              symbols=edb.symbols,
-                              adaptive=planner in ("adaptive", "cbo"),
-                              true_checks=dataflow.true_checks
-                              if dataflow is not None else None)
     for stratum in stratify(program):
-        _evaluate_stratum(program, stratum, edb, idb, stats,
-                          max_iterations, hook, keep_atom_order,
-                          budget, kernels, profile, dataflow)
-    if kernels is not None:
-        stats.replans += kernels.replans
+        _evaluate_stratum(program, stratum, edb, idb, firer,
+                          max_iterations, profile)
+    if firer.kernels is not None:
+        stats.replans += firer.kernels.replans
     return idb
 
 
@@ -157,20 +135,11 @@ def _copied_atom(rule: Rule) -> Atom | None:
 
 
 def _evaluate_stratum(program: Program, stratum: frozenset[str],
-                      edb: Database, idb: Database, stats: EvalStats,
+                      edb: Database, idb: Database, firer: Firer,
                       max_iterations: int,
-                      hook: Optional[DerivationHook],
-                      keep_atom_order: bool = False,
-                      budget: Budget | None = None,
-                      kernels: KernelCache | None = None,
-                      profile: EvalProfile | None = None,
-                      dataflow: "DataflowResult | None" = None) -> None:
-    chaos_plan = chaos.active_plan()
-    # Provably-dead rules (dataflow analysis) derive no rows under any
-    # join order: skipping them changes no facts, derivation counts,
-    # budget payloads or chaos ordinals — just saves the firings.
-    rules = [r for r in program if r.head.pred in stratum
-             and not (dataflow is not None and dataflow.is_dead(r))]
+                      profile: EvalProfile | None) -> None:
+    stats, budget = firer.stats, firer.budget
+    rules = [r for r in program if r.head.pred in stratum]
     # Unlabeled rules must not collapse into one per-head bucket: key
     # rule_rows by label when present, else by head predicate and the
     # rule's position within the stratum.
@@ -183,14 +152,10 @@ def _evaluate_stratum(program: Program, stratum: frozenset[str],
     recursive = is_recursive_stratum(stratum, rules)
     # A copy rule's derived rows *are* its source's row set, so the
     # insert is one set union — unless something must see the rows one
-    # at a time: a hook each solution, a chaos plan each derivation
-    # event, a counter limit the exact event it is crossed at.
-    whole_sets = kernels is not None and hook is None \
-        and chaos_plan is None \
-        and not (budget is not None and budget.counter_limited)
+    # at a time.
     copied: dict[int, Atom | None] = {
         id(rule): _copied_atom(rule) for rule in rules} \
-        if whole_sets else {}
+        if firer.whole_sets else {}
 
     def make_deltas() -> dict[str, Relation]:
         if not recursive:
@@ -203,16 +168,8 @@ def _evaluate_stratum(program: Program, stratum: frozenset[str],
             return idb.relation(atom.pred)
         return edb.relation_or_empty(atom.pred, atom.arity)
 
-    def sizes(atom: Atom, index: int) -> int:
-        return len(base_fetch(atom, index))
-
-    adaptive = kernels is not None and kernels.adaptive
-
     def fire(rule: Rule, fetch: Fetch, round_index: int,
              variant: int | None = None) -> None:
-        stats.rules_fired += 1
-        target = idb.relation(rule.head.pred)
-        delta = next_deltas.get(rule.head.pred)
         rows_before = stats.rows_matched
         fire_start = perf_counter() if profile is not None else 0.0
         # Buffer insertions so the body scan sees a snapshot of the
@@ -221,111 +178,27 @@ def _evaluate_stratum(program: Program, stratum: frozenset[str],
         source = copied.get(id(rule))
         if source is not None:
             derived = fetch(source, 0).raw_rows()
+            stats.rules_fired += 1
             stats.atom_lookups += 1
             stats.rows_matched += len(derived)
-        elif kernels is not None:
-            frontier = frontier_occurrences(rule, stratum, variant)
-            if adaptive:
-                # Delta-aware: the adaptive planner costs each atom
-                # against the relation this occurrence will actually
-                # read (the delta for the redirected one), using live
-                # cardinality/distinct statistics.
-                def sizes_now(atom: Atom, index: int) -> int:
-                    return len(fetch(atom, index))
-
-                def cost_now(atom: Atom, index: int,
-                             bound_cols: tuple[int, ...]) -> float:
-                    relation = fetch(atom, index)
-                    if dataflow is not None and not len(relation):
-                        # Cold statistics: the relation is still empty
-                        # (first stratum rounds), so probe the static
-                        # size bounds instead of a flat zero.
-                        return dataflow.probe_estimate(
-                            atom.pred, bound_cols)
-                    return relation.probe_estimate(bound_cols)
-
-                kernel = kernels.kernel(
-                    rule, variant, sizes_now,
-                    cost=anchor_cost(cost_now, frontier))
-            else:
-                # Greedy ranks base relations in every round and never
-                # looks at a delta, so the frontier rule reaches it
-                # where a base relation *is* the frontier: round 0.
-                kernel = kernels.kernel(
-                    rule, variant, anchor_sizes(sizes, frontier)
-                    if variant is None else sizes)
-            derived = kernel.execute(fetch, stats, hook=hook,
-                                     round_index=round_index)
         else:
-            derived = [instantiate_head(rule, binding)
-                       for binding in solve_body(
-                           rule, fetch, stats,
-                           keep_atom_order=keep_atom_order)
-                       if hook is None or hook(rule, binding, round_index)]
+            # Greedy ranks base relations in every round and never
+            # looks at a delta, so the frontier rule reaches it where a
+            # base relation *is* the frontier: round 0.
+            derived = firer.run(
+                rule, fetch, variant,
+                frontier_occurrences(rule, stratum, variant),
+                ranked=None if variant is None else base_fetch,
+                round_index=round_index)
         merge_start = perf_counter() if profile is not None else 0.0
         key = rule_keys[id(rule)]
         stats.rule_rows[key] = stats.rule_rows.get(key, 0) \
             + stats.rows_matched - rows_before
-        # Budget ticks are amortized: `checkpoint` returns how many
-        # derivation events may pass before the next check without a
-        # counter limit being crossed, so exhaustion payloads stay
-        # exact while the hot insert loop pays one Python call per
-        # ~interval events instead of one per event.
-        last_round = max(round_index - 1, 0)
-
-        def merge(chunk: Collection[Row]) -> None:
-            # The duplicate screen is one C-level set difference per
-            # call instead of a Python call per derived row; counter
-            # totals (derivations, duplicates) match the sequential
-            # path exactly.
-            new_rows = target.raw_merge_new(chunk)
-            if new_rows:
-                if delta is not None:
-                    delta.raw_merge(new_rows)
-                stats.derivations += len(new_rows)
-            stats.duplicate_derivations += len(chunk) - len(new_rows)
-
-        if kernels is None or chaos_plan is not None:
-            # Row at a time: the interpreter's rows are values, and
-            # chaos fault ordinals are per derivation event.  Kernel
-            # rows are storage-domain already (codes when interned) and
-            # go in through the raw path, no re-encoding.
-            target_add: Callable[[Row], bool] = target.add \
-                if kernels is None else target.raw_add
-            delta_add: Callable[[Row], bool] | None = None \
-                if delta is None \
-                else delta.add if kernels is None else delta.raw_add
-            countdown = budget.checkpoint(stats, last_round=last_round) \
-                if budget is not None else 0
-            for row in derived:
-                if chaos_plan is not None:
-                    chaos_plan.derivation()
-                if target_add(row):
-                    if delta_add is not None:
-                        delta_add(row)
-                    stats.derivations += 1
-                else:
-                    stats.duplicate_derivations += 1
-                if budget is not None:
-                    countdown -= 1
-                    if countdown <= 0:
-                        countdown = budget.checkpoint(
-                            stats, last_round=last_round)
-        elif budget is None:
-            merge(derived)
-        elif isinstance(derived, list):
-            # One bulk insert per budget window.
-            position = 0
-            while position < len(derived):
-                countdown = budget.checkpoint(stats, last_round=last_round)
-                chunk = derived[position:position + max(countdown, 1)]
-                position += len(chunk)
-                merge(chunk)
-        else:
-            # A copy rule's row set goes in whole (no counter limit is
-            # set, or it would have come as a list).
-            budget.checkpoint(stats, last_round=last_round)
-            merge(derived)
+        new_rows = firer.merge(derived, idb.relation(rule.head.pred),
+                               last_round=max(round_index - 1, 0))
+        delta = next_deltas.get(rule.head.pred)
+        if new_rows and delta is not None:
+            delta.raw_merge(new_rows)
         if profile is not None:
             done = perf_counter()
             profile.record_fire(
@@ -355,7 +228,8 @@ def _evaluate_stratum(program: Program, stratum: frozenset[str],
                 spent=rounds - 1, stats=stats, last_round=rounds - 1)
         if budget is not None:
             # Exact round-boundary check: deadline, rounds, cancellation
-            # (checkpoint above keeps the counters exact mid-round).
+            # (the merge's checkpoints keep the counters exact
+            # mid-round).
             budget.check_round(stats, last_round=rounds - 1)
         next_deltas = make_deltas()
         for rule in rules:

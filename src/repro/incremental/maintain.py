@@ -50,12 +50,10 @@ from ..errors import (BudgetExceededError, EvaluationError,
 from ..facts.changelog import Changeset
 from ..facts.database import Database
 from ..facts.relation import Relation, Row
-from ..runtime import chaos
 from ..runtime.budget import Budget, resolve_budget
-from ..engine.bindings import (EvalStats, check_edb_arities,
-                               instantiate_head, solve_body,
-                               validate_planner)
-from ..engine.compile import KernelCache, validate_executor
+from ..engine.bindings import EvalStats, check_edb_arities
+from ..engine.compile import KernelCache
+from ..engine.fire import Firer
 from ..engine.naive import DEFAULT_MAX_ITERATIONS
 from ..engine.stratify import is_recursive_stratum, stratify
 
@@ -122,12 +120,9 @@ def support_counts(program: Program, edb: Database, idb: Database,
     state; recursive strata are skipped (DRed handles them without
     counts).
     """
-    stats = stats if stats is not None else EvalStats()
-    validate_executor(executor)
+    firer = Firer("greedy", executor, edb.symbols,
+                  stats if stats is not None else EvalStats())
     counts = SupportCounts()
-    kernels = KernelCache(symbols=edb.symbols) \
-        if executor == "compiled" else None
-    symbols = edb.symbols
     arities = program.predicate_arities()
 
     def fetch(atom: Atom, index: int) -> Relation:
@@ -140,8 +135,7 @@ def support_counts(program: Program, edb: Database, idb: Database,
         if is_recursive_stratum(stratum, rules):
             continue
         for rule in rules:
-            derived = _fire_rule(rule, fetch, stats, kernels,
-                                 ("support",), symbols)
+            derived = firer.run(rule, fetch, ("support",))
             counter = counts.counter(rule.head.pred)
             for row in derived:
                 counter[row] = counter.get(row, 0) + 1
@@ -171,15 +165,20 @@ def maintain(program: Program, edb: Database, idb: Database,
     ``counts`` (from :func:`support_counts`) switches non-recursive
     strata from DRed to the counting algorithm and is kept exact across
     the call.  ``kernels`` lets a serving layer reuse compiled rule
-    kernels across refreshes.  Raises
+    kernels across refreshes.  ``planner="source"`` keeps body atoms in
+    rule order; every other planner plans greedily over delta-aware
+    sizes — each occurrence ranked by the relation its pass reads (the
+    delta for the redirected one) — since a maintenance firing joins a
+    small delta against converged relations and has no statistics drift
+    for the adaptive machinery to follow.  Raises
     :class:`~repro.errors.IncrementalUnsupported` when a changed
     predicate can reach a negated occurrence; raises
     :class:`~repro.errors.EvaluationError` when the changeset touches
     an IDB predicate.
     """
-    stats = stats if stats is not None else EvalStats()
-    validate_executor(executor)
-    validate_planner(planner)
+    firer = Firer(planner if planner == "source" else "greedy", executor,
+                  edb.symbols, stats if stats is not None else EvalStats(),
+                  resolve_budget(budget), kernels=kernels)
     check_edb_arities(program, edb)
     derived = changeset.predicates() & program.idb_predicates
     if derived:
@@ -189,10 +188,8 @@ def maintain(program: Program, edb: Database, idb: Database,
             f"{', '.join(sorted(derived))}; incremental maintenance "
             "updates EDB relations only")
     _require_monotone_impact(program, changeset.predicates())
-    run = _Maintenance(program, edb, idb, changeset, counts, stats,
-                       planner, executor,
-                       resolve_budget(budget), max_iterations, kernels)
-    return run.run()
+    return _Maintenance(program, edb, idb, changeset, counts, firer,
+                        max_iterations).run()
 
 
 def _require_monotone_impact(program: Program,
@@ -217,59 +214,20 @@ def _require_monotone_impact(program: Program,
                     reason="negation")
 
 
-def _fire_rule(rule: Rule, fetch, stats: EvalStats,
-               kernels: KernelCache | None, variant: object,
-               symbols, keep_atom_order: bool = False) -> list[Row]:
-    """All derivations of ``rule`` under ``fetch``, storage-domain rows.
-
-    The returned list carries *multiplicity* — one entry per body
-    derivation — which is what the counting algorithm consumes; the
-    set-based passes simply merge it.
-    """
-    stats.rules_fired += 1
-    if kernels is not None:
-        def sizes(atom: Atom, index: int) -> int:
-            return len(fetch(atom, index))
-
-        kernel = kernels.kernel(rule, variant, sizes)
-        return kernel.execute(fetch, stats)
-    derived: list[Row] = []
-    for binding in solve_body(rule, fetch, stats,
-                              keep_atom_order=keep_atom_order):
-        head = instantiate_head(rule, binding)
-        if symbols is not None:
-            head = symbols.intern_row(head)
-        derived.append(head)
-    return derived
-
-
 class _Maintenance:
     """One maintenance run: deletion pass, then insertion pass."""
 
     def __init__(self, program: Program, edb: Database, idb: Database,
                  changeset: Changeset, counts: SupportCounts | None,
-                 stats: EvalStats, planner: str, executor: str,
-                 budget: Budget | None,
-                 max_iterations: int,
-                 kernels: KernelCache | None) -> None:
+                 firer: Firer, max_iterations: int) -> None:
         self.program = program
         self.edb = edb
         self.idb = idb
         self.counts = counts
-        self.stats = stats
-        self.budget = budget
+        self.firer = firer
+        self.stats = firer.stats
         self.max_iterations = max_iterations
-        self.chaos_plan = chaos.active_plan()
         self.symbols = edb.symbols
-        self.keep_atom_order = planner == "source"
-        if kernels is not None:
-            self.kernels: KernelCache | None = kernels
-        elif executor == "compiled":
-            self.kernels = KernelCache(
-                keep_atom_order=self.keep_atom_order,
-                symbols=edb.symbols)
-        else:
-            self.kernels = None
         self.arities = dict(program.predicate_arities())
         # Storage-domain changeset rows.
         self.edb_deletes = {pred: self._encode_rows(rows)
@@ -357,14 +315,15 @@ class _Maintenance:
 
     # -- budget / chaos ------------------------------------------------------
     def _tick_rows(self, rows: list[Row], last_round: int = 0) -> None:
-        """Per-derivation budget/chaos events for one firing's output."""
-        if self.chaos_plan is not None:
+        """Budget/chaos events of a firing whose rows are *not* merged
+        (the counting and overdeletion passes consume them themselves):
+        one chaos event per row, one checkpoint per firing."""
+        chaos_plan, budget = self.firer.chaos_plan, self.firer.budget
+        if chaos_plan is not None:
             for _ in rows:
-                self.chaos_plan.derivation()
-        if self.budget is not None:
-            # One checkpoint per firing: a kernel execution is the unit
-            # of interruptibility here, so finer ticks buy nothing.
-            self.budget.checkpoint(self.stats, last_round=last_round)
+                chaos_plan.derivation()
+        if budget is not None:
+            budget.checkpoint(self.stats, last_round=last_round)
 
     def _check_round(self, rounds: int, where: str) -> None:
         if rounds > self.max_iterations:
@@ -373,8 +332,9 @@ class _Maintenance:
                 "rounds", resource="rounds", limit=self.max_iterations,
                 spent=rounds - 1, stats=self.stats,
                 last_round=rounds - 1)
-        if self.budget is not None:
-            self.budget.check_round(self.stats, last_round=rounds - 1)
+        if self.firer.budget is not None:
+            self.firer.budget.check_round(self.stats,
+                                          last_round=rounds - 1)
 
     # -- driver --------------------------------------------------------------
     def run(self) -> MaintenanceResult:
@@ -448,9 +408,7 @@ class _Maintenance:
                 fetch = self._partition_fetch(
                     rule, index, delta_rel, changed,
                     self._del_before_rel, self._del_current)
-                lost = _fire_rule(rule, fetch, self.stats, self.kernels,
-                                  ("count-del", index), self.symbols,
-                                  keep_atom_order=self.keep_atom_order)
+                lost = self.firer.run(rule, fetch, ("count-del", index))
                 self._tick_rows(lost)
                 for row in lost:
                     support = counter.get(row)
@@ -506,10 +464,7 @@ class _Maintenance:
                         return self._del_before_rel(atom.pred)
                     return self._del_current(atom, occurrence)
 
-                derived = _fire_rule(
-                    rule, fetch, self.stats, self.kernels,
-                    ("dred-seed", index), self.symbols,
-                    keep_atom_order=self.keep_atom_order)
+                derived = self.firer.run(rule, fetch, ("dred-seed", index))
                 self._tick_rows(derived)
                 collect(rule, derived)
 
@@ -540,10 +495,8 @@ class _Maintenance:
                             return self._del_before_rel(atom.pred)
                         return self._del_current(atom, occurrence)
 
-                    derived = _fire_rule(
-                        rule, fetch, self.stats, self.kernels,
-                        ("dred-front", index), self.symbols,
-                        keep_atom_order=self.keep_atom_order)
+                    derived = self.firer.run(rule, fetch,
+                                             ("dred-front", index))
                     self._tick_rows(derived, last_round=rounds - 1)
                     collect(rule, derived)
 
@@ -614,10 +567,8 @@ class _Maintenance:
                         return _guard_rel
                     return self._del_current(atom, occurrence)
 
-                derived = _fire_rule(
-                    batch_rule, fetch, self.stats, self.kernels,
-                    ("dred-rederive",), self.symbols,
-                    keep_atom_order=self.keep_atom_order)
+                derived = self.firer.run(batch_rule, fetch,
+                                         ("dred-rederive",))
                 self._tick_rows(derived)
                 for row in derived:
                     if row in candidates:
@@ -666,17 +617,9 @@ class _Maintenance:
                         return _delta
                     return self._ins_current(atom, occurrence)
 
-                derived = _fire_rule(
-                    rule, fetch, self.stats, self.kernels,
-                    ("ins-seed", index), self.symbols,
-                    keep_atom_order=self.keep_atom_order)
-                self._tick_rows(derived)
-                new_rows = target.raw_merge_new(derived)
-                if new_rows:
-                    seeds[rule.head.pred].update(new_rows)
-                    self.stats.derivations += len(new_rows)
-                self.stats.duplicate_derivations += \
-                    len(derived) - len(new_rows)
+                derived = self.firer.run(rule, fetch, ("ins-seed", index))
+                seeds[rule.head.pred].update(
+                    self.firer.merge(derived, target))
         self._propagate(stratum, rules, seeds, self._ins_current,
                         collect_into=self.idb_added)
         for pred, rows in seeds.items():
@@ -699,10 +642,7 @@ class _Maintenance:
                 fetch = self._partition_fetch(
                     rule, index, delta_rel, changed,
                     self._ins_before_rel, self._ins_current)
-                gained = _fire_rule(
-                    rule, fetch, self.stats, self.kernels,
-                    ("count-ins", index), self.symbols,
-                    keep_atom_order=self.keep_atom_order)
+                gained = self.firer.run(rule, fetch, ("count-ins", index))
                 self._tick_rows(gained)
                 for row in gained:
                     support = counter.get(row, 0)
@@ -744,20 +684,14 @@ class _Maintenance:
                             return _deltas[atom.pred]
                         return current(atom, occurrence)
 
-                    derived = _fire_rule(
-                        rule, fetch, self.stats, self.kernels,
-                        ("prop", index), self.symbols,
-                        keep_atom_order=self.keep_atom_order)
-                    self._tick_rows(derived, last_round=rounds - 1)
-                    new_rows = target.raw_merge_new(derived)
+                    derived = self.firer.run(rule, fetch, ("prop", index))
+                    new_rows = self.firer.merge(derived, target,
+                                                last_round=rounds - 1)
                     if new_rows:
                         live[rule.head.pred].update(new_rows)
-                        self.stats.derivations += len(new_rows)
                         if collect_into is not None:
                             collect_into.setdefault(
                                 rule.head.pred, set()).update(new_rows)
-                    self.stats.duplicate_derivations += \
-                        len(derived) - len(new_rows)
 
 
 def _changeset_arity(changeset: Changeset, pred: str) -> int:

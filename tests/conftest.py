@@ -6,7 +6,8 @@ import random
 
 import pytest
 
-from repro.datalog import parse_program
+from repro.datalog import Program, Rule, parse_program
+from repro.engine import evaluate, holds
 from repro.facts import Database
 from repro.workloads import (example_2_1, example_3_2, example_4_1,
                              example_4_3, example_5_1)
@@ -84,3 +85,43 @@ def tc_closure(edges: set[tuple[str, str]]) -> frozenset[tuple[str, str]]:
                     closure.add((a, d))
                     changed = True
     return frozenset(closure)
+
+
+def dataflow_verdict_violations(program, edb, flow, **options) -> list[str]:
+    """Check what a dataflow analysis claims against a plain evaluation.
+
+    The engine no longer consumes the analysis, so its verdicts are
+    held to what evaluation observes: ``program`` runs (semi-naively,
+    under ``options``) with every comparison ``flow`` calls always-true
+    taken *out* of its rule, and a derivation hook watches each
+    solution.  Returns one message per broken claim — an inferred-empty
+    predicate that has rows, a dead rule with a solution, a removed
+    comparison that fails on a solution it would have been asked about.
+    """
+    dead = {rule.label for rule in program if flow.is_dead(rule)}
+    removed: dict[str, list] = {}
+    rules = []
+    for rule in program:
+        true = flow.true_checks.get(rule, frozenset())
+        removed[rule.label] = [rule.body[index] for index in sorted(true)]
+        rules.append(Rule(rule.head,
+                          tuple(lit for index, lit in enumerate(rule.body)
+                                if index not in true), rule.label))
+    stripped = Program(rules)
+    broken: list[str] = []
+
+    def hook(rule, binding, round_index):
+        if rule.label in dead:
+            broken.append(f"dead rule {rule.label} has solution {binding}")
+        for comparison in removed[rule.label]:
+            if not holds(comparison, binding):
+                broken.append(f"{rule.label}: always-true {comparison} "
+                              f"rejects {binding}")
+        return True
+
+    result = evaluate(stripped, edb, hook=hook, **options)
+    for pred in sorted(flow.empty & program.idb_predicates):
+        if result.count(pred):
+            broken.append(f"{pred} inferred empty, has "
+                          f"{result.count(pred)} rows")
+    return broken

@@ -57,6 +57,15 @@ class TestEvaluate:
         assert main(["evaluate", "/no/such/file", "/none"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_cbo_query_refuses_the_method_it_would_drop(self, capsys):
+        # Refused before either file is opened: the chosen plan runs
+        # semi-naively, so ``--method naive`` would be ignored.
+        assert main(["evaluate", "/no/such/file", "/none",
+                     "--planner", "cbo", "--query", "anc(cal, Xa, Y, Ya)",
+                     "--method", "naive"]) == 2
+        err = capsys.readouterr().err
+        assert "--method naive" in err and "/no/such/file" not in err
+
     def test_interning_on_same_output(self, files, capsys):
         main(["evaluate", files["program"], files["db"]])
         plain = capsys.readouterr().out

@@ -1,6 +1,7 @@
-"""Tests for the dataflow analysis (``repro.analysis.dataflow``) and
-its engine integrations: dead-rule pruning, provably-true check elision
-in the generated kernels, and cold-statistics planner seeding."""
+"""Tests for the dataflow analysis (``repro.analysis.dataflow``): the
+domain lattice, what it infers, its verdicts held against plain
+evaluation (the engine does not consume the analysis; lint and
+``choose_plan`` do), and the CLI surfaces that print it."""
 
 import pytest
 
@@ -10,9 +11,9 @@ from repro.analysis.dataflow import (ANY_NUMBER, BOTTOM, INF, MAX_CONSTS,
                                      kinds_domain, meet)
 from repro.datalog import parse_program
 from repro.datalog.parser import parse_query
-from repro.engine import KernelCache, evaluate
-from repro.engine.plan import plan_rule
+from repro.engine import evaluate
 from repro.facts import Database
+from tests.conftest import dataflow_verdict_violations
 
 TC = """
 b0: p(X, Y) :- e(X, Y).
@@ -197,7 +198,7 @@ class TestAnalyzeDataflow:
 
 
 # ---------------------------------------------------------------------------
-# engine integration
+# verdicts against plain evaluation
 # ---------------------------------------------------------------------------
 
 DEADLY = """
@@ -218,110 +219,30 @@ COMBOS = [
 
 
 class TestEvaluateWithDataflow:
+    """One program with a dead rule (``d0``) and an always-true
+    comparison (``t0``'s ``X < 100``), by construction."""
+
     @pytest.mark.parametrize("combo", COMBOS,
                              ids=[str(sorted(c.items())) for c in COMBOS])
-    def test_fact_and_counter_parity(self, combo):
+    def test_inferred_empty_predicate_evaluates_empty(self, combo):
         program = parse_program(DEADLY)
-        baseline = evaluate(program, tc_db(), **combo)
-        flowed = evaluate(program, tc_db(), dataflow="on", **combo)
-        for pred in ("p", "junk", "low"):
-            assert flowed.facts(pred) == baseline.facts(pred)
-        assert flowed.count("junk") == 0
-        base = baseline.stats.as_dict()
-        flow = flowed.stats.as_dict()
-        assert flow["derivations"] == base["derivations"]
-        assert flow["duplicate_derivations"] == \
-            base["duplicate_derivations"]
-
-    def test_dead_rule_not_fired(self):
-        program = parse_program(DEADLY)
-        baseline = evaluate(program, tc_db())
-        flowed = evaluate(program, tc_db(), dataflow="on")
-        assert flowed.stats.rules_fired < baseline.stats.rules_fired
-
-    @pytest.mark.parametrize("interning", ["off", "on"])
-    def test_true_check_skips_but_counts(self, interning):
-        # The t0 rule's X < 100 check is provably true; the generated
-        # kernel drops the condition but the counter accounting must
-        # stay bit-identical.  (No dead rules here: those legitimately
-        # shed their own counter contributions when skipped.)
-        program = parse_program(
-            "b0: p(X, Y) :- e(X, Y).\n"
-            "r0: p(X, Z) :- p(X, Y), e(Y, Z).\n"
-            "t0: low(X) :- e(X, Y), X < 100.\n")
-        combo = {"executor": "compiled", "interning": interning}
-        baseline = evaluate(program, tc_db(), **combo)
         flow = analyze_dataflow(program, edb=tc_db())
-        (t0,) = [r for r in program if r.label == "t0"]
-        assert flow.true_checks.get(t0)
-        flowed = evaluate(program, tc_db(), dataflow="on", **combo)
-        assert flowed.stats.as_dict() == baseline.stats.as_dict()
-        assert flowed.facts("low") == baseline.facts("low")
-        # ... and the condition really is gone from the generated code.
-        sizes = lambda atom, index: 0  # noqa: E731
-        kept = KernelCache().kernel(t0, None, sizes)
-        dropped = KernelCache(true_checks=flow.true_checks).kernel(
-            t0, None, sizes)
-        assert " if " in kept.generated.source
-        assert " if " not in dropped.generated.source
+        assert flow.empty & program.idb_predicates == {"junk"}
+        result = evaluate(program, tc_db(), **combo)
+        assert result.count("junk") == 0
+        assert result.facts("low") == {(1,), (2,), (3,)}
 
-    def test_unknown_mode_rejected(self):
-        from repro.errors import EvaluationError
-
-        with pytest.raises(EvaluationError):
-            evaluate(parse_program(TC), tc_db(), dataflow="sometimes")
-
-
-class TestPlannerSeeding:
-    """Cold statistics: the adaptive planner consumes static bounds."""
-
-    #: ``q`` reads ``p`` from the stratum below: cold in ``explain``
-    #: (absent from ``idb``) without being the firing's frontier.
-    ABOVE = TC + "q0: q(X, Z) :- p(X, Y), e(Y, Z).\n"
-
-    def recursive_rule(self, program):
-        return program.rule("r0")
-
-    def test_cold_idb_plan_changes_with_bounds(self):
-        program = parse_program(self.ABOVE)
-        db = tc_db()
-        rule = program.rule("q0")
-        # Without dataflow a cold (absent) IDB relation estimates 0.0
-        # rows, so the planner anchors the join on p.
-        cold = plan_rule(rule, program, db, planner="adaptive")
-        assert cold.steps[0].literal.pred == "p"
-        # The static bound says |p| <= 9 > |e| = 3: anchor on e.
-        flow = analyze_dataflow(program, edb=db)
-        seeded = plan_rule(rule, program, db, planner="adaptive",
-                           dataflow=flow)
-        assert seeded.steps[0].literal.pred == "e"
-        assert [s.literal.pred for s in seeded.steps] != \
-            [s.literal.pred for s in cold.steps]
-        # The recursion itself starts from its own stratum's p — the
-        # frontier of its initialization round — whatever the bound, so
-        # that no index is built on the relation it is about to fill.
-        recursive = plan_rule(self.recursive_rule(program), program, db,
-                              planner="adaptive", dataflow=flow)
-        assert [(s.literal.pred, s.kind) for s in recursive.steps] == \
-            [("p", "scan"), ("e", "probe")]
-
-    def test_seeded_estimate_is_the_static_bound(self):
-        program = parse_program(self.ABOVE)
-        db = tc_db()
-        flow = analyze_dataflow(program, edb=db)
-        seeded = plan_rule(program.rule("q0"), program, db,
-                           planner="adaptive", dataflow=flow)
-        probe = next(s for s in seeded.steps if s.literal.pred == "p")
-        assert probe.estimate == flow.probe_estimate(
-            "p", probe.bound_columns)
-
-    def test_greedy_planner_unaffected(self):
-        program = parse_program(TC)
-        db = tc_db()
-        flow = analyze_dataflow(program, edb=db)
-        rule = self.recursive_rule(program)
-        assert plan_rule(rule, program, db, dataflow=flow).steps == \
-            plan_rule(rule, program, db).steps
+    @pytest.mark.parametrize("executor", ["compiled", "interpreted"])
+    @pytest.mark.parametrize("interning", ["off", "on"])
+    def test_dead_rule_has_no_solution_and_true_check_rejects_none(
+            self, executor, interning):
+        program = parse_program(DEADLY)
+        flow = analyze_dataflow(program, edb=tc_db())
+        assert flow.is_dead(program.rule("d0"))
+        assert flow.true_checks[program.rule("t0")] == frozenset({1})
+        assert dataflow_verdict_violations(
+            program, tc_db(), flow, executor=executor,
+            interning=interning) == []
 
 
 # ---------------------------------------------------------------------------
@@ -348,15 +269,6 @@ class TestDataflowCLI:
         assert "size bound" in out
         assert "adornments: bf" in out
         assert "distinct <=" in out
-
-    def test_evaluate_dataflow_same_output(self, files, capsys):
-        from repro.cli import main
-
-        assert main(["evaluate", files["program"], files["db"]]) == 0
-        plain = capsys.readouterr().out
-        assert main(["evaluate", files["program"], files["db"],
-                     "--dataflow", "on", "--planner", "adaptive"]) == 0
-        assert capsys.readouterr().out == plain
 
     def test_lint_sarif_single_file(self, tmp_path, capsys):
         import json

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from repro.datalog import atom, parse_program
-from repro.engine import (consistent_answers, evaluate,
+from repro.engine import (EvalProfile, consistent_answers, evaluate,
                           evaluate_with_magic, magic_answers,
                           naive_evaluate, query_answers,
                           seminaive_evaluate, stratify)
@@ -99,21 +99,24 @@ class TestEngineFeatures:
 
     @pytest.mark.parametrize("bad", [{"method": "bogus"},
                                      {"planner": "bogus"},
-                                     {"executor": "bogus"}])
+                                     {"executor": "bogus"},
+                                     {"method": "naive",
+                                      "profile": EvalProfile()}])
     def test_options_are_validated_before_any_work(
             self, tc_program, chain_db, monkeypatch, bad):
-        # Neither the dataflow analysis nor the O(EDB) re-encode may
-        # run for a call that is going to be refused — nor, at the
-        # magic entry points, the rewrite.
+        # The O(EDB) re-encode may not run for a call that is going to
+        # be refused — nor, at the magic entry points, the rewrite.  A
+        # profile the naive method would silently leave empty is
+        # refused like a hook.
         monkeypatch.setattr(Database, "interned",
                             lambda self, symbols=None: pytest.fail(
                                 "re-encoded the EDB before validating"))
         monkeypatch.setattr("repro.engine.engine.magic_rewrite",
                             lambda *args, **kwargs: pytest.fail(
                                 "rewrote the program before validating"))
-        with pytest.raises(EvaluationError, match="bogus"):
-            evaluate(tc_program, chain_db, interning="on",
-                     dataflow="on", **bad)
+        with pytest.raises(EvaluationError,
+                           match="bogus|require the semi-naive method"):
+            evaluate(tc_program, chain_db, interning="on", **bad)
         if "method" in bad:
             return  # the magic entry points are semi-naive only
         for entry in (evaluate_with_magic, magic_answers):

@@ -274,6 +274,57 @@ def test_budget_exhaustion_mid_refresh_self_heals():
     assert view.fingerprint() == relation_fingerprint(scratch)
 
 
+def _two_chains():
+    """``a0 → … → a19`` and ``b0 → … → b19``, ten sources ``x_i → a0``
+    and a detour ``a0 → c → a1``: joining the chains is one big insert
+    firing, cutting ``a0 → a1`` one big rederivation."""
+    db = Database()
+    for name in "ab":
+        for i in range(19):
+            db.add_fact("edge", f"{name}{i}", f"{name}{i + 1}")
+    for i in range(10):
+        db.add_fact("edge", f"x{i}", "a0")
+    db.add_fact("edge", "a0", "c")
+    db.add_fact("edge", "c", "a1")
+    return db
+
+
+@pytest.mark.parametrize("executor", ["compiled", "interpreted"])
+@pytest.mark.parametrize("interning", ["off", "on"])
+def test_counter_limit_stops_maintenance_at_the_crossing_event(
+        executor, interning):
+    """A derivation limit is exact inside ``maintain`` as it is inside
+    the fixpoint: the insert seed (limit 5), the propagation rounds
+    (limit 50) and DRed's phase-4 propagation (5 events past the
+    rederivation) stop at the event that crosses it, not at the end of
+    the firing that did."""
+    program = parse_program(TC)
+
+    def run(changeset, budget=None):
+        db = _two_chains()
+        versioned = VersionedDatabase(
+            db.interned() if interning == "on" else db)
+        idb = seminaive_evaluate(program, versioned.db)
+        versioned.apply(changeset, idb_predicates=program.idb_predicates)
+        return maintain(program, versioned.db, idb,
+                        versioned.changes_since(0), executor=executor,
+                        budget=budget).stats
+
+    join = Changeset().insert("edge", ("a19", "b0"))
+    cut = Changeset().delete("edge", ("a0", "a1"))
+    rederived = run(cut).rederived
+    assert rederived > 0
+    for changeset, limit in ((join, 5), (join, 50),
+                             (cut, rederived + 5)):
+        with pytest.raises(BudgetExceededError) as info:
+            run(changeset, Budget(max_derivations=limit))
+        error = info.value
+        assert (error.resource, error.limit, error.spent) \
+            == ("derivations", limit, limit)
+        assert error.stats.derivations \
+            + error.stats.duplicate_derivations == limit
+
+
 def test_chaos_fault_mid_refresh_self_heals():
     program, db = _small_tc()
     server = Server(db)

@@ -152,3 +152,22 @@ class TestOneStatisticsSource:
                    for slot, value in before.items())
         assert relation.indexes == {} \
             and relation.code_indexes == {}
+
+    def test_an_idb_relation_not_yet_derived_reads_as_empty(self):
+        """``explain`` without an ``idb`` plans the start of the
+        fixpoint: ``p`` from the stratum below holds nothing yet, so it
+        is costed at 0 rows and anchors the join; the recursion scans
+        its own stratum's ``p`` — the frontier of its round 0."""
+        program = parse_program(
+            "b0: p(X, Y) :- e(X, Y).\n"
+            "r0: p(X, Z) :- p(X, Y), e(Y, Z).\n"
+            "q0: q(X, Z) :- p(X, Y), e(Y, Z).\n")
+        db = Database.from_text("e(1, 2). e(2, 3). e(3, 4).")
+        cold = plan_rule(program.rule("q0"), program, db,
+                         planner="adaptive")
+        assert [(s.literal.pred, s.relation_size, s.estimate)
+                for s in cold.steps][0] == ("p", 0, 0.0)
+        recursive = plan_rule(program.rule("r0"), program, db,
+                              planner="adaptive")
+        assert [(s.literal.pred, s.kind) for s in recursive.steps] == \
+            [("p", "scan"), ("e", "probe")]
