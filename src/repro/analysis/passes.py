@@ -21,7 +21,7 @@ gave — with a source location attached.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Mapping
 
 import networkx as nx
 
@@ -198,16 +198,6 @@ def _names(variables: Iterable[Variable]) -> str:
     return ", ".join(sorted(v.name for v in variables))
 
 
-def _scc_of(program: Program) -> dict[str, frozenset[str]]:
-    graph = program.dependency_graph()
-    out: dict[str, frozenset[str]] = {}
-    for component in nx.strongly_connected_components(graph):
-        frozen = frozenset(component)
-        for pred in frozen:
-            out[pred] = frozen
-    return out
-
-
 # ---------------------------------------------------------------------------
 # 1. range restriction (paper assumption 1)
 # ---------------------------------------------------------------------------
@@ -325,7 +315,7 @@ def check_linearity(context: AnalysisContext) -> Iterator[Diagnostic]:
             "the paper's algorithms require linear recursion without "
             "mutual recursion",
             span=span, subject=members[0])
-    scc_of = _scc_of(program)
+    scc_of = info.component_of
     recursive = info.recursive_predicates
     for rule in program:
         head = rule.head.pred
@@ -352,7 +342,7 @@ def check_linearity(context: AnalysisContext) -> Iterator[Diagnostic]:
 def check_stratification(context: AnalysisContext) -> Iterator[Diagnostic]:
     program = context.program
     graph = program.dependency_graph()
-    scc_of = _scc_of(program)
+    scc_of = program.recursion_info().component_of
     for source, target, data in sorted(graph.edges(data=True)):
         if not data.get("negative") or scc_of[source] != scc_of[target]:
             continue
@@ -583,12 +573,8 @@ def check_ics(context: AnalysisContext) -> Iterator[Diagnostic]:
           "existence guards that degrade deletion maintenance")
 def check_perf(context: AnalysisContext) -> Iterator[Diagnostic]:
     program = context.program
-    recursive = program.recursion_info().recursive_predicates
-    scc_of: dict[str, int] = {}
-    for number, component in enumerate(
-            nx.strongly_connected_components(program.dependency_graph())):
-        for pred in component:
-            scc_of[pred] = number
+    info = program.recursion_info()
+    recursive, scc_of = info.recursive_predicates, info.component_of
     for rule in program:
         if not rule.body:
             continue
@@ -615,7 +601,8 @@ def check_perf(context: AnalysisContext) -> Iterator[Diagnostic]:
 
 
 def _existence_guards(rule: Rule, recursive: frozenset[str],
-                      scc_of: dict[str, int]) -> Iterator[Diagnostic]:
+                      scc_of: Mapping[str, frozenset[str]]
+                      ) -> Iterator[Diagnostic]:
     """PERF004: recursive atoms whose bindings reach nothing else.
 
     A positive atom from the head's own recursive component whose

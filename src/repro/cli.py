@@ -160,7 +160,11 @@ def _evaluate_cbo(args: argparse.Namespace, program, db: Database) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    cbo_query = args.planner == "cbo" and args.query
+    cbo_query = args.planner == "cbo"
+    if cbo_query and not args.query:
+        raise EvaluationError(
+            "--planner cbo chooses a rewrite for a query; pass --query "
+            "(whole-program evaluation takes greedy, adaptive or source)")
     if cbo_query and args.method != "seminaive":
         raise EvaluationError(
             "--planner cbo --query runs the plan the optimizer chose, "
@@ -592,12 +596,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--planner", default="greedy",
                         choices=["greedy", "adaptive", "source", "cbo"],
                         help="join order: boundness+size (greedy), "
-                             "statistics-driven with replanning "
-                             "(adaptive), rule order (source), or the "
-                             "cost-based enumerating optimizer (cbo; "
-                             "with --query it also enumerates magic/"
+                             "statistics-driven, planned once per rule "
+                             "(adaptive), rule order (source); or cbo, "
+                             "which needs --query: enumerate magic/"
                              "residue/linearization/fusion rewrites "
-                             "and runs the cheapest)")
+                             "and run the cheapest with adaptive")
     p_eval.add_argument("--executor", default="compiled",
                         choices=["compiled", "interpreted"],
                         help="compiled kernels (default: a generated "
@@ -620,8 +623,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="facts file (optional; sizes read 0 "
                                 "without it)")
     p_explain.add_argument("--planner", default="greedy",
-                           choices=["greedy", "adaptive", "source",
-                                    "cbo"])
+                           choices=["greedy", "adaptive", "source"])
     p_explain.add_argument("--kernels", action="store_true",
                            help="show the compiled step programs "
                                 "instead of the planner view")
@@ -719,8 +721,7 @@ def build_parser() -> argparse.ArgumentParser:
                               "statements) to apply; repeatable, the "
                               "query is re-answered after each")
     p_serve.add_argument("--planner", default="greedy",
-                         choices=["greedy", "adaptive", "source",
-                                  "cbo"])
+                         choices=["greedy", "adaptive", "source"])
     p_serve.add_argument("--executor", default="compiled",
                          choices=["compiled", "interpreted"])
     p_serve.add_argument("--interning", default="off",

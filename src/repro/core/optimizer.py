@@ -120,13 +120,6 @@ class SemanticOptimizer:
             reducers (the paper's "small relation" criterion is a
             physical-design judgement the optimizer cannot make alone).
         max_hops: SD-graph depth bound for Algorithm 3.1.
-        executor: engine executor used by sample verification
-            (``_spot_check``).
-        planner: engine join planner used by the same verification
-            evaluations (``"cbo"`` runs them under the cost-based
-            optimizer's adaptive machinery; the semantic rewrites this
-            class applies are themselves enumerated as candidates by
-            :mod:`repro.engine.optimizer`).
     """
 
     def __init__(self, program: Program,
@@ -136,17 +129,11 @@ class SemanticOptimizer:
                  small_relations: Iterable[str] = (),
                  max_hops: int = DEFAULT_MAX_HOPS,
                  collapse: bool = True,
-                 compilation: str = "periodic",
-                 executor: str = "compiled",
-                 planner: str = "greedy") -> None:
+                 compilation: str = "periodic") -> None:
         if compilation not in ("periodic", "automaton"):
             raise ValueError(
                 f"compilation must be 'periodic' or 'automaton', "
                 f"got {compilation!r}")
-        from ..engine.bindings import validate_planner
-        from ..engine.compile import validate_executor
-        validate_executor(executor)
-        validate_planner(planner)
         self.program = program
         self.ics = list(ics)
         self.guard: GuardMode = guard
@@ -154,8 +141,6 @@ class SemanticOptimizer:
         self.max_hops = max_hops
         self.collapse = collapse
         self.compilation = compilation
-        self.executor = executor
-        self.planner = planner
         self.pred = pred or self._single_recursive_pred(program)
 
     @staticmethod
@@ -643,12 +628,8 @@ class SemanticOptimizer:
             facts_per_relation=facts_per_relation,
             numeric_columns=numeric)
         for index, database in enumerate(databases):
-            source = evaluate(self.program, database, budget=budget,
-                              executor=self.executor,
-                              planner=self.planner)
-            candidate = evaluate(optimized, database, budget=budget,
-                                 executor=self.executor,
-                                 planner=self.planner)
+            source = evaluate(self.program, database, budget=budget)
+            candidate = evaluate(optimized, database, budget=budget)
             for pred in sorted(self.program.idb_predicates):
                 left = source.facts(pred)
                 right = candidate.facts(pred)

@@ -11,7 +11,7 @@ demand, the analyses the paper's assumptions rest on:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping
 
 import networkx as nx
@@ -30,11 +30,14 @@ class RecursionInfo:
         mutual_groups: SCCs of size > 1 (mutual recursion).
         nonlinear_predicates: recursive predicates with a rule whose body
             mentions a predicate of its own SCC more than once.
+        component_of: every predicate of the program mapped to its SCC
+            of the dependency graph.
     """
 
     recursive_predicates: frozenset[str]
     mutual_groups: tuple[frozenset[str], ...]
     nonlinear_predicates: frozenset[str]
+    component_of: Mapping[str, frozenset[str]] = field(compare=False)
 
     @property
     def has_mutual_recursion(self) -> bool:
@@ -211,7 +214,8 @@ class Program:
         self._recursion = RecursionInfo(
             recursive_predicates=frozenset(recursive),
             mutual_groups=tuple(sorted(mutual, key=sorted)),
-            nonlinear_predicates=frozenset(nonlinear))
+            nonlinear_predicates=frozenset(nonlinear),
+            component_of=scc_of)
         return self._recursion
 
     def exit_rules(self, pred: str) -> tuple[Rule, ...]:

@@ -44,10 +44,9 @@ Cost = Callable[[Atom, int, tuple[int, ...]], float]
 
 #: Known join planners: ``greedy`` orders by boundness then raw size,
 #: ``adaptive`` by statistics-estimated selectivity, ``source`` keeps
-#: database atoms in rule order, ``cbo`` enumerates whole-program
-#: rewrites (:mod:`repro.engine.optimizer`) and executes the chosen
-#: candidate with the adaptive runtime machinery.
-PLANNERS = ("greedy", "adaptive", "source", "cbo")
+#: database atoms in rule order.  Whole-program rewrites are chosen by
+#: :func:`repro.engine.optimizer.cbo_evaluate`, not by a planner.
+PLANNERS = ("greedy", "adaptive", "source")
 
 Binding = dict[Variable, ConstValue]
 

@@ -59,7 +59,7 @@ from typing import Callable, Optional
 
 from ..datalog.atoms import Atom, Comparison, Negation
 from ..datalog.rules import Rule
-from ..datalog.terms import Constant, Variable, variables_of
+from ..datalog.terms import Constant, Term, Variable, variables_of
 from ..errors import EvaluationError
 from ..facts.relation import Row
 from ..facts.symbols import SymbolTable
@@ -137,7 +137,7 @@ class CompiledKernel:
                 slot_of[var] = found
             return found
 
-        def sym(term, coded: bool) -> tuple:
+        def sym(term: Term, coded: bool) -> tuple:
             """``term`` as a symbolic term; ``coded`` interns constants."""
             if isinstance(term, Constant):
                 return ("const", symbols.intern(term.value)
@@ -159,11 +159,10 @@ class CompiledKernel:
                 can_check = builtins.can_check(lit, bound)
                 if not can_check and builtins.can_bind(lit, bound):
                     # ``=`` in binding position: assign one new slot.
-                    if isinstance(lit.lhs, Variable) \
-                            and lit.lhs not in bound:
-                        target, source = lit.lhs, lit.rhs
-                    else:
-                        target, source = lit.rhs, lit.lhs
+                    target, source = lit.lhs, lit.rhs
+                    if not isinstance(target, Variable) or target in bound:
+                        target, source = source, target
+                    assert isinstance(target, Variable)
                     source_sym = sym(source, True)
                     steps.append(("bind", slot(target), source_sym))
                     self._step_notes.append(f"bind         {lit}")
@@ -192,7 +191,9 @@ class CompiledKernel:
             checks: list[tuple[int, int]] = []
             atom_new: set[Variable] = set()
             for column, arg in enumerate(lit.args):
-                if isinstance(arg, Constant) or arg in bound:
+                # No arithmetic here (checked above): a non-variable is
+                # a constant.
+                if not isinstance(arg, Variable) or arg in bound:
                     cols.append(column)
                     keys.append(sym(arg, True))
                 elif arg in atom_new:

@@ -88,14 +88,11 @@ def evaluate(program: Program, edb: Database, method: str = "seminaive",
             mid-fixpoint when delta sizes drift from the plan-time
             estimate; ``"source"`` keeps database atoms in rule order
             (the fixed join orders the paper's era assumed; used by
-            experiment E2); ``"cbo"`` the cost-based enumerating
-            optimizer (:mod:`repro.engine.optimizer`) — for
-            whole-program evaluation its rewrite space degenerates to
-            the identity program (every result and counter stays
-            bit-identical to ``"adaptive"``); the full space (magic per
-            adornment, residue pushing, linearization, fusion)
-            engages at the query-bearing entry
-            points :func:`repro.engine.optimizer.cbo_evaluate` /
+            experiment E2).  The cost-based enumerating optimizer
+            (magic per adornment, residue pushing, linearization,
+            fusion) is not a planner: it chooses a whole program at the
+            query-bearing entry points
+            :func:`repro.engine.optimizer.cbo_evaluate` /
             :func:`repro.engine.optimizer.cbo_answers`.
         budget: optional :class:`repro.runtime.Budget` bounding the run;
             exhaustion or cancellation raises the typed errors of

@@ -16,10 +16,10 @@ recursive sub-goals required to have strictly smaller derivation ranks
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
-from ..datalog.atoms import Atom, Comparison
+from ..datalog.atoms import Atom
 from ..datalog.program import Program
 from ..datalog.rules import Rule
 from ..datalog.terms import Constant, ConstValue, Variable
@@ -91,14 +91,9 @@ class Explainer:
         self._rank_idb()
 
     def _rank_idb(self) -> None:
-        """Recompute first-derivation rounds with a hooked evaluation."""
+        """Recompute first-derivation rounds: naive rounds over the
+        interpreter, recording the round each tuple first appears in."""
         stats = EvalStats()
-
-        def hook(rule: Rule, binding, round_index: int) -> bool:
-            return True
-
-        # Re-run with round tracking via a custom pass: iterate naive
-        # rounds, recording the first round each tuple appears in.
         arities = self.program.predicate_arities()
         known: dict[str, set[Row]] = {
             pred: set() for pred in self.program.idb_predicates}

@@ -26,13 +26,6 @@ from .bindings import (Cost, EvalStats, Fetch, Sizes, anchor_cost,
                        validate_planner)
 from .compile import Hook, KernelCache, validate_executor
 
-#: Planners that order joins from live statistics, replanning on drift.
-#: ``cbo`` chose its program before the fixpoint
-#: (:mod:`repro.engine.optimizer`) and runs it with the adaptive
-#: machinery, so its counters stay bit-identical to ``adaptive`` on the
-#: same program.
-ADAPTIVE_PLANNERS = ("adaptive", "cbo")
-
 
 def estimators(fetch: Fetch, frontier: Collection[int], planner: str,
                ranked: Fetch | None = None) -> tuple[Sizes, Cost | None]:
@@ -40,13 +33,12 @@ def estimators(fetch: Fetch, frontier: Collection[int], planner: str,
 
     ``fetch`` resolves each body occurrence to the relation the firing
     reads (the delta for a redirected one) and ``frontier`` lists the
-    occurrences whose relation holds only new rows.  An adaptive
-    ``planner`` (:data:`ADAPTIVE_PLANNERS`) costs every atom against the
-    live cardinality / distinct statistics of what it will read, the
-    frontier rule applied to the cost
-    (:func:`~repro.engine.bindings.anchor_cost`); ``sizes`` is then what
-    :class:`~repro.engine.compile.KernelCache` watches for drift.  Any
-    other planner ranks the same relations greedily by size, the
+    occurrences whose relation holds only new rows.  The ``"adaptive"``
+    planner costs every atom against the live cardinality / distinct
+    statistics of what it will read, the frontier rule applied to the
+    cost (:func:`~repro.engine.bindings.anchor_cost`); ``sizes`` is then
+    what :class:`~repro.engine.compile.KernelCache` watches for drift.
+    Any other planner ranks the same relations greedily by size, the
     frontier rule applied to the sizes
     (:func:`~repro.engine.bindings.anchor_sizes`).
 
@@ -61,7 +53,7 @@ def estimators(fetch: Fetch, frontier: Collection[int], planner: str,
             return len(source(atom, index))
         return sizes
 
-    if planner in ADAPTIVE_PLANNERS:
+    if planner == "adaptive":
         def cost(atom: Atom, index: int,
                  bound_cols: tuple[int, ...]) -> float:
             return fetch(atom, index).probe_estimate(bound_cols)
@@ -76,11 +68,10 @@ class Firer:
     """Fires rules for one evaluation or maintenance run.
 
     Where every schedule's ``planner`` and ``executor`` are turned into
-    behaviour: ``"source"`` keeps atoms in rule order; the
-    :data:`ADAPTIVE_PLANNERS` plan from live statistics with drift
-    replanning; ``"compiled"`` runs a
-    :class:`~repro.engine.compile.KernelCache` — ``kernels`` when the
-    caller keeps one across runs — and ``"interpreted"`` the oracle,
+    behaviour: ``"source"`` keeps atoms in rule order; ``"adaptive"``
+    plans from live statistics with drift replanning; ``"compiled"``
+    runs a :class:`~repro.engine.compile.KernelCache` — ``kernels`` when
+    the caller keeps one across runs — and ``"interpreted"`` the oracle,
     which re-plans greedily every firing whatever the planner.
 
     ``stats`` accumulates every counter; ``budget`` (already resolved
@@ -102,7 +93,7 @@ class Firer:
         if kernels is None and executor == "compiled":
             kernels = KernelCache(keep_atom_order=self.keep_atom_order,
                                   symbols=symbols,
-                                  adaptive=planner in ADAPTIVE_PLANNERS)
+                                  adaptive=planner == "adaptive")
         self.kernels = kernels
         self.symbols = symbols
         self.stats = stats

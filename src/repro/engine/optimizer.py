@@ -1,4 +1,4 @@
-"""Cost-based enumerating optimizer for recursive plans (``planner="cbo"``).
+"""Cost-based enumerating optimizer for recursive plans.
 
 The adaptive planner (PR 3) orders one rule body at a time; the semantic
 optimizer (Algorithm 3.1 + Section 4) pushes residues greedily; magic
@@ -22,18 +22,15 @@ Wang et al.'s FGH rule does (arXiv:2202.10390):
    everywhere else — including the adorned bounds that price what a
    magic-restricted predicate will materialize.
 3. **Choose** the cheapest whole-program candidate *before the fixpoint
-   starts* and execute it with the adaptive runtime machinery
-   (statistics-driven join orders, drift-triggered replans).
+   starts* and execute it with ``planner="adaptive"`` (statistics-driven
+   join orders, drift-triggered replans).
 
-Equivalence discipline: whole-program evaluation
-(:func:`repro.engine.evaluate` with ``planner="cbo"``) must reproduce
-every IDB relation with exact per-rule counters, so only
-counter-preserving choices are admissible there — join ordering — and
-the differential-fuzz matrix pins them bit-identical to
-``planner="adaptive"``.  Rewrites that preserve the *answer* but not
-the full IDB trace (magic, linearization, fusion) or that rely on
-IC-consistency (residue pushing) engage only at the query-bearing entry
-points (:func:`cbo_evaluate`, :func:`cbo_answers`).
+The optimizer is reached only through the query-bearing entry points
+(:func:`cbo_evaluate`, :func:`cbo_answers`): its rewrites preserve the
+*answer* but not the full IDB trace (magic, linearization, fusion) or
+rely on IC-consistency (residue pushing).  Whole-program evaluation
+(:func:`repro.engine.evaluate`) has one candidate, the identity program,
+so it takes a join planner instead.
 """
 
 from __future__ import annotations
@@ -322,9 +319,8 @@ def enumerate_candidates(program: Program, query: Atom | None = None,
 
     Without a query (and without ICs) the space degenerates to the
     identity program: every other rewrite preserves the query answer —
-    or relies on IC-consistency — rather than the full IDB trace, and
-    whole-program evaluation is pinned bit-identical to the adaptive
-    planner (see module docstring).
+    or relies on IC-consistency — rather than the full IDB trace (see
+    module docstring).
     """
     budget = resolve_budget(budget)
     memo = Memo()
@@ -623,7 +619,7 @@ def cbo_evaluate(program: Program, edb: Database,
 
     The whole rewrite space engages here (magic, residues, linearization,
     fusion — see :func:`enumerate_candidates`); the chosen candidate then
-    runs with the adaptive runtime machinery.  The result's ``choice``
+    runs semi-naively with ``planner="adaptive"``.  The result's ``choice``
     attribute carries the :class:`ChosenPlan`; when magic was chosen the
     result's ``magic`` field is set and answers should be read through
     :func:`cbo_answers`.  ``budget`` covers enumeration *and*
@@ -645,7 +641,7 @@ def cbo_evaluate(program: Program, edb: Database,
     stats = EvalStats()
     start = perf_counter()
     idb = seminaive_evaluate(choice.program, edb, stats, budget=budget,
-                             planner="cbo", executor=executor)
+                             planner="adaptive", executor=executor)
     elapsed = perf_counter() - start
     return EvaluationResult(choice.program, edb, idb, stats, elapsed,
                             method="seminaive+cbo", magic=choice.magic,

@@ -96,8 +96,7 @@ def seminaive_evaluate(program: Program, edb: Database,
     relation size, ``"adaptive"`` by statistics-estimated selectivity
     with drift-triggered replanning (compiled executor; falls back to
     greedy order under the interpreter), ``"source"`` keeps atoms in
-    rule order, ``"cbo"`` runs the adaptive machinery over the program
-    the enumerating optimizer chose (:mod:`repro.engine.optimizer`).
+    rule order.
 
     Storage follows the EDB: when ``edb`` is interned (carries a
     :class:`~repro.facts.symbols.SymbolTable`) the IDB and deltas share

@@ -39,7 +39,7 @@ from ..facts.relation import Relation, Row
 from ..runtime import chaos
 from ..runtime.budget import Budget, resolve_budget
 from . import builtins
-from .bindings import EvalStats
+from .bindings import EvalStats, _match_row
 
 #: A call pattern: which argument positions are bound, and to what.
 CallKey = tuple[str, tuple[tuple[int, ConstValue], ...]]
@@ -235,7 +235,7 @@ class TabledEvaluator:
             rows: Iterator[Row] = iter(sorted(table.answers))
             self.stats.atom_lookups += 1
             for row in rows:
-                extended = self._match_row(atom, row, binding)
+                extended = _match_row(atom, row, binding)
                 if extended is not None:
                     self.stats.rows_matched += 1
                     yield extended
@@ -248,7 +248,7 @@ class TabledEvaluator:
             if isinstance(arg, Constant))
         self.stats.atom_lookups += 1
         for row in relation.lookup(pattern):
-            extended = self._match_row(atom, row, binding)
+            extended = _match_row(atom, row, binding)
             if extended is not None:
                 self.stats.rows_matched += 1
                 yield extended
@@ -262,30 +262,6 @@ class TabledEvaluator:
             else:
                 args.append(arg)
         return Atom(atom.pred, tuple(args))
-
-    @staticmethod
-    def _match_row(atom: Atom, row: Row,
-                   binding: dict[Variable, ConstValue]
-                   ) -> dict[Variable, ConstValue] | None:
-        extended = None
-        current = binding
-        for arg, value in zip(atom.args, row):
-            if isinstance(arg, Constant):
-                if arg.value != value:
-                    return None
-            else:
-                known = current.get(arg, _MISSING)
-                if known is _MISSING:
-                    if extended is None:
-                        extended = dict(binding)
-                        current = extended
-                    extended[arg] = value
-                elif known != value:
-                    return None
-        return extended if extended is not None else dict(binding)
-
-
-_MISSING = object()
 
 
 def topdown_query(program: Program, edb: Database, goal: Atom,

@@ -51,7 +51,8 @@ from ..facts.changelog import Changeset
 from ..facts.database import Database
 from ..facts.relation import Relation, Row
 from ..runtime.budget import Budget, resolve_budget
-from ..engine.bindings import EvalStats, check_edb_arities
+from ..engine.bindings import (EvalStats, check_edb_arities,
+                               validate_planner)
 from ..engine.compile import KernelCache
 from ..engine.fire import Firer
 from ..engine.naive import DEFAULT_MAX_ITERATIONS
@@ -165,17 +166,19 @@ def maintain(program: Program, edb: Database, idb: Database,
     ``counts`` (from :func:`support_counts`) switches non-recursive
     strata from DRed to the counting algorithm and is kept exact across
     the call.  ``kernels`` lets a serving layer reuse compiled rule
-    kernels across refreshes.  ``planner="source"`` keeps body atoms in
-    rule order; every other planner plans greedily over delta-aware
-    sizes — each occurrence ranked by the relation its pass reads (the
-    delta for the redirected one) — since a maintenance firing joins a
-    small delta against converged relations and has no statistics drift
-    for the adaptive machinery to follow.  Raises
+    kernels across refreshes.  ``planner`` is validated as in
+    :func:`~repro.engine.evaluate`; ``"source"`` keeps body atoms in
+    rule order and the other two plan greedily over delta-aware sizes —
+    each occurrence ranked by the relation its pass reads (the delta for
+    the redirected one) — since a maintenance firing joins a small delta
+    against converged relations and has no statistics drift for the
+    adaptive machinery to follow.  Raises
     :class:`~repro.errors.IncrementalUnsupported` when a changed
     predicate can reach a negated occurrence; raises
     :class:`~repro.errors.EvaluationError` when the changeset touches
     an IDB predicate.
     """
+    validate_planner(planner)
     firer = Firer(planner if planner == "source" else "greedy", executor,
                   edb.symbols, stats if stats is not None else EvalStats(),
                   resolve_budget(budget), kernels=kernels)

@@ -66,6 +66,14 @@ class TestEvaluate:
         err = capsys.readouterr().err
         assert "--method naive" in err and "/no/such/file" not in err
 
+    def test_cbo_without_a_query_is_refused(self, capsys):
+        # cbo chooses a rewrite for a query; refused before either
+        # file is opened.
+        assert main(["evaluate", "/no/such/file", "/none",
+                     "--planner", "cbo"]) == 2
+        err = capsys.readouterr().err
+        assert "--query" in err and "/no/such/file" not in err
+
     def test_interning_on_same_output(self, files, capsys):
         main(["evaluate", files["program"], files["db"]])
         plain = capsys.readouterr().out
@@ -92,6 +100,13 @@ class TestExplainCommand:
         assert main(["explain", files["program"], files["db"],
                      "--kernels", "--interning", "on"]) == 0
         assert "interned" in capsys.readouterr().out
+
+    def test_cbo_is_not_a_planner_choice(self, files, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["explain", files["program"], files["db"],
+                  "--planner", "cbo"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'cbo'" in capsys.readouterr().err
 
 
 class TestOptimize:

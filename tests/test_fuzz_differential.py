@@ -20,16 +20,11 @@ from repro.runtime.budget import Budget
 from repro.runtime.chaos import ChaosPlan
 from repro.workloads import random_linear_program
 
-#: (executor, planner, interning): 16 cells.  ``compiled`` runs the
-#: generated whole-frontier functions (interned and raw); the cbo cells
-#: pin the cost-based enumerating optimizer's whole-program
-#: degeneration — with no query in sight its rewrite space collapses to
-#: the identity program running on the adaptive machinery, so facts,
-#: counters, budget payloads and chaos ordinals must all be
-#: bit-identical to every other cell.
+#: (executor, planner, interning): 12 cells.  ``compiled`` runs the
+#: generated whole-frontier functions (interned and raw).
 COMBOS = [(executor, planner, interning)
           for executor in ("compiled", "interpreted")
-          for planner in ("greedy", "adaptive", "source", "cbo")
+          for planner in ("greedy", "adaptive", "source")
           for interning in ("off", "on")]
 
 
@@ -93,11 +88,11 @@ def test_full_counters_match_wherever_join_orders_coincide(seed):
     ``negation_checks`` depend on the join order, so they are compared
     within a planner: hooked generated = unhooked generated under every
     planner and interning (an always-true hook selects the second text
-    of the same kernels: same plans, same replans), and both = the
-    interpreter — hooked and unhooked as well — under ``source`` (the
-    one planner where it runs the same order); cbo against adaptive,
-    interned against raw throughout.  A hook that vetoes must also
-    leave the same facts whichever executor consults it.
+    of the same kernels: same plans), and both = the interpreter —
+    hooked and unhooked as well — under ``source`` (the one planner
+    where it runs the same order); interned against raw throughout.  A
+    hook that vetoes must also leave the same facts whichever executor
+    consults it.
     """
     text, edb = draw(seed)
     program = parse_program(text)
@@ -108,13 +103,12 @@ def test_full_counters_match_wherever_join_orders_coincide(seed):
     def stats(**knobs):
         return evaluate(program, edb, **knobs).stats.as_dict()
 
-    for planner in ("greedy", "adaptive", "source", "cbo"):
+    for planner in ("greedy", "adaptive", "source"):
         generated = stats(planner=planner)
         for interning in ("off", "on"):
             assert stats(planner=planner, interning=interning) == generated
             assert stats(planner=planner, interning=interning,
                          hook=always) == generated, (planner, interning)
-    assert stats(planner="cbo") == stats(planner="adaptive")
     for interning in ("off", "on"):
         for hook in (None, always):
             assert stats(planner="source", interning=interning, hook=hook,

@@ -245,6 +245,20 @@ def test_apply_rejects_idb_changes():
         server.apply(Changeset().insert("reach", ("a", "b")))
 
 
+@pytest.mark.parametrize("planner", ["no-such-planner", "cbo"])
+def test_maintain_rejects_an_unknown_planner(planner):
+    # Validated before any work, with evaluate()'s error, and the
+    # IDB is left as it was.
+    program, db = _small_tc()
+    idb = seminaive_evaluate(program, db)
+    before = {pred: set(idb.facts(pred)) for pred in idb}
+    with pytest.raises(EvaluationError,
+                       match=f"unknown planner '{planner}'"):
+        maintain(program, db, idb, Changeset().insert("edge", ("x", "y")),
+                 planner=planner)
+    assert {pred: set(idb.facts(pred)) for pred in idb} == before
+
+
 def test_serve_answers_track_updates():
     program, db = _small_tc()
     server = Server(db)

@@ -119,6 +119,14 @@ class TestPolicies:
             SemanticOptimizer(ex32.program, [ex32.ic("ic1")],
                               compilation="magic")
 
+    @pytest.mark.parametrize("knob", [{"executor": "compiled"},
+                                      {"planner": "greedy"}],
+                             ids=["executor", "planner"])
+    def test_engine_knobs_are_not_parameters(self, ex32, knob):
+        # Sample verification evaluates with the engine's defaults.
+        with pytest.raises(TypeError):
+            SemanticOptimizer(ex32.program, [ex32.ic("ic1")], **knob)
+
     def test_pred_inference(self, ex43):
         optimizer = SemanticOptimizer(ex43.program, [ex43.ic("ic1")])
         assert optimizer.pred == "anc"
