@@ -93,7 +93,8 @@ class EvalStats:
     iterations: int = 0
     rules_fired: int = 0
     residue_checks: int = 0
-    #: Adaptive-planner recompilations triggered by cardinality drift.
+    #: Always 0: a kernel is planned once (``benchmarks/e2e`` still
+    #: reports the field as ``engine.replans``).
     replans: int = 0
     #: Incremental maintenance: IDB rows removed by DRed's overdeletion.
     overdeleted: int = 0
@@ -160,10 +161,13 @@ def bound_columns_of(atom: Atom, bound: set[Variable]) -> tuple[int, ...]:
         or (isinstance(arg, Variable) and arg in bound))
 
 
-def plan_body(rule: Rule, sizes: Sizes,
+def plan_body(rule: Rule, sizes: Sizes | None,
               keep_atom_order: bool = False,
               cost: Cost | None = None) -> list[int]:
     """Order body literal indexes greedily (see module docstring).
+
+    ``sizes`` ranks the database atoms; it is only read when neither
+    ``keep_atom_order`` nor ``cost`` decides, and may be None then.
 
     With ``keep_atom_order`` database atoms stay in source order (the
     1995-style fixed-join-order evaluator the paper assumes); evaluable
@@ -219,6 +223,7 @@ def plan_body(rule: Rule, sizes: Sizes,
                 key = (cost(lit, index, bound_columns_of(lit, bound)),
                        index)
             else:
+                assert sizes is not None, "greedy planning needs sizes"
                 bound_count = sum(
                     1 for arg in lit.args
                     if isinstance(arg, Constant)

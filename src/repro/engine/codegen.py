@@ -334,7 +334,7 @@ def _eq_const_codes(steps: tuple[Any, ...],
 #: :func:`_faithful`, so same-shape rules that differ in a constant's
 #: type never share text.
 #: The generated text is a pure function of this key, so repeat
-#: compilations (every round's replans, every serving refresh, every
+#: compilations (every fresh ``KernelCache``, every serving refresh, every
 #: benchmark repeat) skip both the string assembly and ``compile`` —
 #: only the per-table ``exec`` instantiation remains.
 _CACHE: dict[tuple[Any, ...],

@@ -115,7 +115,7 @@ class CompiledKernel:
                  "plan_costs", "steps", "head", "generated",
                  "_predicates", "_step_notes")
 
-    def __init__(self, rule: Rule, sizes: Sizes,
+    def __init__(self, rule: Rule, sizes: Sizes | None,
                  keep_atom_order: bool = False,
                  cost: Cost | None = None,
                  symbols: SymbolTable | None = None,
@@ -283,102 +283,40 @@ class CompiledKernel:
         return "\n".join(lines)
 
 
-#: A kernel is replanned when a positive source has grown or shrunk by
-#: this factor since plan time.  The snapshot resets to the *new* sizes
-#: on every replan, so a source growing monotonically to ``n`` rows
-#: triggers at most ``log_4(n)`` replans — O(log n) per (rule, variant)
-#: per fixpoint — and a recompilation is tens of microseconds.
-REPLAN_THRESHOLD = 4.0
-#: Sources smaller than this (both then and now) never trigger: keeps
-#: empty-to-small churn from counting as drift.
-REPLAN_FLOOR = 16
-#: Replans per (rule, variant), capped outright against adversarial
-#: oscillation.
-MAX_REPLANS = 16
-
-
 class KernelCache:
-    """Per-evaluation cache of compiled kernels, with drift replanning.
+    """Per-evaluation memo of compiled kernels.
 
     Kernels are keyed by ``(rule, variant)`` where ``variant`` is the
     engine's delta-redirection tag (``None`` for the base plan, the
     redirected body index for a semi-naive delta variant), so each
-    (stratum, delta-variant) pair compiles exactly once and is reused
-    across rounds — *until its plan goes stale*.
+    (stratum, delta-variant) pair is compiled once, at its first firing,
+    and that kernel runs every later firing of the key.  How a miss is
+    planned is decided by :class:`repro.engine.fire.Firer`; the cache
+    holds kernels, never a planner.
 
-    Under the adaptive planner (``adaptive=True``) every cache entry
-    remembers the sizes of its positive sources at plan time.  On each
-    hit those sizes are re-read through the caller's ``sizes`` callback
-    (delta-aware); when any source has grown or shrunk past
-    :data:`REPLAN_THRESHOLD` (both directions, ignoring relations that
-    never exceed :data:`REPLAN_FLOOR` rows) the kernel is recompiled
-    against current statistics, at most :data:`MAX_REPLANS` times per
-    key.
-
-    All kernels of the cache share one
-    :class:`~repro.engine.codegen.PredicateCache` (:attr:`predicates`).
+    All kernels of the cache are compiled against its :attr:`symbols`
+    and share one :class:`~repro.engine.codegen.PredicateCache`
+    (:attr:`predicates`).
     """
 
-    __slots__ = ("keep_atom_order", "symbols", "adaptive",
-                 "replans", "predicates", "_kernels",
-                 "_replan_counts")
+    __slots__ = ("symbols", "predicates", "_kernels")
 
-    def __init__(self, keep_atom_order: bool = False,
-                 symbols: SymbolTable | None = None,
-                 adaptive: bool = False) -> None:
-        self.keep_atom_order = keep_atom_order
+    def __init__(self, symbols: SymbolTable | None = None) -> None:
         self.symbols = symbols
-        self.adaptive = adaptive
-        #: Total recompilations caused by drift, across all keys.
-        self.replans = 0
         self.predicates = PredicateCache(symbols)
-        self._kernels: dict[tuple[Rule, object],
-                            tuple[CompiledKernel, tuple[int, ...]]] = {}
-        self._replan_counts: dict[tuple[Rule, object], int] = {}
+        self._kernels: dict[tuple[Rule, object], CompiledKernel] = {}
 
     def __len__(self) -> int:
         return len(self._kernels)
 
-    def _snapshot(self, kernel: CompiledKernel,
-                  sizes: Sizes) -> tuple[int, ...]:
-        return tuple(sizes(atom, body_index)
-                     for body_index, atom, _cols, kind in kernel.sources
-                     if kind != "neg")
+    def get(self, rule: Rule, variant: object) -> CompiledKernel | None:
+        """The kernel ``(rule, variant)`` was compiled to, if any."""
+        return self._kernels.get((rule, variant))
 
-    def _drifted(self, kernel: CompiledKernel, sizes: Sizes,
-                 snapshot: tuple[int, ...]) -> bool:
-        if len(snapshot) < 2:
-            # One positive source has one plan, whatever its size.
-            return False
-        position = 0
-        for body_index, atom, _cols, kind in kernel.sources:
-            if kind == "neg":
-                continue
-            then = snapshot[position]
-            position += 1
-            now = sizes(atom, body_index)
-            big, small = (now, then) if now >= then else (then, now)
-            if big >= REPLAN_FLOOR \
-                    and big >= REPLAN_THRESHOLD * max(1, small):
-                return True
-        return False
-
-    def kernel(self, rule: Rule, variant: object, sizes: Sizes,
-               cost: Cost | None = None) -> CompiledKernel:
-        key = (rule, variant)
-        entry = self._kernels.get(key)
-        if entry is not None:
-            kernel, snapshot = entry
-            if not self.adaptive \
-                    or self._replan_counts.get(key, 0) >= MAX_REPLANS \
-                    or not self._drifted(kernel, sizes, snapshot):
-                return kernel
-            self._replan_counts[key] = self._replan_counts.get(key, 0) + 1
-            self.replans += 1
-        kernel = CompiledKernel(
-            rule, sizes, keep_atom_order=self.keep_atom_order,
-            cost=cost, symbols=self.symbols, predicates=self.predicates)
-        self._kernels[key] = (kernel, self._snapshot(kernel, sizes))
+    def put(self, rule: Rule, variant: object,
+            kernel: CompiledKernel) -> CompiledKernel:
+        """Keep ``kernel`` for ``(rule, variant)``; returns it."""
+        self._kernels[rule, variant] = kernel
         return kernel
 
 

@@ -84,9 +84,9 @@ def evaluate(program: Program, edb: Database, method: str = "seminaive",
         hook: optional per-derivation veto hook (semi-naive only); used by
             the residue-guided baseline.
         planner: ``"greedy"`` reorders joins by boundness and size;
-            ``"adaptive"`` by live cardinality statistics, replanning
-            mid-fixpoint when delta sizes drift from the plan-time
-            estimate; ``"source"`` keeps database atoms in rule order
+            ``"adaptive"`` by the live cardinality statistics of what a
+            rule's first firing reads; ``"source"`` keeps database
+            atoms in rule order
             (the fixed join orders the paper's era assumed; used by
             experiment E2).  The cost-based enumerating optimizer
             (magic per adornment, residue pushing, linearization,
@@ -107,8 +107,8 @@ def evaluate(program: Program, edb: Database, method: str = "seminaive",
             per-step counters (``atom_lookups``, ``rows_matched``,
             ``comparisons_checked``, ``negation_checks``) are equal
             wherever the join orders coincide (``planner="source"``):
-            a kernel's plan is fixed per (rule, variant) at its first
-            firing, the interpreter re-plans every firing.
+            a kernel is planned once per (rule, variant), at its first
+            firing, and the interpreter re-plans every firing.
         interning: ``"on"`` re-encodes the EDB over a shared
             :class:`~repro.facts.symbols.SymbolTable` (one pass) so the
             whole fixpoint joins over dense ``int`` codes; ``"off"``

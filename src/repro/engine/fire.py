@@ -6,8 +6,8 @@ Every schedule in the repo — the semi-naive rounds
 maintenance (:mod:`repro.incremental.maintain`) and ``explain``
 (:mod:`repro.engine.plan`) — decides *which* rule fires against *which*
 relations.  The three decisions of the firing itself are made here,
-once: how the body is ordered (:func:`estimators` — ``explain`` calls
-it too, so an explained plan is a fired plan), what runs it
+once: how the body is ordered (:func:`compile_firing` — ``explain``
+calls it too, so an explained plan is a fired plan), what runs it
 (:meth:`Firer.run`) and how its rows go in (:meth:`Firer.merge`).
 """
 
@@ -17,6 +17,7 @@ from typing import Collection
 
 from ..datalog.atoms import Atom
 from ..datalog.rules import Rule
+from ..errors import EvaluationError
 from ..facts.relation import Relation, Row
 from ..facts.symbols import SymbolTable
 from ..runtime import chaos
@@ -24,22 +25,23 @@ from ..runtime.budget import Budget
 from .bindings import (Cost, EvalStats, Fetch, Sizes, anchor_cost,
                        anchor_sizes, instantiate_head, solve_body,
                        validate_planner)
-from .compile import Hook, KernelCache, validate_executor
+from .codegen import PredicateCache
+from .compile import CompiledKernel, Hook, KernelCache, validate_executor
 
 
 def estimators(fetch: Fetch, frontier: Collection[int], planner: str,
-               ranked: Fetch | None = None) -> tuple[Sizes, Cost | None]:
-    """The ``sizes`` and (adaptive only) ``cost`` callbacks of one firing.
+               ranked: Fetch | None = None
+               ) -> tuple[Sizes | None, Cost | None]:
+    """The ``sizes`` or (adaptive only) ``cost`` callback of one firing.
 
     ``fetch`` resolves each body occurrence to the relation the firing
     reads (the delta for a redirected one) and ``frontier`` lists the
     occurrences whose relation holds only new rows.  The ``"adaptive"``
     planner costs every atom against the live cardinality / distinct
     statistics of what it will read, the frontier rule applied to the
-    cost (:func:`~repro.engine.bindings.anchor_cost`); ``sizes`` is then
-    what :class:`~repro.engine.compile.KernelCache` watches for drift.
-    Any other planner ranks the same relations greedily by size, the
-    frontier rule applied to the sizes
+    cost (:func:`~repro.engine.bindings.anchor_cost`), and ranks no
+    sizes.  Any other planner ranks the same relations greedily by size,
+    the frontier rule applied to the sizes
     (:func:`~repro.engine.bindings.anchor_sizes`).
 
     ``ranked`` is greedy's other behaviour: the relations to rank when
@@ -48,39 +50,60 @@ def estimators(fetch: Fetch, frontier: Collection[int], planner: str,
     delta (the E1–E10 counters depend on it), and a base relation is no
     frontier, so the rule has nothing to discount there.
     """
-    def sizes_of(source: Fetch) -> Sizes:
-        def sizes(atom: Atom, index: int) -> int:
-            return len(source(atom, index))
-        return sizes
-
     if planner == "adaptive":
         def cost(atom: Atom, index: int,
                  bound_cols: tuple[int, ...]) -> float:
             return fetch(atom, index).probe_estimate(bound_cols)
 
-        return sizes_of(fetch), anchor_cost(cost, frontier)
+        return None, anchor_cost(cost, frontier)
+
+    def sizes_of(source: Fetch) -> Sizes:
+        def sizes(atom: Atom, index: int) -> int:
+            return len(source(atom, index))
+        return sizes
+
     if ranked is not None:
         return sizes_of(ranked), None
     return anchor_sizes(sizes_of(fetch), frontier), None
+
+
+def compile_firing(rule: Rule, fetch: Fetch, frontier: Collection[int],
+                   planner: str, ranked: Fetch | None = None,
+                   symbols: SymbolTable | None = None,
+                   predicates: PredicateCache | None = None
+                   ) -> CompiledKernel:
+    """``rule`` compiled for one firing, ordered as ``planner`` orders it.
+
+    The whole planning policy of the repo: ``"source"`` keeps atoms in
+    rule order, the other two rank what :func:`estimators` measures for
+    this firing (``fetch``, ``frontier`` and ``ranked`` are as there).
+    :class:`Firer` compiles a cache miss through it and ``explain``
+    (:mod:`repro.engine.plan`) every plan it renders.
+    """
+    sizes, cost = estimators(fetch, frontier, planner, ranked)
+    return CompiledKernel(rule, sizes, keep_atom_order=planner == "source",
+                          cost=cost, symbols=symbols, predicates=predicates)
 
 
 class Firer:
     """Fires rules for one evaluation or maintenance run.
 
     Where every schedule's ``planner`` and ``executor`` are turned into
-    behaviour: ``"source"`` keeps atoms in rule order; ``"adaptive"``
-    plans from live statistics with drift replanning; ``"compiled"``
-    runs a :class:`~repro.engine.compile.KernelCache` — ``kernels`` when
-    the caller keeps one across runs — and ``"interpreted"`` the oracle,
-    which re-plans greedily every firing whatever the planner.
+    behaviour.  ``"compiled"`` runs a
+    :class:`~repro.engine.compile.KernelCache` — ``kernels`` when the
+    caller keeps one across runs, which must be compiled against the
+    same ``symbols`` — and plans a kernel once, at its first firing
+    (:func:`compile_firing`); ``"interpreted"`` runs the oracle, which
+    re-plans greedily every firing (in rule order under ``"source"``)
+    and takes no ``kernels``.
 
     ``stats`` accumulates every counter; ``budget`` (already resolved
     and started) and the chaos plan active at construction are consulted
     per derivation event by :meth:`merge`.
     """
 
-    __slots__ = ("kernels", "keep_atom_order", "planner", "symbols",
-                 "stats", "budget", "hook", "chaos_plan")
+    __slots__ = ("kernels", "planner", "symbols", "stats", "budget",
+                 "hook", "chaos_plan")
 
     def __init__(self, planner: str, executor: str,
                  symbols: SymbolTable | None, stats: EvalStats,
@@ -88,12 +111,16 @@ class Firer:
                  kernels: KernelCache | None = None) -> None:
         validate_executor(executor)
         validate_planner(planner)
-        self.planner = planner
-        self.keep_atom_order = planner == "source"
+        if kernels is not None and executor != "compiled":
+            raise EvaluationError(
+                f"kernels= needs executor='compiled', not {executor!r}")
+        if kernels is not None and kernels.symbols is not symbols:
+            raise EvaluationError(
+                "kernels= was compiled against another symbol table than "
+                "the database's")
         if kernels is None and executor == "compiled":
-            kernels = KernelCache(keep_atom_order=self.keep_atom_order,
-                                  symbols=symbols,
-                                  adaptive=planner == "adaptive")
+            kernels = KernelCache(symbols=symbols)
+        self.planner = planner
         self.kernels = kernels
         self.symbols = symbols
         self.stats = stats
@@ -122,20 +149,25 @@ class Firer:
         let through — which is what the counting algorithm consumes; the
         set-based schedules hand it to :meth:`merge`.  ``variant`` keys
         the kernel (one per delta-redirected occurrence or maintenance
-        pass); ``frontier`` and ``ranked`` are as in :func:`estimators`.
+        pass) and is planned at its first firing only; ``frontier`` and
+        ``ranked`` are as in :func:`estimators`.
         """
         stats = self.stats
         stats.rules_fired += 1
-        if self.kernels is not None:
-            sizes, cost = estimators(fetch, frontier, self.planner, ranked)
-            kernel = self.kernels.kernel(rule, variant, sizes, cost=cost)
+        kernels = self.kernels
+        if kernels is not None:
+            kernel = kernels.get(rule, variant)
+            if kernel is None:
+                kernel = kernels.put(rule, variant, compile_firing(
+                    rule, fetch, frontier, self.planner, ranked,
+                    kernels.symbols, kernels.predicates))
             return kernel.execute(fetch, stats, hook=self.hook,
                                   round_index=round_index)
         hook = self.hook
         derived = [instantiate_head(rule, binding)
                    for binding in solve_body(
                        rule, fetch, stats,
-                       keep_atom_order=self.keep_atom_order)
+                       keep_atom_order=self.planner == "source")
                    if hook is None or hook(rule, binding, round_index)]
         if self.symbols is not None:
             return list(map(self.symbols.intern_row, derived))

@@ -79,6 +79,4 @@ def naive_evaluate(program: Program, edb: Database,
                 if firer.merge(derived, idb.relation(rule.head.pred),
                                last_round=rounds - 1):
                     changed = True
-    if firer.kernels is not None:
-        stats.replans += firer.kernels.replans
     return idb

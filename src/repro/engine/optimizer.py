@@ -22,8 +22,8 @@ Wang et al.'s FGH rule does (arXiv:2202.10390):
    everywhere else — including the adorned bounds that price what a
    magic-restricted predicate will materialize.
 3. **Choose** the cheapest whole-program candidate *before the fixpoint
-   starts* and execute it with ``planner="adaptive"`` (statistics-driven
-   join orders, drift-triggered replans).
+   starts* and execute it with ``planner="adaptive"`` (join orders from
+   the statistics each kernel's first firing reads).
 
 The optimizer is reached only through the query-bearing entry points
 (:func:`cbo_evaluate`, :func:`cbo_answers`): its rewrites preserve the

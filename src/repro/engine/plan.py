@@ -1,9 +1,9 @@
 """Join-plan introspection.
 
-The planners in :mod:`repro.engine.bindings` decide join orders at
-evaluation time from relation sizes (greedy) or live cardinality
-statistics (adaptive); this module exposes those decisions for
-inspection, which makes discussions like experiment E2's ("whose
+The planners decide a join order when a rule's kernel is compiled
+(:func:`repro.engine.fire.compile_firing`), from relation sizes
+(greedy) or live cardinality statistics (adaptive); this module
+compiles the same kernels to expose those decisions for inspection, which makes discussions like experiment E2's ("whose
 anchor is better?") concrete: ``explain_plan`` shows, per rule, the
 order literals would run in, which index pattern each atom would be
 probed with, and — under the adaptive planner — the estimated rows per
@@ -21,9 +21,11 @@ from ..datalog.rules import Rule
 from ..datalog.terms import Variable
 from ..facts.database import Database
 from ..facts.relation import Relation
-from .bindings import (Cost, Fetch, Sizes, bound_columns_of,
-                       frontier_occurrences, plan_body, validate_planner)
-from .fire import estimators
+from ..facts.symbols import SymbolTable
+from .bindings import (Fetch, bound_columns_of, frontier_occurrences,
+                       validate_planner)
+from .compile import CompiledKernel
+from .fire import compile_firing
 
 
 @dataclass(frozen=True)
@@ -75,20 +77,21 @@ class RulePlan:
         return "\n".join(lines)
 
 
-def _round0_firing(rule: Rule, program: Program, edb: Database,
-                   idb: Database | None, planner: str
-                   ) -> tuple[Fetch, Sizes, Cost | None]:
+def _round0_kernel(rule: Rule, program: Program, edb: Database,
+                   idb: Database | None, planner: str,
+                   symbols: SymbolTable | None = None
+                   ) -> tuple[Fetch, CompiledKernel]:
     """What ``rule``'s firing in the *initialization round* of its
-    stratum reads and is planned with.
+    stratum reads, and the kernel it is compiled to.
 
     ``fetch`` resolves IDB atoms from ``idb`` when given (what earlier
     strata and earlier rules of the round have derived, or a finished
     evaluation's result) and to an empty relation otherwise, matching
-    what the engine sees at the start of the fixpoint.  ``sizes`` and
-    ``cost`` come from :func:`repro.engine.fire.estimators` — the
-    function every engine firing is planned by, same frontier rule — so
-    an explained plan is the plan a
-    :class:`~repro.engine.compile.KernelCache` compiles for that firing.
+    what the engine sees at the start of the fixpoint.  The kernel comes
+    from :func:`repro.engine.fire.compile_firing` — the function every
+    engine firing is planned by, same frontier rule — so an explained
+    plan is the plan a :class:`~repro.engine.fire.Firer` compiles for
+    that firing.
     """
     validate_planner(planner)
     stratum: frozenset[str] = frozenset((rule.head.pred,))
@@ -103,9 +106,9 @@ def _round0_firing(rule: Rule, program: Program, edb: Database,
             return idb.relation(atom.pred)
         return Relation(atom.pred, atom.arity)
 
-    sizes, cost = estimators(
-        fetch, frontier_occurrences(rule, stratum, None), planner)
-    return fetch, sizes, cost
+    return fetch, compile_firing(
+        rule, fetch, frontier_occurrences(rule, stratum, None), planner,
+        symbols=symbols)
 
 
 def plan_rule(rule: Rule, program: Program, edb: Database,
@@ -113,16 +116,13 @@ def plan_rule(rule: Rule, program: Program, edb: Database,
               planner: str = "greedy") -> RulePlan:
     """Compute the execution plan one rule would use.
 
-    Sizes and estimates come from :func:`_round0_firing`.  The body
-    ``index`` of each occurrence is threaded through to the size and
-    cost callbacks, exactly as the engines' delta-aware ``fetch`` does.
+    The order and the estimates are those of :func:`_round0_kernel`'s
+    kernel; each atom's size is read through the same ``fetch``.
     """
-    fetch, sizes, cost = _round0_firing(rule, program, edb, idb, planner)
-    order = plan_body(rule, sizes,
-                      keep_atom_order=(planner == "source"), cost=cost)
+    fetch, kernel = _round0_kernel(rule, program, edb, idb, planner)
     bound: set[Variable] = set()
     steps: list[PlanStep] = []
-    for index in order:
+    for index in kernel.order:
         literal = rule.body[index]
         if isinstance(literal, Comparison):
             kind = "bind" if literal.op == "=" and not \
@@ -134,11 +134,9 @@ def plan_rule(rule: Rule, program: Program, edb: Database,
             steps.append(PlanStep(literal, "check"))
             continue
         columns = bound_columns_of(literal, bound)
-        estimate = cost(literal, index, columns) \
-            if cost is not None else None
         steps.append(PlanStep(
             literal, "probe" if columns else "scan", columns,
-            len(fetch(literal, index)), estimate))
+            len(fetch(literal, index)), kernel.plan_costs.get(index)))
         bound.update(literal.variable_set())
     return RulePlan(rule, tuple(steps), planner=planner)
 
@@ -197,14 +195,10 @@ def explain_kernels(program: Program, edb: Database,
     statistics-estimated rows per probe) and against the EDB's symbol
     table when it is interned.
     """
-    from .compile import CompiledKernel
-
     def describe(rule: Rule) -> str:
-        _fetch, sizes, cost = _round0_firing(rule, program, edb, idb,
-                                             planner)
-        return CompiledKernel(
-            rule, sizes, keep_atom_order=(planner == "source"),
-            cost=cost, symbols=edb.symbols).describe()
+        _fetch, kernel = _round0_kernel(rule, program, edb, idb, planner,
+                                        edb.symbols)
+        return kernel.describe()
 
     body = "\n\n".join(map(describe, program))
     if show_stats:

@@ -94,9 +94,9 @@ def seminaive_evaluate(program: Program, edb: Database,
 
     ``planner`` orders joins: ``"greedy"`` (default) by boundness and
     relation size, ``"adaptive"`` by statistics-estimated selectivity
-    with drift-triggered replanning (compiled executor; falls back to
-    greedy order under the interpreter), ``"source"`` keeps atoms in
-    rule order.
+    (compiled executor; falls back to greedy order under the
+    interpreter), ``"source"`` keeps atoms in rule order.  A compiled
+    kernel is planned once, from what its first firing reads.
 
     Storage follows the EDB: when ``edb`` is interned (carries a
     :class:`~repro.facts.symbols.SymbolTable`) the IDB and deltas share
@@ -114,8 +114,6 @@ def seminaive_evaluate(program: Program, edb: Database,
     for stratum in stratify(program):
         _evaluate_stratum(program, stratum, edb, idb, firer,
                           max_iterations, profile)
-    if firer.kernels is not None:
-        stats.replans += firer.kernels.replans
     return idb
 
 

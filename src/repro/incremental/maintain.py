@@ -170,9 +170,10 @@ def maintain(program: Program, edb: Database, idb: Database,
     :func:`~repro.engine.evaluate`; ``"source"`` keeps body atoms in
     rule order and the other two plan greedily over delta-aware sizes —
     each occurrence ranked by the relation its pass reads (the delta for
-    the redirected one) — since a maintenance firing joins a small delta
-    against converged relations and has no statistics drift for the
-    adaptive machinery to follow.  Raises
+    the redirected one), which is what a firing that joins a small delta
+    against converged relations needs.  Each kernel is planned at its
+    first firing; with ``kernels`` that may be an earlier refresh's.
+    Raises
     :class:`~repro.errors.IncrementalUnsupported` when a changed
     predicate can reach a negated occurrence; raises
     :class:`~repro.errors.EvaluationError` when the changeset touches

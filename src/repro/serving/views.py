@@ -161,9 +161,7 @@ class MaterializedView:
         self.executor = executor
         self.idb: Database | None = None
         self.counts: SupportCounts | None = None
-        self.kernels = KernelCache(
-            keep_atom_order=planner == "source",
-            symbols=source.db.symbols) \
+        self.kernels = KernelCache(symbols=source.db.symbols) \
             if executor == "compiled" else None
         #: EDB version the materialization reflects; -1 = never built.
         self.version = -1

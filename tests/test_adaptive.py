@@ -1,9 +1,9 @@
-"""Adaptive planning: statistics costs, drift replanning, generated bodies.
+"""Adaptive planning: statistics costs, planned-once kernels, generated bodies.
 
 Covers the statistics-driven planner end to end: the cost model orders
-probes by estimated selectivity, the kernel cache recompiles when
-observed cardinalities drift past the threshold (and provably no more
-than O(log n) times for monotone growth), and kernels run their bodies
+probes by estimated selectivity, a kernel is planned once per
+``(rule, variant)`` at its first firing and kept however the statistics
+move afterwards (a cache hit reads none), and kernels run their bodies
 as generated comprehensions without changing any observable result or
 counter.
 """
@@ -11,10 +11,11 @@ counter.
 import pytest
 
 from repro.datalog import parse_program
-from repro.engine import EvalStats, evaluate
-from repro.engine.compile import KernelCache, compile_rule
+from repro.engine import EvalStats, evaluate, fire
+from repro.engine.compile import CompiledKernel, compile_rule
+from repro.engine.fire import Firer, compile_firing
 from repro.engine.plan import explain_kernels, explain_plan
-from repro.facts import Database
+from repro.facts import Database, Relation
 from repro.facts.symbols import SymbolTable
 
 
@@ -32,95 +33,65 @@ def chain_db(n=30):
     return db
 
 
-class TestDriftReplanning:
-    def _rule(self):
-        return parse_program(TC).rules[1]
+class _Claimed(Relation):
+    """An empty relation that tells the planners it holds ``claimed``
+    rows."""
 
-    def test_stable_sizes_compile_once(self):
-        cache = KernelCache(adaptive=True)
-        rule = self._rule()
-        sizes = {"tc": 100, "edge": 100}
-        first = cache.kernel(rule, None, lambda a, i: sizes[a.pred])
-        again = cache.kernel(rule, None, lambda a, i: sizes[a.pred])
-        assert first is again
-        assert cache.replans == 0
+    __slots__ = ("claimed",)
 
-    def test_drift_past_threshold_replans(self):
-        cache = KernelCache(adaptive=True)
-        rule = self._rule()
-        sizes = {"tc": 100, "edge": 100}
-        first = cache.kernel(rule, None, lambda a, i: sizes[a.pred])
-        sizes["tc"] = 399  # < 4x: no replan
-        assert cache.kernel(rule, None,
-                            lambda a, i: sizes[a.pred]) is first
-        sizes["tc"] = 401  # > 4x: stale plan
-        second = cache.kernel(rule, None, lambda a, i: sizes[a.pred])
-        assert second is not first
-        assert cache.replans == 1
+    def __init__(self, name, claimed):
+        super().__init__(name, 2)
+        self.claimed = claimed
 
-    def test_shrink_also_counts_as_drift(self):
-        cache = KernelCache(adaptive=True)
-        rule = self._rule()
-        sizes = {"tc": 400, "edge": 400}
-        first = cache.kernel(rule, None, lambda a, i: sizes[a.pred])
-        sizes["tc"] = 50
-        assert cache.kernel(rule, None,
-                            lambda a, i: sizes[a.pred]) is not first
-        assert cache.replans == 1
+    def __len__(self):
+        return self.claimed
 
-    def test_tiny_relations_never_trigger(self):
-        # Both-below-floor churn (0 -> 15 rows) is noise, not drift.
-        cache = KernelCache(adaptive=True)
-        rule = self._rule()
-        sizes = {"tc": 1, "edge": 8}
-        cache.kernel(rule, None, lambda a, i: sizes[a.pred])
-        sizes["tc"] = 15
-        cache.kernel(rule, None, lambda a, i: sizes[a.pred])
-        assert cache.replans == 0
+    def probe_estimate(self, bound_columns):
+        return float(self.claimed)
 
-    def test_monotone_growth_replans_log_times(self):
-        cache = KernelCache(adaptive=True)
-        rule = self._rule()
-        current = {"n": 16}
-        sizes = lambda a, i: current["n"]  # noqa: E731
-        for n in range(16, 100_000, 500):
-            current["n"] = n
-            cache.kernel(rule, None, sizes)
-        # 16 -> 100k is ~12.6x = ~1.8 quadruplings; the snapshot resets
-        # on every replan, so the count is logarithmic, not linear.
-        assert cache.replans <= 4
 
-    def test_max_replans_caps_oscillation(self, monkeypatch):
-        monkeypatch.setattr("repro.engine.compile.MAX_REPLANS", 3)
-        cache = KernelCache(adaptive=True)
-        rule = self._rule()
-        current = {"n": 16}
-        sizes = lambda a, i: current["n"]  # noqa: E731
-        for step in range(50):
-            current["n"] = 16 if step % 2 else 100_000
-            cache.kernel(rule, None, sizes)
-        assert cache.replans == 3
+class TestKernelCache:
+    @pytest.mark.parametrize("planner", ["greedy", "adaptive"])
+    def test_a_cached_kernel_keeps_its_first_plan(self, planner):
+        rule = parse_program(TC).rules[1]
+        sizes = {"tc": 1, "edge": 10**6}
 
-    @pytest.mark.parametrize("knob", ["replan_threshold", "replan_floor",
-                                      "max_replans"])
-    def test_drift_constants_are_not_parameters(self, knob):
-        with pytest.raises(TypeError):
-            KernelCache(adaptive=True, **{knob: 8})
+        def fetch(atom, index):
+            return _Claimed(atom.pred, sizes[atom.pred])
 
-    def test_non_adaptive_cache_never_replans(self):
-        cache = KernelCache(adaptive=False)
-        rule = self._rule()
-        current = {"n": 1}
-        sizes = lambda a, i: current["n"]  # noqa: E731
-        first = cache.kernel(rule, None, sizes)
-        current["n"] = 10**6
-        assert cache.kernel(rule, None, sizes) is first
+        firer = Firer(planner, "compiled", None, EvalStats())
+        firer.run(rule, fetch)
+        first = firer.kernels.get(rule, None)
+        assert first.order == [0, 1]
+        sizes.update(tc=10**6, edge=1)
+        # Planned afresh, the new statistics would put edge first...
+        assert compile_firing(rule, fetch, (), planner).order == [1, 0]
+        firer.run(rule, fetch)
+        # ...but the key was planned at its first firing, for good.
+        assert firer.kernels.get(rule, None) is first
+        assert first.order == [0, 1] and len(firer.kernels) == 1
 
-    def test_replans_surface_in_eval_stats(self):
+    def test_a_cache_hit_reads_no_statistics(self, monkeypatch):
+        built, compiled = [], []
+        estimators = fire.estimators
+        init = CompiledKernel.__init__
+
+        def counting_estimators(*args, **kwargs):
+            built.append(args)
+            return estimators(*args, **kwargs)
+
+        def counting_init(self, rule, *args, **kwargs):
+            compiled.append(rule)
+            init(self, rule, *args, **kwargs)
+
+        monkeypatch.setattr(fire, "estimators", counting_estimators)
+        monkeypatch.setattr(CompiledKernel, "__init__", counting_init)
         result = evaluate(parse_program(TC), chain_db(40),
                           planner="adaptive")
-        assert result.stats.replans >= 1
-        assert "replans" in result.stats.as_dict()
+        assert len(result.facts("tc")) == 40 * 41 // 2
+        assert len(built) == len(compiled) == 2
+        assert result.stats.rules_fired > len(compiled)
+        assert result.stats.replans == 0
 
 
 class TestAdaptiveCostModel:

@@ -26,6 +26,7 @@ from repro.engine import (EvalProfile, EvalStats, evaluate,
 from repro.engine import codegen
 from repro.engine.codegen import PredicateCache
 from repro.engine.compile import KernelCache, compile_rule
+from repro.engine.fire import Firer
 from repro.errors import EvaluationError
 from repro.facts import Database
 from repro.facts.relation import Relation
@@ -283,6 +284,8 @@ class TestPredicateCache:
             edb.add_fact("edge", n, n + 1)
         edb = edb.interned()
         kernels = KernelCache(symbols=edb.symbols)
+        firer = Firer("source", "compiled", edb.symbols, EvalStats(),
+                      kernels=kernels)
         rounds = 50
         for number in range(rounds):
             delta = Relation("reach", 2, symbols=edb.symbols)
@@ -292,12 +295,10 @@ class TestPredicateCache:
                 return _delta if atom.pred == "reach" \
                     else edb.relation("edge")
 
-            kernel = kernels.kernel(rule, 1,
-                                    lambda atom, index: 1)
-            assert kernel.generated is not None
-            kernel.execute(fetch, EvalStats())
+            firer.run(rule, fetch, variant=1)
+        assert len(kernels) == 1
         cached = {(kernel.sources[spec[1]][1].pred,) + spec[2:]
-                  for kernel, _sizes in kernels._kernels.values()
+                  for kernel in kernels._kernels.values()
                   for spec in kernel.generated.form(False).resolvers
                   if spec[0] == "pcache"}
         assert cached == {("reach", 1, ">", 3, True)}
@@ -315,7 +316,9 @@ class TestPredicateCache:
         full = Relation("path", 2)
         for n in range(20):
             full.add((n, n + 1))
-        kernels = KernelCache(keep_atom_order=True)
+        kernels = KernelCache()
+        firer = Firer("source", "compiled", None, EvalStats(),
+                      kernels=kernels)
         rounds = 10
         for number in range(rounds):
             delta = Relation("path", 2)
@@ -324,10 +327,7 @@ class TestPredicateCache:
                 def fetch(atom, index, _variant=variant, _delta=delta):
                     return _delta if index == _variant else full
 
-                kernel = kernels.kernel(rule, variant,
-                                        lambda atom, index: 1)
-                assert kernel.generated is not None
-                kernel.execute(fetch, EvalStats())
+                firer.run(rule, fetch, variant=variant)
         assert list(kernels.predicates.entries) == [
             ("path", 1, ">", 3, True)]
         assert kernels.predicates.builds == rounds + 1

@@ -23,6 +23,7 @@ from repro.engine import (EXECUTORS, CompiledKernel, EvalStats,
                           evaluate_with_magic, explain_kernels)
 from repro.engine.bindings import plan_body
 from repro.engine.compile import validate_executor
+from repro.engine.fire import Firer
 from repro.errors import BudgetExceededError, EvaluationError
 from repro.facts import Database
 from repro.facts.changelog import Changeset
@@ -221,10 +222,19 @@ def test_kernel_cache_reuses_kernels_per_variant():
     program, edb, _query = _tc_workload()
     rule = program.rules[1]
     cache = KernelCache()
-    sizes = _sizes_from({"reach": 10, "edge": 100})
-    first = cache.kernel(rule, 0, sizes)
-    assert cache.kernel(rule, 0, sizes) is first
-    assert cache.kernel(rule, None, sizes) is not first
+    firer = Firer("greedy", "compiled", None, EvalStats(), kernels=cache)
+
+    def fetch(atom, index):
+        return edb.relation_or_empty(atom.pred, atom.arity)
+
+    firer.run(rule, fetch, 0)
+    first = cache.get(rule, 0)
+    assert first is not None
+    firer.run(rule, fetch, 0)
+    assert cache.get(rule, 0) is first
+    firer.run(rule, fetch, None)
+    assert cache.get(rule, None) is not first
+    assert len(cache) == 2
 
 
 def test_compile_rejects_unsafe_head():

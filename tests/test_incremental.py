@@ -15,11 +15,13 @@ import pytest
 
 from repro.cli import main
 from repro.datalog import atom, parse_program
+from repro.engine.compile import KernelCache
 from repro.engine.magic import magic_rewrite
 from repro.engine.seminaive import seminaive_evaluate
 from repro.errors import (BudgetExceededError, EvaluationError,
                           IncrementalUnsupported)
 from repro.facts import Database
+from repro.facts.symbols import SymbolTable
 from repro.facts.changelog import (Changeset, VersionedDatabase,
                                    random_changeset)
 from repro.incremental import maintain, support_counts
@@ -257,6 +259,32 @@ def test_maintain_rejects_an_unknown_planner(planner):
         maintain(program, db, idb, Changeset().insert("edge", ("x", "y")),
                  planner=planner)
     assert {pred: set(idb.facts(pred)) for pred in idb} == before
+
+
+@pytest.mark.parametrize("case", ["no-table", "another-table",
+                                  "interpreted"])
+def test_maintain_rejects_a_foreign_kernel_cache(case):
+    # A cache compiled against another storage domain than the EDB's
+    # probes edge(c, Y) with the wrong code for c and derives nothing;
+    # one passed beside executor="interpreted" would run compiled
+    # kernels anyway.  Both are refused before any work.
+    program = parse_program("r0: from_c(Y) :- edge(c, Y).")
+    db = Database({"edge": [("a", "b"), ("b", "c")]}).interned()
+    versioned = VersionedDatabase(db)
+    idb = seminaive_evaluate(program, db)
+    versioned.apply(Changeset().insert("edge", ("c", "d")))
+    kernels, executor = {
+        "no-table": (KernelCache(), "compiled"),
+        "another-table": (KernelCache(symbols=SymbolTable()), "compiled"),
+        "interpreted": (KernelCache(symbols=db.symbols), "interpreted"),
+    }[case]
+    with pytest.raises(EvaluationError, match="kernels="):
+        maintain(program, db, idb, versioned.changes_since(0),
+                 executor=executor, kernels=kernels)
+    assert len(kernels) == 0
+    maintain(program, db, idb, versioned.changes_since(0),
+             kernels=KernelCache(symbols=db.symbols))
+    assert idb.facts("from_c") == frozenset({("d",)})
 
 
 def test_serve_answers_track_updates():

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.datalog import parse_program
-from repro.engine import evaluate
+from repro.engine import EvalStats, evaluate
 from repro.engine.plan import explain_plan, plan_rule
 from repro.facts import Database
 
@@ -101,19 +101,13 @@ class TestOneStatisticsSource:
         return program, db
 
     def test_plan_rule_reports_what_the_kernel_cache_compiles(self):
-        from repro.engine.compile import KernelCache
+        from repro.engine.fire import Firer
 
         program, db = self._skewed_after_churn()
         rule = program.rule("r0")
-
-        def sizes(atom, index):
-            return len(db.relation(atom.pred))
-
-        def cost(atom, index, bound_columns):
-            return db.relation(atom.pred).probe_estimate(bound_columns)
-
-        kernel = KernelCache(adaptive=True).kernel(rule, None, sizes,
-                                                   cost=cost)
+        firer = Firer("adaptive", "compiled", None, EvalStats())
+        firer.run(rule, lambda atom, index: db.relation(atom.pred))
+        kernel = firer.kernels.get(rule, None)
         plan = plan_rule(rule, program, db, planner="adaptive")
         assert [step.literal for step in plan.steps] \
             == [rule.body[index] for index in kernel.order]

@@ -106,14 +106,13 @@ def test_explain_orders_the_init_round_as_the_engine_does(monkeypatch):
     program, db = pushed_genealogy()
     rule = program.rule("r1_deep_step_c0_n")
     compiled = {}
-    original = KernelCache.kernel
+    original = KernelCache.put
 
-    def recording(self, rule, variant, sizes, cost=None):
-        kernel = original(self, rule, variant, sizes, cost=cost)
-        compiled.setdefault((rule.label, variant), kernel)
-        return kernel
+    def recording(self, rule, variant, kernel):
+        compiled[rule.label, variant] = kernel
+        return original(self, rule, variant, kernel)
 
-    monkeypatch.setattr(KernelCache, "kernel", recording)
+    monkeypatch.setattr(KernelCache, "put", recording)
     seminaive_evaluate(program, db, planner="adaptive")
     engine_kernel = compiled[(rule.label, None)]
     # What the engine saw at that firing: the strata below, plus
