@@ -46,7 +46,7 @@ Subpackages:
 from .errors import (BudgetExceededError, ConstraintError,
                      EvaluationCancelledError, EvaluationError, ParseError,
                      ProgramError, ReproError, TransformError)
-from .runtime import Budget, ChaosPlan, ResilienceReport, StageFailure
+from .runtime import Budget, ChaosPlan
 from .datalog import (Atom, Comparison, Constant, Program, Rule, Span,
                       Variable, atom, comparison, format_program,
                       parse_atom, parse_ic, parse_program, parse_query,
@@ -60,8 +60,9 @@ from .engine import (EvaluationResult, evaluate, evaluate_with_magic,
 from .constraints import (IntegrityConstraint, Residue, ic_from_text,
                           ics_from_text, satisfies, violations)
 from .core import (Isolation, OptimizationReport, SemanticOptimizer,
-                   SequenceResidue, check_equivalent, generate_residues,
-                   isolate, optimize, optimize_all_predicates, unfold)
+                   SequenceResidue, StageFailure, check_equivalent,
+                   generate_residues, isolate, optimize_all_predicates,
+                   unfold)
 from .baselines import (ResidueGuidedEngine, guided_evaluate,
                         optimize_rule_level)
 from .iqa import KnowledgeQuery, describe, parse_describe
@@ -72,7 +73,7 @@ __all__ = [
     "BudgetExceededError", "ConstraintError", "EvaluationCancelledError",
     "EvaluationError", "ParseError", "ProgramError",
     "ReproError", "TransformError",
-    "Budget", "ChaosPlan", "ResilienceReport", "StageFailure",
+    "Budget", "ChaosPlan",
     "Atom", "Comparison", "Constant", "Program", "Rule", "Span",
     "Variable", "atom", "comparison", "format_program", "parse_atom",
     "parse_ic", "parse_program", "parse_query", "parse_rule", "rule",
@@ -86,8 +87,8 @@ __all__ = [
     "IntegrityConstraint", "Residue", "ic_from_text", "ics_from_text",
     "satisfies", "violations",
     "Isolation", "OptimizationReport", "SemanticOptimizer",
-    "SequenceResidue", "check_equivalent", "generate_residues",
-    "isolate", "optimize", "optimize_all_predicates", "unfold",
+    "SequenceResidue", "StageFailure", "check_equivalent",
+    "generate_residues", "isolate", "optimize_all_predicates", "unfold",
     "ResidueGuidedEngine", "guided_evaluate", "optimize_rule_level",
     "KnowledgeQuery", "describe", "parse_describe",
     "__version__",

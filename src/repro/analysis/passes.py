@@ -543,9 +543,9 @@ def check_ics(context: AnalysisContext) -> Iterator[Diagnostic]:
         if not ic.is_chain():
             yield make_diagnostic(
                 "IC003",
-                f"IC {name} is not chain-shaped; Algorithm 3.1's SD-graph "
-                "walk requires each database atom to share variables "
-                "exactly with its chain neighbours",
+                f"IC {name} is not chain-shaped, so Algorithm 3.1's "
+                "SD-graph walk does not apply; the optimizer finds its "
+                "residues with the bounded exhaustive enumerator instead",
                 span=ic.span, subject=ic.label)
             continue
         if target is None:

@@ -14,20 +14,16 @@ from typing import Iterable
 
 from ..constraints.ic import IntegrityConstraint
 from ..core.optimizer import OptimizationReport, SemanticOptimizer
-from ..core.residues import SequenceResidue
+from ..core.residues import SequenceResidue, rule_level_residues
 from ..datalog.program import Program
 
 
 class RuleLevelOptimizer(SemanticOptimizer):
     """A :class:`SemanticOptimizer` restricted to single-rule residues."""
 
-    def sequence_residues(self) -> list[SequenceResidue]:
+    def residues(self, ic: IntegrityConstraint) -> list[SequenceResidue]:
         """Rule-level systems never look past individual rules."""
-        return []
-
-    def all_residues(self) -> list[SequenceResidue]:
-        return [item for item in self.rule_residues()
-                if len(item.sequence) == 1]
+        return rule_level_residues(self.program, ic)
 
 
 def optimize_rule_level(program: Program,

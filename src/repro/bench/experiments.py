@@ -17,7 +17,8 @@ from ..constraints.checker import repair
 from ..constraints.ic import ics_from_text
 from ..core.optimizer import SemanticOptimizer
 from ..core.residues import (generate_residues,
-                             generate_residues_exhaustive)
+                             generate_residues_exhaustive,
+                             rule_level_residues)
 from ..datalog.atoms import Atom, atom
 from ..datalog.parser import parse_program
 from ..engine.engine import evaluate, evaluate_with_magic
@@ -407,11 +408,9 @@ def experiment_e7() -> Table:
         optimizer = SemanticOptimizer(example.program, [ic],
                                       pred=example.pred)
         sequence_items = [
-            item for item in optimizer.all_residues()
+            item for item in optimizer.residues(ic)
             if len(item.sequence) > 1]
-        rule_items = [
-            item for item in optimizer.rule_residues()
-            if len(item.sequence) == 1]
+        rule_items = rule_level_residues(example.program, ic)
         table.add_row(example.name, label, len(sequence_items),
                       len(rule_items),
                       len({item.sequence for item in sequence_items}))

@@ -40,7 +40,7 @@ from typing import Sequence
 from .baselines import optimize_rule_level
 from .bench.experiments import ALL_EXPERIMENTS
 from .constraints import ics_from_text
-from .core import SemanticOptimizer, generate_residues, rule_level_residues
+from .core import SemanticOptimizer
 from .datalog import format_program, parse_program
 from .errors import (BudgetExceededError, EvaluationError, ParseError,
                      ReproError)
@@ -236,15 +236,11 @@ def cmd_optimize(args: argparse.Namespace) -> int:
             program, ics, pred=args.pred,
             small_relations=set(args.small or ()))
     else:
-        optimizer = SemanticOptimizer(
+        report = SemanticOptimizer(
             program, ics, pred=args.pred, guard=args.guard,
             compilation=args.compilation,
-            small_relations=set(args.small or ()))
-        if args.safe or args.verify != "none":
-            report = optimizer.optimize_safe(
+            small_relations=set(args.small or ())).optimize(
                 budget=_budget_from_args(args), verify=args.verify)
-        else:
-            report = optimizer.optimize()
     print(report.summary())
     print()
     print(format_program(report.optimized, group_by_head=True))
@@ -257,16 +253,10 @@ def cmd_residues(args: argparse.Namespace) -> int:
     optimizer = SemanticOptimizer(program, ics, pred=args.pred)
     for ic in ics:
         print(f"{ic}")
-        printed = False
-        if ic.is_chain() and ic.is_edb_only(program):
-            for item in generate_residues(program, optimizer.pred, ic):
-                print(f"  {item}")
-                printed = True
-        for item in rule_level_residues(program, ic):
-            if len(item.sequence) == 1:
-                print(f"  {item}")
-                printed = True
-        if not printed:
+        items = optimizer.residues(ic)
+        for item in items:
+            print(f"  {item}")
+        if not items:
             print("  (no residues)")
     return 0
 
@@ -660,13 +650,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="use the rule-level baseline instead")
     p_opt.add_argument("--allow-unchanged", action="store_true",
                        help="exit 0 even when nothing was pushed")
-    p_opt.add_argument("--safe", action="store_true",
-                       help="guarded pipeline: degrade on stage failure "
-                            "instead of aborting")
     p_opt.add_argument("--verify", default="none",
                        choices=["none", "sample"],
                        help="spot-check optimized vs. source answers on "
-                            "sampled databases (implies --safe)")
+                            "sampled databases; quarantine on mismatch")
     _add_budget_flags(p_opt)
     p_opt.set_defaults(func=cmd_optimize)
 

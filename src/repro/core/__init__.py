@@ -17,7 +17,7 @@ from .minimize import (MinimizationReport, apply_functional_dependencies,
                        as_functional_dependency, minimize_program,
                        minimize_rule, rule_subsumed_by)
 from .optimizer import (OptimizationReport, OptimizationStep,
-                        SemanticOptimizer, optimize,
+                        SemanticOptimizer, StageFailure,
                         optimize_all_predicates)
 from .equivalence import (Counterexample, check_equivalent,
                           infer_numeric_columns, make_consistent,
@@ -40,7 +40,7 @@ __all__ = [
     "as_functional_dependency", "minimize_program", "minimize_rule",
     "rule_subsumed_by",
     "OptimizationReport", "OptimizationStep", "SemanticOptimizer",
-    "optimize", "optimize_all_predicates",
+    "StageFailure", "optimize_all_predicates",
     "Counterexample", "check_equivalent", "infer_numeric_columns",
     "make_consistent", "random_consistent_databases", "random_database",
 ]

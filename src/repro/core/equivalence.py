@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from ..constraints.checker import satisfies, violations
 from ..constraints.ic import IntegrityConstraint
@@ -166,7 +166,7 @@ def infer_numeric_columns(program: Program,
 
 def random_database(schema: dict[str, int], domain_size: int,
                     facts_per_relation: int, rng: random.Random,
-                    numeric_columns: dict[str, Sequence[int]] | None = None,
+                    numeric_columns: Mapping[str, Sequence[int]] | None = None,
                     max_value: int = 100) -> Database:
     """A random database for ``schema`` (predicate -> arity).
 
@@ -193,7 +193,7 @@ def random_consistent_databases(schema: dict[str, int],
                                 count: int, rng: random.Random,
                                 domain_size: int = 8,
                                 facts_per_relation: int = 15,
-                                numeric_columns: dict[str, Sequence[int]]
+                                numeric_columns: Mapping[str, Sequence[int]]
                                 | None = None) -> list[Database]:
     """A batch of random databases repaired to satisfy the ICs."""
     out = []

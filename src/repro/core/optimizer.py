@@ -24,14 +24,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from ..constraints.ic import IntegrityConstraint
 from ..datalog.program import Program
 from ..errors import ProgramError
 from ..runtime import chaos
 from ..runtime.budget import Budget
-from ..runtime.resilience import ResilienceReport, StageFailure
 from .collapse import inline_auxiliaries
 from .isolate import Isolation, isolate
 from .periodic import (periodic_applicable, periodic_eliminate,
@@ -42,10 +41,16 @@ from .push import (GuardMode, PushOutcome, apply_elimination,
 from .residues import (SequenceResidue, generate_residues,
                        generate_residues_exhaustive,
                        rule_level_residues)
-from .sdgraph import DEFAULT_MAX_HOPS
 
 #: Push-action priority (lower sorts first).
 _ACTION_RANK = {"prune": 0, "eliminate": 1, "introduce": 2, "skip": 3}
+
+#: Breadth and seed of the ``verify="sample"`` spot-check: sampled
+#: IC-consistent databases, facts per relation in each, and the RNG seed
+#: that makes the check reproducible.
+_SPOT_CHECK_DATABASES = 3
+_SPOT_CHECK_FACTS = 12
+_SPOT_CHECK_SEED = 0x1C95
 
 
 @dataclass(frozen=True)
@@ -65,13 +70,50 @@ class OptimizationStep:
                 f"-> {status}")
 
 
+@dataclass(frozen=True)
+class StageFailure:
+    """One pipeline stage (or stage fragment) that was dropped."""
+
+    stage: str              # e.g. "residues", "periodic", "push:anc/r1 r1"
+    reason: str             # one-line diagnosis
+    error_type: str         # exception class name
+    dropped: tuple[str, ...] = ()   # IC labels / residue groups lost
+
+    def __str__(self) -> str:
+        extra = f" (dropped {', '.join(self.dropped)})" if self.dropped \
+            else ""
+        return f"[{self.stage}] {self.error_type}: {self.reason}{extra}"
+
+
 @dataclass
 class OptimizationReport:
-    """The result of :meth:`SemanticOptimizer.optimize`."""
+    """The result of :meth:`SemanticOptimizer.optimize`.
+
+    ``optimized`` is always sound to evaluate: every applied step passed
+    the guards, and the final fallback is ``original`` itself.
+
+    Attributes:
+        original: the program handed to the optimizer.
+        optimized: the program to evaluate (== ``original`` on full
+            degradation or quarantine).
+        steps: the per-residue :class:`OptimizationStep` records from the
+            stages that completed.
+        failures: stages dropped by budget expiry or exception capture.
+        verification: ``"skipped"`` | ``"passed"`` | ``"mismatch"`` |
+            ``"error"`` — outcome of the sampled equivalence spot-check.
+        quarantined: True when the spot-check found a mismatch and the
+            optimization was discarded in favour of ``original``.
+        verification_detail: the offending predicate/step on mismatch,
+            or the error message when verification itself failed.
+    """
 
     original: Program
     optimized: Program
     steps: list[OptimizationStep] = field(default_factory=list)
+    failures: list[StageFailure] = field(default_factory=list)
+    verification: str = "skipped"
+    quarantined: bool = False
+    verification_detail: str = ""
 
     @property
     def applied_steps(self) -> list[OptimizationStep]:
@@ -79,13 +121,38 @@ class OptimizationReport:
 
     @property
     def changed(self) -> bool:
-        return bool(self.applied_steps)
+        return not self.quarantined and bool(self.applied_steps)
+
+    @property
+    def degraded(self) -> bool:
+        """True when anything was dropped, skipped, or quarantined."""
+        return bool(self.failures) or self.quarantined
+
+    def record_failure(self, stage: str, error: BaseException,
+                       dropped: tuple[str, ...] = ()) -> None:
+        """Record a dropped stage instead of letting ``error`` escape."""
+        self.failures.append(StageFailure(
+            stage, str(error) or error.__class__.__name__,
+            type(error).__name__, dropped))
 
     def summary(self) -> str:
-        lines = [f"{len(self.applied_steps)}/{len(self.steps)} residue "
-                 "pushes applied"]
+        applied = 0 if self.quarantined else len(self.applied_steps)
+        lines = [f"{applied}/{len(self.steps)} residue pushes applied "
+                 f"({len(self.failures)} stage(s) degraded, "
+                 f"verification: {self.verification})"]
         lines.extend(f"  {step}" for step in self.steps)
+        lines.extend(f"  degraded {failure}" for failure in self.failures)
+        if self.quarantined:
+            lines.append(f"  quarantined: {self.verification_detail}")
         return "\n".join(lines)
+
+
+def _enter(stage: str, budget: Budget | None) -> None:
+    """A stage boundary: the chaos hook, then the budget's deadline and
+    cancellation checks."""
+    chaos.checkpoint(stage)
+    if budget is not None:
+        budget.check_round(last_round=None)
 
 
 def _preferred_action(item: SequenceResidue,
@@ -119,7 +186,10 @@ class SemanticOptimizer:
         small_relations: EDB predicates worth *introducing* as semijoin
             reducers (the paper's "small relation" criterion is a
             physical-design judgement the optimizer cannot make alone).
-        max_hops: SD-graph depth bound for Algorithm 3.1.
+        collapse: inline the auxiliary predicates the pushes introduce.
+        compilation: ``"periodic"`` (default) composes multi-level
+            residues over one recursive rule into a depth-class
+            compilation; ``"automaton"`` isolates each sequence alone.
     """
 
     def __init__(self, program: Program,
@@ -127,7 +197,6 @@ class SemanticOptimizer:
                  pred: str | None = None,
                  guard: GuardMode = "chase",
                  small_relations: Iterable[str] = (),
-                 max_hops: int = DEFAULT_MAX_HOPS,
                  collapse: bool = True,
                  compilation: str = "periodic") -> None:
         if compilation not in ("periodic", "automaton"):
@@ -138,7 +207,6 @@ class SemanticOptimizer:
         self.ics = list(ics)
         self.guard: GuardMode = guard
         self.small_relations = frozenset(small_relations)
-        self.max_hops = max_hops
         self.collapse = collapse
         self.compilation = compilation
         self.pred = pred or self._single_recursive_pred(program)
@@ -159,46 +227,26 @@ class SemanticOptimizer:
         return recursive[0]
 
     # -- residue generation ----------------------------------------------------
-    def sequence_residues(self) -> list[SequenceResidue]:
-        """Sequence residues of every IC (useful ones only).
+    def residues(self, ic: IntegrityConstraint) -> list[SequenceResidue]:
+        """Every residue ``ic`` contributes: the one residue source.
 
-        Chain-shaped ICs go through Algorithm 3.1's graph detection;
-        non-chain ICs (outside the algorithm's stated class) fall back
-        to the bounded exhaustive enumerator, so the optimizer is not
-        limited to the paper's syntactic class.
+        Sequence residues come first.  Chain-shaped ICs go through
+        Algorithm 3.1's graph detection; non-chain ICs (outside the
+        algorithm's stated class) fall back to the bounded exhaustive
+        enumerator, so the optimizer is not limited to the paper's
+        syntactic class.  Rule-level residues (any predicate, any IC
+        shape) follow.
         """
         out: list[SequenceResidue] = []
-        if self.pred is None:
-            return out
-        for ic in self.ics:
-            if not ic.is_edb_only(self.program):
-                continue
+        if self.pred is not None and ic.is_edb_only(self.program):
             if ic.is_chain():
-                out.extend(generate_residues(
-                    self.program, self.pred, ic, max_hops=self.max_hops))
+                out.extend(generate_residues(self.program, self.pred, ic))
             else:
                 out.extend(generate_residues_exhaustive(
                     self.program, self.pred, ic,
                     max_length=len(ic.database_atoms()) + 2))
-        return out
-
-    def rule_residues(self) -> list[SequenceResidue]:
-        """Rule-level residues (any predicate, any IC shape)."""
-        out: list[SequenceResidue] = []
-        for ic in self.ics:
-            out.extend(rule_level_residues(self.program, ic))
-        return out
-
-    def all_residues(self) -> list[SequenceResidue]:
-        """Sequence residues plus rule-level residues, deduplicated."""
-        residues = self.sequence_residues()
-        seen = {(r.sequence, str(r.residue)) for r in residues}
-        for item in self.rule_residues():
-            key = (item.sequence, str(item.residue))
-            if key not in seen:
-                seen.add(key)
-                residues.append(item)
-        return residues
+        out.extend(rule_level_residues(self.program, ic))
+        return _unique(out)
 
     # -- pushing ------------------------------------------------------------------
     def push(self, program: Program, item: SequenceResidue) -> PushOutcome:
@@ -240,18 +288,16 @@ class SemanticOptimizer:
         if action == "eliminate":
             outcome = apply_elimination(isolation, item, self.ics,
                                         self.guard)
-            if outcome.applied:
-                return outcome
-            if (item.residue.head_atom() is not None
-                    and item.residue.head_atom().pred
-                    in self.small_relations):
+            head = item.residue.head_atom()
+            if (not outcome.applied and head is not None
+                    and head.pred in self.small_relations):
                 return apply_introduction(isolation, item, self.ics,
                                           self.guard)
             return outcome
         return apply_introduction(isolation, item, self.ics, self.guard)
 
-    # -- pipeline stages (shared by optimize and optimize_safe) --------------
-    def _sort_key(self, item: SequenceResidue):
+    # -- pipeline stages ------------------------------------------------------
+    def _sort_key(self, item: SequenceResidue) -> tuple[int, int, int, int]:
         """Push-preference order: pruning > elimination > introduction;
         strict usefulness over loose; all-recursive sequences (which
         cover arbitrarily deep trees) over exit-terminated ones; shorter
@@ -267,14 +313,35 @@ class SemanticOptimizer:
                 1 if exit_terminated else 0,
                 len(item.sequence))
 
-    def _sorted_residues(self) -> list[SequenceResidue]:
-        return sorted(self.all_residues(), key=self._sort_key)
+    def _residues_stage(self, report: OptimizationReport,
+                        budget: Budget | None) -> list[SequenceResidue]:
+        """Every IC's residues, deduplicated and in push-preference order.
+
+        First tries the whole stage at once; if that fails, retries one
+        IC at a time, dropping (and reporting) only the ICs whose
+        residue generation fails.
+        """
+        try:
+            _enter("residues", budget)
+            per_ic = [self.residues(ic) for ic in self.ics]
+        except Exception as error:
+            report.record_failure("residues", error)
+            per_ic = []
+            for ic in self.ics:
+                label = ic.label or str(ic)
+                try:
+                    _enter(f"residues:{label}", budget)
+                    per_ic.append(self.residues(ic))
+                except Exception as error:
+                    report.record_failure(f"residues:{label}", error,
+                                          (label,))
+        return sorted(_unique(item for items in per_ic for item in items),
+                      key=self._sort_key)
 
     def _phase1_periodic(self, current: Program,
                          residues: Sequence[SequenceResidue],
                          report: OptimizationReport, preserved: set[str],
-                         capture: Callable[..., None] | None = None,
-                         budget: Budget | None = None
+                         budget: Budget | None
                          ) -> tuple[Program, bool, set[int]]:
         """Phase 1 — periodic super-groups: all multi-level residues over
         the same recursive rule compose into ONE depth-class compilation
@@ -282,8 +349,7 @@ class SemanticOptimizer:
         on one recursion do not block each other.
 
         Returns ``(program, multi_level_done, handled residue ids)``.
-        With ``capture`` set (the guarded pipeline), a failing group is
-        dropped and reported instead of propagating.
+        A failing group is dropped and reported instead of propagating.
         """
         multi_level_done = False
         handled: set[int] = set()
@@ -306,20 +372,16 @@ class SemanticOptimizer:
                 break
             items = [entry[0] for entry in entries]
             actions = [entry[1] for entry in entries]
+            stage = f"periodic:{pred}/{rule_label}"
             try:
-                if capture is not None:
-                    chaos.checkpoint(f"periodic:{pred}/{rule_label}")
-                    if budget is not None:
-                        budget.check_round(last_round=None)
+                _enter(stage, budget)
                 outcome, per_item = push_periodic_group_best_effort(
                     current, pred, items, actions, self.ics, self.guard)
             except Exception as error:
-                if capture is None:
-                    raise
-                capture(f"periodic:{pred}/{rule_label}", error,
-                        tuple(_ic_label(item) for item in items))
+                report.record_failure(
+                    stage, error, tuple(_ic_label(item) for item in items))
                 continue
-            if not outcome.applied:
+            if not outcome.applied or outcome.program is None:
                 # Compilation-level failure (e.g. a second recursive
                 # rule): leave the items to phase 2's automaton path.
                 continue
@@ -337,13 +399,12 @@ class SemanticOptimizer:
                      residues: Sequence[SequenceResidue],
                      handled: set[int], multi_level_done: bool,
                      report: OptimizationReport, preserved: set[str],
-                     capture: Callable[..., None] | None = None,
-                     budget: Budget | None = None) -> Program:
+                     budget: Budget | None) -> Program:
         """Phase 2 — the remaining residues, per (pred, sequence) group.
 
         Each group is pushed in one isolation so the sequence is only
-        isolated once.  With ``capture`` set, a failing residue is
-        dropped and reported instead of propagating.
+        isolated once.  A failing residue is dropped and reported
+        instead of propagating.
         """
         groups: dict[tuple[str, tuple[str, ...]],
                      list[SequenceResidue]] = {}
@@ -370,10 +431,7 @@ class SemanticOptimizer:
             stage = f"push:{pred}/{' '.join(sequence)}"
             for item in items:
                 try:
-                    if capture is not None:
-                        chaos.checkpoint(stage)
-                        if budget is not None:
-                            budget.check_round(last_round=None)
+                    _enter(stage, budget)
                     if (self.compilation == "periodic"
                             and periodic_applicable(current, pred, item)):
                         outcome = self.push_periodic_item(current, item)
@@ -387,9 +445,7 @@ class SemanticOptimizer:
                         False, f"earlier edit superseded the target rule: "
                         f"{error}")
                 except Exception as error:
-                    if capture is None:
-                        raise
-                    capture(stage, error, (_ic_label(item),))
+                    report.record_failure(stage, error, (_ic_label(item),))
                     outcome = PushOutcome(
                         _preferred_action(item, self.small_relations),
                         False, f"stage degraded: {error}")
@@ -417,198 +473,95 @@ class SemanticOptimizer:
                        - self.program.idb_predicates - preserved)
         return inline_auxiliaries(current, auxiliaries)
 
-    def optimize(self) -> OptimizationReport:
-        """Run the full pipeline (see module docstring for the policy)."""
-        report = OptimizationReport(self.program, self.program)
-        preserved: set[str] = set()
-        residues = self._sorted_residues()
-        current, multi_level_done, handled = self._phase1_periodic(
-            self.program, residues, report, preserved)
-        current = self._phase2_push(current, residues, handled,
-                                    multi_level_done, report, preserved)
-        if self.collapse:
-            current = self._collapse_stage(current, preserved)
-        report.optimized = current
-        return report
-
-    # -- guarded pipeline ----------------------------------------------------
-    def _residues_of_ic(self, ic: IntegrityConstraint
-                        ) -> list[SequenceResidue]:
-        """All residues contributed by one IC (sequence + rule level)."""
-        out: list[SequenceResidue] = []
-        if self.pred is not None and ic.is_edb_only(self.program):
-            if ic.is_chain():
-                out.extend(generate_residues(
-                    self.program, self.pred, ic, max_hops=self.max_hops))
-            else:
-                out.extend(generate_residues_exhaustive(
-                    self.program, self.pred, ic,
-                    max_length=len(ic.database_atoms()) + 2))
-        out.extend(rule_level_residues(self.program, ic))
-        return out
-
-    def _safe_residues(self, capture: Callable[..., None],
-                       budget: Budget | None) -> list[SequenceResidue]:
-        """Residue generation with per-IC degradation.
-
-        First tries the whole stage at once; if that fails, retries one
-        IC at a time, dropping (and reporting) only the ICs whose
-        residue generation fails.
-        """
-        try:
-            chaos.checkpoint("residues")
-            if budget is not None:
-                budget.check_round(last_round=None)
-            return self._sorted_residues()
-        except Exception as error:
-            capture("residues", error, ())
-        collected: list[SequenceResidue] = []
-        seen: set[tuple] = set()
-        for ic in self.ics:
-            label = ic.label or str(ic)
-            try:
-                chaos.checkpoint(f"residues:{label}")
-                if budget is not None:
-                    budget.check_round(last_round=None)
-                items = self._residues_of_ic(ic)
-            except Exception as error:
-                capture(f"residues:{label}", error, (label,))
-                continue
-            for item in items:
-                key = (item.sequence, str(item.residue))
-                if key not in seen:
-                    seen.add(key)
-                    collected.append(item)
-        return sorted(collected, key=self._sort_key)
-
-    def optimize_safe(self, budget: Budget | None = None,
-                      verify: str = "none", sample_count: int = 3,
-                      sample_facts: int = 12,
-                      stage_timeout_s: float | None = None,
-                      rng: random.Random | None = None
-                      ) -> ResilienceReport:
-        """Run the pipeline with exception capture and graceful fallback.
+    def optimize(self, budget: Budget | None = None,
+                 verify: str = "none") -> OptimizationReport:
+        """Run the pipeline (see the module docstring for the policy).
 
         Every stage — residue generation, periodic compilation, per-group
-        pushing, auxiliary collapse — runs under its own budget slice
-        with exception capture.  A failing stage (or residue group, or
-        single IC) is *dropped* and recorded in the returned
-        :class:`ResilienceReport`; the pipeline continues from the last
-        sound program, degrading in the worst case to the original
-        program itself.  Dropping work is always sound: the optimized
-        program differs from the source only by guard-validated edits,
-        so any prefix of the edit sequence preserves answers
-        (Theorem 4.1; see ``docs/robustness.md``).
+        pushing, auxiliary collapse — runs with exception capture.  A
+        failing stage (or residue group, or single IC) is *dropped* and
+        recorded in :attr:`OptimizationReport.failures`; the pipeline
+        continues from the last sound program, degrading in the worst
+        case to the original program itself.  Dropping work is always
+        sound: the optimized program differs from the source only by
+        guard-validated edits, so any prefix of the edit sequence
+        preserves answers (Theorem 4.1; see ``docs/robustness.md``).
 
         Args:
-            budget: overall budget; each stage gets a
-                :meth:`Budget.child` slice sharing its deadline and
-                cancellation flag.  Deadline expiry degrades like any
-                other stage failure instead of raising.
+            budget: checked at every stage boundary and handed to the
+                spot-check's evaluations.  Deadline expiry or
+                cancellation degrades like any other stage failure
+                instead of raising.
             verify: ``"sample"`` runs an equivalence spot-check of the
                 optimized vs. source program on random IC-consistent
                 databases and *quarantines* the optimization (falls back
                 to the source program) on mismatch.
-            sample_count / sample_facts: spot-check breadth: number of
-                sampled databases and facts per relation in each.
-            stage_timeout_s: optional per-stage wall-clock allowance,
-                capped by ``budget``'s remaining time.
-            rng: randomness for the spot-check (seeded default, so runs
-                are reproducible).
         """
         if verify not in ("none", "sample"):
             raise ValueError(
                 f"verify must be 'none' or 'sample', got {verify!r}")
         if budget is not None:
             budget.start()
-        result = ResilienceReport(self.program, self.program)
         report = OptimizationReport(self.program, self.program)
-
-        def capture(stage: str, error: BaseException,
-                    dropped: tuple[str, ...] = ()) -> None:
-            result.failures.append(StageFailure(
-                stage, str(error) or error.__class__.__name__,
-                type(error).__name__, tuple(dropped)))
-
-        def stage_budget() -> Budget | None:
-            if budget is not None:
-                return budget.child(stage_timeout_s).start()
-            if stage_timeout_s is not None:
-                return Budget(timeout_s=stage_timeout_s).start()
-            return None
-
-        residues = self._safe_residues(capture, stage_budget())
+        residues = self._residues_stage(report, budget)
         preserved: set[str] = set()
-        current = self.program
-        multi_level_done, handled = False, set()
 
         # Stage-level capture backstops the per-group capture inside each
         # phase; when a phase dies outside a group, its partial steps are
         # discarded so the report never claims an edit the returned
         # program does not contain.
+        current, multi_level_done = self.program, False
+        handled: set[int] = set()
         marker = len(report.steps)
         try:
             current, multi_level_done, handled = self._phase1_periodic(
-                self.program, residues, report, preserved,
-                capture=capture, budget=stage_budget())
+                current, residues, report, preserved, budget)
         except Exception as error:
-            capture("periodic", error, ())
+            report.record_failure("periodic", error)
             del report.steps[marker:]
-            current, multi_level_done, handled = self.program, False, set()
 
         marker = len(report.steps)
-        before_phase2 = current
         try:
             current = self._phase2_push(
                 current, residues, handled, multi_level_done, report,
-                preserved, capture=capture, budget=stage_budget())
+                preserved, budget)
         except Exception as error:
-            capture("push", error, ())
+            report.record_failure("push", error)
             del report.steps[marker:]
-            current = before_phase2
 
         if self.collapse:
             try:
-                chaos.checkpoint("collapse")
-                sliced = stage_budget()
-                if sliced is not None:
-                    sliced.check_round(last_round=None)
+                _enter("collapse", budget)
                 current = self._collapse_stage(current, preserved)
             except Exception as error:
                 # Collapse is cosmetic (inlining auxiliaries); keep the
                 # uncollapsed — still sound — program.
-                capture("collapse", error, ())
+                report.record_failure("collapse", error)
+        report.optimized = current
 
-        result.steps = report.steps
-        result.optimized = current
-
-        if verify == "sample" and result.applied_steps:
+        if verify == "sample" and report.applied_steps:
             try:
                 chaos.checkpoint("verify")
-                detail = self._spot_check(current, sample_count,
-                                          sample_facts, rng,
-                                          stage_budget())
+                detail = self._spot_check(current, budget)
             except Exception as error:
-                result.verification = "error"
-                result.verification_detail = str(error)
+                report.verification = "error"
+                report.verification_detail = str(error)
             else:
                 if detail is None:
-                    result.verification = "passed"
+                    report.verification = "passed"
                 else:
                     suspects = "; ".join(
                         f"[{s.outcome.action}] ic={s.ic_label} "
                         f"seq={' '.join(s.sequence)}"
-                        for s in result.applied_steps)
-                    result.verification = "mismatch"
-                    result.verification_detail = \
+                        for s in report.applied_steps)
+                    report.verification = "mismatch"
+                    report.verification_detail = \
                         f"{detail}; suspect steps: {suspects}"
-                    result.quarantined = True
-                    result.optimized = self.program
-        return result
+                    report.quarantined = True
+                    report.optimized = self.program
+        return report
 
-    def _spot_check(self, optimized: Program, count: int,
-                    facts_per_relation: int,
-                    rng: random.Random | None,
+    def _spot_check(self, optimized: Program,
                     budget: Budget | None) -> str | None:
         """Compare ``optimized`` against the source program on sampled
         IC-consistent databases; a one-line diagnosis on mismatch."""
@@ -621,12 +574,11 @@ class SemanticOptimizer:
                   for pred in sorted(self.program.edb_predicates)}
         if not schema:
             return None
-        rng = rng if rng is not None else random.Random(0x1C95)
-        numeric = infer_numeric_columns(self.program, self.ics)
         databases = random_consistent_databases(
-            schema, self.ics, count, rng,
-            facts_per_relation=facts_per_relation,
-            numeric_columns=numeric)
+            schema, self.ics, _SPOT_CHECK_DATABASES,
+            random.Random(_SPOT_CHECK_SEED),
+            facts_per_relation=_SPOT_CHECK_FACTS,
+            numeric_columns=infer_numeric_columns(self.program, self.ics))
         for index, database in enumerate(databases):
             source = evaluate(self.program, database, budget=budget)
             candidate = evaluate(optimized, database, budget=budget)
@@ -640,18 +592,21 @@ class SemanticOptimizer:
         return None
 
 
+def _unique(items: Iterable[SequenceResidue]) -> list[SequenceResidue]:
+    """``items`` in order, without repeats of a (sequence, residue)."""
+    seen: set[tuple[tuple[str, ...], str]] = set()
+    out: list[SequenceResidue] = []
+    for item in items:
+        key = (item.sequence, str(item.residue))
+        if key not in seen:
+            seen.add(key)
+            out.append(item)
+    return out
+
+
 def _ic_label(item: SequenceResidue) -> str:
     ic = item.residue.ic
     return (ic.label or str(ic)) if ic is not None else "?"
-
-
-def optimize(program: Program, ics: Sequence[IntegrityConstraint],
-             pred: str | None = None, guard: GuardMode = "chase",
-             small_relations: Iterable[str] = ()) -> OptimizationReport:
-    """One-call convenience wrapper around :class:`SemanticOptimizer`."""
-    return SemanticOptimizer(
-        program, ics, pred=pred, guard=guard,
-        small_relations=small_relations).optimize()
 
 
 def optimize_all_predicates(program: Program,
@@ -684,6 +639,7 @@ def optimize_all_predicates(program: Program,
             small_relations=small_relations,
             compilation=compilation).optimize()
         combined.steps.extend(report.steps)
+        combined.failures.extend(report.failures)
         current = report.optimized
     # A non-recursive program still gets its rule-level residues.
     if not info.recursive_predicates:
@@ -692,6 +648,7 @@ def optimize_all_predicates(program: Program,
             small_relations=small_relations,
             compilation=compilation).optimize()
         combined.steps.extend(report.steps)
+        combined.failures.extend(report.failures)
         current = report.optimized
     combined.optimized = current
     return combined

@@ -3,10 +3,7 @@
 The paper's pitch is that semantic optimization is *compile-time* and
 therefore safe to run in front of every query.  This package supplies
 the operational half of that promise: bounded, interruptible evaluation
-(:class:`Budget`), graceful optimizer degradation
-(:class:`ResilienceReport`, produced by
-:meth:`repro.core.SemanticOptimizer.optimize_safe`), and a deterministic
-fault-injection harness (:mod:`repro.runtime.chaos`) that the test suite
+(:class:`Budget`), and a deterministic fault-injection harness (:mod:`repro.runtime.chaos`) that the test suite
 uses to prove every fallback path fires.  See ``docs/robustness.md``.
 """
 
@@ -15,7 +12,6 @@ from ..errors import (BudgetExceededError, EvaluationCancelledError,
 from .budget import (DEFAULT_DEADLINE_CHECK_INTERVAL, Budget,
                      current_budget, resolve_budget)
 from .chaos import ChaosError, ChaosPlan, active_plan, checkpoint
-from .resilience import ResilienceReport, StageFailure
 from .retry import CircuitBreaker, HealthState, RetryPolicy
 
 __all__ = [
@@ -24,6 +20,5 @@ __all__ = [
     "BudgetExceededError", "EvaluationCancelledError",
     "ServingUnavailable",
     "ChaosError", "ChaosPlan", "active_plan", "checkpoint",
-    "ResilienceReport", "StageFailure",
     "CircuitBreaker", "HealthState", "RetryPolicy",
 ]

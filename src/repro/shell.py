@@ -280,7 +280,8 @@ class Shell:
             yield "(no integrity constraints)"
             return
         optimizer = self._optimizer()
-        items = optimizer.all_residues()
+        items = [item for ic in self.ics
+                 for item in optimizer.residues(ic)]
         if not items:
             yield "(no residues)"
         for item in items:

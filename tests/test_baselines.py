@@ -26,10 +26,11 @@ class TestRuleLevelOptimizer:
 
     def test_sequence_residues_method_is_empty(self, ex32):
         from repro.baselines.rule_residues import RuleLevelOptimizer
-        optimizer = RuleLevelOptimizer(ex32.program, [ex32.ic("ic1")],
-                                       pred="eval")
-        assert optimizer.sequence_residues() == []
-        assert all(len(i.sequence) == 1 for i in optimizer.all_residues())
+        ic = ex32.ic("ic1")
+        full = SemanticOptimizer(ex32.program, [ic], pred="eval")
+        assert any(len(i.sequence) > 1 for i in full.residues(ic))
+        optimizer = RuleLevelOptimizer(ex32.program, [ic], pred="eval")
+        assert all(len(i.sequence) == 1 for i in optimizer.residues(ic))
 
 
 class TestGuidedEngine:

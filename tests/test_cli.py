@@ -157,6 +157,21 @@ class TestResidues:
         main(["residues", files["program"], "--ics", str(empty)])
         assert "(no residues)" in capsys.readouterr().out
 
+    def test_lists_what_optimize_pushes_for_non_chain_ic(self, tmp_path,
+                                                         capsys):
+        program = tmp_path / "p.dl"
+        program.write_text("r0: p(X, Y) :- e(X, Y).\n"
+                           "r1: p(X, Y) :- e(X, Z), p(Z, Y).\n")
+        ics = tmp_path / "ics.dl"
+        ics.write_text("ic1: e(X, Y), e(Y, Z), e(Y, W), W > 5 -> .\n")
+        assert main(["optimize", str(program), "--ics", str(ics)]) == 0
+        assert "[prune] ic=ic1 seq=r1 r1 residue='Z_3 > 5 ->' -> applied" \
+            in capsys.readouterr().out
+        assert main(["residues", str(program), "--ics", str(ics)]) == 0
+        out = capsys.readouterr().out
+        assert "(r1 r1; Z_3 > 5 ->)" in out
+        assert "(no residues)" not in out
+
 
 class TestDescribeAndExamples:
     def test_describe(self, tmp_path, capsys):
@@ -218,7 +233,7 @@ class TestBudgetFlags:
 
     def test_safe_optimize(self, files, capsys):
         code = main(["optimize", files["program"], "--ics", files["ics"],
-                     "--safe", "--verify", "sample"])
+                     "--verify", "sample"])
         assert code == 0
         out = capsys.readouterr().out
         assert "verification: passed" in out and "[prune]" in out

@@ -13,14 +13,17 @@ from repro.datalog import format_program
 
 
 def _optimize(example, **kwargs):
-    return SemanticOptimizer(example.program, list(example.ics),
-                             pred=example.pred, **kwargs).optimize()
+    report = SemanticOptimizer(example.program, list(example.ics),
+                               pred=example.pred, **kwargs).optimize()
+    assert report.failures == []
+    return report
 
 
 class TestGoldenPrograms:
     def test_example_3_2_default(self, ex32):
         report = SemanticOptimizer(
             ex32.program, [ex32.ic("ic1")], pred="eval").optimize()
+        assert report.failures == []
         expected = """\
 r2: eval_support(P, S, T, M) :- eval(P, S, T), pays(M, G, S, T).
 
@@ -68,6 +71,7 @@ anc_from_deep: anc(X, Xa, Y, Ya) :- anc__deep(X, Xa, Y, Ya)."""
         report = SemanticOptimizer(
             ex32.program, [ex32.ic("ic1")], pred="eval",
             compilation="automaton").optimize()
+        assert report.failures == []
         expected = """\
 r2: eval_support(P, S, T, M) :- eval(P, S, T), pays(M, G, S, T).
 
@@ -81,7 +85,9 @@ r0: eval(P, S, T) :- super(P, S, T)."""
 class TestGoldenReports:
     def test_example_4_3_report_lines(self, ex43):
         summary = _optimize(ex43).summary()
-        assert summary.splitlines()[0] == "1/2 residue pushes applied"
+        assert summary.splitlines()[0] == (
+            "1/2 residue pushes applied (0 stage(s) degraded, "
+            "verification: skipped)")
         assert "[prune] ic=ic1 seq=r1 r1 r1 residue='Ya <= 50 ->' " \
                "-> applied" in summary
 
@@ -89,8 +95,10 @@ class TestGoldenReports:
         report = SemanticOptimizer(
             ex32.program, list(ex32.ics), pred="eval",
             small_relations={"doctoral"}).optimize()
+        assert report.failures == []
         lines = report.summary().splitlines()
-        assert lines[0] == "2/2 residue pushes applied"
+        assert lines[0] == ("2/2 residue pushes applied (0 stage(s) "
+                            "degraded, verification: skipped)")
         assert any("[eliminate] ic=ic1 seq=r1 r1" in line
                    for line in lines)
         assert any("[introduce] ic=ic2 seq=r2" in line for line in lines)

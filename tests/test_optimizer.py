@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import SemanticOptimizer, check_equivalent, optimize
+from repro.core import SemanticOptimizer, check_equivalent
 from repro.core.equivalence import make_consistent, random_database
 from repro.datalog import parse_program
 from repro.errors import ProgramError
@@ -22,6 +22,7 @@ class TestEndToEnd:
     def test_example_3_2_elimination(self, ex32, rng):
         report = SemanticOptimizer(ex32.program, [ex32.ic("ic1")],
                                    pred="eval").optimize()
+        assert report.failures == []
         assert report.changed
         applied = report.applied_steps
         assert len(applied) == 1
@@ -36,6 +37,7 @@ class TestEndToEnd:
     def test_example_4_1_threaded(self, ex41, rng):
         report = SemanticOptimizer(ex41.program, [ex41.ic("ic1")],
                                    pred="triple").optimize()
+        assert report.failures == []
         applied = report.applied_steps
         assert [s.sequence for s in applied] == \
             [("r2", "r2", "r2", "r2")]
@@ -48,6 +50,7 @@ class TestEndToEnd:
     def test_example_4_3_pruning(self, ex43, rng):
         report = SemanticOptimizer(ex43.program,
                                    [ex43.ic("ic1")]).optimize()
+        assert report.failures == []
         applied = report.applied_steps
         assert applied and applied[0].outcome.action == "prune"
         # The all-recursive sequence is preferred over r1 r1 r0.
@@ -61,6 +64,7 @@ class TestEndToEnd:
         report = SemanticOptimizer(
             ex32.program, ex32.ics, pred="eval",
             small_relations={"doctoral"}).optimize()
+        assert report.failures == []
         actions = {s.outcome.action for s in report.applied_steps}
         assert actions == {"eliminate", "introduce"}
         dbs = _consistent_dbs(
@@ -71,30 +75,30 @@ class TestEndToEnd:
             assert check_equivalent(ex32.program, report.optimized, pred,
                                     dbs) is None
 
-    def test_one_call_convenience(self, ex43):
-        report = optimize(ex43.program, [ex43.ic("ic1")])
-        assert report.changed
-
 
 class TestPolicies:
     def test_introduction_needs_small_relation_declaration(self, ex32):
         report = SemanticOptimizer(ex32.program, [ex32.ic("ic2")],
                                    pred="eval").optimize()
+        assert report.failures == []
         assert not report.changed
         assert any("small" in s.outcome.reason for s in report.steps)
 
     def test_guard_none_mode(self, ex41):
         report = SemanticOptimizer(ex41.program, [ex41.ic("ic1")],
                                    pred="triple", guard="none").optimize()
+        assert report.failures == []
         # Paper mode applies more (including the loose rule-level one).
         guarded = SemanticOptimizer(ex41.program, [ex41.ic("ic1")],
                                     pred="triple").optimize()
+        assert guarded.failures == []
         assert len(report.applied_steps) >= len(guarded.applied_steps)
 
     def test_automaton_compilation_mode(self, ex32, rng):
         report = SemanticOptimizer(ex32.program, [ex32.ic("ic1")],
                                    pred="eval",
                                    compilation="automaton").optimize()
+        assert report.failures == []
         assert report.changed
         dbs = _consistent_dbs(
             {"super": 3, "works_with": 2, "expert": 2, "field": 2},
@@ -106,12 +110,14 @@ class TestPolicies:
         report = SemanticOptimizer(ex32.program, [ex32.ic("ic1")],
                                    pred="eval", compilation="automaton",
                                    collapse=False).optimize()
+        assert report.failures == []
         assert "eval__p1" in report.optimized.idb_predicates
 
     def test_collapse_on_inlines_chain(self, ex32):
         report = SemanticOptimizer(ex32.program, [ex32.ic("ic1")],
                                    pred="eval",
                                    compilation="automaton").optimize()
+        assert report.failures == []
         assert "eval__p1" not in report.optimized.idb_predicates
 
     def test_unknown_compilation_rejected(self, ex32):
@@ -126,6 +132,13 @@ class TestPolicies:
         # Sample verification evaluates with the engine's defaults.
         with pytest.raises(TypeError):
             SemanticOptimizer(ex32.program, [ex32.ic("ic1")], **knob)
+
+    def test_deleted_keywords_raise(self, ex43):
+        with pytest.raises(TypeError):
+            SemanticOptimizer(ex43.program, list(ex43.ics), max_hops=4)
+        optimizer = SemanticOptimizer(ex43.program, list(ex43.ics))
+        with pytest.raises(TypeError):
+            optimizer.optimize(stage_timeout_s=1.0)
 
     def test_pred_inference(self, ex43):
         optimizer = SemanticOptimizer(ex43.program, [ex43.ic("ic1")])
@@ -143,12 +156,14 @@ class TestPolicies:
 
     def test_no_ics_no_change(self, ex43):
         report = SemanticOptimizer(ex43.program, []).optimize()
+        assert report.failures == []
         assert not report.changed
         assert report.optimized == ex43.program
 
     def test_report_summary_format(self, ex43):
         report = SemanticOptimizer(ex43.program,
                                    [ex43.ic("ic1")]).optimize()
+        assert report.failures == []
         summary = report.summary()
         assert "pushes applied" in summary
         assert "[prune]" in summary
@@ -159,8 +174,8 @@ class TestResidueListing:
         optimizer = SemanticOptimizer(ex32.program, list(ex32.ics),
                                       pred="eval",
                                       small_relations={"doctoral"})
-        residues = optimizer.all_residues()
-        sequences = {item.sequence for item in residues}
+        sequences = {item.sequence for ic in ex32.ics
+                     for item in optimizer.residues(ic)}
         assert ("r1", "r1") in sequences
         assert ("r2",) in sequences
 
@@ -170,7 +185,8 @@ class TestResidueListing:
             "par(A, Aa, B, Ba), par(B, Ba, C, Ca), par(C, Ca, A, Aa) -> .")
         optimizer = SemanticOptimizer(ex43.program, [triangle],
                                       pred="anc")
-        assert optimizer.sequence_residues() == []
+        assert all(len(item.sequence) == 1
+                   for item in optimizer.residues(triangle))
 
 
 class TestOptimizeAllPredicates:
@@ -194,6 +210,7 @@ class TestOptimizeAllPredicates:
             ic2: boss(A, B), boss(B, C), boss(C, D) -> .
         """)
         report = optimize_all_predicates(program, ics)
+        assert report.failures == []
         optimized_preds = {step.sequence[0][0] for step in
                            report.applied_steps}
         assert report.changed
@@ -235,6 +252,7 @@ class TestOptimizeAllPredicates:
         ics = ics_from_text("icu: pays(M, G, S, T) -> doctoral(S).")
         report = optimize_all_predicates(program, ics,
                                          small_relations={"doctoral"})
+        assert report.failures == []
         assert report.changed
 
 
@@ -248,8 +266,10 @@ class TestNonRecursiveOptimizer:
         optimizer = SemanticOptimizer(program, ics,
                                       small_relations={"doctoral"})
         assert optimizer.pred is None
-        assert optimizer.sequence_residues() == []
+        assert all(len(item.sequence) == 1
+                   for item in optimizer.residues(ics[0]))
         report = optimizer.optimize()
+        assert report.failures == []
         assert report.changed
 
 
@@ -268,6 +288,7 @@ class TestPeriodicFallThrough:
         ics = ics_from_text(
             "ice: edge(A, B), edge(B, C) -> active(B).")
         report = SemanticOptimizer(program, ics, pred="reach").optimize()
+        assert report.failures == []
         applied = report.applied_steps
         assert applied, report.summary()
         # The automaton path handled it (isolation predicates exist).

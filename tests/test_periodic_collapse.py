@@ -228,6 +228,7 @@ class TestPeriodicGroups:
         program = parse_program(self.PROGRAM)
         ics = ics_from_text(self.ICS)
         report = SemanticOptimizer(program, ics, pred="reach").optimize()
+        assert report.failures == []
         applied = report.applied_steps
         assert len(applied) == 2
         assert {s.ic_label for s in applied} == {"ice", "icp"}

@@ -44,8 +44,10 @@ from repro.workloads.university import UniversityParams, generate_university
 def pushed_genealogy(generations=6, width=20):
     """Example 4.3 optimized, over an EDB that satisfies its IC."""
     example = example_4_3()
-    program = SemanticOptimizer(example.program, example.ics,
-                                pred="anc").optimize().optimized
+    report = SemanticOptimizer(example.program, example.ics,
+                               pred="anc").optimize()
+    assert report.failures == []
+    program = report.optimized
     db = generate_genealogy(
         GenealogyParams(generations=generations, width=width,
                         parents_per_person=2), random.Random(1))
@@ -55,8 +57,10 @@ def pushed_genealogy(generations=6, width=20):
 def pushed_university():
     """Example 3.2 optimized with ``ic1`` (the E1 configuration)."""
     example = example_3_2()
-    program = SemanticOptimizer(example.program, [example.ic("ic1")],
-                                pred="eval").optimize().optimized
+    report = SemanticOptimizer(example.program, [example.ic("ic1")],
+                               pred="eval").optimize()
+    assert report.failures == []
+    program = report.optimized
     db = generate_university(
         UniversityParams(professors=40, students=8, theses=8, fields=12,
                          fields_per_thesis=6, works_with_density=0.04,

@@ -2,7 +2,7 @@
 
 The fault-injection harness (:mod:`repro.runtime.chaos`) makes named
 optimizer stages or the Nth engine derivation raise or stall on cue;
-these tests prove that `optimize_safe()` degrades exactly as designed
+these tests prove that `optimize()` degrades exactly as designed
 and that engine faults surface as typed errors, not hangs.
 """
 
@@ -15,6 +15,7 @@ from repro.core.equivalence import infer_numeric_columns
 from repro.datalog import parse_atom
 from repro.runtime import ChaosError, active_plan
 from repro.runtime.chaos import checkpoint
+from repro.workloads.paper_examples import ALL_EXAMPLES
 
 PROGRAM = """
 r0: anc(X, Xa, Y, Ya) :- par(X, Xa, Y, Ya).
@@ -105,29 +106,31 @@ class TestEngineChaos:
 
 
 class TestOptimizeSafeDegradation:
-    def test_no_faults_matches_optimize(self, program, ics):
-        safe = SemanticOptimizer(program, ics).optimize_safe()
-        plain = SemanticOptimizer(program, ics).optimize()
-        assert str(safe.optimized) == str(plain.optimized)
-        assert not safe.failures and not safe.degraded
-        assert safe.changed
+    def test_no_faults_on_any_paper_example(self):
+        for make in ALL_EXAMPLES:
+            example = make()
+            report = SemanticOptimizer(example.program, list(example.ics),
+                                       pred=example.pred).optimize()
+            assert report.failures == [] and not report.degraded, \
+                example.name
 
     def test_residue_stage_fault_degrades_per_ic(self, program, ics):
         plan = ChaosPlan().fail_stage("residues")
         with plan.active():
-            report = SemanticOptimizer(program, ics).optimize_safe()
+            report = SemanticOptimizer(program, ics).optimize()
         # The stage failure is recorded, but the per-IC retry recovers
         # every residue, so the optimization still lands.
         assert [f.stage for f in report.failures] == ["residues"]
         assert report.changed
         plain = SemanticOptimizer(program, ics).optimize()
+        assert plain.failures == []
         assert str(report.optimized) == str(plain.optimized)
 
     def test_single_bad_ic_dropped_others_survive(self, program, ics):
         plan = ChaosPlan().fail_stage("residues")
         plan.fail_stage("residues:ic1", RuntimeError("ic1 is cursed"))
         with plan.active():
-            report = SemanticOptimizer(program, ics).optimize_safe()
+            report = SemanticOptimizer(program, ics).optimize()
         assert report.optimized is program  # only IC was dropped
         dropped = [f for f in report.failures
                    if f.stage == "residues:ic1"]
@@ -138,7 +141,7 @@ class TestOptimizeSafeDegradation:
             self, program, ics):
         plan = ChaosPlan().fail_stage("periodic:anc/r1")
         with plan.active():
-            report = SemanticOptimizer(program, ics).optimize_safe()
+            report = SemanticOptimizer(program, ics).optimize()
         assert any(f.stage == "periodic:anc/r1" for f in report.failures)
         # Phase 2 still pushes the residues the periodic path dropped.
         assert report.changed
@@ -147,7 +150,7 @@ class TestOptimizeSafeDegradation:
         plan = ChaosPlan().fail_stage("periodic:anc/r1")
         plan.fail_stage("push:anc/r1 r1 r1", RuntimeError("push died"))
         with plan.active():
-            report = SemanticOptimizer(program, ics).optimize_safe()
+            report = SemanticOptimizer(program, ics).optimize()
         assert any(f.stage == "push:anc/r1 r1 r1"
                    for f in report.failures)
         # Everything failed, so the sound fallback is the original.
@@ -162,7 +165,7 @@ class TestOptimizeSafeDegradation:
                       "collapse"):
             plan.fail_stage(stage)
         with plan.active():
-            report = SemanticOptimizer(program, ics).optimize_safe()
+            report = SemanticOptimizer(program, ics).optimize()
         assert report.optimized is program
         assert report.degraded and not report.changed
         # The degraded program still evaluates correctly.
@@ -172,7 +175,7 @@ class TestOptimizeSafeDegradation:
     def test_budget_expiry_degrades_instead_of_raising(self, program,
                                                        ics):
         budget = Budget(timeout_s=0.0, deadline_check_interval=1)
-        report = SemanticOptimizer(program, ics).optimize_safe(
+        report = SemanticOptimizer(program, ics).optimize(
             budget=budget)
         assert report.degraded
         assert any(f.error_type == "BudgetExceededError"
@@ -183,7 +186,7 @@ class TestOptimizeSafeDegradation:
     def test_cancellation_degrades_gracefully(self, program, ics):
         budget = Budget()
         budget.cancel()
-        report = SemanticOptimizer(program, ics).optimize_safe(
+        report = SemanticOptimizer(program, ics).optimize(
             budget=budget)
         assert report.optimized is program
         assert any(f.error_type == "EvaluationCancelledError"
@@ -193,26 +196,26 @@ class TestOptimizeSafeDegradation:
         plan = ChaosPlan().fail_stage("residues")
         plan.fail_stage("residues:ic1")
         with plan.active():
-            report = SemanticOptimizer(program, ics).optimize_safe()
+            report = SemanticOptimizer(program, ics).optimize()
         text = report.summary()
         assert "degraded" in text and "residues:ic1" in text
 
 
 class TestSampledVerification:
     def test_passes_on_sound_optimization(self, program, ics):
-        report = SemanticOptimizer(program, ics).optimize_safe(
+        report = SemanticOptimizer(program, ics).optimize(
             verify="sample")
         assert report.verification == "passed"
         assert not report.quarantined
 
     def test_skipped_when_nothing_applied(self, program):
-        report = SemanticOptimizer(program, []).optimize_safe(
+        report = SemanticOptimizer(program, []).optimize(
             verify="sample")
         assert report.verification == "skipped"
 
     def test_rejects_unknown_mode(self, program, ics):
         with pytest.raises(ValueError):
-            SemanticOptimizer(program, ics).optimize_safe(verify="full")
+            SemanticOptimizer(program, ics).optimize(verify="full")
 
     def test_quarantines_unsound_stage_output(self, program, ics):
         """A buggy stage whose output drops answers must be caught by
@@ -228,7 +231,7 @@ class TestSampledVerification:
                     [r for r in collapsed if r.label != "anc_from_d0"],
                     edb_hint=tuple(collapsed.edb_predicates))
 
-        report = BuggyOptimizer(program, ics).optimize_safe(
+        report = BuggyOptimizer(program, ics).optimize(
             verify="sample")
         assert report.verification == "mismatch"
         assert report.quarantined
@@ -239,7 +242,7 @@ class TestSampledVerification:
     def test_verification_error_keeps_optimization(self, program, ics):
         plan = ChaosPlan().fail_stage("verify")
         with plan.active():
-            report = SemanticOptimizer(program, ics).optimize_safe(
+            report = SemanticOptimizer(program, ics).optimize(
                 verify="sample")
         assert report.verification == "error"
         assert not report.quarantined
