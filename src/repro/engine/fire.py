@@ -146,8 +146,8 @@ class Firer:
 
         The list is in the storage domain (codes when interned) and
         carries *multiplicity* — one entry per body solution the hook
-        let through — which is what the counting algorithm consumes; the
-        set-based schedules hand it to :meth:`merge`.  ``variant`` keys
+        let through — which :meth:`merge` counts as duplicate
+        derivations.  ``variant`` keys
         the kernel (one per delta-redirected occurrence or maintenance
         pass) and is planned at its first firing only; ``frontier`` and
         ``ranked`` are as in :func:`estimators`.

@@ -115,7 +115,7 @@ class EvaluationCancelledError(EvaluationError):
 class IncrementalUnsupported(EvaluationError):
     """Raised when a changeset cannot be maintained incrementally.
 
-    Deletion maintenance (counting / DRed) is only exact for the
+    Deletion maintenance (DRed) is only exact for the
     *monotone* part of a program: when a changed predicate can reach a
     negated occurrence, removing or adding EDB rows may grow or shrink
     relations non-monotonically and the delta passes no longer bound the

@@ -10,11 +10,10 @@ immutable EDB snapshot.  This module keeps an already-computed IDB
   inside one evaluation are reused *across* EDB versions, which is the
   fixpoint-maintenance reading of semi-naive evaluation (Zaniolo et
   al., PAPERS.md).
-* **Deletions** use the *counting algorithm* for non-recursively
-  defined predicates (exact derivation counts, maintained per update)
-  and *DRed* — delete-and-rederive — for recursive strata: overdelete
-  everything the deleted rows could have supported, then rederive what
-  still has a proof from the reduced database.
+* **Deletions** use *DRed* — delete-and-rederive — in every stratum,
+  recursive or not: overdelete everything the deleted rows could have
+  supported, then rederive what still has a proof from the reduced
+  database.
 
 Both passes run stratum by stratum.  A changeset with deletions runs a
 full deletion pass first (taking the database from the pre state to the
@@ -26,14 +25,12 @@ mixed changesets.  Programs where a changed predicate can reach a
 relations and neither pass bounds the effect — and the serving layer
 (:mod:`repro.serving`) falls back to full recomputation.
 
-Counting exactness relies on the classic delta partition: for a rule
-with ``k`` occurrences of changed predicates, firing ``i`` redirects
-occurrence ``i`` to the delta, occurrences before ``i`` to the *after*
-state and occurrences after ``i`` to the *before* state, so every lost
-(or gained) derivation is counted at exactly one firing.  The set-based
-insertion pass only needs the cheaper superset partition (delta at
-``i``, current state elsewhere), exactly like the in-evaluation
-semi-naive rounds.
+Neither pass needs an exact delta partition.  The insertion pass reads
+the delta at one occurrence and the current state everywhere else,
+exactly like the in-evaluation semi-naive rounds; the overdeletion pass
+reads the *before* state at every other occurrence of a changed
+predicate, so it finds every derivation a deleted row took part in —
+a superset that the sets absorb and rederivation corrects.
 """
 
 from __future__ import annotations
@@ -51,12 +48,12 @@ from ..facts.changelog import Changeset
 from ..facts.database import Database
 from ..facts.relation import Relation, Row
 from ..runtime.budget import Budget, resolve_budget
-from ..engine.bindings import (EvalStats, check_edb_arities,
+from ..engine.bindings import (EvalStats, Fetch, check_edb_arities,
                                validate_planner)
 from ..engine.compile import KernelCache
 from ..engine.fire import Firer
 from ..engine.naive import DEFAULT_MAX_ITERATIONS
-from ..engine.stratify import is_recursive_stratum, stratify
+from ..engine.stratify import stratify
 
 
 @dataclass
@@ -84,68 +81,8 @@ class MaintenanceResult:
                 f"-{self.total_removed()})")
 
 
-class SupportCounts:
-    """Exact derivation counts for non-recursively defined predicates.
-
-    ``by_pred[pred][row]`` is the number of distinct rule-body
-    derivations of ``row`` in the current database state.  Only
-    predicates in non-recursive strata are covered (cyclic support makes
-    plain counts meaningless — those strata use DRed);
-    :func:`maintain` keeps covered counters exact across updates, so a
-    view pays the one-pass construction cost once at materialization.
-    """
-
-    def __init__(self) -> None:
-        self.by_pred: dict[str, dict[Row, int]] = {}
-
-    def covers(self, pred: str) -> bool:
-        return pred in self.by_pred
-
-    def counter(self, pred: str) -> dict[Row, int]:
-        return self.by_pred.setdefault(pred, {})
-
-    def total(self) -> int:
-        return sum(sum(c.values()) for c in self.by_pred.values())
-
-    def __repr__(self) -> str:
-        return (f"SupportCounts({len(self.by_pred)} preds, "
-                f"{self.total()} derivations)")
-
-
-def support_counts(program: Program, edb: Database, idb: Database,
-                   stats: EvalStats | None = None,
-                   executor: str = "compiled") -> SupportCounts:
-    """Build derivation counts over a *converged* ``edb``/``idb`` pair.
-
-    One extra firing of every non-recursive rule against the final
-    state; recursive strata are skipped (DRed handles them without
-    counts).
-    """
-    firer = Firer("greedy", executor, edb.symbols,
-                  stats if stats is not None else EvalStats())
-    counts = SupportCounts()
-    arities = program.predicate_arities()
-
-    def fetch(atom: Atom, index: int) -> Relation:
-        if atom.pred in program.idb_predicates:
-            return idb.relation(atom.pred)
-        return edb.relation_or_empty(atom.pred, arities[atom.pred])
-
-    for stratum in stratify(program):
-        rules = [r for r in program if r.head.pred in stratum]
-        if is_recursive_stratum(stratum, rules):
-            continue
-        for rule in rules:
-            derived = firer.run(rule, fetch, ("support",))
-            counter = counts.counter(rule.head.pred)
-            for row in derived:
-                counter[row] = counter.get(row, 0) + 1
-    return counts
-
-
 def maintain(program: Program, edb: Database, idb: Database,
              changeset: Changeset,
-             counts: SupportCounts | None = None,
              stats: EvalStats | None = None,
              planner: str = "greedy",
              executor: str = "compiled",
@@ -161,12 +98,11 @@ def maintain(program: Program, edb: Database, idb: Database,
     ``idb`` — the materialization of ``program`` over the pre state —
     is updated **in place**; the pre-state relations the delta passes
     need are reconstructed internally from the changeset, so callers
-    never keep two EDB copies.
+    keep neither two EDB copies nor any per-row bookkeeping between
+    calls.
 
-    ``counts`` (from :func:`support_counts`) switches non-recursive
-    strata from DRed to the counting algorithm and is kept exact across
-    the call.  ``kernels`` lets a serving layer reuse compiled rule
-    kernels across refreshes.  ``planner`` is validated as in
+    ``kernels`` lets a serving layer reuse compiled rule kernels
+    across refreshes.  ``planner`` is validated as in
     :func:`~repro.engine.evaluate`; ``"source"`` keeps body atoms in
     rule order and the other two plan greedily over delta-aware sizes —
     each occurrence ranked by the relation its pass reads (the delta for
@@ -192,7 +128,7 @@ def maintain(program: Program, edb: Database, idb: Database,
             f"{', '.join(sorted(derived))}; incremental maintenance "
             "updates EDB relations only")
     _require_monotone_impact(program, changeset.predicates())
-    return _Maintenance(program, edb, idb, changeset, counts, firer,
+    return _Maintenance(program, edb, idb, changeset, firer,
                         max_iterations).run()
 
 
@@ -222,12 +158,11 @@ class _Maintenance:
     """One maintenance run: deletion pass, then insertion pass."""
 
     def __init__(self, program: Program, edb: Database, idb: Database,
-                 changeset: Changeset, counts: SupportCounts | None,
-                 firer: Firer, max_iterations: int) -> None:
+                 changeset: Changeset, firer: Firer,
+                 max_iterations: int) -> None:
         self.program = program
         self.edb = edb
         self.idb = idb
-        self.counts = counts
         self.firer = firer
         self.stats = firer.stats
         self.max_iterations = max_iterations
@@ -246,10 +181,9 @@ class _Maintenance:
         # Net IDB deltas, accumulated as the passes climb the strata.
         self.idb_removed: dict[str, set[Row]] = {}
         self.idb_added: dict[str, set[Row]] = {}
-        # Lazily reconstructed alternate states, one cache per pass.
+        # Lazily reconstructed deletion-pass states.
         self._mid_edb: dict[str, Relation] = {}
         self._del_before: dict[str, Relation] = {}
-        self._ins_before: dict[str, Relation] = {}
 
     # -- domain helpers ------------------------------------------------------
     def _encode_rows(self, rows: Iterable[Iterable[ConstValue]]
@@ -306,22 +240,11 @@ class _Maintenance:
             return self.idb.relation(pred)
         return self._edb_relation(pred)
 
-    def _ins_before_rel(self, pred: str) -> Relation:
-        """The mid-state relation of an insertion-changed predicate."""
-        before = self._ins_before.get(pred)
-        if before is None:
-            before = self._ins_current(Atom(pred, ()), -1).copy()
-            delta = self.edb_inserts.get(pred) \
-                or self.idb_added.get(pred) or set()
-            before.raw_discard_all(delta)
-            self._ins_before[pred] = before
-        return before
-
     # -- budget / chaos ------------------------------------------------------
     def _tick_rows(self, rows: list[Row], last_round: int = 0) -> None:
         """Budget/chaos events of a firing whose rows are *not* merged
-        (the counting and overdeletion passes consume them themselves):
-        one chaos event per row, one checkpoint per firing."""
+        (overdeletion and rederivation consume them themselves): one
+        chaos event per row, one checkpoint per firing."""
         chaos_plan, budget = self.firer.chaos_plan, self.firer.budget
         if chaos_plan is not None:
             for _ in rows:
@@ -348,7 +271,7 @@ class _Maintenance:
             for stratum in strata]
         if self.edb_deletes:
             for stratum, rules in zip(strata, rules_by_stratum):
-                self._delete_stratum(stratum, rules)
+                self._dred(stratum, rules)
         if self.edb_inserts:
             for stratum, rules in zip(strata, rules_by_stratum):
                 self._insert_stratum(stratum, rules)
@@ -365,72 +288,10 @@ class _Maintenance:
                 changed[pred] = rows
         return changed
 
-    def _delete_stratum(self, stratum: frozenset[str],
-                        rules: list[Rule]) -> None:
+    def _dred(self, stratum: frozenset[str], rules: list[Rule]) -> None:
         changed = self._del_changed()
         if not changed:
             return
-        use_counting = (self.counts is not None
-                        and not is_recursive_stratum(stratum, rules)
-                        and all(self.counts.covers(p) for p in stratum))
-        if use_counting:
-            self._counting_delete(stratum, rules, changed)
-        else:
-            self._dred(stratum, rules, changed)
-
-    def _partition_fetch(self, rule: Rule, delta_index: int,
-                         delta_rel: Relation,
-                         changed: dict[str, set[Row]],
-                         before, current):
-        """Exact-partition fetch: delta at ``delta_index``, after-state
-        left of it, before-state right of it, live state elsewhere."""
-
-        def fetch(atom: Atom, index: int) -> Relation:
-            if index == delta_index:
-                return delta_rel
-            if atom.pred in changed:
-                if index < delta_index:
-                    return current(atom, index)
-                return before(atom.pred)
-            return current(atom, index)
-
-        return fetch
-
-    def _counting_delete(self, stratum: frozenset[str],
-                         rules: list[Rule],
-                         changed: dict[str, set[Row]]) -> None:
-        assert self.counts is not None
-        removed: dict[str, set[Row]] = {p: set() for p in stratum}
-        for rule in rules:
-            counter = self.counts.counter(rule.head.pred)
-            target = self.idb.relation(rule.head.pred)
-            for index, lit in enumerate(rule.body):
-                if not isinstance(lit, Atom) or lit.pred not in changed:
-                    continue
-                delta_rel = self._delta_relation(lit.pred,
-                                                 changed[lit.pred])
-                fetch = self._partition_fetch(
-                    rule, index, delta_rel, changed,
-                    self._del_before_rel, self._del_current)
-                lost = self.firer.run(rule, fetch, ("count-del", index))
-                self._tick_rows(lost)
-                for row in lost:
-                    support = counter.get(row)
-                    if support is None:
-                        continue
-                    if support > 1:
-                        counter[row] = support - 1
-                    else:
-                        del counter[row]
-                        if target.raw_discard(row):
-                            removed[rule.head.pred].add(row)
-        for pred, rows in removed.items():
-            if rows:
-                self.idb_removed.setdefault(pred, set()).update(rows)
-                self.stats.retracted += len(rows)
-
-    def _dred(self, stratum: frozenset[str], rules: list[Rule],
-              changed: dict[str, set[Row]]) -> None:
         rels = {pred: self.idb.relation(pred) for pred in stratum}
 
         # Phase 1 — overdelete closure.  Non-delta occurrences read the
@@ -450,25 +311,25 @@ class _Maintenance:
                     seen.add(row)
                     fresh.add(row)
 
+        def over_fetch(target: int, delta: Relation) -> Fetch:
+            def fetch(atom: Atom, occurrence: int) -> Relation:
+                if occurrence == target:
+                    return delta
+                if atom.pred in stratum:
+                    return rels[atom.pred]
+                if atom.pred in changed:
+                    return self._del_before_rel(atom.pred)
+                return self._del_current(atom, occurrence)
+            return fetch
+
         for rule in rules:
             for index, lit in enumerate(rule.body):
                 if not isinstance(lit, Atom) or lit.pred not in changed:
                     continue
                 delta_rel = self._delta_relation(lit.pred,
                                                  changed[lit.pred])
-
-                def fetch(atom: Atom, occurrence: int,
-                          _target: int = index,
-                          _delta: Relation = delta_rel) -> Relation:
-                    if occurrence == _target:
-                        return _delta
-                    if atom.pred in stratum:
-                        return rels[atom.pred]
-                    if atom.pred in changed:
-                        return self._del_before_rel(atom.pred)
-                    return self._del_current(atom, occurrence)
-
-                derived = self.firer.run(rule, fetch, ("dred-seed", index))
+                derived = self.firer.run(rule, over_fetch(index, delta_rel),
+                                         ("dred-seed", index))
                 self._tick_rows(derived)
                 collect(rule, derived)
 
@@ -484,22 +345,10 @@ class _Maintenance:
                     if not isinstance(lit, Atom) \
                             or lit.pred not in stratum:
                         continue
-                    if not len(frontier_rels[lit.pred]):
+                    front = frontier_rels[lit.pred]
+                    if not len(front):
                         continue
-
-                    def fetch(atom: Atom, occurrence: int,
-                              _target: int = index,
-                              _fronts: dict = frontier_rels
-                              ) -> Relation:
-                        if occurrence == _target:
-                            return _fronts[atom.pred]
-                        if atom.pred in stratum:
-                            return rels[atom.pred]
-                        if atom.pred in changed:
-                            return self._del_before_rel(atom.pred)
-                        return self._del_current(atom, occurrence)
-
-                    derived = self.firer.run(rule, fetch,
+                    derived = self.firer.run(rule, over_fetch(index, front),
                                              ("dred-front", index))
                     self._tick_rows(derived, last_round=rounds - 1)
                     collect(rule, derived)
@@ -597,12 +446,6 @@ class _Maintenance:
         changed = self._ins_changed()
         if not changed:
             return
-        use_counting = (self.counts is not None
-                        and not is_recursive_stratum(stratum, rules)
-                        and all(self.counts.covers(p) for p in stratum))
-        if use_counting:
-            self._counting_insert(stratum, rules, changed)
-            return
         seeds: dict[str, set[Row]] = {pred: set() for pred in stratum}
         for rule in rules:
             target = self.idb.relation(rule.head.pred)
@@ -630,38 +473,8 @@ class _Maintenance:
             if rows:
                 self.idb_added.setdefault(pred, set()).update(rows)
 
-    def _counting_insert(self, stratum: frozenset[str],
-                         rules: list[Rule],
-                         changed: dict[str, set[Row]]) -> None:
-        assert self.counts is not None
-        added: dict[str, set[Row]] = {pred: set() for pred in stratum}
-        for rule in rules:
-            counter = self.counts.counter(rule.head.pred)
-            target = self.idb.relation(rule.head.pred)
-            for index, lit in enumerate(rule.body):
-                if not isinstance(lit, Atom) or lit.pred not in changed:
-                    continue
-                delta_rel = self._delta_relation(lit.pred,
-                                                 changed[lit.pred])
-                fetch = self._partition_fetch(
-                    rule, index, delta_rel, changed,
-                    self._ins_before_rel, self._ins_current)
-                gained = self.firer.run(rule, fetch, ("count-ins", index))
-                self._tick_rows(gained)
-                for row in gained:
-                    support = counter.get(row, 0)
-                    counter[row] = support + 1
-                    if support == 0 and target.raw_add(row):
-                        added[rule.head.pred].add(row)
-                        self.stats.derivations += 1
-                    elif support:
-                        self.stats.duplicate_derivations += 1
-        for pred, rows in added.items():
-            if rows:
-                self.idb_added.setdefault(pred, set()).update(rows)
-
     def _propagate(self, stratum: frozenset[str], rules: list[Rule],
-                   deltas: dict[str, set[Row]], current,
+                   deltas: dict[str, set[Row]], current: Fetch,
                    collect_into: dict[str, set[Row]] | None) -> None:
         """Standard semi-naive delta rounds within one stratum."""
         live = {pred: set(rows) for pred, rows in deltas.items()}

@@ -5,10 +5,9 @@ A :class:`MaterializedView` pairs one program with one
 the program's full IDB materialized across EDB versions — the first
 use pays a fixpoint evaluation, every later use pays only
 :func:`~repro.incremental.maintain.maintain` over the net changeset
-since the version the view last saw.  Compiled rule kernels and
-support counts persist inside the view, so the compile-once /
-reuse-many economics the paper argues for rewrites (Section 3) extend
-across the whole update stream.
+since the version the view last saw.  Compiled rule kernels persist
+inside the view, so the compile-once / reuse-many economics the paper
+argues for rewrites (Section 3) extend across the whole update stream.
 
 A :class:`Server` is a registry of such views keyed by
 ``(program fingerprint, planner, executor)`` — the knobs that change
@@ -18,11 +17,11 @@ answered straight from the warm IDB.
 
 Concurrency additions (PR 6):
 
-* **State transitions are atomic.**  ``_materialize`` computes the new
-  IDB and support counts into locals and commits them in one step, so
-  a fault mid-rebuild (budget, chaos, bug) leaves the previous
-  state — in particular the last published snapshot — fully intact and
-  the view cleanly ``valid=False``, never half-built.
+* **State transitions are atomic.**  ``_materialize`` replaces the IDB
+  only once the new one is fully evaluated, so a fault mid-rebuild
+  (budget, chaos, bug) leaves the previous state — in particular the
+  last published snapshot — fully intact and the view cleanly
+  ``valid=False``, never half-built.
 * **Snapshot publication.**  With ``publish_snapshots=True`` every
   successful refresh ends by swapping in an immutable
   :class:`~repro.serving.snapshots.Snapshot` (version-pinned EDB + IDB
@@ -65,8 +64,7 @@ from ..engine.bindings import EvalStats
 from ..engine.compile import KernelCache, validate_executor
 from ..engine.bindings import validate_planner
 from ..engine.seminaive import answers, seminaive_evaluate
-from ..incremental.maintain import MaintenanceResult, SupportCounts, \
-    maintain, support_counts
+from ..incremental.maintain import MaintenanceResult, maintain
 from ..runtime import chaos
 from ..runtime.budget import Budget
 from .snapshots import Snapshot
@@ -160,7 +158,6 @@ class MaterializedView:
         self.planner = planner
         self.executor = executor
         self.idb: Database | None = None
-        self.counts: SupportCounts | None = None
         self.kernels = KernelCache(symbols=source.db.symbols) \
             if executor == "compiled" else None
         #: EDB version the materialization reflects; -1 = never built.
@@ -200,10 +197,9 @@ class MaterializedView:
     def _materialize(self, budget: Budget | None) -> str:
         """Full from-scratch rebuild with an atomic commit.
 
-        The new IDB and support counts are computed into locals; the
-        view's own state is only touched once everything succeeded.  An
-        error at any point (chaos fault, budget expiry, engine bug)
-        therefore leaves the previous ``idb``/``counts``/``snapshot``
+        The view's own state is only touched once the new IDB is fully
+        evaluated.  An error at any point (chaos fault, budget expiry,
+        engine bug) therefore leaves the previous ``idb``/``snapshot``
         exactly as they were — the view is cleanly invalid, never
         half-built.
         """
@@ -212,14 +208,9 @@ class MaterializedView:
         chaos.checkpoint("serving:materialize")
         target_version = self.source.version
         stats = EvalStats()
-        idb = seminaive_evaluate(
+        self.idb = seminaive_evaluate(
             self.program, self.source.db, stats=stats,
             planner=self.planner, budget=budget, executor=self.executor)
-        counts = support_counts(
-            self.program, self.source.db, idb, stats=stats,
-            executor=self.executor)
-        self.idb = idb
-        self.counts = counts
         self._delta = None
         self.stats.merge(stats)
         self.version = target_version
@@ -261,7 +252,7 @@ class MaterializedView:
             chaos.checkpoint("serving:refresh")
             result = maintain(
                 self.program, self.source.db, self.idb, changes,
-                counts=self.counts, stats=self.stats,
+                stats=self.stats,
                 planner=self.planner, executor=self.executor,
                 budget=budget, kernels=self.kernels)
         except IncrementalUnsupported:
@@ -357,8 +348,6 @@ class MaterializedView:
             "version": self.version,
             "source_version": self.source.version,
             "valid": self.valid,
-            "counts": self.counts is not None
-            and len(self.counts.by_pred),
             "full_refreshes": self.full_refreshes,
             "incremental_refreshes": self.incremental_refreshes,
             "last_mode": self.last_mode,

@@ -333,7 +333,6 @@ def test_the_row_chain_and_its_fork_stay_removed():
     import repro.engine.compile as compile_module
     from repro.analysis.passes import CODES
     from repro.facts import Relation, VersionedDatabase
-    from repro.incremental.maintain import support_counts
     from repro.serving import MaterializedView, Server
 
     with pytest.raises(ImportError):
@@ -359,8 +358,6 @@ def test_the_row_chain_and_its_fork_stay_removed():
     idb = evaluate(program, edb).idb
     with pytest.raises(TypeError):
         maintain(program, edb, idb, Changeset(), hook=hook)
-    with pytest.raises(TypeError):
-        support_counts(program, edb, idb, hook=hook)
     with pytest.raises(TypeError):
         MaterializedView(program, VersionedDatabase(edb), hook=hook)
     with pytest.raises(TypeError):

@@ -3,10 +3,10 @@
 The contract under test: a materialized IDB maintained through any
 sequence of EDB changesets must fingerprint identically to a
 from-scratch evaluation of the post-change database — across
-executors, interning modes, counting and DRed strata, and through
-every failure path (budget exhaustion, chaos faults, unsupported
-changesets), where serving must self-heal with a full rebuild rather
-than ever serving a half-maintained state.
+executors, interning modes, recursive and non-recursive strata (DRed
+deletes in both), and through every failure path (budget exhaustion,
+chaos faults, unsupported changesets), where serving must self-heal
+with a full rebuild rather than ever serving a half-maintained state.
 """
 
 import random
@@ -24,7 +24,7 @@ from repro.facts import Database
 from repro.facts.symbols import SymbolTable
 from repro.facts.changelog import (Changeset, VersionedDatabase,
                                    random_changeset)
-from repro.incremental import maintain, support_counts
+from repro.incremental import maintain
 from repro.runtime import ChaosError
 from repro.runtime.budget import Budget
 from repro.runtime.chaos import ChaosPlan
@@ -69,14 +69,21 @@ r1: sg(X, Y) :- par(X, Xp), sg(Xp, Yp), par(Y, Yp).
 
 def _maintenance_workloads():
     """(program, EDB) pairs: transitive closure, same-generation over a
-    3x3 tree, and the magic-rewritten bound query — a served magic view
-    materializes the *rewritten* program, so that is what is maintained.
+    3x3 tree, the magic-rewritten bound query — a served magic view
+    materializes the *rewritten* program, so that is what is maintained
+    — and a non-recursive two-stratum program whose rows have several
+    derivations each.
     """
     tc = parse_program(TC)
     family = tree_edges(3, 3, pred="par")
     for person in sorted({v for row in family.facts("par") for v in row}):
         family.add_fact("person", person)
+    parents = Database({"father": [(f"f{i}", f"c{i % 7}")
+                                   for i in range(20)],
+                        "mother": [(f"c{i % 7}", f"g{i % 5}")
+                                   for i in range(20)]})
     return [
+        pytest.param(parse_program(NONREC), parents, id="nonrecursive"),
         pytest.param(tc, random_digraph(80, 240, random.Random(7)),
                      id="transitive_closure"),
         pytest.param(parse_program(SAME_GENERATION), family,
@@ -95,10 +102,8 @@ def test_maintenance_matches_recomputation(program, edb, trial):
                                  delete_fraction=0.03)
     versioned = VersionedDatabase(edb.copy())
     idb = seminaive_evaluate(program, versioned.db)
-    counts = support_counts(program, versioned.db, idb)
     versioned.apply(changeset, idb_predicates=program.idb_predicates)
-    maintain(program, versioned.db, idb, versioned.changes_since(0),
-             counts=counts)
+    maintain(program, versioned.db, idb, versioned.changes_since(0))
     recomputed = seminaive_evaluate(program, versioned.db)
     assert relation_fingerprint(idb) == relation_fingerprint(recomputed)
 
@@ -125,45 +130,36 @@ def test_update_stream_matches_from_scratch(executor, interning):
 
 # -- algorithm-level invariants ----------------------------------------------
 
-def test_counting_keeps_multiply_supported_rows():
-    program = parse_program(NONREC)
-    db = Database({"father": [("a", "b")],
-                   "mother": [("a", "b"), ("c", "b")]})
-    versioned = VersionedDatabase(db)
-    idb = seminaive_evaluate(program, db)
-    counts = support_counts(program, db, idb)
-    versioned.apply(Changeset().delete("father", ("a", "b")))
-    maintain(program, db, idb, versioned.changes_since(0), counts=counts)
-    # parent(a, b) still has its mother-derivation.
-    assert ("a", "b") in idb.facts("parent")
-    versioned.apply(Changeset().delete("mother", ("a", "b")))
-    maintain(program, db, idb, versioned.changes_since(1), counts=counts)
-    assert ("a", "b") not in idb.facts("parent")
+def test_dred_keeps_multiply_supported_rows():
+    # A served view deletes through DRed in a non-recursive stratum too:
+    # parent(a, b) loses its father-derivation, is overdeleted, and
+    # comes back through its mother-derivation.
+    server = Server(Database({"father": [("a", "b")],
+                              "mother": [("a", "b"), ("c", "b")]}))
+    view = server.view(parse_program(NONREC))
+    view.refresh()
+    server.apply(Changeset().delete("father", ("a", "b")))
+    assert view.refresh() == "incremental"
+    assert ("a", "b") in view.facts("parent")
+    assert (view.stats.overdeleted, view.stats.rederived) == (1, 1)
+    server.apply(Changeset().delete("mother", ("a", "b")))
+    assert view.refresh() == "incremental"
+    assert ("a", "b") not in view.facts("parent")
 
 
-def test_counts_stay_exact_across_maintenance():
+def test_the_counting_algorithm_stays_removed():
+    # Removal pin: one deletion algorithm, so nothing to build, pass or
+    # keep between calls.
+    import repro.incremental as incremental
+    import repro.incremental.maintain as maintain_module
+
+    for module in (incremental, maintain_module):
+        for name in ("SupportCounts", "support_counts"):
+            assert not hasattr(module, name)
     program, db = _small_tc()
-    # A non-recursive projection over the recursive workload's EDB.
-    program = parse_program(NONREC)
-    db = Database({"father": [(f"f{i}", f"c{i % 7}") for i in range(20)],
-                   "mother": [(f"c{i % 7}", f"g{i % 5}")
-                              for i in range(20)]})
-    versioned = VersionedDatabase(db)
     idb = seminaive_evaluate(program, db)
-    counts = support_counts(program, db, idb)
-    rng = random.Random(3)
-    changeset = random_changeset(db, rng, insert_fraction=0.2,
-                                 delete_fraction=0.2)
-    versioned.apply(changeset, idb_predicates=program.idb_predicates)
-    maintain(program, db, idb, versioned.changes_since(0), counts=counts)
-    rebuilt = support_counts(program, db,
-                             seminaive_evaluate(program, db))
-
-    def normalized(c):
-        return {pred: {row: n for row, n in counter.items() if n}
-                for pred, counter in c.by_pred.items()}
-
-    assert normalized(counts) == normalized(rebuilt)
+    with pytest.raises(TypeError):
+        maintain(program, db, idb, Changeset(), counts=None)
 
 
 def test_dred_rederives_alternative_paths():
@@ -196,10 +192,9 @@ def test_person_changes_avoid_the_negation_and_maintain():
     db = Database({"person": [("a",), ("b",)], "edge": [("a", "b")]})
     versioned = VersionedDatabase(db)
     idb = seminaive_evaluate(program, db)
-    counts = support_counts(program, db, idb)
     # person reaches no negated occurrence, so this stays incremental.
     versioned.apply(Changeset().insert("person", ("c",)))
-    maintain(program, db, idb, versioned.changes_since(0), counts=counts)
+    maintain(program, db, idb, versioned.changes_since(0))
     assert ("c",) in idb.facts("lone")
 
 

@@ -108,13 +108,15 @@ def test_staleness_bound_axes():
         StalenessBound(max_age_s=-0.5)
 
 
-def test_support_counts_are_not_optional():
+def test_a_view_takes_no_counting_option():
     server = Server(_chain_db(2))
-    with pytest.raises(TypeError):
-        server.view(parse_program(TC), use_counts=False)
+    for option in ("use_counts", "counts"):
+        with pytest.raises(TypeError):
+            server.view(parse_program(TC), **{option: False})
     view = server.view(parse_program(TC))
-    view.refresh()
-    assert view.counts is not None
+    assert view.refresh() == "full"
+    assert not hasattr(view, "counts")
+    assert "counts" not in view.describe()
 
 
 # -- retry policy ------------------------------------------------------------
