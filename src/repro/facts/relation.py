@@ -632,11 +632,10 @@ class Relation:
 
         Rows are copied (one C-level set copy); indexes are **not** —
         they rebuild lazily on the copy's first probe, exactly as on a
-        freshly loaded relation.  State-reconstruction copies
-        (incremental maintenance's before/mid states, a snapshot base
-        taken at compaction) therefore pay nothing for indexes the copy
-        never probes, which profiling showed dominating copy cost when
-        every index was eagerly duplicated.  The copy gets a fresh
+        freshly loaded relation.  A snapshot base taken at compaction
+        therefore pays nothing for indexes its readers never probe,
+        which profiling showed dominating copy cost when every index
+        was eagerly duplicated.  The copy gets a fresh
         ``(uid, version)`` identity so cached predicate checks against
         the source never leak to it.
         """

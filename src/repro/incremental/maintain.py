@@ -31,17 +31,24 @@ exactly like the in-evaluation semi-naive rounds; the overdeletion pass
 reads the *before* state at every other occurrence of a changed
 predicate, so it finds every derivation a deleted row took part in —
 a superset that the sets absorb and rederivation corrects.
+
+No state is copied.  Every firing reads the live relations with the
+changed rows toggled in place, at O(|Δ|) and with every live index kept
+current: the EDB inserts are out for the deletion pass (post → mid),
+each stratum's overdeletion has the changed predicates' deleted rows
+back in (mid → before), and the insertion pass reads the post state.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Collection, Iterable, Iterator
 
 from ..datalog.atoms import Atom
 from ..datalog.program import Program
 from ..datalog.rules import Negation, Rule
-from ..datalog.terms import ConstValue
+from ..datalog.terms import Constant, ConstValue
 from ..errors import (BudgetExceededError, EvaluationError,
                       IncrementalUnsupported)
 from ..facts.changelog import Changeset
@@ -96,10 +103,13 @@ def maintain(program: Program, edb: Database, idb: Database,
     ``changeset`` must be the *effective* delta: every delete was
     present before, every insert absent, and the two sets are disjoint.
     ``idb`` — the materialization of ``program`` over the pre state —
-    is updated **in place**; the pre-state relations the delta passes
-    need are reconstructed internally from the changeset, so callers
-    keep neither two EDB copies nor any per-row bookkeeping between
-    calls.
+    is updated **in place**.  The earlier states the delta passes read
+    are ``edb`` itself with the changeset's rows toggled in place, so
+    ``edb`` is **mutated during the call** and is in its post state
+    again whenever the call returns or raises.  No other thread may
+    read it meanwhile; the serving layer ensures that (readers see only
+    published snapshots, and one writer at a time applies and
+    refreshes).  Callers keep no per-row bookkeeping between calls.
 
     ``kernels`` lets a serving layer reuse compiled rule kernels
     across refreshes.  ``planner`` is validated as in
@@ -178,12 +188,13 @@ class _Maintenance:
         for pred in changeset.predicates():
             self.arities.setdefault(pred, _changeset_arity(changeset,
                                                            pred))
-        # Net IDB deltas, accumulated as the passes climb the strata.
+        # Net IDB deltas, accumulated as the passes climb the strata;
+        # a predicate is only entered with rows.
         self.idb_removed: dict[str, set[Row]] = {}
         self.idb_added: dict[str, set[Row]] = {}
-        # Lazily reconstructed deletion-pass states.
-        self._mid_edb: dict[str, Relation] = {}
-        self._del_before: dict[str, Relation] = {}
+        # EDB relations, resolved once: a predicate the database lacks
+        # gets one empty stand-in, so rows toggled into it are seen.
+        self._edb_rels: dict[str, Relation] = {}
 
     # -- domain helpers ------------------------------------------------------
     def _encode_rows(self, rows: Iterable[Iterable[ConstValue]]
@@ -198,47 +209,36 @@ class _Maintenance:
         rel.raw_merge(rows)
         return rel
 
-    def _edb_relation(self, pred: str) -> Relation:
-        return self.edb.relation_or_empty(pred, self.arities[pred])
-
-    # -- state views ---------------------------------------------------------
-    def _del_current(self, atom: Atom, index: int) -> Relation:
-        """The *mid*-state relation during the deletion pass.
-
-        EDB relations already hold the post state, so predicates with
-        pending insertions read through a copy with those rows backed
-        out; IDB relations are live (lower strata are final for this
-        pass, the running stratum reads its own evolving state).
-        """
-        pred = atom.pred
+    # -- the state every pass reads ------------------------------------------
+    def _live(self, pred: str) -> Relation:
+        """``pred``'s live relation, as the toggles have left it: what
+        every occurrence no pass redirects to a delta reads."""
         if pred in self.program.idb_predicates:
             return self.idb.relation(pred)
-        if pred in self.edb_inserts:
-            mid = self._mid_edb.get(pred)
-            if mid is None:
-                mid = self._edb_relation(pred).copy()
-                mid.raw_discard_all(self.edb_inserts[pred])
-                self._mid_edb[pred] = mid
-            return mid
-        return self._edb_relation(pred)
+        if pred not in self._edb_rels:
+            self._edb_rels[pred] = self.edb.relation_or_empty(
+                pred, self.arities[pred])
+        return self._edb_rels[pred]
 
-    def _del_before_rel(self, pred: str) -> Relation:
-        """The pre-state relation of a deletion-changed predicate."""
-        before = self._del_before.get(pred)
-        if before is None:
-            before = self._del_current(Atom(pred, ()), -1).copy()
-            delta = self.edb_deletes.get(pred) \
-                or self.idb_removed.get(pred) or set()
-            before.raw_merge(delta)
-            self._del_before[pred] = before
-        return before
-
-    def _ins_current(self, atom: Atom, index: int) -> Relation:
-        """The live (post-state) relation during the insertion pass."""
-        pred = atom.pred
-        if pred in self.program.idb_predicates:
-            return self.idb.relation(pred)
-        return self._edb_relation(pred)
+    @contextmanager
+    def _toggled(self, rows: dict[str, set[Row]],
+                 present: bool) -> Iterator[None]:
+        """``rows`` in (``present``) or out of their live relations for
+        the block, and flipped back after it, also when it raises.
+        Only rows whose membership changed are flipped back."""
+        flipped: list[tuple[Relation, Collection[Row]]] = []
+        try:
+            for pred, pred_rows in rows.items():
+                rel = self._live(pred)
+                flipped.append((rel, rel.raw_merge_new(pred_rows) if present
+                                else rel.raw_discard_all(pred_rows)))
+            yield
+        finally:
+            for rel, moved in flipped:
+                if present:
+                    rel.raw_discard_all(moved)
+                else:
+                    rel.raw_merge(moved)
 
     # -- budget / chaos ------------------------------------------------------
     def _tick_rows(self, rows: list[Row], last_round: int = 0) -> None:
@@ -270,8 +270,9 @@ class _Maintenance:
             [r for r in self.program if r.head.pred in stratum]
             for stratum in strata]
         if self.edb_deletes:
-            for stratum, rules in zip(strata, rules_by_stratum):
-                self._dred(stratum, rules)
+            with self._toggled(self.edb_inserts, present=False):
+                for stratum, rules in zip(strata, rules_by_stratum):
+                    self._dred(stratum, rules)
         if self.edb_inserts:
             for stratum, rules in zip(strata, rules_by_stratum):
                 self._insert_stratum(stratum, rules)
@@ -279,25 +280,18 @@ class _Maintenance:
                                  self.stats)
 
     # -- deletion pass -------------------------------------------------------
-    def _del_changed(self) -> dict[str, set[Row]]:
-        """Predicate -> Δ⁻ for everything deleted so far this pass."""
-        changed = {pred: rows
-                   for pred, rows in self.edb_deletes.items() if rows}
-        for pred, rows in self.idb_removed.items():
-            if rows:
-                changed[pred] = rows
-        return changed
-
     def _dred(self, stratum: frozenset[str], rules: list[Rule]) -> None:
-        changed = self._del_changed()
+        # Predicate -> Δ⁻ for everything deleted so far this pass.
+        changed = {**self.edb_deletes, **self.idb_removed}
         if not changed:
             return
         rels = {pred: self.idb.relation(pred) for pred in stratum}
 
-        # Phase 1 — overdelete closure.  Non-delta occurrences read the
-        # *before* state (changed externals) or the untouched stratum
-        # relations, so every derivation that consumed a deleted row is
-        # found; the closure is a superset, sets absorb the overcount.
+        # Phase 1 — overdelete closure.  With the deleted rows back in,
+        # every occurrence but the delta's reads a changed predicate's
+        # *before* state (and the untouched stratum relations), so every
+        # derivation that consumed a deleted row is found; the closure
+        # is a superset, sets absorb the overcount.
         over: dict[str, set[Row]] = {pred: set() for pred in stratum}
         frontier: dict[str, set[Row]] = {pred: set() for pred in stratum}
 
@@ -313,45 +307,44 @@ class _Maintenance:
 
         def over_fetch(target: int, delta: Relation) -> Fetch:
             def fetch(atom: Atom, occurrence: int) -> Relation:
-                if occurrence == target:
-                    return delta
-                if atom.pred in stratum:
-                    return rels[atom.pred]
-                if atom.pred in changed:
-                    return self._del_before_rel(atom.pred)
-                return self._del_current(atom, occurrence)
+                return delta if occurrence == target \
+                    else self._live(atom.pred)
             return fetch
 
-        for rule in rules:
-            for index, lit in enumerate(rule.body):
-                if not isinstance(lit, Atom) or lit.pred not in changed:
-                    continue
-                delta_rel = self._delta_relation(lit.pred,
-                                                 changed[lit.pred])
-                derived = self.firer.run(rule, over_fetch(index, delta_rel),
-                                         ("dred-seed", index))
-                self._tick_rows(derived)
-                collect(rule, derived)
-
-        rounds = 0
-        while any(frontier.values()):
-            rounds += 1
-            self._check_round(rounds, "overdeletion")
-            frontier_rels = {pred: self._delta_relation(pred, rows)
-                             for pred, rows in frontier.items()}
-            frontier = {pred: set() for pred in stratum}
+        with self._toggled(changed, present=True):
             for rule in rules:
                 for index, lit in enumerate(rule.body):
                     if not isinstance(lit, Atom) \
-                            or lit.pred not in stratum:
+                            or lit.pred not in changed:
                         continue
-                    front = frontier_rels[lit.pred]
-                    if not len(front):
-                        continue
-                    derived = self.firer.run(rule, over_fetch(index, front),
-                                             ("dred-front", index))
-                    self._tick_rows(derived, last_round=rounds - 1)
+                    delta_rel = self._delta_relation(lit.pred,
+                                                     changed[lit.pred])
+                    derived = self.firer.run(
+                        rule, over_fetch(index, delta_rel),
+                        ("dred-seed", index))
+                    self._tick_rows(derived)
                     collect(rule, derived)
+
+            rounds = 0
+            while any(frontier.values()):
+                rounds += 1
+                self._check_round(rounds, "overdeletion")
+                frontier_rels = {pred: self._delta_relation(pred, rows)
+                                 for pred, rows in frontier.items()}
+                frontier = {pred: set() for pred in stratum}
+                for rule in rules:
+                    for index, lit in enumerate(rule.body):
+                        if not isinstance(lit, Atom) \
+                                or lit.pred not in stratum:
+                            continue
+                        front = frontier_rels[lit.pred]
+                        if not len(front):
+                            continue
+                        derived = self.firer.run(
+                            rule, over_fetch(index, front),
+                            ("dred-front", index))
+                        self._tick_rows(derived, last_round=rounds - 1)
+                        collect(rule, derived)
 
         # Phase 2 — remove the overdeleted rows.
         for pred in stratum:
@@ -367,8 +360,7 @@ class _Maintenance:
 
         # Phase 4 — propagate the rederived rows within the stratum
         # (anything they in turn support must come back too).
-        self._propagate(stratum, rules, rederived, self._del_current,
-                        collect_into=None)
+        self._propagate(stratum, rules, rederived, collect_into=None)
 
         for pred in stratum:
             net = {row for row in over[pred]
@@ -404,9 +396,10 @@ class _Maintenance:
                 if rule.head.pred != pred:
                     continue
                 if not rule.body:
-                    # A fact rule unconditionally supports its head.
-                    row = next(iter(self._encode_rows(
-                        [tuple(arg.value for arg in rule.head.args)])))
+                    # A fact rule (a ground head) supports its head.
+                    row = next(iter(self._encode_rows([tuple(
+                        arg.value for arg in rule.head.args
+                        if isinstance(arg, Constant))])))
                     if row in candidates:
                         found.add(row)
                     continue
@@ -418,7 +411,7 @@ class _Maintenance:
                           _guard_rel: Relation = guard_rel) -> Relation:
                     if atom.pred == _guard_pred:
                         return _guard_rel
-                    return self._del_current(atom, occurrence)
+                    return self._live(atom.pred)
 
                 derived = self.firer.run(batch_rule, fetch,
                                          ("dred-rederive",))
@@ -432,18 +425,10 @@ class _Maintenance:
                 self.stats.derivations += len(found)
 
     # -- insertion pass ------------------------------------------------------
-    def _ins_changed(self) -> dict[str, set[Row]]:
-        """Predicate -> Δ⁺ for everything inserted so far this pass."""
-        changed = {pred: rows
-                   for pred, rows in self.edb_inserts.items() if rows}
-        for pred, rows in self.idb_added.items():
-            if rows:
-                changed[pred] = rows
-        return changed
-
     def _insert_stratum(self, stratum: frozenset[str],
                         rules: list[Rule]) -> None:
-        changed = self._ins_changed()
+        # Predicate -> Δ⁺ for everything inserted so far this pass.
+        changed = {**self.edb_inserts, **self.idb_added}
         if not changed:
             return
         seeds: dict[str, set[Row]] = {pred: set() for pred in stratum}
@@ -462,19 +447,18 @@ class _Maintenance:
                           _delta: Relation = delta_rel) -> Relation:
                     if occurrence == _target:
                         return _delta
-                    return self._ins_current(atom, occurrence)
+                    return self._live(atom.pred)
 
                 derived = self.firer.run(rule, fetch, ("ins-seed", index))
                 seeds[rule.head.pred].update(
                     self.firer.merge(derived, target))
-        self._propagate(stratum, rules, seeds, self._ins_current,
-                        collect_into=self.idb_added)
+        self._propagate(stratum, rules, seeds, collect_into=self.idb_added)
         for pred, rows in seeds.items():
             if rows:
                 self.idb_added.setdefault(pred, set()).update(rows)
 
     def _propagate(self, stratum: frozenset[str], rules: list[Rule],
-                   deltas: dict[str, set[Row]], current: Fetch,
+                   deltas: dict[str, set[Row]],
                    collect_into: dict[str, set[Row]] | None) -> None:
         """Standard semi-naive delta rounds within one stratum."""
         live = {pred: set(rows) for pred, rows in deltas.items()}
@@ -499,7 +483,7 @@ class _Maintenance:
                               _deltas: dict = delta_rels) -> Relation:
                         if occurrence == _target:
                             return _deltas[atom.pred]
-                        return current(atom, occurrence)
+                        return self._live(atom.pred)
 
                     derived = self.firer.run(rule, fetch, ("prop", index))
                     new_rows = self.firer.merge(derived, target,

@@ -29,7 +29,8 @@ story is deliberately thin:
 
 Without a running writer (``start()`` never called) the server
 degrades to a synchronous mode: a reader that needs freshness runs the
-refresh inline under a lock — same results, no background thread —
+refresh inline under the lock every inline update takes too — same
+results, no background thread, never two refreshes of a view at once —
 which is what keeps the CLI and deterministic tests simple.
 """
 
@@ -165,7 +166,8 @@ class ThreadedServer:
         if not self._writer.running:
             while not self.pipeline.drained() \
                     and time.monotonic() < deadline:
-                self.pipeline.process_once()
+                with self._inline_refresh_lock:
+                    self.pipeline.process_once()
                 self._notify_readers()
             return self.pipeline.drained()
         while time.monotonic() < deadline:
@@ -199,7 +201,9 @@ class ThreadedServer:
                                      reason="stopped")
         self.pipeline.submit(changeset, timeout_s=timeout_s)
         if not self._writer.running:
-            self.pipeline.process_once()
+            # A reader's inline refresh maintains the same views.
+            with self._inline_refresh_lock:
+                self.pipeline.process_once()
             self._notify_readers()
 
     # -- reads ---------------------------------------------------------------

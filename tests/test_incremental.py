@@ -10,6 +10,9 @@ with a full rebuild rather than ever serving a half-maintained state.
 """
 
 import random
+import traceback
+from collections import Counter
+from contextlib import nullcontext
 
 import pytest
 
@@ -21,6 +24,7 @@ from repro.engine.seminaive import seminaive_evaluate
 from repro.errors import (BudgetExceededError, EvaluationError,
                           IncrementalUnsupported)
 from repro.facts import Database
+from repro.facts.relation import Relation
 from repro.facts.symbols import SymbolTable
 from repro.facts.changelog import (Changeset, VersionedDatabase,
                                    random_changeset)
@@ -360,6 +364,160 @@ def test_counter_limit_stops_maintenance_at_the_crossing_event(
             == ("derivations", limit, limit)
         assert error.stats.derivations \
             + error.stats.duplicate_derivations == limit
+
+
+def test_a_mixed_changeset_copies_no_relation_and_builds_no_edb_index(
+        monkeypatch):
+    """DRed reads its mid and before states off the live relations with
+    the changed rows toggled in place: once the kernels are warm, a write
+    that deletes and inserts copies nothing and indexes nothing of the
+    EDB (copying ``edge`` twice and indexing the copies is what it
+    replaced)."""
+    program = parse_program(TC)
+    versioned = VersionedDatabase(
+        random_digraph(80, 240, random.Random(7)).interned())
+    idb = seminaive_evaluate(program, versioned.db, planner="adaptive")
+    kernels = KernelCache(symbols=versioned.db.symbols)
+    rng = random.Random(3)
+
+    def write():
+        versioned.apply(random_changeset(versioned.db, rng,
+                                         insert_fraction=0.01,
+                                         delete_fraction=0.005))
+        changes = versioned.log[-1].changeset
+        assert changes.total_inserts() and changes.total_deletes()
+        maintain(program, versioned.db, idb, changes, planner="adaptive",
+                 kernels=kernels)
+
+    write()  # compiles the kernels and builds the live EDB's indexes
+    events = Counter()
+    real_copy, real_warm = Relation.copy, Relation.warm_copy
+    real_index, real_code = Relation._build_index, Relation.code_index_for
+    real_proj = Relation.projection_index
+
+    def copy(self):
+        events["copies"] += 1
+        return real_copy(self)
+
+    def warm_copy(self):
+        events["copies"] += 1
+        return real_warm(self)
+
+    def build_index(self, columns):
+        events["edb indexes"] += self.name == "edge"
+        return real_index(self, columns)
+
+    def code_index_for(self, column):
+        events["edb indexes"] += self.name == "edge" \
+            and column not in self.code_indexes
+        return real_code(self, column)
+
+    def projection_index(self, key, value):
+        events["edb indexes"] += self.name == "edge" \
+            and (key, value) not in self.proj_indexes
+        return real_proj(self, key, value)
+
+    for name, method in (("copy", copy), ("warm_copy", warm_copy),
+                         ("_build_index", build_index),
+                         ("code_index_for", code_index_for),
+                         ("projection_index", projection_index)):
+        monkeypatch.setattr(Relation, name, method)
+    for _ in range(3):
+        write()
+    assert (events["copies"], events["edb indexes"]) == (0, 0)
+    assert relation_fingerprint(idb) == relation_fingerprint(
+        seminaive_evaluate(program, versioned.db))
+
+
+#: ``hop`` and ``reach`` are one stratum, so rederivation re-adds rows
+#: of ``hop`` before it fires ``reach``'s rules: a counter limit can
+#: trip inside rederivation.
+HOP = """
+r0: hop(X, Y) :- edge(X, Y).
+r1: reach(X, Y) :- hop(X, Y).
+r2: hop(X, Z) :- reach(X, Y), edge(Y, Z).
+"""
+
+#: The maintenance step a fault raised in: the innermost of these.
+_PHASES = {"_dred": "overdeletion", "_rederive_batched": "rederivation",
+           "_propagate": "propagation", "_insert_stratum": "insertion"}
+
+
+def _phase_of(error):
+    names = [frame.name
+             for frame in traceback.extract_tb(error.__traceback__)]
+    return next((_PHASES[name] for name in reversed(names)
+                 if name in _PHASES), None)
+
+
+def _indexes_matching_rows(db):
+    """Asserts that every live index bucket of every relation equals a
+    rebuild from the relation's rows (as multisets); returns how many
+    indexes it checked."""
+    def multisets(index):
+        return {key: Counter(bucket) for key, bucket in index.items()}
+
+    checked = 0
+    for name in db:
+        live = db.relation(name)
+        rebuilt = Relation(name, live.arity, symbols=live.symbols)
+        rebuilt.raw_merge(set(live.raw_rows()))
+        for columns, index in live.indexes.items():
+            assert multisets(index) == multisets(rebuilt.index_for(columns))
+        for column, index in live.code_indexes.items():
+            assert multisets(index) \
+                == multisets(rebuilt.code_index_for(column))
+        for key, index in live.proj_indexes.items():
+            assert multisets(index) \
+                == multisets(rebuilt.projection_index(*key))
+        checked += len(live.indexes) + len(live.code_indexes) \
+            + len(live.proj_indexes)
+    return checked
+
+
+@pytest.mark.parametrize("executor", ["compiled", "interpreted"])
+@pytest.mark.parametrize("interning", ["off", "on"])
+@pytest.mark.parametrize("fault", ["chaos", "budget"])
+@pytest.mark.parametrize("phase", ["overdeletion", "rederivation"])
+def test_a_fault_inside_dred_leaves_the_edb_in_its_post_state(
+        phase, fault, interning, executor):
+    """The deletion pass toggles the changeset's rows in the live EDB:
+    the inserts out for the whole pass, the deletes back in around
+    overdeletion.  A chaos fault or a counter limit inside overdeletion
+    or rederivation leaves every EDB relation at its post-state rows,
+    every live index matching them, and the next refresh exact."""
+    program = parse_program(HOP)
+    # a0 → a1 → a2 → a3 with a detour a0 → c → a1: cutting a0 → a1
+    # overdeletes a0's paths, and hop(a0, a1) is rederived through c.
+    edges = [("a0", "a1"), ("a1", "a2"), ("a2", "a3"), ("a0", "c"),
+             ("c", "a1"), ("b0", "b1")]
+    changes = Changeset.from_text(
+        "-edge(a0, a1). +edge(a3, b0). +edge(b1, d).")
+    for ordinal in range(1 if fault == "chaos" else 0, 60):
+        db = Database({"edge": edges})
+        server = Server(db.interned() if interning == "on" else db)
+        view = server.view(program, executor=executor)
+        view.refresh()
+        server.apply(changes)
+        edb = server.source.db
+        post = {name: set(edb.relation(name).raw_rows()) for name in edb}
+        spent = view.stats.derivations + view.stats.duplicate_derivations
+        plan = ChaosPlan().fail_derivation(ordinal) \
+            if fault == "chaos" else None
+        budget = Budget(max_derivations=spent + ordinal) \
+            if fault == "budget" else None
+        with plan.active() if plan else nullcontext():
+            with pytest.raises((ChaosError, BudgetExceededError)) as info:
+                view.refresh(budget)
+        assert {name: set(edb.relation(name).raw_rows())
+                for name in edb} == post
+        assert _indexes_matching_rows(edb) > 0
+        assert view.refresh() == "full"
+        assert view.fingerprint() == relation_fingerprint(
+            seminaive_evaluate(program, edb))
+        if _phase_of(info.value) == phase:
+            return
+    pytest.fail(f"no fault landed in {phase}")
 
 
 def test_chaos_fault_mid_refresh_self_heals():

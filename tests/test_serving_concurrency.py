@@ -21,6 +21,7 @@ hanging the job.
 """
 
 import random
+import sys
 import threading
 import time
 
@@ -178,6 +179,74 @@ def test_mixed_workload_with_chaos_faults_stays_consistent():
                                       server.server.source.db)
         assert (relation_fingerprint(view.idb)
                 == relation_fingerprint(expected))
+
+
+def test_writerless_updates_and_inline_refreshes_take_turns():
+    """Without a writer thread ``update`` runs the pipeline on the
+    caller's thread while a reader whose bound fails refreshes inline;
+    both maintain the same view, so they must never run at once.  Every
+    version served equals a from-scratch evaluation at that version."""
+    program = parse_program(TC)
+    server = _server(_random_db(seed=31))
+    server.read(program, QUERY)  # publish the first snapshot
+    stop = threading.Event()
+    lock = threading.Lock()
+    observed = {}          # version -> every answer set served at it
+    unhandled = []
+
+    def updater(index):
+        rng = random.Random(index)
+        while not stop.is_set():
+            src, dst = rng.randrange(24), rng.randrange(24)
+            sign = "+" if rng.random() < 0.6 else "-"
+            try:
+                server.update(Changeset.from_text(
+                    f"{sign}edge(n{src}, n{dst})."), timeout_s=0.5)
+            except ServingUnavailable:
+                pass
+            except Exception as error:  # noqa: BLE001 - the assertion
+                with lock:
+                    unhandled.append(f"updater: {error!r}")
+                return
+
+    def reader():
+        while not stop.is_set():
+            try:
+                result = server.read(program, QUERY, deadline_s=2.0,
+                                     staleness=StalenessBound(max_lag=0))
+            except ServingUnavailable:
+                continue
+            except Exception as error:  # noqa: BLE001 - the assertion
+                with lock:
+                    unhandled.append(f"reader: {error!r}")
+                return
+            with lock:
+                observed.setdefault(result.version, set()).add(
+                    frozenset(result.rows))
+
+    threads = [threading.Thread(target=updater, args=(i,), daemon=True)
+               for i in range(3)]
+    threads += [threading.Thread(target=reader, daemon=True)
+                for _ in range(READERS)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        stop.wait(3.0)
+        stop.set()
+        for thread in threads:
+            thread.join(timeout=10.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert unhandled == []
+    assert len(observed) > 10
+    wrong = [version for version, answers in sorted(observed.items())
+             if answers != {frozenset(_expected_rows(server, program,
+                                                     version))}]
+    assert wrong == [], (f"{len(wrong)} of {len(observed)} served "
+                         "versions differ from a from-scratch evaluation")
 
 
 def test_readers_keep_last_good_snapshot_through_writer_outage():

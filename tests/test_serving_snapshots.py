@@ -217,7 +217,7 @@ def _shared_bases(one, other):
 @pytest.fixture
 def publish_copies(monkeypatch):
     """Counts ``Relation.copy`` / ``Database.copy`` calls made while a
-    view publishes (``maintain`` makes copies of its own)."""
+    view publishes."""
     counter = {"copies": 0, "publishing": False}
 
     def counted(real):
