@@ -309,19 +309,50 @@ def generate_residues(program: Program, pred: str,
     ``max_extend`` levels on either side are searched for a placement
     that makes it useful — the detection the paper defers to its tech
     report [8].
+
+    The analysis runs once per program and IC: the result is memoised
+    on the ``program`` instance, keyed by ``pred``, the IC's identity
+    and the three options, so lint, the optimizer and plan choice share
+    one computation.  This is sound because ``Program``, its rules and
+    the IC are immutable, and the memo lives and dies with the program.
+    The memo holds the IC, so its identity cannot be reused, and two
+    ICs that compare equal but differ in label never share residues.
+    Each call returns a fresh list, and a computation that raises
+    stores nothing.
+    """
+    key = (pred, id(ic), max_hops, useful_only, max_extend)
+    hit = program._residues.get(key)
+    if hit is None:
+        found = _algorithm_3_1(program, pred, ic, max_hops, useful_only,
+                               max_extend)
+        hit = program._residues[key] = (ic, tuple(found))
+    return list(hit[1])
+
+
+def _algorithm_3_1(program: Program, pred: str, ic: IntegrityConstraint,
+                   max_hops: int, useful_only: bool,
+                   max_extend: int) -> list[SequenceResidue]:
+    """One uncached run of :func:`generate_residues`.
+
+    Each distinct expansion sequence is unfolded and verified once, even
+    when the extension windows of several candidates overlap.
     """
     if not ic.is_edb_only(program):
         raise ConstraintError(
             f"IC {ic.label or ic} mentions IDB predicates; the paper "
             "considers EDB-only constraints (assumption 4)")
     results: list[SequenceResidue] = []
+    verified: dict[tuple[str, ...], list[SequenceResidue]] = {}
 
     def note(item: SequenceResidue) -> None:
         if all(not _same_residue(item, other) for other in results):
             results.append(item)
 
     for sequence in detect_sequences(program, pred, ic, max_hops=max_hops):
-        items = residues_for_sequence(program, pred, sequence, ic)
+        items = verified.get(sequence)
+        if items is None:
+            items = verified[sequence] = residues_for_sequence(
+                program, pred, sequence, ic)
         needs_extension = any(
             not item.strictly_useful
             and item.residue.head_atom() is not None
@@ -334,8 +365,12 @@ def generate_residues(program: Program, pred: str,
         if needs_extension and max_extend > 0:
             for extended in _sequence_extensions(program, pred, sequence,
                                                  max_extend):
-                for item in residues_for_sequence(program, pred, extended,
-                                                  ic):
+                if extended in verified:
+                    # Its strictly useful residues are already noted.
+                    continue
+                verified[extended] = residues_for_sequence(
+                    program, pred, extended, ic)
+                for item in verified[extended]:
                     if item.strictly_useful:
                         note(item)
     return results

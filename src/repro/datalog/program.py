@@ -12,13 +12,17 @@ demand, the analyses the paper's assumptions rest on:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 
 import networkx as nx
 
 from ..errors import ProgramError
 from .atoms import Atom, Negation
 from .rules import Rule
+
+if TYPE_CHECKING:
+    from ..constraints.ic import IntegrityConstraint
+    from ..core.residues import SequenceResidue
 
 
 @dataclass(frozen=True)
@@ -82,6 +86,12 @@ class Program:
             self._by_head.setdefault(r.head.pred, ())
             self._by_head[r.head.pred] += (r,)
         self._recursion: RecursionInfo | None = None
+        # Algorithm 3.1's results on this program, filled by
+        # ``core.residues.generate_residues``: (pred, id(ic), max_hops,
+        # useful_only, max_extend) -> (ic, residues).
+        self._residues: dict[
+            tuple[str, int, int, bool, int],
+            tuple[IntegrityConstraint, tuple[SequenceResidue, ...]]] = {}
 
     # -- container protocol -------------------------------------------------
     def __iter__(self) -> Iterator[Rule]:

@@ -6,12 +6,18 @@ method is cross-checked against the exhaustive reference enumerator.
 
 import pytest
 
+import repro.core.residues as residues_module
+from repro import Database, SemanticOptimizer, lint_program
+from repro.bench.experiments import (_chain_ic_text, experiment_e4,
+                                     experiment_e10)
 from repro.constraints import ic_from_text, ics_from_text
 from repro.core import (detect_sequences, generate_residues,
                         generate_residues_exhaustive, rule_level_residues)
 from repro.core.residues import introduction_eligible
-from repro.datalog import parse_program
+from repro.datalog import Program, parse_program
+from repro.engine.optimizer import choose_plan
 from repro.errors import ConstraintError
+from repro.workloads.paper_examples import ALL_EXAMPLES, example_4_3
 
 
 class TestExample21:
@@ -148,3 +154,152 @@ class TestSpanMinimality:
                     and i.residue.head.pred == "expert"]
         # Matches exist but none spans levels 0..2 with a landing head.
         assert all(not i.strictly_useful for i in spanning)
+
+
+# ---------------------------------------------------------------------------
+# Algorithm 3.1 runs once per program and IC
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def counted(monkeypatch):
+    """Count Algorithm 3.1 computations (one SD-graph detection each) and
+    sequence verifications, as (program id, IC label) and sequences."""
+    computations: list[tuple[int, str | None]] = []
+    verifications: list[tuple[str, ...]] = []
+    detect = residues_module.detect_sequences
+    verify = residues_module.residues_for_sequence
+
+    def counting_detect(program, pred, ic, **options):
+        computations.append((id(program), ic.label))
+        return detect(program, pred, ic, **options)
+
+    def counting_verify(program, pred, sequence, ic, *args, **options):
+        verifications.append(tuple(sequence))
+        return verify(program, pred, sequence, ic, *args, **options)
+
+    monkeypatch.setattr(residues_module, "detect_sequences",
+                        counting_detect)
+    monkeypatch.setattr(residues_module, "residues_for_sequence",
+                        counting_verify)
+    return computations, verifications
+
+
+MEMO_CASES = [
+    pytest.param(factory, ic.label, None,
+                 id=f"{factory.__name__}-{ic.label}")
+    for factory in ALL_EXAMPLES for ic in factory().ics
+] + [pytest.param(example_4_3, None, length, id=f"chain_ic_{length}")
+     for length in range(2, 7)]
+
+
+class TestOncePerProgram:
+    def test_compile_order_computes_once_per_ic(self, ex32, counted):
+        """lint, generate_residues, then optimize on one program object:
+        the benchmark's compile order (three computations per IC before
+        the memo)."""
+        computations, _ = counted
+        ics = [ex32.ic("ic1"), ex32.ic("ic2")]
+        lint_program(ex32.program, ics)
+        for ic in ics:
+            generate_residues(ex32.program, "eval", ic)
+        report = SemanticOptimizer(ex32.program, ics, pred="eval").optimize()
+        assert report.failures == []
+        assert sorted(label for _, label in computations) == ["ic1", "ic2"]
+
+    def test_plan_choice_computes_once_per_ic(self, ex32, counted):
+        """choose_plan tries {ic1}, {ic2} and {ic1, ic2}: two ICs, two
+        computations (four before the memo)."""
+        computations, _ = counted
+        ics = [ex32.ic("ic1"), ex32.ic("ic2")]
+        choose_plan(ex32.program, Database(), ics=ics)
+        assert sorted(label for _, label in computations) == ["ic1", "ic2"]
+
+    @pytest.mark.parametrize("fixture", ["ex21", "ex32", "ex41"])
+    def test_each_sequence_is_verified_once(self, request, fixture,
+                                            counted):
+        """13 distinct sequences, 13 verifications (28 before)."""
+        _, verifications = counted
+        example = request.getfixturevalue(fixture)
+        generate_residues(example.program, example.pred, example.ics[0])
+        assert len(verifications) == len(set(verifications)) == 13
+
+    def test_e4_times_one_cold_computation_per_repeat(self, counted):
+        computations, _ = counted
+        experiment_e4(lengths=(2, 3), repeats=2)
+        assert len(computations) == 4
+        assert len({program for program, _ in computations}) == 4
+
+    def test_e10_times_one_cold_computation_per_configuration(self,
+                                                              counted):
+        """The four SemanticOptimizer configurations each pay for their
+        own Algorithm 3.1 run on a program of their own."""
+        computations, _ = counted
+        experiment_e10(size=6, repeats=1)
+        assert len(computations) == 4
+        assert len({program for program, _ in computations}) == 4
+
+
+class TestMemoSemantics:
+    @pytest.mark.parametrize("useful_only", [True, False])
+    @pytest.mark.parametrize("max_extend", [0, 1, 3])
+    @pytest.mark.parametrize("factory,label,length", MEMO_CASES)
+    def test_a_hit_equals_a_fresh_program(self, factory, label, length,
+                                          useful_only, max_extend):
+        example = factory()
+        ic = (example.ic(label) if length is None
+              else ics_from_text(_chain_ic_text(length))[0])
+        options = dict(useful_only=useful_only, max_extend=max_extend)
+        first = generate_residues(example.program, example.pred, ic,
+                                  **options)
+        again = generate_residues(example.program, example.pred, ic,
+                                  **options)
+        fresh = generate_residues(Program(example.program.rules),
+                                  example.pred, ic, **options)
+        assert first == again == fresh
+        assert [str(item) for item in again] == \
+            [str(item) for item in fresh]
+
+    def test_ics_differing_only_by_label_keep_their_own(self, ex32):
+        """Equal-valued ICs are distinct keys: each call's residues carry
+        the IC that was passed."""
+        ic = ex32.ic("ic1")
+        twin = ic_from_text(str(ic).replace("ic1:", "twin:"))
+        assert twin == ic and twin.label == "twin"
+        for _ in range(2):
+            for passed in (ic, twin):
+                items = generate_residues(ex32.program, "eval", passed)
+                assert items
+                assert {item.residue.ic.label for item in items} == \
+                    {passed.label}
+
+    def test_each_call_returns_a_fresh_list(self, ex21):
+        ic = ex21.ic("ic")
+        first = generate_residues(ex21.program, "p", ic)
+        expected = list(first)
+        first.clear()
+        second = generate_residues(ex21.program, "p", ic)
+        assert second == expected and second is not first
+        second.append(second[0])
+        assert generate_residues(ex21.program, "p", ic) == expected
+
+    def test_a_computation_that_raises_stores_nothing(self, ex21,
+                                                      monkeypatch,
+                                                      counted):
+        computations, _ = counted
+        ic = ex21.ic("ic")
+        expected = generate_residues(Program(ex21.program.rules), "p", ic)
+        computations.clear()
+        verify = residues_module.residues_for_sequence
+
+        def failing(*args, **options):
+            raise RuntimeError("injected verification fault")
+
+        monkeypatch.setattr(residues_module, "residues_for_sequence",
+                            failing)
+        with pytest.raises(RuntimeError, match="injected"):
+            generate_residues(ex21.program, "p", ic)
+        monkeypatch.setattr(residues_module, "residues_for_sequence", verify)
+        assert generate_residues(ex21.program, "p", ic) == expected
+        assert len(computations) == 2
+        assert generate_residues(ex21.program, "p", ic) == expected
+        assert len(computations) == 2
