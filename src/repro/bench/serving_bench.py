@@ -205,7 +205,7 @@ def _run_mode(name: str, duration_s: float, readers: int,
     view = server.view(program)
     if not view.valid:
         view.refresh()
-    recomputed = seminaive_evaluate(program, server.server.source.db)
+    recomputed = seminaive_evaluate(program, server.source.db)
     agree = (relation_fingerprint(view.idb)
              == relation_fingerprint(recomputed))
 

@@ -16,8 +16,9 @@ Commands:
 - ``serve PROGRAM DB --query Q [--update F ...]`` — materialize the
   program once, answer the query, then apply each changeset file and
   re-answer from the incrementally maintained view; ``--concurrent``
-  runs the same session through the threaded serving tier
-  (``--readers``/``--writers``).
+  adds a writer thread, reader threads and writer clients to the same
+  session (``--readers``/``--writers``); the budget flags bound the
+  view's materialization.
 - ``bench-serving`` — concurrent serving under load and chaos faults;
   writes ``BENCH_serving.json`` (p50/p99 latency, QPS, stale-read
   ratio, error rate).
@@ -377,25 +378,20 @@ def _print_query_rows(rows) -> None:
         print("\t".join(str(v) for v in row))
 
 
-def _serve_concurrent(args: argparse.Namespace, program,
-                      db: Database) -> int:
-    """``serve --concurrent``: the same query/update session, but run
-    as a mixed workload — ``--readers`` reader threads answer the query
-    from MVCC snapshots while ``--writers`` client threads submit the
-    changeset files through the write pipeline.  The final answer is
-    read back at ``max_lag=0`` after a flush, so it is exactly what the
-    serial path would print.
+def _serve_clients(args: argparse.Namespace, server, program,
+                   changesets: list) -> None:
+    """``serve --concurrent``: start the writer thread, then run
+    ``--readers`` reader threads answering the query from any last-good
+    snapshot while ``--writers`` client threads submit ``changesets``
+    through the write pipeline.  Returns once every accepted write is
+    applied, so the answer read next is what the serial session ends
+    with.
     """
-    import json
     import threading
 
     from .errors import ServingUnavailable
-    from .facts.changelog import Changeset
-    from .serving import StalenessBound, ThreadedServer
+    from .serving import StalenessBound
 
-    changesets = [Changeset.from_text(_read(path))
-                  for path in args.update or ()]
-    server = ThreadedServer(db=db, max_readers=args.readers + 1)
     stop = threading.Event()
     counters = {"reads": 0, "stale": 0, "rejected": 0}
     lock = threading.Lock()
@@ -406,7 +402,8 @@ def _serve_concurrent(args: argparse.Namespace, program,
                 result = server.read(program, args.query,
                                      planner=args.planner,
                                      executor=args.executor,
-                                     deadline_s=1.0)
+                                     deadline_s=1.0,
+                                     staleness=StalenessBound())
             except ServingUnavailable:
                 with lock:
                     counters["rejected"] += 1
@@ -416,7 +413,7 @@ def _serve_concurrent(args: argparse.Namespace, program,
                 if result.stale:
                     counters["stale"] += 1
 
-    def writer_loop(batch: list[Changeset]) -> None:
+    def writer_loop(batch: list) -> None:
         for changeset in batch:
             try:
                 server.update(changeset, timeout_s=1.0)
@@ -424,78 +421,85 @@ def _serve_concurrent(args: argparse.Namespace, program,
                 with lock:
                     counters["rejected"] += 1
 
-    with server:
-        server.read(program, args.query, planner=args.planner,
-                    executor=args.executor)
-        writers = max(1, args.writers)
-        batches: list[list[Changeset]] = [[] for _ in range(writers)]
-        for index, changeset in enumerate(changesets):
-            batches[index % writers].append(changeset)
-        threads = [threading.Thread(target=reader_loop, daemon=True)
-                   for _ in range(args.readers)]
-        threads += [threading.Thread(target=writer_loop, args=(batch,),
-                                     daemon=True)
-                    for batch in batches if batch]
-        for thread in threads:
-            thread.start()
-        for thread in threads[args.readers:]:
-            thread.join()
-        server.flush()
-        stop.set()
-        for thread in threads[:args.readers]:
-            thread.join(timeout=5.0)
-        result = server.read(program, args.query, planner=args.planner,
-                             executor=args.executor,
-                             staleness=StalenessBound(max_lag=0))
-        _print_query_rows(result.rows)
-        print(f"# v{result.version}: {args.readers} readers / "
-              f"{writers} writers, {counters['reads']} background "
-              f"reads ({counters['stale']} stale, "
-              f"{counters['rejected']} rejected), "
-              f"health {server.health}", file=sys.stderr)
-        if args.describe:
-            print(json.dumps(server.describe(), indent=2),
-                  file=sys.stderr)
-    return 0
+    server.start()
+    writers = max(1, args.writers)
+    batches: list[list] = [[] for _ in range(writers)]
+    for index, changeset in enumerate(changesets):
+        batches[index % writers].append(changeset)
+    threads = [threading.Thread(target=reader_loop, daemon=True)
+               for _ in range(args.readers)]
+    threads += [threading.Thread(target=writer_loop, args=(batch,),
+                                 daemon=True)
+                for batch in batches if batch]
+    for thread in threads:
+        thread.start()
+    for thread in threads[args.readers:]:
+        thread.join()
+    server.flush()
+    stop.set()
+    for thread in threads[:args.readers]:
+        thread.join(timeout=5.0)
+    print(f"# {args.readers} readers / {writers} writers, "
+          f"{counters['reads']} background reads ({counters['stale']} "
+          f"stale, {counters['rejected']} rejected), "
+          f"health {server.health}", file=sys.stderr)
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
+    """``serve``: one :class:`~repro.serving.ThreadedServer` session.
+
+    The view is materialized under the budget flags, the query is
+    answered from a current snapshot, and each ``--update`` file goes
+    through the write pipeline before the query is answered again.
+    ``--concurrent`` only adds threads: a background writer, reader
+    threads and writer clients submitting every update file, after
+    which the final answer is printed.
+    """
     from .facts.changelog import Changeset
-    from .serving import Server
+    from .serving import StalenessBound, ThreadedServer
 
     program = _load_program(args)
     db = Database.from_text(_read(args.database))
     if args.interning == "on":
         db = db.interned()
-    if args.concurrent:
-        return _serve_concurrent(args, program, db)
-    server = Server(db)
-    budget = _budget_from_args(args)
+    updates = [(path, Changeset.from_text(_read(path)))
+               for path in args.update or ()]
+    server = ThreadedServer(db=db, staleness=StalenessBound(max_lag=0),
+                            max_readers=args.readers + 1)
     view = server.view(program, planner=args.planner,
                        executor=args.executor)
-    _print_query_rows(server.serve(program, args.query,
-                                   planner=args.planner,
-                                   executor=args.executor,
-                                   budget=budget))
-    print(f"# v{server.version}: {view.last_mode} "
-          f"({(view.last_refresh_s or 0) * 1000:.2f}ms, "
-          f"{view.idb.total_facts()} IDB facts)", file=sys.stderr)
-    for path in args.update or ():
-        changeset = Changeset.from_text(_read(path))
-        server.apply(changeset)
-        print(f"-- {path}")
-        _print_query_rows(server.serve(program, args.query,
-                                       planner=args.planner,
-                                       executor=args.executor,
-                                       budget=budget))
-        print(f"# v{server.version}: +{changeset.total_inserts()}"
-              f"/-{changeset.total_deletes()} -> {view.last_mode} "
+    view.refresh(_budget_from_args(args))
+
+    def answer(change: str) -> None:
+        result = server.read(program, args.query, planner=args.planner,
+                             executor=args.executor)
+        _print_query_rows(result.rows)
+        print(f"# v{result.version}: {change}{view.last_mode} "
               f"({(view.last_refresh_s or 0) * 1000:.2f}ms, "
-              f"{view.idb.total_facts()} IDB facts)", file=sys.stderr)
+              f"{view.snapshot.idb.total_facts()} IDB facts)",
+              file=sys.stderr)
+
+    try:
+        if args.concurrent:
+            _serve_clients(args, server, program,
+                           [changeset for _, changeset in updates])
+            updates = []
+        answer("")
+        for path, changeset in updates:
+            server.update(changeset)
+            print(f"-- {path}")
+            answer(f"+{changeset.total_inserts()}"
+                   f"/-{changeset.total_deletes()} -> ")
+    finally:
+        server.stop()
     if args.describe:
         import json
 
         print(json.dumps(server.describe(), indent=2), file=sys.stderr)
+    dropped = server.pipeline.dropped_changesets
+    if dropped:
+        raise ReproError(f"{dropped} changeset(s) could not apply and "
+                         f"were dropped: {server.pipeline.last_error}")
     return 0
 
 
@@ -716,10 +720,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--describe", action="store_true",
                          help="print the server state as JSON to stderr")
     p_serve.add_argument("--concurrent", action="store_true",
-                         help="serve through the threaded tier: reader "
+                         help="add threads to the session: reader "
                               "threads answer from MVCC snapshots while "
                               "writer clients stream the --update files "
-                              "through the write pipeline")
+                              "through a background writer; prints the "
+                              "final answer only")
     p_serve.add_argument("--readers", type=int, default=4, metavar="N",
                          help="with --concurrent, background reader "
                               "threads (default 4)")

@@ -49,9 +49,6 @@ class ChaseInstance:
     #: the head variables of a containment check).
     protected: frozenset = frozenset()
 
-    def has_atom(self, atom: Atom) -> bool:
-        return atom in self.atoms
-
     def add_atom(self, atom: Atom) -> bool:
         if atom in self.atoms:
             return False

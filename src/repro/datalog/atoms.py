@@ -164,11 +164,6 @@ def literal_variables(literals: Sequence[Literal]) -> frozenset[Variable]:
     return frozenset(out)
 
 
-def ground_terms(terms: Sequence[Term]) -> bool:
-    """True when none of ``terms`` contains a variable."""
-    return all(not any(True for _ in variables_of(t)) for t in terms)
-
-
 def constants_of(literal: Literal) -> frozenset[Constant]:
     """The set of constants appearing in ``literal``."""
 

@@ -113,11 +113,6 @@ class Database:
             values.append(arg.value)
         return self.add_fact(atom.pred, *values)
 
-    def remove_fact(self, name: str, *values: ConstValue) -> bool:
-        """Remove one ground fact; returns True when it was present."""
-        rel = self._relations.get(name)
-        return rel is not None and rel.discard(values)
-
     def facts(self, name: str) -> frozenset[Row]:
         """All rows of ``name`` (empty when the relation is unknown)."""
         rel = self._relations.get(name)

@@ -671,22 +671,6 @@ class Relation:
         out.proj_indexes = duplicate(self.proj_indexes)
         return out
 
-    def difference(self, other: "Relation") -> "Relation":
-        """A new relation with this one's rows that are not in ``other``.
-
-        Neither operand is modified.  When both relations share the same
-        symbol table (or both are raw) the set difference runs directly
-        over the storage domain; otherwise rows are compared by value.
-        """
-        out = Relation(self.name, self.arity, symbols=self.symbols)
-        if self.symbols is other.symbols:
-            other_rows = other._rows
-            out.raw_add_all(row for row in self._rows
-                            if row not in other_rows)
-        else:
-            out.add_all(row for row in self if row not in other)
-        return out
-
 
 class PatchedRelation:
     """A read-only relation: a shared ``base`` under a small patch.

@@ -43,13 +43,15 @@ from __future__ import annotations
 import queue
 import threading
 import time
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 from ..errors import EvaluationError, ServingUnavailable
 from ..facts.changelog import Changeset
 from ..runtime.budget import Budget
 from ..runtime.retry import CircuitBreaker, HealthState, RetryPolicy
-from .views import Server
+
+if TYPE_CHECKING:
+    from .threaded import ThreadedServer
 
 #: Sentinel queued to request a refresh sweep without new changes
 #: (readers waiting on a staleness bound use this to nudge the writer).
@@ -61,12 +63,13 @@ class WritePipeline:
 
     Thread-compatible by construction: any number of threads may call
     :meth:`submit`; exactly one thread (the owner — a
-    :class:`~repro.serving.threaded.ThreadedServer`'s writer loop, or
-    a test driving :meth:`process_once` directly) runs the
-    apply/refresh side.
+    :class:`~repro.serving.threaded.ThreadedServer`'s writer loop or
+    synchronous ``update``, or a test driving :meth:`process_once`
+    directly) runs the apply/refresh side.
 
     Args:
-        server: the view registry and versioned database to maintain.
+        server: the server whose database and views to maintain; the
+            pipeline runs its ``_check``, ``_apply`` and ``_sweep``.
         max_queue: ingestion queue bound; a full queue rejects writes
             with :class:`ServingUnavailable` (backpressure).
         retry: backoff policy for one batch's apply+refresh attempts.
@@ -80,7 +83,7 @@ class WritePipeline:
             schedules in zero wall-clock time).
     """
 
-    def __init__(self, server: Server, max_queue: int = 256,
+    def __init__(self, server: "ThreadedServer", max_queue: int = 256,
                  retry: RetryPolicy | None = None,
                  breaker: CircuitBreaker | None = None,
                  rebuild_after: int = 2,
@@ -205,10 +208,10 @@ class WritePipeline:
         return net, True, drained
 
     def _appliable(self, changeset: Changeset) -> bool:
-        """Whether ``server.apply`` would take ``changeset``; when not,
-        it is counted as dropped with its typed error."""
+        """Whether the server's ``_apply`` would take ``changeset``;
+        when not, it is counted as dropped with its typed error."""
         try:
-            self.server.check(changeset)
+            self.server._check(changeset)
         except EvaluationError as error:
             self.dropped_changesets += 1
             self.last_error = error
@@ -270,7 +273,7 @@ class WritePipeline:
                     # materializations and recover from scratch.
                     self.health = HealthState.REBUILDING
                     self.full_rebuilds_forced += 1
-                    for view in self.server.views.values():
+                    for view in list(self.server.views.values()):
                         view.invalidate()
                 if self.breaker.state != "closed":
                     self.health = HealthState.UNAVAILABLE
@@ -309,13 +312,12 @@ class WritePipeline:
         """
         if not state["applied"]:
             assert net is not None
-            self.server.apply(net)
+            self.server._apply(net)
             self.applied_versions += 1
             state["applied"] = True
         budget = Budget(timeout_s=self.refresh_timeout_s) \
             if self.refresh_timeout_s is not None else None
-        report = self.server.refresh_all(budget)
-        report.raise_first()
+        self.server._sweep(budget)
 
     def describe(self) -> dict:
         return {

@@ -1,11 +1,14 @@
-"""The concurrent front-end: snapshot readers over a single writer.
+"""The server: snapshot readers over a single maintenance writer.
 
-:class:`ThreadedServer` is the deployment shape of the serving tier:
-any number of reader threads answer queries from immutable MVCC
-snapshots (:mod:`repro.serving.snapshots`) while one background
-maintenance writer (:mod:`repro.serving.pipeline`) drains the write
-queue and keeps the materializations current.  The synchronization
-story is deliberately thin:
+:class:`ThreadedServer` is the serving tier's one server.  It owns the
+shared :class:`~repro.facts.changelog.VersionedDatabase` and the
+registry of :class:`~repro.serving.views.MaterializedView` objects
+keyed by ``(program fingerprint, planner, executor)`` — the knobs that
+change what a materialization physically is.  Every read answers from
+an immutable MVCC snapshot (:mod:`repro.serving.snapshots`) and every
+write goes through the :class:`~repro.serving.pipeline.WritePipeline`,
+drained by one maintenance writer.  The synchronization story is
+deliberately thin:
 
 * **Readers are lock-free on the hot path.**  A read pins the view's
   current snapshot with one reference load and never touches shared
@@ -25,13 +28,15 @@ story is deliberately thin:
   whenever it satisfies the :class:`~repro.serving.snapshots.
   StalenessBound`; otherwise the reader nudges the writer
   (``request_refresh``) and waits on a condition variable the writer
-  notifies after every cycle.
+  notifies after every cycle.  Callers that need current answers (the
+  CLI, the shell) construct the server with ``StalenessBound(max_lag=0)``.
 
 Without a running writer (``start()`` never called) the server
-degrades to a synchronous mode: a reader that needs freshness runs the
-refresh inline under the lock every inline update takes too — same
-results, no background thread, never two refreshes of a view at once —
-which is what keeps the CLI and deterministic tests simple.
+degrades to a synchronous mode: ``update`` processes its batch before
+returning, and a reader that needs freshness runs the refresh inline
+under the lock every inline update takes too — same results, no
+background thread, never two refreshes of a view at once — which is
+what keeps the CLI, the shell and deterministic tests simple.
 """
 
 from __future__ import annotations
@@ -39,16 +44,17 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass
-from typing import Optional
 
 from ..datalog.program import Program
-from ..errors import ServingUnavailable
+from ..errors import ReproError, ServingUnavailable
 from ..facts.changelog import Changeset, VersionedDatabase
 from ..facts.database import Database
+from ..runtime import chaos
+from ..runtime.budget import Budget
 from ..runtime.retry import CircuitBreaker, HealthState, RetryPolicy
 from .pipeline import BackgroundWriter, WritePipeline
 from .snapshots import Snapshot, StalenessBound
-from .views import MaterializedView, Server
+from .views import MaterializedView, program_fingerprint
 
 
 @dataclass
@@ -77,12 +83,14 @@ class ReadResult:
 
 
 class ThreadedServer:
-    """A :class:`Server` behind admission control, deadlines, and a
-    background maintenance writer.
+    """A versioned database and its registry of materialized views,
+    behind admission control, deadlines, and a maintenance writer.
 
     Args:
-        db / source: the database to serve (exactly one, as with
-            :class:`Server`).
+        db / source: the database to serve — a plain
+            :class:`~repro.facts.database.Database` (wrapped, not
+            copied) or a :class:`~repro.facts.changelog.
+            VersionedDatabase`; at most one.
         max_readers: concurrent-reader cap (admission control).
         staleness: default :class:`StalenessBound` for reads; ``None``
             means "any last-good snapshot" (maximum availability).
@@ -106,12 +114,16 @@ class ThreadedServer:
                  poll_s: float = 0.02) -> None:
         if max_readers < 1:
             raise ValueError("max_readers must be >= 1")
-        self.server = Server(db=db, source=source)
+        if source is not None and db is not None:
+            raise ReproError("pass either db or source, not both")
+        self.source = source if source is not None \
+            else VersionedDatabase(db)
+        self.views: dict[tuple[str, str, str], MaterializedView] = {}
         self.staleness = staleness if staleness is not None \
             else StalenessBound()
         self.default_deadline_s = default_deadline_s
         self.pipeline = WritePipeline(
-            self.server, max_queue=max_queue, retry=retry,
+            self, max_queue=max_queue, retry=retry,
             breaker=breaker, rebuild_after=rebuild_after,
             refresh_timeout_s=refresh_timeout_s)
         self._writer = BackgroundWriter(self.pipeline, poll_s=poll_s,
@@ -130,7 +142,7 @@ class ThreadedServer:
     # -- lifecycle -----------------------------------------------------------
     @property
     def version(self) -> int:
-        return self.server.version
+        return self.source.version
 
     @property
     def health(self) -> HealthState:
@@ -167,8 +179,15 @@ class ThreadedServer:
             while not self.pipeline.drained() \
                     and time.monotonic() < deadline:
                 with self._inline_refresh_lock:
-                    self.pipeline.process_once()
+                    worked = self.pipeline.process_once()
                 self._notify_readers()
+                if not worked:
+                    # Open circuit: wait out the cooldown, as the
+                    # writer thread does, instead of spinning.
+                    wait = self.pipeline.breaker.retry_after_s() \
+                        or self._writer.poll_s
+                    time.sleep(max(0.0, min(
+                        wait, deadline - time.monotonic())))
             return self.pipeline.drained()
         while time.monotonic() < deadline:
             if self.pipeline.drained():
@@ -206,14 +225,63 @@ class ThreadedServer:
                 self.pipeline.process_once()
             self._notify_readers()
 
+    # -- the write pipeline's steps (run by its single writer) ---------------
+    def _idb_predicates(self) -> frozenset[str]:
+        """IDB predicates across every registered view's program."""
+        preds: set[str] = set()
+        for view in list(self.views.values()):
+            preds |= view.program.idb_predicates
+        return frozenset(preds)
+
+    def _check(self, changeset: Changeset) -> None:
+        """Raise the ``EvaluationError`` :meth:`_apply` would refuse
+        ``changeset`` with (a row of the wrong arity, an IDB predicate
+        of a registered view); nothing is touched and no chaos
+        checkpoint fires."""
+        self.source.check(changeset, idb_predicates=self._idb_predicates())
+
+    def _apply(self, changeset: Changeset) -> int:
+        """Apply a changeset to the shared database; views go stale.
+
+        The ``serving:apply`` chaos point fires *before* any mutation,
+        so an injected ingestion fault is atomic: either the whole
+        changeset lands (and is logged) or none of it does.
+        """
+        chaos.checkpoint("serving:apply")
+        return self.source.apply(changeset,
+                                 idb_predicates=self._idb_predicates())
+
+    def _sweep(self, budget: Budget | None = None) -> None:
+        """Refresh every view, then re-raise the first failure.
+
+        One raising view costs only its own refresh (it is left
+        invalid, to self-heal on its next refresh), never the freshness
+        of the views registered after it.
+        """
+        first: Exception | None = None
+        # Iterate a copy: a concurrent reader may register a view
+        # mid-sweep (it will be picked up by the next sweep).
+        for view in list(self.views.values()):
+            try:
+                view.refresh(budget)
+            except Exception as error:  # noqa: BLE001 - re-raised below
+                first = first or error
+        if first is not None:
+            raise first
+
     # -- reads ---------------------------------------------------------------
     def view(self, program: Program, planner: str = "greedy",
              executor: str = "compiled") -> MaterializedView:
-        """Get or create the (snapshot-publishing) view for a program."""
+        """Get or create the view for ``(program, planner, executor)``."""
+        key = (program_fingerprint(program), planner, executor)
         with self._views_lock:
-            return self.server.view(program, planner=planner,
-                                    executor=executor,
-                                    publish_snapshots=True)
+            view = self.views.get(key)
+            if view is None:
+                view = MaterializedView(program, self.source,
+                                        planner=planner,
+                                        executor=executor)
+                self.views[key] = view
+            return view
 
     def read(self, program: Program, query,
              planner: str = "greedy", executor: str = "compiled",
@@ -244,7 +312,7 @@ class ThreadedServer:
         try:
             view = self.view(program, planner=planner, executor=executor)
             snapshot = self._pin_snapshot(view, bound, deadline)
-            source_version = self.server.version
+            source_version = self.source.version
             rows = snapshot.query(query)
             self.reads += 1
             if snapshot.version < source_version:
@@ -269,7 +337,7 @@ class ThreadedServer:
         """
         while True:
             snapshot = view.snapshot
-            if bound.allows(snapshot, self.server.version):
+            if bound.allows(snapshot, self.source.version):
                 return snapshot  # type: ignore[return-value]
             if not self._writer.running:
                 if self._inline_refresh_lock.acquire(blocking=False):
@@ -285,7 +353,7 @@ class ThreadedServer:
                     finally:
                         self._inline_refresh_lock.release()
                         self._notify_readers()
-                    if bound.allows(view.snapshot, self.server.version):
+                    if bound.allows(view.snapshot, self.source.version):
                         return view.snapshot  # type: ignore[return-value]
             else:
                 self.pipeline.request_refresh()
@@ -299,7 +367,7 @@ class ThreadedServer:
                 raise ServingUnavailable(
                     f"staleness bound {bound!r} not met by deadline "
                     f"(last-good snapshot is v{snapshot.version}, "
-                    f"source at v{self.server.version})",
+                    f"source at v{self.source.version})",
                     reason="deadline")
             with self._fresh:
                 self._fresh.wait(timeout=min(remaining, 0.05))
@@ -307,12 +375,15 @@ class ThreadedServer:
     def describe(self) -> dict:
         return {
             "health": str(self.health),
-            "version": self.server.version,
+            "version": self.source.version,
+            "edb_facts": self.source.db.total_facts(),
+            "log_entries": len(self.source.log),
             "reads": self.reads,
             "stale_reads": self.stale_reads,
             "reads_rejected": self.reads_rejected,
             "max_readers": self.max_readers,
             "writer_running": self._writer.running,
             "pipeline": self.pipeline.describe(),
-            "server": self.server.describe(),
+            "views": [view.describe()
+                      for view in list(self.views.values())],
         }

@@ -1,4 +1,4 @@
-"""Materialized views and the view registry (the serving core).
+"""Materialized views: one program's IDB kept live across EDB versions.
 
 A :class:`MaterializedView` pairs one program with one
 :class:`~repro.facts.changelog.VersionedDatabase` and keeps
@@ -8,41 +8,31 @@ use pays a fixpoint evaluation, every later use pays only
 since the version the view last saw.  Compiled rule kernels persist
 inside the view, so the compile-once / reuse-many economics the paper
 argues for rewrites (Section 3) extend across the whole update stream.
-
-A :class:`Server` is a registry of such views keyed by
-``(program fingerprint, planner, executor)`` — the knobs that change
-what a materialization physically is — plus the shared versioned
-database.  ``serve`` refreshes lazily: queries between updates are
-answered straight from the warm IDB.
-
-Concurrency additions (PR 6):
+The registry of views and the database they share belong to
+:class:`~repro.serving.threaded.ThreadedServer`, the one server.
 
 * **State transitions are atomic.**  ``_materialize`` replaces the IDB
   only once the new one is fully evaluated, so a fault mid-rebuild
   (budget, chaos, bug) leaves the previous state — in particular the
   last published snapshot — fully intact and the view cleanly
   ``valid=False``, never half-built.
-* **Snapshot publication.**  With ``publish_snapshots=True`` every
-  successful refresh ends by swapping in an immutable
-  :class:`~repro.serving.snapshots.Snapshot` (version-pinned EDB + IDB
-  views).  Readers use only the snapshot; the live ``idb`` is the
-  writer's workspace.  A snapshot is the previous one patched with the
-  refresh's delta (PR 18) — the base relations and their indexes are
-  shared, so a write costs the change, not the database.
+* **Snapshot publication.**  Every successful refresh ends by swapping
+  in an immutable :class:`~repro.serving.snapshots.Snapshot`
+  (version-pinned EDB + IDB views).  Readers use only the snapshot; the
+  live ``idb`` is the writer's workspace.  A snapshot is the previous
+  one patched with the refresh's delta — the base relations and their
+  indexes are shared, so a write costs the change, not the database.
 * **Chaos fault points** at every serving transition —
   ``serving:refresh`` (incremental maintenance), ``serving:materialize``
-  (full rebuild), ``serving:apply`` (changeset ingestion) and
-  ``serving:snapshot-swap`` (publication) — so tests and the chaos
-  benchmark can prove each recovery path fires.
-* **Fault-aggregating ``refresh_all``.**  One raising view no longer
-  aborts the sweep: every view is refreshed, failures are collected
-  into a :class:`RefreshReport`, and the caller decides.
+  (full rebuild) and ``serving:snapshot-swap`` (publication); the
+  server adds ``serving:apply`` (changeset ingestion) — so tests and
+  the chaos benchmark can prove each recovery path fires.
 
-Self-healing is unchanged: a refresh interrupted mid-flight leaves the
-view invalid and the next refresh discards the partial state with a
-full, from-scratch materialization.  A changeset the maintenance
-engine cannot handle (:class:`~repro.errors.IncrementalUnsupported`)
-falls back the same way, silently — correctness never depends on the
+Self-healing: a refresh interrupted mid-flight leaves the view invalid
+and the next refresh discards the partial state with a full,
+from-scratch materialization.  A changeset the maintenance engine
+cannot handle (:class:`~repro.errors.IncrementalUnsupported`) falls
+back the same way, silently — correctness never depends on the
 incremental path.
 """
 
@@ -50,10 +40,8 @@ from __future__ import annotations
 
 import hashlib
 import time
-from dataclasses import dataclass, field
 from typing import Collection, Mapping, NamedTuple
 
-from ..datalog.parser import parse_query
 from ..datalog.program import Program
 from ..errors import IncrementalUnsupported, ReproError
 from ..facts.changelog import Changeset, VersionedDatabase
@@ -63,7 +51,7 @@ from ..facts.symbols import SymbolTable
 from ..engine.bindings import EvalStats
 from ..engine.compile import KernelCache, validate_executor
 from ..engine.bindings import validate_planner
-from ..engine.seminaive import answers, seminaive_evaluate
+from ..engine.seminaive import seminaive_evaluate
 from ..incremental.maintain import MaintenanceResult, maintain
 from ..runtime import chaos
 from ..runtime.budget import Budget
@@ -149,8 +137,7 @@ class MaterializedView:
     """One program's IDB, kept live against a versioned database."""
 
     def __init__(self, program: Program, source: VersionedDatabase,
-                 planner: str = "greedy", executor: str = "compiled",
-                 publish_snapshots: bool = False) -> None:
+                 planner: str = "greedy", executor: str = "compiled") -> None:
         validate_executor(executor)
         validate_planner(planner)
         self.program = program
@@ -164,10 +151,9 @@ class MaterializedView:
         self.version = -1
         #: False while the IDB may be mid-maintenance garbage.
         self.valid = False
-        #: When True, every successful refresh publishes an immutable
-        #: :class:`Snapshot` for lock-free concurrent readers.
-        self.publish_snapshots = publish_snapshots
-        #: The last-good snapshot; swapped atomically, never mutated.
+        #: The last-good snapshot, published by every successful
+        #: refresh for lock-free readers; swapped atomically, never
+        #: mutated.
         self.snapshot: Snapshot | None = None
         #: The last refresh's delta, until a publish consumed it; None
         #: after a full rebuild (the next snapshot is then a full copy).
@@ -267,7 +253,7 @@ class MaterializedView:
         return "incremental"
 
     def _publish(self) -> None:
-        """Swap in the next snapshot when publication is enabled.
+        """Swap in the next snapshot.
 
         Runs only on a *valid* view; skipped when the last-good
         snapshot already reflects the view's version.  When that
@@ -286,7 +272,7 @@ class MaterializedView:
         refresh (mode ``"fresh"``) re-attempts the swap with the delta
         still kept.
         """
-        if not self.publish_snapshots or self.idb is None:
+        if self.idb is None:
             return
         previous, delta = self.snapshot, self._delta
         if previous is not None and previous.version >= self.version:
@@ -312,22 +298,7 @@ class MaterializedView:
         """Force the next refresh to rebuild from scratch."""
         self.valid = False
 
-    # -- reads ---------------------------------------------------------------
-    def query(self, text_or_literals) -> set[tuple]:
-        """Answer a conjunctive query from the warm materialization.
-
-        The caller is responsible for refreshing first (``Server.serve``
-        does); querying a stale view answers as of :attr:`version`.
-        """
-        if self.idb is None:
-            raise ReproError("view was never materialized; call refresh()")
-        if isinstance(text_or_literals, str):
-            literals = parse_query(text_or_literals).literals
-        else:
-            literals = tuple(text_or_literals)
-        return answers(literals, self.program, self.source.db,
-                       self.idb, self.stats)
-
+    # -- inspection ----------------------------------------------------------
     def facts(self, pred: str) -> frozenset[tuple]:
         if self.idb is None:
             raise ReproError("view was never materialized; call refresh()")
@@ -355,133 +326,4 @@ class MaterializedView:
             if self.idb is not None else 0,
             "snapshot": self.snapshot.describe()
             if self.snapshot is not None else None,
-        }
-
-
-@dataclass
-class RefreshReport:
-    """What :meth:`Server.refresh_all` did, per view.
-
-    ``modes`` maps program fingerprint to the refresh mode for every
-    view that succeeded; ``errors`` maps program fingerprint to the
-    exception for every view that raised.  The sweep never aborts
-    early: one failing view costs only that view's refresh, not the
-    freshness of every view registered after it.
-    """
-
-    modes: dict[str, str] = field(default_factory=dict)
-    errors: dict[str, Exception] = field(default_factory=dict)
-
-    @property
-    def ok(self) -> bool:
-        return not self.errors
-
-    def raise_first(self) -> None:
-        """Re-raise the first failure, for callers that want the old
-        abort-on-error behaviour after the full sweep."""
-        for error in self.errors.values():
-            raise error
-
-    def summary(self) -> str:
-        lines = [f"view {fp}: {mode}"
-                 for fp, mode in self.modes.items()]
-        lines.extend(
-            f"view {fp}: FAILED {type(err).__name__}: {err}"
-            for fp, err in self.errors.items())
-        return "\n".join(lines) if lines else "(no views)"
-
-
-class Server:
-    """A versioned database plus a registry of materialized views."""
-
-    def __init__(self, db: Database | None = None,
-                 source: VersionedDatabase | None = None) -> None:
-        if source is not None and db is not None:
-            raise ReproError("pass either db or source, not both")
-        self.source = source if source is not None \
-            else VersionedDatabase(db)
-        self.views: dict[tuple[str, str, str], MaterializedView] = {}
-
-    def __repr__(self) -> str:
-        return (f"Server(v{self.source.version}, "
-                f"{len(self.views)} views)")
-
-    @property
-    def version(self) -> int:
-        return self.source.version
-
-    def view(self, program: Program, planner: str = "greedy",
-             executor: str = "compiled",
-             publish_snapshots: bool = False) -> MaterializedView:
-        """Get or create the view for ``(program, planner, executor)``."""
-        key = (program_fingerprint(program), planner, executor)
-        existing = self.views.get(key)
-        if existing is not None:
-            if publish_snapshots:
-                existing.publish_snapshots = True
-            return existing
-        view = MaterializedView(program, self.source, planner=planner,
-                                executor=executor,
-                                publish_snapshots=publish_snapshots)
-        self.views[key] = view
-        return view
-
-    def idb_predicates(self) -> frozenset[str]:
-        """IDB predicates across every registered view's program."""
-        preds: set[str] = set()
-        for view in list(self.views.values()):
-            preds |= view.program.idb_predicates
-        return frozenset(preds)
-
-    def apply(self, changeset: Changeset) -> int:
-        """Apply a changeset to the shared database; views go stale.
-
-        Nothing recomputes here — refresh is lazy, at the next serve.
-        The ``serving:apply`` chaos point fires *before* any mutation,
-        so an injected ingestion fault is atomic: either the whole
-        changeset lands (and is logged) or none of it does.
-        """
-        chaos.checkpoint("serving:apply")
-        return self.source.apply(changeset,
-                                 idb_predicates=self.idb_predicates())
-
-    def check(self, changeset: Changeset) -> None:
-        """Raise the ``EvaluationError`` :meth:`apply` would refuse
-        ``changeset`` with (a row of the wrong arity, an IDB predicate
-        of a registered view); nothing is touched and no chaos
-        checkpoint fires."""
-        self.source.check(changeset, idb_predicates=self.idb_predicates())
-
-    def serve(self, program: Program, query,
-              planner: str = "greedy", executor: str = "compiled",
-              budget: Budget | None = None) -> set[tuple]:
-        """Answer ``query`` from a warm, current materialization."""
-        view = self.view(program, planner=planner, executor=executor)
-        view.refresh(budget)
-        return view.query(query)
-
-    def refresh_all(self, budget: Budget | None = None) -> RefreshReport:
-        """Refresh every view, aggregating failures instead of aborting.
-
-        A view whose refresh raises is recorded in the report's
-        ``errors`` (and left invalid, to self-heal on its next refresh)
-        while the sweep continues with the remaining views.
-        """
-        report = RefreshReport()
-        # Iterate a copy: a concurrent reader may register a view
-        # mid-sweep (it will be picked up by the next sweep).
-        for key, view in list(self.views.items()):
-            try:
-                report.modes[key[0]] = view.refresh(budget)
-            except Exception as error:  # noqa: BLE001 - aggregated
-                report.errors[key[0]] = error
-        return report
-
-    def describe(self) -> dict:
-        return {
-            "version": self.source.version,
-            "edb_facts": self.source.db.total_facts(),
-            "log_entries": len(self.source.log),
-            "views": [view.describe()
-                      for view in list(self.views.values())],
         }

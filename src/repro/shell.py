@@ -48,6 +48,7 @@ from .engine.explain import explain
 from .errors import ReproError
 from .facts import Database, load_csv
 from .iqa import describe, parse_describe
+from .runtime.retry import HealthState
 
 PROMPT = "repro> "
 
@@ -144,19 +145,27 @@ class Shell:
         if rows:
             yield f"{len(rows)} answer(s)."
 
+    def _session(self):
+        """The warm serving session, created lazily over the EDB."""
+        if self._server is None:
+            from .serving import StalenessBound, ThreadedServer
+
+            self._server = ThreadedServer(
+                db=self.edb, staleness=StalenessBound(max_lag=0))
+        return self._server
+
     def _serve(self, literals) -> set[tuple]:
-        """Answer from the warm serving session (lazily created).
+        """Answer from a current snapshot of the serving session.
 
         The first query after a cold start or an out-of-band EDB edit
         pays a full materialization; queries after ``.update`` pay only
-        incremental maintenance of the view.
+        incremental maintenance of the view.  The view is refreshed
+        here rather than inside ``read`` so that an evaluation error
+        reaches the user as itself.
         """
-        if self._server is None:
-            from .facts.changelog import VersionedDatabase
-            from .serving import Server
-
-            self._server = Server(source=VersionedDatabase(self.edb))
-        return self._server.serve(self.program, literals)
+        server = self._session()
+        server.view(self.program).refresh()
+        return server.read(self.program, literals).rows
 
     # -- meta commands -------------------------------------------------------
     def _meta(self, line: str) -> Iterator[str]:
@@ -245,17 +254,21 @@ class Shell:
         if changeset.is_empty:
             yield "(empty changeset)"
             return
-        if self._server is None:
-            from .facts.changelog import VersionedDatabase
-            from .serving import Server
-
-            self._server = Server(source=VersionedDatabase(self.edb))
-        version = self._server.apply(changeset)
+        server = self._session()
+        dropped = server.pipeline.dropped_changesets
+        server.update(changeset)
+        if server.pipeline.dropped_changesets > dropped:
+            yield f"error: {server.pipeline.last_error}"
+            return
         yield (f"applied +{changeset.total_inserts()}"
-               f"/-{changeset.total_deletes()} -> v{version}")
-        report = self._server.refresh_all()
-        for line in report.summary().splitlines():
-            yield line
+               f"/-{changeset.total_deletes()} -> v{server.version}")
+        if not server.views:
+            yield "(no views)"
+        for key, view in list(server.views.items()):
+            yield f"view {key[0]}: " \
+                  f"{view.last_mode if view.valid else 'invalid'}"
+        if server.health != HealthState.HEALTHY:
+            yield f"{server.health}: {server.pipeline.last_error}"
 
     def _cmd_validate(self, _: str) -> Iterator[str]:
         yield validate_program(self.program).summary()

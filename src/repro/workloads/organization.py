@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from ..constraints.checker import repair, satisfies
 from ..facts.database import Database
-from .paper_examples import PaperExample, example_4_1
+from .paper_examples import example_4_1
 
 RANKS = ("executive", "manager", "staff")
 
@@ -57,7 +57,3 @@ def generate_organization(params: OrganizationParams,
     repair(db, example.ic("ic1"))
     assert satisfies(db, *example.ics)
     return db
-
-
-def organization_example() -> PaperExample:
-    return example_4_1()

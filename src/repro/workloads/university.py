@@ -13,7 +13,6 @@ import random
 from dataclasses import dataclass
 
 from ..constraints.checker import repair, satisfies
-from ..constraints.ic import IntegrityConstraint
 from ..facts.database import Database
 from .paper_examples import PaperExample, example_3_2
 
@@ -93,10 +92,3 @@ def generate_university(params: UniversityParams,
 def university_example() -> PaperExample:
     """The program + ICs this workload targets."""
     return example_3_2()
-
-
-def ensure_consistent(db: Database,
-                      ics: tuple[IntegrityConstraint, ...]) -> None:
-    """Assert (loudly) that a generated database satisfies the ICs."""
-    if not satisfies(db, *ics):  # pragma: no cover - generator bug guard
-        raise AssertionError("generated university database violates ICs")

@@ -29,7 +29,7 @@ from repro.engine.optimizer import (MAX_CANDIDATES, Memo, PlanCandidate,
 from repro.errors import EvaluationError, TransformError
 from repro.facts import Changeset, Database, VersionedDatabase
 from repro.incremental import maintain
-from repro.serving import MaterializedView, Server, ThreadedServer
+from repro.serving import MaterializedView, ThreadedServer
 from repro.workloads import load
 from repro.workloads.generators import (random_digraph,
                                         transitive_closure_program)
@@ -266,7 +266,6 @@ PLANNER_ENTRY_POINTS = {
     "explain_kernels": lambda db: explain_kernels(TC, db, planner="cbo"),
     "MaterializedView": lambda db: MaterializedView(
         TC, VersionedDatabase(db), planner="cbo"),
-    "Server.view": lambda db: Server(db).view(TC, planner="cbo"),
     "ThreadedServer.view": lambda db: ThreadedServer(db=db).view(
         TC, planner="cbo"),
 }

@@ -333,7 +333,7 @@ def test_the_row_chain_and_its_fork_stay_removed():
     import repro.engine.compile as compile_module
     from repro.analysis.passes import CODES
     from repro.facts import Relation, VersionedDatabase
-    from repro.serving import MaterializedView, Server
+    from repro.serving import MaterializedView, ThreadedServer
 
     with pytest.raises(ImportError):
         from repro.engine.codegen import Unlowerable  # noqa: F401
@@ -361,7 +361,7 @@ def test_the_row_chain_and_its_fork_stay_removed():
     with pytest.raises(TypeError):
         MaterializedView(program, VersionedDatabase(edb), hook=hook)
     with pytest.raises(TypeError):
-        Server(edb).view(program, hook=hook)
+        ThreadedServer(db=edb).view(program, hook=hook)
     relation = Relation("r", 1)
     for name in ("enable_stats", "stats", "_stats"):
         with pytest.raises(AttributeError):

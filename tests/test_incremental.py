@@ -32,7 +32,8 @@ from repro.incremental import maintain
 from repro.runtime import ChaosError
 from repro.runtime.budget import Budget
 from repro.runtime.chaos import ChaosPlan
-from repro.serving import Server, relation_fingerprint
+from repro.serving import (MaterializedView, StalenessBound,
+                           ThreadedServer, relation_fingerprint)
 from repro.shell import run as shell_run
 from repro.workloads.generators import random_digraph, tree_edges
 
@@ -118,17 +119,17 @@ def test_update_stream_matches_from_scratch(executor, interning):
     program, db = _small_tc()
     if interning == "on":
         db = db.interned()
-    server = Server(db)
-    view = server.view(program, executor=executor)
+    source = VersionedDatabase(db)
+    view = MaterializedView(program, source, executor=executor)
     assert view.refresh() == "full"
     rng = random.Random(9)
     for _ in range(4):
-        changeset = random_changeset(server.source.db, rng,
+        changeset = random_changeset(source.db, rng,
                                      insert_fraction=0.05,
                                      delete_fraction=0.05)
-        server.apply(changeset)
+        source.apply(changeset)
         assert view.refresh() == "incremental"
-        scratch = seminaive_evaluate(program, server.source.db)
+        scratch = seminaive_evaluate(program, source.db)
         assert view.fingerprint() == relation_fingerprint(scratch)
 
 
@@ -138,15 +139,16 @@ def test_dred_keeps_multiply_supported_rows():
     # A served view deletes through DRed in a non-recursive stratum too:
     # parent(a, b) loses its father-derivation, is overdeleted, and
     # comes back through its mother-derivation.
-    server = Server(Database({"father": [("a", "b")],
-                              "mother": [("a", "b"), ("c", "b")]}))
-    view = server.view(parse_program(NONREC))
+    source = VersionedDatabase(Database({"father": [("a", "b")],
+                                         "mother": [("a", "b"),
+                                                    ("c", "b")]}))
+    view = MaterializedView(parse_program(NONREC), source)
     view.refresh()
-    server.apply(Changeset().delete("father", ("a", "b")))
+    source.apply(Changeset().delete("father", ("a", "b")))
     assert view.refresh() == "incremental"
     assert ("a", "b") in view.facts("parent")
     assert (view.stats.overdeleted, view.stats.rederived) == (1, 1)
-    server.apply(Changeset().delete("mother", ("a", "b")))
+    source.apply(Changeset().delete("mother", ("a", "b")))
     assert view.refresh() == "incremental"
     assert ("a", "b") not in view.facts("parent")
 
@@ -206,11 +208,11 @@ def test_person_changes_avoid_the_negation_and_maintain():
 
 def test_refresh_modes_lifecycle():
     program, db = _small_tc()
-    server = Server(db)
-    view = server.view(program)
+    source = VersionedDatabase(db)
+    view = MaterializedView(program, source)
     assert view.refresh() == "full"
     assert view.refresh() == "fresh"
-    server.apply(Changeset().insert("edge", ("x1", "x2")))
+    source.apply(Changeset().insert("edge", ("x1", "x2")))
     assert view.refresh() == "incremental"
     assert view.refresh() == "fresh"
     view.invalidate()
@@ -219,31 +221,34 @@ def test_refresh_modes_lifecycle():
 
 def test_empty_changeset_refreshes_as_fresh():
     program, db = _small_tc()
-    server = Server(db)
-    view = server.view(program)
+    source = VersionedDatabase(db)
+    view = MaterializedView(program, source)
     view.refresh()
-    server.apply(Changeset())  # bumps the version, changes nothing
+    source.apply(Changeset())  # bumps the version, changes nothing
     assert view.refresh() == "fresh"
-    assert view.version == server.version
+    assert view.version == source.version
 
 
 def test_unsupported_changeset_falls_back_to_full():
     program = parse_program(NEG)
     db = Database({"person": [("a",), ("b",)], "edge": [("a", "b")]})
-    server = Server(db)
-    view = server.view(program)
+    source = VersionedDatabase(db)
+    view = MaterializedView(program, source)
     view.refresh()
-    server.apply(Changeset().insert("edge", ("b", "a")))
+    source.apply(Changeset().insert("edge", ("b", "a")))
     assert view.refresh() == "full"
     assert view.facts("lone") == frozenset()
 
 
 def test_apply_rejects_idb_changes():
     program, db = _small_tc()
-    server = Server(db)
+    server = ThreadedServer(db=db)
     server.view(program)
-    with pytest.raises(EvaluationError, match="IDB"):
-        server.apply(Changeset().insert("reach", ("a", "b")))
+    server.update(Changeset().insert("reach", ("a", "b")))
+    assert server.pipeline.dropped_changesets == 1
+    assert isinstance(server.pipeline.last_error, EvaluationError)
+    assert "IDB" in str(server.pipeline.last_error)
+    assert server.version == 0
 
 
 @pytest.mark.parametrize("planner", ["no-such-planner", "cbo"])
@@ -288,12 +293,12 @@ def test_maintain_rejects_a_foreign_kernel_cache(case):
 
 def test_serve_answers_track_updates():
     program, db = _small_tc()
-    server = Server(db)
-    before = server.serve(program, "reach(z1, X)")
+    server = ThreadedServer(db=db, staleness=StalenessBound(max_lag=0))
+    before = server.read(program, "reach(z1, X)").rows
     assert before == set()
-    server.apply(Changeset().insert("edge", ("z1", "z2")))
-    server.apply(Changeset().insert("edge", ("z2", "z3")))
-    after = server.serve(program, "reach(z1, X)")
+    server.update(Changeset().insert("edge", ("z1", "z2")))
+    server.update(Changeset().insert("edge", ("z2", "z3")))
+    after = server.read(program, "reach(z1, X)").rows
     assert {("z2",), ("z3",)} <= after
 
 
@@ -301,17 +306,17 @@ def test_serve_answers_track_updates():
 
 def test_budget_exhaustion_mid_refresh_self_heals():
     program, db = _small_tc()
-    server = Server(db)
-    view = server.view(program)
+    source = VersionedDatabase(db)
+    view = MaterializedView(program, source)
     view.refresh()
     rng = random.Random(17)
-    server.apply(random_changeset(server.source.db, rng,
+    source.apply(random_changeset(source.db, rng,
                                   insert_fraction=0.3))
     with pytest.raises(BudgetExceededError):
         view.refresh(Budget(max_derivations=1))
     assert not view.valid
     assert view.refresh() == "full"
-    scratch = seminaive_evaluate(program, server.source.db)
+    scratch = seminaive_evaluate(program, source.db)
     assert view.fingerprint() == relation_fingerprint(scratch)
 
 
@@ -495,11 +500,12 @@ def test_a_fault_inside_dred_leaves_the_edb_in_its_post_state(
         "-edge(a0, a1). +edge(a3, b0). +edge(b1, d).")
     for ordinal in range(1 if fault == "chaos" else 0, 60):
         db = Database({"edge": edges})
-        server = Server(db.interned() if interning == "on" else db)
-        view = server.view(program, executor=executor)
+        source = VersionedDatabase(db.interned() if interning == "on"
+                                   else db)
+        view = MaterializedView(program, source, executor=executor)
         view.refresh()
-        server.apply(changes)
-        edb = server.source.db
+        source.apply(changes)
+        edb = source.db
         post = {name: set(edb.relation(name).raw_rows()) for name in edb}
         spent = view.stats.derivations + view.stats.duplicate_derivations
         plan = ChaosPlan().fail_derivation(ordinal) \
@@ -522,11 +528,11 @@ def test_a_fault_inside_dred_leaves_the_edb_in_its_post_state(
 
 def test_chaos_fault_mid_refresh_self_heals():
     program, db = _small_tc()
-    server = Server(db)
-    view = server.view(program)
+    source = VersionedDatabase(db)
+    view = MaterializedView(program, source)
     view.refresh()
     rng = random.Random(23)
-    server.apply(random_changeset(server.source.db, rng,
+    source.apply(random_changeset(source.db, rng,
                                   insert_fraction=0.3))
     plan = ChaosPlan().fail_derivation(3)
     with plan.active():
@@ -534,7 +540,7 @@ def test_chaos_fault_mid_refresh_self_heals():
             view.refresh()
     assert not view.valid
     assert view.refresh() == "full"
-    scratch = seminaive_evaluate(program, server.source.db)
+    scratch = seminaive_evaluate(program, source.db)
     assert view.fingerprint() == relation_fingerprint(scratch)
 
 
@@ -568,6 +574,47 @@ class TestServeCommand:
         assert main(["serve", serve_files["program"], serve_files["db"],
                      "--query", "reach(a, X)", "--describe"]) == 0
         assert '"views"' in capsys.readouterr().err
+
+    def test_serve_concurrent_prints_the_serial_last_block(
+            self, serve_files, capsys):
+        directory = serve_files["dir"]
+        (directory / "db.dl").write_text(
+            "edge(a, b).\nedge(b, c).\nedge(c, d).\n")
+        more = directory / "more.dl"
+        more.write_text("+edge(d, e).\n-edge(a, b).\n")
+        argv = ["serve", serve_files["program"], serve_files["db"],
+                "--query", "reach(X, Y)", "--update", serve_files["changes"],
+                "--update", str(more)]
+        assert main(argv) == 0
+        serial = capsys.readouterr().out
+        last_block = serial[serial.rindex(f"-- {more}\n"):].split("\n", 1)[1]
+        assert main(argv + ["--concurrent", "--readers", "2",
+                            "--writers", "2"]) == 0
+        concurrent = capsys.readouterr().out
+        assert concurrent == last_block
+        assert len(concurrent.splitlines()) == 6
+
+    @pytest.mark.parametrize("mode", [[], ["--concurrent", "--readers", "1"]],
+                             ids=["serial", "concurrent"])
+    def test_serve_budget_bounds_the_materialization(self, serve_files,
+                                                     capsys, mode):
+        argv = ["serve", serve_files["program"], serve_files["db"],
+                "--query", "reach(X, Y)", "--update", serve_files["changes"]]
+        assert main(argv + mode + ["--max-derivations", "1"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "budget exceeded" in captured.err
+        assert main(argv + mode + ["--max-facts", "100000"]) == 0
+
+    def test_serve_reports_a_changeset_that_cannot_apply(self, serve_files,
+                                                         capsys):
+        bad = serve_files["dir"] / "bad.dl"
+        bad.write_text("+reach(x, y).\n")
+        assert main(["serve", serve_files["program"], serve_files["db"],
+                     "--query", "reach(a, X)", "--update", str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert "1 changeset(s) could not apply" in captured.err
+        assert captured.out.count("b\n") == 2  # answered before and after
 
     def test_update_writes_post_database(self, serve_files, tmp_path,
                                          capsys):

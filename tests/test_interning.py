@@ -190,27 +190,3 @@ class TestStatistics:
     def test_probe_estimate_on_empty_relation(self):
         rel = Relation("r", 2)
         assert rel.probe_estimate((0,)) == 0.0
-
-
-class TestDifferenceRename:
-    def test_difference_does_not_mutate_operands(self):
-        left = Relation("l", 1, [("a",), ("b",)])
-        right = Relation("r", 1, [("b",)])
-        out = left.difference(right)
-        assert out.rows() == frozenset({("a",)})
-        assert left.rows() == frozenset({("a",), ("b",)})
-        assert right.rows() == frozenset({("b",)})
-
-    def test_difference_across_storage_modes(self):
-        left = Relation("l", 1, [("a",), ("b",)], symbols=SymbolTable())
-        right = Relation("r", 1, [("b",)])
-        assert left.difference(right).rows() == frozenset({("a",)})
-
-    def test_deprecated_alias_removed(self):
-        # ``difference_update_into`` (a misnamed alias that never
-        # updated in place) finished its deprecation cycle; the only
-        # spelling is ``difference``.
-        left = Relation("l", 1, [("a",), ("b",)])
-        assert not hasattr(left, "difference_update_into")
-        right = Relation("r", 1, [("b",)])
-        assert left.difference(right).rows() == frozenset({("a",)})

@@ -166,11 +166,6 @@ class ProfileMachine(RuleBasedStateMachine):
         if read:
             self.teardown()
 
-    @rule(rows=BATCHES, read=st.booleans())
-    def difference(self, rows, read):
-        self._each(lambda r: r.difference(
-            Relation("r", 2, rows, symbols=r.symbols)), read)
-
 
 ProfileMachine.TestCase.settings = settings(
     max_examples=60, stateful_step_count=20, deadline=None)

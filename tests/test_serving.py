@@ -2,10 +2,10 @@
 
 Covers the single-threaded contracts of every new piece — MVCC
 snapshots and staleness bounds, retry/backoff, the circuit breaker,
-the coalescing write pipeline and its failure ladder, the aggregating
-``refresh_all`` sweep, and the atomic-materialization regression — by
-driving ``process_once`` and injected chaos plans directly, with no
-threads and no wall-clock sleeps.  The actual multi-threaded mixed
+the coalescing write pipeline and its failure ladder, the refresh
+sweep that outlives a failing view, and the atomic-materialization
+regression — by driving ``process_once`` and injected chaos plans
+directly, with no threads and no wall-clock sleeps.  The actual multi-threaded mixed
 workload lives in ``test_serving_concurrency.py``.
 """
 
@@ -23,8 +23,7 @@ from repro.runtime import ChaosError
 from repro.runtime.budget import Budget
 from repro.runtime.chaos import ChaosPlan
 from repro.runtime.retry import CircuitBreaker, HealthState, RetryPolicy
-from repro.serving import (Server, Snapshot, StalenessBound,
-                           ThreadedServer, WritePipeline,
+from repro.serving import (Snapshot, StalenessBound, ThreadedServer,
                            relation_fingerprint)
 
 TC = """
@@ -57,14 +56,14 @@ def _no_sleep(_):
 
 def test_snapshot_is_immune_to_live_mutation():
     program = parse_program(TC)
-    server = Server(_chain_db(3))
-    view = server.view(program, publish_snapshots=True)
+    server = ThreadedServer(db=_chain_db(3))
+    view = server.view(program)
     view.refresh()
     snapshot = view.snapshot
     assert snapshot is not None and snapshot.version == 0
     before = snapshot.query("reach(n0, X)")
 
-    server.apply(Changeset.from_text("+edge(n3, n9). -edge(n0, n1)."))
+    server.source.apply(Changeset.from_text("+edge(n3, n9). -edge(n0, n1)."))
     view.refresh()
     # The pinned snapshot still answers as of version 0.
     assert snapshot.query("reach(n0, X)") == before
@@ -75,13 +74,13 @@ def test_snapshot_is_immune_to_live_mutation():
 
 def test_snapshot_fingerprint_matches_state_at_version():
     program = parse_program(TC)
-    server = Server(_chain_db(4))
-    view = server.view(program, publish_snapshots=True)
+    server = ThreadedServer(db=_chain_db(4))
+    view = server.view(program)
     pinned = []
     for text in ("+edge(n4, n5).", "-edge(n1, n2).", "+edge(n0, n4)."):
         view.refresh()
         pinned.append(view.snapshot)
-        server.apply(Changeset.from_text(text))
+        server.source.apply(Changeset.from_text(text))
     view.refresh()
     pinned.append(view.snapshot)
     for snapshot in pinned:
@@ -109,7 +108,7 @@ def test_staleness_bound_axes():
 
 
 def test_a_view_takes_no_counting_option():
-    server = Server(_chain_db(2))
+    server = ThreadedServer(db=_chain_db(2))
     for option in ("use_counts", "counts"):
         with pytest.raises(TypeError):
             server.view(parse_program(TC), **{option: False})
@@ -117,6 +116,25 @@ def test_a_view_takes_no_counting_option():
     assert view.refresh() == "full"
     assert not hasattr(view, "counts")
     assert "counts" not in view.describe()
+
+
+def test_one_server_with_snapshot_reads_only():
+    # Removal pin: ThreadedServer is the only server, every view
+    # publishes, and the live IDB answers no query.
+    import repro.serving as serving
+
+    for name in ("Server", "RefreshReport"):
+        assert not hasattr(serving, name)
+    with pytest.raises(ImportError):
+        from repro.serving import Server  # noqa: F401
+    server = ThreadedServer(db=_chain_db(2))
+    for name in ("server", "serve", "apply", "check", "refresh_all"):
+        assert not hasattr(server, name)
+    with pytest.raises(TypeError):
+        server.view(parse_program(TC), publish_snapshots=True)
+    view = server.view(parse_program(TC))
+    assert not hasattr(view, "query")
+    assert view.refresh() == "full" and view.snapshot.version == 0
 
 
 # -- retry policy ------------------------------------------------------------
@@ -145,7 +163,7 @@ def test_retry_call_recovers_then_reraises():
             raise ValueError("transient")
         return "ok"
 
-    policy = RetryPolicy(max_attempts=3, jitter=0.0)
+    policy = RetryPolicy(max_attempts=3, base_delay_s=0.0, jitter=0.0)
     failures = []
     assert policy.call(flaky, sleep=_no_sleep,
                        on_failure=lambda n, e: failures.append(n)) == "ok"
@@ -198,16 +216,19 @@ def test_breaker_automaton_closed_open_halfopen():
 # -- the write pipeline ------------------------------------------------------
 
 def _pipeline(db=None, **kwargs):
-    server = Server(db if db is not None else _chain_db(4))
-    kwargs.setdefault("retry", RetryPolicy(max_attempts=2, jitter=0.0))
-    kwargs.setdefault("sleep", _no_sleep)
-    return server, WritePipeline(server, **kwargs)
+    """A writer-less server and its pipeline, for tests that drive
+    ``process_once`` by hand; retries back off for zero seconds."""
+    kwargs.setdefault("retry", RetryPolicy(max_attempts=2,
+                                           base_delay_s=0.0, jitter=0.0))
+    server = ThreadedServer(db=db if db is not None else _chain_db(4),
+                            **kwargs)
+    return server, server.pipeline
 
 
 def test_pipeline_coalesces_queue_into_one_batch():
     program = parse_program(TC)
     server, pipeline = _pipeline()
-    server.view(program, publish_snapshots=True)
+    server.view(program)
     pipeline.submit(Changeset.from_text("+edge(n4, n5)."))
     pipeline.submit(Changeset.from_text("+edge(n5, n6)."))
     pipeline.submit(Changeset.from_text("-edge(n4, n5)."))
@@ -219,14 +240,14 @@ def test_pipeline_coalesces_queue_into_one_batch():
     view = server.view(program)
     assert view.version == server.version == 1
     # The insert+delete pair cancelled; only n5->n6 landed.
-    assert ("n6",) in view.query("reach(n5, X)")
+    assert ("n6",) in view.snapshot.query("reach(n5, X)")
     assert not server.source.db.facts("edge") & {("n4", "n5")}
 
 
 def test_pipeline_failed_batch_is_carried_not_dropped():
     program = parse_program(TC)
     server, pipeline = _pipeline()
-    view = server.view(program, publish_snapshots=True)
+    view = server.view(program)
     view.refresh()
     pipeline.submit(Changeset.from_text("+edge(n4, n5)."))
 
@@ -243,7 +264,7 @@ def test_pipeline_failed_batch_is_carried_not_dropped():
     assert pipeline.drained()
     assert server.version == 1
     assert pipeline.health == HealthState.HEALTHY
-    assert ("n5",) in server.view(program).query("reach(n0, X)")
+    assert ("n5",) in server.view(program).snapshot.query("reach(n0, X)")
 
 
 MALFORMED = ["+edge(x, y, z).",     # wrong arity
@@ -274,8 +295,9 @@ def test_pipeline_drops_a_changeset_that_can_never_apply(bad):
     later batch, so no write ever landed again: version stuck at 0,
     full rebuilds forced, and the breaker open by the fourth batch."""
     program = parse_program(TC)
-    server, pipeline = _pipeline(retry=RetryPolicy(jitter=0.0))
-    server.view(program, publish_snapshots=True).refresh()
+    server, pipeline = _pipeline(
+        retry=RetryPolicy(base_delay_s=0.0, jitter=0.0))
+    server.view(program).refresh()
     pipeline.submit(Changeset.from_text(bad))
     assert pipeline.process_once()
     assert pipeline.drained() and server.version == 0
@@ -286,21 +308,21 @@ def test_pipeline_drops_a_changeset_that_can_never_apply(bad):
         assert server.version == step + 1
     assert pipeline.applied_versions == 3
     _assert_healthy_after_drop(pipeline, server, program, version=3)
-    assert ("n7",) in server.view(program).query("reach(n0, X)")
+    assert ("n7",) in server.view(program).snapshot.query("reach(n0, X)")
 
 
 @pytest.mark.parametrize("bad", MALFORMED)
 def test_pipeline_coalesced_batch_keeps_the_valid_writes(bad):
     program = parse_program(TC)
     server, pipeline = _pipeline()
-    server.view(program, publish_snapshots=True).refresh()
+    server.view(program).refresh()
     pipeline.submit(Changeset.from_text("+edge(n4, n5)."))
     pipeline.submit(Changeset.from_text(bad))
     pipeline.submit(Changeset.from_text("+edge(n5, n6)."))
     assert pipeline.process_once()
     assert pipeline.batches == 1 and pipeline.changesets_coalesced == 2
     _assert_healthy_after_drop(pipeline, server, program, version=1)
-    assert ("n6",) in server.view(program).query("reach(n0, X)")
+    assert ("n6",) in server.view(program).snapshot.query("reach(n0, X)")
 
 
 def test_pipeline_drops_a_batch_that_only_fails_as_a_whole():
@@ -308,7 +330,7 @@ def test_pipeline_drops_a_batch_that_only_fails_as_a_whole():
     arity of a predicate the database does not hold yet."""
     program = parse_program(TC)
     server, pipeline = _pipeline()
-    server.view(program, publish_snapshots=True).refresh()
+    server.view(program).refresh()
     pipeline.submit(Changeset.from_text("+colour(n0, red)."))
     pipeline.submit(Changeset.from_text("+colour(n1)."))
     assert pipeline.process_once()
@@ -326,7 +348,7 @@ def test_threaded_server_sync_update_survives_a_malformed_changeset(bad):
     server.read(program, "reach(n0, X)")
     server.update(Changeset.from_text(bad))  # never raises for this
     server.update(Changeset.from_text("+edge(n4, n5)."))
-    _assert_healthy_after_drop(server.pipeline, server.server, program,
+    _assert_healthy_after_drop(server.pipeline, server, program,
                                version=1)
     assert ("n5",) in server.read(program, "reach(n0, X)").rows
 
@@ -334,8 +356,8 @@ def test_threaded_server_sync_update_survives_a_malformed_changeset(bad):
 def test_pipeline_retry_applies_changeset_exactly_once():
     program = parse_program(TC)
     server, pipeline = _pipeline(
-        retry=RetryPolicy(max_attempts=3, jitter=0.0))
-    server.view(program, publish_snapshots=True).refresh()
+        retry=RetryPolicy(max_attempts=3, base_delay_s=0.0, jitter=0.0))
+    server.view(program).refresh()
     pipeline.submit(Changeset.from_text("+edge(n4, n5)."))
     plan = ChaosPlan()
     plan.fail_stage("serving:refresh", repeats=0)  # first attempt only
@@ -355,7 +377,7 @@ def test_pipeline_rebuild_ladder_then_circuit_opens():
         retry=RetryPolicy(max_attempts=1, jitter=0.0),
         breaker=CircuitBreaker(failure_threshold=3, cooldown_s=60.0),
         rebuild_after=2)
-    view = server.view(program, publish_snapshots=True)
+    view = server.view(program)
     view.refresh()
     last_good = view.snapshot
 
@@ -391,7 +413,7 @@ def test_pipeline_recovers_after_cooldown_probe():
         breaker=CircuitBreaker(failure_threshold=1, cooldown_s=5.0,
                                clock=lambda: clock[0]),
         rebuild_after=10)
-    server.view(program, publish_snapshots=True).refresh()
+    server.view(program).refresh()
     plan = ChaosPlan()
     plan.fail_stage("serving:refresh", repeats=0)
     pipeline.submit(Changeset.from_text("+edge(n4, n5)."))
@@ -418,33 +440,33 @@ def test_pipeline_backpressure_rejects_with_typed_error():
     assert pipeline.rejected == 1
 
 
-# -- refresh_all aggregation (satellite: no abort-on-first-failure) ----------
+# -- the refresh sweep: no abort on the first failure ------------------------
 
 def test_refresh_all_continues_past_failing_view():
-    server = Server(_chain_db(4))
+    """The pipeline's sweep refreshes every view before it re-raises
+    the first failure."""
+    server, pipeline = _pipeline(
+        retry=RetryPolicy(max_attempts=1, jitter=0.0))
     first = server.view(parse_program(TC))
     second = server.view(parse_program(NONREC))
-    assert server.refresh_all().ok  # both materialized at v0
-    server.apply(Changeset.from_text("+edge(n4, n5). +parent(a, b)."))
+    pipeline.submit(Changeset())
+    assert pipeline.process_once()  # both materialized at v0
+    pipeline.submit(Changeset.from_text("+edge(n4, n5). +parent(a, b)."))
 
     plan = ChaosPlan()
     plan.fail_stage("serving:refresh", repeats=0)
     with plan.active():
-        report = server.refresh_all()
+        assert pipeline.process_once()
     # Registration order: the TC view hits the fault, NONREC succeeds.
-    assert not report.ok
-    assert list(report.errors) == [first.key[0]]
-    assert isinstance(report.errors[first.key[0]], ChaosError)
-    assert report.modes == {second.key[0]: "incremental"}
+    assert isinstance(pipeline.last_error, ChaosError)
+    assert pipeline.health == HealthState.DEGRADED
     assert second.valid and second.version == 1
-    assert not first.valid
-    with pytest.raises(ChaosError):
-        report.raise_first()
-    assert "FAILED ChaosError" in report.summary()
+    assert second.last_mode == "incremental"
+    assert not first.valid and first.version == 0
 
     # The failed view self-heals on the next (clean) sweep.
-    report = server.refresh_all()
-    assert report.ok and first.valid
+    assert pipeline.process_once()
+    assert pipeline.health == HealthState.HEALTHY and first.valid
     assert first.version == second.version == 1
 
 
@@ -456,12 +478,12 @@ def test_materialize_fault_leaves_last_good_snapshot_intact():
     state — at *both* failed refresh attempts, and the third attempt
     must fully recover."""
     program = parse_program(TC)
-    server = Server(_chain_db(3))
-    view = server.view(program, publish_snapshots=True)
+    server = ThreadedServer(db=_chain_db(3))
+    view = server.view(program)
     view.refresh()
     last_good = view.snapshot
     good_rows = last_good.query("reach(n0, X)")
-    server.apply(Changeset.from_text("+edge(n3, n4)."))
+    server.source.apply(Changeset.from_text("+edge(n3, n4)."))
 
     plan = ChaosPlan()
     plan.fail_stage("serving:refresh", repeats=0)
@@ -493,11 +515,11 @@ def test_materialize_fault_leaves_last_good_snapshot_intact():
 
 def test_snapshot_swap_fault_keeps_previous_snapshot():
     program = parse_program(TC)
-    server = Server(_chain_db(3))
-    view = server.view(program, publish_snapshots=True)
+    server = ThreadedServer(db=_chain_db(3))
+    view = server.view(program)
     view.refresh()
     last_good = view.snapshot
-    server.apply(Changeset.from_text("+edge(n3, n4)."))
+    server.source.apply(Changeset.from_text("+edge(n3, n4)."))
 
     plan = ChaosPlan()
     plan.fail_stage("serving:snapshot-swap", repeats=0)
@@ -563,20 +585,19 @@ def test_normalized_drops_delete_of_simultaneous_insert():
 
 def test_refresh_all_survives_budget_exhaustion_mid_refresh():
     program = parse_program(TC)
-    server = Server(_chain_db(30))
-    view = server.view(program, publish_snapshots=True)
+    server = ThreadedServer(db=_chain_db(30))
+    view = server.view(program)
     view.refresh()
     last_good = view.snapshot
-    server.apply(Changeset.from_text("+edge(n30, n31)."))
+    server.source.apply(Changeset.from_text("+edge(n30, n31)."))
 
-    report = server.refresh_all(Budget(max_derivations=1))
-    assert not report.ok
-    assert isinstance(report.errors[view.key[0]], BudgetExceededError)
+    with pytest.raises(BudgetExceededError):
+        server._sweep(Budget(max_derivations=1))
     assert not view.valid
     assert view.snapshot is last_good  # readers never see the wreck
 
-    report = server.refresh_all()  # unbudgeted sweep: full rebuild
-    assert report.ok and report.modes[view.key[0]] == "full"
+    server._sweep()  # unbudgeted sweep: full rebuild
+    assert view.valid and view.last_mode == "full"
     expected = seminaive_evaluate(program, server.source.db)
     assert view.fingerprint() == relation_fingerprint(expected)
 
@@ -587,23 +608,23 @@ def test_pipeline_budget_failures_climb_the_recovery_ladder():
         db=_chain_db(30),
         retry=RetryPolicy(max_attempts=1, jitter=0.0),
         rebuild_after=2)
-    view = server.view(program, publish_snapshots=True)
+    view = server.view(program)
     view.refresh()
-    server.apply(Changeset.from_text("+edge(n30, n31)."))
+    server.source.apply(Changeset.from_text("+edge(n30, n31)."))
 
     # The first two refresh sweeps run under an impossible budget —
     # a BudgetExceededError mid-refresh, twice in a row — which must
     # walk the ladder to a forced full rebuild, then heal cleanly.
-    real_refresh_all = server.refresh_all
+    real_sweep = server._sweep
     budgeted = [True, True]
 
-    def choked_refresh_all(budget=None):
+    def choked_sweep(budget=None):
         if budgeted:
             budgeted.pop()
-            return real_refresh_all(Budget(max_derivations=1))
-        return real_refresh_all(budget)
+            return real_sweep(Budget(max_derivations=1))
+        return real_sweep(budget)
 
-    server.refresh_all = choked_refresh_all
+    server._sweep = choked_sweep
     pipeline.submit(Changeset.from_text("+edge(n31, n32)."))
     assert pipeline.process_once()
     assert pipeline.health == HealthState.DEGRADED
@@ -636,6 +657,35 @@ def test_threaded_server_inline_reads_and_updates():
     assert fresh.lag == 0
 
 
+def test_synchronous_flush_waits_out_an_open_circuit():
+    """With no writer thread, flush used to spin on ``process_once``
+    while the breaker was open and a batch was carried: tens of
+    thousands of calls in one cooldown."""
+    program = parse_program(TC)
+    server = ThreadedServer(
+        db=_chain_db(3), retry=RetryPolicy(max_attempts=1, jitter=0.0),
+        breaker=CircuitBreaker(failure_threshold=1, cooldown_s=0.3))
+    server.read(program, "reach(n0, X)")
+    plan = ChaosPlan()
+    plan.fail_stage("serving:apply", repeats=0)  # the apply raises once
+    with plan.active():
+        server.update(Changeset.from_text("+edge(n3, n9)."))
+    assert server.pipeline.breaker.state == "open"
+    assert not server.pipeline.drained()
+
+    calls = [0]
+    real_process_once = server.pipeline.process_once
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return real_process_once(*args, **kwargs)
+
+    server.pipeline.process_once = counted
+    assert server.flush(timeout_s=5.0)
+    assert calls[0] <= 5
+    assert server.version == 1 and server.health == HealthState.HEALTHY
+
+
 def test_threaded_server_rejected_changeset_leaves_the_edb_untouched():
     """A changeset with a wrong-arity row used to land its deletes and
     earlier inserts before raising, unlogged: the live EDB then differed
@@ -647,7 +697,7 @@ def test_threaded_server_rejected_changeset_leaves_the_edb_untouched():
     server.update(Changeset.from_text(
         "-edge(n0, n1). +edge(n3, n9). +edge(x, y, z)."))
     assert isinstance(server.pipeline.last_error, EvaluationError)
-    source = server.server.source
+    source = server.source
     assert source.version == 0 and source.log == []
     assert source.db == _chain_db(3)
     view = server.view(program)
@@ -685,7 +735,7 @@ def test_threaded_server_deadline_when_bound_unreachable():
     with plan.active():
         stale = server.read(program, "reach(n0, X)")  # default bound
         assert stale.version == 1  # inline update already refreshed
-        server.pipeline.server.apply(
+        server.source.apply(
             Changeset.from_text("+edge(n9, n10)."))
         with pytest.raises(ServingUnavailable) as exc:
             server.read(program, "reach(n0, X)", deadline_s=0.05,

@@ -72,7 +72,7 @@ def _expected_rows(server, program, version):
     """The query's answer from a from-scratch evaluation at ``version``."""
     from repro.datalog.parser import parse_query
 
-    historical = server.server.source.state_at(version)
+    historical = server.source.state_at(version)
     idb = seminaive_evaluate(program, historical)
     return answers(parse_query(QUERY).literals, program, historical,
                    idb, EvalStats())
@@ -176,7 +176,7 @@ def test_mixed_workload_with_chaos_faults_stays_consistent():
         assert final.lag == 0
         view = server.view(program)
         expected = seminaive_evaluate(program,
-                                      server.server.source.db)
+                                      server.source.db)
         assert (relation_fingerprint(view.idb)
                 == relation_fingerprint(expected))
 
@@ -318,13 +318,13 @@ def test_flush_is_a_barrier_across_concurrent_submitters():
         assert server.pipeline.drained()
         # Inserts commute, so the final EDB is exact regardless of the
         # interleaving; every accepted write must have landed.
-        edges = server.server.source.db.facts("edge")
+        edges = server.source.db.facts("edge")
         for index in range(submitters):
             for i in range(per_thread):
                 assert (f"w{index}_{i}", "sink") in edges
         view = server.view(program)
         if not view.valid:
             view.refresh()
-        expected = seminaive_evaluate(program, server.server.source.db)
+        expected = seminaive_evaluate(program, server.source.db)
         assert (relation_fingerprint(view.idb)
                 == relation_fingerprint(expected))

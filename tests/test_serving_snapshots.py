@@ -29,7 +29,7 @@ from repro.facts.relation import PatchedRelation
 from repro.runtime import ChaosError
 from repro.runtime.chaos import ChaosPlan
 from repro.runtime.retry import RetryPolicy
-from repro.serving import (MaterializedView, Server, WritePipeline,
+from repro.serving import (MaterializedView, ThreadedServer,
                            relation_fingerprint, views)
 
 TC = """
@@ -245,8 +245,8 @@ def publish_copies(monkeypatch):
 def test_incremental_publish_shares_bases_and_copies_nothing(
         publish_copies, interned):
     program = parse_program(TC)
-    server = Server(_chain_db(40, interned))
-    view = server.view(program, publish_snapshots=True)
+    server = ThreadedServer(db=_chain_db(40, interned))
+    view = server.view(program)
     assert view.refresh() == "full"
     first = view.snapshot
     assert publish_copies["copies"] == 2  # edge and reach, once each
@@ -257,7 +257,7 @@ def test_incremental_publish_shares_bases_and_copies_nothing(
     pinned = [first]
     for text in ("+edge(n40, n41).", "-edge(n3, n4). +edge(n3, n5).",
                  "+edge(n41, n42)."):
-        server.apply(Changeset.from_text(text))
+        server.source.apply(Changeset.from_text(text))
         assert view.refresh() == "incremental"
         pinned.append(view.snapshot)
         assert _shared_bases(view.snapshot, first) == [True, True]
@@ -268,7 +268,7 @@ def test_incremental_publish_shares_bases_and_copies_nothing(
 
     # A full rebuild has no delta to patch with: a full copy again.
     view.invalidate()
-    server.apply(Changeset.from_text("+edge(n5, n6)."))
+    server.source.apply(Changeset.from_text("+edge(n5, n6)."))
     assert view.refresh() == "full"
     assert publish_copies["copies"] == 2
     assert _shared_bases(view.snapshot, first) == [False, False]
@@ -281,8 +281,8 @@ def test_compaction_rebases_on_the_writers_clock(monkeypatch,
     50-row patch, the second edge appended to the chain compacts it."""
     monkeypatch.setattr(views, "COMPACTION_RATIO", 16)
     program = parse_program(TC)
-    server = Server(_chain_db(40, interned=True))
-    view = server.view(program, publish_snapshots=True)
+    server = ThreadedServer(db=_chain_db(40, interned=True))
+    view = server.view(program)
     view.refresh()
     pinned = [view.snapshot]
     answers = [view.snapshot.query("reach(n0, X)")]  # builds index (0,)
@@ -297,7 +297,7 @@ def test_compaction_rebases_on_the_writers_clock(monkeypatch,
         or real_build(self, columns))
 
     publish_copies["copies"] = 0
-    server.apply(Changeset.from_text("+edge(n40, n41)."))
+    server.source.apply(Changeset.from_text("+edge(n40, n41)."))
     view.refresh()
     assert view.snapshot.idb.relation("reach").base is old_base
     assert publish_copies["copies"] == 0
@@ -305,7 +305,7 @@ def test_compaction_rebases_on_the_writers_clock(monkeypatch,
     answers.append(view.snapshot.query("reach(n0, X)"))
 
     builds.clear()
-    server.apply(Changeset.from_text("+edge(n41, n42)."))
+    server.source.apply(Changeset.from_text("+edge(n41, n42)."))
     view.refresh()
     compacted = view.snapshot.idb.relation("reach")
     assert compacted.base is not old_base
@@ -327,7 +327,7 @@ def test_compaction_rebases_on_the_writers_clock(monkeypatch,
     # Snapshots from before the compaction answer from their own base,
     # and every pinned snapshot still equals its version from scratch.
     for _ in range(3):
-        server.apply(Changeset.from_text(
+        server.source.apply(Changeset.from_text(
             f"+edge(n{server.version + 40}, n{server.version + 41})."))
         view.refresh()
         pinned.append(view.snapshot)
@@ -342,11 +342,11 @@ def test_compaction_rebases_on_the_writers_clock(monkeypatch,
 def test_swap_fault_then_reattempt_patched_or_copied(
         publish_copies, write_before_reattempt):
     program = parse_program(TC)
-    server = Server(_chain_db(80))
-    view = server.view(program, publish_snapshots=True)
+    server = ThreadedServer(db=_chain_db(80))
+    view = server.view(program)
     view.refresh()
     last_good = view.snapshot
-    server.apply(Changeset.from_text("+edge(n80, n81). -edge(n0, n1)."))
+    server.source.apply(Changeset.from_text("+edge(n80, n81). -edge(n0, n1)."))
     plan = ChaosPlan()
     plan.fail_stage("serving:snapshot-swap", repeats=0)
     with plan.active():
@@ -358,7 +358,7 @@ def test_swap_fault_then_reattempt_patched_or_copied(
     if write_before_reattempt:
         # The kept delta (v0 -> v1) is superseded by v1 -> v2 while the
         # snapshot still stands at v0: nothing to patch it with.
-        server.apply(Changeset.from_text("+edge(n0, n1)."))
+        server.source.apply(Changeset.from_text("+edge(n0, n1)."))
         assert view.refresh() == "incremental"
         assert publish_copies["copies"] == 2
         assert view.snapshot.idb.relation("reach").base \
@@ -373,7 +373,7 @@ def test_swap_fault_then_reattempt_patched_or_copied(
     _assert_consistent(program, server, last_good)
     # The next write patches whatever got published.
     base = view.snapshot.idb.relation("reach").base
-    server.apply(Changeset.from_text("+edge(n81, n82)."))
+    server.source.apply(Changeset.from_text("+edge(n81, n82)."))
     assert view.refresh() == "incremental"
     assert view.snapshot.idb.relation("reach").base is base
     _assert_consistent(program, server, view.snapshot)
@@ -381,10 +381,10 @@ def test_swap_fault_then_reattempt_patched_or_copied(
 
 def test_coalesced_batch_and_empty_delta_publish(publish_copies):
     program = parse_program(TC)
-    server = Server(_chain_db(40))
-    pipeline = WritePipeline(server, sleep=lambda _: None,
-                             retry=RetryPolicy(max_attempts=1, jitter=0.0))
-    view = server.view(program, publish_snapshots=True)
+    server = ThreadedServer(db=_chain_db(40),
+                            retry=RetryPolicy(max_attempts=1, jitter=0.0))
+    pipeline = server.pipeline
+    view = server.view(program)
     view.refresh()
     first = view.snapshot
 
@@ -412,13 +412,13 @@ def test_coalesced_batch_and_empty_delta_publish(publish_copies):
 @pytest.mark.parametrize("interned", [False, True])
 def test_changeset_brings_a_new_edb_predicate(interned):
     program = parse_program(TC + "reach(X, Y) :- link(X, Y).\n")
-    server = Server(_chain_db(40, interned))
-    view = server.view(program, publish_snapshots=True)
+    server = ThreadedServer(db=_chain_db(40, interned))
+    view = server.view(program)
     view.refresh()
     first = view.snapshot
     assert "link" not in first.edb
 
-    server.apply(Changeset.from_text(
+    server.source.apply(Changeset.from_text(
         "+link(n40, m0). +link(m0, n0). +other(x, y, z)."))
     assert view.refresh() == "incremental"
     second = view.snapshot
@@ -432,7 +432,7 @@ def test_changeset_brings_a_new_edb_predicate(interned):
     _assert_consistent(program, server, first)
     _assert_consistent(program, server, second)
 
-    server.apply(Changeset.from_text("-link(m0, n0). +link(m0, m1)."))
+    server.source.apply(Changeset.from_text("-link(m0, n0). +link(m0, m1)."))
     assert view.refresh() == "incremental"
     _assert_consistent(program, server, view.snapshot)
 
@@ -454,7 +454,7 @@ def test_readers_indexing_shared_bases_while_the_writer_publishes(
         f"+edge(n{nodes + i}, n{nodes + i + 1}). "
         + (f"-edge(n{i - 1}, n{i})." if i % 3 == 2 else ""))
         for i in range(40)]
-    server = Server(_chain_db(nodes))
+    server = ThreadedServer(db=_chain_db(nodes))
     # From-scratch closure per version, before any thread starts.
     scratch = VersionedDatabase(_chain_db(nodes))
     expected = [seminaive_evaluate(program, scratch.db).facts("reach")]
@@ -463,7 +463,7 @@ def test_readers_indexing_shared_bases_while_the_writer_publishes(
         expected.append(seminaive_evaluate(program, scratch.db)
                         .facts("reach"))
 
-    view = server.view(program, publish_snapshots=True)
+    view = server.view(program)
     view.refresh()
     failures, reads = [], [0]
     done = threading.Event()
@@ -496,7 +496,7 @@ def test_readers_indexing_shared_bases_while_the_writer_publishes(
             thread.start()
         deadline = time.monotonic() + 20.0
         for changeset in updates:
-            server.apply(changeset)
+            server.source.apply(changeset)
             view.refresh()
             time.sleep(0.001)
             assert time.monotonic() < deadline
