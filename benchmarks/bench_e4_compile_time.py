@@ -30,8 +30,8 @@ def test_e4_table(benchmark, record_table):
 
 def test_e4_bench_graph_method(benchmark, workload):
     program, ic = workload
-    # A fresh Program each round: generate_residues memoises on the
-    # instance, so reusing one would time a dict lookup.
+    # A fresh Program each round: generate_residues and unfold memoise
+    # on the instance, so reusing one would time dict lookups.
     items = benchmark(
         lambda: generate_residues(Program(program.rules), "anc", ic,
                                   max_extend=0))
@@ -41,6 +41,6 @@ def test_e4_bench_graph_method(benchmark, workload):
 def test_e4_bench_exhaustive_method(benchmark, workload):
     program, ic = workload
     items = benchmark(
-        lambda: generate_residues_exhaustive(program, "anc", ic,
-                                             max_length=5))
+        lambda: generate_residues_exhaustive(Program(program.rules), "anc",
+                                             ic, max_length=5))
     assert items

@@ -9,6 +9,15 @@ of ``ic theta`` that did not participate.
 IC consisting of **all** its database subgoals to subsume the clause
 completely; the resulting residue body then contains only evaluable atoms,
 which is what makes it usable for query-independent optimization.
+
+The two searches differ in cost.  A maximal subsumption is a complete
+matching, found by :func:`~.subsumption.subsumptions`' backtracking: each
+IC atom is placed in turn, and once a chain IC's first atom is placed the
+shared variables leave each later atom a few candidates, so Algorithm
+3.1's verification step is polynomial in the IC's length.  The partial
+free residues of Example 2.1 must also consider leaving atoms out, which
+multiplies the search by two per atom; only :func:`free_subsumptions`
+pays that.
 """
 
 from __future__ import annotations
@@ -21,7 +30,7 @@ from ..datalog.unify import Substitution
 from .ic import IntegrityConstraint
 from .residue import Residue
 from .subsumption import (_is_maximal, _matchings, match_literal,
-                          rename_ic_apart)
+                          rename_ic_apart, subsumptions)
 
 
 @dataclass(frozen=True)
@@ -43,14 +52,14 @@ class FreeSubsumption:
 
 
 def free_subsumptions(ic: IntegrityConstraint,
-                      target: Sequence[Literal],
-                      only_maximal: bool = False
+                      target: Sequence[Literal]
                       ) -> Iterator[FreeSubsumption]:
     """Enumerate free (partial) subsumptions of ``ic`` against a clause.
 
-    With ``only_maximal`` every database atom of the IC must be matched
-    (Definition 3.1); otherwise all maximal non-empty partial matchings
-    are produced, mirroring Example 2.1's free residues.
+    Every maximal non-empty partial matching of the IC's database atoms
+    is produced, mirroring Example 2.1's free residues.  This searches
+    the partial matchings too, which is exponential in the number of IC
+    atoms; Algorithm 3.1 needs only :func:`maximal_free_subsumptions`.
     """
     target = tuple(target)
     ic = rename_ic_apart(ic, target)
@@ -60,29 +69,53 @@ def free_subsumptions(ic: IntegrityConstraint,
         if not matched:
             continue
         complete = len(matched) == len(atoms)
-        if only_maximal and not complete:
-            continue
         if not complete and not _is_maximal(atoms, target, matched, theta):
             continue
-        key = (matched, tuple(sorted(
-            (v.name, str(t)) for v, t in theta.items())))
-        if key in seen:
-            continue
-        seen.add(key)
-        leftover: list[Literal] = [
-            atom for index, atom in enumerate(atoms) if index not in matched]
-        leftover.extend(ic.evaluable_atoms())
-        body = theta.apply_literals(leftover)
-        head = theta.apply_literal(ic.head) if ic.head is not None else None
-        residue = Residue(body, head, theta, ic).simplified()
-        yield FreeSubsumption(matched, theta, residue, complete)
+        found = _free_subsumption(ic, atoms, matched, theta, seen)
+        if found is not None:
+            yield found
 
 
 def maximal_free_subsumptions(ic: IntegrityConstraint,
                               target: Sequence[Literal]
                               ) -> Iterator[FreeSubsumption]:
-    """Only the complete (maximal) free subsumptions of Definition 3.1."""
-    yield from free_subsumptions(ic, target, only_maximal=True)
+    """Only the complete (maximal) free subsumptions of Definition 3.1.
+
+    Every database atom of the IC must be matched, so the search assigns
+    each atom in turn and never branches on leaving one out: the
+    backtracking of :func:`subsumptions`, polynomial in the IC's length
+    for a chain IC.  The order is that of the complete matchings among
+    :func:`free_subsumptions`' output.
+    """
+    target = tuple(target)
+    ic = rename_ic_apart(ic, target)
+    atoms = ic.database_atoms()
+    every = frozenset(range(len(atoms)))
+    seen: set[tuple[frozenset[int], tuple]] = set()
+    for theta in subsumptions(atoms, target):
+        found = _free_subsumption(ic, atoms, every, theta, seen)
+        if found is not None:
+            yield found
+
+
+def _free_subsumption(ic: IntegrityConstraint, atoms: Sequence[Atom],
+                      matched: frozenset[int], theta: Substitution,
+                      seen: set[tuple[frozenset[int], tuple]]
+                      ) -> FreeSubsumption | None:
+    """The free subsumption of one matching, or None for a repeat."""
+    key = (matched, tuple(sorted(
+        (v.name, str(t)) for v, t in theta.items())))
+    if key in seen:
+        return None
+    seen.add(key)
+    leftover: list[Literal] = [
+        atom for index, atom in enumerate(atoms) if index not in matched]
+    leftover.extend(ic.evaluable_atoms())
+    body = theta.apply_literals(leftover)
+    head = theta.apply_literal(ic.head) if ic.head is not None else None
+    residue = Residue(body, head, theta, ic).simplified()
+    return FreeSubsumption(matched, theta, residue,
+                           len(matched) == len(atoms))
 
 
 def freely_subsumes(ic: IntegrityConstraint,

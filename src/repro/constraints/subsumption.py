@@ -9,9 +9,14 @@ Definitions (Section 2):
 - an IC partially subsumes a rule when its *expanded form* does; the
   **residue** is the part of the expanded IC that did not participate.
 
-The enumeration is exponential in the size of the IC — which is tiny in
-practice — and linear passes over the target clause, matching the
-algorithm of Chakravarthy et al. [3].
+Complete subsumption (:func:`subsumptions`) places every pattern literal
+in turn and backtracks on a mismatch.  Clause subsumption is NP-complete
+in general, but a literal sharing variables with one already placed has
+few candidates, so on chain-shaped ICs the search is polynomial in their
+length.  Partial subsumption (:func:`_matchings`) may also leave any IC
+atom out, which doubles the search per atom: exponential in the IC's
+size, which is tiny where it is used (rule-level residues and Example
+2.1's free residues), matching the algorithm of Chakravarthy et al. [3].
 """
 
 from __future__ import annotations

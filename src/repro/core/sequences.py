@@ -118,69 +118,134 @@ def _sequence_rules(program: Program, pred: str,
     return rules
 
 
+@dataclass(frozen=True)
+class UnfoldedPrefix:
+    """An unfolded sequence with its trailing recursive call held apart.
+
+    Every sequence that starts with these labels shares this state: a
+    longer sequence expands ``call`` with its next rule, while the
+    sequence itself puts ``call`` back into the body as its recursive
+    tail.  States are memoised on the :class:`Program`, keyed by the
+    predicate and the labels, and never change once stored.
+
+    Attributes:
+        instances: the renamed rule instances, one per level.
+        substitutions: per level, the renaming into the unfolding's
+            variable space.
+        body: the body literals with provenance, without ``call``.
+        call: the last level's recursive call, or None when the last
+            rule is an exit rule (or there are no levels yet).
+        call_at: where ``call`` sits in the sequence's own body.
+        supply: the fresh-variable supply after these levels' renamings;
+            extending a prefix draws from a fork of it.
+    """
+
+    instances: tuple[Rule, ...]
+    substitutions: tuple[Substitution, ...]
+    body: tuple[ProvenancedLiteral, ...]
+    call: ProvenancedLiteral | None
+    call_at: int
+    supply: FreshVariableSupply
+
+
+def _expand(prefix: UnfoldedPrefix, rule: Rule, pred: str,
+            labels: tuple[str, ...]) -> UnfoldedPrefix:
+    """Unfold ``rule`` one level below ``prefix``.
+
+    ``labels`` is the sequence being unfolded, for error messages.
+    """
+    level = len(prefix.instances)
+    supply = prefix.supply
+    if level == 0:
+        renaming = Substitution()
+        instance = rule
+    else:
+        assert prefix.call is not None
+        call_atom = prefix.call.literal
+        assert isinstance(call_atom, Atom)
+        supply = supply.fork()
+        fresh_map = {v: supply.fresh(v.name) for v in sorted(
+            rule.variables(), key=lambda v: v.name)}
+        renaming = Substitution(fresh_map)
+        renamed = rule.apply(renaming)
+        unifier = unify(renamed.head, call_atom)
+        if unifier is None:
+            raise TransformError(
+                f"cannot unfold {labels}: head of {rule.label} does "
+                f"not unify with the recursive call {call_atom}")
+        foreign = set(unifier) - set(renamed.variables())
+        if foreign:
+            # Binding call-site variables would have to propagate to
+            # earlier levels; rectified heads never trigger this.
+            raise TransformError(
+                f"cannot unfold {labels}: rule {rule.label} has a "
+                "non-rectified head that constrains the call site; "
+                "rectify the program first")
+        instance = renamed.apply(unifier)
+        renaming = renaming.compose(unifier)
+
+    body = list(prefix.body)
+    call: ProvenancedLiteral | None = None
+    call_at = len(body)
+    for body_index, literal in enumerate(instance.body):
+        item = ProvenancedLiteral(literal, level, body_index)
+        original = rule.body[body_index]
+        if isinstance(original, Atom) and original.pred == pred:
+            call, call_at = item, len(body)
+        else:
+            body.append(item)
+    return UnfoldedPrefix(
+        instances=prefix.instances + (instance,),
+        substitutions=prefix.substitutions + (renaming,),
+        body=tuple(body), call=call, call_at=call_at, supply=supply)
+
+
+def _unfolded(program: Program, pred: str, labels: tuple[str, ...],
+              rules: Sequence[Rule]) -> UnfoldedPrefix:
+    """The memoised state of ``labels``: the longest stored prefix,
+    extended one level at a time, each new level stored on the way."""
+    memo = program._unfolded
+    if (pred, ()) not in memo:
+        # The empty prefix: fresh names avoid every variable of the
+        # program, collected once per program and predicate.
+        names = {v.name for rule in program for v in rule.variables()}
+        memo[pred, ()] = UnfoldedPrefix((), (), (), None, 0,
+                                        FreshVariableSupply(names))
+    cut = len(labels)
+    while (pred, labels[:cut]) not in memo:
+        cut -= 1
+    state = memo[pred, labels[:cut]]
+    for end in range(cut, len(labels)):
+        state = _expand(state, rules[end], pred, labels)
+        memo[pred, labels[:end + 1]] = state
+    return state
+
+
 def unfold(program: Program, pred: str,
            labels: Sequence[str]) -> SequenceClause:
-    """Unfold an expansion sequence into a :class:`SequenceClause`."""
+    """Unfold an expansion sequence into a :class:`SequenceClause`.
+
+    Sequences share the unfolding of their common prefix: ``r1 r1 r0``
+    extends the stored state of ``r1 r1``, which is also the state of the
+    sequence ``r1 r1`` itself.  A level is renamed exactly as a
+    from-scratch unfolding would rename it, because each state keeps the
+    fresh-variable supply where its last level left it.
+    """
     labels = tuple(labels)
     rules = _sequence_rules(program, pred, labels)
-    supply = FreshVariableSupply(
-        {v.name for rule in program for v in rule.variables()})
-
-    instances: list[Rule] = []
-    substitutions: list[Substitution] = []
-    body: list[ProvenancedLiteral] = []
+    state = _unfolded(program, pred, labels, rules)
+    body = state.body
     recursive_tail: int | None = None
-
-    call_atom: Atom | None = None  # the pending recursive call to expand
-    for level, rule in enumerate(rules):
-        if level == 0:
-            renaming = Substitution()
-            instance = rule
-        else:
-            assert call_atom is not None
-            fresh_map = {v: supply.fresh(v.name) for v in sorted(
-                rule.variables(), key=lambda v: v.name)}
-            renaming = Substitution(fresh_map)
-            renamed = rule.apply(renaming)
-            unifier = unify(renamed.head, call_atom)
-            if unifier is None:
-                raise TransformError(
-                    f"cannot unfold {labels}: head of {rule.label} does "
-                    f"not unify with the recursive call {call_atom}")
-            foreign = set(unifier) - set(renamed.variables())
-            if foreign:
-                # Binding call-site variables would have to propagate to
-                # earlier levels; rectified heads never trigger this.
-                raise TransformError(
-                    f"cannot unfold {labels}: rule {rule.label} has a "
-                    "non-rectified head that constrains the call site; "
-                    "rectify the program first")
-            instance = renamed.apply(unifier)
-            renaming = renaming.compose(unifier)
-        instances.append(instance)
-        substitutions.append(renaming)
-
-        call_atom = None
-        for body_index, literal in enumerate(instance.body):
-            original = rule.body[body_index]
-            is_recursive_call = (isinstance(original, Atom)
-                                 and original.pred == pred)
-            if is_recursive_call and level < len(rules) - 1:
-                # Expanded by the next rule: not part of the clause body.
-                call_atom = literal  # type: ignore[assignment]
-                continue
-            body.append(ProvenancedLiteral(literal, level, body_index))
-            if is_recursive_call:
-                recursive_tail = len(body) - 1
-                call_atom = literal  # type: ignore[assignment]
-
+    if state.call is not None:
+        recursive_tail = state.call_at
+        body = body[:recursive_tail] + (state.call,) + body[recursive_tail:]
     return SequenceClause(
         pred=pred,
         labels=labels,
-        head=instances[0].head,
-        body=tuple(body),
-        instances=tuple(instances),
-        level_substitutions=tuple(substitutions),
+        head=state.instances[0].head,
+        body=body,
+        instances=state.instances,
+        level_substitutions=state.substitutions,
         recursive_tail=recursive_tail)
 
 

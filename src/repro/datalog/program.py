@@ -23,6 +23,7 @@ from .rules import Rule
 if TYPE_CHECKING:
     from ..constraints.ic import IntegrityConstraint
     from ..core.residues import SequenceResidue
+    from ..core.sequences import UnfoldedPrefix
 
 
 @dataclass(frozen=True)
@@ -92,6 +93,10 @@ class Program:
         self._residues: dict[
             tuple[str, int, int, bool, int],
             tuple[IntegrityConstraint, tuple[SequenceResidue, ...]]] = {}
+        # Unfolded recursive prefixes of expansion sequences, filled by
+        # ``core.sequences.unfold``: (pred, prefix labels) -> prefix.
+        self._unfolded: dict[tuple[str, tuple[str, ...]],
+                             UnfoldedPrefix] = {}
 
     # -- container protocol -------------------------------------------------
     def __iter__(self) -> Iterator[Rule]:

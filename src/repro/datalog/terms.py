@@ -12,7 +12,6 @@ sets, dictionaries and substitution mappings.
 
 from __future__ import annotations
 
-import itertools
 import re
 from dataclasses import dataclass
 from typing import Iterator, Union
@@ -125,7 +124,17 @@ class FreshVariableSupply:
                  prefix: str = "V") -> None:
         self._reserved = set(reserved or ())
         self._prefix = prefix
-        self._counter = itertools.count(1)
+        self._counter = 1
+
+    def fork(self) -> "FreshVariableSupply":
+        """An independent supply at this one's position.
+
+        The fork hands out exactly the names this supply would hand out
+        next; drawing from either leaves the other untouched.
+        """
+        clone = FreshVariableSupply(self._reserved, self._prefix)
+        clone._counter = self._counter
+        return clone
 
     def reserve(self, names: set[str]) -> None:
         """Add more names to the reserved set."""
@@ -139,7 +148,8 @@ class FreshVariableSupply:
         """
         stem = base if base is not None else self._prefix
         while True:
-            name = f"{stem}_{next(self._counter)}"
+            name = f"{stem}_{self._counter}"
+            self._counter += 1
             if name not in self._reserved:
                 self._reserved.add(name)
                 return Variable(name)

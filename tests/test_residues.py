@@ -6,7 +6,10 @@ method is cross-checked against the exhaustive reference enumerator.
 
 import pytest
 
+import repro.constraints.free as free_module
+import repro.constraints.subsumption as subsumption_module
 import repro.core.residues as residues_module
+import repro.core.sequences as sequences_module
 from repro import Database, SemanticOptimizer, lint_program
 from repro.bench.experiments import (_chain_ic_text, experiment_e4,
                                      experiment_e10)
@@ -14,6 +17,7 @@ from repro.constraints import ic_from_text, ics_from_text
 from repro.core import (detect_sequences, generate_residues,
                         generate_residues_exhaustive, rule_level_residues)
 from repro.core.residues import introduction_eligible
+from repro.core.sequences import unfold
 from repro.datalog import Program, parse_program
 from repro.engine.optimizer import choose_plan
 from repro.errors import ConstraintError
@@ -166,10 +170,12 @@ def counted(monkeypatch):
     sequence verifications, as (program id, IC label) and sequences."""
     computations: list[tuple[int, str | None]] = []
     verifications: list[tuple[str, ...]] = []
+    programs = []  # held, so no program id is reused within a test
     detect = residues_module.detect_sequences
     verify = residues_module.residues_for_sequence
 
     def counting_detect(program, pred, ic, **options):
+        programs.append(program)
         computations.append((id(program), ic.label))
         return detect(program, pred, ic, **options)
 
@@ -189,7 +195,15 @@ MEMO_CASES = [
                  id=f"{factory.__name__}-{ic.label}")
     for factory in ALL_EXAMPLES for ic in factory().ics
 ] + [pytest.param(example_4_3, None, length, id=f"chain_ic_{length}")
-     for length in range(2, 7)]
+     for length in range(2, 9)]
+
+
+def _chain_ic(length):
+    return ics_from_text(_chain_ic_text(length))[0]
+
+
+def _memo_ic(example, label, length):
+    return example.ic(label) if length is None else _chain_ic(length)
 
 
 class TestOncePerProgram:
@@ -229,6 +243,15 @@ class TestOncePerProgram:
         assert len(computations) == 4
         assert len({program for program, _ in computations}) == 4
 
+    def test_e4_counts_the_sequences_it_verifies(self, counted):
+        """The verified-sequences column is the verification count:
+        r1^3 and r1^2 r0 for the graph, all 8 up to length 4 for the
+        exhaustive enumerator."""
+        _, verifications = counted
+        table = experiment_e4(lengths=(3,), repeats=1)
+        assert table.rows[0][3] == "2/8"
+        assert len(verifications) == 2 + 8
+
     def test_e10_times_one_cold_computation_per_configuration(self,
                                                               counted):
         """The four SemanticOptimizer configurations each pay for their
@@ -246,8 +269,7 @@ class TestMemoSemantics:
     def test_a_hit_equals_a_fresh_program(self, factory, label, length,
                                           useful_only, max_extend):
         example = factory()
-        ic = (example.ic(label) if length is None
-              else ics_from_text(_chain_ic_text(length))[0])
+        ic = _memo_ic(example, label, length)
         options = dict(useful_only=useful_only, max_extend=max_extend)
         first = generate_residues(example.program, example.pred, ic,
                                   **options)
@@ -303,3 +325,83 @@ class TestMemoSemantics:
         assert len(computations) == 2
         assert generate_residues(ex21.program, "p", ic) == expected
         assert len(computations) == 2
+
+
+# ---------------------------------------------------------------------------
+# Step 4 costs what it should: complete matchings, shared prefixes
+# ---------------------------------------------------------------------------
+
+class TestVerificationCost:
+    """Algorithm 3.1 on Example 4.3 with an 8-atom chain IC, in counts."""
+
+    def test_free_subsumption_tries_few_literal_matches(self, monkeypatch):
+        """612 calls; 478 278 while the search also enumerated every
+        partial matching only to drop it."""
+        calls = []
+        match_literal = subsumption_module.match_literal
+
+        def counting(*args):
+            calls.append(None)
+            return match_literal(*args)
+
+        monkeypatch.setattr(subsumption_module, "match_literal", counting)
+        monkeypatch.setattr(free_module, "match_literal", counting)
+        items = generate_residues(Program(example_4_3().program.rules),
+                                  "anc", _chain_ic(8))
+        assert len(items) == 2
+        assert len(calls) <= 1000
+
+    def test_each_prefix_is_unfolded_once_per_program(self, monkeypatch,
+                                                      counted):
+        """r1^8 and r1^7 r0 share the levels of r1^7: 8 renamed levels,
+        14 when every sequence was unfolded from scratch."""
+        _, verifications = counted
+        renamed = []
+        unify = sequences_module.unify
+
+        def counting(*args):
+            renamed.append(None)
+            return unify(*args)
+
+        monkeypatch.setattr(sequences_module, "unify", counting)
+        program = Program(example_4_3().program.rules)
+        generate_residues(program, "anc", _chain_ic(8))
+        prefixes = {sequence[:end] for sequence in verifications
+                    for end in range(2, len(sequence) + 1)}
+        assert len(renamed) == len(prefixes) == 8
+        # Another IC on the same program renames only r1^6 r0's last
+        # level: r1^7 is already unfolded.
+        renamed.clear()
+        generate_residues(program, "anc", _chain_ic(7))
+        assert len(renamed) == 1
+
+
+class TestPrefixMemo:
+    @pytest.mark.parametrize("factory,label,length", MEMO_CASES)
+    def test_a_warm_unfolding_equals_a_cold_one(self, factory, label,
+                                                length, counted):
+        """Every sequence Algorithm 3.1 visits, extension windows
+        included, unfolds on the memo-warm program exactly as on a
+        fresh one that unfolds nothing else."""
+        _, verifications = counted
+        example = factory()
+        program = Program(example.program.rules)
+        generate_residues(program, example.pred,
+                          _memo_ic(example, label, length), max_extend=3)
+        for sequence in verifications:
+            warm = unfold(program, example.pred, sequence)
+            cold = unfold(Program(example.program.rules), example.pred,
+                          sequence)
+            assert warm == cold
+            assert str(warm) == str(cold)
+            assert [str(s) for s in warm.level_substitutions] == \
+                [str(s) for s in cold.level_substitutions]
+
+    def test_the_memo_lives_on_the_program(self, ex43):
+        program = Program(ex43.program.rules)
+        first = unfold(program, "anc", ("r1", "r1", "r0"))
+        assert set(program._unfolded) == {
+            ("anc", ()), ("anc", ("r1",)), ("anc", ("r1", "r1")),
+            ("anc", ("r1", "r1", "r0"))}
+        assert unfold(program, "anc", ("r1", "r1", "r0")) == first
+        assert not Program(ex43.program.rules)._unfolded

@@ -115,6 +115,20 @@ class TestFreeSubsumptionExample21:
         # a and c matched: residue b(...) -> d(...)
         assert any(r.startswith("b(") for r in residues)
 
+    def test_partial_free_residues_verbatim(self, ex21):
+        """The partial search's output, pinned: matched atoms, theta and
+        residue of each maximal partial matching, in order."""
+        r0 = ex21.program.rule("r0")
+        items = [(sorted(fs.matched), fs.complete, str(fs.subst),
+                  str(fs.residue))
+                 for fs in free_subsumptions(ex21.ic("ic"), r0.body)]
+        assert items == [
+            ([1], False, "{V2/Y2, V4/X3}",
+             "a(V1, Y2, V3), c(X3, V5, V6) -> d(V6, V7)"),
+            ([0, 2], False, "{V1/X1, V2/X2, V3/X4, V4/Y3, V5/Y4, V6/X5}",
+             "b(X2, Y3) -> d(X5, V7)"),
+        ]
+
     def test_no_maximal_on_single_r0(self, ex21):
         r0 = ex21.program.rule("r0")
         assert not freely_subsumes(ex21.ic("ic"), r0.body)
@@ -206,3 +220,30 @@ class TestResidueClassification:
         residue = Residue((atom("p", "X"),), atom("p", "X"),
                           Substitution())
         assert residue.is_tautology
+
+
+COMPLETE_CASES = [
+    ("ex21", "p", "ic", ("r0", "r0", "r0")),
+    ("ex21", "p", "ic", ("r0", "r0", "r0", "r0")),
+    ("ex32", "eval", "ic1", ("r1", "r1")),
+    ("ex32", "eval", "ic1", ("r1", "r1", "r0")),
+    ("ex41", "triple", "ic1", ("r2", "r2", "r2", "r2")),
+    ("ex43", "anc", "ic1", ("r1", "r1", "r1")),
+    ("ex43", "anc", "ic1", ("r1", "r1", "r0")),
+]
+
+
+class TestCompleteMatchingsOnly:
+    """Maximal free subsumption searches complete matchings directly."""
+
+    @pytest.mark.parametrize("fixture,pred,label,sequence", COMPLETE_CASES)
+    def test_equals_the_complete_partial_matchings(self, request, fixture,
+                                                   pred, label, sequence):
+        """Same items, same order, as the complete matchings that the
+        partial search finds."""
+        example = request.getfixturevalue(fixture)
+        ic = example.ic(label)
+        literals = unfold(example.program, pred, sequence).literals()
+        complete = [fs for fs in free_subsumptions(ic, literals)
+                    if fs.complete]
+        assert list(maximal_free_subsumptions(ic, literals)) == complete

@@ -124,3 +124,11 @@ class TestFreshVariableSupply:
         supply.reserve({"Q_2", "Q_3"})
         names = {supply.fresh("Q").name for _ in range(5)}
         assert not names & {"Q_2", "Q_3", first.name}
+
+    def test_fork_continues_independently(self):
+        supply = FreshVariableSupply({"X_2"})
+        supply.fresh("X")
+        fork = supply.fork()
+        ahead = [supply.fresh("X").name for _ in range(3)]
+        assert [fork.fresh("X").name for _ in range(3)] == ahead
+        assert "X_2" not in ahead and len(set(ahead)) == 3
