@@ -57,6 +57,7 @@ from ..datalog.terms import (ArithExpr, Constant, ConstValue, Term,
                              Variable)
 from ..engine.bindings import check_edb_arities
 from ..engine.builtins import compare_values
+from ..engine.prepared import prepared
 from ..errors import EvaluationError
 from ..facts.relation import PROFILE_VALUES, ColumnProfile
 
@@ -668,9 +669,27 @@ def analyze_dataflow(program: Program, edb: "Database | None" = None,
     relation until its next write), which also supplies exact
     per-column distinct counts for the size-bound analysis.  A relation
     stored at another arity than the program's is an ``EvaluationError``.
+
+    The query enters only through its predicate and adornment, so with
+    an ``edb`` the result is kept in the query's prepared entry
+    (:mod:`repro.engine.prepared`) and returned as it is to every query
+    of the same pattern until the EDB's stamp moves.  A result is
+    shared: read it, never mutate it.
     """
-    if edb is not None:
-        check_edb_arities(program, edb)
+    if edb is None:
+        return _analyze(program, None, query)
+    check_edb_arities(program, edb)
+    entry = prepared(program, edb, query)
+    if entry is None:
+        return _analyze(program, edb, query)
+    if entry.dataflow is None:
+        entry.dataflow = _analyze(program, edb, query)
+    return entry.dataflow
+
+
+def _analyze(program: Program, edb: "Database | None",
+             query: Atom | None) -> DataflowResult:
+    """The analysis itself: one fixpoint, nothing kept."""
     arities = dict(program.predicate_arities())
     state: dict[str, PredState] = {}
     distinct: dict[tuple[str, int], float] = {}

@@ -24,6 +24,7 @@ if TYPE_CHECKING:
     from ..constraints.ic import IntegrityConstraint
     from ..core.residues import SequenceResidue
     from ..core.sequences import UnfoldedPrefix
+    from ..engine.prepared import PreparedQuery
 
 
 @dataclass(frozen=True)
@@ -97,6 +98,12 @@ class Program:
         # ``core.sequences.unfold``: (pred, prefix labels) -> prefix.
         self._unfolded: dict[tuple[str, tuple[str, ...]],
                              UnfoldedPrefix] = {}
+        # Bound queries prepared over this program, filled by
+        # ``engine.prepared.prepared``: (query pred, adornment, IC ids)
+        # -> the entry of the last EDB stamp seen.
+        self._prepared: dict[
+            tuple[str | None, str | None, tuple[int, ...]],
+            PreparedQuery] = {}
 
     # -- container protocol -------------------------------------------------
     def __iter__(self) -> Iterator[Rule]:

@@ -173,11 +173,14 @@ class PredicateCache:
                 const: object, slot_left: bool) -> object:
         key = (relation.name, column, op, _faithful(const), slot_left)
         stamp = (relation.uid, relation.version)
-        slots = self.entries.setdefault(key, [])
+        # A slot list is replaced, never edited in place: kernels that
+        # share the cache may run on several threads at once.
+        slots = self.entries.get(key, [])
         for position, slot in enumerate(slots):
             if slot[0] == stamp:
                 if position:
-                    slots.insert(0, slots.pop(position))
+                    self.entries[key] = [slot, *slots[:position],
+                                         *slots[position + 1:]]
                 return slot[1]
         values = self.symbols.values if self.symbols is not None else None
         compare = builtins.compare_values
@@ -205,13 +208,10 @@ class PredicateCache:
         else:
             container = frozenset(passing)
         self.builds += 1
-        for position, slot in enumerate(slots):
-            if slot[0][0] == relation.uid:
-                del slots[position]  # the same relation, mutated since
-                break
-        else:
-            del slots[_SLOTS - 1:]
-        slots.insert(0, (stamp, container))
+        # The same relation's slot (mutated since) goes first, then the
+        # least recently used.
+        kept = [slot for slot in slots if slot[0][0] != relation.uid]
+        self.entries[key] = [(stamp, container), *kept[:_SLOTS - 1]]
         return container
 
 

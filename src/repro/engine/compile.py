@@ -315,8 +315,15 @@ class KernelCache:
 
     def put(self, rule: Rule, variant: object,
             kernel: CompiledKernel) -> CompiledKernel:
-        """Keep ``kernel`` for ``(rule, variant)``; returns it."""
-        self._kernels[rule, variant] = kernel
+        """Keep ``kernel`` for ``(rule, variant)``; returns it.
+
+        A body-less rule's kernel is not kept, and is compiled again at
+        each firing: a fact's constants are its whole key, so a cache
+        shared by a stream of bound queries would otherwise keep every
+        query's magic seed.
+        """
+        if rule.body:
+            self._kernels[rule, variant] = kernel
         return kernel
 
 

@@ -93,7 +93,8 @@ class Firer:
     :class:`~repro.engine.compile.KernelCache` — ``kernels`` when the
     caller keeps one across runs, which must be compiled against the
     same ``symbols`` — and plans a kernel once, at its first firing
-    (:func:`compile_firing`); ``"interpreted"`` runs the oracle, which
+    (:func:`compile_firing`; a fact's at every firing, see
+    :meth:`~repro.engine.compile.KernelCache.put`); ``"interpreted"`` runs the oracle, which
     re-plans greedily every firing (in rule order under ``"source"``)
     and takes no ``kernels``.
 

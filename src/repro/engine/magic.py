@@ -58,6 +58,11 @@ class MagicProgram:
     query_pred: str
     seed: Rule
 
+    @property
+    def adornment(self) -> Adornment:
+        """The binding pattern the query predicate was rewritten for."""
+        return self.query_pred.rpartition("__")[2]
+
 
 def magic_rewrite(program: Program, query: Atom,
                   budget: Budget | None = None,
@@ -122,14 +127,34 @@ def magic_rewrite(program: Program, query: Atom,
             out_rules.extend(
                 _rewrite_rule(program, rule, adornment, pending))
 
-    seed_args = _bound_args(query, query_adornment)
-    seed = Rule(Atom(_magic(query.pred, query_adornment), seed_args), (),
-                label="magic_seed")
+    seed = magic_seed(query, query_adornment)
     out_rules.append(seed)
     rewritten = Program(
         out_rules, edb_hint=tuple(program.edb_predicates))
     return MagicProgram(rewritten, _adorned(query.pred, query_adornment),
                         seed)
+
+
+def magic_seed(query: Atom, adornment: Adornment) -> Rule:
+    """The seed fact of ``query`` under ``adornment``: the magic
+    predicate of the query's pattern over the constants it binds.  It is
+    the only rule of a rewrite that depends on the query's constants."""
+    return Rule(Atom(_magic(query.pred, adornment),
+                     _bound_args(query, adornment)), (), label="magic_seed")
+
+
+def reseed(rewritten: MagicProgram, query: Atom) -> MagicProgram:
+    """``rewritten`` for another query of the same binding pattern.
+
+    Equal to ``magic_rewrite`` of that query under the same adornment:
+    every rule but the seed depends on the pattern only, so the seed is
+    swapped for ``query``'s and the rest is kept.
+    """
+    seed = magic_seed(query, rewritten.adornment)
+    rules = [seed if rule is rewritten.seed else rule
+             for rule in rewritten.program]
+    return MagicProgram(rewritten.program.with_rules(rules),
+                        rewritten.query_pred, seed)
 
 
 def _rewrite_rule(program: Program, rule: Rule, adornment: Adornment,

@@ -37,9 +37,9 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from time import perf_counter
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from ..datalog.atoms import Atom, Comparison, Negation
 from ..datalog.program import Program
@@ -47,9 +47,12 @@ from ..datalog.rules import Rule
 from ..datalog.terms import Constant, Variable
 from ..errors import ReproError, TransformError
 from ..facts.database import Database
+from ..runtime import chaos
 from ..runtime.budget import Budget, resolve_budget
 from .bindings import EvalStats, check_edb_arities, plan_body
-from .magic import MagicProgram, adornment_of, magic_rewrite
+from .magic import (MagicProgram, adornment_of, magic_rewrite, magic_seed,
+                    reseed)
+from .prepared import prepared
 
 if TYPE_CHECKING:
     from ..analysis.dataflow import DataflowResult
@@ -103,9 +106,15 @@ class MemoGroup:
 
 
 def _program_fingerprint(candidate: PlanCandidate) -> str:
-    text = "\n".join(sorted(str(rule) for rule in candidate.program))
-    if candidate.magic is not None:
-        text += f"\n% answers: {candidate.magic.query_pred}"
+    magic = candidate.magic
+    return _fingerprint(map(str, candidate.program),
+                        None if magic is None else magic.query_pred)
+
+
+def _fingerprint(rule_texts: Iterable[str], answers: str | None) -> str:
+    text = "\n".join(sorted(rule_texts))
+    if answers is not None:
+        text += f"\n% answers: {answers}"
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
@@ -144,14 +153,18 @@ class Memo:
 # rewrite enumeration
 # ---------------------------------------------------------------------------
 
+def _ic_labels(ics: Sequence) -> list[str]:
+    return [getattr(ic, "label", None) or f"ic{index}"
+            for index, ic in enumerate(ics)]
+
+
 def _ic_subsets(ics: Sequence) -> list[tuple[tuple, str]]:
     """Per-IC on/off choices, bounded.
 
     Up to three ICs the full power set (minus the empty set — that is
     the identity candidate); beyond that, all-on plus each singleton.
     """
-    labels = [getattr(ic, "label", None) or f"ic{index}"
-              for index, ic in enumerate(ics)]
+    labels = _ic_labels(ics)
     out: list[tuple[tuple, str]] = []
     if len(ics) <= 3:
         for mask in range(1, 1 << len(ics)):
@@ -322,12 +335,25 @@ def enumerate_candidates(program: Program, query: Atom | None = None,
     or relies on IC-consistency — rather than the full IDB trace (see
     module docstring).
     """
+    return _enumerate(program, query, tuple(ics), budget, max_candidates,
+                      violated=())
+
+
+def _enumerate(program: Program, query: Atom | None, ics: tuple,
+               budget: Budget | None, max_candidates: int,
+               violated: Sequence[int]) -> Memo:
+    """:func:`enumerate_candidates` without a residue candidate of any
+    IC whose position in ``ics`` is ``violated``."""
     budget = resolve_budget(budget)
     memo = Memo()
     base: list[PlanCandidate] = [PlanCandidate(program, ())]
 
-    # Residue pushing on/off per IC (Algorithm 3.1 + Section 4 pushes).
-    for subset, label in _ic_subsets(tuple(ics)):
+    # Residue pushing on/off per IC (Algorithm 3.1 + Section 4 pushes),
+    # for the ICs the EDB satisfies.
+    dropped = {id(ics[index]) for index in violated}
+    for subset, label in _ic_subsets(ics):
+        if any(id(ic) in dropped for ic in subset):
+            continue
         if budget is not None:
             budget.check_round(last_round=None)
         pushed = _residue_variant(program, subset)
@@ -528,7 +554,13 @@ def estimate_program_cost(candidate: PlanCandidate, edb: Database,
 
 @dataclass
 class ChosenPlan:
-    """The optimizer's decision: cheapest candidate plus provenance."""
+    """The optimizer's decision: cheapest candidate plus provenance.
+
+    ``dropped`` names the ICs whose residue candidates were left out
+    because the EDB violates them; ``reused`` is set when the choice
+    came from the query pattern's prepared entry instead of a fresh
+    enumeration.
+    """
 
     program: Program
     transforms: tuple[str, ...]
@@ -540,6 +572,8 @@ class ChosenPlan:
     enumeration_seconds: float = 0.0
     table: list[tuple[str, str, float]] = field(default_factory=list,
                                                 repr=False)
+    dropped: tuple[str, ...] = ()
+    reused: bool = False
 
     @property
     def label(self) -> str:
@@ -548,9 +582,14 @@ class ChosenPlan:
 
     def describe(self) -> str:
         """Explain-style rendering of the enumeration and the choice."""
+        how = ("reused, not re-enumerated (one enumeration per binding "
+               "pattern and EDB version),") if self.reused \
+            else "enumerated"
         lines = [f"cost-based optimizer: {self.groups} candidate "
-                 f"group(s) from {self.paths} transform path(s) in "
-                 f"{self.enumeration_seconds * 1000.0:.1f} ms"]
+                 f"group(s) from {self.paths} transform path(s) {how} "
+                 f"in {self.enumeration_seconds * 1000.0:.1f} ms"]
+        lines.extend(f"  residues of {label} dropped: the EDB violates it"
+                     for label in self.dropped)
         for fingerprint, label, cost in self.table:
             marker = "*" if fingerprint == self.fingerprint else " "
             shown = "inf" if cost == INF else f"{cost:.0f}"
@@ -562,6 +601,78 @@ class ChosenPlan:
         return "\n".join(lines)
 
 
+#: A magic candidate's rewrite and the texts of its rules but the seed.
+_Seeded = tuple[MagicProgram, tuple[str, ...]]
+
+
+class PreparedPlan:
+    """A choice kept for every query of one binding pattern.
+
+    Nothing in a choice depends on the query's constants but the magic
+    seed: the seed is a fact rule, which the cost model skips, and every
+    other rewritten rule depends on the adornment only.  So the cold
+    choice is kept with, per candidate row, the rule texts other than
+    the seed, and :meth:`choice_for` re-seeds it — label, cost, table
+    and program then equal a cold choice for that query.
+    """
+
+    __slots__ = ("choice", "dataflow", "max_candidates", "rows")
+
+    def __init__(self, choice: ChosenPlan, memo: Memo,
+                 dataflow: "DataflowResult | None",
+                 max_candidates: int) -> None:
+        self.choice = replace(choice)
+        #: The analysis the costs were priced with.
+        self.dataflow = dataflow
+        self.max_candidates = max_candidates
+        #: ``(fingerprint, label, cost, seeded)`` per group; ``seeded``
+        #: is a magic candidate's rewrite and its other rules' texts.
+        self.rows: list[tuple[str, str, float, _Seeded | None]] = []
+        for group in memo:
+            magic = group.candidate.magic
+            seeded = None if magic is None else (magic, tuple(
+                str(rule) for rule in group.candidate.program
+                if rule is not magic.seed))
+            self.rows.append((group.fingerprint, group.candidate.label,
+                              group.cost, seeded))
+
+    def choice_for(self, query: Atom | None, start: float) -> ChosenPlan:
+        """The kept choice, seeded for ``query`` (of the kept pattern)."""
+        kept = self.choice
+        magic = kept.magic
+        if magic is not None:
+            assert query is not None
+            magic = reseed(magic, query)
+        table: list[tuple[str, str, float]] = []
+        fingerprint = kept.fingerprint
+        for old, label, cost, seeded in self.rows:
+            new = old
+            if seeded is not None:
+                assert query is not None
+                rewritten, texts = seeded
+                seed = magic_seed(query, rewritten.adornment)
+                new = _fingerprint(texts + (str(seed),),
+                                   rewritten.query_pred)
+            if old == kept.fingerprint:
+                fingerprint = new
+            table.append((new, label, cost))
+        return ChosenPlan(
+            program=kept.program if magic is None else magic.program,
+            transforms=kept.transforms, cost=kept.cost,
+            fingerprint=fingerprint, magic=magic, groups=kept.groups,
+            paths=kept.paths, enumeration_seconds=perf_counter() - start,
+            table=table, dropped=kept.dropped, reused=True)
+
+
+def _violated(ics: tuple, edb: Database) -> tuple[int, ...]:
+    """Positions of the ICs ``edb`` violates (one violation each is
+    enough)."""
+    from ..constraints.checker import violations
+
+    return tuple(index for index, ic in enumerate(ics)
+                 if next(violations(ic, edb, limit=1), None) is not None)
+
+
 def choose_plan(program: Program, edb: Database,
                 query: Atom | None = None, ics: Sequence = (),
                 budget: Budget | None = None,
@@ -571,19 +682,53 @@ def choose_plan(program: Program, edb: Database,
 
     Ties break toward fewer transforms, then enumeration order, so the
     identity program wins any dead heat and the choice is deterministic.
+
+    Residue pushing assumes the EDB satisfies the IC: an IC with a
+    violation in ``edb`` gets no residue candidate, and the choice's
+    ``dropped`` names it.
+
+    The choice depends on the query only through its predicate and
+    adornment, so it is kept in the pattern's prepared entry
+    (:mod:`repro.engine.prepared`) and later queries of the pattern get
+    it re-seeded with their constants (``reused``) — equal in label,
+    cost, table and program to a fresh enumeration — until the EDB's
+    stamp moves.  ``dataflow`` defaults to
+    :func:`~repro.analysis.dataflow.analyze_dataflow`'s result; another
+    analysis object is priced afresh and nothing is kept.  The arity
+    check and ``budget`` run on every call.  While a chaos plan is
+    active nothing is reused or kept: its faults must reach every stage
+    and its degraded choices must not outlive it.
     """
     start = perf_counter()
     budget = resolve_budget(budget)
     check_edb_arities(program, edb)
+    ics = tuple(ics)
+    entry = prepared(program, edb, query, ics) \
+        if chaos.active_plan() is None else None
+    if entry is None:
+        violated = _violated(ics, edb)
+    else:
+        plan = entry.plan
+        if plan is not None and plan.max_candidates == max_candidates \
+                and (dataflow is None or dataflow is plan.dataflow):
+            if budget is not None:
+                budget.check_round(last_round=None)
+            return plan.choice_for(query, start)
+        violated = entry.violated
+        if violated is None:
+            violated = entry.violated = _violated(ics, edb)
+    keep = entry is not None
     if dataflow is None:
         from ..analysis.dataflow import analyze_dataflow
         try:
             dataflow = analyze_dataflow(program, edb=edb, query=query)
         except ReproError:
             dataflow = None
-    memo = enumerate_candidates(program, query=query, ics=ics,
-                                budget=budget,
-                                max_candidates=max_candidates)
+    elif keep:
+        own = prepared(program, edb, query)
+        keep = own is not None and dataflow is own.dataflow
+    memo = _enumerate(program, query, ics, budget, max_candidates,
+                      violated)
     best: MemoGroup | None = None
     best_key: tuple[float, int, int] | None = None
     table: list[tuple[str, str, float]] = []
@@ -596,13 +741,19 @@ def choose_plan(program: Program, edb: Database,
         if best_key is None or key < best_key:
             best, best_key = group, key
     assert best is not None  # the identity candidate is always present
-    elapsed = perf_counter() - start
-    return ChosenPlan(program=best.candidate.program,
-                      transforms=best.candidate.transforms,
-                      cost=best.cost, fingerprint=best.fingerprint,
-                      magic=best.candidate.magic, groups=len(memo),
-                      paths=memo.paths, enumeration_seconds=elapsed,
-                      table=table)
+    labels = _ic_labels(ics)
+    choice = ChosenPlan(program=best.candidate.program,
+                        transforms=best.candidate.transforms,
+                        cost=best.cost, fingerprint=best.fingerprint,
+                        magic=best.candidate.magic, groups=len(memo),
+                        paths=memo.paths,
+                        enumeration_seconds=perf_counter() - start,
+                        table=table,
+                        dropped=tuple(labels[index] for index in violated))
+    if keep:
+        assert entry is not None
+        entry.plan = PreparedPlan(choice, memo, dataflow, max_candidates)
+    return choice
 
 
 # ---------------------------------------------------------------------------
@@ -624,6 +775,13 @@ def cbo_evaluate(program: Program, edb: Database,
     result's ``magic`` field is set and answers should be read through
     :func:`cbo_answers`.  ``budget`` covers enumeration *and*
     evaluation.
+
+    Like the choice, the compiled kernels are kept per binding pattern:
+    the compiled executor runs with the prepared entry's
+    :class:`~repro.engine.compile.KernelCache`, so a kernel is planned
+    from the statistics of the first query of the pattern that fires it
+    and reused by every later one until the EDB's stamp moves (a magic
+    seed, a fact, is compiled per query and never kept).
     """
     from ..facts.symbols import validate_interning
     from .compile import validate_executor
@@ -638,10 +796,15 @@ def cbo_evaluate(program: Program, edb: Database,
     if choice is None:
         choice = choose_plan(program, edb, query=query, ics=ics,
                              budget=budget)
+    kernels = None
+    if executor == "compiled":
+        entry = prepared(program, edb, query, ics)
+        kernels = None if entry is None else entry.kernels
     stats = EvalStats()
     start = perf_counter()
     idb = seminaive_evaluate(choice.program, edb, stats, budget=budget,
-                             planner="adaptive", executor=executor)
+                             planner="adaptive", executor=executor,
+                             kernels=kernels)
     elapsed = perf_counter() - start
     return EvaluationResult(choice.program, edb, idb, stats, elapsed,
                             method="seminaive+cbo", magic=choice.magic,
@@ -657,7 +820,11 @@ def cbo_answers(program: Program, edb: Database, query: Atom,
     Full tuples of the query predicate, filtered on the query's
     constant positions — the same contract as
     :func:`repro.engine.magic_answers` regardless of whether the chosen
-    candidate was a magic rewrite.
+    candidate was a magic rewrite.  A stream of queries of one binding
+    pattern over one EDB version analyzes, plans and compiles once
+    (see :func:`choose_plan` and :func:`cbo_evaluate`); each query pays
+    its own seed and fixpoint.  Residue candidates of ICs the EDB
+    violates are never chosen.
     """
     from .engine import select_answers
 

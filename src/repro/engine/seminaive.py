@@ -34,6 +34,7 @@ from ..facts.relation import Relation, Row
 from ..runtime.budget import Budget, resolve_budget
 from .bindings import (Binding, EvalStats, Fetch, check_edb_arities,
                        frontier_occurrences, solve_body)
+from .compile import KernelCache
 from .fire import Firer
 from .naive import DEFAULT_MAX_ITERATIONS
 from .profile import EvalProfile
@@ -59,6 +60,7 @@ def seminaive_evaluate(program: Program, edb: Database,
                        budget: Budget | None = None,
                        executor: str = "compiled",
                        profile: EvalProfile | None = None,
+                       kernels: KernelCache | None = None,
                        ) -> Database:
     """Compute the IDB of ``program`` over ``edb`` semi-naively.
 
@@ -102,10 +104,16 @@ def seminaive_evaluate(program: Program, edb: Database,
     :class:`~repro.facts.symbols.SymbolTable`) the IDB and deltas share
     its table and compiled kernels join over dense ``int`` codes,
     inserting derived rows without ever decoding them.
+
+    ``kernels`` lets a caller reuse compiled kernels across runs, with
+    the contract of :func:`repro.incremental.maintain`'s: the cache must
+    be compiled against ``edb``'s symbol table and needs
+    ``executor="compiled"`` (else ``EvaluationError``), and a kernel is
+    planned at its key's first firing, which may be an earlier run's.
     """
     stats = stats if stats is not None else EvalStats()
     firer = Firer(planner, executor, edb.symbols, stats,
-                  resolve_budget(budget), hook)
+                  resolve_budget(budget), hook, kernels=kernels)
     check_edb_arities(program, edb)
     arities = program.predicate_arities()
     idb = Database(symbols=edb.symbols)

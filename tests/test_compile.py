@@ -20,7 +20,8 @@ from repro.datalog.atoms import Atom
 from repro.datalog.terms import Variable
 from repro.engine import (EXECUTORS, CompiledKernel, EvalStats,
                           KernelCache, compile_rule, evaluate,
-                          evaluate_with_magic, explain_kernels)
+                          evaluate_with_magic, explain_kernels,
+                          seminaive_evaluate)
 from repro.engine.bindings import plan_body
 from repro.engine.compile import validate_executor
 from repro.engine.fire import Firer
@@ -235,6 +236,31 @@ def test_kernel_cache_reuses_kernels_per_variant():
     firer.run(rule, fetch, None)
     assert cache.get(rule, None) is not first
     assert len(cache) == 2
+
+
+def test_seminaive_evaluate_reuses_a_callers_kernels():
+    """``seminaive_evaluate(kernels=)`` has ``maintain(kernels=)``'s
+    contract: a second run compiles nothing, and a cache of another
+    symbol table, or beside the interpreter, is refused."""
+    from repro.facts.symbols import SymbolTable
+
+    program, raw, _query = _tc_workload()
+    edb = raw.interned()
+    cache = KernelCache(symbols=edb.symbols)
+    first = seminaive_evaluate(program, edb, kernels=cache)
+    kept = len(cache)
+    assert kept > 0
+    second = seminaive_evaluate(program, edb, kernels=cache)
+    assert len(cache) == kept
+    assert second.facts("reach") == first.facts("reach") \
+        == seminaive_evaluate(program, raw).facts("reach")
+    for foreign, executor in ((KernelCache(), "compiled"),
+                              (KernelCache(symbols=SymbolTable()),
+                               "compiled"),
+                              (cache, "interpreted")):
+        with pytest.raises(EvaluationError, match="kernels="):
+            seminaive_evaluate(program, edb, kernels=foreign,
+                               executor=executor)
 
 
 def test_compile_rejects_unsafe_head():
