@@ -58,9 +58,10 @@ one, so no insert pays for them.
 from __future__ import annotations
 
 import itertools
-from itertools import chain, filterfalse
+from bisect import bisect_right
+from itertools import chain
 from operator import itemgetter
-from typing import (AbstractSet, Any, Callable, Collection, Iterable,
+from typing import (Callable, Collection, Iterable,
                     Iterator, NamedTuple, Optional, Sequence)
 
 from ..datalog.terms import ConstValue
@@ -74,7 +75,7 @@ Index = dict[tuple[ConstValue, ...], list[Row]]
 #: A value-level bound-column pattern: sorted ``(column, value)`` pairs.
 Bound = tuple[tuple[int, ConstValue], ...]
 
-__all__ = ["Relation", "PatchedRelation", "Row", "Index",
+__all__ = ["Relation", "PatchedRelation", "PatchLog", "Row", "Index",
            "ColumnProfile", "RelationProfile", "build_profile"]
 
 #: Monotone source of relation identities (see ``Relation.uid``).
@@ -152,6 +153,29 @@ def build_profile(rows: Sequence[Row], arity: int,
             all(isinstance(number, int) or number.is_integer()
                 for number in numbers)))
     return RelationProfile(len(rows), tuple(columns))
+
+
+def _index_rows(index: Index, columns: tuple[int, ...],
+                rows: Iterable[Row]) -> None:
+    """Append each of ``rows`` to its bucket of the index over ``columns``.
+
+    Single-column indexes — the overwhelmingly common case in the
+    engines' joins — take a fast path that builds the one-element key
+    directly instead of a generator expression per row.
+    """
+    if len(columns) == 1:
+        column = columns[0]
+        get = index.get
+        for row in rows:
+            key = (row[column],)
+            bucket = get(key)
+            if bucket is None:
+                index[key] = [row]
+            else:
+                bucket.append(row)
+    else:
+        for row in rows:
+            index.setdefault(tuple(row[c] for c in columns), []).append(row)
 
 
 class Relation:
@@ -470,45 +494,34 @@ class Relation:
         rows, as the internal container."""
         if not bound:
             return self._rows
+        probe = self._key(bound)
+        if probe is None:
+            return ()
+        return self.index_for(probe[0]).get(probe[1], ())
+
+    def _key(self, bound: Bound
+             ) -> Optional[tuple[tuple[int, ...], tuple[ConstValue, ...]]]:
+        """A non-empty pattern as ``(columns, storage-domain key)``; None
+        when a value of it was never interned (it then matches nothing)."""
         columns = tuple(c for c, _ in bound)
         if self.symbols is None:
-            key = tuple(v for _, v in bound)
-        else:
-            get = self.symbols.code
-            encoded = []
-            for _, value in bound:
-                code = get(value)
-                if code is None:
-                    return ()
-                encoded.append(code)
-            key = tuple(encoded)
-        return self.index_for(columns).get(key, ())
+            return columns, tuple(v for _, v in bound)
+        get = self.symbols.code
+        encoded = []
+        for _, value in bound:
+            code = get(value)
+            if code is None:
+                return None
+            encoded.append(code)
+        return columns, tuple(encoded)
 
     # -- indexes ---------------------------------------------------------------
     def _extend_indexes(self, new_rows: Collection[Row]) -> None:
-        """Append already-stored ``new_rows`` to every live index.
-
-        Single-column indexes — the overwhelmingly common case in the
-        engines' joins — take a fast path that builds the one-element
-        key directly instead of a generator expression per row.
-        """
+        """Append already-stored ``new_rows`` to every live index."""
         if not new_rows:
             return
         for columns, index in self.indexes.items():
-            if len(columns) == 1:
-                column = columns[0]
-                get = index.get
-                for row in new_rows:
-                    key = (row[column],)
-                    bucket = get(key)
-                    if bucket is None:
-                        index[key] = [row]
-                    else:
-                        bucket.append(row)
-            else:
-                for row in new_rows:
-                    index.setdefault(
-                        tuple(row[c] for c in columns), []).append(row)
+            _index_rows(index, columns, new_rows)
         for column, cindex in self.code_indexes.items():
             cget = cindex.get
             for row in new_rows:
@@ -547,20 +560,7 @@ class Relation:
 
     def _build_index(self, columns: tuple[int, ...]) -> Index:
         index: Index = {}
-        if len(columns) == 1:
-            column = columns[0]
-            get = index.get
-            for row in self._rows:
-                key = (row[column],)
-                bucket = get(key)
-                if bucket is None:
-                    index[key] = [row]
-                else:
-                    bucket.append(row)
-        else:
-            for row in self._rows:
-                index.setdefault(
-                    tuple(row[c] for c in columns), []).append(row)
+        _index_rows(index, columns, self._rows)
         self.indexes[columns] = index
         return index
 
@@ -639,78 +639,138 @@ class Relation:
         ``(uid, version)`` identity so cached predicate checks against
         the source never leak to it.
         """
-        return self._copy_rows()
-
-    def _copy_rows(self) -> "Relation":
-        """:meth:`copy`, under a name :meth:`warm_copy` can call: the
-        snapshot tests count the public ``copy`` calls of a publish."""
         out = Relation(self.name, self.arity, symbols=self.symbols)
         out._rows = set(self._rows)
         return out
 
-    def warm_copy(self) -> "Relation":
-        """:meth:`copy` plus a duplicate of every live index.
 
-        Costs one list copy per bucket on top of the set copy, which is
-        why :meth:`copy` does not do it.  For a *small* relation whose
-        readers probe the same indexes again at once — the patch of a
-        published snapshot (:class:`PatchedRelation`) — it is cheaper
-        than the rebuild.  The item lists are taken atomically: a
-        reader may be adding an index to this relation while the writer
-        copies it.
-        """
-        def duplicate(family: dict[Any, dict[Any, list[Any]]]
-                      ) -> dict[Any, dict[Any, list[Any]]]:
-            return {columns: {key: bucket[:]
-                              for key, bucket in index.items()}
-                    for columns, index in list(family.items())}
+def _in_base_at(rows: Iterable[Row], stamps: dict[Row, tuple[int, ...]],
+                at: int) -> Iterator[Row]:
+    """The base ``rows`` present at log version ``at``."""
+    get = stamps.get
+    for row in rows:
+        flips = get(row)
+        if flips is None or not bisect_right(flips, at) & 1:
+            yield row
 
-        out = self._copy_rows()
-        out.indexes = duplicate(self.indexes)
-        out.code_indexes = duplicate(self.code_indexes)
-        out.proj_indexes = duplicate(self.proj_indexes)
-        return out
+
+def _in_log_at(rows: Iterable[Row], stamps: dict[Row, tuple[int, ...]],
+               at: int) -> Iterator[Row]:
+    """The rows outside the base among ``rows`` present at version ``at``."""
+    get = stamps.get
+    for row in rows:
+        flips = get(row)
+        if flips is not None and bisect_right(flips, at) & 1:
+            yield row
+
+
+class PatchLog:
+    """The changes over one snapshot base, stamped with log versions.
+
+    One writer appends; any number of :class:`PatchedRelation` views
+    read it, each at its own version.  A row's presence at version ``v``
+    is its presence in the base, flipped once per stamp ``<= v`` in
+    ``stamps[row]`` — the ascending versions at which it was removed or
+    added.  Nothing is ever edited in place where a reader could see it
+    half done:
+
+    - a stamp tuple is replaced whole (``flips + (version,)``), and a
+      row is stamped before it is appended anywhere, so a reader at an
+      older version ignores every stamp, row and bucket entry newer
+      than itself;
+    - ``rows`` (the rows outside the base, in first-added order) and
+      the buckets of ``indexes`` over them are append-only lists — a
+      row removed later stays, its stamps say it is gone;
+    - ``indexes`` gains a column set only from the writer, assigned
+      whole, in the column sets its base's readers built; a reader
+      probing one the log lacks scans ``rows``.
+
+    Readers only probe ``stamps`` and ``indexes`` and iterate lists, so
+    none walks a container while the writer resizes it.
+    """
+
+    __slots__ = ("version", "stamps", "rows", "indexes", "size")
+
+    def __init__(self) -> None:
+        #: The newest version a publish claimed; the base is version 0.
+        self.version = 0
+        self.stamps: dict[Row, tuple[int, ...]] = {}
+        self.rows: list[Row] = []
+        self.indexes: dict[tuple[int, ...], Index] = {}
+        #: Stamps appended so far (what compaction bounds).
+        self.size = 0
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __repr__(self) -> str:
+        return (f"PatchLog(v{self.version}, {self.size} stamps, "
+                f"{len(self.rows)} rows outside the base)")
+
+    def stamp(self, first: Collection[Row], again: Iterable[Row],
+              version: int) -> None:
+        """Flip at ``version`` the rows ``first`` (never stamped before)
+        and ``again`` (stamped at older versions)."""
+        stamps = self.stamps
+        count = len(first)
+        for row in again:
+            stamps[row] += (version,)
+            count += 1
+        stamps.update(dict.fromkeys(first, (version,)))
+        self.size += count
+
+    def index(self, fresh: Sequence[Row], base: Relation) -> None:
+        """Append ``fresh`` to ``rows`` and every bucket, then build the
+        index column sets ``base`` holds and the log lacks."""
+        self.rows.extend(fresh)
+        for columns, index in self.indexes.items():
+            _index_rows(index, columns, fresh)
+        for columns in list(base.indexes):
+            if columns not in self.indexes:
+                built: Index = {}
+                _index_rows(built, columns, self.rows)
+                self.indexes[columns] = built
 
 
 class PatchedRelation:
-    """A read-only relation: a shared ``base`` under a small patch.
+    """A read-only relation: a shared ``base`` read through a patch log.
 
-    The content is ``(base - removed) | added``.  ``base`` is a
-    :class:`Relation` that is never mutated again once a view exists
-    over it, so any number of views — the consecutive snapshots of a
-    serving view — share it *and the hash indexes their readers have
-    built on it*.  ``added`` is a small relation of its own and
-    ``removed`` a set of storage-domain rows, under two invariants:
-    ``removed <= base`` and ``added & base == {}``; neither is mutated
-    after construction either.  :meth:`patched` derives the next view
-    in time proportional to the patch, whatever the size of the base.
+    The content is ``base`` with the changes ``log`` stamped up to
+    version ``at``.  ``base`` is a :class:`Relation` that is never
+    mutated again once a view exists over it, so any number of views —
+    the consecutive snapshots of a serving view — share it *and the
+    hash indexes their readers have built on it*.  They share the
+    :class:`PatchLog` too: :meth:`patched` on the log's newest view
+    appends the delta to it, stamped with the next version, and returns
+    a view at that version — time proportional to the delta, whatever
+    the size of the base or of the log.  A view never changes: every
+    stamp newer than ``at`` is invisible to it.
 
     Only the value-level *read* API is offered — what
     :func:`~repro.engine.bindings.solve_body` and the ``Database``
     accessors use.  The storage API the kernels join over
     (``raw_rows``, ``index_for``, ...) is deliberately absent: a
-    fixpoint must not run over a view.
+    fixpoint must not run over a view.  (``at`` is not named
+    ``version``: a relation with a ``version`` is one a query can be
+    prepared against, see :func:`~repro.engine.prepared.edb_stamp`.)
     """
 
-    __slots__ = ("name", "arity", "symbols", "base", "added", "removed")
+    __slots__ = ("name", "arity", "symbols", "base", "log", "at", "_len")
 
-    def __init__(self, base: Relation, added: Relation | None = None,
-                 removed: AbstractSet[Row] = frozenset()) -> None:
+    def __init__(self, base: Relation, log: PatchLog | None = None,
+                 at: int = 0, length: int | None = None) -> None:
         self.name = base.name
         self.arity = base.arity
         self.symbols = base.symbols
         self.base = base
-        self.added = added if added is not None \
-            else Relation(base.name, base.arity, symbols=base.symbols)
-        self.removed = removed
+        self.log = log if log is not None else PatchLog()
+        self.at = at
+        self._len = len(base) if length is None else length
 
     def __repr__(self) -> str:
         return (f"PatchedRelation({self.name!r}/{self.arity}, "
-                f"{len(self.base)} rows +{len(self.added)} "
-                f"-{len(self.removed)})")
-
-    def patch_size(self) -> int:
-        return len(self.added) + len(self.removed)
+                f"{len(self)} rows: {len(self.base)} in the base, "
+                f"v{self.at} of {self.log!r})")
 
     def patched(self, removed: Collection[Row],
                 added: Collection[Row]) -> "PatchedRelation":
@@ -719,38 +779,61 @@ class PatchedRelation:
         Removing an absent row and adding a present one are no-ops, and
         a row in both ends up present (maintenance reports a row DRed
         over-deleted and the insertion pass re-derived in both sets).
-        ``self`` is unchanged — and returned as it is for an empty
-        delta.  Cost is one warm copy of the patch plus the new rows;
-        the base is only probed.
+        ``self`` is unchanged — and returned as it is when nothing
+        changes.  On the log's newest view this stamps the rows that
+        change with the next version: the version is claimed first, so
+        a publish that raises part-way leaves no view at it, and the
+        next extension re-bases.  A view that is not the newest
+        re-bases: a new base holding the result, with the indexes of
+        the old one.
         """
-        if not removed and not added:
+        adds = set(added)
+        drops = set(removed) - adds  # a row in both ends up present
+        log, in_base, at = self.log, self.base.raw_rows(), self.at
+        touched = log.stamps.keys() & (adds | drops)
+        # A row never stamped is present exactly when the base holds it.
+        fresh = adds.difference(touched, in_base)
+        gone = drops.difference(touched).intersection(in_base)
+        flipped = [row for row in touched if (row in adds) != self._has(row)]
+        if not (fresh or gone or flipped):
             return self
-        in_base = self.base.raw_rows()
-        patch = self.added.warm_copy()
-        gone = set(self.removed)
-        for row in removed:
-            if not patch.raw_discard(row) and row in in_base:
-                gone.add(row)
-        for row in added:
-            if row in in_base:
-                gone.discard(row)
-            else:
-                patch.raw_add(row)
-        return PatchedRelation(self.base, patch, gone)
+        if at != log.version:
+            base = Relation(self.name, self.arity, symbols=self.symbols)
+            base.raw_add_all(self._raw_iter())
+            base.raw_discard_all(drops)
+            base.raw_add_all(adds)
+            base.build_indexes_like(self.base)
+            return PatchedRelation(base)
+        version = log.version = at + 1
+        log.stamp(fresh | gone, flipped, version)
+        log.index(list(fresh), self.base)
+        grown = len(fresh) - len(gone) \
+            + 2 * len(adds.intersection(flipped)) - len(flipped)
+        return PatchedRelation(self.base, log, version, self._len + grown)
+
+    def _has(self, row: Row) -> bool:
+        """Is the storage-domain ``row`` present at this view's version?"""
+        flips = self.log.stamps.get(row)
+        flipped = flips is not None and bisect_right(flips, self.at) & 1
+        return (row in self.base.raw_rows()) != bool(flipped)
+
+    def _raw_iter(self) -> Iterator[Row]:
+        """The storage-domain rows of this view."""
+        rows = self.base.raw_rows()
+        if not self.at:
+            return iter(rows)
+        stamps = self.log.stamps
+        return chain(_in_base_at(rows, stamps, self.at),
+                     _in_log_at(self.log.rows, stamps, self.at))
 
     # -- the value-level read API ---------------------------------------------
     def __len__(self) -> int:
-        return len(self.base) - len(self.removed) + len(self.added)
+        return self._len
 
     def __iter__(self) -> Iterator[Row]:
-        rows: Iterable[Row] = self.base.raw_rows()
-        if self.removed:
-            rows = filterfalse(self.removed.__contains__, rows)
-        if len(self.added):
-            rows = chain(rows, self.added.raw_rows())
         if self.symbols is None:
-            return iter(rows)
-        return _decoder(self.arity)(rows, self.symbols.values)
+            return self._raw_iter()
+        return _decoder(self.arity)(self._raw_iter(), self.symbols.values)
 
     def profile(self) -> RelationProfile:
         """As :meth:`Relation.profile`, built on every call (a view keeps
@@ -759,26 +842,46 @@ class PatchedRelation:
 
     def __contains__(self, row: Row) -> bool:
         stored = self.base._stored(row)
-        if stored is None:
-            return False
-        return stored in self.added.raw_rows() or (
-            stored in self.base.raw_rows() and stored not in self.removed)
+        return stored is not None and self._has(stored)
 
     def rows(self) -> frozenset[Row]:
         return frozenset(self)
 
     def lookup(self, bound: Bound) -> Collection[Row]:
-        """As :meth:`Relation.lookup`: the base bucket minus ``removed``
-        plus the ``added`` bucket, then one decode."""
-        removed = self.removed
-        if not removed and not len(self.added):
+        """As :meth:`Relation.lookup`: the base bucket less the rows
+        stamped away by this view's version, plus the log bucket's rows
+        stamped present, then one decode."""
+        at = self.at
+        if not at:
             return self.base.lookup(bound)
-        kept = self.base._probe(bound)
-        if removed and not removed.isdisjoint(kept):
-            kept = [row for row in kept if row not in removed]
-        extra = self.added._probe(bound)
-        if extra:
-            kept = [*kept, *extra]
+        if not bound:
+            kept: Collection[Row] = list(self._raw_iter())
+        else:
+            probe = self.base._key(bound)
+            if probe is None:
+                return ()
+            columns, key = probe
+            log = self.log
+            get = log.stamps.get
+            kept = self.base.index_for(columns).get(key, ())
+            # ``isdisjoint`` iterates the bucket (a list) and only probes
+            # the stamps, which the writer may be growing meanwhile.
+            if kept and not log.stamps.keys().isdisjoint(kept):
+                kept = [row for row in kept
+                        if (flips := get(row)) is None
+                        or not bisect_right(flips, at) & 1]
+            index = log.indexes.get(columns)
+            if index is not None:
+                extra = index.get(key, ())
+            else:
+                extra = [row for row in log.rows
+                         if tuple(row[c] for c in columns) == key]
+            if extra:
+                extra = [row for row in extra
+                         if (flips := get(row)) is not None
+                         and bisect_right(flips, at) & 1]
+                if extra:
+                    kept = [*kept, *extra]
         if self.symbols is None or not kept:
             return kept
         return list(_decoder(self.arity)(kept, self.symbols.values))

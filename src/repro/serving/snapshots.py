@@ -11,10 +11,12 @@ and answers queries from it without locks, unaffected by any refresh —
 including a *failed* one — running concurrently.
 
 Consecutive snapshots share structure: each relation is a
-:class:`~repro.facts.relation.PatchedRelation` — an immutable base,
-shared with its already-built hash indexes by every snapshot until the
-next compaction, under a small per-snapshot patch — so publishing costs
-the refresh's delta, not a copy of the database.
+:class:`~repro.facts.relation.PatchedRelation` — an immutable base and
+an append-only :class:`~repro.facts.relation.PatchLog` of the changes
+over it, both shared (the base with its already-built hash indexes) by
+every snapshot until the next compaction, each snapshot reading the
+log at its own version — so publishing costs the refresh's delta, not
+a copy of the database or of the accumulated patch.
 
 Staleness is a first-class, bounded property rather than an accident:
 a :class:`StalenessBound` says how far behind the live version (and/or
@@ -43,12 +45,14 @@ class Snapshot:
     :class:`~repro.facts.relation.PatchedRelation` views that share no
     mutable state with the writer's workspace, so neither in-place
     ``apply`` mutations nor a half-finished maintenance pass can ever
-    show through a reader's result set.  What a snapshot owns is its
-    patches; the bases under them, and the indexes readers have built
-    on those, are shared with its neighbours and are never copied warm
-    or cold between compactions (a new base is a
-    :meth:`~repro.facts.relation.Relation.copy` — rows only — whose
-    indexes the *writer* then builds, see
+    show through a reader's result set.  What a snapshot owns is only
+    its version in each relation's patch log; the bases, the indexes
+    readers have built on them and the logs are shared with its
+    neighbours.  The writer only appends to a log, stamping each
+    change with the version it publishes, so what a snapshot reads
+    never changes under it, and nothing is copied between compactions
+    (a new base is a :meth:`~repro.facts.relation.Relation.copy` —
+    rows only — whose indexes the *writer* then builds, see
     :meth:`MaterializedView._publish <repro.serving.views.
     MaterializedView._publish>`).
     """

@@ -20,8 +20,9 @@ The registry of views and the database they share belong to
   in an immutable :class:`~repro.serving.snapshots.Snapshot`
   (version-pinned EDB + IDB views).  Readers use only the snapshot; the
   live ``idb`` is the writer's workspace.  A snapshot is the previous
-  one patched with the refresh's delta — the base relations and their
-  indexes are shared, so a write costs the change, not the database.
+  one with the refresh's delta appended to each relation's patch log —
+  the base relations, their indexes and the logs are shared, so a
+  write costs the change, not the database or the patch.
 * **Chaos fault points** at every serving transition —
   ``serving:refresh`` (incremental maintenance), ``serving:materialize``
   (full rebuild) and ``serving:snapshot-swap`` (publication); the
@@ -40,6 +41,7 @@ from __future__ import annotations
 
 import hashlib
 import time
+from collections import Counter
 from typing import Collection, Mapping, NamedTuple
 
 from ..datalog.program import Program
@@ -74,11 +76,11 @@ def relation_fingerprint(db: Database) -> str:
     return hashlib.sha256(db.to_text().encode()).hexdigest()[:16]
 
 
-#: A snapshot relation is rebuilt over a fresh base once its patch has
-#: outgrown ``len(base) // COMPACTION_RATIO`` rows.  Not a parameter:
-#: one compaction is O(n) and happens once per n/8 delta rows, so it
-#: adds amortised O(1) per delta row whatever the value, while a read
-#: touches at most one patched row per eight base rows.
+#: A snapshot relation is rebuilt over a fresh base once its patch log
+#: has outgrown ``len(base) // COMPACTION_RATIO`` rows.  Not a
+#: parameter: one compaction is O(n) and happens once per n/8 delta
+#: rows, so it adds amortised O(1) per delta row whatever the value,
+#: while a read filters at most one logged row per eight base rows.
 COMPACTION_RATIO = 8
 
 #: Storage-domain rows to remove from / add to relations, by predicate.
@@ -97,10 +99,10 @@ def _next_relation(live: Relation, previous: PatchedRelation | None,
                    patch: tuple[Collection[Row], Collection[Row]] | None
                    ) -> PatchedRelation:
     """The snapshot relation for ``live``: ``previous`` patched, or a
-    fresh base when there is nothing to patch or the patch outgrew it."""
+    fresh base when there is nothing to patch or the log outgrew it."""
     if previous is not None and patch is not None:
         view = previous.patched(*patch)
-        if view.patch_size() <= len(view.base) // COMPACTION_RATIO:
+        if len(view.log) <= len(view.base) // COMPACTION_RATIO:
             return view
     base = live.copy()
     if previous is not None:
@@ -110,17 +112,23 @@ def _next_relation(live: Relation, previous: PatchedRelation | None,
 
 
 def _next_database(live: Database, previous: Database | None,
-                   delta: tuple[_Rows, _Rows] | None) -> Database:
+                   delta: tuple[_Rows, _Rows] | None,
+                   compactions: Counter[str]) -> Database:
     """The snapshot of ``live``.  ``delta`` is what to remove from and
     add to ``previous`` to get there, or None when ``previous`` cannot
-    be patched (it is then only mined for its index column sets)."""
+    be patched (it is then only mined for its index column sets).
+    Counts every relation that takes a new base under a previous one
+    in ``compactions``."""
     relations = []
     for name in live:
         before = previous.relation(name) \
             if previous is not None and name in previous else None
         patch = (delta[0].get(name, ()), delta[1].get(name, ())) \
             if delta is not None else None
-        relations.append(_next_relation(live.relation(name), before, patch))
+        relation = _next_relation(live.relation(name), before, patch)
+        if before is not None and relation.base is not before.base:
+            compactions[name] += 1
+        relations.append(relation)
     return Database.of_relations(relations, live.symbols)
 
 
@@ -162,6 +170,9 @@ class MaterializedView:
         self.full_refreshes = 0
         self.incremental_refreshes = 0
         self.snapshots_published = 0
+        #: Per relation: how many new bases a publish took for it after
+        #: its first (a full rebuild, its log outgrown or torn).
+        self.compactions: Counter[str] = Counter()
         self.last_mode: str | None = None
         self.last_refresh_s: float | None = None
 
@@ -259,12 +270,14 @@ class MaterializedView:
         snapshot already reflects the view's version.  When that
         snapshot stands at the version the kept delta starts from, the
         next one is the same relations patched — EDB with the net
-        changeset, IDB with what maintenance reported — and shares
-        every base and index with it.  Otherwise (first publish, full
-        rebuild, a delta superseded before it was published) it is a
-        full copy of the live state; and a relation whose patch has
-        outgrown its base is re-based the same way
-        (:data:`COMPACTION_RATIO`).
+        changeset, IDB with what maintenance reported, each appended to
+        the relation's patch log — and shares every base, index and log
+        with it.  Otherwise (first publish, full rebuild, a delta
+        superseded before it was published) it is a full copy of the
+        live state; and a relation whose log has outgrown its base
+        (:data:`COMPACTION_RATIO`) is re-based the same way, as is
+        (by :meth:`PatchedRelation.patched`) one whose previous view is
+        no longer its log's newest: a publish after it raised.
 
         The chaos checkpoint sits before the swap, so an injected fault
         leaves the previous snapshot serving — and because ``refresh``
@@ -289,8 +302,9 @@ class MaterializedView:
             if previous is not None else (None, None)
         self.snapshot = Snapshot(
             self.program, self.version,
-            _next_database(self.source.db, old_edb, edb_delta),
-            _next_database(self.idb, old_idb, idb_delta))
+            _next_database(self.source.db, old_edb, edb_delta,
+                           self.compactions),
+            _next_database(self.idb, old_idb, idb_delta, self.compactions))
         self._delta = None
         self.snapshots_published += 1
 
@@ -326,4 +340,9 @@ class MaterializedView:
             if self.idb is not None else 0,
             "snapshot": self.snapshot.describe()
             if self.snapshot is not None else None,
+            "patch_logs": {} if self.snapshot is None else {
+                name: {"rows": len(db.relation(name).log),
+                       "compactions": self.compactions[name]}
+                for db in (self.snapshot.edb, self.snapshot.idb)
+                for name in db},
         }

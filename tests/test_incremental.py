@@ -396,17 +396,13 @@ def test_a_mixed_changeset_copies_no_relation_and_builds_no_edb_index(
 
     write()  # compiles the kernels and builds the live EDB's indexes
     events = Counter()
-    real_copy, real_warm = Relation.copy, Relation.warm_copy
+    real_copy = Relation.copy
     real_index, real_code = Relation._build_index, Relation.code_index_for
     real_proj = Relation.projection_index
 
     def copy(self):
         events["copies"] += 1
         return real_copy(self)
-
-    def warm_copy(self):
-        events["copies"] += 1
-        return real_warm(self)
 
     def build_index(self, columns):
         events["edb indexes"] += self.name == "edge"
@@ -422,7 +418,7 @@ def test_a_mixed_changeset_copies_no_relation_and_builds_no_edb_index(
             and (key, value) not in self.proj_indexes
         return real_proj(self, key, value)
 
-    for name, method in (("copy", copy), ("warm_copy", warm_copy),
+    for name, method in (("copy", copy),
                          ("_build_index", build_index),
                          ("code_index_for", code_index_for),
                          ("projection_index", projection_index)):

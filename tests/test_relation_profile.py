@@ -152,10 +152,10 @@ class ProfileMachine(RuleBasedStateMachine):
                 relation.projection_index(column, 1 - column)
         self._each(step, read)
 
-    @rule(warm=st.booleans(), read=st.booleans())
-    def copy(self, warm, read):
+    @rule(read=st.booleans())
+    def copy(self, read):
         """The copy replaces its source: no memo may travel with it."""
-        self._each(lambda r: r.warm_copy() if warm else r.copy(), read)
+        self._each(lambda r: r.copy(), read)
 
     @rule(read=st.booleans())
     def interned(self, read):

@@ -25,7 +25,7 @@ from repro.datalog import parse_program
 from repro.engine.seminaive import seminaive_evaluate
 from repro.facts import (Changeset, Database, Relation, SymbolTable,
                          VersionedDatabase)
-from repro.facts.relation import PatchedRelation
+from repro.facts.relation import PatchedRelation, PatchLog
 from repro.runtime import ChaosError
 from repro.runtime.chaos import ChaosPlan
 from repro.runtime.retry import RetryPolicy
@@ -67,6 +67,13 @@ def _same_reads(view, model):
             == _sorted(model.lookup(pattern)), pattern
 
 
+def _log_state(log):
+    """Everything a later publish may only extend."""
+    return (list(log.rows), dict(log.stamps), log.size, log.version,
+            {columns: {key: list(bucket) for key, bucket in index.items()}
+             for columns, index in log.indexes.items()})
+
+
 class PatchedRelationMachine(RuleBasedStateMachine):
     """Every ``patched`` step is mirrored on a plain relation."""
 
@@ -74,22 +81,36 @@ class PatchedRelationMachine(RuleBasedStateMachine):
     def start(self, rows, interned):
         self.symbols = SymbolTable() if interned else None
         self.base = Relation("r", 2, rows, symbols=self.symbols)
-        self.base_rows = self.base.rows()
         self.model = Relation("r", 2, rows, symbols=self.symbols)
         self.view = PatchedRelation(self.base)
         self.earlier = []
+        #: Per base and per log seen: the base's rows, the log's state.
+        self.bases = {}
+        self.logs = {}
+        self._track()
+
+    def _track(self):
+        self.bases.setdefault(id(self.view.base),
+                              (self.view.base, self.view.base.rows()))
+        self.logs.setdefault(id(self.view.log), (
+            self.view.log, self.view.base, _log_state(self.view.log)))
 
     def _storage(self, rows):
         if self.symbols is None:
             return list(rows)
         return [self.symbols.intern_row(row) for row in rows]
 
-    def _step(self, removed, added):
+    def _step(self, removed, added, view=None, rows=None):
+        """Patch the newest view, or ``view`` holding value ``rows``."""
         self.earlier.append((self.view, self.model.rows()))
+        if view is not None:
+            self.view = view
+            self.model = Relation("r", 2, rows, symbols=self.symbols)
         self.view = self.view.patched(self._storage(removed),
                                       self._storage(added))
         self.model.discard_all(removed)
         self.model.add_all(added)
+        self._track()
 
     @rule(removed=st.lists(ROWS, max_size=4), added=st.lists(ROWS, max_size=4))
     def patch(self, removed, added):
@@ -98,21 +119,47 @@ class PatchedRelationMachine(RuleBasedStateMachine):
 
     @rule(data=st.data())
     def readd_a_removed_base_row(self, data):
-        gone = _sorted(self.base_rows - self.model.rows())
+        gone = _sorted(self.view.base.rows() - self.model.rows())
         if gone:
             self._step([], [data.draw(st.sampled_from(gone))])
 
     @rule(data=st.data())
     def remove_an_added_row(self, data):
-        extra = _sorted(self.model.rows() - self.base_rows)
+        extra = _sorted(self.model.rows() - self.view.base.rows())
         if extra:
             self._step([data.draw(st.sampled_from(extra))], [])
+
+    @rule(data=st.data())
+    def add_remove_and_readd_a_row(self, data):
+        """Three versions: the row's stamps flip it three times."""
+        absent = [row for row in itertools.product(VALUES, repeat=2)
+                  if row not in self.model]
+        if absent:
+            row = data.draw(st.sampled_from(absent))
+            self._step([], [row])
+            self._step([row], [])
+            self._step([], [row])
+            assert row in self.view
 
     @rule(data=st.data())
     def remove_and_add_the_same_row(self, data):
         """Removals apply first: the row ends up present."""
         row = data.draw(ROWS)
         self._step([row], [row])
+
+    @rule(data=st.data(), removed=st.lists(ROWS, max_size=3),
+          added=st.lists(ROWS, max_size=3))
+    def patch_a_view_that_is_not_the_newest(self, data, removed, added):
+        """When anything changes it re-bases, under the old base's
+        indexes; the machine goes on from the result."""
+        if self.earlier:
+            view, rows = data.draw(st.sampled_from(self.earlier))
+            stale = view.at != view.log.version
+            self._step(removed, added, view, rows)
+            if stale and self.view is not view:
+                assert self.view.base is not view.base
+                assert not len(self.view.log) and not self.view.at
+                assert set(self.view.base.indexes) >= set(view.base.indexes)
 
     @rule()
     def remove_a_row_with_a_value_never_seen(self):
@@ -125,12 +172,31 @@ class PatchedRelationMachine(RuleBasedStateMachine):
             assert self.symbols.code(STRANGER) is None
 
     @invariant()
-    def patch_invariants_hold(self):
-        base = self.base.raw_rows()
-        assert self.view.removed <= base
-        assert self.view.added.raw_rows().isdisjoint(base)
-        assert self.view.base is self.base
-        assert self.base.rows() == self.base_rows
+    def log_invariants_hold(self):
+        """Logs only grow, by appends; stamps only increase; no base
+        changes."""
+        for base, rows in self.bases.values():
+            assert base.rows() == rows
+        for key, (log, base, before) in self.logs.items():
+            rows, stamps, size, version, indexes = before
+            in_base = base.raw_rows()
+            assert log.rows[:len(rows)] == rows
+            assert len(set(log.rows)) == len(log.rows)
+            assert in_base.isdisjoint(log.rows)
+            assert log.version >= version and log.size >= size
+            assert log.size == sum(map(len, log.stamps.values()))
+            for row, flips in log.stamps.items():
+                old = stamps.get(row, ())
+                assert flips[:len(old)] == old
+                assert all(version < stamp for stamp in flips[len(old):])
+                assert list(flips) == sorted(set(flips))
+                assert flips[-1] <= log.version
+                assert row in in_base or row in log.rows
+            for columns, index in indexes.items():
+                for bucket_key, bucket in index.items():
+                    assert log.indexes[columns][bucket_key][:len(bucket)] \
+                        == bucket
+            self.logs[key] = (log, base, _log_state(log))
 
     @invariant()
     def earlier_views_answer_as_they_did(self):
@@ -177,7 +243,10 @@ def test_patched_relation_case_by_case(interned):
         _same_reads(view, model)
         assert older.rows() == older_rows
     assert view.rows() == set(rows) | {("d", 2)}
-    assert view.removed == set() and len(view.added) == 1
+    # Five steps changed something: five versions, one stamp each; the
+    # rows outside the base are ("x", "y"), removed again, and ("d", 2).
+    assert view.base is base and view.at == len(view.log) == 5
+    assert len(view.log.rows) == 2
     with pytest.raises(AttributeError):
         view.add(("no", "writes"))
 
@@ -250,7 +319,7 @@ def test_incremental_publish_shares_bases_and_copies_nothing(
     assert view.refresh() == "full"
     first = view.snapshot
     assert publish_copies["copies"] == 2  # edge and reach, once each
-    assert all(isinstance(rel, PatchedRelation) and not rel.patch_size()
+    assert all(isinstance(rel, PatchedRelation) and not len(rel.log)
                for rel in _views(first))
 
     publish_copies["copies"] = 0
@@ -262,7 +331,7 @@ def test_incremental_publish_shares_bases_and_copies_nothing(
         pinned.append(view.snapshot)
         assert _shared_bases(view.snapshot, first) == [True, True]
     assert publish_copies["copies"] == 0
-    assert view.snapshot.idb.relation("reach").patch_size() > 0
+    assert len(view.snapshot.idb.relation("reach").log) > 0
     for snapshot in pinned:
         _assert_consistent(program, server, snapshot)
 
@@ -309,11 +378,15 @@ def test_compaction_rebases_on_the_writers_clock(monkeypatch,
     view.refresh()
     compacted = view.snapshot.idb.relation("reach")
     assert compacted.base is not old_base
-    assert compacted.patch_size() == 0
+    assert len(compacted.log) == 0
     assert len(compacted.base) == len(compacted) == 43 * 42 // 2
     assert publish_copies["copies"] == 1  # reach only; edge still patched
     assert view.snapshot.edb.relation("edge").base \
         is pinned[0].edb.relation("edge").base
+    # The re-base is visible in the view's own output.
+    assert view.describe()["patch_logs"] == {
+        "edge": {"rows": 2, "compactions": 0},
+        "reach": {"rows": 0, "compactions": 1}}
     # The new base holds the old base's index column sets already ...
     assert set(compacted.base.indexes) == {(0,)}
     assert builds == [(0,)]
@@ -334,6 +407,114 @@ def test_compaction_rebases_on_the_writers_clock(monkeypatch,
     assert old_base.rows() == _from_scratch(program, server, 0).facts("reach")
     for snapshot, rows in zip(pinned, answers):
         assert snapshot.query("reach(n0, X)") == rows
+    for snapshot in pinned:
+        _assert_consistent(program, server, snapshot)
+
+
+def _flip_flop(i):
+    """Publish ``i`` of a stream that adds a new source of ``n38``,
+    removes it and adds it again: one ``edge`` row and three ``reach``
+    rows change each time, removed or added."""
+    node = f"m{i - i % 3}"
+    return f"-edge({node}, n38)." if i % 3 == 1 else f"+edge({node}, n38)."
+
+
+def test_publishes_between_compactions_copy_nothing_and_grow_by_the_delta(
+        monkeypatch, publish_copies):
+    """The work pin: on the chain of the compaction test, 20 publishes
+    that stay under the ratio copy no relation, and each appends
+    exactly its delta to the patch logs."""
+    monkeypatch.setattr(views, "COMPACTION_RATIO", 1)  # 20 <= 40 edges
+    program = parse_program(TC)
+    server = ThreadedServer(db=_chain_db(40, interned=True))
+    view = server.view(program)
+    view.refresh()
+    first = view.snapshot
+    deltas = []
+    real_patched = PatchedRelation.patched
+
+    def patched(self, removed, added):
+        deltas.append((self.name, len(removed) + len(added)))
+        return real_patched(self, removed, added)
+
+    monkeypatch.setattr(PatchedRelation, "patched", patched)
+    publish_copies["copies"] = 0
+    pinned = [first]
+    for i in range(20):
+        before = {rel.name: len(rel.log) for rel in _views(view.snapshot)}
+        deltas.clear()
+        server.source.apply(Changeset.from_text(_flip_flop(i)))
+        assert view.refresh() == "incremental"
+        grown = {rel.name: len(rel.log) - before[rel.name]
+                 for rel in _views(view.snapshot)}
+        assert grown == dict(deltas) == {"edge": 1, "reach": 3}
+        pinned.append(view.snapshot)
+    assert publish_copies["copies"] == 0
+    assert _shared_bases(view.snapshot, first) == [True, True]
+    assert view.describe()["patch_logs"] == {
+        "edge": {"rows": 20, "compactions": 0},
+        "reach": {"rows": 60, "compactions": 0}}
+    # Added, removed and re-added across versions 1-3: three stamps.
+    code = server.source.db.symbols.intern_row
+    assert view.snapshot.edb.relation("edge").log.stamps[
+        code(("m0", "n38"))] == (1, 2, 3)
+    assert view.snapshot.idb.relation("reach").log.stamps[
+        code(("m0", "n40"))] == (1, 2, 3)
+    for snapshot in pinned:
+        _assert_consistent(program, server, snapshot)
+
+
+@pytest.mark.parametrize("failing_call", [0, 1])
+def test_a_publish_torn_inside_the_log_extension(monkeypatch, failing_call):
+    """A publish that raises half-way through appending to a log
+    (``edge``'s, the first, or ``reach``'s, after ``edge``'s finished)
+    leaves every pinned snapshot answering as it did; the re-attempt
+    re-bases the logs it cannot extend and equals the closure from
+    scratch."""
+    program = parse_program(TC)
+    server = ThreadedServer(db=_chain_db(40, interned=True))
+    view = server.view(program)
+    view.refresh()
+    pinned = [view.snapshot]
+    for text in ("+edge(n40, n41).", "-edge(n3, n4). +edge(n3, n5)."):
+        server.source.apply(Changeset.from_text(text))
+        view.refresh()
+        pinned.append(view.snapshot)
+    reads = [(snapshot.query("reach(n2, X)"), snapshot.idb.facts("reach"),
+              snapshot.edb.facts("edge")) for snapshot in pinned]
+
+    calls = []
+    real_index = PatchLog.index
+
+    def index(self, fresh, base):
+        calls.append(len(fresh))
+        if len(calls) - 1 == failing_call:
+            real_index(self, fresh[:len(fresh) // 2], base)
+            raise RuntimeError("torn publish")
+        real_index(self, fresh, base)
+
+    monkeypatch.setattr(PatchLog, "index", index)
+    server.source.apply(Changeset.from_text(
+        "+edge(n41, n42). +edge(n0, n2)."))
+    with pytest.raises(RuntimeError, match="torn publish"):
+        view.refresh()
+    assert calls[failing_call] > 1 and view.snapshot is pinned[-1]
+    monkeypatch.setattr(PatchLog, "index", real_index)
+    for snapshot, (answer, reach, edge) in zip(pinned, reads):
+        assert snapshot.query("reach(n2, X)") == answer
+        assert snapshot.idb.facts("reach") == reach
+        assert snapshot.edb.facts("edge") == edge
+
+    assert view.refresh() == "fresh"
+    _assert_consistent(program, server, view.snapshot)
+    # ``edge``'s log was extended, torn or not; ``reach``'s only when
+    # it was the one torn.
+    logs = view.describe()["patch_logs"]
+    assert logs["edge"]["compactions"] == 1
+    assert logs["reach"]["compactions"] == failing_call
+    server.source.apply(Changeset.from_text("+edge(n42, n43)."))
+    assert view.refresh() == "incremental"
+    _assert_consistent(program, server, view.snapshot)
     for snapshot in pinned:
         _assert_consistent(program, server, snapshot)
 
@@ -441,13 +622,18 @@ def test_changeset_brings_a_new_edb_predicate(interned):
 
 def test_readers_indexing_shared_bases_while_the_writer_publishes(
         monkeypatch):
-    """Readers lazily add indexes to the shared bases and to the patch
-    of whatever snapshot they pinned, while the writer walks those same
-    index tables to warm-copy a patch or re-base at compaction.  More
-    reader threads than cores and a tiny switch interval, time-boxed;
-    every read must equal the answer computed from scratch for the
-    version it was served at, and nothing may raise."""
-    monkeypatch.setattr(views, "COMPACTION_RATIO", 64)  # re-base often
+    """Readers lazily add indexes to the shared bases, and read the
+    patch logs the writer is appending to: bound lookups on the newest
+    snapshot, and ``len``, ``rows()`` and full iteration of snapshots
+    pinned several versions back — the reads that would raise "changed
+    size during iteration" if a reader walked a container the writer
+    resizes.  The writer meanwhile walks the bases' index tables to
+    extend a log's indexes or re-base at compaction.  More reader
+    threads than cores and a tiny switch interval, time-boxed; every
+    read must equal the answer computed from scratch for the version
+    it was served at, and nothing may raise."""
+    # Logs extended over a few publishes, then re-based.
+    monkeypatch.setattr(views, "COMPACTION_RATIO", 2)
     program = parse_program(TC)
     nodes = 30
     updates = [Changeset.from_text(
@@ -470,9 +656,17 @@ def test_readers_indexing_shared_bases_while_the_writer_publishes(
 
     def reader(seed):
         rng = random.Random(seed)
+        held = []  # the last few snapshots this reader pinned
         try:
             while not done.is_set():
                 snapshot = view.snapshot
+                held = [*held[-4:], snapshot]
+                old = held[0]
+                reach = old.idb.relation("reach")
+                want = expected[old.version]
+                if len(reach) != len(want) or reach.rows() != want \
+                        or sorted(reach) != sorted(want):
+                    failures.append((old.version, "whole relation"))
                 rows = expected[snapshot.version]
                 a, b = (f"n{rng.randrange(nodes + 40)}" for _ in "ab")
                 for query, want in (
@@ -509,4 +703,5 @@ def test_readers_indexing_shared_bases_while_the_writer_publishes(
     assert failures == []
     assert reads[0] > 0 and view.snapshot.version == len(updates)
     assert view.full_refreshes == 1
+    assert 0 < view.compactions["reach"] < len(updates) // 2
     assert view.snapshot.idb.facts("reach") == expected[-1]
