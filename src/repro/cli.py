@@ -383,7 +383,7 @@ def _serve_clients(args: argparse.Namespace, server, program,
     """``serve --concurrent``: start the writer thread, then run
     ``--readers`` reader threads answering the query from any last-good
     snapshot while ``--writers`` client threads submit ``changesets``
-    through the write pipeline.  Returns once every accepted write is
+    to the server's write queue.  Returns once every accepted write is
     applied, so the answer read next is what the serial session ends
     with.
     """
@@ -449,8 +449,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
     """``serve``: one :class:`~repro.serving.ThreadedServer` session.
 
     The view is materialized under the budget flags, the query is
-    answered from a current snapshot, and each ``--update`` file goes
-    through the write pipeline before the query is answered again.
+    answered from a current snapshot, and each ``--update`` file is
+    applied by the server's writer before the query is answered again.
     ``--concurrent`` only adds threads: a background writer, reader
     threads and writer clients submitting every update file, after
     which the final answer is printed.
@@ -496,10 +496,10 @@ def cmd_serve(args: argparse.Namespace) -> int:
         import json
 
         print(json.dumps(server.describe(), indent=2), file=sys.stderr)
-    dropped = server.pipeline.dropped_changesets
+    dropped = server.dropped_changesets
     if dropped:
         raise ReproError(f"{dropped} changeset(s) could not apply and "
-                         f"were dropped: {server.pipeline.last_error}")
+                         f"were dropped: {server.last_error}")
     return 0
 
 

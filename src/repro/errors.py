@@ -144,7 +144,8 @@ class ServingUnavailable(ReproError):
 
     Attributes:
         reason: short machine-readable tag — ``"admission"`` (too many
-            concurrent readers), ``"circuit-open"`` (write pipeline
+            concurrent readers), ``"backpressure"`` (the write queue
+            is full), ``"circuit-open"`` (the server's write circuit
             tripped after repeated refresh failures), ``"deadline"``
             (the per-request deadline expired before a fresh-enough
             snapshot existed), ``"no-snapshot"`` (the view has never

@@ -298,7 +298,7 @@ class VersionedDatabase:
         """Raise the ``EvaluationError`` :meth:`apply` would, up front.
 
         The pre-mutation guards of :meth:`apply`, callable on their own
-        (the serving write pipeline screens queued changesets with
+        (the serving writer screens queued changesets with
         them): no predicate of ``idb_predicates`` is touched, and every
         row has the arity of the stored relation — or, for a predicate
         the database does not hold yet, of the first row seen.  Run

@@ -17,7 +17,7 @@ policy pieces that recovery is built from:
   cooldown one probe is let through, and its outcome decides between
   closing the circuit and re-opening it.
 * :class:`HealthState` — the coarse condition a service component
-  reports: the write pipeline walks ``HEALTHY -> DEGRADED ->
+  reports: the serving writer walks ``HEALTHY -> DEGRADED ->
   REBUILDING -> UNAVAILABLE`` as failures accumulate and back as
   recoveries land, and operators/benchmarks read it as the one-word
   summary of "is this thing OK".

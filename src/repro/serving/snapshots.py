@@ -19,11 +19,11 @@ log at its own version — so publishing costs the refresh's delta, not
 a copy of the database or of the accumulated patch.
 
 Staleness is a first-class, bounded property rather than an accident:
-a :class:`StalenessBound` says how far behind the live version (and/or
-how old in wall-clock terms) a served snapshot may be.  The threaded
-front-end serves the last-good snapshot whenever it satisfies the
-bound, which is what keeps readers answering while the single
-maintenance writer churns — or retries after a fault — underneath.
+a :class:`StalenessBound` says how far behind the live version a
+served snapshot may be.  The server serves the last-good snapshot
+whenever it satisfies the bound, which is what keeps readers answering
+while the single maintenance writer churns — or retries after a fault
+— underneath.
 """
 
 from __future__ import annotations
@@ -63,7 +63,7 @@ class Snapshot:
         self.version = version
         self.edb = edb
         self.idb = idb
-        #: Monotonic creation stamp, for wall-clock staleness bounds.
+        #: Monotonic creation stamp, for the reported age.
         self.created_monotonic = time.monotonic()
         self._fingerprint: str | None = None
 
@@ -113,29 +113,23 @@ class Snapshot:
 
 
 class StalenessBound:
-    """How stale a served snapshot may be, in versions and/or seconds.
+    """How stale a served snapshot may be, in versions.
 
     ``max_lag`` bounds ``source.version - snapshot.version`` — the
-    number of applied changesets the answer may be missing.  ``max_age_s``
-    bounds wall-clock snapshot age.  ``None`` disables the respective
-    axis; the default bound (``max_lag=None, max_age_s=None``) accepts
-    any last-good snapshot, which is the availability-over-freshness
-    corner of the trade-off.  ``max_lag=0`` demands the current version
-    (readers then wait, up to their deadline, for the writer).
+    number of applied changesets the answer may be missing.  ``None``
+    (the default) accepts any last-good snapshot, which is the
+    availability-over-freshness corner of the trade-off.  ``max_lag=0``
+    demands the current version (readers then wait, up to their
+    deadline, for the writer).
     """
 
-    def __init__(self, max_lag: Optional[int] = None,
-                 max_age_s: Optional[float] = None) -> None:
+    def __init__(self, max_lag: Optional[int] = None) -> None:
         if max_lag is not None and max_lag < 0:
             raise ValueError("max_lag must be >= 0")
-        if max_age_s is not None and max_age_s < 0:
-            raise ValueError("max_age_s must be >= 0")
         self.max_lag = max_lag
-        self.max_age_s = max_age_s
 
     def __repr__(self) -> str:
-        return (f"StalenessBound(max_lag={self.max_lag}, "
-                f"max_age_s={self.max_age_s})")
+        return f"StalenessBound(max_lag={self.max_lag})"
 
     def allows(self, snapshot: Snapshot | None,
                source_version: int) -> bool:
@@ -143,10 +137,5 @@ class StalenessBound:
         ``source_version``?"""
         if snapshot is None:
             return False
-        if self.max_lag is not None \
-                and source_version - snapshot.version > self.max_lag:
-            return False
-        if self.max_age_s is not None \
-                and snapshot.age_s() > self.max_age_s:
-            return False
-        return True
+        return self.max_lag is None \
+            or source_version - snapshot.version <= self.max_lag

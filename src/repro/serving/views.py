@@ -281,7 +281,7 @@ class MaterializedView:
 
         The chaos checkpoint sits before the swap, so an injected fault
         leaves the previous snapshot serving — and because ``refresh``
-        then raises, the write pipeline retries and the next successful
+        then raises, the server's writer retries and the next successful
         refresh (mode ``"fresh"``) re-attempts the swap with the delta
         still kept.
         """

@@ -255,10 +255,10 @@ class Shell:
             yield "(empty changeset)"
             return
         server = self._session()
-        dropped = server.pipeline.dropped_changesets
+        dropped = server.dropped_changesets
         server.update(changeset)
-        if server.pipeline.dropped_changesets > dropped:
-            yield f"error: {server.pipeline.last_error}"
+        if server.dropped_changesets > dropped:
+            yield f"error: {server.last_error}"
             return
         yield (f"applied +{changeset.total_inserts()}"
                f"/-{changeset.total_deletes()} -> v{server.version}")
@@ -268,7 +268,7 @@ class Shell:
             yield f"view {key[0]}: " \
                   f"{view.last_mode if view.valid else 'invalid'}"
         if server.health != HealthState.HEALTHY:
-            yield f"{server.health}: {server.pipeline.last_error}"
+            yield f"{server.health}: {server.last_error}"
 
     def _cmd_validate(self, _: str) -> Iterator[str]:
         yield validate_program(self.program).summary()

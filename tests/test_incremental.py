@@ -245,9 +245,9 @@ def test_apply_rejects_idb_changes():
     server = ThreadedServer(db=db)
     server.view(program)
     server.update(Changeset().insert("reach", ("a", "b")))
-    assert server.pipeline.dropped_changesets == 1
-    assert isinstance(server.pipeline.last_error, EvaluationError)
-    assert "IDB" in str(server.pipeline.last_error)
+    assert server.dropped_changesets == 1
+    assert isinstance(server.last_error, EvaluationError)
+    assert "IDB" in str(server.last_error)
     assert server.version == 0
 
 

@@ -2,7 +2,7 @@
 
 Covers the single-threaded contracts of every new piece — MVCC
 snapshots and staleness bounds, retry/backoff, the circuit breaker,
-the coalescing write pipeline and its failure ladder, the refresh
+the server's coalescing write batches and their failure ladder, the refresh
 sweep that outlives a failing view, and the atomic-materialization
 regression — by driving ``process_once`` and injected chaos plans
 directly, with no threads and no wall-clock sleeps.  The actual multi-threaded mixed
@@ -25,6 +25,7 @@ from repro.runtime.chaos import ChaosPlan
 from repro.runtime.retry import CircuitBreaker, HealthState, RetryPolicy
 from repro.serving import (Snapshot, StalenessBound, ThreadedServer,
                            relation_fingerprint)
+from repro.serving.threaded import MAX_QUEUE
 
 TC = """
 reach(X, Y) :- edge(X, Y).
@@ -98,13 +99,12 @@ def test_staleness_bound_axes():
     assert StalenessBound(max_lag=2).allows(snapshot, 5)
     assert not StalenessBound(max_lag=1).allows(snapshot, 5)
     assert StalenessBound(max_lag=0).allows(snapshot, 3)
-    assert StalenessBound(max_age_s=60.0).allows(snapshot, 3)
-    snapshot.created_monotonic -= 120.0
-    assert not StalenessBound(max_age_s=60.0).allows(snapshot, 3)
     with pytest.raises(ValueError):
         StalenessBound(max_lag=-1)
-    with pytest.raises(ValueError):
-        StalenessBound(max_age_s=-0.5)
+    # No wall-clock axis: a quiet server publishes nothing new, so an
+    # age bound refused a snapshot that was still current.
+    with pytest.raises(TypeError):
+        StalenessBound(max_age_s=60.0)
 
 
 def test_a_view_takes_no_counting_option():
@@ -135,6 +135,46 @@ def test_one_server_with_snapshot_reads_only():
     view = server.view(parse_program(TC))
     assert not hasattr(view, "query")
     assert view.refresh() == "full" and view.snapshot.version == 0
+
+
+@pytest.mark.parametrize("keyword, value", [
+    ("source", VersionedDatabase()), ("refresh_timeout_s", 1.0),
+    ("default_deadline_s", 1.0), ("max_queue", 2),
+    ("rebuild_after", 2), ("poll_s", 0.005)])
+def test_server_takes_no_removed_keyword(keyword, value):
+    # Removal pin: the writer's knobs no caller varies are module
+    # constants of repro.serving.threaded, and there is no second way
+    # to hand the server its database.
+    with pytest.raises(TypeError):
+        ThreadedServer(db=_chain_db(2), **{keyword: value})
+    import repro.serving as serving
+
+    for name in ("WritePipeline", "BackgroundWriter"):
+        assert not hasattr(serving, name)
+    assert not hasattr(ThreadedServer(db=_chain_db(2)), "pipeline")
+
+
+def test_one_write_checks_its_changeset_twice(monkeypatch):
+    """The drain screen and ``apply``'s own guard; the composed net is
+    only re-checked when it has two or more parts."""
+    calls = []
+    real_check = VersionedDatabase.check
+
+    def counted(self, changeset, idb_predicates=()):
+        calls.append(changeset)
+        return real_check(self, changeset, idb_predicates)
+
+    monkeypatch.setattr(VersionedDatabase, "check", counted)
+    program = parse_program(TC)
+    server = ThreadedServer(db=_chain_db(3))
+    server.read(program, "reach(n0, X)")
+    server.update(Changeset.from_text("+edge(n3, n4)."))
+    assert len(calls) == 2 and server.version == 1
+    calls.clear()
+    server.submit(Changeset.from_text("+edge(n4, n5)."))
+    server.submit(Changeset.from_text("+edge(n5, n6)."))
+    assert server.process_once()
+    assert len(calls) == 4 and server.version == 2  # 2 screens, net, apply
 
 
 # -- retry policy ------------------------------------------------------------
@@ -213,30 +253,29 @@ def test_breaker_automaton_closed_open_halfopen():
     assert breaker.times_opened == 2
 
 
-# -- the write pipeline ------------------------------------------------------
+# -- the write side: queue, batches, failure ladder --------------------------
 
-def _pipeline(db=None, **kwargs):
-    """A writer-less server and its pipeline, for tests that drive
-    ``process_once`` by hand; retries back off for zero seconds."""
+def _writerless(db=None, **kwargs):
+    """A writer-less server, for tests that drive ``process_once`` by
+    hand; retries back off for zero seconds."""
     kwargs.setdefault("retry", RetryPolicy(max_attempts=2,
                                            base_delay_s=0.0, jitter=0.0))
-    server = ThreadedServer(db=db if db is not None else _chain_db(4),
-                            **kwargs)
-    return server, server.pipeline
+    return ThreadedServer(db=db if db is not None else _chain_db(4),
+                          **kwargs)
 
 
 def test_pipeline_coalesces_queue_into_one_batch():
     program = parse_program(TC)
-    server, pipeline = _pipeline()
+    server = _writerless()
     server.view(program)
-    pipeline.submit(Changeset.from_text("+edge(n4, n5)."))
-    pipeline.submit(Changeset.from_text("+edge(n5, n6)."))
-    pipeline.submit(Changeset.from_text("-edge(n4, n5)."))
-    assert pipeline.process_once()
-    assert pipeline.drained()
-    assert pipeline.batches == 1
-    assert pipeline.changesets_coalesced == 3
-    assert pipeline.applied_versions == 1  # one net apply, one version
+    server.submit(Changeset.from_text("+edge(n4, n5)."))
+    server.submit(Changeset.from_text("+edge(n5, n6)."))
+    server.submit(Changeset.from_text("-edge(n4, n5)."))
+    assert server.process_once()
+    assert server.drained()
+    assert server.batches == 1
+    assert server.changesets_coalesced == 3
+    assert server.applied_versions == 1  # one net apply, one version
     view = server.view(program)
     assert view.version == server.version == 1
     # The insert+delete pair cancelled; only n5->n6 landed.
@@ -246,24 +285,24 @@ def test_pipeline_coalesces_queue_into_one_batch():
 
 def test_pipeline_failed_batch_is_carried_not_dropped():
     program = parse_program(TC)
-    server, pipeline = _pipeline()
+    server = _writerless()
     view = server.view(program)
     view.refresh()
-    pipeline.submit(Changeset.from_text("+edge(n4, n5)."))
+    server.submit(Changeset.from_text("+edge(n4, n5)."))
 
     plan = ChaosPlan()
     plan.fail_stage("serving:apply", repeats=1)  # both attempts fail
     with plan.active():
-        assert pipeline.process_once()
-    assert not pipeline.drained()  # the write is parked, not lost
-    assert pipeline.health == HealthState.DEGRADED
-    assert isinstance(pipeline.last_error, ChaosError)
+        assert server.process_once()
+    assert not server.drained()  # the write is parked, not lost
+    assert server.health == HealthState.DEGRADED
+    assert isinstance(server.last_error, ChaosError)
     assert server.version == 0
 
-    assert pipeline.process_once()  # fault exhausted: carry lands
-    assert pipeline.drained()
+    assert server.process_once()  # fault exhausted: carry lands
+    assert server.drained()
     assert server.version == 1
-    assert pipeline.health == HealthState.HEALTHY
+    assert server.health == HealthState.HEALTHY
     assert ("n5",) in server.view(program).snapshot.query("reach(n0, X)")
 
 
@@ -271,18 +310,18 @@ MALFORMED = ["+edge(x, y, z).",     # wrong arity
              "+reach(q, r)."]       # an IDB predicate
 
 
-def _assert_healthy_after_drop(pipeline, server, program, version):
+def _assert_healthy_after_drop(server, program, version):
     """One changeset was dropped; everything valid landed and nothing
     climbed the failure ladder."""
-    assert pipeline.drained()
+    assert server.drained()
     assert server.version == version
-    assert pipeline.dropped_changesets == 1
-    assert pipeline.describe()["dropped_changesets"] == 1
-    assert isinstance(pipeline.last_error, EvaluationError)
-    assert pipeline.health == HealthState.HEALTHY
-    assert pipeline.breaker.state == "closed"
-    assert pipeline.full_rebuilds_forced == 0
-    assert pipeline.refresh_failures == 0
+    assert server.dropped_changesets == 1
+    assert server.describe()["dropped_changesets"] == 1
+    assert isinstance(server.last_error, EvaluationError)
+    assert server.health == HealthState.HEALTHY
+    assert server.breaker.state == "closed"
+    assert server.full_rebuilds_forced == 0
+    assert server.refresh_failures == 0
     view = server.view(program)
     assert view.version == version
     expected = seminaive_evaluate(program, server.source.db)
@@ -295,33 +334,33 @@ def test_pipeline_drops_a_changeset_that_can_never_apply(bad):
     later batch, so no write ever landed again: version stuck at 0,
     full rebuilds forced, and the breaker open by the fourth batch."""
     program = parse_program(TC)
-    server, pipeline = _pipeline(
+    server = _writerless(
         retry=RetryPolicy(base_delay_s=0.0, jitter=0.0))
     server.view(program).refresh()
-    pipeline.submit(Changeset.from_text(bad))
-    assert pipeline.process_once()
-    assert pipeline.drained() and server.version == 0
+    server.submit(Changeset.from_text(bad))
+    assert server.process_once()
+    assert server.drained() and server.version == 0
     for step in range(3):
-        pipeline.submit(Changeset.from_text(f"+edge(n{4 + step}, "
-                                            f"n{5 + step})."))
-        assert pipeline.process_once()
+        server.submit(Changeset.from_text(f"+edge(n{4 + step}, "
+                                          f"n{5 + step})."))
+        assert server.process_once()
         assert server.version == step + 1
-    assert pipeline.applied_versions == 3
-    _assert_healthy_after_drop(pipeline, server, program, version=3)
+    assert server.applied_versions == 3
+    _assert_healthy_after_drop(server, program, version=3)
     assert ("n7",) in server.view(program).snapshot.query("reach(n0, X)")
 
 
 @pytest.mark.parametrize("bad", MALFORMED)
 def test_pipeline_coalesced_batch_keeps_the_valid_writes(bad):
     program = parse_program(TC)
-    server, pipeline = _pipeline()
+    server = _writerless()
     server.view(program).refresh()
-    pipeline.submit(Changeset.from_text("+edge(n4, n5)."))
-    pipeline.submit(Changeset.from_text(bad))
-    pipeline.submit(Changeset.from_text("+edge(n5, n6)."))
-    assert pipeline.process_once()
-    assert pipeline.batches == 1 and pipeline.changesets_coalesced == 2
-    _assert_healthy_after_drop(pipeline, server, program, version=1)
+    server.submit(Changeset.from_text("+edge(n4, n5)."))
+    server.submit(Changeset.from_text(bad))
+    server.submit(Changeset.from_text("+edge(n5, n6)."))
+    assert server.process_once()
+    assert server.batches == 1 and server.changesets_coalesced == 2
+    _assert_healthy_after_drop(server, program, version=1)
     assert ("n6",) in server.view(program).snapshot.query("reach(n0, X)")
 
 
@@ -329,16 +368,16 @@ def test_pipeline_drops_a_batch_that_only_fails_as_a_whole():
     """Each changeset applies alone; composed, they disagree on the
     arity of a predicate the database does not hold yet."""
     program = parse_program(TC)
-    server, pipeline = _pipeline()
+    server = _writerless()
     server.view(program).refresh()
-    pipeline.submit(Changeset.from_text("+colour(n0, red)."))
-    pipeline.submit(Changeset.from_text("+colour(n1)."))
-    assert pipeline.process_once()
+    server.submit(Changeset.from_text("+colour(n0, red)."))
+    server.submit(Changeset.from_text("+colour(n1)."))
+    assert server.process_once()
     assert "colour" not in server.source.db
-    _assert_healthy_after_drop(pipeline, server, program, version=0)
-    pipeline.submit(Changeset.from_text("+edge(n4, n5)."))
-    assert pipeline.process_once()
-    assert server.version == 1 and pipeline.drained()
+    _assert_healthy_after_drop(server, program, version=0)
+    server.submit(Changeset.from_text("+edge(n4, n5)."))
+    assert server.process_once()
+    assert server.version == 1 and server.drained()
 
 
 @pytest.mark.parametrize("bad", MALFORMED)
@@ -348,35 +387,34 @@ def test_threaded_server_sync_update_survives_a_malformed_changeset(bad):
     server.read(program, "reach(n0, X)")
     server.update(Changeset.from_text(bad))  # never raises for this
     server.update(Changeset.from_text("+edge(n4, n5)."))
-    _assert_healthy_after_drop(server.pipeline, server, program,
+    _assert_healthy_after_drop(server, program,
                                version=1)
     assert ("n5",) in server.read(program, "reach(n0, X)").rows
 
 
 def test_pipeline_retry_applies_changeset_exactly_once():
     program = parse_program(TC)
-    server, pipeline = _pipeline(
+    server = _writerless(
         retry=RetryPolicy(max_attempts=3, base_delay_s=0.0, jitter=0.0))
     server.view(program).refresh()
-    pipeline.submit(Changeset.from_text("+edge(n4, n5)."))
+    server.submit(Changeset.from_text("+edge(n4, n5)."))
     plan = ChaosPlan()
     plan.fail_stage("serving:refresh", repeats=0)  # first attempt only
     with plan.active():
-        assert pipeline.process_once()
+        assert server.process_once()
     # Apply landed on attempt 1; the retry must not re-apply it.
     assert server.version == 1
-    assert pipeline.applied_versions == 1
-    assert pipeline.drained()
-    assert pipeline.health == HealthState.HEALTHY
-    assert pipeline.refresh_failures == 1
+    assert server.applied_versions == 1
+    assert server.drained()
+    assert server.health == HealthState.HEALTHY
+    assert server.refresh_failures == 1
 
 
 def test_pipeline_rebuild_ladder_then_circuit_opens():
     program = parse_program(TC)
-    server, pipeline = _pipeline(
+    server = _writerless(
         retry=RetryPolicy(max_attempts=1, jitter=0.0),
-        breaker=CircuitBreaker(failure_threshold=3, cooldown_s=60.0),
-        rebuild_after=2)
+        breaker=CircuitBreaker(failure_threshold=3, cooldown_s=60.0))
     view = server.view(program)
     view.refresh()
     last_good = view.snapshot
@@ -385,22 +423,22 @@ def test_pipeline_rebuild_ladder_then_circuit_opens():
     plan.fail_stage("serving:refresh")       # incremental path fails
     plan.fail_stage("serving:materialize")   # ... and so do rebuilds
     with plan.active():
-        pipeline.submit(Changeset.from_text("+edge(n4, n5)."))
-        assert pipeline.process_once()
-        assert pipeline.health == HealthState.DEGRADED
-        assert pipeline.process_once()
+        server.submit(Changeset.from_text("+edge(n4, n5)."))
+        assert server.process_once()
+        assert server.health == HealthState.DEGRADED
+        assert server.process_once()
         # Second consecutive failure: views invalidated for rebuild.
-        assert pipeline.full_rebuilds_forced == 1
+        assert server.full_rebuilds_forced == 1
         assert not view.valid
-        assert pipeline.process_once()
-        assert pipeline.breaker.state == "open"
-        assert pipeline.health == HealthState.UNAVAILABLE
+        assert server.process_once()
+        assert server.breaker.state == "open"
+        assert server.health == HealthState.UNAVAILABLE
         # Open circuit rejects both new writes and processing.
         with pytest.raises(ServingUnavailable) as exc:
-            pipeline.submit(Changeset.from_text("+edge(n5, n6)."))
+            server.submit(Changeset.from_text("+edge(n5, n6)."))
         assert exc.value.reason == "circuit-open"
         assert exc.value.retry_after_s is not None
-        assert not pipeline.process_once()
+        assert not server.process_once()
     # Readers kept the last-good snapshot through the whole outage.
     assert view.snapshot is last_good
 
@@ -408,65 +446,65 @@ def test_pipeline_rebuild_ladder_then_circuit_opens():
 def test_pipeline_recovers_after_cooldown_probe():
     clock = [0.0]
     program = parse_program(TC)
-    server, pipeline = _pipeline(
+    server = _writerless(
         retry=RetryPolicy(max_attempts=1, jitter=0.0),
         breaker=CircuitBreaker(failure_threshold=1, cooldown_s=5.0,
-                               clock=lambda: clock[0]),
-        rebuild_after=10)
+                               clock=lambda: clock[0]))
     server.view(program).refresh()
     plan = ChaosPlan()
     plan.fail_stage("serving:refresh", repeats=0)
-    pipeline.submit(Changeset.from_text("+edge(n4, n5)."))
+    server.submit(Changeset.from_text("+edge(n4, n5)."))
     with plan.active():
-        assert pipeline.process_once()
-    assert pipeline.breaker.state == "open"
+        assert server.process_once()
+    assert server.breaker.state == "open"
     clock[0] = 6.0  # cooldown over: the probe batch heals everything
-    assert pipeline.process_once()
-    assert pipeline.breaker.state == "closed"
-    assert pipeline.health == HealthState.HEALTHY
-    assert pipeline.drained()
+    assert server.process_once()
+    assert server.breaker.state == "closed"
+    assert server.health == HealthState.HEALTHY
+    assert server.drained()
     view = server.view(program)
     assert view.version == server.version == 1
 
 
 def test_pipeline_backpressure_rejects_with_typed_error():
-    _, pipeline = _pipeline(max_queue=2)
-    pipeline.submit(Changeset.from_text("+edge(a, b)."))
-    pipeline.submit(Changeset.from_text("+edge(b, c)."))
+    server = _writerless()
+    for index in range(MAX_QUEUE):
+        server.submit(Changeset.from_text(f"+edge(a{index}, b)."))
     with pytest.raises(ServingUnavailable) as exc:
-        pipeline.submit(Changeset.from_text("+edge(c, d)."),
-                        timeout_s=0.0)
+        server.submit(Changeset.from_text("+edge(c, d)."),
+                      timeout_s=0.0)
     assert exc.value.reason == "backpressure"
-    assert pipeline.rejected == 1
+    assert server.rejected == 1
+    assert server.describe()["queue"] == MAX_QUEUE
 
 
 # -- the refresh sweep: no abort on the first failure ------------------------
 
 def test_refresh_all_continues_past_failing_view():
-    """The pipeline's sweep refreshes every view before it re-raises
+    """The batch's sweep refreshes every view before it re-raises
     the first failure."""
-    server, pipeline = _pipeline(
+    server = _writerless(
         retry=RetryPolicy(max_attempts=1, jitter=0.0))
     first = server.view(parse_program(TC))
     second = server.view(parse_program(NONREC))
-    pipeline.submit(Changeset())
-    assert pipeline.process_once()  # both materialized at v0
-    pipeline.submit(Changeset.from_text("+edge(n4, n5). +parent(a, b)."))
+    server.submit(Changeset())
+    assert server.process_once()  # both materialized at v0
+    server.submit(Changeset.from_text("+edge(n4, n5). +parent(a, b)."))
 
     plan = ChaosPlan()
     plan.fail_stage("serving:refresh", repeats=0)
     with plan.active():
-        assert pipeline.process_once()
+        assert server.process_once()
     # Registration order: the TC view hits the fault, NONREC succeeds.
-    assert isinstance(pipeline.last_error, ChaosError)
-    assert pipeline.health == HealthState.DEGRADED
+    assert isinstance(server.last_error, ChaosError)
+    assert server.health == HealthState.DEGRADED
     assert second.valid and second.version == 1
     assert second.last_mode == "incremental"
     assert not first.valid and first.version == 0
 
     # The failed view self-heals on the next (clean) sweep.
-    assert pipeline.process_once()
-    assert pipeline.health == HealthState.HEALTHY and first.valid
+    assert server.process_once()
+    assert server.health == HealthState.HEALTHY and first.valid
     assert first.version == second.version == 1
 
 
@@ -604,10 +642,9 @@ def test_refresh_all_survives_budget_exhaustion_mid_refresh():
 
 def test_pipeline_budget_failures_climb_the_recovery_ladder():
     program = parse_program(TC)
-    server, pipeline = _pipeline(
+    server = _writerless(
         db=_chain_db(30),
-        retry=RetryPolicy(max_attempts=1, jitter=0.0),
-        rebuild_after=2)
+        retry=RetryPolicy(max_attempts=1, jitter=0.0))
     view = server.view(program)
     view.refresh()
     server.source.apply(Changeset.from_text("+edge(n30, n31)."))
@@ -625,17 +662,17 @@ def test_pipeline_budget_failures_climb_the_recovery_ladder():
         return real_sweep(budget)
 
     server._sweep = choked_sweep
-    pipeline.submit(Changeset.from_text("+edge(n31, n32)."))
-    assert pipeline.process_once()
-    assert pipeline.health == HealthState.DEGRADED
-    assert isinstance(pipeline.last_error, BudgetExceededError)
-    assert pipeline.process_once()  # second budget failure in a row
-    assert pipeline.health == HealthState.REBUILDING
+    server.submit(Changeset.from_text("+edge(n31, n32)."))
+    assert server.process_once()
+    assert server.health == HealthState.DEGRADED
+    assert isinstance(server.last_error, BudgetExceededError)
+    assert server.process_once()  # second budget failure in a row
+    assert server.health == HealthState.REBUILDING
     assert not view.valid
-    assert pipeline.full_rebuilds_forced == 1
-    assert pipeline.process_once()  # clean sweep: full rebuild heals
-    assert pipeline.health == HealthState.HEALTHY
-    assert pipeline.drained()
+    assert server.full_rebuilds_forced == 1
+    assert server.process_once()  # clean sweep: full rebuild heals
+    assert server.health == HealthState.HEALTHY
+    assert server.drained()
     expected = seminaive_evaluate(program, server.source.db)
     assert view.fingerprint() == relation_fingerprint(expected)
 
@@ -670,17 +707,17 @@ def test_synchronous_flush_waits_out_an_open_circuit():
     plan.fail_stage("serving:apply", repeats=0)  # the apply raises once
     with plan.active():
         server.update(Changeset.from_text("+edge(n3, n9)."))
-    assert server.pipeline.breaker.state == "open"
-    assert not server.pipeline.drained()
+    assert server.breaker.state == "open"
+    assert not server.drained()
 
     calls = [0]
-    real_process_once = server.pipeline.process_once
+    real_process_once = server.process_once
 
     def counted(*args, **kwargs):
         calls[0] += 1
         return real_process_once(*args, **kwargs)
 
-    server.pipeline.process_once = counted
+    server.process_once = counted
     assert server.flush(timeout_s=5.0)
     assert calls[0] <= 5
     assert server.version == 1 and server.health == HealthState.HEALTHY
@@ -696,7 +733,7 @@ def test_threaded_server_rejected_changeset_leaves_the_edb_untouched():
     before = server.read(program, "reach(n0, X)").rows
     server.update(Changeset.from_text(
         "-edge(n0, n1). +edge(n3, n9). +edge(x, y, z)."))
-    assert isinstance(server.pipeline.last_error, EvaluationError)
+    assert isinstance(server.last_error, EvaluationError)
     source = server.source
     assert source.version == 0 and source.log == []
     assert source.db == _chain_db(3)

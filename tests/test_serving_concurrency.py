@@ -1,7 +1,7 @@
 """The acceptance workload: concurrent readers under a faulty writer.
 
 Four reader threads answer a recursive query from MVCC snapshots while
-one writer client streams edge changesets through the pipeline and the
+one writer client streams edge changesets to the server's writer and the
 chaos harness fails ``serving:apply`` and ``serving:refresh`` entries
 mid-run.  The suite asserts the serving tier's whole contract at once:
 
@@ -11,7 +11,7 @@ mid-run.  The suite asserts the serving tier's whole contract at once:
   equals a from-scratch semi-naive evaluation of the database *at the
   snapshot's version* (reconstructed via ``state_at``), even for reads
   served mid-fault from the last-good snapshot;
-* after the faults exhaust, the pipeline drains and heals: a
+* after the faults exhaust, the writer drains and heals: a
   ``max_lag=0`` read returns the current version and the final
   materialization fingerprints identically to a full recomputation.
 
@@ -64,8 +64,7 @@ def _server(db):
         db=db, max_readers=READERS + 2,
         retry=RetryPolicy(max_attempts=3, base_delay_s=0.005,
                           max_delay_s=0.02, jitter=0.0),
-        breaker=CircuitBreaker(failure_threshold=10, cooldown_s=0.1),
-        rebuild_after=2, poll_s=0.005)
+        breaker=CircuitBreaker(failure_threshold=10, cooldown_s=0.1))
 
 
 def _expected_rows(server, program, version):
@@ -152,7 +151,7 @@ def test_mixed_workload_with_chaos_faults_stays_consistent():
             for thread in threads:
                 thread.join(timeout=10.0)
             assert server.flush(timeout_s=10.0), \
-                server.pipeline.describe()
+                server.describe()
 
         # No thread died, faults really fired, and reads were served
         # right through the outage.
@@ -287,12 +286,58 @@ def test_readers_keep_last_good_snapshot_through_writer_outage():
                     assert error.reason in ("deadline", "no-snapshot")
                     deadline_failures += 1
             assert deadline_failures == 20
-        # Faults lifted: the pipeline heals and freshness returns.
+        # Faults lifted: the writer heals and freshness returns.
         assert server.flush(timeout_s=10.0)
         healed = server.read(program, QUERY,
                              staleness=StalenessBound(max_lag=0))
         assert healed.version == server.version >= 1
         assert ("n99",) in healed.rows
+
+
+def test_waiting_readers_do_not_fill_the_write_queue():
+    """Readers waiting on ``max_lag=0`` ask the writer for a refresh
+    every time they wake; each request used to be an entry in the
+    bounded write queue, so seven of them behind one stalled refresh
+    filled it and the next write was shed as backpressure."""
+    program = parse_program(TC)
+    server = ThreadedServer(db=_random_db(seed=5), max_readers=8)
+    plan = ChaosPlan()
+    plan.fail_stage("serving:refresh", stall_s=3.0, repeats=0)
+    stop = threading.Event()
+
+    def reader():
+        while not stop.is_set():
+            try:
+                server.read(program, QUERY, deadline_s=2.5,
+                            staleness=StalenessBound(max_lag=0))
+            except ServingUnavailable:
+                pass
+
+    with server:
+        server.read(program, QUERY)  # publish the first snapshot
+        with plan.active():
+            server.update(Changeset.from_text("+edge(n0, n77)."))
+            for _ in range(1000):  # the writer applies, then stalls
+                if server.version >= 1:
+                    break
+                time.sleep(0.005)
+            readers = [threading.Thread(target=reader, daemon=True)
+                       for _ in range(7)]
+            for thread in readers:
+                thread.start()
+            time.sleep(2.2)  # still inside the stalled refresh
+            try:
+                server.update(Changeset.from_text("+edge(n1, n78)."))
+                assert server.describe()["queue"] == 1
+            finally:
+                stop.set()
+                for thread in readers:
+                    thread.join(timeout=10.0)
+        assert server.flush(timeout_s=10.0), server.describe()
+        final = server.read(program, QUERY,
+                            staleness=StalenessBound(max_lag=0))
+        assert final.version == server.version == 2
+        assert ("n77",) in final.rows
 
 
 def test_flush_is_a_barrier_across_concurrent_submitters():
@@ -314,8 +359,8 @@ def test_flush_is_a_barrier_across_concurrent_submitters():
             thread.start()
         for thread in threads:
             thread.join(timeout=10.0)
-        assert server.flush(timeout_s=10.0), server.pipeline.describe()
-        assert server.pipeline.drained()
+        assert server.flush(timeout_s=10.0), server.describe()
+        assert server.drained()
         # Inserts commute, so the final EDB is exact regardless of the
         # interleaving; every accepted write must have landed.
         edges = server.source.db.facts("edge")

@@ -564,24 +564,23 @@ def test_coalesced_batch_and_empty_delta_publish(publish_copies):
     program = parse_program(TC)
     server = ThreadedServer(db=_chain_db(40),
                             retry=RetryPolicy(max_attempts=1, jitter=0.0))
-    pipeline = server.pipeline
     view = server.view(program)
     view.refresh()
     first = view.snapshot
 
     publish_copies["copies"] = 0
-    pipeline.submit(Changeset.from_text("+edge(n40, n41). -edge(n2, n3)."))
-    pipeline.submit(Changeset.from_text("+edge(n2, n3). +edge(n41, n42)."))
-    assert pipeline.process_once()
-    assert pipeline.changesets_coalesced == 2 and server.version == 1
+    server.submit(Changeset.from_text("+edge(n40, n41). -edge(n2, n3)."))
+    server.submit(Changeset.from_text("+edge(n2, n3). +edge(n41, n42)."))
+    assert server.process_once()
+    assert server.changesets_coalesced == 2 and server.version == 1
     second = view.snapshot
     assert second.version == 1 and publish_copies["copies"] == 0
     assert _shared_bases(second, first) == [True, True]
     _assert_consistent(program, server, second)
 
     # Effective delta empty: a new version, the very same relations.
-    pipeline.submit(Changeset.from_text("+edge(n0, n1). -edge(zz, zz)."))
-    assert pipeline.process_once()
+    server.submit(Changeset.from_text("+edge(n0, n1). -edge(zz, zz)."))
+    assert server.process_once()
     third = view.snapshot
     assert third is not second and third.version == server.version == 2
     assert view.last_mode == "fresh" and publish_copies["copies"] == 0
