@@ -10,21 +10,16 @@ from __future__ import annotations
 
 from ..datalog.atoms import Atom
 from ..datalog.program import Program
-from ..errors import BudgetExceededError
 from ..facts.database import Database
 from ..facts.relation import Relation
-from ..runtime.budget import Budget, resolve_budget
+from ..runtime.budget import Budget, check_round, resolve_budget
 from .bindings import EvalStats, check_edb_arities
 from .fire import Firer
 from .stratify import stratify
 
-#: Safety valve for runaway fixpoints (e.g. value-inventing arithmetic).
-DEFAULT_MAX_ITERATIONS = 100_000
-
 
 def naive_evaluate(program: Program, edb: Database,
                    stats: EvalStats | None = None,
-                   max_iterations: int = DEFAULT_MAX_ITERATIONS,
                    budget: Budget | None = None,
                    executor: str = "compiled",
                    planner: str = "greedy") -> Database:
@@ -63,14 +58,7 @@ def naive_evaluate(program: Program, edb: Database,
         rounds = 0
         while changed:
             rounds += 1
-            stats.iterations += 1
-            if rounds > max_iterations:
-                raise BudgetExceededError(
-                    f"naive evaluation exceeded {max_iterations} rounds",
-                    resource="rounds", limit=max_iterations,
-                    spent=rounds - 1, stats=stats, last_round=rounds - 1)
-            if budget is not None:
-                budget.check_round(stats, last_round=rounds - 1)
+            check_round(budget, stats, rounds, "naive evaluation")
             changed = False
             for rule in rules:
                 # The firing is buffered, so the body scan sees a

@@ -9,10 +9,14 @@ evaluation loop", Section 1).  Per stratum:
    the round have put into the stratum's own relations, seeding the
    deltas.  A stratum none of whose rules reads a same-stratum atom is
    complete after this round and keeps no delta at all.
-2. *Delta rounds*: a rule with ``k`` same-stratum body occurrences is
-   evaluated ``k`` times, each time redirecting one occurrence to the
-   delta of the previous round.  For linear rules — the paper's setting —
-   ``k = 1`` and this is the textbook optimal schedule.
+2. *Delta rounds* (:func:`delta_rounds`): a rule with ``k`` body
+   occurrences of predicates holding a delta is fired ``k`` times, each
+   time redirecting one occurrence to the delta of the previous round.
+   For linear rules — the paper's setting — ``k = 1`` and this is the
+   textbook optimal schedule.  The same loop runs every pass of
+   incremental maintenance (:mod:`repro.incremental.maintain`), with the
+   changed rows as the first round's deltas: the repo has one round
+   schedule, bounded by :func:`~repro.runtime.budget.check_round`.
 
 A per-rule *hook* lets :mod:`repro.baselines.guided` inject residue checks
 into each iteration, which is exactly where the run-time overhead of the
@@ -22,21 +26,19 @@ evaluation-based approach lives.
 from __future__ import annotations
 
 from time import perf_counter
-from typing import Callable, Collection, Iterable, Optional
+from typing import Callable, Collection, Iterable, Optional, Sequence
 
 from ..datalog.atoms import Atom
 from ..datalog.program import Program
 from ..datalog.rules import Rule
 from ..datalog.terms import Variable
-from ..errors import BudgetExceededError
 from ..facts.database import Database
 from ..facts.relation import Relation, Row
-from ..runtime.budget import Budget, resolve_budget
+from ..runtime.budget import Budget, check_round, resolve_budget
 from .bindings import (Binding, EvalStats, Fetch, check_edb_arities,
                        frontier_occurrences, solve_body)
 from .compile import KernelCache
 from .fire import Firer
-from .naive import DEFAULT_MAX_ITERATIONS
 from .profile import EvalProfile
 from .stratify import is_recursive_stratum, stratify
 
@@ -51,10 +53,15 @@ from .stratify import is_recursive_stratum, stratify
 #: used the recursive rule at least ``j`` times.
 DerivationHook = Callable[[Rule, Binding, int], bool]
 
+#: One firing of a delta round: ``fire(rule, index, fetch, round)``
+#: fires ``rule`` with body occurrence ``index`` reading its delta
+#: through ``fetch`` and returns the rows that are new — duplicate-free,
+#: and new to whatever the firing put them into.
+DeltaFire = Callable[[Rule, int, Fetch, int], Collection[Row]]
+
 
 def seminaive_evaluate(program: Program, edb: Database,
                        stats: EvalStats | None = None,
-                       max_iterations: int = DEFAULT_MAX_ITERATIONS,
                        hook: Optional[DerivationHook] = None,
                        planner: str = "greedy",
                        budget: Budget | None = None,
@@ -120,9 +127,52 @@ def seminaive_evaluate(program: Program, edb: Database,
     for pred in program.idb_predicates:
         idb.ensure(pred, arities[pred])
     for stratum in stratify(program):
-        _evaluate_stratum(program, stratum, edb, idb, firer,
-                          max_iterations, profile)
+        _evaluate_stratum(program, stratum, edb, idb, firer, profile)
     return idb
+
+
+def delta_rounds(rules: Sequence[Rule], deltas: dict[str, Relation],
+                 read: Fetch, firer: Firer, fire: DeltaFire, where: str,
+                 profile: EvalProfile | None = None) -> None:
+    """Semi-naive delta rounds over ``rules`` until no delta is left.
+
+    Each round, numbered from 1, first passes the round boundary
+    (:func:`~repro.runtime.budget.check_round`; ``where`` names the
+    schedule), then calls ``fire(rule, index, fetch, round)`` for every
+    rule and every body atom whose predicate has a non-empty delta:
+    ``fetch`` reads that delta at occurrence ``index`` and ``read`` at
+    every other.  The rows ``fire`` returns make up the next round's
+    delta of the rule's head predicate.  ``profile``, when given,
+    records each round's delta sizes.
+    """
+    heads = {rule.head.pred: rule.head.arity for rule in rules}
+    rounds = 0
+    while any(len(delta) for delta in deltas.values()):
+        rounds += 1
+        check_round(firer.budget, firer.stats, rounds, where)
+        next_deltas = {pred: Relation(pred, arity, symbols=firer.symbols)
+                       for pred, arity in heads.items()}
+        for rule in rules:
+            for index, lit in enumerate(rule.body):
+                if not isinstance(lit, Atom) \
+                        or not len(deltas.get(lit.pred, ())):
+                    continue
+
+                def fetch(atom: Atom, occurrence: int,
+                          _index: int = index) -> Relation:
+                    if occurrence == _index:
+                        return deltas[atom.pred]
+                    return read(atom, occurrence)
+
+                new_rows = fire(rule, index, fetch, rounds)
+                if new_rows:
+                    next_deltas[rule.head.pred].raw_merge(new_rows)
+                # Dropped here, not held beside the next firing's rows.
+                del new_rows
+        deltas = next_deltas
+        if profile is not None:
+            profile.record_round(rounds, {pred: len(rel)
+                                          for pred, rel in deltas.items()})
 
 
 def _copied_atom(rule: Rule) -> Atom | None:
@@ -141,16 +191,14 @@ def _copied_atom(rule: Rule) -> Atom | None:
 
 def _evaluate_stratum(program: Program, stratum: frozenset[str],
                       edb: Database, idb: Database, firer: Firer,
-                      max_iterations: int,
                       profile: EvalProfile | None) -> None:
-    stats, budget = firer.stats, firer.budget
+    stats = firer.stats
     rules = [r for r in program if r.head.pred in stratum]
     # Unlabeled rules must not collapse into one per-head bucket: key
     # rule_rows by label when present, else by head predicate and the
     # rule's position within the stratum.
     rule_keys = {id(rule): rule.label or f"{rule.head.pred}#{index}"
                  for index, rule in enumerate(rules)}
-    symbols = idb.symbols
     # A stratum none of whose rules reads a same-stratum atom is
     # saturated by its initialization round: it keeps no delta (nothing
     # would read one) and needs no closing round to find that out.
@@ -162,19 +210,13 @@ def _evaluate_stratum(program: Program, stratum: frozenset[str],
         id(rule): _copied_atom(rule) for rule in rules} \
         if firer.whole_sets else {}
 
-    def make_deltas() -> dict[str, Relation]:
-        if not recursive:
-            return {}
-        return {pred: Relation(pred, idb.relation(pred).arity,
-                               symbols=symbols) for pred in stratum}
-
     def base_fetch(atom: Atom, index: int) -> Relation:
         if atom.pred in program.idb_predicates:
             return idb.relation(atom.pred)
         return edb.relation_or_empty(atom.pred, atom.arity)
 
-    def fire(rule: Rule, fetch: Fetch, round_index: int,
-             variant: int | None = None) -> None:
+    def fire(rule: Rule, variant: int | None, fetch: Fetch,
+             round_index: int) -> Collection[Row]:
         rows_before = stats.rows_matched
         fire_start = perf_counter() if profile is not None else 0.0
         # Buffer insertions so the body scan sees a snapshot of the
@@ -201,59 +243,35 @@ def _evaluate_stratum(program: Program, stratum: frozenset[str],
             + stats.rows_matched - rows_before
         new_rows = firer.merge(derived, idb.relation(rule.head.pred),
                                last_round=max(round_index - 1, 0))
-        delta = next_deltas.get(rule.head.pred)
-        if new_rows and delta is not None:
-            delta.raw_merge(new_rows)
         if profile is not None:
             done = perf_counter()
             profile.record_fire(
                 key if variant is None else f"{key}@d{variant}",
                 merge_start - fire_start, done - merge_start, len(derived))
+        return new_rows
 
-    # Initialization round.
-    next_deltas = make_deltas()
-    stats.iterations += 1
-    for rule in rules:
-        fire(rule, base_fetch, 0)
-    deltas = next_deltas
-    if profile is not None:
-        # Every relation of the stratum was empty before this round, so
-        # its size is its round-0 frontier, delta kept or not.
-        profile.record_round(0, {pred: len(idb.relation(pred))
-                                 for pred in stratum})
-
-    rounds = 0
-    while any(len(d) for d in deltas.values()):
-        rounds += 1
+    def initialization_round() -> dict[str, Relation]:
+        deltas = {pred: Relation(pred, idb.relation(pred).arity,
+                                 symbols=idb.symbols)
+                  for pred in stratum} if recursive else {}
         stats.iterations += 1
-        if rounds > max_iterations:
-            raise BudgetExceededError(
-                f"semi-naive evaluation exceeded {max_iterations} rounds",
-                resource="rounds", limit=max_iterations,
-                spent=rounds - 1, stats=stats, last_round=rounds - 1)
-        if budget is not None:
-            # Exact round-boundary check: deadline, rounds, cancellation
-            # (the merge's checkpoints keep the counters exact
-            # mid-round).
-            budget.check_round(stats, last_round=rounds - 1)
-        next_deltas = make_deltas()
         for rule in rules:
-            for delta_index, lit in enumerate(rule.body):
-                if not isinstance(lit, Atom) or lit.pred not in stratum \
-                        or not len(deltas[lit.pred]):
-                    continue
-
-                def fetch(atom: Atom, index: int,
-                          _target: int = delta_index) -> Relation:
-                    if index == _target:
-                        return deltas[atom.pred]
-                    return base_fetch(atom, index)
-
-                fire(rule, fetch, rounds, variant=delta_index)
-        deltas = next_deltas
+            new_rows = fire(rule, None, base_fetch, 0)
+            delta = deltas.get(rule.head.pred)
+            if new_rows and delta is not None:
+                delta.raw_merge(new_rows)
+            del new_rows
         if profile is not None:
-            profile.record_round(rounds, {pred: len(rel)
-                                          for pred, rel in deltas.items()})
+            # Every relation of the stratum was empty before this round,
+            # so its size is its round-0 frontier, delta kept or not.
+            profile.record_round(0, {pred: len(idb.relation(pred))
+                                     for pred in stratum})
+        return deltas
+
+    # Passed straight from the call: no local here holds the round-0
+    # deltas while the delta rounds run.
+    delta_rounds(rules, initialization_round(), base_fetch, firer, fire,
+                 "semi-naive evaluation", profile)
 
 
 def answers(query_literals: Iterable, program: Program, edb: Database,

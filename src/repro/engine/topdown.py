@@ -33,11 +33,11 @@ from ..datalog.atoms import Atom, Comparison, Negation
 from ..datalog.program import Program
 from ..datalog.rules import Rule
 from ..datalog.terms import Constant, ConstValue, Variable
-from ..errors import BudgetExceededError, EvaluationError
+from ..errors import EvaluationError
 from ..facts.database import Database
 from ..facts.relation import Relation, Row
 from ..runtime import chaos
-from ..runtime.budget import Budget, resolve_budget
+from ..runtime.budget import Budget, check_round, resolve_budget
 from . import builtins
 from .bindings import EvalStats, _match_row
 
@@ -86,7 +86,6 @@ class TabledEvaluator:
     """Tabled SLD evaluation of one program over one database."""
 
     def __init__(self, program: Program, edb: Database,
-                 max_rounds: int = 100_000,
                  budget: Budget | None = None) -> None:
         for rule in program:
             if any(isinstance(lit, Negation) for lit in rule.body):
@@ -94,7 +93,6 @@ class TabledEvaluator:
                     "the top-down engine does not support negation")
         self.program = program
         self.edb = edb
-        self.max_rounds = max_rounds
         self.budget = resolve_budget(budget)
         self._chaos = chaos.active_plan()
         self._round = 0
@@ -111,15 +109,8 @@ class TabledEvaluator:
         while True:
             rounds += 1
             self._round = rounds
-            self.stats.iterations += 1
-            if rounds > self.max_rounds:
-                raise BudgetExceededError(
-                    f"top-down evaluation exceeded {self.max_rounds} "
-                    "rounds", resource="rounds", limit=self.max_rounds,
-                    spent=rounds - 1, stats=self.stats,
-                    last_round=rounds - 1)
-            if self.budget is not None:
-                self.budget.check_round(self.stats, last_round=rounds - 1)
+            check_round(self.budget, self.stats, rounds,
+                        "top-down evaluation")
             self._changed = False
             self._in_progress: set[CallKey] = set()
             self._solve_call(goal, key)

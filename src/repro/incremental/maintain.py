@@ -5,15 +5,23 @@ immutable EDB snapshot.  This module keeps an already-computed IDB
 *live* under EDB changesets instead of recomputing it:
 
 * **Insertions** re-enter the semi-naive loop with the inserted rows as
-  the initial delta — the same delta-redirected rule firings (and the
-  same compiled kernels, see :mod:`repro.engine.compile`) that run
-  inside one evaluation are reused *across* EDB versions, which is the
-  fixpoint-maintenance reading of semi-naive evaluation (Zaniolo et
-  al., PAPERS.md).
+  the first round's deltas — the delta rounds that run inside one
+  evaluation (:func:`~repro.engine.seminaive.delta_rounds`), and
+  compiled kernels kept across EDB versions (see
+  :mod:`repro.engine.compile`), which is the fixpoint-maintenance
+  reading of semi-naive evaluation (Zaniolo et al., PAPERS.md).
 * **Deletions** use *DRed* — delete-and-rederive — in every stratum,
   recursive or not: overdelete everything the deleted rows could have
   supported, then rederive what still has a proof from the reduced
   database.
+
+Every pass that closes over a delta — insertion, DRed's overdeletion
+and its propagation of rederived rows — is one
+:func:`~repro.engine.seminaive.delta_rounds` call: the same round loop
+and round bound (:func:`~repro.runtime.budget.check_round`) as
+evaluation, with only the firing its own.  A pass's first round fires
+the changed rows, its later rounds what the previous round added, and
+each round counts in ``stats.iterations``.
 
 Both passes run stratum by stratum.  A changeset with deletions runs a
 full deletion pass first (taking the database from the pre state to the
@@ -49,8 +57,7 @@ from ..datalog.atoms import Atom
 from ..datalog.program import Program
 from ..datalog.rules import Negation, Rule
 from ..datalog.terms import Constant, ConstValue
-from ..errors import (BudgetExceededError, EvaluationError,
-                      IncrementalUnsupported)
+from ..errors import EvaluationError, IncrementalUnsupported
 from ..facts.changelog import Changeset
 from ..facts.database import Database
 from ..facts.relation import Relation, Row
@@ -59,7 +66,7 @@ from ..engine.bindings import (EvalStats, Fetch, check_edb_arities,
                                validate_planner)
 from ..engine.compile import KernelCache
 from ..engine.fire import Firer
-from ..engine.naive import DEFAULT_MAX_ITERATIONS
+from ..engine.seminaive import DeltaFire, delta_rounds
 from ..engine.stratify import stratify
 
 
@@ -94,7 +101,6 @@ def maintain(program: Program, edb: Database, idb: Database,
              planner: str = "greedy",
              executor: str = "compiled",
              budget: Budget | None = None,
-             max_iterations: int = DEFAULT_MAX_ITERATIONS,
              kernels: KernelCache | None = None) -> MaintenanceResult:
     """Bring ``idb`` current after ``changeset`` was applied to ``edb``.
 
@@ -138,8 +144,7 @@ def maintain(program: Program, edb: Database, idb: Database,
             f"{', '.join(sorted(derived))}; incremental maintenance "
             "updates EDB relations only")
     _require_monotone_impact(program, changeset.predicates())
-    return _Maintenance(program, edb, idb, changeset, firer,
-                        max_iterations).run()
+    return _Maintenance(program, edb, idb, changeset, firer).run()
 
 
 def _require_monotone_impact(program: Program,
@@ -168,14 +173,12 @@ class _Maintenance:
     """One maintenance run: deletion pass, then insertion pass."""
 
     def __init__(self, program: Program, edb: Database, idb: Database,
-                 changeset: Changeset, firer: Firer,
-                 max_iterations: int) -> None:
+                 changeset: Changeset, firer: Firer) -> None:
         self.program = program
         self.edb = edb
         self.idb = idb
         self.firer = firer
         self.stats = firer.stats
-        self.max_iterations = max_iterations
         self.symbols = edb.symbols
         self.arities = dict(program.predicate_arities())
         # Storage-domain changeset rows.
@@ -204,10 +207,18 @@ class _Maintenance:
         intern_row = self.symbols.intern_row
         return {intern_row(tuple(row)) for row in rows}
 
-    def _delta_relation(self, pred: str, rows: set[Row]) -> Relation:
-        rel = Relation(pred, self.arities[pred], symbols=self.symbols)
-        rel.raw_merge(rows)
-        return rel
+    def _deltas(self, rows: dict[str, set[Row]],
+                rules: list[Rule]) -> dict[str, Relation]:
+        """A pass's first-round deltas: the ``rows`` of the predicates
+        ``rules`` read, as relations."""
+        read = {lit.pred for rule in rules for lit in rule.body
+                if isinstance(lit, Atom)}
+        deltas: dict[str, Relation] = {}
+        for pred in read & rows.keys():
+            deltas[pred] = Relation(pred, self.arities[pred],
+                                    symbols=self.symbols)
+            deltas[pred].raw_merge(rows[pred])
+        return deltas
 
     # -- the state every pass reads ------------------------------------------
     def _live(self, pred: str) -> Relation:
@@ -219,6 +230,9 @@ class _Maintenance:
             self._edb_rels[pred] = self.edb.relation_or_empty(
                 pred, self.arities[pred])
         return self._edb_rels[pred]
+
+    def _read(self, atom: Atom, occurrence: int) -> Relation:
+        return self._live(atom.pred)
 
     @contextmanager
     def _toggled(self, rows: dict[str, set[Row]],
@@ -252,17 +266,6 @@ class _Maintenance:
         if budget is not None:
             budget.checkpoint(self.stats, last_round=last_round)
 
-    def _check_round(self, rounds: int, where: str) -> None:
-        if rounds > self.max_iterations:
-            raise BudgetExceededError(
-                f"incremental {where} exceeded {self.max_iterations} "
-                "rounds", resource="rounds", limit=self.max_iterations,
-                spent=rounds - 1, stats=self.stats,
-                last_round=rounds - 1)
-        if self.firer.budget is not None:
-            self.firer.budget.check_round(self.stats,
-                                          last_round=rounds - 1)
-
     # -- driver --------------------------------------------------------------
     def run(self) -> MaintenanceResult:
         strata = stratify(self.program)
@@ -274,8 +277,12 @@ class _Maintenance:
                 for stratum, rules in zip(strata, rules_by_stratum):
                     self._dred(stratum, rules)
         if self.edb_inserts:
-            for stratum, rules in zip(strata, rules_by_stratum):
-                self._insert_stratum(stratum, rules)
+            insert = self._inserting(self.idb_added)
+            for rules in rules_by_stratum:
+                # Δ⁺ for everything inserted so far this pass.
+                changed = {**self.edb_inserts, **self.idb_added}
+                delta_rounds(rules, self._deltas(changed, rules), self._read,
+                             self.firer, insert, "incremental insertion")
         return MaintenanceResult(self.idb_added, self.idb_removed,
                                  self.stats)
 
@@ -293,58 +300,25 @@ class _Maintenance:
         # derivation that consumed a deleted row is found; the closure
         # is a superset, sets absorb the overcount.
         over: dict[str, set[Row]] = {pred: set() for pred in stratum}
-        frontier: dict[str, set[Row]] = {pred: set() for pred in stratum}
 
-        def collect(rule: Rule, derived: list[Row]) -> None:
-            pred = rule.head.pred
-            store = rels[pred].raw_rows()
-            seen = over[pred]
-            fresh = frontier[pred]
+        def overdelete(rule: Rule, index: int, fetch: Fetch,
+                       round_index: int) -> list[Row]:
+            # The rows still stored and not yet overdeleted are
+            # overdeleted now, and are the next round's delta.
+            derived = self.firer.run(rule, fetch, ("overdelete", index))
+            self._tick_rows(derived, last_round=round_index - 1)
+            store = rels[rule.head.pred].raw_rows()
+            seen = over[rule.head.pred]
+            fresh = []
             for row in derived:
                 if row in store and row not in seen:
                     seen.add(row)
-                    fresh.add(row)
-
-        def over_fetch(target: int, delta: Relation) -> Fetch:
-            def fetch(atom: Atom, occurrence: int) -> Relation:
-                return delta if occurrence == target \
-                    else self._live(atom.pred)
-            return fetch
+                    fresh.append(row)
+            return fresh
 
         with self._toggled(changed, present=True):
-            for rule in rules:
-                for index, lit in enumerate(rule.body):
-                    if not isinstance(lit, Atom) \
-                            or lit.pred not in changed:
-                        continue
-                    delta_rel = self._delta_relation(lit.pred,
-                                                     changed[lit.pred])
-                    derived = self.firer.run(
-                        rule, over_fetch(index, delta_rel),
-                        ("dred-seed", index))
-                    self._tick_rows(derived)
-                    collect(rule, derived)
-
-            rounds = 0
-            while any(frontier.values()):
-                rounds += 1
-                self._check_round(rounds, "overdeletion")
-                frontier_rels = {pred: self._delta_relation(pred, rows)
-                                 for pred, rows in frontier.items()}
-                frontier = {pred: set() for pred in stratum}
-                for rule in rules:
-                    for index, lit in enumerate(rule.body):
-                        if not isinstance(lit, Atom) \
-                                or lit.pred not in stratum:
-                            continue
-                        front = frontier_rels[lit.pred]
-                        if not len(front):
-                            continue
-                        derived = self.firer.run(
-                            rule, over_fetch(index, front),
-                            ("dred-front", index))
-                        self._tick_rows(derived, last_round=rounds - 1)
-                        collect(rule, derived)
+            delta_rounds(rules, self._deltas(changed, rules), self._read,
+                         self.firer, overdelete, "incremental overdeletion")
 
         # Phase 2 — remove the overdeleted rows.
         for pred in stratum:
@@ -360,7 +334,9 @@ class _Maintenance:
 
         # Phase 4 — propagate the rederived rows within the stratum
         # (anything they in turn support must come back too).
-        self._propagate(stratum, rules, rederived, collect_into=None)
+        delta_rounds(rules, self._deltas(rederived, rules), self._read,
+                     self.firer, self._inserting(None),
+                     "incremental propagation")
 
         for pred in stratum:
             net = {row for row in over[pred]
@@ -414,7 +390,7 @@ class _Maintenance:
                     return self._live(atom.pred)
 
                 derived = self.firer.run(batch_rule, fetch,
-                                         ("dred-rederive",))
+                                         ("rederive",))
                 self._tick_rows(derived)
                 for row in derived:
                     if row in candidates:
@@ -424,75 +400,21 @@ class _Maintenance:
                 self.stats.rederived += len(found)
                 self.stats.derivations += len(found)
 
-    # -- insertion pass ------------------------------------------------------
-    def _insert_stratum(self, stratum: frozenset[str],
-                        rules: list[Rule]) -> None:
-        # Predicate -> Δ⁺ for everything inserted so far this pass.
-        changed = {**self.edb_inserts, **self.idb_added}
-        if not changed:
-            return
-        seeds: dict[str, set[Row]] = {pred: set() for pred in stratum}
-        for rule in rules:
-            target = self.idb.relation(rule.head.pred)
-            for index, lit in enumerate(rule.body):
-                if not isinstance(lit, Atom) or lit.pred not in changed:
-                    continue
-                if lit.pred in stratum:
-                    continue  # same-stratum deltas ride the delta rounds
-                delta_rel = self._delta_relation(lit.pred,
-                                                 changed[lit.pred])
-
-                def fetch(atom: Atom, occurrence: int,
-                          _target: int = index,
-                          _delta: Relation = delta_rel) -> Relation:
-                    if occurrence == _target:
-                        return _delta
-                    return self._live(atom.pred)
-
-                derived = self.firer.run(rule, fetch, ("ins-seed", index))
-                seeds[rule.head.pred].update(
-                    self.firer.merge(derived, target))
-        self._propagate(stratum, rules, seeds, collect_into=self.idb_added)
-        for pred, rows in seeds.items():
-            if rows:
-                self.idb_added.setdefault(pred, set()).update(rows)
-
-    def _propagate(self, stratum: frozenset[str], rules: list[Rule],
-                   deltas: dict[str, set[Row]],
-                   collect_into: dict[str, set[Row]] | None) -> None:
-        """Standard semi-naive delta rounds within one stratum."""
-        live = {pred: set(rows) for pred, rows in deltas.items()}
-        rounds = 0
-        while any(live.values()):
-            rounds += 1
-            self._check_round(rounds, "propagation")
-            delta_rels = {pred: self._delta_relation(pred, rows)
-                          for pred, rows in live.items()}
-            live = {pred: set() for pred in stratum}
-            for rule in rules:
-                target = self.idb.relation(rule.head.pred)
-                for index, lit in enumerate(rule.body):
-                    if not isinstance(lit, Atom) \
-                            or lit.pred not in stratum:
-                        continue
-                    if not len(delta_rels.get(lit.pred, ())):
-                        continue
-
-                    def fetch(atom: Atom, occurrence: int,
-                              _target: int = index,
-                              _deltas: dict = delta_rels) -> Relation:
-                        if occurrence == _target:
-                            return _deltas[atom.pred]
-                        return self._live(atom.pred)
-
-                    derived = self.firer.run(rule, fetch, ("prop", index))
-                    new_rows = self.firer.merge(derived, target,
-                                                last_round=rounds - 1)
-                    if new_rows:
-                        live[rule.head.pred].update(new_rows)
-                        if collect_into is not None:
-                            collect_into.setdefault(
-                                rule.head.pred, set()).update(new_rows)
+    # -- insertion -----------------------------------------------------------
+    def _inserting(self, added: dict[str, set[Row]] | None) -> DeltaFire:
+        """The firing of the insertion pass and of DRed's phase 4: the
+        derived rows go into the live head relation, and the new ones
+        into ``added`` when given."""
+        def insert(rule: Rule, index: int, fetch: Fetch,
+                   round_index: int) -> Collection[Row]:
+            new_rows = self.firer.merge(
+                self.firer.run(rule, fetch, ("insert", index)),
+                self.idb.relation(rule.head.pred),
+                last_round=round_index - 1)
+            if added is not None and new_rows:
+                added.setdefault(rule.head.pred, set()).update(new_rows)
+            return new_rows
+        return insert
 
 
 def _changeset_arity(changeset: Changeset, pred: str) -> int:

@@ -4,10 +4,13 @@ A :class:`Budget` bounds one unit of work along four axes — wall-clock
 deadline, derivation events, materialized facts, and fixpoint rounds —
 and carries a cooperative cancellation flag that another thread may set
 at any time.  The fixpoint engines call :meth:`Budget.tick` on every
-derivation event and :meth:`Budget.check_round` at every round boundary;
-both raise the typed errors of :mod:`repro.errors` carrying the partial
+derivation event and :func:`check_round` at every round boundary; both
+raise the typed errors of :mod:`repro.errors` carrying the partial
 :class:`~repro.engine.bindings.EvalStats` and the last completed round,
-so callers can report how far evaluation got.
+so callers can report how far evaluation got.  :func:`check_round` is
+the one round bound of every schedule — semi-naive, naive, top-down and
+each incremental maintenance pass: :attr:`Budget.max_rounds` when a
+budget sets it, and the :data:`MAX_ROUNDS` safety valve always.
 
 Deadline checks call :func:`time.monotonic`, which is too expensive to
 pay per derivation; :meth:`tick` therefore only consults the clock every
@@ -37,6 +40,10 @@ _CURRENT: ContextVar[Optional["Budget"]] = ContextVar(
 #: How many derivation events pass between wall-clock checks by default.
 DEFAULT_DEADLINE_CHECK_INTERVAL = 64
 
+#: Safety valve for runaway fixpoints (e.g. value-inventing arithmetic):
+#: no schedule runs more rounds than this, budget or not.
+MAX_ROUNDS = 100_000
+
 
 class Budget:
     """A resource budget for one evaluation or optimization run.
@@ -47,8 +54,10 @@ class Budget:
         max_derivations: bound on derivation *events* (new facts plus
             duplicate derivations) — the engine's total work.
         max_facts: bound on *materialized* facts (new tuples only).
-        max_rounds: bound on fixpoint delta rounds per stratum (also
-            bounds naive rounds and top-down outer iterations).
+        max_rounds: bound on the rounds of each fixpoint schedule —
+            semi-naive delta rounds per stratum, naive rounds, top-down
+            outer iterations and each maintenance pass's rounds (see
+            :func:`check_round`).
         deadline_check_interval: derivation events between wall-clock
             reads in :meth:`tick`; set to 1 for exact deadlines.
     """
@@ -126,30 +135,6 @@ class Budget:
         """True when the armed deadline has passed."""
         return self._deadline is not None \
             and time.monotonic() > self._deadline
-
-    def child(self, timeout_s: float | None = None) -> "Budget":
-        """A sub-budget sharing this budget's cancellation flag.
-
-        The child's deadline never outlives the parent's: its timeout is
-        the smaller of ``timeout_s`` and the parent's remaining time.
-        Counter limits are inherited unchanged (they bound the same kind
-        of work); counters themselves restart at zero because engines
-        track them in per-run :class:`EvalStats`.
-        """
-        remaining = self.remaining_s()
-        if timeout_s is None:
-            effective = remaining
-        elif remaining is None:
-            effective = timeout_s
-        else:
-            effective = min(timeout_s, remaining)
-        child = Budget(timeout_s=effective,
-                       max_derivations=self.max_derivations,
-                       max_facts=self.max_facts,
-                       max_rounds=self.max_rounds,
-                       deadline_check_interval=self._interval)
-        child._cancel_event = self._cancel_event
-        return child
 
     # -- checkpoints ---------------------------------------------------------
     def tick(self, stats=None, last_round: int | None = None) -> None:
@@ -276,3 +261,24 @@ def resolve_budget(budget: Budget | None) -> Budget | None:
     if budget is None:
         budget = current_budget()
     return budget.start() if budget is not None else None
+
+
+def check_round(budget: Budget | None, stats, rounds: int,
+                where: str) -> None:
+    """The round boundary of every fixpoint schedule, before round
+    ``rounds`` (numbered from 1) runs.
+
+    Raises :class:`BudgetExceededError` past :data:`MAX_ROUNDS` or
+    ``budget``'s ``max_rounds``, and on its deadline or cancellation
+    (:meth:`Budget.check_round`), with ``rounds - 1`` as the last
+    completed round; ``where`` names the schedule in the message.  Only
+    a round allowed to run is counted in ``stats.iterations``.
+    """
+    if rounds > MAX_ROUNDS:
+        raise BudgetExceededError(
+            f"{where} exceeded {MAX_ROUNDS} rounds", resource="rounds",
+            limit=MAX_ROUNDS, spent=rounds - 1, stats=stats,
+            last_round=rounds - 1)
+    if budget is not None:
+        budget.check_round(stats, last_round=rounds - 1)
+    stats.iterations += 1

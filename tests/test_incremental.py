@@ -17,6 +17,7 @@ from contextlib import nullcontext
 import pytest
 
 from repro.cli import main
+from repro.core.optimizer import SemanticOptimizer
 from repro.datalog import atom, parse_program
 from repro.engine.compile import KernelCache
 from repro.engine.magic import magic_rewrite
@@ -35,6 +36,8 @@ from repro.runtime.chaos import ChaosPlan
 from repro.serving import (MaterializedView, StalenessBound,
                            ThreadedServer, relation_fingerprint)
 from repro.shell import run as shell_run
+from repro.workloads import example_4_3
+from repro.workloads.genealogy import GenealogyParams, generate_genealogy
 from repro.workloads.generators import random_digraph, tree_edges
 
 TC = """
@@ -72,12 +75,47 @@ r1: sg(X, Y) :- par(X, Xp), sg(Xp, Yp), par(Y, Yp).
 """
 
 
+NONLINEAR_TC = """
+r0: reach(X, Y) :- edge(X, Y).
+r1: reach(X, Z) :- reach(X, Y), reach(Y, Z).
+"""
+
+#: Two recursive predicates in one stratum: paths of odd and even length.
+MUTUAL = """
+r0: od(X, Y) :- edge(X, Y).
+r1: ev(X, Z) :- od(X, Y), edge(Y, Z).
+r2: od(X, Z) :- ev(X, Y), edge(Y, Z).
+"""
+
+#: A closure, a copy rule one stratum up and a two-hop rule above that.
+COPY_UP = TC + """
+r2: cp(X, Y) :- reach(X, Y).
+r3: two(X, Z) :- cp(X, Y), cp(Y, Z).
+"""
+
+
+def _pushed_genealogy(generations=5, width=10):
+    """Example 4.3 with its residue pushed (the ``anc__d0`` /
+    ``anc__d1`` / ``anc__deep`` strata), over an EDB satisfying its IC.
+    """
+    example = example_4_3()
+    report = SemanticOptimizer(example.program, example.ics,
+                               pred="anc").optimize()
+    assert report.failures == []
+    return report.optimized, generate_genealogy(
+        GenealogyParams(generations=generations, width=width,
+                        parents_per_person=2), random.Random(1))
+
+
 def _maintenance_workloads():
     """(program, EDB) pairs: transitive closure, same-generation over a
     3x3 tree, the magic-rewritten bound query — a served magic view
     materializes the *rewritten* program, so that is what is maintained
     — and a non-recursive two-stratum program whose rows have several
-    derivations each.
+    derivations each; then the round loop's other shapes: a nonlinear
+    closure (two same-stratum occurrences in one body), mutual
+    recursion, a copy rule and a two-hop rule stacked on a closure, and
+    the residue-pushed Example 4.3 program.
     """
     tc = parse_program(TC)
     family = tree_edges(3, 3, pred="par")
@@ -96,6 +134,16 @@ def _maintenance_workloads():
         pytest.param(magic_rewrite(tc, atom("reach", "n0", "Y")).program,
                      random_digraph(120, 360, random.Random(23)),
                      id="magic"),
+        pytest.param(parse_program(NONLINEAR_TC),
+                     random_digraph(40, 80, random.Random(11)),
+                     id="nonlinear_closure"),
+        pytest.param(parse_program(MUTUAL),
+                     random_digraph(40, 90, random.Random(13)),
+                     id="mutual_recursion"),
+        pytest.param(parse_program(COPY_UP),
+                     random_digraph(30, 45, random.Random(17)),
+                     id="copy_up"),
+        pytest.param(*_pushed_genealogy(), id="pushed_genealogy"),
     ]
 
 
@@ -131,6 +179,80 @@ def test_update_stream_matches_from_scratch(executor, interning):
         assert view.refresh() == "incremental"
         scratch = seminaive_evaluate(program, source.db)
         assert view.fingerprint() == relation_fingerprint(scratch)
+
+
+# -- plans and work of maintenance, pinned -----------------------------------
+
+#: Recorded before insertion, overdeletion and phase-4 propagation became
+#: calls of one round loop: what a 10-changeset stream compiles (kernel
+#: orders keyed by pass, rule and delta occurrence; a rederivation
+#: kernel by its guarded rule) and the counters it accumulates.
+PINNED_TC = (8, {
+    ("insert", "r0", 0): (0,),
+    ("insert", "r1", 0): (0, 1),
+    ("insert", "r1", 1): (1, 0),
+    ("overdelete", "r0", 0): (0,),
+    ("overdelete", "r1", 0): (0, 1),
+    ("overdelete", "r1", 1): (1, 0),
+    ("rederive", "reach(X, Y) :- __dred__reach(X, Y), edge(X, Y).",
+     None): (0, 1),
+    ("rederive", "reach(X, Z) :- __dred__reach(X, Z), reach(X, Y), "
+     "edge(Y, Z).", None): (0, 2, 1),
+}, (5815, 5861, 274, 57938, 4677, 1215, 773))
+
+PINNED_GENEALOGY = (27, {
+    **{(tag, label, 0): (0,)
+       for tag in ("insert", "overdelete")
+       for label in ("anc_from_d0", "anc_from_d1", "anc_from_deep",
+                     "r0_d0")},
+    **{(tag, label, index): order
+       for tag in ("insert", "overdelete")
+       for label, index, order in (
+           ("r1_d0_step", 0, (0, 1)), ("r1_d0_step", 1, (1, 0)),
+           ("r1_d1_step", 0, (0, 1)), ("r1_d1_step", 1, (1, 0)),
+           ("r1_deep_step_c0_n", 0, (0, 1, 2)),
+           ("r1_deep_step_c0_n", 1, (1, 2, 0)))},
+    **{("rederive", f"anc(X, Xa, Y, Ya) :- __dred__anc(X, Xa, Y, Ya), "
+                    f"{source}(X, Xa, Y, Ya).", None): (0, 1)
+       for source in ("anc__d0", "anc__d1", "anc__deep")},
+    ("rederive", "anc__d0(X, Xa, Y, Ya) :- __dred__anc__d0(X, Xa, Y, Ya), "
+     "par(X, Xa, Y, Ya).", None): (0, 1),
+    ("rederive", "anc__d1(X, Xa, Y, Ya) :- __dred__anc__d1(X, Xa, Y, Ya), "
+     "anc__d0(X, Xa, Z, Za), par(Z, Za, Y, Ya).", None): (0, 1, 2),
+    ("rederive", "anc__deep(X, Xa, Y, Ya) :- "
+     "__dred__anc__deep(X, Xa, Y, Ya), anc__d1(X, Xa, Z, Za), "
+     "par(Z, Za, Y, Ya).", None): (0, 2, 1),
+    ("rederive", "anc__deep(X, Xa, Y, Ya) :- "
+     "__dred__anc__deep(X, Xa, Y, Ya), anc__deep(X, Xa, Z, Za), "
+     "par(Z, Za, Y, Ya), Ya > 50.", None): (0, 3, 2, 1),
+}, (983, 217, 267, 5595, 651, 77, 558))
+
+
+@pytest.mark.parametrize("workload, pinned", [
+    pytest.param(lambda: (parse_program(TC),
+                          random_digraph(60, 150, random.Random(3))),
+                 PINNED_TC, id="transitive_closure"),
+    pytest.param(_pushed_genealogy, PINNED_GENEALOGY,
+                 id="pushed_genealogy"),
+])
+def test_maintenance_plans_and_work_are_pinned(workload, pinned):
+    program, db = workload()
+    source = VersionedDatabase(db)
+    view = MaterializedView(program, source)
+    view.refresh()
+    rng = random.Random(31)
+    for _ in range(10):
+        source.apply(random_changeset(source.db, rng, insert_fraction=0.05,
+                                      delete_fraction=0.05))
+        assert view.refresh() == "incremental"
+    orders = {(variant[0], rule.label or str(rule),
+               variant[1] if len(variant) > 1 else None): tuple(kernel.order)
+              for (rule, variant), kernel in view.kernels._kernels.items()}
+    stats = view.stats
+    assert (len(view.kernels), orders,
+            (stats.derivations, stats.duplicate_derivations,
+             stats.rules_fired, stats.rows_matched, stats.overdeleted,
+             stats.rederived, stats.retracted)) == pinned
 
 
 # -- algorithm-level invariants ----------------------------------------------
@@ -439,9 +561,11 @@ r1: reach(X, Y) :- hop(X, Y).
 r2: hop(X, Z) :- reach(X, Y), edge(Y, Z).
 """
 
-#: The maintenance step a fault raised in: the innermost of these.
-_PHASES = {"_dred": "overdeletion", "_rederive_batched": "rederivation",
-           "_propagate": "propagation", "_insert_stratum": "insertion"}
+#: The maintenance step a fault raised in: the innermost of these.  A
+#: fault is raised by a firing, and the insertion pass and DRed's phase-4
+#: propagation fire through one ``insert``.
+_PHASES = {"overdelete": "overdeletion",
+           "_rederive_batched": "rederivation", "insert": "insertion"}
 
 
 def _phase_of(error):

@@ -16,9 +16,12 @@ from repro import (Budget, BudgetExceededError, EvaluationCancelledError,
                    magic_rewrite, parse_program, topdown_query)
 from repro.datalog import parse_atom
 from repro.engine import naive_evaluate, seminaive_evaluate
+from repro.engine.bindings import EvalStats
 from repro.engine.topdown import TabledEvaluator
 from repro.facts import Database
-from repro.runtime import current_budget
+from repro.facts.changelog import Changeset, VersionedDatabase
+from repro.incremental import maintain
+from repro.runtime import budget as budget_module, current_budget
 
 REACH = """
 reach(X, Y) :- edge(X, Y).
@@ -59,19 +62,6 @@ class TestBudgetObject:
         assert budget.cancelled
         with pytest.raises(EvaluationCancelledError):
             budget.tick()
-
-    def test_child_shares_cancellation(self):
-        parent = Budget(timeout_s=100.0).start()
-        child = parent.child(timeout_s=5.0)
-        assert child.timeout_s <= 5.0
-        parent.cancel()
-        with pytest.raises(EvaluationCancelledError):
-            child.tick()
-
-    def test_child_deadline_capped_by_parent(self):
-        parent = Budget(timeout_s=0.5).start()
-        child = parent.child(timeout_s=100.0)
-        assert child.timeout_s <= 0.5
 
     def test_interval_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -121,13 +111,21 @@ class TestSeminaiveBudget:
         with pytest.raises(EvaluationCancelledError):
             evaluate(program, chain_db(5), budget=budget)
 
-    def test_iteration_cap_raises_typed_error(self, program):
+    def test_iteration_cap_raises_typed_error(self, program, monkeypatch):
         """Satellite: cap exhaustion must raise, never silently truncate."""
+        monkeypatch.setattr(budget_module, "MAX_ROUNDS", 4)
         with pytest.raises(BudgetExceededError) as info:
-            seminaive_evaluate(program, chain_db(30), max_iterations=4)
+            seminaive_evaluate(program, chain_db(30))
         assert info.value.resource == "rounds"
         assert info.value.limit == 4
         assert "4" in str(info.value)
+
+    def test_a_refused_round_is_not_counted(self, program):
+        """Rounds 0 and 1 run; round 2 is refused and not counted."""
+        with pytest.raises(BudgetExceededError) as info:
+            evaluate(program, chain_db(30), budget=Budget(max_rounds=1))
+        assert info.value.last_round == 1
+        assert info.value.stats.iterations == 2
 
 
 class TestNaiveBudget:
@@ -142,11 +140,19 @@ class TestNaiveBudget:
         with pytest.raises(BudgetExceededError):
             evaluate(program, chain_db(30), method="naive", budget=budget)
 
-    def test_iteration_cap_raises_typed_error(self, program):
+    def test_iteration_cap_raises_typed_error(self, program, monkeypatch):
+        monkeypatch.setattr(budget_module, "MAX_ROUNDS", 2)
         with pytest.raises(BudgetExceededError) as info:
-            naive_evaluate(program, chain_db(30), max_iterations=2)
+            naive_evaluate(program, chain_db(30))
         assert info.value.resource == "rounds"
         assert info.value.stats is not None
+
+    def test_a_refused_round_is_not_counted(self, program):
+        with pytest.raises(BudgetExceededError) as info:
+            evaluate(program, chain_db(30), method="naive",
+                     budget=Budget(max_rounds=1))
+        assert info.value.last_round == 1
+        assert info.value.stats.iterations == 1
 
     def test_cancellation(self, program):
         budget = Budget()
@@ -164,12 +170,21 @@ class TestTopdownBudget:
         assert info.value.resource == "facts"
         assert info.value.stats.derivations == 10
 
-    def test_round_cap_raises_typed_error(self, program):
+    def test_round_cap_raises_typed_error(self, program, monkeypatch):
+        monkeypatch.setattr(budget_module, "MAX_ROUNDS", 1)
         goal = parse_atom('reach("n0", Y)')
-        evaluator = TabledEvaluator(program, chain_db(10), max_rounds=1)
+        evaluator = TabledEvaluator(program, chain_db(10))
         with pytest.raises(BudgetExceededError) as info:
             evaluator.query(goal)
         assert info.value.resource == "rounds"
+
+    def test_a_refused_round_is_not_counted(self, program):
+        evaluator = TabledEvaluator(program, chain_db(10),
+                                    budget=Budget(max_rounds=1))
+        with pytest.raises(BudgetExceededError) as info:
+            evaluator.query(parse_atom('reach("n0", Y)'))
+        assert info.value.last_round == 1
+        assert info.value.stats.iterations == 1
 
     def test_cancellation(self, program):
         budget = Budget()
@@ -177,6 +192,46 @@ class TestTopdownBudget:
         with pytest.raises(EvaluationCancelledError):
             topdown_query(program, chain_db(5),
                           parse_atom('reach("n0", Y)'), budget=budget)
+
+
+class TestMaintenanceRounds:
+    """Every maintenance pass runs the semi-naive round loop: its first
+    round fires the changed rows, and each round is counted."""
+
+    @staticmethod
+    def _inserted_at_the_head(budget=None):
+        program = parse_program(REACH)
+        source = VersionedDatabase(chain_db(30))
+        idb = seminaive_evaluate(program, source.db)
+        source.apply(Changeset.from_text('+edge(m, n0).'))
+        stats = EvalStats()
+        maintain(program, source.db, idb, source.changes_since(0),
+                 stats=stats, budget=budget)
+        return stats
+
+    def test_a_pass_counts_its_rounds(self):
+        # reach(m, n0) in round 1, reach(m, nk) in round k + 1, and a
+        # last round that derives nothing.
+        assert self._inserted_at_the_head().iterations == 32
+
+    def test_the_first_round_counts_against_max_rounds(self):
+        with pytest.raises(BudgetExceededError) as info:
+            self._inserted_at_the_head(Budget(max_rounds=3))
+        assert info.value.resource == "rounds"
+        assert info.value.last_round == 3
+        assert info.value.stats.iterations == 3
+
+
+@pytest.mark.parametrize("call", [
+    lambda p, db: seminaive_evaluate(p, db, max_iterations=4),
+    lambda p, db: naive_evaluate(p, db, max_iterations=4),
+    lambda p, db: maintain(p, db, seminaive_evaluate(p, db), Changeset(),
+                           max_iterations=4),
+    lambda p, db: TabledEvaluator(p, db, max_rounds=4),
+], ids=["seminaive", "naive", "maintain", "topdown"])
+def test_budget_max_rounds_is_the_only_round_bound(program, call):
+    with pytest.raises(TypeError):
+        call(program, chain_db(3))
 
 
 class TestMagicBudget:
