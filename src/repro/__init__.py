@@ -56,15 +56,14 @@ from .analysis import (AnalysisReport, Diagnostic, analyze_program,
 from .facts import Database, Relation
 from .engine import (EvaluationResult, evaluate, evaluate_with_magic,
                      magic_answers, magic_rewrite, naive_evaluate,
-                     query_answers, seminaive_evaluate, topdown_query)
+                     seminaive_evaluate, topdown_query)
 from .constraints import (IntegrityConstraint, Residue, ic_from_text,
                           ics_from_text, satisfies, violations)
 from .core import (Isolation, OptimizationReport, SemanticOptimizer,
                    SequenceResidue, StageFailure, check_equivalent,
                    generate_residues, isolate, optimize_all_predicates,
                    unfold)
-from .baselines import (ResidueGuidedEngine, guided_evaluate,
-                        optimize_rule_level)
+from .baselines import ResidueGuidedEngine, optimize_rule_level
 from .iqa import KnowledgeQuery, describe, parse_describe
 
 __version__ = "1.0.0"
@@ -82,14 +81,14 @@ __all__ = [
     "lint_source",
     "Database", "Relation",
     "EvaluationResult", "evaluate", "evaluate_with_magic",
-    "magic_answers", "magic_rewrite", "naive_evaluate", "query_answers",
+    "magic_answers", "magic_rewrite", "naive_evaluate",
     "seminaive_evaluate", "topdown_query",
     "IntegrityConstraint", "Residue", "ic_from_text", "ics_from_text",
     "satisfies", "violations",
     "Isolation", "OptimizationReport", "SemanticOptimizer",
     "SequenceResidue", "StageFailure", "check_equivalent",
     "generate_residues", "isolate", "optimize_all_predicates", "unfold",
-    "ResidueGuidedEngine", "guided_evaluate", "optimize_rule_level",
+    "ResidueGuidedEngine", "optimize_rule_level",
     "KnowledgeQuery", "describe", "parse_describe",
     "__version__",
 ]

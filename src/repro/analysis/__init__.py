@@ -10,20 +10,16 @@ optimizer or an engine trips over it.
 """
 
 from .dataflow import DataflowResult, Domain, analyze_dataflow
-from .diagnostics import SEVERITIES, AnalysisReport, Diagnostic
-from .linter import (LintTarget, bundled_reports, bundled_targets,
-                     lint_file, lint_program, lint_source, lint_target)
+from .diagnostics import AnalysisReport, Diagnostic
+from .linter import bundled_reports, lint_program, lint_source
 from .passes import (CODES, PRECONDITION_PASSES, REGISTRY, AnalysisContext,
-                     AnalysisPass, analyze_program, make_diagnostic,
-                     run_passes, severity_of)
-from .sarif import render_sarif, sarif_report
+                     analyze_program, make_diagnostic, run_passes)
+from .sarif import render_sarif
 
 __all__ = [
-    "SEVERITIES", "AnalysisReport", "Diagnostic",
+    "AnalysisReport", "Diagnostic",
     "DataflowResult", "Domain", "analyze_dataflow",
-    "LintTarget", "bundled_reports", "bundled_targets",
-    "lint_file", "lint_program", "lint_source", "lint_target",
+    "bundled_reports", "lint_program", "lint_source",
     "CODES", "PRECONDITION_PASSES", "REGISTRY", "AnalysisContext",
-    "AnalysisPass", "analyze_program", "make_diagnostic", "run_passes",
-    "severity_of", "render_sarif", "sarif_report",
+    "analyze_program", "make_diagnostic", "run_passes", "render_sarif",
 ]

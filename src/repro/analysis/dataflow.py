@@ -53,8 +53,7 @@ from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 from ..datalog.atoms import Atom, Comparison, Negation
 from ..datalog.program import Program
 from ..datalog.rules import Rule
-from ..datalog.terms import (ArithExpr, Constant, ConstValue, Term,
-                             Variable)
+from ..datalog.terms import Constant, ConstValue, Term, Variable
 from ..engine.bindings import check_edb_arities
 from ..engine.builtins import compare_values
 from ..engine.prepared import prepared

@@ -118,14 +118,6 @@ def lint_program(program: Program,
     return run_passes(context, names)
 
 
-def lint_file(path: str | Path, ic_text: str | None = None,
-              query_text: str | None = None,
-              names: Iterable[str] | None = None) -> AnalysisReport:
-    """Lint a Datalog source file."""
-    return lint_source(Path(path).read_text(encoding="utf-8"),
-                       ic_text=ic_text, query_text=query_text, names=names)
-
-
 # ---------------------------------------------------------------------------
 # bundled targets: paper examples, generators, examples/ scripts
 # ---------------------------------------------------------------------------

@@ -166,11 +166,3 @@ def _condition_vars(condition: tuple[Comparison, ...]
     for comparison in condition:
         out.update(comparison.variable_set())
     return frozenset(out)
-
-
-def guided_evaluate(program: Program,
-                    ics: Iterable[IntegrityConstraint],
-                    edb: Database,
-                    pred: str | None = None) -> EvaluationResult:
-    """One-call wrapper around :class:`ResidueGuidedEngine`."""
-    return ResidueGuidedEngine(program, ics, pred=pred).evaluate(edb)

@@ -20,15 +20,12 @@ from ..core.residues import (detect_sequences, generate_residues,
                              generate_residues_exhaustive,
                              rule_level_residues)
 from ..core.sequences import enumerate_sequences
-from ..datalog.atoms import Atom, atom
-from ..datalog.parser import parse_program
+from ..datalog.atoms import atom
 from ..datalog.program import Program
 from ..engine.engine import evaluate, evaluate_with_magic
 from ..engine.topdown import topdown_query
 from ..iqa import describe, parse_describe
 from ..workloads.genealogy import GenealogyParams, generate_genealogy
-from ..workloads.organization import (OrganizationParams,
-                                      generate_organization)
 from ..workloads.paper_examples import (example_2_1, example_3_2,
                                         example_4_1, example_4_3,
                                         example_5_1)
@@ -610,8 +607,3 @@ ALL_EXPERIMENTS = {
     "E9": experiment_e9,
     "E10": experiment_e10,
 }
-
-
-def run_all() -> list[Table]:
-    """Run every experiment with default settings (used by the CLI)."""
-    return [factory() for factory in ALL_EXPERIMENTS.values()]

@@ -5,10 +5,9 @@ from .ic import (IntegrityConstraint, from_parsed, ic_from_text,
 from .expansion import ExpandedIC, expand
 from .residue import Residue
 from .subsumption import (match_literal, partial_subsumptions,
-                          rename_ic_apart, rule_residues, subsumes,
-                          subsumptions)
+                          rename_ic_apart, rule_residues, subsumptions)
 from .free import (FreeSubsumption, extend_to_useful, free_subsumptions,
-                   freely_subsumes, is_useful, maximal_free_subsumptions)
+                   maximal_free_subsumptions)
 from .checker import repair, satisfies, violations
 
 __all__ = [
@@ -17,8 +16,8 @@ __all__ = [
     "ExpandedIC", "expand",
     "Residue",
     "match_literal", "partial_subsumptions", "rename_ic_apart",
-    "rule_residues", "subsumes", "subsumptions",
+    "rule_residues", "subsumptions",
     "FreeSubsumption", "extend_to_useful", "free_subsumptions",
-    "freely_subsumes", "is_useful", "maximal_free_subsumptions",
+    "maximal_free_subsumptions",
     "repair", "satisfies", "violations",
 ]

@@ -118,12 +118,6 @@ def _free_subsumption(ic: IntegrityConstraint, atoms: Sequence[Atom],
                            len(matched) == len(atoms))
 
 
-def freely_subsumes(ic: IntegrityConstraint,
-                    target: Sequence[Literal]) -> bool:
-    """True when ``ic`` maximally (freely) subsumes the clause."""
-    return next(maximal_free_subsumptions(ic, target), None) is not None
-
-
 def extend_to_useful(residue: Residue, target: Sequence[Literal],
                      strict: bool = True) -> Residue | None:
     """Try to extend theta so the residue head equals an atom of the clause.
@@ -171,9 +165,3 @@ def extend_to_useful(residue: Residue, target: Sequence[Literal],
                            new_only.apply_literal(head),
                            extension, residue.ic).simplified()
     return None
-
-
-def is_useful(residue: Residue, target: Sequence[Literal],
-              strict: bool = True) -> bool:
-    """Usefulness test of Section 3 (see :func:`extend_to_useful`)."""
-    return extend_to_useful(residue, target, strict=strict) is not None

@@ -21,7 +21,7 @@ size, which is tiny where it is used (rule-level residues and Example
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Sequence
 
 from ..datalog.atoms import Atom, Comparison, Literal, Negation
 from ..datalog.terms import FreshVariableSupply
@@ -106,12 +106,6 @@ def subsumptions(pattern: Sequence[Literal], target: Sequence[Literal],
                 yield from assign(index + 1, extended)
 
     yield from assign(0, subst)
-
-
-def subsumes(pattern: Sequence[Literal],
-             target: Sequence[Literal]) -> Optional[Substitution]:
-    """First subsuming substitution, or None."""
-    return next(subsumptions(pattern, target), None)
 
 
 def _matchings(atoms: Sequence[Atom], target: Sequence[Literal]

@@ -3,21 +3,20 @@
 from .sequences import (ProvenancedLiteral, SequenceClause,
                         enumerate_sequences, unfold)
 from .apgraph import APGraph, build_ap_graph
-from .sdgraph import SDEdge, SDGraph, build_sd_graph
+from .sdgraph import SDGraph, build_sd_graph
 from .pattern import PatternGraph, build_pattern_graph
-from .residues import (SequenceResidue, clause_for_rule, detect_sequences,
-                       generate_residues, generate_residues_exhaustive,
-                       residues_for_sequence, rule_level_residues)
-from .containment import (ChaseInstance, chase, contained_under,
-                          elimination_is_sound, entails, freeze)
+from .residues import (SequenceResidue, detect_sequences, generate_residues,
+                       generate_residues_exhaustive, residues_for_sequence,
+                       rule_level_residues)
+from .containment import (chase, contained_under, elimination_is_sound,
+                          freeze)
 from .isolate import Isolation, isolate
 from .push import (PushOutcome, apply_elimination, apply_introduction,
                    apply_pruning, remove_dead_rules)
-from .minimize import (MinimizationReport, apply_functional_dependencies,
+from .minimize import (apply_functional_dependencies,
                        as_functional_dependency, minimize_program,
                        minimize_rule, rule_subsumed_by)
-from .optimizer import (OptimizationReport, OptimizationStep,
-                        SemanticOptimizer, StageFailure,
+from .optimizer import (OptimizationReport, SemanticOptimizer, StageFailure,
                         optimize_all_predicates)
 from .equivalence import (Counterexample, check_equivalent,
                           infer_numeric_columns, make_consistent,
@@ -26,20 +25,19 @@ from .equivalence import (Counterexample, check_equivalent,
 __all__ = [
     "ProvenancedLiteral", "SequenceClause", "enumerate_sequences", "unfold",
     "APGraph", "build_ap_graph",
-    "SDEdge", "SDGraph", "build_sd_graph",
+    "SDGraph", "build_sd_graph",
     "PatternGraph", "build_pattern_graph",
-    "SequenceResidue", "clause_for_rule", "detect_sequences",
+    "SequenceResidue", "detect_sequences",
     "generate_residues", "generate_residues_exhaustive",
     "residues_for_sequence", "rule_level_residues",
-    "ChaseInstance", "chase", "contained_under", "elimination_is_sound",
-    "entails", "freeze",
+    "chase", "contained_under", "elimination_is_sound", "freeze",
     "Isolation", "isolate",
     "PushOutcome", "apply_elimination", "apply_introduction",
     "apply_pruning", "remove_dead_rules",
-    "MinimizationReport", "apply_functional_dependencies",
+    "apply_functional_dependencies",
     "as_functional_dependency", "minimize_program", "minimize_rule",
     "rule_subsumed_by",
-    "OptimizationReport", "OptimizationStep", "SemanticOptimizer",
+    "OptimizationReport", "SemanticOptimizer",
     "StageFailure", "optimize_all_predicates",
     "Counterexample", "check_equivalent", "infer_numeric_columns",
     "make_consistent", "random_consistent_databases", "random_database",

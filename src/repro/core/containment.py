@@ -30,7 +30,7 @@ from ..datalog.unify import (EMPTY_SUBSTITUTION, Substitution, match,
                              match_terms)
 from ..engine import builtins
 from ..constraints.ic import IntegrityConstraint
-from ..constraints.subsumption import match_literal, rename_ic_apart
+from ..constraints.subsumption import rename_ic_apart
 
 
 @dataclass

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Iterator
 
 from ..datalog.program import Program
-from .apgraph import (APGraph, DirectedEdge, SubgoalNode, build_ap_graph,
+from .apgraph import (APGraph, SubgoalNode, build_ap_graph,
                       same_rule_shared_positions)
 
 #: Maximum number of recursion levels an SD edge may span.

@@ -151,11 +151,6 @@ def is_database(literal: Literal) -> bool:
     return isinstance(literal, Atom)
 
 
-def is_evaluable(literal: Literal) -> bool:
-    """True when ``literal`` is an evaluable (built-in) atom."""
-    return isinstance(literal, Comparison)
-
-
 def literal_variables(literals: Sequence[Literal]) -> frozenset[Variable]:
     """The set of variables occurring in a sequence of literals."""
     out: set[Variable] = set()

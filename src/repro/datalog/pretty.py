@@ -12,7 +12,6 @@ from typing import Iterable
 
 from .program import Program
 from .rules import Rule
-from .unify import Substitution
 
 
 def format_rule(rule: Rule, show_label: bool = True) -> str:
@@ -42,26 +41,6 @@ def format_program(program: Program, group_by_head: bool = False,
         blocks.append("\n".join(
             format_rule(r, show_labels) for r in program.rules_for(pred)))
     return "\n\n".join(blocks)
-
-
-def format_substitution(subst: Substitution) -> str:
-    """Format a substitution as ``{V1/t1, V2/t2, ...}`` (sorted)."""
-    pairs = sorted(subst.items(), key=lambda kv: kv[0].name)
-    return "{" + ", ".join(f"{v}/{t}" for v, t in pairs) + "}"
-
-
-def side_by_side(left: str, right: str, left_title: str = "before",
-                 right_title: str = "after", gutter: str = "   |   ") -> str:
-    """Two-column text diff view used by optimization reports."""
-    left_lines = [left_title, "-" * len(left_title)] + left.splitlines()
-    right_lines = [right_title, "-" * len(right_title)] + right.splitlines()
-    width = max((len(line) for line in left_lines), default=0)
-    height = max(len(left_lines), len(right_lines))
-    left_lines += [""] * (height - len(left_lines))
-    right_lines += [""] * (height - len(right_lines))
-    return "\n".join(
-        f"{l.ljust(width)}{gutter}{r}" for l, r in
-        zip(left_lines, right_lines))
 
 
 def format_table(headers: Iterable[str],

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from .atoms import Atom, Comparison, Literal, Negation, is_database
+from .atoms import Atom, Comparison, Literal, Negation
 from .spans import Span
 from .terms import Variable
 from .unify import Substitution

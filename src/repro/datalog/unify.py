@@ -200,20 +200,3 @@ def match(pattern: Atom, target: Atom,
             return None
         current = nxt
     return current
-
-
-def rename_apart(literals: Iterable[Literal],
-                 supply) -> tuple[tuple[Literal, ...], Substitution]:
-    """Rename every variable in ``literals`` with fresh names.
-
-    Returns the renamed literals and the renaming substitution.  ``supply``
-    is a :class:`repro.datalog.terms.FreshVariableSupply`.
-    """
-    literals = tuple(literals)
-    seen: dict[Variable, Term] = {}
-    for lit in literals:
-        for var in lit.variables():
-            if var not in seen:
-                seen[var] = supply.fresh(var.name)
-    renaming = Substitution(seen)
-    return renaming.apply_literals(literals), renaming

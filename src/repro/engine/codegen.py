@@ -7,8 +7,8 @@ it into a single generated Python function that processes the whole delta
 frontier per firing as a cascade of list comprehensions —
 
 - the first join level iterates its source *without* copying it;
-- probes go through :meth:`Relation.code_index_for` — single-column
-  indexes keyed by the **bare** stored value, so the hot loop never
+- probes go through :meth:`Relation.index_for` — a single-column
+  index is keyed by the **bare** stored value, so the hot loop never
   allocates a key tuple — with the bucket getter hoisted out of the
   loop once per firing;
 - when the innermost join level feeds exactly one of its columns into
@@ -188,7 +188,7 @@ class PredicateCache:
         raising: set[Any] = set()
         # A live index already enumerates the distinct codes; without
         # one (a delta nobody probes on this column) don't build one.
-        index = relation.code_indexes.get(column)
+        index = relation.indexes.get((column,))
         codes: Iterable[Any] = index if index is not None \
             else {row[column] for row in relation.raw_rows()}
         for code in codes:
@@ -288,7 +288,7 @@ class GeneratedKernel:
             if tag == "rows":
                 args.append(rel(spec[1]).raw_rows())
             elif tag in ("probe1", "member1"):
-                args.append(rel(spec[1]).code_index_for(spec[2]))
+                args.append(rel(spec[1]).index_for((spec[2],)))
             elif tag == "probeN":
                 args.append(rel(spec[1]).index_for(spec[2]))
             elif tag == "proj":

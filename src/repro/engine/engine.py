@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Optional
 
 from ..datalog.atoms import Atom
 from ..datalog.parser import parse_query
@@ -113,8 +113,9 @@ def evaluate(program: Program, edb: Database, method: str = "seminaive",
             :class:`~repro.facts.symbols.SymbolTable` (one pass) so the
             whole fixpoint joins over dense ``int`` codes; ``"off"``
             (default) evaluates in whatever mode ``edb`` already is —
-            an EDB loaded with ``load_directory(..., interning=True)``
-            stays interned either way.
+            an EDB built with :meth:`Database.interned
+            <repro.facts.database.Database.interned>` stays interned
+            either way.
         profile: optional :class:`~repro.engine.profile.EvalProfile`
             collecting per-kernel wall time and per-round delta sizes
             (semi-naive method only).
@@ -190,15 +191,6 @@ def magic_answers(program: Program, edb: Database, query: Atom,
     return select_answers(result.idb, query, pred=result.magic.query_pred)
 
 
-def query_answers(program: Program, edb: Database, query: Atom,
-                  method: str = "seminaive",
-                  executor: str = "compiled") -> frozenset[tuple]:
-    """Answers to a single-atom query without magic rewriting."""
-    result = evaluate(program, edb, method=method, executor=executor)
-    source = result.idb if query.pred in program.idb_predicates else edb
-    return select_answers(source, query)
-
-
 def select_answers(source: Database, query: Atom,
                    pred: str | None = None) -> frozenset[tuple]:
     """The rows of ``source`` that answer the single-atom ``query``.
@@ -234,19 +226,3 @@ def select_answers(source: Database, query: Atom,
                 if all(row[i] == row[j] for i, j in repeats)]
     return frozenset(rows)
 
-
-def consistent_answers(programs: Iterable[Program], edb: Database,
-                       pred: str) -> bool:
-    """True when every program computes the same relation for ``pred``.
-
-    Convenience used by equivalence tests and examples.
-    """
-    baseline: frozenset[tuple] | None = None
-    for program in programs:
-        result = evaluate(program, edb)
-        current = result.facts(pred)
-        if baseline is None:
-            baseline = current
-        elif current != baseline:
-            return False
-    return True

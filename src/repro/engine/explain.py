@@ -216,23 +216,3 @@ def explain(program: Program, edb: Database, goal: Atom,
     """One-call derivation tree for ``goal`` (None when underivable)."""
     return Explainer(program, edb, idb).explain(goal)
 
-
-def explain_answer(result, goal: Atom) -> Optional[Derivation]:
-    """Derivation tree for a query answer of an ``EvaluationResult``.
-
-    Unlike :func:`explain`, this follows the *rewritten* program the
-    result was actually computed with: when the evaluation went through
-    a magic rewriting — ``evaluate_with_magic`` or a cost-based
-    optimizer choice (:func:`repro.engine.optimizer.cbo_evaluate`) — a
-    ground goal on the original predicate is translated to the adorned
-    predicate the rewritten program derives, so the proof tree shows
-    the magic/adorned rules that actually fired (seed facts appear as
-    ``magic_seed`` nodes).
-    """
-    if result.magic is not None:
-        adorned = result.magic.query_pred
-        if goal.pred != adorned \
-                and adorned.startswith(f"{goal.pred}__"):
-            goal = Atom(adorned, goal.args)
-    return Explainer(result.program, result.edb,
-                     result.idb).explain(goal)

@@ -326,8 +326,7 @@ def _adornment_choices(query: Atom) -> list[str]:
 
 def enumerate_candidates(program: Program, query: Atom | None = None,
                          ics: Sequence = (),
-                         budget: Budget | None = None,
-                         max_candidates: int = MAX_CANDIDATES) -> Memo:
+                         budget: Budget | None = None) -> Memo:
     """Generate the bounded rewrite space of ``program`` into a memo.
 
     Without a query (and without ICs) the space degenerates to the
@@ -335,13 +334,11 @@ def enumerate_candidates(program: Program, query: Atom | None = None,
     or relies on IC-consistency — rather than the full IDB trace (see
     module docstring).
     """
-    return _enumerate(program, query, tuple(ics), budget, max_candidates,
-                      violated=())
+    return _enumerate(program, query, tuple(ics), budget, violated=())
 
 
 def _enumerate(program: Program, query: Atom | None, ics: tuple,
-               budget: Budget | None, max_candidates: int,
-               violated: Sequence[int]) -> Memo:
+               budget: Budget | None, violated: Sequence[int]) -> Memo:
     """:func:`enumerate_candidates` without a residue candidate of any
     IC whose position in ``ics`` is ``violated``."""
     budget = resolve_budget(budget)
@@ -391,7 +388,7 @@ def _enumerate(program: Program, query: Atom | None, ics: tuple,
                     candidate.transforms + (f"magic[{adornment}]",),
                     magic=rewritten))
 
-    for candidate in out[:max_candidates]:
+    for candidate in out[:MAX_CANDIDATES]:
         memo.add(candidate)
     return memo
 
@@ -616,15 +613,13 @@ class PreparedPlan:
     and program then equal a cold choice for that query.
     """
 
-    __slots__ = ("choice", "dataflow", "max_candidates", "rows")
+    __slots__ = ("choice", "dataflow", "rows")
 
     def __init__(self, choice: ChosenPlan, memo: Memo,
-                 dataflow: "DataflowResult | None",
-                 max_candidates: int) -> None:
+                 dataflow: "DataflowResult | None") -> None:
         self.choice = replace(choice)
         #: The analysis the costs were priced with.
         self.dataflow = dataflow
-        self.max_candidates = max_candidates
         #: ``(fingerprint, label, cost, seeded)`` per group; ``seeded``
         #: is a magic candidate's rewrite and its other rules' texts.
         self.rows: list[tuple[str, str, float, _Seeded | None]] = []
@@ -676,8 +671,7 @@ def _violated(ics: tuple, edb: Database) -> tuple[int, ...]:
 def choose_plan(program: Program, edb: Database,
                 query: Atom | None = None, ics: Sequence = (),
                 budget: Budget | None = None,
-                dataflow: "DataflowResult | None" = None,
-                max_candidates: int = MAX_CANDIDATES) -> ChosenPlan:
+                dataflow: "DataflowResult | None" = None) -> ChosenPlan:
     """Enumerate the rewrite space and pick the cheapest candidate.
 
     Ties break toward fewer transforms, then enumeration order, so the
@@ -709,7 +703,7 @@ def choose_plan(program: Program, edb: Database,
         violated = _violated(ics, edb)
     else:
         plan = entry.plan
-        if plan is not None and plan.max_candidates == max_candidates \
+        if plan is not None \
                 and (dataflow is None or dataflow is plan.dataflow):
             if budget is not None:
                 budget.check_round(last_round=None)
@@ -727,8 +721,7 @@ def choose_plan(program: Program, edb: Database,
     elif keep:
         own = prepared(program, edb, query)
         keep = own is not None and dataflow is own.dataflow
-    memo = _enumerate(program, query, ics, budget, max_candidates,
-                      violated)
+    memo = _enumerate(program, query, ics, budget, violated)
     best: MemoGroup | None = None
     best_key: tuple[float, int, int] | None = None
     table: list[tuple[str, str, float]] = []
@@ -752,7 +745,7 @@ def choose_plan(program: Program, edb: Database,
                         dropped=tuple(labels[index] for index in violated))
     if keep:
         assert entry is not None
-        entry.plan = PreparedPlan(choice, memo, dataflow, max_candidates)
+        entry.plan = PreparedPlan(choice, memo, dataflow)
     return choice
 
 

@@ -96,6 +96,9 @@ class TabledEvaluator:
         self.budget = resolve_budget(budget)
         self._chaos = chaos.active_plan()
         self._round = 0
+        # Derivation events until the next budget checkpoint (the
+        # countdown of ``Firer._merge_rows``).
+        self._countdown = 0
         self.stats = EvalStats()
         self._tables: dict[CallKey, _Table] = {}
         self._changed = False
@@ -181,8 +184,10 @@ class TabledEvaluator:
             else:
                 self.stats.duplicate_derivations += 1
             if self.budget is not None:
-                self.budget.tick(self.stats,
-                                 last_round=max(self._round - 1, 0))
+                self._countdown -= 1
+                if self._countdown <= 0:
+                    self._countdown = self.budget.checkpoint(
+                        self.stats, last_round=max(self._round - 1, 0))
 
     def _solve_body(self, rule: Rule, body: list,
                     binding: dict[Variable, ConstValue]

@@ -1,14 +1,12 @@
 """EDB storage: indexed relations, databases, interning, CSV I/O."""
 
-from .symbols import INTERNING_MODES, SymbolTable, validate_interning
+from .symbols import SymbolTable, validate_interning
 from .relation import Relation, Row
 from .database import Database
-from .changelog import (AppliedChange, Changeset, VersionedDatabase,
-                        random_changeset)
+from .changelog import Changeset, VersionedDatabase
 from .io import load_csv, load_directory, save_csv, save_directory
 
-__all__ = ["INTERNING_MODES", "SymbolTable", "validate_interning",
+__all__ = ["SymbolTable", "validate_interning",
            "Relation", "Row", "Database",
-           "AppliedChange", "Changeset", "VersionedDatabase",
-           "random_changeset",
+           "Changeset", "VersionedDatabase",
            "load_csv", "load_directory", "save_csv", "save_directory"]

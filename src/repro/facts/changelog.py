@@ -27,7 +27,6 @@ one signed fact per statement (several may share a line).
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping
 
@@ -130,20 +129,26 @@ class Changeset:
                 out.deletes[pred] = kept
         return out
 
-    def inverted(self) -> "Changeset":
-        """The changeset that undoes this one.
+    def then(self, later: "Changeset") -> "Changeset":
+        """The one changeset that applying ``self`` then ``later``
+        amounts to, exact for any two changesets.
 
-        Exact for *effective* changesets (each delete was present, each
-        insert absent — what :meth:`VersionedDatabase.apply` records):
-        applying ``self`` then ``self.inverted()`` restores the
-        original database.  :meth:`VersionedDatabase.state_at` uses
-        this to reconstruct historical versions from the log.
+        ``(((db - D1) | I1) - D2) | I2`` is ``(db - (D1 | D2)) | ((I1 -
+        D2) | I2)``: a later delete also deletes and a later insert also
+        inserts.  :meth:`compose` cancels instead, which is exact only
+        for effective changesets; the serving writer folds changesets as
+        they were submitted, so it uses this.
         """
+        inserts = {pred: set(rows) for pred, rows in self.inserts.items()}
+        deletes = {pred: set(rows) for pred, rows in self.deletes.items()}
+        for pred, rows in later.deletes.items():
+            deletes.setdefault(pred, set()).update(rows)
+            inserts.get(pred, set()).difference_update(rows)
+        for pred, rows in later.inserts.items():
+            inserts.setdefault(pred, set()).update(rows)
         return Changeset(
-            inserts={pred: set(rows)
-                     for pred, rows in self.deletes.items()},
-            deletes={pred: set(rows)
-                     for pred, rows in self.inserts.items()})
+            inserts={p: r for p, r in inserts.items() if r},
+            deletes={p: r for p, r in deletes.items() if r})
 
     def compose(self, later: "Changeset") -> "Changeset":
         """The net effect of applying ``self`` then ``later``.
@@ -172,45 +177,6 @@ class Changeset:
         return Changeset(
             inserts={p: r for p, r in inserts.items() if r},
             deletes={p: r for p, r in deletes.items() if r})
-
-
-def random_changeset(db: Database, rng: random.Random,
-                     insert_fraction: float = 0.0,
-                     delete_fraction: float = 0.0,
-                     preds: Iterable[str] | None = None) -> Changeset:
-    """A random changeset over ``db``'s relations, for tests and benches.
-
-    Deletions sample existing rows; insertions recombine per-column
-    values already present in the relation (so they join like real
-    data), skipping rows the relation already holds.  Fractions are of
-    each relation's cardinality, rounded up to at least one row when
-    the fraction is positive and the relation is non-empty.
-    """
-    changeset = Changeset()
-    for pred in sorted(preds if preds is not None else db):
-        rows = sorted(db.facts(pred), key=lambda r: tuple(map(str, r)))
-        if not rows:
-            continue
-        if delete_fraction > 0:
-            count = max(1, int(len(rows) * delete_fraction))
-            for row in rng.sample(rows, min(count, len(rows))):
-                changeset.delete(pred, row)
-        if insert_fraction > 0:
-            count = max(1, int(len(rows) * insert_fraction))
-            columns = [sorted({row[c] for row in rows}, key=str)
-                       for c in range(len(rows[0]))]
-            existing = set(rows)
-            made = 0
-            for _ in range(count * 20):
-                if made >= count:
-                    break
-                candidate = tuple(rng.choice(column) for column in columns)
-                if candidate in existing:
-                    continue
-                existing.add(candidate)
-                changeset.insert(pred, candidate)
-                made += 1
-    return changeset
 
 
 def _split_signed(text: str) -> Iterator[tuple[str, str]]:
@@ -341,32 +307,6 @@ class VersionedDatabase:
         for entry in self.log[max(version, 0):]:
             net = net.compose(entry.changeset)
         return net
-
-    def snapshot(self) -> Database:
-        """An independent copy of the current database state."""
-        return self.db.copy()
-
-    def state_at(self, version: int) -> Database:
-        """An independent copy of the database as of ``version``.
-
-        Reconstructed by rolling the net changeset since ``version``
-        back over a copy of the current state — the log records
-        effective deltas, so the inverse replay is exact.  This is what
-        lets a differential test check an MVCC snapshot served at
-        version ``v`` against a from-scratch evaluation *at* ``v``
-        while the live database has long since moved on.
-        """
-        net = self.changes_since(version)
-        out = self.snapshot()
-        if net.is_empty:
-            return out
-        inverse = net.inverted()
-        for pred, rows in inverse.deletes.items():
-            rel = out.relation_or_empty(pred, _arity_of(rows))
-            rel.discard_all(rows)
-        for pred, rows in inverse.inserts.items():
-            out.ensure(pred, _arity_of(rows)).add_all(rows)
-        return out
 
 
 def _arity_of(rows: Mapping | set) -> int:

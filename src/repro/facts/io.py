@@ -97,23 +97,18 @@ def save_csv(db: Database, pred: str, path: str | Path,
 
 
 def load_directory(path: str | Path, types: dict[str, str] | None = None,
-                   delimiter: str = ",",
-                   interning: bool = False) -> Database:
+                   delimiter: str = ",") -> Database:
     """Build a database from a directory of ``<pred>.csv`` files.
 
-    With ``interning=True`` the database is created over a fresh
-    :class:`~repro.facts.symbols.SymbolTable` and every constant is
-    interned to a dense ``int`` code as it is parsed — the cheapest
-    point to pay the encoding cost, since each value is touched exactly
-    once on its way into the row set.
+    The database stores raw values; :meth:`Database.interned
+    <repro.facts.database.Database.interned>` re-encodes it over dense
+    ``int`` codes.
     """
-    from .symbols import SymbolTable
-
     directory = Path(path)
     if not directory.is_dir():
         raise EvaluationError(f"{directory} is not a directory")
     types = types or {}
-    db = Database(symbols=SymbolTable()) if interning else Database()
+    db = Database()
     for csv_path in sorted(directory.glob("*.csv")):
         pred = csv_path.stem
         load_csv(db, pred, csv_path, types=types.get(pred),

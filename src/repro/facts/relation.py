@@ -25,14 +25,16 @@ kernels — never pay an encode/decode per probe.
 
 The relation is also the physical store: a ``set`` of storage-domain
 rows (:meth:`raw_rows`; the kernels' scans and negation membership
-tests probe it directly) plus three families of on-demand ``dict``
+tests probe it directly) plus two families of on-demand ``dict``
 indexes, all read-only to callers — every **mutation** goes through
 the methods below, which keep every live index current:
 
-- ``indexes`` — tuple-keyed multi-column indexes (``index_for``);
-- ``code_indexes`` — single-column indexes keyed by the **bare** stored
-  value (``code_index_for``), saving a 1-tuple allocation + hash per
-  probe on the single-column joins that dominate recursive workloads;
+- ``indexes`` — one hash index per bound column set (``index_for``).
+  A single-column index is keyed by the **bare** stored value, which
+  saves a 1-tuple allocation and hash per probe on the single-column
+  joins that dominate recursive workloads; a multi-column index by the
+  tuple of values.  The interpreter, ``lookup``, snapshot reads and the
+  generated kernels all probe the same index;
 - ``proj_indexes`` — projection indexes mapping a bare key-column value
   to the list of *another column's* entries for matching rows
   (``projection_index``), so a final join level can emit projected
@@ -69,8 +71,10 @@ from .symbols import SymbolTable
 
 Row = tuple[ConstValue, ...]
 
-#: A hash index: bound-column key tuple -> list of rows with those values.
-Index = dict[tuple[ConstValue, ...], list[Row]]
+#: A hash index over a bound column set -> list of rows with those
+#: values: keyed by the bare value for one column, by the tuple of
+#: values for several (see :func:`_key_of`).
+Index = dict[object, list[Row]]
 
 #: A value-level bound-column pattern: sorted ``(column, value)`` pairs.
 Bound = tuple[tuple[int, ConstValue], ...]
@@ -155,35 +159,34 @@ def build_profile(rows: Sequence[Row], arity: int,
     return RelationProfile(len(rows), tuple(columns))
 
 
+def _key_of(row: Row, columns: tuple[int, ...]) -> object:
+    """``row``'s key in the index over ``columns``: the bare value for
+    one column, the tuple of values for several."""
+    if len(columns) == 1:
+        return row[columns[0]]
+    return tuple(row[c] for c in columns)
+
+
 def _index_rows(index: Index, columns: tuple[int, ...],
                 rows: Iterable[Row]) -> None:
-    """Append each of ``rows`` to its bucket of the index over ``columns``.
-
-    Single-column indexes — the overwhelmingly common case in the
-    engines' joins — take a fast path that builds the one-element key
-    directly instead of a generator expression per row.
-    """
-    if len(columns) == 1:
-        column = columns[0]
-        get = index.get
-        for row in rows:
-            key = (row[column],)
-            bucket = get(key)
-            if bucket is None:
-                index[key] = [row]
-            else:
-                bucket.append(row)
-    else:
-        for row in rows:
-            index.setdefault(tuple(row[c] for c in columns), []).append(row)
+    """Append each of ``rows`` to its bucket of the index over ``columns``
+    (``itemgetter`` builds exactly :func:`_key_of`'s key shape)."""
+    key_of = itemgetter(*columns)
+    get = index.get
+    for row in rows:
+        key = key_of(row)
+        bucket = get(key)
+        if bucket is None:
+            index[key] = [row]
+        else:
+            bucket.append(row)
 
 
 class Relation:
     """A set of fixed-arity ground tuples with on-demand hash indexes."""
 
     __slots__ = ("name", "arity", "symbols", "_rows", "indexes",
-                 "code_indexes", "proj_indexes", "uid", "version",
-                 "_profile")
+                 "proj_indexes", "uid", "version", "_profile")
 
     def __init__(self, name: str, arity: int,
                  rows: Iterable[Row] | None = None,
@@ -196,7 +199,6 @@ class Relation:
         self.symbols = symbols
         self._rows: set[Row] = set()
         self.indexes: dict[tuple[int, ...], Index] = {}
-        self.code_indexes: dict[int, dict[ConstValue, list[Row]]] = {}
         self.proj_indexes: dict[tuple[int, int],
                                 dict[ConstValue, list[ConstValue]]] = {}
         self.uid = next(_uids)
@@ -260,10 +262,7 @@ class Relation:
             return False
         self._rows.add(row)
         for columns, index in self.indexes.items():
-            key = tuple(row[c] for c in columns)
-            index.setdefault(key, []).append(row)
-        for column, cindex in self.code_indexes.items():
-            cindex.setdefault(row[column], []).append(row)
+            index.setdefault(_key_of(row, columns), []).append(row)
         for (kcol, vcol), pindex in self.proj_indexes.items():
             pindex.setdefault(row[kcol], []).append(row[vcol])
         self.version += 1
@@ -305,29 +304,35 @@ class Relation:
         return len(new_rows)
 
     def raw_merge_new(self, rows: Collection[Row]) -> set[Row]:
-        """Bulk raw insert via set difference; returns the new rows.
+        """Bulk raw insert of the rows not yet stored; returns them.
 
-        The duplicate screen runs as one C-level set difference instead
-        of a per-row membership probe, so the engines' insert loops pay
-        Python call overhead per *batch* rather than per derived row.
-        Rows that collide with existing ones (or repeat within ``rows``)
-        are silently dropped, exactly as a sequence of :meth:`raw_add`
-        calls would drop them.
+        The duplicate screen runs at C level (``filterfalse`` over the
+        row set's ``__contains__``) instead of as a Python loop, so the
+        engines' insert loops pay Python call overhead per *batch*
+        rather than per derived row.  Rows that collide with existing
+        ones (or repeat within ``rows``) are silently dropped, exactly
+        as a sequence of :meth:`raw_add` calls would drop them.
+
+        Only the new rows are collected: the batch is never copied into
+        a set of its own.  That table, sized for every distinct row a
+        firing derives, would be the largest short-lived allocation of
+        a recursive round, and it grows the C heap into free space that
+        later frees may or may not hand back, depending on the heap's
+        layout: with it, ``closure-xl``'s peak RSS read 218 or 242 MiB
+        from one run to the next (2 vCPU, CPython 3.11, glibc 2.36).
 
         The result stays a set: merging it here — and into a delta
         relation by :meth:`raw_merge` — is a set-to-set update, which
         reuses the stored hashes instead of re-hashing every new row
-        twice.  It is built by ``difference``, not
-        ``difference_update``: the latter would hand back the table
-        sized for the whole derived batch, and with the caller holding
-        that while the delta is filled, peak memory on
-        ``genealogy-prune`` rose 7 %.  ``rows`` that already *is* a set
-        — another relation's :meth:`raw_rows`, which is how the engine
-        runs a copy rule ``p(X̄) :- q(X̄)`` — is differenced as it
-        stands, its stored hashes reused: a set union, not a re-insert.
+        twice.  ``rows`` that already *is* a set — another relation's
+        :meth:`raw_rows`, which is how the engine runs a copy rule
+        ``p(X̄) :- q(X̄)`` — is differenced as it stands, its stored
+        hashes reused: a set union, not a re-insert.
         """
-        batch = rows if isinstance(rows, set) else set(rows)
-        fresh = batch.difference(self._rows)
+        if isinstance(rows, set):
+            fresh = rows.difference(self._rows)
+        else:
+            fresh = set(itertools.filterfalse(self._rows.__contains__, rows))
         if fresh:
             self._rows |= fresh
             self._extend_indexes(fresh)
@@ -362,18 +367,12 @@ class Relation:
             return False
         self._rows.remove(row)
         for columns, index in self.indexes.items():
-            key = tuple(row[c] for c in columns)
+            key = _key_of(row, columns)
             bucket = index.get(key)
             if bucket is not None:
                 bucket.remove(row)
                 if not bucket:
                     del index[key]
-        for column, cindex in self.code_indexes.items():
-            bucket = cindex.get(row[column])
-            if bucket is not None:
-                bucket.remove(row)
-                if not bucket:
-                    del cindex[row[column]]
         for (kcol, vcol), pindex in self.proj_indexes.items():
             values = pindex.get(row[kcol])
             if values is not None:
@@ -383,10 +382,6 @@ class Relation:
         self.version += 1
         return True
 
-    def discard_all(self, rows: Iterable[Iterable[ConstValue]]) -> int:
-        """Remove many value tuples; returns the number removed."""
-        return sum(1 for row in rows if self.discard(row))
-
     def raw_discard_all(self, rows: Iterable[Row]) -> list[Row]:
         """Remove storage-domain tuples; returns those actually removed."""
         return [row for row in rows if self.raw_discard(row)]
@@ -394,7 +389,6 @@ class Relation:
     def clear(self) -> None:
         self._rows.clear()
         self.indexes.clear()
-        self.code_indexes.clear()
         self.proj_indexes.clear()
         self.version += 1
 
@@ -433,9 +427,6 @@ class Relation:
         index = self.indexes.get((column,))
         if index is not None:
             return len(index)
-        cindex = self.code_indexes.get(column)
-        if cindex is not None:
-            return len(cindex)
         return self.profile().columns[column].distinct
 
     def probe_estimate(self, bound_columns: Collection[int]) -> float:
@@ -499,21 +490,18 @@ class Relation:
             return ()
         return self.index_for(probe[0]).get(probe[1], ())
 
-    def _key(self, bound: Bound
-             ) -> Optional[tuple[tuple[int, ...], tuple[ConstValue, ...]]]:
-        """A non-empty pattern as ``(columns, storage-domain key)``; None
-        when a value of it was never interned (it then matches nothing)."""
+    def _key(self, bound: Bound) -> Optional[tuple[tuple[int, ...], object]]:
+        """A non-empty pattern as ``(columns, storage-domain key)``, the
+        key shaped as :func:`_key_of` shapes it; None when a value of it
+        was never interned (it then matches nothing)."""
         columns = tuple(c for c, _ in bound)
-        if self.symbols is None:
-            return columns, tuple(v for _, v in bound)
-        get = self.symbols.code
-        encoded = []
-        for _, value in bound:
-            code = get(value)
-            if code is None:
+        values = tuple(v for _, v in bound)
+        if self.symbols is not None:
+            get = self.symbols.code
+            values = tuple(get(value) for value in values)
+            if None in values:
                 return None
-            encoded.append(code)
-        return columns, tuple(encoded)
+        return columns, values[0] if len(values) == 1 else values
 
     # -- indexes ---------------------------------------------------------------
     def _extend_indexes(self, new_rows: Collection[Row]) -> None:
@@ -522,15 +510,6 @@ class Relation:
             return
         for columns, index in self.indexes.items():
             _index_rows(index, columns, new_rows)
-        for column, cindex in self.code_indexes.items():
-            cget = cindex.get
-            for row in new_rows:
-                code = row[column]
-                bucket = cget(code)
-                if bucket is None:
-                    cindex[code] = [row]
-                else:
-                    bucket.append(row)
         for (kcol, vcol), pindex in self.proj_indexes.items():
             pget = pindex.get
             for row in new_rows:
@@ -546,12 +525,15 @@ class Relation:
         """The hash index over ``columns`` (built on first use).
 
         ``columns`` must be sorted ascending and unique.  The returned
-        dict maps a tuple of storage-domain keys (values in raw mode,
-        codes when interned) — one per column — to the list of rows
-        carrying those values.  It is the live index — kept up to date
-        by subsequent :meth:`add` calls — and must be treated as
-        read-only.  The kernel compiler pre-resolves this once per rule
-        firing instead of re-deriving it per probe.
+        dict maps a key over the storage domain (values in raw mode,
+        codes when interned) — the bare value for one column, so the
+        generated kernels probe with ``index.get(code)`` and never
+        allocate a key tuple per row, and the tuple of values for
+        several — to the list of rows carrying those values.  It is the
+        live index — kept up to date by subsequent :meth:`add` calls —
+        and must be treated as read-only.  The kernel compiler
+        pre-resolves this once per rule firing instead of re-deriving it
+        per probe.
         """
         index = self.indexes.get(columns)
         if index is None:
@@ -562,28 +544,6 @@ class Relation:
         index: Index = {}
         _index_rows(index, columns, self._rows)
         self.indexes[columns] = index
-        return index
-
-    def code_index_for(self, column: int) -> dict[ConstValue, list[Row]]:
-        """A single-column index keyed by the **bare** storage value.
-
-        Same buckets as ``index_for((column,))`` but the keys are the
-        column values themselves, not 1-tuples — the generated kernels
-        probe it with ``index.get(code)`` and never allocate a key tuple
-        per row.  Live and read-only, like :meth:`index_for`.
-        """
-        index = self.code_indexes.get(column)
-        if index is None:
-            index = {}
-            get = index.get
-            for row in self._rows:
-                code = row[column]
-                bucket = get(code)
-                if bucket is None:
-                    index[code] = [row]
-                else:
-                    bucket.append(row)
-            self.code_indexes[column] = index
         return index
 
     def projection_index(self, key_column: int, value_column: int
@@ -621,8 +581,6 @@ class Relation:
         """
         for columns in list(other.indexes):
             self.index_for(columns)
-        for column in list(other.code_indexes):
-            self.code_index_for(column)
         for key_column, value_column in list(other.proj_indexes):
             self.projection_index(key_column, value_column)
 
@@ -875,7 +833,7 @@ class PatchedRelation:
                 extra = index.get(key, ())
             else:
                 extra = [row for row in log.rows
-                         if tuple(row[c] for c in columns) == key]
+                         if _key_of(row, columns) == key]
             if extra:
                 extra = [row for row in extra
                          if (flips := get(row)) is not None

@@ -112,8 +112,3 @@ class SymbolTable:
     def value(self, code: int) -> ConstValue:
         """The constant a code stands for."""
         return self.values[code]
-
-    def decode_row(self, row: Iterable[int]) -> tuple[ConstValue, ...]:
-        """Decode a coded row back to its values."""
-        values = self.values
-        return tuple(values[code] for code in row)

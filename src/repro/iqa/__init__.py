@@ -2,12 +2,10 @@
 
 from .knowledge import KnowledgeQuery, parse_describe
 from .reachability import reachable_predicates, relevant_context
-from .answering import (DescribeResult, ProofTree, TreeDescription,
-                        describe, proof_trees)
+from .answering import describe, proof_trees
 
 __all__ = [
     "KnowledgeQuery", "parse_describe",
     "reachable_predicates", "relevant_context",
-    "DescribeResult", "ProofTree", "TreeDescription", "describe",
-    "proof_trees",
+    "describe", "proof_trees",
 ]

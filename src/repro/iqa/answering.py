@@ -18,9 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..constraints.subsumption import match_literal
-from ..datalog.atoms import Atom, Comparison, Literal
+from ..datalog.atoms import Atom, Literal
 from ..datalog.program import Program
-from ..datalog.rules import Rule
 from ..datalog.terms import FreshVariableSupply, Variable
 from ..datalog.unify import EMPTY_SUBSTITUTION, Substitution, unify
 from ..errors import TransformError

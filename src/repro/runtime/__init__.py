@@ -9,14 +9,12 @@ uses to prove every fallback path fires.  See ``docs/robustness.md``.
 
 from ..errors import (BudgetExceededError, EvaluationCancelledError,
                       ServingUnavailable)
-from .budget import (DEFAULT_DEADLINE_CHECK_INTERVAL, Budget,
-                     current_budget, resolve_budget)
+from .budget import Budget, current_budget, resolve_budget
 from .chaos import ChaosError, ChaosPlan, active_plan, checkpoint
 from .retry import CircuitBreaker, HealthState, RetryPolicy
 
 __all__ = [
     "Budget", "current_budget", "resolve_budget",
-    "DEFAULT_DEADLINE_CHECK_INTERVAL",
     "BudgetExceededError", "EvaluationCancelledError",
     "ServingUnavailable",
     "ChaosError", "ChaosPlan", "active_plan", "checkpoint",

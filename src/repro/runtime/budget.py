@@ -3,9 +3,9 @@
 A :class:`Budget` bounds one unit of work along four axes — wall-clock
 deadline, derivation events, materialized facts, and fixpoint rounds —
 and carries a cooperative cancellation flag that another thread may set
-at any time.  The fixpoint engines call :meth:`Budget.tick` on every
-derivation event and :func:`check_round` at every round boundary; both
-raise the typed errors of :mod:`repro.errors` carrying the partial
+at any time.  The fixpoint engines count derivation events down to the
+next :meth:`Budget.checkpoint` and call :func:`check_round` at every
+round boundary; both raise the typed errors of :mod:`repro.errors` carrying the partial
 :class:`~repro.engine.bindings.EvalStats` and the last completed round,
 so callers can report how far evaluation got.  :func:`check_round` is
 the one round bound of every schedule — semi-naive, naive, top-down and
@@ -13,9 +13,9 @@ each incremental maintenance pass: :attr:`Budget.max_rounds` when a
 budget sets it, and the :data:`MAX_ROUNDS` safety valve always.
 
 Deadline checks call :func:`time.monotonic`, which is too expensive to
-pay per derivation; :meth:`tick` therefore only consults the clock every
-``deadline_check_interval`` events (counter limits are exact).  Round
-boundaries always check the clock.
+pay per derivation; a checkpoint is therefore due at most every
+:data:`DEFAULT_DEADLINE_CHECK_INTERVAL` events (counter limits stay exact).
+Round boundaries always check the clock.
 
 Budgets can also be installed *ambiently* with :meth:`Budget.activate`:
 engines that were not handed an explicit budget fall back to
@@ -37,7 +37,7 @@ from ..errors import BudgetExceededError, EvaluationCancelledError
 _CURRENT: ContextVar[Optional["Budget"]] = ContextVar(
     "repro_active_budget", default=None)
 
-#: How many derivation events pass between wall-clock checks by default.
+#: At most this many derivation events pass between two checkpoints.
 DEFAULT_DEADLINE_CHECK_INTERVAL = 64
 
 #: Safety valve for runaway fixpoints (e.g. value-inventing arithmetic):
@@ -58,27 +58,19 @@ class Budget:
             semi-naive delta rounds per stratum, naive rounds, top-down
             outer iterations and each maintenance pass's rounds (see
             :func:`check_round`).
-        deadline_check_interval: derivation events between wall-clock
-            reads in :meth:`tick`; set to 1 for exact deadlines.
     """
 
     def __init__(self, timeout_s: float | None = None,
                  max_derivations: int | None = None,
                  max_facts: int | None = None,
-                 max_rounds: int | None = None,
-                 deadline_check_interval: int =
-                 DEFAULT_DEADLINE_CHECK_INTERVAL) -> None:
-        if deadline_check_interval < 1:
-            raise ValueError("deadline_check_interval must be >= 1")
+                 max_rounds: int | None = None) -> None:
         self.timeout_s = timeout_s
         self.max_derivations = max_derivations
         self.max_facts = max_facts
         self.max_rounds = max_rounds
-        self._interval = deadline_check_interval
         self._cancel_event = threading.Event()
         self._deadline: float | None = None
         self._started_at: float | None = None
-        self._ticks = 0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         parts = []
@@ -117,51 +109,19 @@ class Budget:
         return self.max_derivations is not None \
             or self.max_facts is not None
 
-    def elapsed_s(self) -> float:
-        """Seconds since :meth:`start` (0.0 before the budget starts)."""
-        if self._started_at is None:
-            return 0.0
-        return time.monotonic() - self._started_at
-
-    def remaining_s(self) -> float | None:
-        """Seconds until the deadline; ``None`` when unbounded."""
-        if self.timeout_s is None:
-            return None
-        if self._deadline is None:
-            return self.timeout_s
-        return self._deadline - time.monotonic()
-
-    def expired(self) -> bool:
-        """True when the armed deadline has passed."""
-        return self._deadline is not None \
-            and time.monotonic() > self._deadline
-
     # -- checkpoints ---------------------------------------------------------
-    def tick(self, stats=None, last_round: int | None = None) -> None:
-        """Per-derivation checkpoint (cheap; clock read is amortized)."""
-        if self._cancel_event.is_set():
-            raise EvaluationCancelledError(
-                "evaluation cancelled", stats=stats, last_round=last_round)
-        self._check_counters(stats, last_round)
-        self._ticks += 1
-        if self._deadline is not None \
-                and self._ticks % self._interval == 0:
-            self._check_deadline(stats, last_round)
-
     def checkpoint(self, stats=None,
                    last_round: int | None = None) -> int:
-        """Amortized checkpoint for tight insert loops.
+        """The derivation-event checkpoint of every schedule.
 
-        Performs the full check (cancellation, counter limits, deadline —
-        the clock is read unconditionally, unlike :meth:`tick`) and
-        returns the number of derivation events that may safely pass
+        Performs the full check (cancellation, counter limits, deadline)
+        and returns the number of derivation events that may safely pass
         before the next checkpoint is due.  Engines count that many
         events down and call :meth:`checkpoint` again at zero, which
         keeps counter limits *exact* — the distance returned never
-        crosses a configured limit — while paying one clock read per
-        ~``deadline_check_interval`` events instead of one Python call
-        per event.  Exhaustion raises exactly the same typed errors with
-        the same payloads as :meth:`tick`.
+        crosses a configured limit, so a limit raises at the very event
+        that reaches it — while paying one clock read per at most
+        :data:`DEFAULT_DEADLINE_CHECK_INTERVAL` events.
         """
         if self._cancel_event.is_set():
             raise EvaluationCancelledError(
@@ -173,13 +133,13 @@ class Budget:
     def events_until_check(self, stats=None) -> int:
         """Derivation events until the next required :meth:`checkpoint`.
 
-        The amortization window (``deadline_check_interval``), shortened
-        so that no counter limit can be crossed in between: with
-        ``max_derivations`` or ``max_facts`` configured the distance to
-        the nearest limit is returned instead, making amortized budget
-        accounting raise at exactly the same event as per-event ticking.
+        :data:`DEFAULT_DEADLINE_CHECK_INTERVAL`, shortened so that no counter
+        limit can be crossed in between: with ``max_derivations`` or
+        ``max_facts`` configured the distance to the nearest limit is
+        returned instead, so the limit raises at exactly the event that
+        reaches it.
         """
-        nxt = self._interval
+        nxt = DEFAULT_DEADLINE_CHECK_INTERVAL
         if stats is not None:
             if self.max_derivations is not None:
                 events = stats.derivations + stats.duplicate_derivations

@@ -32,7 +32,7 @@ import enum
 import random
 import threading
 import time
-from typing import Callable, Iterator, Optional, Tuple, Type
+from typing import Callable, Optional, Tuple, Type
 
 
 class HealthState(enum.Enum):
@@ -102,12 +102,6 @@ class RetryPolicy:
         if self.jitter == 0.0 or raw == 0.0:
             return raw
         return raw * (1.0 - self.jitter * self._rng.random())
-
-    def delays(self) -> Iterator[float]:
-        """The jittered delays between the policy's attempts, in order
-        (``max_attempts - 1`` values)."""
-        for attempt in range(1, self.max_attempts):
-            yield self.delay_s(attempt)
 
     def call(self, fn: Callable[[], object],
              retry_on: Tuple[Type[BaseException], ...] = (Exception,),
@@ -184,11 +178,6 @@ class CircuitBreaker:
                 self._clock() - self._opened_at >= self.cooldown_s:
             return "half-open"
         return "open"
-
-    @property
-    def consecutive_failures(self) -> int:
-        with self._lock:
-            return self._consecutive_failures
 
     def retry_after_s(self) -> float | None:
         """Seconds until the next probe is allowed; ``None`` if now."""

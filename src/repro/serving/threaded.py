@@ -412,7 +412,7 @@ class ThreadedServer:
                     self.changesets_coalesced += 1
                     parts += 1
                     net = changeset if net is None \
-                        else net.compose(changeset)
+                        else net.then(changeset)
             # One changeset screened just now needs no second check.
             # A composition can fail where each part applies (two parts
             # disagree on a new predicate's arity), and a carry was

@@ -34,7 +34,6 @@ Meta-commands also accept a leading colon (``:lint``, ``:program``,
 
 from __future__ import annotations
 
-import sys
 from typing import Iterable, Iterator
 
 from .constraints import IntegrityConstraint, from_parsed

@@ -1,22 +1,18 @@
 """Workloads: paper fixtures and IC-consistent synthetic generators."""
 
-from .paper_examples import (ALL_EXAMPLES, PaperExample, example_2_1,
-                             example_3_2, example_4_1, example_4_3,
-                             example_5_1, load)
-from .generators import (chain_edges, layered_digraph, random_digraph,
-                         random_linear_program,
-                         transitive_closure_program, tree_edges,
-                         unary_subset)
+from .paper_examples import (ALL_EXAMPLES, example_2_1, example_3_2,
+                             example_4_1, example_4_3, example_5_1, load)
+from .generators import (random_digraph, random_linear_program,
+                         transitive_closure_program)
 from .university import UniversityParams, generate_university
 from .organization import OrganizationParams, generate_organization
 from .genealogy import GenealogyParams, generate_genealogy
 
 __all__ = [
-    "ALL_EXAMPLES", "PaperExample", "example_2_1", "example_3_2",
+    "ALL_EXAMPLES", "example_2_1", "example_3_2",
     "example_4_1", "example_4_3", "example_5_1", "load",
-    "chain_edges", "layered_digraph", "random_digraph",
-    "random_linear_program",
-    "transitive_closure_program", "tree_edges", "unary_subset",
+    "random_digraph", "random_linear_program",
+    "transitive_closure_program",
     "UniversityParams", "generate_university",
     "OrganizationParams", "generate_organization",
     "GenealogyParams", "generate_genealogy",

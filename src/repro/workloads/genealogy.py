@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from ..constraints.checker import satisfies
 from ..facts.database import Database
-from .paper_examples import PaperExample, example_4_3
+from .paper_examples import example_4_3
 
 
 @dataclass(frozen=True)
@@ -67,7 +67,3 @@ def generate_genealogy(params: GenealogyParams,
     assert satisfies(db, *example.ics), \
         "generated genealogy database violates ic1"
     return db
-
-
-def genealogy_example() -> PaperExample:
-    return example_4_3()

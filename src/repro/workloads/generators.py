@@ -1,37 +1,11 @@
-"""Generic random-graph EDB generators used by tests and benchmarks."""
+"""Random EDB and program generators for the benchmarks, the lint
+corpus and the differential fuzz tests."""
 
 from __future__ import annotations
 
 import random
-from typing import Sequence
 
 from ..facts.database import Database
-
-
-def chain_edges(length: int, pred: str = "edge") -> Database:
-    """A single path ``n0 -> n1 -> ... -> n<length>``."""
-    database = Database()
-    for index in range(length):
-        database.add_fact(pred, f"n{index}", f"n{index + 1}")
-    return database
-
-
-def tree_edges(depth: int, fanout: int, pred: str = "edge") -> Database:
-    """A complete ``fanout``-ary tree of the given depth (edges go
-    child -> parent so the root is everyone's ancestor)."""
-    database = Database()
-    frontier = ["n0"]
-    counter = 1
-    for _ in range(depth):
-        next_frontier = []
-        for parent in frontier:
-            for _ in range(fanout):
-                child = f"n{counter}"
-                counter += 1
-                database.add_fact(pred, child, parent)
-                next_frontier.append(child)
-        frontier = next_frontier
-    return database
 
 
 def random_digraph(nodes: int, edges: int, rng: random.Random,
@@ -50,35 +24,6 @@ def random_digraph(nodes: int, edges: int, rng: random.Random,
         if database.add_fact(pred, f"n{a}", f"n{b}"):
             added += 1
     return database
-
-
-def layered_digraph(layers: int, width: int, fanout: int,
-                    rng: random.Random, pred: str = "edge") -> Database:
-    """A layered DAG: every node links to ``fanout`` nodes one layer up.
-
-    Recursion depth is exactly ``layers``, which makes derivation counts
-    predictable for benchmark sweeps.
-    """
-    database = Database()
-    for layer in range(layers):
-        for position in range(width):
-            source = f"l{layer}_{position}"
-            targets = rng.sample(range(width), min(fanout, width))
-            for target in targets:
-                database.add_fact(pred, source, f"l{layer + 1}_{target}")
-    return database
-
-
-def unary_subset(database: Database, source_pred: str, column: int,
-                 target_pred: str, fraction: float,
-                 rng: random.Random) -> None:
-    """Populate ``target_pred(x)`` with a random fraction of the values
-    in ``source_pred``'s ``column``."""
-    values = sorted({row[column] for row in database.facts(source_pred)},
-                    key=str)
-    for value in values:
-        if rng.random() < fraction:
-            database.add_fact(target_pred, value)
 
 
 def transitive_closure_program(pred: str = "edge",

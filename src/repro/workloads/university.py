@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from ..constraints.checker import repair, satisfies
 from ..facts.database import Database
-from .paper_examples import PaperExample, example_3_2
+from .paper_examples import example_3_2
 
 
 @dataclass(frozen=True)
@@ -87,8 +87,3 @@ def generate_university(params: UniversityParams,
     repair(db, example.ic("ic1"))
     assert satisfies(db, *example.ics)
     return db
-
-
-def university_example() -> PaperExample:
-    """The program + ICs this workload targets."""
-    return example_3_2()

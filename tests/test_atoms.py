@@ -4,7 +4,7 @@ import pytest
 
 from repro.datalog.atoms import (Atom, Comparison, Negation, atom,
                                  comparison, constants_of, is_database,
-                                 is_evaluable, literal_variables)
+                                 literal_variables)
 from repro.datalog.terms import ArithExpr, Constant, Variable
 
 
@@ -71,11 +71,6 @@ class TestHelpers:
     def test_is_database(self):
         assert is_database(atom("p", "X"))
         assert not is_database(comparison("X", "=", 1))
-
-    def test_is_evaluable(self):
-        assert is_evaluable(comparison("X", "=", 1))
-        assert not is_evaluable(atom("p", "X"))
-        assert not is_evaluable(Negation(atom("p", "X")))
 
     def test_literal_variables(self):
         lits = (atom("p", "X", "Y"), comparison("Y", "<", "Z"))

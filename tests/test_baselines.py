@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.baselines import (ResidueGuidedEngine, guided_evaluate,
-                             optimize_rule_level)
+from repro.baselines import ResidueGuidedEngine, optimize_rule_level
 from repro.core import SemanticOptimizer
 from repro.core.equivalence import make_consistent, random_database
 from repro.engine import evaluate
@@ -79,8 +78,8 @@ class TestGuidedEngine:
         db = random_database({"par": 4}, 5, 10, rng,
                              numeric_columns={"par": [1, 3]})
         make_consistent(db, [ex43.ic("ic1")])
-        result = guided_evaluate(ex43.program, [ex43.ic("ic1")], db,
-                                 pred="anc")
+        result = ResidueGuidedEngine(ex43.program, [ex43.ic("ic1")],
+                                     pred="anc").evaluate(db)
         assert result.facts("anc") == \
             evaluate(ex43.program, db).facts("anc")
 

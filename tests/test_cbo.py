@@ -27,8 +27,7 @@ from repro.datalog.atoms import Atom
 from repro.datalog.terms import Constant, Variable
 from repro.engine import (ChosenPlan, cbo_answers, cbo_evaluate,
                           choose_plan, enumerate_candidates, evaluate,
-                          evaluate_with_magic, explain_answer,
-                          explain_kernels, explain_plan, magic_answers,
+                          evaluate_with_magic, explain, explain_kernels, explain_plan, magic_answers,
                           naive_evaluate, plan_rule, seminaive_evaluate)
 from repro.engine.magic import adornment_of, magic_rewrite
 from repro.engine.optimizer import (MAX_CANDIDATES, Memo, PlanCandidate,
@@ -124,10 +123,19 @@ class TestEnumeration:
         assert memo.paths == 2
         assert a.derivations == [(), ("some-other-path",)]
 
-    def test_candidate_cap_respected(self):
-        memo = enumerate_candidates(TC, query=BOUND, max_candidates=2)
+    def test_candidate_cap_respected(self, monkeypatch):
+        monkeypatch.setattr(optimizer_module, "MAX_CANDIDATES", 2)
+        memo = enumerate_candidates(TC, query=BOUND)
         assert len(memo) <= 2
         assert len(memo) <= MAX_CANDIDATES
+
+    @pytest.mark.parametrize("enumerate_or_choose", [
+        lambda: enumerate_candidates(TC, query=BOUND, max_candidates=2),
+        lambda: choose_plan(TC, Database(), query=BOUND, max_candidates=2),
+    ], ids=["enumerate_candidates", "choose_plan"])
+    def test_the_cap_is_not_a_setting(self, enumerate_or_choose):
+        with pytest.raises(TypeError):
+            enumerate_or_choose()
 
 
 class TestAdornmentValidation:
@@ -240,8 +248,10 @@ class TestCboEvaluation:
     def test_explain_answer_follows_the_rewritten_program(self):
         db = chain_db(8)
         result = cbo_evaluate(TC, db, query=BOUND)
-        goal = Atom("reach", (Constant("n0"), Constant("n3")))
-        derivation = explain_answer(result, goal)
+        goal = Atom(result.magic.query_pred,
+                    (Constant("n0"), Constant("n3")))
+        derivation = explain(result.program, result.edb, goal,
+                             idb=result.idb)
         assert derivation is not None
         assert derivation.depth() >= 2
 

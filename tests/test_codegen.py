@@ -258,7 +258,7 @@ class TestPredicateCache:
         cache = PredicateCache(symbols)
         relation = self._relation(symbols, [(1, 10), (2, 4)])
         cache.passing(relation, 1, ">", 9, True)
-        assert relation.code_indexes == {}
+        assert relation.indexes == {}
 
     def test_unorderable_codes_reraise_on_membership(self):
         symbols = SymbolTable()
@@ -387,7 +387,7 @@ def test_bind_only_body_counts_its_binds():
                                 Database())
     stats = EvalStats()
     (row,) = kernel.execute(lambda atom, index: None, stats)
-    assert kernel.symbols.decode_row(row) == (3, 3)
+    assert tuple(map(kernel.symbols.value, row)) == (3, 3)
     assert stats.comparisons_checked == 2 and stats.rows_matched == 0
 
 

@@ -24,11 +24,9 @@ from repro.engine.compile import compile_rule
 from repro.errors import EvaluationError
 from repro.facts import Database
 from repro.workloads import (ALL_EXAMPLES, GenealogyParams,
-                             UniversityParams, generate_genealogy,
-                             generate_university, random_digraph,
-                             random_linear_program)
-from repro.workloads.genealogy import genealogy_example
-from repro.workloads.university import university_example
+                             UniversityParams, example_3_2, example_4_3,
+                             generate_genealogy, generate_university,
+                             random_digraph, random_linear_program)
 
 
 def _snapshot(result):
@@ -249,11 +247,11 @@ def test_hooked_body_across_the_slice_boundary():
 
 WORKLOADS = {
     "university": lambda: (
-        university_example(), "eval",
+        example_3_2(), "eval",
         generate_university(UniversityParams(professors=20),
                             random.Random(3))),
     "genealogy": lambda: (
-        genealogy_example(), "anc",
+        example_4_3(), "anc",
         generate_genealogy(GenealogyParams(generations=7, width=8),
                            random.Random(5))),
 }

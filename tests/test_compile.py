@@ -18,10 +18,10 @@ from repro.cli import main
 from repro.datalog import parse_program
 from repro.datalog.atoms import Atom
 from repro.datalog.terms import Variable
-from repro.engine import (EXECUTORS, CompiledKernel, EvalStats,
-                          KernelCache, compile_rule, evaluate,
-                          evaluate_with_magic, explain_kernels,
-                          seminaive_evaluate)
+from repro.engine import (CompiledKernel, EvalStats, KernelCache,
+                          compile_rule, evaluate, evaluate_with_magic,
+                          explain_kernels, seminaive_evaluate)
+from repro.engine.compile import EXECUTORS
 from repro.engine.bindings import plan_body
 from repro.engine.compile import validate_executor
 from repro.engine.fire import Firer
@@ -38,7 +38,8 @@ from repro.workloads import (GenealogyParams, OrganizationParams,
                              example_5_1, generate_genealogy,
                              generate_organization, generate_university,
                              random_digraph,
-                             transitive_closure_program, tree_edges)
+                             transitive_closure_program)
+from tests.helpers import tree_edges
 
 # ---------------------------------------------------------------------------
 # Workload corpus: (name, program, edb, magic_query or None)
@@ -548,7 +549,7 @@ def test_index_for_is_cached_and_live():
     index = relation.index_for((0,))
     assert index is relation.index_for((0,))
     relation.add(("a", "c"))
-    assert len(index[("a",)]) == 2  # live: new rows land in the bucket
+    assert len(index["a"]) == 2  # live: new rows land in the bucket
 
 
 def test_add_all_updates_existing_indexes():
@@ -557,7 +558,7 @@ def test_add_all_updates_existing_indexes():
     index = relation.index_for((1,))
     added = relation.add_all([("a", "b"), ("c", "b"), ("d", "e")])
     assert added == 2
-    assert {row for row in index[("b",)]} == {("a", "b"), ("c", "b")}
+    assert {row for row in index["b"]} == {("a", "b"), ("c", "b")}
     assert relation.lookup(((1, "e"),))
 
 

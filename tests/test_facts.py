@@ -197,12 +197,12 @@ class TestStorageRows:
 class TestStorageIndexFamilies:
     def test_index_for_groups_rows(self):
         rel = Relation("r", 2, ROWS)
-        assert sorted(rel.index_for((0,))[(2,)]) == [(2, 3), (2, 4)]
+        assert sorted(rel.index_for((0,))[2]) == [(2, 3), (2, 4)]
         assert rel.index_for((0, 1))[(5, 2)] == [(5, 2)]
 
     def test_code_index_keys_are_bare_values(self):
         rel = Relation("r", 2, ROWS)
-        index = rel.code_index_for(0)
+        index = rel.index_for((0,))
         assert sorted(index[2]) == [(2, 3), (2, 4)]
         assert (2,) not in index
 
@@ -218,26 +218,26 @@ class TestStorageIndexFamilies:
                                         "raw_merge_new", "raw_merge"])
     def test_live_indexes_track_inserts(self, mutate):
         rel = Relation("r", 2, ROWS)
-        plain = rel.index_for((0,))
-        bare = rel.code_index_for(0)
+        bare = rel.index_for((0,))
+        pair = rel.index_for((0, 1))
         proj = rel.projection_index(0, 1)
         row = (2, 9)
         getattr(rel, mutate)(row if mutate == "raw_add" else [row])
-        assert row in plain[(2,)]
+        assert row in pair[(2, 9)]
         assert row in bare[2]
         assert 9 in proj[2]
 
     def test_live_indexes_track_removals(self):
         rel = Relation("r", 2, ROWS)
-        plain = rel.index_for((0,))
-        bare = rel.code_index_for(0)
+        pair = rel.index_for((0, 1))
+        bare = rel.index_for((0,))
         proj = rel.projection_index(0, 1)
         rel.raw_discard((2, 3))
-        assert plain[(2,)] == [(2, 4)]
+        assert (2, 3) not in pair and pair[(2, 4)] == [(2, 4)]
         assert bare[2] == [(2, 4)]
         assert proj[2] == [4]
         rel.raw_discard((2, 4))
-        assert (2,) not in plain and 2 not in bare and 2 not in proj
+        assert (2, 4) not in pair and 2 not in bare and 2 not in proj
 
 
 class TestStorageIdentity:
@@ -250,8 +250,8 @@ class TestStorageIdentity:
         assert (2, 9) not in rel and (1, 2) in clone
         clone_index = clone.index_for((0,))
         assert clone_index is not source_index
-        assert sorted(clone_index[(2,)]) == [(2, 3), (2, 4), (2, 9)]
-        assert sorted(source_index[(2,)]) == [(2, 3), (2, 4)]
+        assert sorted(clone_index[2]) == [(2, 3), (2, 4), (2, 9)]
+        assert sorted(source_index[2]) == [(2, 3), (2, 4)]
 
     def test_copy_gets_fresh_cache_identity(self):
         rel = Relation("r", 2, ROWS)
@@ -265,7 +265,7 @@ class TestStorageIdentity:
         rel = Relation("r", 2)
         v0 = rel.version
         rel.index_for((0,))             # pure index build: no change
-        rel.code_index_for(1)
+        rel.index_for((0, 1))
         assert rel.version == v0
         rel.raw_add((1, 2))
         v1 = rel.version

@@ -76,6 +76,10 @@ class TestRoundTrip:
         db = load_directory(tmp_path, types={"id": "str"})
         assert db.facts("id") == {("007",)}
 
+    def test_interning_is_not_a_load_option(self, tmp_path):
+        with pytest.raises(TypeError):
+            load_directory(tmp_path, interning=True)
+
     def test_missing_directory(self, tmp_path):
         with pytest.raises(EvaluationError):
             load_directory(tmp_path / "nope")

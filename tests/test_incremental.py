@@ -27,8 +27,7 @@ from repro.errors import (BudgetExceededError, EvaluationError,
 from repro.facts import Database
 from repro.facts.relation import Relation
 from repro.facts.symbols import SymbolTable
-from repro.facts.changelog import (Changeset, VersionedDatabase,
-                                   random_changeset)
+from repro.facts.changelog import Changeset, VersionedDatabase
 from repro.incremental import maintain
 from repro.runtime import ChaosError
 from repro.runtime.budget import Budget
@@ -38,7 +37,8 @@ from repro.serving import (MaterializedView, StalenessBound,
 from repro.shell import run as shell_run
 from repro.workloads import example_4_3
 from repro.workloads.genealogy import GenealogyParams, generate_genealogy
-from repro.workloads.generators import random_digraph, tree_edges
+from repro.workloads.generators import random_digraph
+from tests.helpers import random_changeset, tree_edges
 
 TC = """
 r0: reach(X, Y) :- edge(X, Y).
@@ -519,7 +519,7 @@ def test_a_mixed_changeset_copies_no_relation_and_builds_no_edb_index(
     write()  # compiles the kernels and builds the live EDB's indexes
     events = Counter()
     real_copy = Relation.copy
-    real_index, real_code = Relation._build_index, Relation.code_index_for
+    real_index = Relation._build_index
     real_proj = Relation.projection_index
 
     def copy(self):
@@ -530,11 +530,6 @@ def test_a_mixed_changeset_copies_no_relation_and_builds_no_edb_index(
         events["edb indexes"] += self.name == "edge"
         return real_index(self, columns)
 
-    def code_index_for(self, column):
-        events["edb indexes"] += self.name == "edge" \
-            and column not in self.code_indexes
-        return real_code(self, column)
-
     def projection_index(self, key, value):
         events["edb indexes"] += self.name == "edge" \
             and (key, value) not in self.proj_indexes
@@ -542,7 +537,6 @@ def test_a_mixed_changeset_copies_no_relation_and_builds_no_edb_index(
 
     for name, method in (("copy", copy),
                          ("_build_index", build_index),
-                         ("code_index_for", code_index_for),
                          ("projection_index", projection_index)):
         monkeypatch.setattr(Relation, name, method)
     for _ in range(3):
@@ -589,14 +583,10 @@ def _indexes_matching_rows(db):
         rebuilt.raw_merge(set(live.raw_rows()))
         for columns, index in live.indexes.items():
             assert multisets(index) == multisets(rebuilt.index_for(columns))
-        for column, index in live.code_indexes.items():
-            assert multisets(index) \
-                == multisets(rebuilt.code_index_for(column))
         for key, index in live.proj_indexes.items():
             assert multisets(index) \
                 == multisets(rebuilt.projection_index(*key))
-        checked += len(live.indexes) + len(live.code_indexes) \
-            + len(live.proj_indexes)
+        checked += len(live.indexes) + len(live.proj_indexes)
     return checked
 
 

@@ -144,8 +144,7 @@ class TestOneStatisticsSource:
         # the next insert does exactly the work it did before.
         assert all(getattr(relation, slot) is value
                    for slot, value in before.items())
-        assert relation.indexes == {} \
-            and relation.code_indexes == {}
+        assert relation.indexes == {}
 
     def test_an_idb_relation_not_yet_derived_reads_as_empty(self):
         """``explain`` without an ``idb`` plans the start of the

@@ -5,10 +5,7 @@ import pytest
 from repro.bench.harness import (Measurement, Table, check_same_answers,
                                  measure)
 from repro.datalog import (format_program, format_rule, format_table,
-                           parse_program, side_by_side)
-from repro.datalog.pretty import format_substitution
-from repro.datalog.terms import Constant, Variable
-from repro.datalog.unify import Substitution
+                           parse_program)
 from repro.engine import evaluate
 from repro.facts import Database
 
@@ -33,17 +30,6 @@ class TestPretty:
         blocks = grouped.split("\n\n")
         assert len(blocks) == 2
         assert blocks[0].count("a(X)") == 2
-
-    def test_format_substitution_sorted(self):
-        subst = Substitution({Variable("Z"): Constant(1),
-                              Variable("A"): Constant(2)})
-        assert format_substitution(subst) == "{A/2, Z/1}"
-
-    def test_side_by_side_alignment(self):
-        view = side_by_side("left\nlines", "right")
-        assert "|" in view
-        assert all(line.index("|") == view.splitlines()[0].index("|")
-                   for line in view.splitlines() if "|" in line)
 
     def test_format_table_widths(self):
         table = format_table(["col", "x"], [["value", 1], ["v", 22]])

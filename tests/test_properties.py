@@ -11,7 +11,8 @@ from repro.datalog.atoms import Atom, Comparison, atom, comparison
 from repro.datalog.rules import is_connected
 from repro.datalog.terms import Constant, Variable
 from repro.datalog.unify import Substitution, match, unify
-from repro.engine import builtins, evaluate, magic_answers, query_answers
+from repro.engine import builtins, evaluate, magic_answers
+from repro.engine.engine import select_answers
 from repro.facts import Database, Relation
 from repro.workloads import example_4_3
 
@@ -81,7 +82,7 @@ def test_magic_sets_match_plain(pairs, start):
     db = _edge_db(pairs)
     query = atom("reach", start, "Y")
     assert magic_answers(program, db, query) == \
-        query_answers(program, db, query)
+        select_answers(evaluate(program, db).idb, query)
 
 
 # ---------------------------------------------------------------------------

@@ -98,8 +98,8 @@ def test_no_index_is_left_on_a_linear_recursive_stratum(fixture, interning,
     for pred in recursive:
         relation = result.idb.relation(pred)
         assert len(relation)
-        assert (relation.indexes, relation.code_indexes,
-                relation.proj_indexes) == ({}, {}, {}), pred
+        assert (relation.indexes,
+                relation.proj_indexes) == ({}, {}), pred
 
 
 def test_explain_orders_the_init_round_as_the_engine_does(monkeypatch):

@@ -26,9 +26,9 @@ from repro.datalog.atoms import Atom
 from repro.datalog.terms import Constant, Variable
 from repro.facts import Database, Relation, SymbolTable, VersionedDatabase
 from repro.facts import relation as relation_module
-from repro.facts.changelog import random_changeset
 from repro.facts.relation import PatchedRelation, build_profile
 from repro.workloads import random_digraph, random_linear_program
+from tests.helpers import random_changeset
 
 TC = """
 r0: reach(X, Y) :- edge(X, Y).
@@ -133,21 +133,21 @@ class ProfileMachine(RuleBasedStateMachine):
         present = sorted(self.relations[0].rows(), key=repr)
         rows = data.draw(st.lists(st.sampled_from(present), max_size=6)) \
             if present else []
-        self._each(lambda r: r.discard_all(rows), read)
+        self._each(lambda r: [r.discard(row) for row in rows], read)
 
     @rule(read=st.booleans())
     def clear(self, read):
         self._each(lambda r: r.clear(), read)
 
     @rule(column=st.sampled_from([0, 1]), kind=st.sampled_from(
-        ["index_for", "code_index_for", "projection_index"]),
+        ["index_for", "index_for_pair", "projection_index"]),
         read=st.booleans())
     def build_index(self, column, kind, read):
         def step(relation):
             if kind == "index_for":
                 relation.index_for((column,))
-            elif kind == "code_index_for":
-                relation.code_index_for(column)
+            elif kind == "index_for_pair":
+                relation.index_for((0, 1))
             else:
                 relation.projection_index(column, 1 - column)
         self._each(step, read)
@@ -270,7 +270,7 @@ def test_concurrent_readers_see_the_profile_of_some_prefix(interned):
                         symbols=SymbolTable() if interned else None)
     # A live index widens the window between a row landing and the
     # version moving.
-    relation.code_index_for(0)
+    relation.index_for((0,))
     seen = [[], []]
     errors = []
     done = threading.Event()

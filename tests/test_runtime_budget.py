@@ -47,13 +47,6 @@ class TestBudgetObject:
         assert issubclass(BudgetExceededError, EvaluationError)
         assert issubclass(EvaluationCancelledError, EvaluationError)
 
-    def test_remaining_and_elapsed(self):
-        budget = Budget(timeout_s=60.0).start()
-        assert 0.0 <= budget.elapsed_s() < 60.0
-        assert 0.0 < budget.remaining_s() <= 60.0
-        assert Budget().remaining_s() is None
-        assert not budget.expired()
-
     def test_cancel_is_sticky_and_thread_safe(self):
         budget = Budget()
         thread = threading.Thread(target=budget.cancel)
@@ -61,11 +54,12 @@ class TestBudgetObject:
         thread.join()
         assert budget.cancelled
         with pytest.raises(EvaluationCancelledError):
-            budget.tick()
+            budget.checkpoint()
 
-    def test_interval_must_be_positive(self):
-        with pytest.raises(ValueError):
-            Budget(deadline_check_interval=0)
+    def test_the_clock_interval_is_not_a_setting(self):
+        assert not hasattr(Budget(), "tick")
+        with pytest.raises(TypeError):
+            Budget(deadline_check_interval=1)
 
     def test_ambient_installation(self, program):
         assert current_budget() is None
@@ -94,7 +88,7 @@ class TestSeminaiveBudget:
         assert stats.derivations + stats.duplicate_derivations == 25
 
     def test_deadline(self, program):
-        budget = Budget(timeout_s=0.0, deadline_check_interval=1)
+        budget = Budget(timeout_s=0.0)
         with pytest.raises(BudgetExceededError) as info:
             evaluate(program, chain_db(30), budget=budget)
         assert info.value.resource == "deadline"
@@ -136,7 +130,7 @@ class TestNaiveBudget:
         assert info.value.resource == "derivations"
 
     def test_deadline(self, program):
-        budget = Budget(timeout_s=0.0, deadline_check_interval=1)
+        budget = Budget(timeout_s=0.0)
         with pytest.raises(BudgetExceededError):
             evaluate(program, chain_db(30), method="naive", budget=budget)
 
@@ -169,6 +163,30 @@ class TestTopdownBudget:
                           budget=Budget(max_facts=10))
         assert info.value.resource == "facts"
         assert info.value.stats.derivations == 10
+
+    def test_max_derivations_counts_duplicates(self, program):
+        goal = parse_atom('reach("n0", Y)')
+        with pytest.raises(BudgetExceededError) as info:
+            topdown_query(program, chain_db(40), goal,
+                          budget=Budget(max_derivations=25))
+        error = info.value
+        assert error.resource == "derivations"
+        assert error.limit == 25 and error.spent == 25
+        stats = error.stats
+        assert stats.derivations + stats.duplicate_derivations == 25
+        # Each outer round re-derives what the rounds before it found.
+        assert (stats.derivations, stats.duplicate_derivations) == (6, 19)
+        assert error.last_round == 5 and stats.iterations == 6
+
+    def test_deadline(self, program):
+        goal = parse_atom('reach("n0", Y)')
+        with pytest.raises(BudgetExceededError) as info:
+            topdown_query(program, chain_db(40), goal,
+                          budget=Budget(timeout_s=0.0))
+        error = info.value
+        assert error.resource == "deadline"
+        assert error.last_round == 0
+        assert error.stats.derivations == 0
 
     def test_round_cap_raises_typed_error(self, program, monkeypatch):
         monkeypatch.setattr(budget_module, "MAX_ROUNDS", 1)
@@ -250,7 +268,7 @@ class TestMagicBudget:
                           budget=budget)
 
     def test_deadline(self, program):
-        budget = Budget(timeout_s=0.0, deadline_check_interval=1)
+        budget = Budget(timeout_s=0.0)
         with pytest.raises(BudgetExceededError):
             evaluate_with_magic(program, chain_db(40),
                                 parse_atom('reach("n0", Y)'),

@@ -99,7 +99,7 @@ class TestEngineChaos:
     def test_stall_plus_deadline_terminates(self, program):
         """A stalled derivation trips the deadline at the next check."""
         plan = ChaosPlan().fail_derivation(3, stall_s=0.05)
-        budget = Budget(timeout_s=0.01, deadline_check_interval=1)
+        budget = Budget(timeout_s=0.01)
         with plan.active(), pytest.raises(BudgetExceededError) as info:
             evaluate(program, par_db(), budget=budget)
         assert info.value.resource == "deadline"
@@ -174,7 +174,7 @@ class TestOptimizeSafeDegradation:
 
     def test_budget_expiry_degrades_instead_of_raising(self, program,
                                                        ics):
-        budget = Budget(timeout_s=0.0, deadline_check_interval=1)
+        budget = Budget(timeout_s=0.0)
         report = SemanticOptimizer(program, ics).optimize(
             budget=budget)
         assert report.degraded

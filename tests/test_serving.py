@@ -26,6 +26,7 @@ from repro.runtime.retry import CircuitBreaker, HealthState, RetryPolicy
 from repro.serving import (Snapshot, StalenessBound, ThreadedServer,
                            relation_fingerprint)
 from repro.serving.threaded import MAX_QUEUE
+from tests.helpers import state_at
 
 TC = """
 reach(X, Y) :- edge(X, Y).
@@ -85,7 +86,7 @@ def test_snapshot_fingerprint_matches_state_at_version():
     view.refresh()
     pinned.append(view.snapshot)
     for snapshot in pinned:
-        historical = server.source.state_at(snapshot.version)
+        historical = state_at(server.source, snapshot.version)
         expected = seminaive_evaluate(program, historical)
         assert snapshot.fingerprint() == relation_fingerprint(expected)
 
@@ -182,13 +183,15 @@ def test_one_write_checks_its_changeset_twice(monkeypatch):
 def test_retry_backoff_schedule_is_exponential_and_capped():
     policy = RetryPolicy(max_attempts=5, base_delay_s=0.1,
                          multiplier=2.0, max_delay_s=0.3, jitter=0.0)
-    assert list(policy.delays()) == [0.1, 0.2, 0.3, 0.3]
+    assert [policy.delay_s(attempt) for attempt in range(1, 5)] \
+        == [0.1, 0.2, 0.3, 0.3]
 
 
 def test_retry_jitter_is_bounded_and_reproducible():
     make = lambda: RetryPolicy(max_attempts=4, base_delay_s=0.1,
                                jitter=0.5, rng=random.Random(42))
-    first, second = list(make().delays()), list(make().delays())
+    first, second = ([policy.delay_s(attempt) for attempt in range(1, 4)]
+                     for policy in (make(), make()))
     assert first == second  # seeded rng => identical schedule
     for raw, jittered in zip([0.1, 0.2, 0.4], first):
         assert raw * 0.5 <= jittered <= raw
@@ -281,6 +284,33 @@ def test_pipeline_coalesces_queue_into_one_batch():
     # The insert+delete pair cancelled; only n5->n6 landed.
     assert ("n6",) in view.snapshot.query("reach(n5, X)")
     assert not server.source.db.facts("edge") & {("n4", "n5")}
+
+
+@pytest.mark.parametrize("first, second, edges, reached", [
+    # An insert of a present row, then its delete: the row goes.
+    ("+edge(a, b).", "-edge(a, b).", {("b", "c")}, set()),
+    # A delete of an absent row, then its insert: the row comes.
+    ("-edge(c, d).", "+edge(c, d).",
+     {("a", "b"), ("b", "c"), ("c", "d")}, {("b",), ("c",), ("d",)}),
+], ids=["insert-then-delete", "delete-then-insert"])
+def test_a_batch_applies_as_its_parts_one_by_one(first, second, edges,
+                                                 reached):
+    program = parse_program(TC)
+    fresh = StalenessBound(max_lag=0)
+    batched, one_by_one = (_writerless(db=_edge_db(("a", "b"), ("b", "c")))
+                           for _ in range(2))
+    for server in (batched, one_by_one):
+        server.read(program, "reach(a, Y)")
+    batched.submit(Changeset.from_text(first))
+    batched.submit(Changeset.from_text(second))
+    assert batched.process_once()
+    assert batched.changesets_coalesced == 2
+    one_by_one.update(Changeset.from_text(first))
+    one_by_one.update(Changeset.from_text(second))
+    for server in (batched, one_by_one):
+        assert server.source.db.facts("edge") == edges
+        assert server.read(program, "reach(a, Y)",
+                           staleness=fresh).rows == reached
 
 
 def test_pipeline_failed_batch_is_carried_not_dropped():

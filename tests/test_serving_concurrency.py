@@ -36,6 +36,7 @@ from repro.runtime.retry import CircuitBreaker, RetryPolicy
 from repro.serving import (StalenessBound, ThreadedServer,
                            relation_fingerprint)
 from repro.serving.views import program_fingerprint  # noqa: F401 - api
+from tests.helpers import state_at
 
 TC = """
 reach(X, Y) :- edge(X, Y).
@@ -71,7 +72,7 @@ def _expected_rows(server, program, version):
     """The query's answer from a from-scratch evaluation at ``version``."""
     from repro.datalog.parser import parse_query
 
-    historical = server.source.state_at(version)
+    historical = state_at(server.source, version)
     idb = seminaive_evaluate(program, historical)
     return answers(parse_query(QUERY).literals, program, historical,
                    idb, EvalStats())

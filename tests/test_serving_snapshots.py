@@ -31,6 +31,7 @@ from repro.runtime.chaos import ChaosPlan
 from repro.runtime.retry import RetryPolicy
 from repro.serving import (MaterializedView, ThreadedServer,
                            relation_fingerprint, views)
+from tests.helpers import state_at
 
 TC = """
 reach(X, Y) :- edge(X, Y).
@@ -108,7 +109,8 @@ class PatchedRelationMachine(RuleBasedStateMachine):
             self.model = Relation("r", 2, rows, symbols=self.symbols)
         self.view = self.view.patched(self._storage(removed),
                                       self._storage(added))
-        self.model.discard_all(removed)
+        for row in removed:
+            self.model.discard(row)
         self.model.add_all(added)
         self._track()
 
@@ -238,7 +240,8 @@ def test_patched_relation_case_by_case(interned):
         older, older_rows = view, view.rows()
         view = view.patched([storage(row) for row in removed],
                             [storage(row) for row in added])
-        model.discard_all(removed)
+        for row in removed:
+            model.discard(row)
         model.add_all(added)
         _same_reads(view, model)
         assert older.rows() == older_rows
@@ -262,13 +265,13 @@ def _chain_db(n, interned=False):
 
 
 def _from_scratch(program, server, version):
-    return seminaive_evaluate(program, server.source.state_at(version))
+    return seminaive_evaluate(program, state_at(server.source, version))
 
 
 def _assert_consistent(program, server, snapshot):
     """The contract: a snapshot equals a from-scratch evaluation of the
     database at its version, EDB and IDB."""
-    assert snapshot.edb == server.source.state_at(snapshot.version)
+    assert snapshot.edb == state_at(server.source, snapshot.version)
     assert relation_fingerprint(snapshot.idb) == relation_fingerprint(
         _from_scratch(program, server, snapshot.version))
 

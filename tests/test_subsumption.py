@@ -7,11 +7,10 @@ residues are stated explicitly in the text.
 import pytest
 
 from repro.constraints import (expand, extend_to_useful,
-                               free_subsumptions, freely_subsumes,
-                               ic_from_text, is_useful,
+                               free_subsumptions, ic_from_text,
                                maximal_free_subsumptions,
                                partial_subsumptions, rule_residues,
-                               subsumes, subsumptions)
+                               subsumptions)
 from repro.constraints.subsumption import match_literal, rename_ic_apart
 from repro.datalog import parse_rule
 from repro.datalog.atoms import atom, comparison
@@ -23,19 +22,19 @@ class TestClauseSubsumption:
     def test_subset_subsumes(self):
         pattern = (atom("a", "X", "Y"),)
         target = (atom("a", "u", "v"), atom("b", "v"))
-        assert subsumes(pattern, target) is not None
+        assert next(subsumptions(pattern, target), None) is not None
 
     def test_shared_variables_respected(self):
         pattern = (atom("a", "X", "Y"), atom("b", "Y", "Z"))
         good = (atom("a", "u", "v"), atom("b", "v", "w"))
         bad = (atom("a", "u", "v"), atom("b", "x", "w"))
-        assert subsumes(pattern, good) is not None
-        assert subsumes(pattern, bad) is None
+        assert next(subsumptions(pattern, good), None) is not None
+        assert next(subsumptions(pattern, bad), None) is None
 
     def test_two_pattern_atoms_may_share_a_target(self):
         pattern = (atom("a", "X", "Y"), atom("a", "Y", "X"))
         target = (atom("a", "u", "u"),)
-        assert subsumes(pattern, target) is not None
+        assert next(subsumptions(pattern, target), None) is not None
 
     def test_enumerates_all(self):
         pattern = (atom("a", "X"),)
@@ -131,7 +130,8 @@ class TestFreeSubsumptionExample21:
 
     def test_no_maximal_on_single_r0(self, ex21):
         r0 = ex21.program.rule("r0")
-        assert not freely_subsumes(ex21.ic("ic"), r0.body)
+        assert next(maximal_free_subsumptions(ex21.ic("ic"), r0.body),
+                    None) is None
 
     def test_maximal_on_unfolded_r0r0r0(self, ex21):
         clause = unfold(ex21.program, "p", ("r0", "r0", "r0"))
@@ -188,9 +188,10 @@ class TestUsefulness:
         clause = unfold(ex32.program, "eval", ("r1", "r1"))
         items = list(maximal_free_subsumptions(ex32.ic("ic1"),
                                                clause.literals()))
-        assert not is_useful(items[0].residue, clause.literals(),
-                             strict=True)
-        assert is_useful(items[0].residue, clause.literals(), strict=False)
+        assert extend_to_useful(items[0].residue, clause.literals(),
+                                strict=True) is None
+        assert extend_to_useful(items[0].residue, clause.literals(),
+                                strict=False) is not None
 
 
 class TestResidueClassification:

@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core import SemanticOptimizer
 from repro.datalog import atom, parse_program
-from repro.engine import evaluate, query_answers, topdown_query
+from repro.engine import evaluate, topdown_query
+from repro.engine.engine import select_answers
 from repro.engine.topdown import TabledEvaluator
 from repro.errors import EvaluationError
 from repro.facts import Database
@@ -116,7 +117,7 @@ class TestAgainstBottomUp:
             db.add_fact("edge", f"n{a}", f"n{b}")
         goal = atom("reach", f"n{start}", "Y")
         assert topdown_query(program, db, goal).project(goal) == \
-            query_answers(program, db, goal)
+            select_answers(evaluate(program, db).idb, goal)
 
 
 class TestPruningPayoff:

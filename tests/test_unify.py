@@ -3,10 +3,9 @@
 import pytest
 
 from repro.datalog.atoms import atom, comparison
-from repro.datalog.terms import (ArithExpr, Constant, FreshVariableSupply,
-                                 Variable)
+from repro.datalog.terms import ArithExpr, Constant, Variable
 from repro.datalog.unify import (EMPTY_SUBSTITUTION, Substitution, match,
-                                 match_terms, rename_apart, unify)
+                                 match_terms, unify)
 
 X, Y, Z = Variable("X"), Variable("Y"), Variable("Z")
 
@@ -116,18 +115,3 @@ class TestMatch:
         pattern = ArithExpr("+", X, Constant(1))
         target = ArithExpr("-", Constant(5), Constant(1))
         assert match_terms(pattern, target, EMPTY_SUBSTITUTION) is None
-
-
-class TestRenameApart:
-    def test_fresh_names(self):
-        supply = FreshVariableSupply({"X", "Y"})
-        literals = (atom("p", "X", "Y"), comparison("X", "<", "Y"))
-        renamed, renaming = rename_apart(literals, supply)
-        new_vars = {v for lit in renamed for v in lit.variables()}
-        assert not new_vars & {X, Y}
-
-    def test_sharing_preserved(self):
-        supply = FreshVariableSupply()
-        literals = (atom("p", "X"), atom("q", "X"))
-        renamed, _ = rename_apart(literals, supply)
-        assert renamed[0].args == renamed[1].args

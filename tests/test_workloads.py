@@ -7,12 +7,12 @@ from repro.datalog import validate_program
 from repro.engine import evaluate
 from repro.workloads import (ALL_EXAMPLES, GenealogyParams,
                              OrganizationParams, UniversityParams,
-                             chain_edges, generate_genealogy,
-                             generate_organization, generate_university,
-                             layered_digraph, load, random_digraph,
-                             transitive_closure_program, tree_edges,
-                             unary_subset)
+                             generate_genealogy, generate_organization,
+                             generate_university, load, random_digraph,
+                             transitive_closure_program)
 from repro.datalog.parser import parse_program
+from tests.helpers import (chain_edges, layered_digraph, tree_edges,
+                           unary_subset)
 
 
 class TestPaperExamples:
