@@ -13,8 +13,9 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
+from ..datalog.atoms import Atom
 from ..datalog.pretty import format_table
-from ..engine.engine import EvaluationResult
+from ..engine.engine import EvaluationResult, select_answers
 from ..errors import BudgetExceededError
 from ..runtime.budget import Budget
 
@@ -31,7 +32,8 @@ class Measurement:
     seconds: list[float] = field(default_factory=list)
     counters: dict[str, int] = field(default_factory=dict)
     rule_rows: dict[str, int] = field(default_factory=dict)
-    answers: int = 0
+    #: The run's answer set (empty when the run hit its deadline).
+    answers: frozenset[tuple] = frozenset()
     #: True when the run hit the measurement deadline; the row then
     #: reports partial counters instead of hanging the suite.
     budget_exceeded: bool = False
@@ -45,17 +47,17 @@ class Measurement:
     def median_seconds(self) -> float:
         return statistics.median(self.seconds) if self.seconds else 0.0
 
-    def speedup_over(self, baseline: "Measurement") -> float:
-        if self.median_seconds == 0:
-            return float("inf")
-        return baseline.median_seconds / self.median_seconds
-
 
 def measure(label: str, run: Callable[[], EvaluationResult],
-            answer_pred: str, repeats: int = 3,
+            query: str | Atom, repeats: int = 3,
             timeout_s: float | None = DEFAULT_MEASUREMENT_TIMEOUT_S
             ) -> Measurement:
     """Run an evaluation ``repeats`` times; keep counters from the last.
+
+    The last run's answers are kept too, for :func:`check_same_answers`:
+    ``query`` is a predicate name (every derived row of it) or a query
+    atom (the rows matching it, read from the adorned predicate when
+    the run evaluated a magic rewrite).
 
     Each repeat runs under an ambient :class:`Budget` deadline
     (``timeout_s``; ``None`` disables it).  On expiry the measurement is
@@ -81,8 +83,11 @@ def measure(label: str, run: Callable[[], EvaluationResult],
     assert result is not None
     measurement.counters = result.stats.as_dict()
     measurement.rule_rows = dict(result.stats.rule_rows)
-    measurement.answers = result.count(answer_pred) \
-        if answer_pred in result.program.idb_predicates else 0
+    if isinstance(query, str):
+        measurement.answers = result.facts(query)
+    else:
+        pred = None if result.magic is None else result.magic.query_pred
+        measurement.answers = select_answers(result.idb, query, pred=pred)
     return measurement
 
 
@@ -126,6 +131,9 @@ class Table:
 
 
 def check_same_answers(measurements: Iterable[Measurement]) -> bool:
-    """All engines must agree — semantic optimization preserves answers."""
+    """All engines must agree — semantic optimization preserves answers.
+
+    The answer sets are compared, not their sizes.
+    """
     answers = {m.answers for m in measurements}
     return len(answers) == 1

@@ -105,11 +105,6 @@ class EvalStats:
     #: Matched rows attributed to each rule label (semi-naive only).
     rule_rows: dict = field(default_factory=dict)
 
-    def rows_for_rules(self, prefix: str) -> int:
-        """Total matched rows in rules whose label starts with ``prefix``."""
-        return sum(rows for label, rows in self.rule_rows.items()
-                   if label.startswith(prefix))
-
     def merge(self, other: "EvalStats") -> None:
         self.atom_lookups += other.atom_lookups
         self.rows_matched += other.rows_matched

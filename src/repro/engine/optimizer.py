@@ -39,7 +39,7 @@ import hashlib
 import math
 from dataclasses import dataclass, field, replace
 from time import perf_counter
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from ..datalog.atoms import Atom, Comparison, Negation
 from ..datalog.program import Program
@@ -50,8 +50,7 @@ from ..facts.database import Database
 from ..runtime import chaos
 from ..runtime.budget import Budget, resolve_budget
 from .bindings import EvalStats, check_edb_arities, plan_body
-from .magic import (MagicProgram, adornment_of, magic_rewrite, magic_seed,
-                    reseed)
+from .magic import MagicProgram, adornment_of, magic_rewrite, reseed
 from .prepared import prepared
 
 if TYPE_CHECKING:
@@ -106,15 +105,19 @@ class MemoGroup:
 
 
 def _program_fingerprint(candidate: PlanCandidate) -> str:
+    """Hash of the candidate's rule texts and, for a magic rewrite, its
+    answer predicate.
+
+    A magic candidate's seed is left out: it is the only rule that
+    depends on the query's constants, so every query of one binding
+    pattern gets the same fingerprints.
+    """
     magic = candidate.magic
-    return _fingerprint(map(str, candidate.program),
-                        None if magic is None else magic.query_pred)
-
-
-def _fingerprint(rule_texts: Iterable[str], answers: str | None) -> str:
-    text = "\n".join(sorted(rule_texts))
-    if answers is not None:
-        text += f"\n% answers: {answers}"
+    seed = None if magic is None else magic.seed
+    text = "\n".join(sorted(str(rule) for rule in candidate.program
+                            if rule is not seed))
+    if magic is not None:
+        text += f"\n% answers: {magic.query_pred}"
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
@@ -598,38 +601,24 @@ class ChosenPlan:
         return "\n".join(lines)
 
 
-#: A magic candidate's rewrite and the texts of its rules but the seed.
-_Seeded = tuple[MagicProgram, tuple[str, ...]]
-
-
 class PreparedPlan:
     """A choice kept for every query of one binding pattern.
 
     Nothing in a choice depends on the query's constants but the magic
-    seed: the seed is a fact rule, which the cost model skips, and every
-    other rewritten rule depends on the adornment only.  So the cold
-    choice is kept with, per candidate row, the rule texts other than
-    the seed, and :meth:`choice_for` re-seeds it — label, cost, table
-    and program then equal a cold choice for that query.
+    seed: the seed is a fact rule, which the cost model skips and the
+    fingerprints leave out, and every other rewritten rule depends on
+    the adornment only.  So :meth:`choice_for` re-seeds the kept choice
+    — label, cost, fingerprint, table and program then equal a cold
+    choice for that query.
     """
 
-    __slots__ = ("choice", "dataflow", "rows")
+    __slots__ = ("choice", "dataflow")
 
-    def __init__(self, choice: ChosenPlan, memo: Memo,
+    def __init__(self, choice: ChosenPlan,
                  dataflow: "DataflowResult | None") -> None:
         self.choice = replace(choice)
         #: The analysis the costs were priced with.
         self.dataflow = dataflow
-        #: ``(fingerprint, label, cost, seeded)`` per group; ``seeded``
-        #: is a magic candidate's rewrite and its other rules' texts.
-        self.rows: list[tuple[str, str, float, _Seeded | None]] = []
-        for group in memo:
-            magic = group.candidate.magic
-            seeded = None if magic is None else (magic, tuple(
-                str(rule) for rule in group.candidate.program
-                if rule is not magic.seed))
-            self.rows.append((group.fingerprint, group.candidate.label,
-                              group.cost, seeded))
 
     def choice_for(self, query: Atom | None, start: float) -> ChosenPlan:
         """The kept choice, seeded for ``query`` (of the kept pattern)."""
@@ -638,25 +627,10 @@ class PreparedPlan:
         if magic is not None:
             assert query is not None
             magic = reseed(magic, query)
-        table: list[tuple[str, str, float]] = []
-        fingerprint = kept.fingerprint
-        for old, label, cost, seeded in self.rows:
-            new = old
-            if seeded is not None:
-                assert query is not None
-                rewritten, texts = seeded
-                seed = magic_seed(query, rewritten.adornment)
-                new = _fingerprint(texts + (str(seed),),
-                                   rewritten.query_pred)
-            if old == kept.fingerprint:
-                fingerprint = new
-            table.append((new, label, cost))
-        return ChosenPlan(
-            program=kept.program if magic is None else magic.program,
-            transforms=kept.transforms, cost=kept.cost,
-            fingerprint=fingerprint, magic=magic, groups=kept.groups,
-            paths=kept.paths, enumeration_seconds=perf_counter() - start,
-            table=table, dropped=kept.dropped, reused=True)
+        return replace(
+            kept, program=kept.program if magic is None else magic.program,
+            magic=magic, enumeration_seconds=perf_counter() - start,
+            reused=True)
 
 
 def _violated(ics: tuple, edb: Database) -> tuple[int, ...]:
@@ -745,7 +719,7 @@ def choose_plan(program: Program, edb: Database,
                         dropped=tuple(labels[index] for index in violated))
     if keep:
         assert entry is not None
-        entry.plan = PreparedPlan(choice, memo, dataflow)
+        entry.plan = PreparedPlan(choice, dataflow)
     return choice
 
 

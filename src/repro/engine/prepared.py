@@ -8,8 +8,8 @@ up is handed to the next of the same pattern (the once-per-shape
 setting of Fejza & Genevès, arXiv:2312.02572):
 
 - :func:`~repro.analysis.dataflow.analyze_dataflow` keeps its result;
-- :func:`~repro.engine.optimizer.choose_plan` keeps the chosen
-  candidate with its magic seed held apart, and seeds it per query;
+- :func:`~repro.engine.optimizer.choose_plan` keeps its choice, whose
+  fingerprints leave the magic seed out, and re-seeds it per query;
 - :func:`~repro.engine.optimizer.cbo_evaluate` runs every query of the
   pattern with one :class:`~repro.engine.compile.KernelCache`.
 
@@ -55,7 +55,7 @@ class PreparedQuery:
             result, kept on the IC-free entry (the analysis takes no
             ICs); None until analyzed.
         plan: :func:`~repro.engine.optimizer.choose_plan`'s choice,
-            seed held apart; None until chosen.
+            re-seeded per query; None until chosen.
         violated: positions in ``ics`` of the ICs the EDB violates;
             None until checked.
     """

@@ -388,6 +388,8 @@ class TestPreparedQueries:
         assert "enumerated in" in first.describe()
         assert "reused, not re-enumerated" in second.describe()
         assert second.describe().count("*") == 1
+        assert (second.fingerprint, second.table) \
+            == (first.fingerprint, first.table)
 
     def test_a_write_to_a_read_relation_forces_one_replan(self, counted):
         program, db = Program(TC.rules), digraph()

@@ -158,7 +158,7 @@ class TestEngineFeatures:
         assert stats.derivations == 6
         assert stats.atom_lookups > 0
         assert stats.rule_rows.get("r1", 0) > 0
-        assert stats.rows_for_rules("r") == stats.rows_matched
+        assert sum(stats.rule_rows.values()) == stats.rows_matched
 
     def test_stats_merge(self):
         a, b = EvalStats(), EvalStats()
