@@ -146,6 +146,13 @@ def experiment_e2(sizes: tuple[int, ...] = (20, 40, 80),
             payments=size // 2, doctoral_fraction=0.05,
             high_payment_fraction=0.5)
         db = generate_university(params, rng)
+        # The generator draws each payment's thesis independently of
+        # the supervisions, so a small instance may pay no supervised
+        # thesis and derive no eval_support row at all (40 professors
+        # did): pay one in every 40 supervised (student, thesis) pairs.
+        for g, (_, student, thesis) in enumerate(
+                sorted(db.facts("super"))[::40]):
+            db.add_fact("pays", 5000, f"gs{g}", student, thesis)
         repair(db, ic2u)
         runs = {}
         for planner in ("source", "greedy"):

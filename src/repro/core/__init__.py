@@ -9,7 +9,7 @@ from .residues import (SequenceResidue, detect_sequences, generate_residues,
                        generate_residues_exhaustive, residues_for_sequence,
                        rule_level_residues)
 from .containment import (chase, contained_under, elimination_is_sound,
-                          freeze)
+                          freeze, introduction_is_sound, pruning_is_sound)
 from .isolate import Isolation, isolate
 from .push import (PushOutcome, apply_elimination, apply_introduction,
                    apply_pruning, remove_dead_rules)
@@ -31,6 +31,7 @@ __all__ = [
     "generate_residues", "generate_residues_exhaustive",
     "residues_for_sequence", "rule_level_residues",
     "chase", "contained_under", "elimination_is_sound", "freeze",
+    "introduction_is_sound", "pruning_is_sound",
     "Isolation", "isolate",
     "PushOutcome", "apply_elimination", "apply_introduction",
     "apply_pruning", "remove_dead_rules",

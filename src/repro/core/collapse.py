@@ -30,7 +30,7 @@ from ..datalog.terms import FreshVariableSupply
 from ..datalog.unify import Substitution, unify
 
 #: Give up (and keep the automaton form) past this many rules.
-DEFAULT_RULE_BUDGET = 200
+RULE_BUDGET = 200
 
 
 def _has_aux_atom(rule: Rule, aux: set[str]) -> bool:
@@ -63,11 +63,11 @@ def _inline_once(rule: Rule, pred: str, definitions: Iterable[Rule],
     return out
 
 
-def inline_auxiliaries(program: Program, aux_preds: Iterable[str],
-                       rule_budget: int = DEFAULT_RULE_BUDGET
+def inline_auxiliaries(program: Program, aux_preds: Iterable[str]
                        ) -> Program:
     """Resolve away every auxiliary predicate, or return ``program``
-    unchanged when the unrolled form would exceed ``rule_budget`` rules.
+    unchanged when the unrolled form would exceed :data:`RULE_BUDGET`
+    rules.
 
     Auxiliaries are processed innermost-first: a predicate is inlined
     only once its own definitions are auxiliary-free, which terminates
@@ -109,7 +109,7 @@ def inline_auxiliaries(program: Program, aux_preds: Iterable[str],
                     _inline_once(rule, pred, definitions, supply))
             else:
                 new_rules.append(rule)
-        if len(new_rules) > rule_budget:
+        if len(new_rules) > RULE_BUDGET:
             return program  # keep the (correct) automaton form
         rules = new_rules
         aux.discard(pred)

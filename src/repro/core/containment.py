@@ -1,5 +1,12 @@
 """Conjunctive-query containment under integrity constraints (chase).
 
+This module is the one soundness guard of the three Section 4 edits
+(Theorem 4.1): :func:`elimination_is_sound`,
+:func:`introduction_is_sound` and :func:`pruning_is_sound`, one per
+action.  The automaton path (:mod:`repro.core.push`), the depth-class
+compilation (:mod:`repro.core.periodic`) and rule minimization
+(:mod:`repro.core.minimize`) all call them.
+
 Atom elimination (Section 4, optimization 1) deletes an atom ``B`` from a
 sequence clause ``C``.  That is only sound when ``C`` and ``C - B`` are
 equivalent *as queries* on every database satisfying the ICs.  One
@@ -14,9 +21,11 @@ direction is trivial (``C`` has more conjuncts).  The other —
 3. succeed iff ``C`` has a homomorphism into the chased instance that is
    the identity on the head variables.
 
-The paper applies eliminations directly from useful residues; we use this
-check as a soundness guard (it accepts all the paper's examples) unless
-the optimizer is run in ``paper`` fidelity mode.
+Atom introduction is the same test with the roles swapped (``C`` is
+contained in ``C + A``), and subtree pruning asks the chase of ``C`` for
+a contradiction.  The paper applies the edits directly from useful
+residues; the optimizer runs these checks first (they accept all the
+paper's examples) unless it is run with ``guard="none"``.
 """
 
 from __future__ import annotations
@@ -31,6 +40,10 @@ from ..datalog.unify import (EMPTY_SUBSTITUTION, Substitution, match,
 from ..engine import builtins
 from ..constraints.ic import IntegrityConstraint
 from ..constraints.subsumption import rename_ic_apart
+
+#: Round bound of one chase run: it guards against dependency sets
+#: whose chase does not terminate.
+CHASE_ROUNDS = 25
 
 
 @dataclass
@@ -200,17 +213,16 @@ def _head_satisfied(mapped: Atom, existential: frozenset[Variable],
 
 
 def chase(instance: ChaseInstance, ics: Sequence[IntegrityConstraint],
-          supply: FreshVariableSupply, max_rounds: int = 25) -> ChaseInstance:
+          supply: FreshVariableSupply) -> ChaseInstance:
     """Run the (restricted) chase in place and return the instance.
 
     An IC fires when its database atoms embed into the instance and its
     evaluable premises are entailed.  Denials mark the instance
     inconsistent.  Atom heads are only added when no existing atom already
     satisfies them (restricted chase), with fresh variables standing in
-    for existential head variables; the round bound guards against
-    non-terminating dependency sets.
+    for existential head variables; :data:`CHASE_ROUNDS` bounds the rounds.
     """
-    for _ in range(max_rounds):
+    for _ in range(CHASE_ROUNDS):
         changed = False
         for ic in ics:
             renamed = rename_ic_apart(
@@ -279,8 +291,7 @@ def freeze(literals: Sequence[Literal],
 def contained_under(head: Atom, smaller_body: Sequence[Literal],
                     larger_body: Sequence[Literal],
                     ics: Sequence[IntegrityConstraint],
-                    assumptions: Iterable[Comparison] = (),
-                    max_rounds: int = 25) -> bool:
+                    assumptions: Iterable[Comparison] = ()) -> bool:
     """Is every answer of ``(head :- smaller_body)`` also an answer of
     ``(head :- larger_body)`` on IC-satisfying databases (given the
     asserted ``assumptions``)?
@@ -292,7 +303,7 @@ def contained_under(head: Atom, smaller_body: Sequence[Literal],
     instance, supply = freeze(smaller_body, assumptions)
     instance.protected = frozenset(
         arg for arg in head.args if isinstance(arg, Variable))
-    chase(instance, ics, supply, max_rounds=max_rounds)
+    chase(instance, ics, supply)
     if instance.inconsistent:
         return True  # the smaller query is empty under the ICs
     seed: Optional[Substitution] = EMPTY_SUBSTITUTION
@@ -320,3 +331,28 @@ def elimination_is_sound(head: Atom, body: Sequence[Literal],
     smaller = body[:atom_index] + body[atom_index + 1:]
     return contained_under(head, smaller, body, ics,
                            assumptions=assumptions)
+
+
+def introduction_is_sound(head: Atom, body: Sequence[Literal],
+                          introduced: Literal,
+                          ics: Sequence[IntegrityConstraint],
+                          assumptions: Iterable[Comparison] = ()) -> bool:
+    """Can ``introduced`` be added to ``body`` without changing answers?
+
+    ``assumptions`` carries the residue condition ``E`` of a conditional
+    introduction.
+    """
+    body = tuple(body)
+    return contained_under(head, body, body + (introduced,), ics,
+                           assumptions=assumptions)
+
+
+def pruning_is_sound(body: Sequence[Literal],
+                     ics: Sequence[IntegrityConstraint],
+                     assumptions: Iterable[Comparison] = ()) -> bool:
+    """Is ``body`` unsatisfiable on IC-satisfying databases once the
+    residue condition ``assumptions`` holds?  Then every proof tree it
+    describes can be pruned."""
+    instance, supply = freeze(body, assumptions)
+    chase(instance, list(ics), supply)
+    return instance.inconsistent

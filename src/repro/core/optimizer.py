@@ -23,7 +23,7 @@ program, so multi-level passes do not compose arbitrarily.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Sequence
 
 from ..constraints.ic import IntegrityConstraint
@@ -33,9 +33,7 @@ from ..runtime import chaos
 from ..runtime.budget import Budget
 from .collapse import inline_auxiliaries
 from .isolate import Isolation, isolate
-from .periodic import (periodic_applicable, periodic_eliminate,
-                       periodic_introduce, periodic_prune,
-                       push_periodic_group_best_effort)
+from .periodic import periodic_applicable, push_periodic_group_best_effort
 from .push import (GuardMode, PushOutcome, apply_elimination,
                    apply_introduction, apply_pruning)
 from .residues import (SequenceResidue, generate_residues,
@@ -249,52 +247,43 @@ class SemanticOptimizer:
         return _unique(out)
 
     # -- pushing ------------------------------------------------------------------
-    def push(self, program: Program, item: SequenceResidue) -> PushOutcome:
-        """Isolate the residue's sequence in ``program`` and push it."""
-        isolation = isolate(program, item.clause.pred, item.sequence)
-        return self.push_into(isolation, item)
-
-    def push_periodic_item(self, program: Program,
-                           item: SequenceResidue) -> PushOutcome:
-        """Push via the overlap-aware depth-class compilation.
-
-        Callers must have checked :func:`periodic_applicable` against
-        ``program`` first.
-        """
-        action = _preferred_action(item, self.small_relations)
-        pred = item.clause.pred
-        if action == "prune":
-            return periodic_prune(program, pred, item, self.ics,
-                                  self.guard)
-        if action == "eliminate":
-            return periodic_eliminate(program, pred, item, self.ics,
-                                      self.guard)
-        if action == "introduce":
-            return periodic_introduce(program, pred, item, self.ics,
-                                      self.guard)
-        return PushOutcome("skip", False,
-                           "nothing beneficial to push")
-
-    def push_into(self, isolation: Isolation,
-                  item: SequenceResidue) -> PushOutcome:
+    def _push(self, program: Program, item: SequenceResidue,
+              isolation: Isolation | None
+              ) -> tuple[PushOutcome, Isolation | None]:
+        """Push one residue into ``program``: through the depth-class
+        compilation when it applies, else into ``isolation`` (isolated
+        here on first use), which is returned for the group's next
+        residue."""
         action = _preferred_action(item, self.small_relations)
         if action == "skip":
             return PushOutcome(
                 "skip", False,
                 "fact residue names a relation not declared small; "
-                "nothing beneficial to push")
+                "nothing beneficial to push"), isolation
+        pred = item.clause.pred
+        if (self.compilation == "periodic"
+                and periodic_applicable(program, pred, item)):
+            group, (outcome,) = push_periodic_group_best_effort(
+                program, pred, [item], [action], self.ics, self.guard)
+            if group.applied:
+                outcome = replace(group, action=action)
+            return outcome, isolation
+        if isolation is None:
+            isolation = isolate(program, pred, item.sequence)
         if action == "prune":
-            return apply_pruning(isolation, item, self.ics, self.guard)
+            return apply_pruning(isolation, item, self.ics,
+                                 self.guard), isolation
         if action == "eliminate":
             outcome = apply_elimination(isolation, item, self.ics,
                                         self.guard)
             head = item.residue.head_atom()
             if (not outcome.applied and head is not None
                     and head.pred in self.small_relations):
-                return apply_introduction(isolation, item, self.ics,
-                                          self.guard)
-            return outcome
-        return apply_introduction(isolation, item, self.ics, self.guard)
+                outcome = apply_introduction(isolation, item, self.ics,
+                                             self.guard)
+            return outcome, isolation
+        return apply_introduction(isolation, item, self.ics,
+                                  self.guard), isolation
 
     # -- pipeline stages ------------------------------------------------------
     def _sort_key(self, item: SequenceResidue) -> tuple[int, int, int, int]:
@@ -432,13 +421,8 @@ class SemanticOptimizer:
             for item in items:
                 try:
                     _enter(stage, budget)
-                    if (self.compilation == "periodic"
-                            and periodic_applicable(current, pred, item)):
-                        outcome = self.push_periodic_item(current, item)
-                    else:
-                        if isolation is None:
-                            isolation = isolate(current, pred, sequence)
-                        outcome = self.push_into(isolation, item)
+                    outcome, isolation = self._push(current, item,
+                                                    isolation)
                 except ProgramError as error:
                     outcome = PushOutcome(
                         _preferred_action(item, self.small_relations),

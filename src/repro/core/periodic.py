@@ -24,8 +24,14 @@ where the usefulness extension normally lands them):
 Tuples reachable at several depths are stored in up to two classes (their
 minimal class and ``deep``), the price of the overlap-aware form on dense
 data; on trees and chains each tuple lives in exactly one class and every
-level past warm-up runs the edited body.  Soundness rests on the same
-chase guard as the automaton path and is property-tested.
+level past warm-up runs the edited body.
+
+Each residue's edit is licensed by the same guard as on the automaton
+path — :func:`~repro.core.containment.elimination_is_sound`,
+:func:`~repro.core.containment.introduction_is_sound` or
+:func:`~repro.core.containment.pruning_is_sound`, run once on the
+residue's own sequence clause — before :func:`push_periodic_group`
+compiles the validated edits; soundness is property-tested.
 """
 
 from __future__ import annotations
@@ -37,7 +43,8 @@ from ..datalog.atoms import Atom, Comparison
 from ..datalog.program import Program
 from ..datalog.rules import Rule
 from ..errors import TransformError
-from .containment import chase, contained_under, freeze
+from .containment import (elimination_is_sound, introduction_is_sound,
+                          pruning_is_sound)
 from .push import (GuardMode, PushOutcome, _complement_copies,
                    _residue_condition)
 from .residues import SequenceResidue
@@ -107,18 +114,19 @@ def _aux_name(program: Program, pred: str, stem: str) -> str:
 
 @dataclass(frozen=True)
 class _Edit:
-    """One residue's contribution to the depth-class program.
-
-    ``threshold`` is the minimum number of recursive steps the *child*
-    tuple must have for the pattern to sit beneath the extension
-    (``k - 1`` for a ``r^k`` residue).
-    """
+    """One validated residue's contribution to the depth-class program."""
 
     action: str                       # eliminate | introduce | prune
-    threshold: int
+    sequence: tuple[str, ...]         # the residue's ``r^k``
     condition: tuple[Comparison, ...]
     body_index: int | None = None     # eliminate: atom position in r
     introduced: object = None         # introduce: the atom to prepend
+
+    @property
+    def threshold(self) -> int:
+        """The minimum number of recursive steps the *child* tuple must
+        have for the pattern to sit beneath the extension (``k - 1``)."""
+        return len(self.sequence) - 1
 
 
 def _apply_edit_unconditional(rule: Rule, edit: _Edit) -> Rule | None:
@@ -146,19 +154,16 @@ def _split_on_edit(copies: list[Rule], edit: _Edit,
 
 
 def push_periodic_group(program: Program, pred: str,
-                        items: "list[SequenceResidue]",
-                        actions: list[str],
-                        ics, guard: GuardMode = "chase"
-                        ) -> PushOutcome:
-    """Compile several periodic residues over one recursive rule.
+                        edits: list[_Edit]) -> PushOutcome:
+    """Compile several validated periodic edits over one recursive rule.
 
     The depth classes are sized to the *largest* residue; each residue's
     edit applies to every extension step whose child depth reaches that
-    residue's threshold.  All residues must pass their individual chase
-    guards (failing ones abort — callers can retry them individually).
+    residue's threshold.  The edits come from :func:`_edit_for`, which
+    ran their guards.
     """
-    labels = {periodic_shape(program, pred, item.sequence)
-              for item in items}
+    labels = {periodic_shape(program, pred, edit.sequence)
+              for edit in edits}
     if len(labels) != 1 or None in labels:
         return PushOutcome("group", False,
                            "residues span different recursive rules")
@@ -169,16 +174,7 @@ def push_periodic_group(program: Program, pred: str,
             "group", False,
             "periodic compilation needs a single recursive rule")
 
-    # Validate each residue and build its edit.
-    edits: list[_Edit] = []
-    for item, action in zip(items, actions):
-        outcome = _validate_for_group(program, pred, item, action, ics,
-                                      guard)
-        if isinstance(outcome, PushOutcome):
-            return outcome
-        edits.append(outcome)
-
-    big_k = max(len(item.sequence) for item in items)
+    big_k = max(len(edit.sequence) for edit in edits)
     class_names = [_aux_name(program, pred, f"d{j}")
                    for j in range(big_k - 1)]
     deep_name = _aux_name(program, pred, "deep")
@@ -256,25 +252,21 @@ def push_periodic_group_best_effort(
 
     Returns the group outcome plus one outcome per input residue (failed
     guards are reported individually instead of aborting the group).
+    One residue is pushed by calling this with a one-item list.
     """
     per_item: list[PushOutcome] = []
-    survivors: list = []
-    survivor_actions: list[str] = []
+    edits: list[_Edit] = []
     for item, action in zip(items, actions):
-        validated = _validate_for_group(program, pred, item, action, ics,
-                                        guard)
+        validated = _edit_for(item, action, ics, guard)
         if isinstance(validated, PushOutcome):
             per_item.append(validated)
         else:
             per_item.append(PushOutcome(action, True))
-            survivors.append(item)
-            survivor_actions.append(action)
-    if not survivors:
+            edits.append(validated)
+    if not edits:
         return (PushOutcome("group", False,
                             "no residue survived its guard"), per_item)
-    # Guards already ran; compile without re-checking.
-    outcome = push_periodic_group(program, pred, survivors,
-                                  survivor_actions, ics, guard="none")
+    outcome = push_periodic_group(program, pred, edits)
     if not outcome.applied:
         per_item = [
             PushOutcome(entry.action, False, outcome.reason)
@@ -282,39 +274,36 @@ def push_periodic_group_best_effort(
     return outcome, per_item
 
 
-def _validate_for_group(program: Program, pred: str, item, action: str,
-                        ics, guard: GuardMode):
-    """Run the per-residue guard and build its :class:`_Edit`."""
+def _edit_for(item: SequenceResidue, action: str, ics,
+              guard: GuardMode) -> _Edit | PushOutcome:
+    """Run the residue's guard on its sequence clause and build its
+    :class:`_Edit`, or say why it cannot be pushed."""
     residue = item.residue
-    threshold = len(item.sequence) - 1
+    clause = item.clause
     if action == "prune":
         condition = _residue_condition(residue)
-        if guard == "chase":
-            instance, supply = freeze(item.clause.literals(), condition)
-            chase(instance, list(ics), supply)
-            if not instance.inconsistent:
-                return PushOutcome(
-                    "prune", False,
-                    "chase guard could not derive a contradiction for "
-                    f"{residue}")
-        return _Edit("prune", threshold, condition)
+        if guard == "chase" and not pruning_is_sound(
+                clause.literals(), ics, condition):
+            return PushOutcome(
+                "prune", False,
+                "chase guard could not derive a contradiction for "
+                f"{residue}")
+        return _Edit("prune", item.sequence, condition)
     if action == "eliminate":
         head = residue.head_atom()
         condition = _residue_condition(residue)
-        provenance = item.clause.provenance_of(head) if head else None
+        provenance = clause.provenance_of(head) if head else None
         if provenance is None or provenance.level != 0:
             return PushOutcome("eliminate", False,
                                "edit target is not at pattern level 0")
-        if guard == "chase":
-            literals = item.clause.literals()
-            index = literals.index(head)
-            smaller = literals[:index] + literals[index + 1:]
-            if not contained_under(item.clause.head, smaller, literals,
-                                   ics, assumptions=condition):
-                return PushOutcome(
-                    "eliminate", False,
-                    f"chase guard rejected deleting {head}")
-        return _Edit("eliminate", threshold, condition,
+        literals = clause.literals()
+        if guard == "chase" and not elimination_is_sound(
+                clause.head, literals, literals.index(head), ics,
+                condition):
+            return PushOutcome(
+                "eliminate", False,
+                f"chase guard rejected deleting {head}")
+        return _Edit("eliminate", item.sequence, condition,
                      body_index=provenance.body_index)
     if action == "introduce":
         unextended = item.subsumption.residue
@@ -322,53 +311,11 @@ def _validate_for_group(program: Program, pred: str, item, action: str,
         head = unextended.head
         if head is None:
             return PushOutcome("introduce", False, "no head to introduce")
-        if guard == "chase":
-            literals = item.clause.literals()
-            if not contained_under(item.clause.head, literals,
-                                   literals + (head,), ics,
-                                   assumptions=condition):
-                return PushOutcome(
-                    "introduce", False,
-                    f"chase guard rejected adding {head}")
-        return _Edit("introduce", threshold, condition, introduced=head)
+        if guard == "chase" and not introduction_is_sound(
+                clause.head, clause.literals(), head, ics, condition):
+            return PushOutcome(
+                "introduce", False,
+                f"chase guard rejected adding {head}")
+        return _Edit("introduce", item.sequence, condition,
+                     introduced=head)
     return PushOutcome(action, False, f"unsupported action {action!r}")
-
-
-# ---------------------------------------------------------------------------
-# Guarded entry points mirroring repro.core.push.apply_*
-# ---------------------------------------------------------------------------
-
-def _single(program: Program, pred: str, item: SequenceResidue,
-            action: str, ics, guard: GuardMode) -> PushOutcome:
-    """Push one residue via the (general) group compiler."""
-    validated = _validate_for_group(program, pred, item, action, ics,
-                                    guard)
-    if isinstance(validated, PushOutcome):
-        return validated
-    outcome = push_periodic_group(program, pred, [item], [action], ics,
-                                  guard="none")
-    if outcome.applied:
-        return PushOutcome(action, True, edited_rule=outcome.edited_rule,
-                           program=outcome.program,
-                           preserved_preds=outcome.preserved_preds)
-    return PushOutcome(action, False, outcome.reason)
-
-
-def periodic_eliminate(program: Program, pred: str,
-                       item: SequenceResidue, ics,
-                       guard: GuardMode = "chase") -> PushOutcome:
-    """Depth-class atom elimination (edit at pattern level 0)."""
-    return _single(program, pred, item, "eliminate", ics, guard)
-
-
-def periodic_prune(program: Program, pred: str, item: SequenceResidue,
-                   ics, guard: GuardMode = "chase") -> PushOutcome:
-    """Depth-class subtree pruning (condition at pattern level 0)."""
-    return _single(program, pred, item, "prune", ics, guard)
-
-
-def periodic_introduce(program: Program, pred: str,
-                       item: SequenceResidue, ics,
-                       guard: GuardMode = "chase") -> PushOutcome:
-    """Depth-class atom introduction (attachment at pattern level 0)."""
-    return _single(program, pred, item, "introduce", ics, guard)

@@ -20,9 +20,10 @@ copies each carrying one complemented comparison (free residue bodies are
 evaluable, so complements are comparisons again — no negation needed).
 
 Unless ``guard="none"`` (paper-fidelity mode), every edit is first
-validated with the chase-based containment test of
-:mod:`repro.core.containment`; edits that cannot be proven
-answer-preserving are skipped and reported rather than applied.
+validated by its action's guard in :mod:`repro.core.containment`
+(the chase-based containment test the depth-class compilation shares);
+edits that cannot be proven answer-preserving are skipped and reported
+rather than applied.
 """
 
 from __future__ import annotations
@@ -35,7 +36,8 @@ from ..datalog.atoms import Atom, Comparison
 from ..datalog.program import Program
 from ..datalog.rules import Rule
 from ..errors import TransformError
-from .containment import chase, contained_under, freeze
+from .containment import (elimination_is_sound, introduction_is_sound,
+                          pruning_is_sound)
 from .isolate import Isolation
 from .residues import SequenceResidue
 from .sequences import ProvenancedLiteral
@@ -268,16 +270,14 @@ def apply_elimination(isolation: Isolation, item: SequenceResidue,
             f"residue head {head} does not occur in the sequence "
             "(not useful for elimination)")
 
-    if guard == "chase":
-        literals = isolation.clause.literals()
-        index = literals.index(head)
-        smaller = literals[:index] + literals[index + 1:]
-        if not contained_under(isolation.clause.head, smaller, literals,
-                               ics, assumptions=condition):
-            return PushOutcome(
-                "eliminate", False,
-                f"chase guard could not prove deleting {head} is "
-                "answer-preserving")
+    literals = isolation.clause.literals()
+    if guard == "chase" and not elimination_is_sound(
+            isolation.clause.head, literals, literals.index(head), ics,
+            condition):
+        return PushOutcome(
+            "eliminate", False,
+            f"chase guard could not prove deleting {head} is "
+            "answer-preserving")
 
     rule = isolation.alpha_rule(provenance.level)
     body_index = _alpha_body_index(rule, provenance, head)
@@ -345,15 +345,13 @@ def apply_introduction(isolation: Isolation, item: SequenceResidue,
             "introduce", False,
             "the residue head shares no variable with the sequence")
 
-    if guard == "chase":
-        literals = isolation.clause.literals()
-        larger = literals + (introduced,)
-        if not contained_under(isolation.clause.head, literals, larger,
-                               ics, assumptions=condition):
-            return PushOutcome(
-                "introduce", False,
-                f"chase guard could not prove adding {introduced} is "
-                "answer-preserving")
+    if guard == "chase" and not introduction_is_sound(
+            isolation.clause.head, isolation.clause.literals(), introduced,
+            ics, condition):
+        return PushOutcome(
+            "introduce", False,
+            f"chase guard could not prove adding {introduced} is "
+            "answer-preserving")
 
     rule = isolation.alpha_rule(level)
     # Prepend the reducer: the paper reorders so "the selection is first
@@ -381,14 +379,12 @@ def apply_pruning(isolation: Isolation, item: SequenceResidue,
                            "only null residues prune subtrees")
     condition = _residue_condition(residue)
 
-    if guard == "chase":
-        instance, supply = freeze(isolation.clause.literals(), condition)
-        chase(instance, list(ics), supply)
-        if not instance.inconsistent:
-            return PushOutcome(
-                "prune", False,
-                "chase guard could not derive a contradiction from the "
-                "sequence plus the residue condition")
+    if guard == "chase" and not pruning_is_sound(
+            isolation.clause.literals(), ics, condition):
+        return PushOutcome(
+            "prune", False,
+            "chase guard could not derive a contradiction from the "
+            "sequence plus the residue condition")
 
     if not condition:
         # Unconditional: the pattern-completing alpha-rule goes away.

@@ -32,7 +32,7 @@ from ..datalog.rules import Rule
 from ..datalog.unify import Substitution
 from ..errors import ConstraintError
 from .pattern import PatternGraph, build_pattern_graph
-from .sdgraph import DEFAULT_MAX_HOPS, SDGraph, build_sd_graph
+from .sdgraph import SDGraph, build_sd_graph
 from .sequences import SequenceClause, enumerate_sequences, unfold
 
 
@@ -121,12 +121,10 @@ def candidate_sequences(sd: SDGraph, pattern: PatternGraph
 
 
 def detect_sequences(program: Program, pred: str,
-                     ic: IntegrityConstraint,
-                     max_hops: int = DEFAULT_MAX_HOPS
-                     ) -> list[tuple[str, ...]]:
+                     ic: IntegrityConstraint) -> list[tuple[str, ...]]:
     """Steps 1-3 of Algorithm 3.1: all candidate sequences, both
     orientations, deduplicated, shortest first."""
-    sd = build_sd_graph(program, pred, max_hops=max_hops)
+    sd = build_sd_graph(program, pred)
     pattern = build_pattern_graph(ic)
     candidates: list[tuple[str, ...]] = []
     seen: set[tuple[str, ...]] = set()
@@ -296,7 +294,6 @@ def _sequence_extensions(program: Program, pred: str,
 
 def generate_residues(program: Program, pred: str,
                       ic: IntegrityConstraint,
-                      max_hops: int = DEFAULT_MAX_HOPS,
                       useful_only: bool = True,
                       max_extend: int = 3) -> list[SequenceResidue]:
     """Algorithm 3.1: residues of ``ic`` w.r.t. the program for ``pred``.
@@ -312,7 +309,7 @@ def generate_residues(program: Program, pred: str,
 
     The analysis runs once per program and IC: the result is memoised
     on the ``program`` instance, keyed by ``pred``, the IC's identity
-    and the three options, so lint, the optimizer and plan choice share
+    and the two options, so lint, the optimizer and plan choice share
     one computation.  This is sound because ``Program``, its rules and
     the IC are immutable, and the memo lives and dies with the program.
     The memo holds the IC, so its identity cannot be reused, and two
@@ -320,17 +317,16 @@ def generate_residues(program: Program, pred: str,
     Each call returns a fresh list, and a computation that raises
     stores nothing.
     """
-    key = (pred, id(ic), max_hops, useful_only, max_extend)
+    key = (pred, id(ic), useful_only, max_extend)
     hit = program._residues.get(key)
     if hit is None:
-        found = _algorithm_3_1(program, pred, ic, max_hops, useful_only,
-                               max_extend)
+        found = _algorithm_3_1(program, pred, ic, useful_only, max_extend)
         hit = program._residues[key] = (ic, tuple(found))
     return list(hit[1])
 
 
 def _algorithm_3_1(program: Program, pred: str, ic: IntegrityConstraint,
-                   max_hops: int, useful_only: bool,
+                   useful_only: bool,
                    max_extend: int) -> list[SequenceResidue]:
     """One uncached run of :func:`generate_residues`.
 
@@ -348,7 +344,7 @@ def _algorithm_3_1(program: Program, pred: str, ic: IntegrityConstraint,
         if all(not _same_residue(item, other) for other in results):
             results.append(item)
 
-    for sequence in detect_sequences(program, pred, ic, max_hops=max_hops):
+    for sequence in detect_sequences(program, pred, ic):
         items = verified.get(sequence)
         if items is None:
             items = verified[sequence] = residues_for_sequence(
@@ -390,8 +386,7 @@ def generate_residues_exhaustive(program: Program, pred: str,
     if max_length is None:
         max_length = len(ic.database_atoms()) + 1
     results: list[SequenceResidue] = []
-    for sequence in enumerate_sequences(program, pred, max_length,
-                                        include_exit=True):
+    for sequence in enumerate_sequences(program, pred, max_length):
         for item in residues_for_sequence(program, pred, sequence, ic):
             if useful_only and not (item.useful
                                     or introduction_eligible(item)):

@@ -16,6 +16,7 @@ dummy subgoal).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterator
 
 from ..datalog.program import Program
@@ -23,7 +24,7 @@ from .apgraph import (APGraph, SubgoalNode, build_ap_graph,
                       same_rule_shared_positions)
 
 #: Maximum number of recursion levels an SD edge may span.
-DEFAULT_MAX_HOPS = 6
+MAX_HOPS = 6
 
 
 @dataclass(frozen=True)
@@ -53,15 +54,10 @@ class SDGraph:
     directed: list[SDEdge] = field(default_factory=list)
     undirected: list[SDEdge] = field(default_factory=list)
 
-    def edges_from(self, node: SubgoalNode,
-                   include_undirected: bool = True) -> Iterator[SDEdge]:
-        for edge in self.directed:
+    def edges_from(self, node: SubgoalNode) -> Iterator[SDEdge]:
+        for edge in chain(self.directed, self.undirected):
             if edge.source == node:
                 yield edge
-        if include_undirected:
-            for edge in self.undirected:
-                if edge.source == node:
-                    yield edge
 
     def nodes_for(self, predicate: str) -> Iterator[SubgoalNode]:
         for node, atom in self.ap.subgoals.items():
@@ -69,20 +65,18 @@ class SDGraph:
                 yield node
 
 
-def build_sd_graph(program: Program, pred: str,
-                   max_hops: int = DEFAULT_MAX_HOPS) -> SDGraph:
+def build_sd_graph(program: Program, pred: str) -> SDGraph:
     """Construct the SD-graph of ``program`` w.r.t. ``pred``."""
     ap = build_ap_graph(program, pred)
     graph = SDGraph(ap=ap)
 
-    # Directed edges: undirected hop into p_k, then 1..max_hops directed
+    # Directed edges: undirected hop into p_k, then 1..MAX_HOPS directed
     # hops.  Accumulate (source, target, expansion) -> pairs.
     accumulated: dict[tuple[SubgoalNode, SubgoalNode, tuple[str, ...]],
                       set[tuple[int, int]]] = {}
     for start in ap.subgoals:
         for hop in ap.undirected_from(start):
-            _walk(ap, start, hop.arg_pos, hop.position, (), accumulated,
-                  max_hops)
+            _walk(ap, start, hop.arg_pos, hop.position, (), accumulated)
     for (source, target, expansion), pairs in accumulated.items():
         graph.directed.append(
             SDEdge(source, target, expansion, frozenset(pairs)))
@@ -106,9 +100,9 @@ def build_sd_graph(program: Program, pred: str,
 
 def _walk(ap: APGraph, start: SubgoalNode, start_arg: int, position: int,
           expansion: tuple[str, ...],
-          accumulated: dict, max_hops: int) -> None:
+          accumulated: dict) -> None:
     """Depth-first walk along directed AP edges from ``p_position``."""
-    if len(expansion) >= max_hops:
+    if len(expansion) >= MAX_HOPS:
         return
     for edge in ap.directed_from(position):
         new_expansion = expansion + (edge.rule,)
@@ -118,4 +112,4 @@ def _walk(ap: APGraph, start: SubgoalNode, start_arg: int, position: int,
                 (start_arg, edge.arg_pos))
         else:  # another recursive-call position: keep threading down
             _walk(ap, start, start_arg, edge.target[1], new_expansion,
-                  accumulated, max_hops)
+                  accumulated)

@@ -70,14 +70,9 @@ class SequenceClause:
     level_substitutions: tuple[Substitution, ...]
     recursive_tail: int | None
 
-    def literals(self, include_tail: bool = True) -> tuple[Literal, ...]:
-        """The bare body literals (optionally without the recursive tail)."""
-        out = []
-        for index, item in enumerate(self.body):
-            if not include_tail and index == self.recursive_tail:
-                continue
-            out.append(item.literal)
-        return tuple(out)
+    def literals(self) -> tuple[Literal, ...]:
+        """The bare body literals."""
+        return tuple(item.literal for item in self.body)
 
     def __str__(self) -> str:
         body = ", ".join(str(item.literal) for item in self.body)
@@ -249,18 +244,16 @@ def unfold(program: Program, pred: str,
         recursive_tail=recursive_tail)
 
 
-def enumerate_sequences(program: Program, pred: str, max_length: int,
-                        include_exit: bool = True
+def enumerate_sequences(program: Program, pred: str, max_length: int
                         ) -> Iterator[tuple[str, ...]]:
     """Enumerate expansion-sequence label tuples up to ``max_length``.
 
-    All prefixes consist of recursive rules; when ``include_exit`` is set,
-    sequences may additionally end with an exit rule.  Lengths from 1 to
-    ``max_length`` are produced in breadth-first order.
+    All prefixes consist of recursive rules; a sequence may end with an
+    exit rule.  Lengths from 1 to ``max_length`` are produced in
+    breadth-first order.
     """
     recursive = [r.label for r in program.recursive_rules(pred)]
-    exits = [r.label for r in program.exit_rules(pred)] if include_exit \
-        else []
+    exits = [r.label for r in program.exit_rules(pred)]
     frontier: list[tuple[str, ...]] = [()]
     for _ in range(max_length):
         next_frontier: list[tuple[str, ...]] = []

@@ -89,10 +89,10 @@ class Program:
             self._by_head[r.head.pred] += (r,)
         self._recursion: RecursionInfo | None = None
         # Algorithm 3.1's results on this program, filled by
-        # ``core.residues.generate_residues``: (pred, id(ic), max_hops,
+        # ``core.residues.generate_residues``: (pred, id(ic),
         # useful_only, max_extend) -> (ic, residues).
         self._residues: dict[
-            tuple[str, int, int, bool, int],
+            tuple[str, int, bool, int],
             tuple[IntegrityConstraint, tuple[SequenceResidue, ...]]] = {}
         # Unfolded recursive prefixes of expansion sequences, filled by
         # ``core.sequences.unfold``: (pred, prefix labels) -> prefix.

@@ -35,8 +35,9 @@ class PlanStep:
     Attributes:
         literal: the literal, as written.
         kind: ``scan`` (no bound columns), ``probe`` (indexed lookup),
+            ``member`` (every column bound: a membership test),
             ``check`` (comparison / negation test), or ``bind``
-            (an ``=`` that assigns).
+            (an ``=`` that assigns); an atom's kind is its kernel's.
         bound_columns: 0-based columns bound at probe time (atoms only).
         relation_size: the relation's size at planning time (atoms only).
         estimate: estimated rows matched per probe, from live relation
@@ -50,16 +51,14 @@ class PlanStep:
     estimate: float | None = None
 
     def render(self) -> str:
-        if self.kind in ("scan", "probe"):
-            columns = ",".join(str(c) for c in self.bound_columns)
-            detail = f"probe[{columns}]" if self.kind == "probe" \
-                else "scan"
-            text = f"{detail:12} {self.literal}  " \
-                   f"(~{self.relation_size} rows"
-            if self.estimate is not None:
-                text += f", est {self.estimate:g}/probe"
-            return text + ")"
-        return f"{self.kind:12} {self.literal}"
+        if self.relation_size is None:
+            return f"{self.kind:12} {self.literal}"
+        columns = ",".join(str(c) for c in self.bound_columns)
+        detail = f"probe[{columns}]" if self.kind == "probe" else self.kind
+        text = f"{detail:12} {self.literal}  (~{self.relation_size} rows"
+        if self.estimate is not None:
+            text += f", est {self.estimate:g}/probe"
+        return text + ")"
 
 
 @dataclass(frozen=True)
@@ -117,9 +116,12 @@ def plan_rule(rule: Rule, program: Program, edb: Database,
     """Compute the execution plan one rule would use.
 
     The order and the estimates are those of :func:`_round0_kernel`'s
-    kernel; each atom's size is read through the same ``fetch``.
+    kernel, and so is each atom's step kind (a fully bound atom is the
+    kernel's ``member`` test); each atom's size is read through the same
+    ``fetch``.
     """
     fetch, kernel = _round0_kernel(rule, program, edb, idb, planner)
+    kinds = {source[0]: source[3] for source in kernel.sources}
     bound: set[Variable] = set()
     steps: list[PlanStep] = []
     for index in kernel.order:
@@ -133,9 +135,8 @@ def plan_rule(rule: Rule, program: Program, edb: Database,
         if isinstance(literal, Negation):
             steps.append(PlanStep(literal, "check"))
             continue
-        columns = bound_columns_of(literal, bound)
         steps.append(PlanStep(
-            literal, "probe" if columns else "scan", columns,
+            literal, kinds[index], bound_columns_of(literal, bound),
             len(fetch(literal, index)), kernel.plan_costs.get(index)))
         bound.update(literal.variable_set())
     return RulePlan(rule, tuple(steps), planner=planner)

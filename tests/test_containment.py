@@ -4,7 +4,9 @@ import pytest
 
 from repro.constraints import ic_from_text, ics_from_text
 from repro.core.containment import (ChaseInstance, chase, contained_under,
-                                    elimination_is_sound, entails, freeze)
+                                    elimination_is_sound, entails, freeze,
+                                    introduction_is_sound,
+                                    pruning_is_sound)
 from repro.core.sequences import unfold
 from repro.datalog.atoms import atom, comparison
 from repro.datalog.parser import parse_literal
@@ -91,6 +93,17 @@ class TestChase:
         chase(instance, [ic], supply)
         assert atom("ww", "X", "W") in instance.atoms
 
+    @pytest.mark.parametrize("rounds", [3, 25])
+    def test_non_terminating_ics_stop_at_the_round_bound(self, rounds,
+                                                         monkeypatch):
+        """Each round invents one fresh successor: only the bound ends
+        the chase, with one atom per round."""
+        monkeypatch.setattr("repro.core.containment.CHASE_ROUNDS", rounds)
+        ic = ic_from_text("e(A, B) -> e(B, C).")
+        instance, supply = freeze((atom("e", "X", "Y"),))
+        chase(instance, [ic], supply)
+        assert len(instance.atoms) == 1 + rounds
+
 
 class TestEliminationGuard:
     def test_example_4_2_elimination_sound(self, ex32):
@@ -163,3 +176,22 @@ class TestContainedUnder:
         smaller = (atom("p", "X"), parse_literal("X > 5"))
         larger = smaller + (atom("ghost", "X"),)
         assert contained_under(head, smaller, larger, [ic])
+
+
+class TestIntroductionAndPruningGuards:
+    def test_introduction_needs_the_residue_condition(self, ex32):
+        r2 = ex32.program.rule("r2")
+        doctoral = atom("doctoral", "S")
+        condition = [parse_literal("M > 10000")]
+        assert introduction_is_sound(r2.head, r2.body, doctoral,
+                                     [ex32.ic("ic2")], condition)
+        assert not introduction_is_sound(r2.head, r2.body, doctoral,
+                                         [ex32.ic("ic2")])
+
+    def test_example_4_3_prunes_only_the_young(self, ex43):
+        clause = unfold(ex43.program, "anc", ("r1", "r1", "r1"))
+        young = [parse_literal("Ya <= 50")]
+        assert pruning_is_sound(clause.literals(), [ex43.ic("ic1")],
+                                young)
+        assert not pruning_is_sound(clause.literals(), [ex43.ic("ic1")])
+        assert not pruning_is_sound(clause.literals(), [], young)

@@ -95,9 +95,11 @@ class TestSDGraph:
                  if e.source == boss and e.target == experienced]
         assert pairs == [frozenset({(1, 1)})]  # they share U
 
-    def test_max_hops_bounds_edges(self, ex41):
-        shallow = build_sd_graph(ex41.program, "triple", max_hops=1)
-        deep = build_sd_graph(ex41.program, "triple", max_hops=4)
+    def test_max_hops_bounds_edges(self, ex41, monkeypatch):
+        monkeypatch.setattr("repro.core.sdgraph.MAX_HOPS", 1)
+        shallow = build_sd_graph(ex41.program, "triple")
+        monkeypatch.setattr("repro.core.sdgraph.MAX_HOPS", 4)
+        deep = build_sd_graph(ex41.program, "triple")
         assert len(shallow.directed) < len(deep.directed)
 
 

@@ -169,6 +169,59 @@ class TestPolicies:
         assert "[prune]" in summary
 
 
+def _removed_knob_calls():
+    """Each removed setting of Algorithms 3.1/4.1, passed by keyword.
+
+    They are module constants now: ``sdgraph.MAX_HOPS``,
+    ``collapse.RULE_BUDGET`` and ``containment.CHASE_ROUNDS``; the
+    sequence and SD-graph filters and the group compiler's guard have
+    no replacement (every caller used the default)."""
+    from repro.core import (build_sd_graph, chase, contained_under,
+                            detect_sequences, enumerate_sequences, freeze,
+                            generate_residues, unfold)
+    from repro.core.collapse import inline_auxiliaries
+    from repro.core.periodic import push_periodic_group
+    from repro.workloads import example_4_3
+
+    ex43 = example_4_3()
+    program, ic = ex43.program, ex43.ic("ic1")
+    clause = unfold(program, "anc", ("r1", "r1"))
+    instance, supply = freeze(clause.literals())
+    node = next(iter(build_sd_graph(program, "anc").ap.subgoals))
+    return {
+        "build_sd_graph.max_hops":
+            lambda: build_sd_graph(program, "anc", max_hops=4),
+        "detect_sequences.max_hops":
+            lambda: detect_sequences(program, "anc", ic, max_hops=4),
+        "generate_residues.max_hops":
+            lambda: generate_residues(program, "anc", ic, max_hops=4),
+        "inline_auxiliaries.rule_budget":
+            lambda: inline_auxiliaries(program, (), rule_budget=1),
+        "chase.max_rounds":
+            lambda: chase(instance, [ic], supply, max_rounds=1),
+        "contained_under.max_rounds":
+            lambda: contained_under(clause.head, clause.literals(),
+                                    clause.literals(), [ic],
+                                    max_rounds=1),
+        "SequenceClause.literals.include_tail":
+            lambda: clause.literals(include_tail=False),
+        "enumerate_sequences.include_exit":
+            lambda: list(enumerate_sequences(program, "anc", 2,
+                                             include_exit=False)),
+        "SDGraph.edges_from.include_undirected":
+            lambda: list(build_sd_graph(program, "anc").edges_from(
+                node, include_undirected=False)),
+        "push_periodic_group.guard":
+            lambda: push_periodic_group(program, "anc", [], guard="none"),
+    }
+
+
+@pytest.mark.parametrize("knob", sorted(_removed_knob_calls()))
+def test_removed_knobs_raise(knob):
+    with pytest.raises(TypeError, match="unexpected keyword"):
+        _removed_knob_calls()[knob]()
+
+
 class TestResidueListing:
     def test_all_residues_mixes_levels(self, ex32):
         optimizer = SemanticOptimizer(ex32.program, list(ex32.ics),

@@ -5,8 +5,8 @@ import pytest
 from repro.core import check_equivalent, generate_residues, isolate
 from repro.core.collapse import inline_auxiliaries
 from repro.core.equivalence import make_consistent, random_database
-from repro.core.periodic import (periodic_applicable, periodic_eliminate,
-                                 periodic_prune, periodic_shape)
+from repro.core.periodic import (periodic_applicable, periodic_shape,
+                                 push_periodic_group_best_effort)
 from repro.datalog import parse_program
 from repro.engine import evaluate
 
@@ -16,6 +16,14 @@ def _find(items, sequence):
         if item.sequence == sequence:
             return item
     raise AssertionError(f"no residue for {sequence}")
+
+
+def _push_one(program, pred, item, action, ics):
+    """One residue through the depth-class compilation: the group
+    outcome of a one-item group."""
+    outcome, _ = push_periodic_group_best_effort(program, pred, [item],
+                                                 [action], ics)
+    return outcome
 
 
 class TestApplicability:
@@ -53,8 +61,8 @@ class TestPeriodicElimination:
     def test_structure(self, ex32):
         items = generate_residues(ex32.program, "eval", ex32.ic("ic1"))
         item = _find(items, ("r1", "r1"))
-        outcome = periodic_eliminate(ex32.program, "eval", item,
-                                     [ex32.ic("ic1")])
+        outcome = _push_one(ex32.program, "eval", item, "eliminate",
+                            [ex32.ic("ic1")])
         assert outcome.applied, outcome.reason
         program = outcome.program
         assert {"eval__d0", "eval__deep"} <= program.idb_predicates
@@ -68,8 +76,8 @@ class TestPeriodicElimination:
     def test_equivalence(self, ex32, rng):
         items = generate_residues(ex32.program, "eval", ex32.ic("ic1"))
         item = _find(items, ("r1", "r1"))
-        outcome = periodic_eliminate(ex32.program, "eval", item,
-                                     [ex32.ic("ic1")])
+        outcome = _push_one(ex32.program, "eval", item, "eliminate",
+                            [ex32.ic("ic1")])
         dbs = []
         for _ in range(6):
             db = random_database(
@@ -91,8 +99,8 @@ class TestPeriodicElimination:
         items = generate_residues(program, "path", ic, useful_only=False)
         candidates = [i for i in items if i.sequence == ("r1", "r1")]
         if candidates:
-            outcome = periodic_eliminate(program, "path", candidates[0],
-                                         [ic])
+            outcome = _push_one(program, "path", candidates[0],
+                                "eliminate", [ic])
             assert not outcome.applied
 
 
@@ -100,8 +108,8 @@ class TestPeriodicPruning:
     def test_structure_and_equivalence(self, ex43, rng):
         items = generate_residues(ex43.program, "anc", ex43.ic("ic1"))
         item = _find(items, ("r1", "r1", "r1"))
-        outcome = periodic_prune(ex43.program, "anc", item,
-                                 [ex43.ic("ic1")])
+        outcome = _push_one(ex43.program, "anc", item, "prune",
+                            [ex43.ic("ic1")])
         assert outcome.applied, outcome.reason
         program = outcome.program
         assert {"anc__d0", "anc__d1", "anc__deep"} <= \
@@ -136,11 +144,11 @@ class TestInlineAuxiliaries:
     def test_no_aux_is_identity(self, ex32):
         assert inline_auxiliaries(ex32.program, ()) is ex32.program
 
-    def test_budget_keeps_original(self, ex43):
+    def test_budget_keeps_original(self, ex43, monkeypatch):
+        monkeypatch.setattr("repro.core.collapse.RULE_BUDGET", 1)
         isolation = isolate(ex43.program, "anc", ("r1", "r1", "r1"))
         aux = isolation.p_names + isolation.q_names
-        unchanged = inline_auxiliaries(isolation.program, aux,
-                                       rule_budget=1)
+        unchanged = inline_auxiliaries(isolation.program, aux)
         assert unchanged == isolation.program
 
     def test_dead_consumers_of_empty_aux_removed(self):
@@ -179,11 +187,10 @@ class TestPeriodicGroups:
         return program, ics, elim, prune
 
     def test_group_compiles_both_edits(self):
-        from repro.core.periodic import push_periodic_group
-
         program, ics, elim, prune = self._setup()
-        outcome = push_periodic_group(program, "reach", [elim, prune],
-                                      ["eliminate", "prune"], list(ics))
+        outcome, _ = push_periodic_group_best_effort(
+            program, "reach", [elim, prune], ["eliminate", "prune"],
+            list(ics))
         assert outcome.applied, outcome.reason
         rules = {r.label: r for r in outcome.program}
         # Depth-1 extensions drop active; depth >= 2 also guard Wy > 10.
@@ -196,11 +203,10 @@ class TestPeriodicGroups:
         assert "active" in rules["r1_d0_step"].body_predicates()
 
     def test_group_equivalence(self, rng):
-        from repro.core.periodic import push_periodic_group
-
         program, ics, elim, prune = self._setup()
-        outcome = push_periodic_group(program, "reach", [elim, prune],
-                                      ["eliminate", "prune"], list(ics))
+        outcome, _ = push_periodic_group_best_effort(
+            program, "reach", [elim, prune], ["eliminate", "prune"],
+            list(ics))
         dbs = []
         for _ in range(6):
             db = random_database({"edge": 3, "active": 1}, 6, 14, rng,
@@ -212,8 +218,6 @@ class TestPeriodicGroups:
                                 dbs) is None
 
     def test_best_effort_reports_per_item(self):
-        from repro.core.periodic import push_periodic_group_best_effort
-
         program, ics, elim, prune = self._setup()
         outcome, per_item = push_periodic_group_best_effort(
             program, "reach", [elim, prune], ["eliminate", "prune"],

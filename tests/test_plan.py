@@ -164,3 +164,20 @@ class TestOneStatisticsSource:
                               planner="adaptive")
         assert [(s.literal.pred, s.kind) for s in recursive.steps] == \
             [("p", "scan"), ("e", "probe")]
+
+
+def test_a_fully_bound_atom_is_the_kernels_member_test():
+    """``explain_plan`` shows the step the kernel runs: an atom whose
+    every column is bound is a ``member`` test, not a probe."""
+    from repro.engine.plan import explain_kernels
+
+    program = parse_program("p(X, Y) :- a(X, Y), b(X, Y).")
+    db = Database.from_text("a(1, 2). a(2, 3). b(1, 2).")
+    plan = plan_rule(program.rule("r0"), program, db, planner="adaptive")
+    assert [(s.literal.pred, s.kind) for s in plan.steps] == \
+        [("b", "scan"), ("a", "member")]
+    kernels = explain_kernels(program, db, planner="adaptive")
+    assert "member       a(X, Y)" in kernels
+    text = explain_plan(program, db, planner="adaptive")
+    assert "member       a(X, Y)  (~2 rows" in text
+    assert "probe[" not in text

@@ -107,11 +107,6 @@ class TestHarness:
 #: Columns whose every cell must read "yes": the runs they compare agree.
 AGREEMENT = ("answers equal", "same sequences")
 
-#: Agreement cells that compare empty answer sets, by experiment and
-#: cell: E2's 40-professor EDB derives no ``eval_support`` row.
-VACUOUS = {("E2", 1)}
-
-
 @lru_cache(maxsize=None)
 def _run(name):
     """Experiment ``name`` at its default sizes: its table and the
@@ -150,11 +145,9 @@ class TestFastExperiments:
         for header in AGREEMENT:
             if header in table.headers:
                 assert set(_column(table, header)) == {"yes"}
-        for index, measurements in enumerate(compared):
+        for measurements in compared:
             assert not any(m.budget_exceeded for m in measurements)
-            empty = [not m.answers for m in measurements]
-            assert all(empty) if (name, index) in VACUOUS \
-                else not any(empty)
+            assert all(m.answers for m in measurements)
 
     def test_e1_and_e2_compare_every_run(self):
         assert [len(group) for group in _run("E1")[1]] == [4, 4, 4]

@@ -41,10 +41,9 @@ class TestUnfold:
         assert clause.recursive_tail is None
         assert len(clause.literals()) == 2
 
-    def test_literals_can_exclude_tail(self, ex43):
+    def test_literals_include_the_tail(self, ex43):
         clause = unfold(ex43.program, "anc", ("r1", "r1"))
         assert len(clause.literals()) == 3
-        assert len(clause.literals(include_tail=False)) == 2
 
     def test_locals_renamed_apart(self, ex21):
         clause = unfold(ex21.program, "p", ("r0", "r0"))
@@ -95,11 +94,6 @@ class TestEnumerateSequences:
         assert ("r1", "r1") in sequences
         assert ("r1", "r0") in sequences
         assert ("r0", "r1") not in sequences  # exit rule terminates
-
-    def test_exit_exclusion(self, ex43):
-        sequences = list(enumerate_sequences(ex43.program, "anc", 2,
-                                             include_exit=False))
-        assert all("r0" not in seq for seq in sequences)
 
     def test_all_unfold(self, ex43):
         for sequence in enumerate_sequences(ex43.program, "anc", 3):
