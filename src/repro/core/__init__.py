@@ -11,8 +11,9 @@ from .residues import (SequenceResidue, detect_sequences, generate_residues,
 from .containment import (chase, contained_under, elimination_is_sound,
                           freeze, introduction_is_sound, pruning_is_sound)
 from .isolate import Isolation, isolate
-from .push import (PushOutcome, apply_elimination, apply_introduction,
-                   apply_pruning, remove_dead_rules)
+from .push import (Edit, PushOutcome, apply_elimination,
+                   apply_introduction, apply_pruning, remove_dead_rules,
+                   validate_edit)
 from .minimize import (apply_functional_dependencies,
                        as_functional_dependency, minimize_program,
                        minimize_rule, rule_subsumed_by)
@@ -33,8 +34,8 @@ __all__ = [
     "chase", "contained_under", "elimination_is_sound", "freeze",
     "introduction_is_sound", "pruning_is_sound",
     "Isolation", "isolate",
-    "PushOutcome", "apply_elimination", "apply_introduction",
-    "apply_pruning", "remove_dead_rules",
+    "Edit", "PushOutcome", "validate_edit", "apply_elimination",
+    "apply_introduction", "apply_pruning", "remove_dead_rules",
     "apply_functional_dependencies",
     "as_functional_dependency", "minimize_program", "minimize_rule",
     "rule_subsumed_by",

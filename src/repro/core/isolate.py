@@ -68,12 +68,14 @@ class Isolation:
         return self.program.rule(self.alpha_labels[level])
 
 
-def _aux_names(program: Program, pred: str, kind: str,
-               count: int) -> list[str]:
+def _aux_names(program: Program, pred: str,
+               stems: Sequence[str]) -> list[str]:
+    """One fresh auxiliary predicate ``pred__stem`` per stem, clear of
+    the program's predicates and of each other."""
     existing = set(program.predicates)
     names = []
-    for index in range(1, count + 1):
-        name = f"{pred}__{kind}{index}"
+    for stem in stems:
+        name = f"{pred}__{stem}"
         while name in existing:
             name += "_"
         existing.add(name)
@@ -81,8 +83,9 @@ def _aux_names(program: Program, pred: str, kind: str,
     return names
 
 
-def _rename_recursive_call(rule: Rule, pred: str, new_pred: str) -> Rule:
-    """Rename the (single) occurrence of ``pred`` in the body."""
+def _rename_call(rule: Rule, pred: str, new_pred: str) -> Rule:
+    """Rename the (single) body occurrence of ``pred``; a rule without
+    one is returned unchanged."""
     body = list(rule.body)
     for index, literal in enumerate(body):
         if isinstance(literal, Atom) and literal.pred == pred:
@@ -111,8 +114,8 @@ def isolate(program: Program, pred: str,
                          alpha_labels=(sequence[0],),
                          p_names=(), q_names=())
 
-    p_names = _aux_names(program, pred, "p", k - 1)
-    q_names = _aux_names(program, pred, "q", k - 1)
+    p_names = _aux_names(program, pred, [f"p{i}" for i in range(1, k)])
+    q_names = _aux_names(program, pred, [f"q{i}" for i in range(1, k)])
 
     def p_name(index: int) -> str:
         """``p_index`` with the paper's convention p_0 = p_k = p."""
@@ -137,7 +140,7 @@ def isolate(program: Program, pred: str,
     for level, instance in enumerate(clause.instances):
         i = level + 1  # the paper's 1-based rule position
         head = Atom(p_name(i - 1), instance.head.args)
-        alpha = _rename_recursive_call(
+        alpha = _rename_call(
             Rule(head, instance.body, label=f"{pred}__alpha{i}"),
             pred, p_name(i))
         alpha_rules.append(alpha)
@@ -145,7 +148,7 @@ def isolate(program: Program, pred: str,
 
         if i <= k - 1:
             # beta-rule: identical body, the call diverts to q_i.
-            beta = _rename_recursive_call(
+            beta = _rename_call(
                 Rule(head, instance.body, label=f"{pred}__beta{i}"),
                 pred, q_name(i))
             if beta.body != alpha.body:  # exit rules yield no distinct beta

@@ -14,17 +14,22 @@ program, so multi-level passes do not compose arbitrarily.
    sequences over the same recursive rule) compose into ONE depth-class
    compilation, each edit applying from its own depth threshold — so
    several ICs on one recursion do not block each other;
-2. the remaining residues are pushed per (predicate, sequence) group:
-   rule-level groups greedily (they preserve linearity), plus at most
-   one further multi-level isolation, ordered by a benefit policy
-   (pruning > elimination > introduction, strict usefulness first).
+2. every residue phase 1 did not compile — including those of a group
+   the depth-class compilation could not take — is pushed through
+   Algorithm 4.1 per (predicate, sequence) group: rule-level groups
+   greedily (they preserve linearity), plus at most one further
+   multi-level isolation, ordered by a benefit policy (pruning >
+   elimination > introduction, strict usefulness first).
+
+Both phases prove an edit through :func:`repro.core.push.validate_edit`,
+and one ``optimize()`` call proves each (residue, action) at most once.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
-from typing import Iterable, Sequence
+from dataclasses import dataclass, field
+from typing import Callable, Iterable, Sequence
 
 from ..constraints.ic import IntegrityConstraint
 from ..datalog.program import Program
@@ -33,15 +38,22 @@ from ..runtime import chaos
 from ..runtime.budget import Budget
 from .collapse import inline_auxiliaries
 from .isolate import Isolation, isolate
-from .periodic import periodic_applicable, push_periodic_group_best_effort
-from .push import (GuardMode, PushOutcome, apply_elimination,
-                   apply_introduction, apply_pruning)
+from .periodic import periodic_applicable, push_periodic_group
+from .push import (Edit, GuardMode, PushOutcome, apply_elimination,
+                   apply_introduction, apply_pruning, validate_edit)
 from .residues import (SequenceResidue, generate_residues,
                        generate_residues_exhaustive,
                        rule_level_residues)
 
 #: Push-action priority (lower sorts first).
 _ACTION_RANK = {"prune": 0, "eliminate": 1, "introduce": 2, "skip": 3}
+
+#: The Algorithm 4.1 back end of each action.
+_INSTALL = {"eliminate": apply_elimination, "introduce": apply_introduction,
+            "prune": apply_pruning}
+
+#: One call's memo of :func:`validate_edit`: (residue, action) -> verdict.
+Prover = Callable[[SequenceResidue, str], Edit | PushOutcome]
 
 #: Breadth and seed of the ``verify="sample"`` spot-check: sampled
 #: IC-consistent databases, facts per relation in each, and the RNG seed
@@ -201,6 +213,9 @@ class SemanticOptimizer:
             raise ValueError(
                 f"compilation must be 'periodic' or 'automaton', "
                 f"got {compilation!r}")
+        if guard not in ("chase", "none"):
+            raise ValueError(
+                f"guard must be 'chase' or 'none', got {guard!r}")
         self.program = program
         self.ics = list(ics)
         self.guard: GuardMode = guard
@@ -247,43 +262,42 @@ class SemanticOptimizer:
         return _unique(out)
 
     # -- pushing ------------------------------------------------------------------
+    def _prover(self) -> Prover:
+        """A fresh memo of :func:`validate_edit`'s verdicts for one
+        ``optimize()`` call, so phase 2 never re-proves what phase 1
+        proved.  Residues are keyed by identity: the call's residue list
+        keeps them alive."""
+        verdicts: dict[tuple[int, str], Edit | PushOutcome] = {}
+
+        def prove(item: SequenceResidue, action: str) -> Edit | PushOutcome:
+            key = (id(item), action)
+            if key not in verdicts:
+                verdicts[key] = validate_edit(item, action, self.ics,
+                                              self.guard)
+            return verdicts[key]
+        return prove
+
     def _push(self, program: Program, item: SequenceResidue,
-              isolation: Isolation | None
+              isolation: Isolation | None, prove: Prover
               ) -> tuple[PushOutcome, Isolation | None]:
-        """Push one residue into ``program``: through the depth-class
-        compilation when it applies, else into ``isolation`` (isolated
-        here on first use), which is returned for the group's next
-        residue."""
+        """Push one residue through Algorithm 4.1 into ``isolation``
+        (isolated here on first use), which is returned for the group's
+        next residue.  An elimination that cannot be pushed is retried as
+        an introduction when its atom's relation is declared small."""
         action = _preferred_action(item, self.small_relations)
         if action == "skip":
             return PushOutcome(
                 "skip", False,
                 "fact residue names a relation not declared small; "
                 "nothing beneficial to push"), isolation
-        pred = item.clause.pred
-        if (self.compilation == "periodic"
-                and periodic_applicable(program, pred, item)):
-            group, (outcome,) = push_periodic_group_best_effort(
-                program, pred, [item], [action], self.ics, self.guard)
-            if group.applied:
-                outcome = replace(group, action=action)
-            return outcome, isolation
         if isolation is None:
-            isolation = isolate(program, pred, item.sequence)
-        if action == "prune":
-            return apply_pruning(isolation, item, self.ics,
-                                 self.guard), isolation
-        if action == "eliminate":
-            outcome = apply_elimination(isolation, item, self.ics,
-                                        self.guard)
-            head = item.residue.head_atom()
-            if (not outcome.applied and head is not None
-                    and head.pred in self.small_relations):
-                outcome = apply_introduction(isolation, item, self.ics,
-                                             self.guard)
-            return outcome, isolation
-        return apply_introduction(isolation, item, self.ics,
-                                  self.guard), isolation
+            isolation = isolate(program, item.clause.pred, item.sequence)
+        outcome = _install(isolation, prove(item, action))
+        head = item.residue.head_atom()
+        if (action == "eliminate" and not outcome.applied
+                and head is not None and head.pred in self.small_relations):
+            outcome = _install(isolation, prove(item, "introduce"))
+        return outcome, isolation
 
     # -- pipeline stages ------------------------------------------------------
     def _sort_key(self, item: SequenceResidue) -> tuple[int, int, int, int]:
@@ -330,7 +344,7 @@ class SemanticOptimizer:
     def _phase1_periodic(self, current: Program,
                          residues: Sequence[SequenceResidue],
                          report: OptimizationReport, preserved: set[str],
-                         budget: Budget | None
+                         budget: Budget | None, prove: Prover
                          ) -> tuple[Program, bool, set[int]]:
         """Phase 1 — periodic super-groups: all multi-level residues over
         the same recursive rule compose into ONE depth-class compilation
@@ -338,7 +352,9 @@ class SemanticOptimizer:
         on one recursion do not block each other.
 
         Returns ``(program, multi_level_done, handled residue ids)``.
-        A failing group is dropped and reported instead of propagating.
+        A failing group is dropped and reported instead of propagating;
+        a group the compilation cannot take leaves its residues to
+        phase 2.
         """
         multi_level_done = False
         handled: set[int] = set()
@@ -359,26 +375,28 @@ class SemanticOptimizer:
         for (pred, rule_label), entries in by_rule.items():
             if multi_level_done:
                 break
-            items = [entry[0] for entry in entries]
-            actions = [entry[1] for entry in entries]
             stage = f"periodic:{pred}/{rule_label}"
             try:
                 _enter(stage, budget)
-                outcome, per_item = push_periodic_group_best_effort(
-                    current, pred, items, actions, self.ics, self.guard)
+                verdicts = [prove(item, action) for item, action in entries]
+                edits = [v for v in verdicts if isinstance(v, Edit)]
+                outcome = push_periodic_group(current, pred, edits) \
+                    if edits else None
             except Exception as error:
-                report.record_failure(
-                    stage, error, tuple(_ic_label(item) for item in items))
+                report.record_failure(stage, error, tuple(
+                    _ic_label(item) for item, _ in entries))
                 continue
-            if not outcome.applied or outcome.program is None:
-                # Compilation-level failure (e.g. a second recursive
-                # rule): leave the items to phase 2's automaton path.
+            if outcome is None or not outcome.applied \
+                    or outcome.program is None:
+                # No edit survived, or the compilation failed (e.g. a
+                # second recursive rule): phase 2 isolates the residues.
                 continue
-            for item, item_outcome in zip(items, per_item):
+            for (item, action), verdict in zip(entries, verdicts):
                 handled.add(id(item))
                 report.steps.append(OptimizationStep(
-                    _ic_label(item), item.sequence,
-                    str(item.residue), item_outcome))
+                    _ic_label(item), item.sequence, str(item.residue),
+                    PushOutcome(action, True) if isinstance(verdict, Edit)
+                    else verdict))
             current = outcome.program
             preserved |= outcome.preserved_preds
             multi_level_done = True
@@ -388,8 +406,9 @@ class SemanticOptimizer:
                      residues: Sequence[SequenceResidue],
                      handled: set[int], multi_level_done: bool,
                      report: OptimizationReport, preserved: set[str],
-                     budget: Budget | None) -> Program:
-        """Phase 2 — the remaining residues, per (pred, sequence) group.
+                     budget: Budget | None, prove: Prover) -> Program:
+        """Phase 2 — Algorithm 4.1 for the remaining residues, per
+        (pred, sequence) group.
 
         Each group is pushed in one isolation so the sequence is only
         isolated once.  A failing residue is dropped and reported
@@ -422,7 +441,7 @@ class SemanticOptimizer:
                 try:
                     _enter(stage, budget)
                     outcome, isolation = self._push(current, item,
-                                                    isolation)
+                                                    isolation, prove)
                 except ProgramError as error:
                     outcome = PushOutcome(
                         _preferred_action(item, self.small_relations),
@@ -496,10 +515,11 @@ class SemanticOptimizer:
         # program does not contain.
         current, multi_level_done = self.program, False
         handled: set[int] = set()
+        prove = self._prover()
         marker = len(report.steps)
         try:
             current, multi_level_done, handled = self._phase1_periodic(
-                current, residues, report, preserved, budget)
+                current, residues, report, preserved, budget, prove)
         except Exception as error:
             report.record_failure("periodic", error)
             del report.steps[marker:]
@@ -508,7 +528,7 @@ class SemanticOptimizer:
         try:
             current = self._phase2_push(
                 current, residues, handled, multi_level_done, report,
-                preserved, budget)
+                preserved, budget, prove)
         except Exception as error:
             report.record_failure("push", error)
             del report.steps[marker:]
@@ -574,6 +594,15 @@ class SemanticOptimizer:
                             f"({len(left - right)} tuples lost, "
                             f"{len(right - left)} gained)")
         return None
+
+
+def _install(isolation: Isolation,
+             verdict: Edit | PushOutcome) -> PushOutcome:
+    """Install a validated edit in ``isolation``; a refusal passes
+    through."""
+    if isinstance(verdict, PushOutcome):
+        return verdict
+    return _INSTALL[verdict.action](isolation, verdict)
 
 
 def _unique(items: Iterable[SequenceResidue]) -> list[SequenceResidue]:

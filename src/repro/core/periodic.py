@@ -26,27 +26,22 @@ minimal class and ``deep``), the price of the overlap-aware form on dense
 data; on trees and chains each tuple lives in exactly one class and every
 level past warm-up runs the edited body.
 
-Each residue's edit is licensed by the same guard as on the automaton
-path — :func:`~repro.core.containment.elimination_is_sound`,
-:func:`~repro.core.containment.introduction_is_sound` or
-:func:`~repro.core.containment.pruning_is_sound`, run once on the
-residue's own sequence clause — before :func:`push_periodic_group`
-compiles the validated edits; soundness is property-tested.
+Each residue's edit is proved once, on the residue's own sequence clause,
+by :func:`repro.core.push.validate_edit` — the validator the automaton
+path uses too — before :func:`push_periodic_group` compiles the validated
+edits; soundness is property-tested.  A group this compilation cannot
+take leaves its residues to Algorithm 4.1.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..datalog.analysis import is_safe
-from ..datalog.atoms import Atom, Comparison
+from ..datalog.atoms import Atom
 from ..datalog.program import Program
 from ..datalog.rules import Rule
 from ..errors import TransformError
-from .containment import (elimination_is_sound, introduction_is_sound,
-                          pruning_is_sound)
-from .push import (GuardMode, PushOutcome, _complement_copies,
-                   _residue_condition)
+from .isolate import _aux_names, _rename_call
+from .push import Edit, PushOutcome, _complement_copies, _residue_condition
 from .residues import SequenceResidue
 
 
@@ -100,44 +95,20 @@ def periodic_applicable(program: Program, pred: str,
     return True
 
 
-def _aux_name(program: Program, pred: str, stem: str) -> str:
-    name = f"{pred}__{stem}"
-    existing = set(program.predicates)
-    while name in existing:
-        name += "_"
-    return name
-
-
 # ---------------------------------------------------------------------------
 # Multi-residue compilation: several ICs over the same recursive rule
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _Edit:
-    """One validated residue's contribution to the depth-class program."""
-
-    action: str                       # eliminate | introduce | prune
-    sequence: tuple[str, ...]         # the residue's ``r^k``
-    condition: tuple[Comparison, ...]
-    body_index: int | None = None     # eliminate: atom position in r
-    introduced: object = None         # introduce: the atom to prepend
-
-    @property
-    def threshold(self) -> int:
-        """The minimum number of recursive steps the *child* tuple must
-        have for the pattern to sit beneath the extension (``k - 1``)."""
-        return len(self.sequence) - 1
-
-
-def _apply_edit_unconditional(rule: Rule, edit: _Edit) -> Rule | None:
+def _apply_edit_unconditional(rule: Rule, edit: Edit) -> Rule | None:
     if edit.action == "eliminate":
-        return rule.remove_body_index(edit.body_index)
+        assert edit.target is not None
+        return rule.remove_body_index(edit.target.body_index)
     if edit.action == "introduce":
         return rule.with_body((edit.introduced,) + rule.body)
     return None  # unconditional prune: the rule vanishes
 
 
-def _split_on_edit(copies: list[Rule], edit: _Edit,
+def _split_on_edit(copies: list[Rule], edit: Edit,
                    stem: str) -> list[Rule]:
     """Apply one conditional edit to every copy (case split on E)."""
     out: list[Rule] = []
@@ -154,19 +125,24 @@ def _split_on_edit(copies: list[Rule], edit: _Edit,
 
 
 def push_periodic_group(program: Program, pred: str,
-                        edits: list[_Edit]) -> PushOutcome:
+                        edits: list[Edit]) -> PushOutcome:
     """Compile several validated periodic edits over one recursive rule.
 
     The depth classes are sized to the *largest* residue; each residue's
     edit applies to every extension step whose child depth reaches that
-    residue's threshold.  The edits come from :func:`_edit_for`, which
-    ran their guards.
+    residue's threshold: ``k - 1`` steps for an ``r^k`` residue, so the
+    whole pattern sits beneath the extension.  The edits come from
+    :func:`repro.core.push.validate_edit`, which proved them.
     """
-    labels = {periodic_shape(program, pred, edit.sequence)
+    labels = {periodic_shape(program, pred, edit.item.sequence)
               for edit in edits}
     if len(labels) != 1 or None in labels:
         return PushOutcome("group", False,
                            "residues span different recursive rules")
+    if any(edit.target is not None and edit.target.level != 0
+           for edit in edits):
+        return PushOutcome("group", False,
+                           "edit target is not at pattern level 0")
     (label,) = labels
     recursive_rule = program.rule(label)
     if [r for r in program.recursive_rules(pred) if r.label != label]:
@@ -174,21 +150,12 @@ def push_periodic_group(program: Program, pred: str,
             "group", False,
             "periodic compilation needs a single recursive rule")
 
-    big_k = max(len(edit.sequence) for edit in edits)
-    class_names = [_aux_name(program, pred, f"d{j}")
-                   for j in range(big_k - 1)]
-    deep_name = _aux_name(program, pred, "deep")
+    big_k = max(len(edit.item.sequence) for edit in edits)
+    *class_names, deep_name = _aux_names(
+        program, pred, [f"d{j}" for j in range(big_k - 1)] + ["deep"])
 
     def class_name(j: int) -> str:
         return class_names[j] if j < big_k - 1 else deep_name
-
-    def rename_call(rule: Rule, target: str) -> Rule:
-        body = list(rule.body)
-        for index, literal in enumerate(body):
-            if isinstance(literal, Atom) and literal.pred == pred:
-                body[index] = Atom(target, literal.args)
-                return rule.with_body(tuple(body))
-        raise TransformError(f"{rule.label} has no recursive call")
 
     new_rules: list[Rule] = []
     for exit_rule in program.exit_rules(pred):
@@ -202,8 +169,8 @@ def push_periodic_group(program: Program, pred: str,
     steps.append((big_k - 1, big_k - 1))
     for child, target in steps:
         child_tag = "deep" if child == big_k - 1 else f"d{child}"
-        applicable = [e for e in edits if e.threshold <= child]
-        base = rename_call(recursive_rule, class_name(child))
+        applicable = [e for e in edits if len(e.item.sequence) - 1 <= child]
+        base = _rename_call(recursive_rule, pred, class_name(child))
         base = Rule(Atom(class_name(target), base.head.args), base.body,
                     label=f"{label}_{child_tag}_step")
         unconditional = [e for e in applicable if not e.condition]
@@ -242,80 +209,3 @@ def push_periodic_group(program: Program, pred: str,
     preserved = frozenset(class_names) | {deep_name}
     return PushOutcome("group", True, edited_rule=label,
                        program=transformed, preserved_preds=preserved)
-
-
-def push_periodic_group_best_effort(
-        program: Program, pred: str, items: "list[SequenceResidue]",
-        actions: list[str], ics, guard: GuardMode = "chase"
-) -> tuple[PushOutcome, list[PushOutcome]]:
-    """Validate each residue individually, compile the survivors.
-
-    Returns the group outcome plus one outcome per input residue (failed
-    guards are reported individually instead of aborting the group).
-    One residue is pushed by calling this with a one-item list.
-    """
-    per_item: list[PushOutcome] = []
-    edits: list[_Edit] = []
-    for item, action in zip(items, actions):
-        validated = _edit_for(item, action, ics, guard)
-        if isinstance(validated, PushOutcome):
-            per_item.append(validated)
-        else:
-            per_item.append(PushOutcome(action, True))
-            edits.append(validated)
-    if not edits:
-        return (PushOutcome("group", False,
-                            "no residue survived its guard"), per_item)
-    outcome = push_periodic_group(program, pred, edits)
-    if not outcome.applied:
-        per_item = [
-            PushOutcome(entry.action, False, outcome.reason)
-            if entry.applied else entry for entry in per_item]
-    return outcome, per_item
-
-
-def _edit_for(item: SequenceResidue, action: str, ics,
-              guard: GuardMode) -> _Edit | PushOutcome:
-    """Run the residue's guard on its sequence clause and build its
-    :class:`_Edit`, or say why it cannot be pushed."""
-    residue = item.residue
-    clause = item.clause
-    if action == "prune":
-        condition = _residue_condition(residue)
-        if guard == "chase" and not pruning_is_sound(
-                clause.literals(), ics, condition):
-            return PushOutcome(
-                "prune", False,
-                "chase guard could not derive a contradiction for "
-                f"{residue}")
-        return _Edit("prune", item.sequence, condition)
-    if action == "eliminate":
-        head = residue.head_atom()
-        condition = _residue_condition(residue)
-        provenance = clause.provenance_of(head) if head else None
-        if provenance is None or provenance.level != 0:
-            return PushOutcome("eliminate", False,
-                               "edit target is not at pattern level 0")
-        literals = clause.literals()
-        if guard == "chase" and not elimination_is_sound(
-                clause.head, literals, literals.index(head), ics,
-                condition):
-            return PushOutcome(
-                "eliminate", False,
-                f"chase guard rejected deleting {head}")
-        return _Edit("eliminate", item.sequence, condition,
-                     body_index=provenance.body_index)
-    if action == "introduce":
-        unextended = item.subsumption.residue
-        condition = _residue_condition(unextended)
-        head = unextended.head
-        if head is None:
-            return PushOutcome("introduce", False, "no head to introduce")
-        if guard == "chase" and not introduction_is_sound(
-                clause.head, clause.literals(), head, ics, condition):
-            return PushOutcome(
-                "introduce", False,
-                f"chase guard rejected adding {head}")
-        return _Edit("introduce", item.sequence, condition,
-                     introduced=head)
-    return PushOutcome(action, False, f"unsupported action {action!r}")

@@ -1,7 +1,14 @@
 """Pushing residues inside recursion (Section 4, stage 2).
 
-Given an :class:`repro.core.isolate.Isolation` and a residue attached to
-the isolated sequence, apply one of the three optimizations:
+One residue's edit is proved once and installed by one of two back ends.
+:func:`validate_edit` is the only validator: it derives the residue's
+condition and edit target from the residue's own sequence clause and,
+unless ``guard="none"`` (paper-fidelity mode), runs that action's guard
+from :mod:`repro.core.containment` on it.  An edit that cannot be proven
+answer-preserving is reported rather than returned.  A validated
+:class:`Edit` goes either to the depth-class compilation
+(:func:`repro.core.periodic.push_periodic_group`) or into an Algorithm
+4.1 isolation, where one of three functions installs it:
 
 - **atom elimination** (fact residue whose head lands on a sequence
   atom): delete that atom from the corresponding alpha-rule; for a
@@ -18,12 +25,6 @@ the isolated sequence, apply one of the three optimizations:
 ``not E`` for a conjunction ``E1, ..., Em`` is realized as ``m`` rule
 copies each carrying one complemented comparison (free residue bodies are
 evaluable, so complements are comparisons again — no negation needed).
-
-Unless ``guard="none"`` (paper-fidelity mode), every edit is first
-validated by its action's guard in :mod:`repro.core.containment`
-(the chase-based containment test the depth-class compilation shares);
-edits that cannot be proven answer-preserving are skipped and reported
-rather than applied.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from ..datalog.rules import Rule
 from ..errors import TransformError
 from .containment import (elimination_is_sound, introduction_is_sound,
                           pruning_is_sound)
-from .isolate import Isolation
+from .isolate import Isolation, _rename_call
 from .residues import SequenceResidue
 from .sequences import ProvenancedLiteral
 
@@ -104,16 +105,6 @@ def _chain_pred_name(isolation: Isolation, level: int) -> str:
 
 def _rename_head(rule: Rule, new_pred: str) -> Rule:
     return rule.with_head(Atom(new_pred, rule.head.args))
-
-
-def _rename_call(rule: Rule, old_pred: str, new_pred: str) -> Rule:
-    body = list(rule.body)
-    for index, literal in enumerate(body):
-        if isinstance(literal, Atom) and literal.pred == old_pred:
-            body[index] = Atom(new_pred, literal.args)
-            return rule.with_body(tuple(body))
-    raise TransformError(  # pragma: no cover - callers know the call exists
-        f"{rule.label} has no call to {old_pred}")
 
 
 def _split_with_condition(isolation: Isolation, edit_level: int,
@@ -234,12 +225,6 @@ def _split_with_condition(isolation: Isolation, edit_level: int,
     return program, ""
 
 
-def _locate_atom(isolation: Isolation, atom: Atom
-                 ) -> ProvenancedLiteral | None:
-    """Find ``atom``'s provenance within the isolated clause."""
-    return isolation.clause.provenance_of(atom)
-
-
 def _residue_condition(residue) -> tuple[Comparison, ...]:
     condition = tuple(lit for lit in residue.body
                       if isinstance(lit, Comparison))
@@ -251,58 +236,131 @@ def _residue_condition(residue) -> tuple[Comparison, ...]:
 
 
 # ---------------------------------------------------------------------------
+# The validator
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Edit:
+    """One residue's edit, proved on ``item.clause`` by
+    :func:`validate_edit`."""
+
+    item: SequenceResidue
+    action: str                       # eliminate | introduce | prune
+    condition: tuple[Comparison, ...]
+    #: eliminate: the atom to delete and where the sequence holds it.
+    target: ProvenancedLiteral | None = None
+    #: introduce: the atom to prepend.
+    introduced: Atom | Comparison | None = None
+
+
+def validate_edit(item: SequenceResidue, action: str, ics,
+                  guard: GuardMode = "chase") -> Edit | PushOutcome:
+    """Build ``item``'s ``action`` edit and prove it, or say why it
+    cannot be pushed.
+
+    With ``guard="chase"`` the action's guard runs once, on the
+    residue's own sequence clause; ``"none"`` trusts the residue.
+    """
+    if guard not in ("chase", "none"):
+        raise ValueError(f"guard must be 'chase' or 'none', got {guard!r}")
+    check = guard == "chase"
+    clause = item.clause
+    residue = item.residue
+    if action == "eliminate":
+        head = residue.head_atom()
+        if head is None:
+            return PushOutcome("eliminate", False,
+                               "residue has no database-atom head")
+        condition = _residue_condition(residue)
+        target = clause.provenance_of(head)
+        if target is None:
+            return PushOutcome(
+                "eliminate", False,
+                f"residue head {head} does not occur in the sequence "
+                "(not useful for elimination)")
+        literals = clause.literals()
+        if check and not elimination_is_sound(
+                clause.head, literals, literals.index(head), ics,
+                condition):
+            return PushOutcome(
+                "eliminate", False,
+                f"chase guard could not prove deleting {head} is "
+                "answer-preserving")
+        return Edit(item, action, condition, target=target)
+    if action == "introduce":
+        residue = item.subsumption.residue  # unextended: head vars faithful
+        condition = _residue_condition(residue)
+        introduced = residue.head
+        if introduced is None:
+            return PushOutcome("introduce", False, "null residues cannot "
+                               "introduce atoms")
+        if check and not introduction_is_sound(
+                clause.head, clause.literals(), introduced, ics,
+                condition):
+            return PushOutcome(
+                "introduce", False,
+                f"chase guard could not prove adding {introduced} is "
+                "answer-preserving")
+        return Edit(item, action, condition, introduced=introduced)
+    if action == "prune":
+        if residue.head is not None:
+            return PushOutcome("prune", False,
+                               "only null residues prune subtrees")
+        condition = _residue_condition(residue)
+        if check and not pruning_is_sound(clause.literals(), ics,
+                                          condition):
+            return PushOutcome(
+                "prune", False,
+                "chase guard could not derive a contradiction from the "
+                "sequence plus the residue condition")
+        return Edit(item, action, condition)
+    raise ValueError(f"unknown push action {action!r}")
+
+
+def _superseded(isolation: Isolation, edit: Edit) -> PushOutcome | None:
+    """Refuse an edit proved on another clause than the isolated one."""
+    if isolation.clause != edit.item.clause:
+        return PushOutcome(edit.action, False,
+                           "earlier edit superseded the target rule")
+    return None
+
+
+# ---------------------------------------------------------------------------
 # (1) Atom elimination
 # ---------------------------------------------------------------------------
 
-def apply_elimination(isolation: Isolation, item: SequenceResidue,
-                      ics, guard: GuardMode = "chase") -> PushOutcome:
+def apply_elimination(isolation: Isolation, edit: Edit) -> PushOutcome:
     """Delete the residue-implied atom from its alpha-rule."""
-    residue = item.residue
-    head = residue.head_atom()
-    if head is None:
-        return PushOutcome("eliminate", False,
-                           "residue has no database-atom head")
-    condition = _residue_condition(residue)
-    provenance = _locate_atom(isolation, head)
-    if provenance is None:
-        return PushOutcome(
-            "eliminate", False,
-            f"residue head {head} does not occur in the sequence "
-            "(not useful for elimination)")
-
-    literals = isolation.clause.literals()
-    if guard == "chase" and not elimination_is_sound(
-            isolation.clause.head, literals, literals.index(head), ics,
-            condition):
-        return PushOutcome(
-            "eliminate", False,
-            f"chase guard could not prove deleting {head} is "
-            "answer-preserving")
-
-    rule = isolation.alpha_rule(provenance.level)
-    body_index = _alpha_body_index(rule, provenance, head)
+    refused = _superseded(isolation, edit)
+    if refused is not None:
+        return refused
+    target = edit.target
+    assert target is not None
+    rule = isolation.alpha_rule(target.level)
+    body_index = _alpha_body_index(rule, target)
     if body_index is None:
-        return PushOutcome("eliminate", False,
-                           f"{head} not found in alpha-rule {rule.label}")
+        return PushOutcome(
+            "eliminate", False,
+            f"{target.literal} not found in alpha-rule {rule.label}")
 
     edited = rule.remove_body_index(body_index).with_label(
         f"{rule.label}_e")
     program, reason = _split_with_condition(
-        isolation, provenance.level, edited, condition, tag="e")
+        isolation, target.level, edited, edit.condition, tag="e")
     if program is None:
         return PushOutcome("eliminate", False, reason)
     return PushOutcome("eliminate", True, edited_rule=rule.label,
                        program=program)
 
 
-def _alpha_body_index(rule: Rule, provenance: ProvenancedLiteral,
-                      atom: Atom) -> int | None:
+def _alpha_body_index(rule: Rule,
+                      provenance: ProvenancedLiteral) -> int | None:
     """Map clause provenance back to the alpha-rule body position."""
     if (0 <= provenance.body_index < len(rule.body)
-            and rule.body[provenance.body_index] == atom):
+            and rule.body[provenance.body_index] == provenance.literal):
         return provenance.body_index
     for index, literal in enumerate(rule.body):  # pragma: no cover
-        if literal == atom:
+        if literal == provenance.literal:
             return index
     return None
 
@@ -311,27 +369,19 @@ def _alpha_body_index(rule: Rule, provenance: ProvenancedLiteral,
 # (2) Atom introduction
 # ---------------------------------------------------------------------------
 
-def apply_introduction(isolation: Isolation, item: SequenceResidue,
-                       ics, guard: GuardMode = "chase") -> PushOutcome:
+def apply_introduction(isolation: Isolation, edit: Edit) -> PushOutcome:
     """Add the residue-implied atom to the alpha-rule sharing its vars.
 
     Unbound residue-head variables (existential witnesses) would make the
     introduced atom a cartesian blow-up; they are kept — they bind
     themselves during the semijoin — but at least one variable must be
     shared with the sequence (the paper's criterion (ii))."""
-    residue = item.subsumption.residue  # unextended: head vars faithful
-    condition = _residue_condition(residue)
-    head = residue.head
-    if head is None:
-        return PushOutcome("introduce", False, "null residues cannot "
-                           "introduce atoms")
-    if isinstance(head, Comparison):
-        introduced: Atom | Comparison = head
-        shared = head.variable_set()
-    else:
-        introduced = head
-        shared = head.variable_set()
-
+    refused = _superseded(isolation, edit)
+    if refused is not None:
+        return refused
+    introduced = edit.introduced
+    assert introduced is not None
+    shared = introduced.variable_set()
     level = None
     best_overlap = 0
     for candidate in range(len(isolation.alpha_labels)):
@@ -345,21 +395,13 @@ def apply_introduction(isolation: Isolation, item: SequenceResidue,
             "introduce", False,
             "the residue head shares no variable with the sequence")
 
-    if guard == "chase" and not introduction_is_sound(
-            isolation.clause.head, isolation.clause.literals(), introduced,
-            ics, condition):
-        return PushOutcome(
-            "introduce", False,
-            f"chase guard could not prove adding {introduced} is "
-            "answer-preserving")
-
     rule = isolation.alpha_rule(level)
     # Prepend the reducer: the paper reorders so "the selection is first
     # performed on the small relation and the bindings passed on".
     edited = rule.with_body((introduced,) + rule.body).with_label(
         f"{rule.label}_i")
     program, reason = _split_with_condition(
-        isolation, level, edited, condition, tag="i")
+        isolation, level, edited, edit.condition, tag="i")
     if program is None:
         return PushOutcome("introduce", False, reason)
     return PushOutcome("introduce", True, edited_rule=rule.label,
@@ -370,22 +412,12 @@ def apply_introduction(isolation: Isolation, item: SequenceResidue,
 # (3) Subtree pruning
 # ---------------------------------------------------------------------------
 
-def apply_pruning(isolation: Isolation, item: SequenceResidue,
-                  ics, guard: GuardMode = "chase") -> PushOutcome:
+def apply_pruning(isolation: Isolation, edit: Edit) -> PushOutcome:
     """Guard (or delete) the alpha-chain so pruned subtrees never fire."""
-    residue = item.residue
-    if residue.head is not None:
-        return PushOutcome("prune", False,
-                           "only null residues prune subtrees")
-    condition = _residue_condition(residue)
-
-    if guard == "chase" and not pruning_is_sound(
-            isolation.clause.literals(), ics, condition):
-        return PushOutcome(
-            "prune", False,
-            "chase guard could not derive a contradiction from the "
-            "sequence plus the residue condition")
-
+    refused = _superseded(isolation, edit)
+    if refused is not None:
+        return refused
+    condition = edit.condition
     if not condition:
         # Unconditional: the pattern-completing alpha-rule goes away.
         label = isolation.alpha_labels[-1]

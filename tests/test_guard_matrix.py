@@ -1,31 +1,37 @@
 """The optimizer's output on every paper example, pinned.
 
-Every edit the optimizer pushes passes one guard per action in
+Every edit the optimizer pushes is proved by one validator,
+``repro.core.push.validate_edit``, which runs one guard per action from
 ``repro.core.containment``.  The matrix below runs each paper example
 with each IC alone and with all its ICs, under both compilations, with
 and without the guard, and with and without the ICs' head relations
 declared small (which turns fact residues into introductions).  For each
-case ``data/guard_matrix.json`` holds what the optimizer produced before
-the guard lived in one module:
+case ``data/guard_matrix.json`` holds:
 
 - the optimized program's text;
 - each step's (IC label, sequence, action, applied, reason);
 - how many chase runs one ``optimize()`` made.
 
 A change to any of them is a change to what the optimizer emits or how
-much proving it does, and must be explained with the new record.
+much proving it does, and must be explained with the new record.  Each
+case also checks that one ``optimize()`` never runs a guard twice on the
+same arguments, and every guarded case that its optimized program keeps
+the source's answers on IC-consistent databases.
 """
 
 from __future__ import annotations
 
 import json
+import random
 import sys
 from pathlib import Path
 
 import pytest
 
-from repro.core import SemanticOptimizer, containment
-from repro.datalog import format_program
+from repro.core import SemanticOptimizer, check_equivalent, containment
+from repro.core.equivalence import (infer_numeric_columns, make_consistent,
+                                    random_database)
+from repro.datalog import Atom, format_program
 from repro.workloads.paper_examples import ALL_EXAMPLES
 
 RECORD = json.loads(
@@ -57,6 +63,20 @@ def _cases():
 
 CASES = list(_cases())
 
+GUARDS = ("elimination_is_sound", "introduction_is_sound",
+          "pruning_is_sound")
+
+
+def _wrap_every_binding(monkeypatch, name, wrapper):
+    """Point every ``repro`` module's binding of ``containment.<name>``,
+    however it was imported, at ``wrapper(original)``."""
+    original = getattr(containment, name)
+    wrapped = wrapper(original)
+    for module_name, module in list(sys.modules.items()):
+        if module_name.startswith("repro") and \
+                getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, wrapped)
+
 
 def test_the_matrix_is_the_record():
     assert sorted(case.id for case in CASES) == sorted(RECORD)
@@ -68,17 +88,20 @@ def test_optimizer_output_and_chase_runs(factory, subset, compilation,
                                          request):
     example = factory()
     runs = []
-    original = containment.chase
+    proofs = []
 
-    def counting(*args, **kwargs):
-        runs.append(1)
-        return original(*args, **kwargs)
+    def recording(log, name):
+        def wrapper(original):
+            def recorded(*args, **kwargs):
+                log.append((name, args, kwargs))
+                return original(*args, **kwargs)
+            return recorded
+        return wrapper
 
-    # Every module's binding of the chase, however it was imported.
-    for name, module in list(sys.modules.items()):
-        if name.startswith("repro") and \
-                getattr(module, "chase", None) is original:
-            monkeypatch.setattr(module, "chase", counting)
+    _wrap_every_binding(monkeypatch, "chase", recording(runs, "chase"))
+    for guard_name in GUARDS:
+        _wrap_every_binding(monkeypatch, guard_name,
+                            recording(proofs, guard_name))
     report = SemanticOptimizer(
         example.program, [example.ic(label) for label in subset],
         pred=example.pred, guard=guard, small_relations=small,
@@ -91,3 +114,42 @@ def test_optimizer_output_and_chase_runs(factory, subset, compilation,
              step.outcome.applied, step.outcome.reason]
             for step in report.steps] == expected["steps"]
     assert len(runs) == expected["chase_runs"]
+    repeated = [call for index, call in enumerate(proofs)
+                if call in proofs[:index]]
+    assert repeated == []
+
+
+def _consistent_dbs(example, ics, rng, count=5):
+    """IC-consistent random databases over the example's EDB relations
+    and the ICs' relations."""
+    arities = example.program.predicate_arities()
+    schema = {pred: arities[pred]
+              for pred in sorted(example.program.edb_predicates)
+              if pred in arities}
+    for ic in ics:
+        for atom in ic.database_atoms() + (
+                (ic.head,) if isinstance(ic.head, Atom) else ()):
+            schema.setdefault(atom.pred, len(atom.args))
+    numeric = infer_numeric_columns(example.program, ics)
+    dbs = []
+    for _ in range(count):
+        db = random_database(schema, 6, 12, rng, numeric_columns=numeric,
+                             max_value=20000)
+        make_consistent(db, ics)
+        dbs.append(db)
+    return dbs
+
+
+@pytest.mark.parametrize(
+    "factory,subset,compilation,guard,small",
+    [case for case in CASES if case.values[3] == "chase"])
+def test_guarded_output_keeps_the_answers(factory, subset, compilation,
+                                          guard, small):
+    example = factory()
+    ics = [example.ic(label) for label in subset]
+    report = SemanticOptimizer(
+        example.program, ics, pred=example.pred, guard=guard,
+        small_relations=small, compilation=compilation).optimize()
+    dbs = _consistent_dbs(example, ics, random.Random(0xC0FFEE))
+    assert check_equivalent(example.program, report.optimized,
+                            example.pred, dbs) is None

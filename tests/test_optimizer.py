@@ -222,6 +222,12 @@ def test_removed_knobs_raise(knob):
         _removed_knob_calls()[knob]()
 
 
+def test_misspelled_guard_raises(ex41):
+    """Any guard but "chase" used to run no chase at all."""
+    with pytest.raises(ValueError, match="guard"):
+        SemanticOptimizer(ex41.program, list(ex41.ics), guard="Chase")
+
+
 class TestResidueListing:
     def test_all_residues_mixes_levels(self, ex32):
         optimizer = SemanticOptimizer(ex32.program, list(ex32.ics),

@@ -2,11 +2,12 @@
 
 import pytest
 
-from repro.core import check_equivalent, generate_residues, isolate
+from repro.core import (Edit, check_equivalent, generate_residues, isolate,
+                        validate_edit)
 from repro.core.collapse import inline_auxiliaries
 from repro.core.equivalence import make_consistent, random_database
 from repro.core.periodic import (periodic_applicable, periodic_shape,
-                                 push_periodic_group_best_effort)
+                                 push_periodic_group)
 from repro.datalog import parse_program
 from repro.engine import evaluate
 
@@ -18,12 +19,18 @@ def _find(items, sequence):
     raise AssertionError(f"no residue for {sequence}")
 
 
+def _push_group(program, pred, items, actions, ics):
+    """Prove each residue's edit, then compile them as one depth-class
+    group."""
+    edits = [validate_edit(item, action, ics)
+             for item, action in zip(items, actions)]
+    assert all(isinstance(edit, Edit) for edit in edits), edits
+    return push_periodic_group(program, pred, edits)
+
+
 def _push_one(program, pred, item, action, ics):
-    """One residue through the depth-class compilation: the group
-    outcome of a one-item group."""
-    outcome, _ = push_periodic_group_best_effort(program, pred, [item],
-                                                 [action], ics)
-    return outcome
+    """One residue through the depth-class compilation."""
+    return _push_group(program, pred, [item], [action], ics)
 
 
 class TestApplicability:
@@ -88,20 +95,20 @@ class TestPeriodicElimination:
         assert check_equivalent(ex32.program, outcome.program, "eval",
                                 dbs) is None
 
-    def test_second_recursive_rule_blocks(self, rng):
+    def test_second_recursive_rule_blocks(self):
         program = parse_program("""
             r0: path(X, Y) :- edge(X, Y).
-            r1: path(X, Y) :- path(X, Z), edge(Z, Y).
+            r1: path(X, Y) :- path(X, Z), edge(Z, Y), active(Z).
             r2: path(X, Y) :- path(X, Z), jump(Z, Y).
         """)
         from repro.constraints import ic_from_text
-        ic = ic_from_text("edge(A, B), edge(B, C) -> shortcut(A, C).")
-        items = generate_residues(program, "path", ic, useful_only=False)
-        candidates = [i for i in items if i.sequence == ("r1", "r1")]
-        if candidates:
-            outcome = _push_one(program, "path", candidates[0],
-                                "eliminate", [ic])
-            assert not outcome.applied
+        ic = ic_from_text("edge(A, B), edge(B, C) -> active(B).")
+        items = generate_residues(program, "path", ic)
+        item = _find(items, ("r1", "r1"))
+        outcome = _push_one(program, "path", item, "eliminate", [ic])
+        assert not outcome.applied
+        assert outcome.reason == \
+            "periodic compilation needs a single recursive rule"
 
 
 class TestPeriodicPruning:
@@ -188,7 +195,7 @@ class TestPeriodicGroups:
 
     def test_group_compiles_both_edits(self):
         program, ics, elim, prune = self._setup()
-        outcome, _ = push_periodic_group_best_effort(
+        outcome = _push_group(
             program, "reach", [elim, prune], ["eliminate", "prune"],
             list(ics))
         assert outcome.applied, outcome.reason
@@ -204,7 +211,7 @@ class TestPeriodicGroups:
 
     def test_group_equivalence(self, rng):
         program, ics, elim, prune = self._setup()
-        outcome, _ = push_periodic_group_best_effort(
+        outcome = _push_group(
             program, "reach", [elim, prune], ["eliminate", "prune"],
             list(ics))
         dbs = []
@@ -217,13 +224,14 @@ class TestPeriodicGroups:
         assert check_equivalent(program, outcome.program, "reach",
                                 dbs) is None
 
-    def test_best_effort_reports_per_item(self):
+    def test_optimizer_reports_each_residue_of_the_group(self):
+        from repro.core import SemanticOptimizer
+
         program, ics, elim, prune = self._setup()
-        outcome, per_item = push_periodic_group_best_effort(
-            program, "reach", [elim, prune], ["eliminate", "prune"],
-            list(ics))
-        assert outcome.applied
-        assert [o.applied for o in per_item] == [True, True]
+        report = SemanticOptimizer(program, ics, pred="reach").optimize()
+        steps = {(s.sequence, s.residue): s.outcome for s in report.steps}
+        assert steps[elim.sequence, str(elim.residue)].applied
+        assert steps[prune.sequence, str(prune.residue)].applied
 
     def test_optimizer_pushes_both_ics_in_one_pass(self, rng):
         from repro.core import SemanticOptimizer

@@ -2,10 +2,10 @@
 
 import pytest
 
-from repro.core import (apply_elimination, apply_introduction,
-                        apply_pruning, check_equivalent,
-                        generate_residues, isolate, remove_dead_rules,
-                        rule_level_residues)
+from repro.core import (PushOutcome, apply_elimination, apply_introduction,
+                        apply_pruning, check_equivalent, generate_residues,
+                        isolate, remove_dead_rules, rule_level_residues,
+                        validate_edit)
 from repro.core.equivalence import (make_consistent, random_database)
 from repro.constraints import ic_from_text
 from repro.datalog import parse_program
@@ -21,12 +21,24 @@ def _find(items, sequence=None, strict=None):
     raise AssertionError(f"no residue for {sequence}")
 
 
+_INSTALL = {"eliminate": apply_elimination,
+            "introduce": apply_introduction, "prune": apply_pruning}
+
+
+def _push(isolation, item, action, ics, guard="chase"):
+    """Prove ``item``'s edit, then install it in ``isolation``."""
+    verdict = validate_edit(item, action, ics, guard)
+    if isinstance(verdict, PushOutcome):
+        return verdict
+    return _INSTALL[action](isolation, verdict)
+
+
 class TestElimination:
     def test_example_3_2_unconditional(self, ex32, rng):
         items = generate_residues(ex32.program, "eval", ex32.ic("ic1"))
         item = _find(items, sequence=("r1", "r1"))
         isolation = isolate(ex32.program, "eval", item.sequence)
-        outcome = apply_elimination(isolation, item, [ex32.ic("ic1")])
+        outcome = _push(isolation, item, "eliminate", [ex32.ic("ic1")])
         assert outcome.applied, outcome.reason
         # The edited alpha-rule lost its expert atom.
         edited = [r for r in outcome.program
@@ -46,7 +58,7 @@ class TestElimination:
         items = generate_residues(ex41.program, "triple", ex41.ic("ic1"))
         item = _find(items, sequence=("r2", "r2", "r2", "r2"))
         isolation = isolate(ex41.program, "triple", item.sequence)
-        outcome = apply_elimination(isolation, item, [ex41.ic("ic1")])
+        outcome = _push(isolation, item, "eliminate", [ex41.ic("ic1")])
         assert outcome.applied, outcome.reason
         # The threading duplicated chain predicates with the _e suffix.
         preds = outcome.program.idb_predicates
@@ -70,7 +82,7 @@ class TestElimination:
         items = generate_residues(ex41.program, "triple", ex41.ic("ic1"))
         loose = _find(items, sequence=("r2",))
         isolation = isolate(ex41.program, "triple", ("r2",))
-        outcome = apply_elimination(isolation, loose, [ex41.ic("ic1")])
+        outcome = _push(isolation, loose, "eliminate", [ex41.ic("ic1")])
         assert not outcome.applied
         assert "chase guard" in outcome.reason
 
@@ -80,15 +92,15 @@ class TestElimination:
         items = generate_residues(ex41.program, "triple", ex41.ic("ic1"))
         loose = _find(items, sequence=("r2",))
         isolation = isolate(ex41.program, "triple", ("r2",))
-        outcome = apply_elimination(isolation, loose, [ex41.ic("ic1")],
-                                    guard="none")
+        outcome = _push(isolation, loose, "eliminate", [ex41.ic("ic1")],
+                        guard="none")
         assert outcome.applied
 
     def test_null_residue_rejected(self, ex43):
         items = generate_residues(ex43.program, "anc", ex43.ic("ic1"))
         item = _find(items, sequence=("r1", "r1", "r1"))
         isolation = isolate(ex43.program, "anc", item.sequence)
-        outcome = apply_elimination(isolation, item, [ex43.ic("ic1")])
+        outcome = _push(isolation, item, "eliminate", [ex43.ic("ic1")])
         assert not outcome.applied
 
 
@@ -98,7 +110,7 @@ class TestIntroduction:
                                     useful_only=False)
         item = _find(items, sequence=("r2",))
         isolation = isolate(ex32.program, "eval_support", ("r2",))
-        outcome = apply_introduction(isolation, item, [ex32.ic("ic2")])
+        outcome = _push(isolation, item, "introduce", [ex32.ic("ic2")])
         assert outcome.applied, outcome.reason
         labels = {r.label for r in outcome.program}
         assert "r2_i" in labels and "r2_n" in labels
@@ -121,7 +133,7 @@ class TestIntroduction:
         items = generate_residues(ex43.program, "anc", ex43.ic("ic1"))
         item = _find(items, sequence=("r1", "r1", "r1"))
         isolation = isolate(ex43.program, "anc", item.sequence)
-        outcome = apply_introduction(isolation, item, [ex43.ic("ic1")])
+        outcome = _push(isolation, item, "introduce", [ex43.ic("ic1")])
         assert not outcome.applied
 
 
@@ -130,7 +142,7 @@ class TestPruning:
         items = generate_residues(ex43.program, "anc", ex43.ic("ic1"))
         item = _find(items, sequence=("r1", "r1", "r1"))
         isolation = isolate(ex43.program, "anc", item.sequence)
-        outcome = apply_pruning(isolation, item, [ex43.ic("ic1")])
+        outcome = _push(isolation, item, "prune", [ex43.ic("ic1")])
         assert outcome.applied, outcome.reason
         guard = outcome.program.rule("anc__alpha1_n")
         assert any(str(lit) == "Ya > 50" for lit in guard.body)
@@ -154,7 +166,7 @@ class TestPruning:
         items = generate_residues(program, "reach", ic)
         item = _find(items, sequence=("r1", "r1", "r0"))
         isolation = isolate(program, "reach", item.sequence)
-        outcome = apply_pruning(isolation, item, [ic])
+        outcome = _push(isolation, item, "prune", [ic])
         assert outcome.applied, outcome.reason
         # The pattern-completing rule (and its dead callers) are gone.
         assert len(outcome.program) < len(isolation.program)
@@ -170,8 +182,43 @@ class TestPruning:
         items = generate_residues(ex32.program, "eval", ex32.ic("ic1"))
         item = _find(items, sequence=("r1", "r1"))
         isolation = isolate(ex32.program, "eval", item.sequence)
-        outcome = apply_pruning(isolation, item, [ex32.ic("ic1")])
+        outcome = _push(isolation, item, "prune", [ex32.ic("ic1")])
         assert not outcome.applied
+
+
+class TestValidator:
+    def test_misspelled_guard_raises(self, ex41):
+        """Only "chase" and "none" exist; any other spelling used to
+        switch the chase off."""
+        items = generate_residues(ex41.program, "triple", ex41.ic("ic1"))
+        loose = _find(items, sequence=("r2",))
+        with pytest.raises(ValueError, match="guard"):
+            validate_edit(loose, "eliminate", [ex41.ic("ic1")],
+                          guard="Chase")
+
+    def test_edit_proved_on_another_clause_is_refused(self, ex43):
+        items = generate_residues(ex43.program, "anc", ex43.ic("ic1"))
+        item = _find(items, sequence=("r1", "r1", "r1"))
+        edit = validate_edit(item, "prune", [ex43.ic("ic1")])
+        assert not isinstance(edit, PushOutcome)
+        other = isolate(ex43.program, "anc", ("r1", "r1", "r0"))
+        outcome = apply_pruning(other, edit)
+        assert not outcome.applied
+        assert outcome.reason == "earlier edit superseded the target rule"
+
+    @pytest.mark.parametrize("action", sorted(_INSTALL))
+    def test_back_ends_take_no_guard(self, ex43, action):
+        """The validator alone proves an edit: the back ends take only
+        the isolation and the proved edit."""
+        items = generate_residues(ex43.program, "anc", ex43.ic("ic1"))
+        item = _find(items, sequence=("r1", "r1", "r1"))
+        isolation = isolate(ex43.program, "anc", item.sequence)
+        edit = validate_edit(item, "prune", [ex43.ic("ic1")],
+                             guard="none")
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            _INSTALL[action](isolation, edit, guard="none")
+        with pytest.raises(TypeError):
+            _INSTALL[action](isolation, item, [ex43.ic("ic1")])
 
 
 class TestRemoveDeadRules:
