@@ -125,25 +125,47 @@ def infer_numeric_columns(program: Program,
     """Guess which EDB columns must hold numbers for sampling.
 
     A variable compared (``<``, ``<=``, ...) against a numeric constant,
-    or used in arithmetic, forces every EDB column it occupies in the
-    same rule or IC body to be numeric — otherwise random symbolic
-    values would make the comparison raise at evaluation time.  Used by
-    the optimizer's sampled equivalence spot-check to parameterize
-    :func:`random_database`.
+    or used in arithmetic, makes every column it occupies numeric —
+    otherwise random symbolic values would make the comparison raise at
+    evaluation time.  Numbers then spread over *join classes*: columns
+    one variable occupies in a rule or IC body, or in a rule's head and
+    body (so classes run through IDB predicates), are one class, and a
+    class with a numeric column is all numeric.  A column that joins a
+    numeric one draws numbers too, so the two can hold equal values.
+    Used by the optimizer's sampled equivalence spot-check to
+    parameterize :func:`random_database`.
     """
-    scopes: list[tuple[tuple, tuple]] = []
+    scopes: list[tuple[tuple[Atom, ...], tuple[Comparison, ...]]] = []
     for r in program:
         atoms = tuple(lit for lit in r.body if isinstance(lit, Atom))
         comparisons = tuple(lit for lit in r.body
                             if isinstance(lit, Comparison))
-        scopes.append((atoms, comparisons))
+        scopes.append(((r.head,) + atoms, comparisons))
     for ic in ics:
         scopes.append((ic.database_atoms(), ic.evaluable_atoms()))
 
-    columns: dict[str, set[int]] = {}
-    edb = program.edb_predicates
+    parent: dict[tuple[str, int], tuple[str, int]] = {}
+
+    def find(node: tuple[str, int]) -> tuple[str, int]:
+        parent.setdefault(node, node)
+        while parent[node] != node:
+            parent[node] = parent[parent[node]]
+            node = parent[node]
+        return node
+
+    numeric: list[tuple[str, int]] = []
     for atoms, comparisons in scopes:
-        numeric_vars: set[Variable] = set()
+        first: dict[Variable, tuple[str, int]] = {}
+        for atom in atoms:
+            for column, arg in enumerate(atom.args):
+                if not isinstance(arg, Variable):
+                    continue
+                node = (atom.pred, column)
+                if arg in first:
+                    parent[find(node)] = find(first[arg])
+                else:
+                    first[arg] = node
+                    parent.setdefault(node, node)
         for comparison in comparisons:
             operands = (comparison.lhs, comparison.rhs)
             forces_numeric = any(
@@ -152,16 +174,18 @@ def infer_numeric_columns(program: Program,
                 and isinstance(term.value, (int, float))
                 for term in operands)
             if forces_numeric:
-                numeric_vars |= comparison.variable_set()
-        if not numeric_vars:
-            continue
-        for atom in atoms:
-            if atom.pred not in edb:
-                continue
-            for column, arg in enumerate(atom.args):
-                if isinstance(arg, Variable) and arg in numeric_vars:
-                    columns.setdefault(atom.pred, set()).add(column)
-    return {pred: sorted(cols) for pred, cols in columns.items()}
+                numeric.extend(first[variable] for variable
+                               in comparison.variable_set()
+                               if variable in first)
+
+    roots = {find(node) for node in numeric}
+    edb = program.edb_predicates
+    columns: dict[str, list[int]] = {}
+    for node in sorted(parent):
+        pred, column = node
+        if pred in edb and find(node) in roots:
+            columns.setdefault(pred, []).append(column)
+    return columns
 
 
 def random_database(schema: dict[str, int], domain_size: int,

@@ -18,9 +18,13 @@ Wang et al.'s FGH rule does (arXiv:2202.10390):
    share one group and are costed once (group-level deduplication).
 2. **Cost** each group with a unified model: *warm* index-backed
    statistics (:meth:`Relation.probe_estimate`) where relations hold
-   rows, *cold* dataflow size bounds (:class:`DataflowResult`, PR 9)
-   everywhere else — including the adorned bounds that price what a
-   magic-restricted predicate will materialize.
+   rows, *cold* dataflow size bounds (:class:`DataflowResult`) everywhere
+   else.  Each candidate is priced with the analysis of its *own*
+   program, as Fejza & Genevès price each enumerated plan: a magic
+   candidate's analysis runs over the rewritten rules, seed included, so
+   its adorned and magic predicates get bounds of their own — what the
+   magic restriction will let them materialize, not what the input
+   program's predicate would.
 3. **Choose** the cheapest whole-program candidate *before the fixpoint
    starts* and execute it with ``planner="adaptive"`` (join orders from
    the statistics each kernel's first firing reads).
@@ -400,25 +404,14 @@ def _enumerate(program: Program, query: Atom | None, ics: tuple,
 # the cost model
 # ---------------------------------------------------------------------------
 
-def _decode_adorned(pred: str) -> tuple[str, str, bool] | None:
-    """Split an adorned/magic predicate name into (base, pattern, is_magic)."""
-    name, magic = (pred[2:], True) if pred.startswith("m_") else (pred,
-                                                                  False)
-    base, sep, pattern = name.rpartition("__")
-    if not sep or not pattern or any(c not in "bf" for c in pattern):
-        return None
-    return base, pattern, magic
-
-
 class _Estimator:
     """Unified cold/warm cardinality estimates for one candidate.
 
     Warm: relations that already hold rows answer through their index
     statistics (:meth:`Relation.probe_estimate`).  Cold: the dataflow
-    size bounds answer for everything else, with adorned predicates of
-    magic candidates priced by the analysis's *adorned* bounds — the
-    quantity PR 9 computes precisely so an enumerating optimizer can
-    see what a magic-restricted predicate will materialize.
+    size bounds of the candidate's own program answer for everything
+    else — for a magic candidate, that analysis covers its adorned and
+    magic predicates, seed included.
     """
 
     def __init__(self, edb: Database,
@@ -429,44 +422,10 @@ class _Estimator:
     def _cold(self, pred: str,
               bound_cols: tuple[int, ...]) -> float | None:
         flow = self.dataflow
-        if flow is None:
+        if flow is None or (pred not in flow.bounds
+                            and pred not in flow.columns):
             return None
-        if pred in flow.bounds or pred in flow.columns:
-            return flow.probe_estimate(pred, bound_cols)
-        decoded = _decode_adorned(pred)
-        if decoded is None:
-            return None
-        base, pattern, is_magic = decoded
-        total = flow.adorned_bounds.get((base, pattern))
-        if total is None:
-            total = flow.size_bound(base)
-        if total == INF:
-            return None
-        if is_magic:
-            # The magic predicate is the bound-column projection of the
-            # adorned relation; cap by the distinct-count bounds.  Its
-            # column ``i`` is the ``i``-th b-position of the pattern,
-            # so probes with bound columns discount by the base
-            # relation's distinct counts at those positions.
-            b_positions = [column for column, a in enumerate(pattern)
-                           if a == "b"]
-            width = 1.0
-            for column in b_positions:
-                width = _saturating_mul(
-                    width, flow.counts.get((base, column), total))
-            estimate = max(0.0, min(total, width))
-            for column in bound_cols:
-                if column < len(b_positions):
-                    distinct = flow.counts.get(
-                        (base, b_positions[column]), total)
-                    estimate /= max(1.0, min(distinct, total))
-            return estimate
-        estimate = total
-        for column in bound_cols:
-            if column < len(pattern):
-                distinct = flow.counts.get((base, column), total)
-                estimate /= max(1.0, min(distinct, total))
-        return estimate
+        return flow.probe_estimate(pred, bound_cols)
 
     def __call__(self, pred: str, arity: int,
                  bound_cols: tuple[int, ...]) -> float:
@@ -607,9 +566,14 @@ class PreparedPlan:
     Nothing in a choice depends on the query's constants but the magic
     seed: the seed is a fact rule, which the cost model skips and the
     fingerprints leave out, and every other rewritten rule depends on
-    the adornment only.  So :meth:`choice_for` re-seeds the kept choice
-    — label, cost, fingerprint, table and program then equal a cold
-    choice for that query.
+    the adornment only.  So :meth:`choice_for` re-seeds the kept choice.
+    Only the costs read the seed: a magic candidate is priced with an
+    analysis of its program, seed included, and that analysis proves
+    the rules of a constant outside an EDB column's profiled domain
+    dead.  For a query whose constants lie inside those domains, label,
+    cost, fingerprint, table and program equal a cold choice for that
+    query; any other query gets the choice and costs of the query that
+    enumerated the pattern.
     """
 
     __slots__ = ("choice", "dataflow")
@@ -642,6 +606,26 @@ def _violated(ics: tuple, edb: Database) -> tuple[int, ...]:
                  if next(violations(ic, edb, limit=1), None) is not None)
 
 
+def _candidate_dataflow(candidate: PlanCandidate, edb: Database,
+                        dataflow: "DataflowResult | None",
+                        ) -> "DataflowResult | None":
+    """The analysis ``candidate`` is priced with: ``dataflow`` for the
+    identity program, else the analysis of the candidate's own program.
+
+    Rewrites are analyzed with no query: the cost model reads sizes and
+    distinct counts, not adornments, and a magic candidate's seed (in
+    its program) already says what is bound.  A candidate whose
+    analysis fails is priced with ``dataflow``.
+    """
+    if not candidate.transforms:
+        return dataflow
+    from ..analysis.dataflow import analyze_dataflow
+    try:
+        return analyze_dataflow(candidate.program, edb=edb)
+    except ReproError:
+        return dataflow
+
+
 def choose_plan(program: Program, edb: Database,
                 query: Atom | None = None, ics: Sequence = (),
                 budget: Budget | None = None,
@@ -658,12 +642,19 @@ def choose_plan(program: Program, edb: Database,
     The choice depends on the query only through its predicate and
     adornment, so it is kept in the pattern's prepared entry
     (:mod:`repro.engine.prepared`) and later queries of the pattern get
-    it re-seeded with their constants (``reused``) — equal in label,
-    cost, table and program to a fresh enumeration — until the EDB's
-    stamp moves.  ``dataflow`` defaults to
-    :func:`~repro.analysis.dataflow.analyze_dataflow`'s result; another
-    analysis object is priced afresh and nothing is kept.  The arity
-    check and ``budget`` run on every call.  While a chaos plan is
+    it re-seeded with their constants (``reused``; see
+    :class:`PreparedPlan` for when that equals a fresh enumeration)
+    until the EDB's stamp moves.  So the analyses below run once per
+    pattern and stamp.
+
+    Every candidate is priced with a dataflow analysis of its own
+    program: the identity candidate with ``dataflow``, which defaults
+    to :func:`~repro.analysis.dataflow.analyze_dataflow`'s result
+    (another analysis object is priced afresh and nothing is kept),
+    every other with the analysis of its rewritten program, with no
+    query (a magic candidate's seed included).  A candidate whose
+    analysis raises :class:`~repro.errors.ReproError` is priced with
+    ``dataflow``.  The arity check and ``budget`` run on every call.  While a chaos plan is
     active nothing is reused or kept: its faults must reach every stage
     and its degraded choices must not outlive it.
     """
@@ -701,7 +692,8 @@ def choose_plan(program: Program, edb: Database,
     table: list[tuple[str, str, float]] = []
     for index, group in enumerate(memo):
         group.cost, group.detail = estimate_program_cost(
-            group.candidate, edb, dataflow)
+            group.candidate, edb,
+            _candidate_dataflow(group.candidate, edb, dataflow))
         table.append((group.fingerprint, group.candidate.label,
                       group.cost))
         key = (group.cost, len(group.candidate.transforms), index)

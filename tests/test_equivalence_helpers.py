@@ -3,11 +3,13 @@
 import pytest
 
 from repro.constraints import ic_from_text, satisfies
-from repro.core.equivalence import (check_equivalent, make_consistent,
+from repro.core.equivalence import (check_equivalent,
+                                    infer_numeric_columns, make_consistent,
                                     random_consistent_databases,
                                     random_database)
 from repro.datalog import parse_program
 from repro.facts import Database
+from repro.workloads import load
 
 
 class TestRandomDatabase:
@@ -23,6 +25,30 @@ class TestRandomDatabase:
         for sym, num in db.facts("p"):
             assert isinstance(sym, str)
             assert isinstance(num, int) and 1 <= num <= 9
+
+
+class TestNumericColumns:
+    @pytest.mark.parametrize("name, expected", [
+        ("example_2_1", {}),
+        ("example_3_2", {"pays": [0]}),
+        ("example_4_1", {}),
+        ("example_4_3", {"par": [1, 3]}),
+        ("example_5_1", {"transcript": [2, 3]}),
+    ])
+    def test_paper_examples(self, name, expected):
+        """Example 4.3's age column 1 joins the compared column 3 (``Za``
+        in ic1, and ``anc``'s columns through r1), so both draw
+        numbers."""
+        example = load(name)
+        assert infer_numeric_columns(example.program, example.ics) \
+            == expected
+
+    def test_a_class_runs_through_an_idb_predicate(self):
+        program = parse_program("""
+            r0: p(X, N) :- a(X, N).
+            r1: q(X) :- p(X, N), b(N, M), N > 3.
+        """)
+        assert infer_numeric_columns(program) == {"a": [1], "b": [0]}
 
 
 class TestMakeConsistent:
