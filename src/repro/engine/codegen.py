@@ -3,56 +3,56 @@
 A :class:`~repro.engine.compile.CompiledKernel` describes a rule body
 once, as a symbolic step program (``kernel.steps`` / ``kernel.head``).
 This module is that program's back end: :class:`GeneratedKernel` lowers
-it into a single generated Python function that processes the whole delta
-frontier per firing as a cascade of list comprehensions —
+it into a single generated Python function whose body is **one list
+comprehension** over the whole delta frontier of a firing —
 
-- the first join level iterates its source *without* copying it;
+- each atom step is a ``for`` clause and each check, membership or
+  negation step an ``if`` clause, so no join level is ever built as a
+  list: a binding lives only while the comprehension extends it;
+- the first source is iterated in place, without a copy;
 - probes go through :meth:`Relation.index_for` — a single-column
   index is keyed by the **bare** stored value, so the hot loop never
   allocates a key tuple — with the bucket getter hoisted out of the
   loop once per firing;
-- when the innermost join level feeds exactly one of its columns into
-  the head, the probe is replaced by a
-  :meth:`Relation.projection_index` lookup and the level emits
-  projected values directly, never touching a row tuple;
+- when the last atom feeds exactly one of its columns to what follows,
+  the probe is replaced by a :meth:`Relation.projection_index` lookup
+  and the clause iterates projected values directly, never touching a
+  row tuple;
 - comparisons against a constant are evaluated **per column, not per
   row**: a :class:`PredicateCache` memoizes the set of column values
   passing the check, so each distinct value is compared once per
-  relation version and the per-row work is one set-membership test;
-- negations and fully-bound atoms become membership filters inside the
-  same comprehension cascade.
-
-Memory stays bounded by the widest *slice*, not the widest level: each
-intermediate level is ``del``-eted as soon as its consumer is built,
-and a body with intermediate levels walks its outermost source in
-slices of :data:`SLICE_ROWS` rows, accumulating head rows and level
-counts across slices.
+  relation version and the per-row work is one set-membership test.
 
 Every step program has a generated form.  Arithmetic computes in the
 value domain — ``A(op, ...)`` over decoded operands — and re-interns
-its result for storage; an arithmetic ``=`` bind is one extra clause of
-the next level's comprehension.  An empty or bind-only body is a
+its result for storage; an arithmetic ``=`` bind is one
+``for bN in (expr,)`` clause.  An empty or bind-only body is a
 degenerate frontier of one.  A constant with no faithful literal
 (``inf``, ``nan``) is passed as an argument instead of embedded.  A
 derivation hook gets a second text of the same program
-(``hooked=True``): no step builds the head, and one closing level
-filters the finished frontier through ``hook(rule, binding, round)``
-before the head rows are built, so the hook sees each solution's
-value-domain ``Binding`` exactly once and vetoed rows compute nothing.
+(``hooked=True``) whose last clause filters each solution through
+``hook(rule, binding, round)`` before its head row is built, so the
+hook sees each solution's value-domain ``Binding`` exactly once and
+vetoed rows compute nothing.
 
 Statistics parity is exact: the generated function returns, alongside
-the derived head rows, closed-form counter sums (lookups per level
-entry, rows per level output, comparison/negation counts per entry)
-that reproduce the reference interpreter's row-at-a-time ``EvalStats``
-accounting bit-identically under the same join order — the
-differential fuzz matrix pins the two to each other, hooked and not.
+the derived head rows, counter sums (lookups per step entry, rows per
+step output, comparison/negation counts per entry) that reproduce the
+reference interpreter's row-at-a-time ``EvalStats`` accounting
+bit-identically under the same join order.  The comprehension keeps
+the counts with assignment expressions: a probe adds its bucket's
+length once per binding that probes it
+(``for b1 in (g1(k, E),) if (n1 := n1 + len(b1)) >= 0 for r1 in b1``),
+a filter in the middle of the body counts its survivors
+(``if (n2 := n2 + 1)``), the first source's count is its length and
+the last step's is ``len(out)``.  The differential fuzz matrix pins
+the counters to the interpreter's, hooked and not.
 """
 
 from __future__ import annotations
 
 import math
 import types
-from itertools import islice
 from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
 from ..errors import EvaluationError
@@ -61,12 +61,7 @@ from ..facts.symbols import SymbolTable
 from . import builtins
 from .bindings import Fetch
 
-__all__ = ["GeneratedKernel", "PredicateCache", "SLICE_ROWS",
-           "MAX_CACHED_KERNELS"]
-
-#: Rows of the outermost source processed per pass when the body
-#: materializes intermediate join levels (see the module docstring).
-SLICE_ROWS = 2048
+__all__ = ["GeneratedKernel", "PredicateCache", "MAX_CACHED_KERNELS"]
 
 #: Entry cap of the process-wide generated-text cache.  Keys embed
 #: interned constant codes, so a long-lived process that keeps seeing
@@ -362,8 +357,8 @@ def _instantiate(steps: tuple[Any, ...], head: tuple[Any, ...],
     # bind *this* kernel's symbol table, ``R``/``K`` its rule and
     # variables.
     exec(code,  # noqa: S102 - generated from the symbolic step program
-         {"__builtins__": {}, "len": len, "list": list, "iter": iter,
-          "islice": islice, "E": (), "C": builtins.compare_values,
+         {"__builtins__": {}, "len": len, "list": list,
+          "E": (), "C": builtins.compare_values,
           "A": builtins.apply_arith,
           "V": symbols.values if symbols is not None else None,
           "I": symbols.intern if symbols is not None else None,
@@ -372,25 +367,28 @@ def _instantiate(steps: tuple[Any, ...], head: tuple[Any, ...],
     return _Form(namespace["_kernel"], specs, source_text)
 
 
+def _slots_in(sym: tuple[Any, ...]) -> set[int]:
+    """The slots a symbolic term reads."""
+    if sym[0] == "slot":
+        return {sym[1]}
+    if sym[0] == "arith":
+        return _slots_in(sym[2]) | _slots_in(sym[3])
+    return set()
+
+
 def _emit(steps: tuple[Any, ...], head: tuple[Any, ...],
           symbols: SymbolTable | None,
           hooked: bool) -> tuple[str, tuple[Any, ...]]:
     """The generated source text and resolver specs of a step program."""
     interned = symbols is not None
 
-    # The step that builds the last level builds the head rows too —
-    # unless something must happen between the two: a hook has to see
-    # each solution first, an arithmetic bind trails the last level, or
-    # there is no level at all (empty and bind-only bodies).  Then no
-    # step is last and one closing level builds the heads.
-    last_level = -1
-    for pos, step in enumerate(steps):
-        if step[0] != "bind":
-            last_level = pos
-    if hooked or last_level < 0 \
-            or any(step[2][0] == "arith" for step in steps[last_level + 1:]):
-        last_level = len(steps)
-    deferred_binds = steps[last_level + 1:]
+    # Every step but a bind can change how many bindings there are.
+    # Without a hook, the bindings the last such step leaves are the
+    # head rows, so its count is ``len(out)``; a hook filters after it,
+    # so then every count is a counter of its own.
+    final = -1 if hooked else max(
+        (pos for pos, step in enumerate(steps) if step[0] != "bind"),
+        default=-1)
 
     specs: list[tuple[Any, ...]] = []
     spec_idx: dict[tuple[Any, ...], int] = {}
@@ -407,22 +405,23 @@ def _emit(steps: tuple[Any, ...], head: tuple[Any, ...],
     #: slot -> (source ordinal, column) at the slot's first atom write;
     #: the predicate cache can only filter slots with a column origin.
     origins: dict[int, tuple[int, int]] = {}
-    regs: list[str] = []
-    #: Arithmetic binds waiting for the next level: each is one
-    #: ``for bN in (expr,)`` clause of that level's comprehension.
-    pending: list[str] = []
-    #: Level-building lines: ``(list name, count name | None, expr)``
-    #: (the head level has no count name) or ``("del", name)``.
-    lines: list[tuple[Any, ...]] = []
+    #: The ``for`` / ``if`` clauses of the comprehension, in order.
+    clauses: list[str] = []
+    #: Lines ahead of the comprehension: an in-place first source.
+    prelude: list[str] = []
+    #: Counters the comprehension adds to, all starting at 0.
+    counters: list[str] = []
     lk: list[str] = []
     rm: list[str] = []
     cc: list[str] = []
     nc: list[str] = []
-    #: ``virtual`` holds the source expression of an in-place first
-    #: level (named ``s0`` / counted ``n0``), or None; ``pattern``
-    #: unpacks one item of ``frontier``.
-    state: dict[str, Any] = {"count": "1", "frontier": None, "levels": 0,
-                             "virtual": None, "pattern": "_"}
+    #: How many bindings reach the next clause (before the first
+    #: ``for``, a degenerate frontier of one).
+    count = "1"
+    #: The whole right-hand side of ``out``, when it is not the
+    #: comprehension (a head that copies its only source verbatim).
+    whole: str | None = None
+    registers = 0
 
     def lit(value: object) -> str:
         text = _lit(value)
@@ -457,35 +456,15 @@ def _emit(steps: tuple[Any, ...], head: tuple[Any, ...],
     def tup(parts: Sequence[str]) -> str:
         return "(" + ", ".join(parts) + ",)" if parts else "()"
 
-    def gens_prefix() -> str:
-        """The clauses every row of the next level starts from: the
-        frontier's unpacking, then the pending arithmetic binds."""
-        frontier = state["frontier"]
-        prefix = "" if frontier is None \
-            else f"for {state['pattern']} in {frontier} "
-        prefix += "".join(pending)
-        pending.clear()
-        return prefix
-
-    def item_expr() -> str:
-        return regs[0] if len(regs) == 1 else tup(regs) if regs else "1"
-
-    def new_level(expr: str, is_last: bool) -> None:
-        """Materialize one level from the current frontier, then free
-        the frontier it consumed."""
-        consumed = state["frontier"]
-        if is_last:
-            name, count = "out", "len(out)"
-            lines.append((name, None, expr))
-        else:
-            name, count = f"lvl{state['levels']}", f"n{state['levels']}"
-            lines.append((name, count, expr))
-        state["levels"] += 1
-        if consumed is not None and consumed != "s0":
-            lines.append(("del", consumed))
-        state["frontier"] = name
-        state["count"] = count
-        state["pattern"] = item_expr() if regs else "_"
+    def survivors(pos: int) -> str:
+        """The count of bindings leaving step ``pos``: ``len(out)`` for
+        the last one, else a counter bumped once per binding."""
+        if pos == final:
+            return "len(out)"
+        name = f"n{pos}"
+        counters.append(name)
+        clauses.append(f"if ({name} := {name} + 1)")
+        return name
 
     def atom_source(src: int, cols: tuple[int, ...],
                     keys: tuple[Any, ...]) -> str:
@@ -550,129 +529,113 @@ def _emit(steps: tuple[Any, ...], head: tuple[Any, ...],
                     rval if slot_left else lval, slot_left))
         return f"{reg_exprs[slot_no]} in a{j}"
 
-    def emit_filter(cond: str | None, is_last: bool,
-                    head_expr: str | None = None) -> None:
-        if cond is None and not is_last:
-            return  # statically true: the level is a no-op copy
-        if cond == "False" and not pending:
-            new_level("[]", is_last)
-            return
-        prefix = gens_prefix()
-        item = head_expr if is_last else item_expr()
-        if not prefix:  # a degenerate frontier of one
-            expr = f"[{item}]" if cond is None \
-                else f"[{item}] if {cond} else []"
-        elif cond is None:
-            expr = f"[{item} {prefix.rstrip()}]"
-        else:
-            expr = f"[{item} {prefix}if {cond}]"
-        new_level(expr, is_last)
-
-    def head_parts() -> list[str]:
-        for _tag, dslot, dsym in deferred_binds:
-            reg_exprs[dslot] = storage(dsym)
-            cc.append("len(out)")
-        return [storage(sym) for sym in head]
-
     for pos, step in enumerate(steps):
         tag = step[0]
-        is_last = pos == last_level
         if tag == "bind":
-            if pos > last_level:
-                continue  # folded into head_parts, counted vs len(out)
             _tag, slot_no, sym = step
-            cc.append(state["count"])
+            cc.append(count)
             if sym[0] == "arith":
-                # Computed once per row, in a register of its own.
-                bname = f"b{len(regs)}"
-                pending.append(f"for {bname} in ({storage(sym)},) ")
-                regs.append(bname)
+                # Computed once per binding, in a register of its own.
+                bname = f"b{registers}"
+                registers += 1
+                clauses.append(f"for {bname} in ({storage(sym)},)")
                 reg_exprs[slot_no] = bname
             else:
                 reg_exprs[slot_no] = storage(sym)
             continue
         if tag == "check":
             _tag, op, lhs_sym, rhs_sym = step
-            cc.append(state["count"])
-            emit_filter(check_cond(op, lhs_sym, rhs_sym), is_last,
-                        tup(head_parts()) if is_last else None)
+            cc.append(count)
+            cond = check_cond(op, lhs_sym, rhs_sym)
+            if cond is not None:  # None: statically true, no clause
+                clauses.append(f"if {cond}")
+                count = survivors(pos)
             continue
         if tag in ("member", "neg"):
             _tag, src, syms = step
             positive = tag == "member"
-            (lk if positive else nc).append(state["count"])
-            cond = membership_cond(src, syms, positive)
-            emit_filter(cond, is_last,
-                        tup(head_parts()) if is_last else None)
+            (lk if positive else nc).append(count)
+            clauses.append(f"if {membership_cond(src, syms, positive)}")
+            count = survivors(pos)
             if positive:
-                rm.append(state["count"])
+                rm.append(count)
             continue
         # tag == "atom"
         _tag, src, cols, keys, writes, checks = step
-        lk.append(state["count"])
-        first = state["frontier"] is None and not pending
-        prefix = gens_prefix()
-        rname = f"r{len(regs)}"
+        lk.append(count)
+        rname = f"r{registers}"
+        registers += 1
         for col, slot_no in writes:
             reg_exprs[slot_no] = f"{rname}[{col}]"
             origins[slot_no] = (src, col)
         conds = "".join(f" if {rname}[{col}] == {reg_exprs[slot_no]}"
                         for col, slot_no in checks)
-        if not is_last:
+        if pos != final:
             source = atom_source(src, cols, keys)
-            regs.append(rname)
-            if first and not checks:
-                # Virtual first level: iterate the source in place —
-                # no list copy, count is just its length.
-                state["virtual"] = source
-                state["levels"] += 1
-                state["frontier"] = "s0"
-                state["count"] = "n0"
-                state["pattern"] = rname
+            if checks:
+                clauses.append(f"for {rname} in {source}{conds}")
+                count = survivors(pos)
+            elif not clauses:
+                # The first source is iterated in place — no copy, and
+                # its length is the count.
+                count = f"n{pos}"
+                prelude += [f"s0 = {source}", f"{count} = len(s0)"]
+                clauses.append(f"for {rname} in s0")
             else:
-                new_level(f"[{item_expr()} {prefix}for {rname} in "
-                          f"{source}{conds}]", False)
-            rm.append(state["count"])
+                # Each probe's bucket is counted whole, once per
+                # binding that probes it, then walked.
+                count = f"n{pos}"
+                counters.append(count)
+                bname = f"b{rname[1:]}"
+                clauses.append(
+                    f"for {bname} in ({source},) "
+                    f"if ({count} := {count} + len({bname})) >= 0 "
+                    f"for {rname} in {bname}")
+            rm.append(count)
             continue
-        # Final level: emit head rows directly.
-        parts = head_parts()
-        arity = len(cols) + len(writes) + len(checks)
-        identity = (first and not checks and arity > 0
-                    and parts == [f"{rname}[{i}]" for i in range(arity)])
-        if identity:
+        # The last step that changes the count: the head rows follow.
+        count = "len(out)"
+        rm.append(count)
+        if not clauses and not cols and not checks \
+                and pos == len(steps) - 1 \
+                and head == tuple(("slot", slot) for _col, slot in writes):
             # The head is the row verbatim: one C-level list copy.
-            new_level(f"list({atom_source(src, cols, keys)})", True)
-        else:
-            used = sorted({col for col, _slot in writes
-                           if f"{rname}[{col}]" in parts})
-            if len(cols) == 1 and not checks and len(used) == 1:
-                # Projection: the level contributes exactly one column
-                # to the head, so probe the projection index and emit
-                # its entries — no row tuples at all.
-                val_col = used[0]
+            whole = f"list({atom_source(src, cols, keys)})"
+            continue
+        if len(cols) == 1 and not checks:
+            read: set[int] = set()
+            for sym in (*head, *(bind[2] for bind in steps[pos + 1:])):
+                read |= _slots_in(sym)
+            used = [(col, slot) for col, slot in writes if slot in read]
+            if len(used) == 1:
+                # Projection: exactly one of the atom's columns is read
+                # after it, so probe the projection index and iterate
+                # that column's values — no row tuples at all.
+                ((val_col, val_slot),) = used
+                vname = f"v{rname[1:]}"
                 j = arg_of(("proj", src, cols[0], val_col))
-                source = f"g{j}({storage(keys[0])}, E)"
-                vname = f"v{len(regs)}"
-                parts = [vname if part == f"{rname}[{val_col}]"
-                         else part for part in parts]
-                rname = vname
-            else:
-                source = atom_source(src, cols, keys)
-            new_level(f"[{tup(parts)} {prefix}for {rname} in "
-                      f"{source}{conds}]", True)
-        rm.append("len(out)")
+                reg_exprs[val_slot] = vname
+                clauses.append(
+                    f"for {vname} in g{j}({storage(keys[0])}, E)")
+                continue
+        clauses.append(f"for {rname} in {atom_source(src, cols, keys)}"
+                       f"{conds}")
 
-    if last_level == len(steps):
-        # The closing level: every slot is bound, so a hook can be shown
-        # the whole value-domain binding; it runs after the last
-        # ``rows_matched`` count and before any head term is computed.
-        cond = None
-        if hooked:
-            binding = ", ".join(f"k{slot_no}: {decode(expr)}" for
-                                slot_no, expr in sorted(reg_exprs.items()))
-            cond = (f"a{arg_of(('hook',))}(R, {{{binding}}}, "
-                    f"a{arg_of(('round',))})")
-        emit_filter(cond, True, tup(head_parts()))
+    if hooked:
+        # Every slot is bound, so the hook is shown the whole
+        # value-domain binding; it filters after the last count and
+        # before any head term is computed.
+        binding = ", ".join(f"k{slot_no}: {decode(expr)}" for
+                            slot_no, expr in sorted(reg_exprs.items()))
+        clauses.append(f"if a{arg_of(('hook',))}(R, {{{binding}}}, "
+                       f"a{arg_of(('round',))})")
+    if whole is None:
+        if clauses and not clauses[0].startswith("for "):
+            # A comprehension starts with a ``for``: a leading filter
+            # runs over the frontier of one.
+            clauses.insert(0, "for _ in (0,)")
+        item = tup([storage(sym) for sym in head])
+        whole = f"[{' '.join([item, *clauses])}]"
 
     def total(terms: list[str]) -> str:
         return " + ".join(terms) if terms else "0"
@@ -684,41 +647,10 @@ def _emit(steps: tuple[Any, ...], head: tuple[Any, ...],
     if hooked:
         body.extend(f"    k{slot_no} = K[{slot_no}]"
                     for slot_no in sorted(reg_exprs))
-    counts = [line[1] for line in lines
-              if line[0] != "del" and line[1] is not None]
-    sliced = state["virtual"] is not None and bool(counts)
-    if sliced:
-        # Intermediate levels behind an in-place first level: walk the
-        # source in bounded slices so no level ever holds more than one
-        # slice's worth of join prefixes.  ``n0`` (and the single
-        # level-0 entry in the lookup count) cover the whole source;
-        # the other counts and ``out`` accumulate across slices.
-        body.append(f"    whole = {state['virtual']}")
-        body.append("    n0 = len(whole)")
-        body.append(f"    {' = '.join(counts)} = 0")
-        body.append("    out = []")
-        body.append("    rest = iter(whole)")
-        body.append(f"    s0 = list(islice(rest, {SLICE_ROWS}))")
-        body.append("    while s0:")
-        indent = "        "
-    else:
-        if state["virtual"] is not None:
-            body.append(f"    s0 = {state['virtual']}")
-            body.append("    n0 = len(s0)")
-        indent = "    "
-    for line in lines:
-        if line[0] == "del":
-            body.append(f"{indent}del {line[1]}")
-            continue
-        name, count, expr = line
-        if count is None:
-            body.append(f"{indent}out {'+=' if sliced else '='} {expr}")
-        else:
-            body.append(f"{indent}{name} = {expr}")
-            body.append(f"{indent}{count} {'+=' if sliced else '='} "
-                        f"len({name})")
-    if sliced:
-        body.append(f"        s0 = list(islice(rest, {SLICE_ROWS}))")
+    body.extend(f"    {line}" for line in prelude)
+    if counters:
+        body.append(f"    {' = '.join(counters)} = 0")
+    body.append(f"    out = {whole}")
     body.append(f"    return out, {total(lk)}, {total(rm)}, "
                 f"{total(cc)}, {total(nc)}")
     return "\n".join(body), tuple(specs)

@@ -21,8 +21,8 @@ This module lowers a rule body **once** into a :class:`CompiledKernel`:
 
 The step program is the only description of the body, and it has one
 back end: :mod:`repro.engine.codegen` lowers it into a **generated
-function** — the whole body as one function of cascaded comprehensions
-that processes a firing's entire frontier with no per-row Python call,
+function** — the whole body as one list comprehension that processes
+a firing's entire frontier with no per-row Python call,
 interned or raw, arithmetic and empty bodies included.  When a
 derivation hook is installed the same program is generated a second
 time with one closing filter that shows the hook each solution's

@@ -570,10 +570,13 @@ class PreparedPlan:
     Only the costs read the seed: a magic candidate is priced with an
     analysis of its program, seed included, and that analysis proves
     the rules of a constant outside an EDB column's profiled domain
-    dead.  For a query whose constants lie inside those domains, label,
-    cost, fingerprint, table and program equal a cold choice for that
-    query; any other query gets the choice and costs of the query that
-    enumerated the pattern.
+    dead.  Such a choice is degenerate — it prices a query with no
+    answers — so :func:`choose_plan` returns it without keeping it, and
+    the pattern's next query enumerates afresh.  A kept choice was
+    therefore priced on constants inside those domains, and for every
+    query whose constants lie inside them too, label, cost,
+    fingerprint, table and program equal a cold choice for that query;
+    any other query gets the kept choice and its costs.
     """
 
     __slots__ = ("choice", "dataflow")
@@ -644,8 +647,11 @@ def choose_plan(program: Program, edb: Database,
     (:mod:`repro.engine.prepared`) and later queries of the pattern get
     it re-seeded with their constants (``reused``; see
     :class:`PreparedPlan` for when that equals a fresh enumeration)
-    until the EDB's stamp moves.  So the analyses below run once per
-    pattern and stamp.
+    until the EDB's stamp moves.  A choice whose magic candidate's
+    analysis proves rules dead that the program's own analysis keeps
+    (a query constant outside a column's profiled domain) is returned
+    but not kept.  So the analyses below run once per pattern and
+    stamp, and once more per such query.
 
     Every candidate is priced with a dataflow analysis of its own
     program: the identity candidate with ``dataflow``, which defaults
@@ -691,9 +697,16 @@ def choose_plan(program: Program, edb: Database,
     best_key: tuple[float, int, int] | None = None
     table: list[tuple[str, str, float]] = []
     for index, group in enumerate(memo):
+        flow = _candidate_dataflow(group.candidate, edb, dataflow)
+        if group.candidate.magic is not None and flow is not dataflow \
+                and flow is not None and flow.dead_rules \
+                and not (dataflow is not None and dataflow.dead_rules):
+            # The seed proved rules dead that the program's own analysis
+            # keeps: its constant lies outside a domain it meets, and
+            # these costs hold for this query only.
+            keep = False
         group.cost, group.detail = estimate_program_cost(
-            group.candidate, edb,
-            _candidate_dataflow(group.candidate, edb, dataflow))
+            group.candidate, edb, flow)
         table.append((group.fingerprint, group.candidate.label,
                       group.cost))
         key = (group.cost, len(group.candidate.transforms), index)

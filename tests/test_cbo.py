@@ -30,6 +30,7 @@ from repro.engine import (ChosenPlan, cbo_answers, cbo_evaluate,
                           evaluate_with_magic, explain, explain_kernels, explain_plan, magic_answers,
                           naive_evaluate, plan_rule, seminaive_evaluate)
 from repro.engine.magic import adornment_of, magic_rewrite
+from repro.engine.prepared import prepared
 from repro.engine.optimizer import (MAX_CANDIDATES, Memo, PlanCandidate,
                                     _adornment_choices, _linearizations,
                                     estimate_program_cost)
@@ -436,6 +437,26 @@ class TestPreparedQueries:
         assert (second.fingerprint, second.table) \
             == (first.fingerprint, first.table)
 
+    def test_a_query_outside_the_profiled_domain_is_not_kept(self):
+        """On an acyclic int digraph no edge leaves the last node, so
+        ``reach(149, Y)``'s seed makes the magic candidates' analyses
+        prove their rules dead.  That degenerate choice is answered but
+        not kept: the pattern's next query prices afresh, exactly as a
+        cold enumeration does, and that choice is kept."""
+        db = Database()
+        for source, target in digraph(150, 450).relation("edge"):
+            db.add_fact("edge", int(source[1:]), int(target[1:]))
+        program = Program(TC.rules)
+        degenerate = choose_plan(program, db, query=_bound(149))
+        second = choose_plan(program, db, query=_bound(0))
+        cold = choose_plan(Program(TC.rules), db, query=_bound(0))
+        assert not second.reused
+        assert (second.label, second.cost, second.table) \
+            == (cold.label, cold.cost, cold.table)
+        assert second.table != degenerate.table
+        assert choose_plan(program, db, query=_bound(1)).reused
+        assert cbo_answers(program, db, _bound(149)) == frozenset()
+
     def test_a_write_to_a_read_relation_forces_one_replan(self, counted):
         program, db = Program(TC.rules), digraph()
         for node in ("n1", "n2"):
@@ -571,21 +592,24 @@ def _random_query(rng, program, nodes):
 def test_warm_choices_and_answers_equal_cold_ones(seed):
     """Random bound queries against one program: each warm choice equals
     a cold ``choose_plan`` on a fresh ``Program`` in label, cost, table
-    and program text, and answers like the plain evaluation."""
+    and program text, and answers like the plain evaluation.  A choice
+    is reused exactly when its pattern has a kept one (a degenerate
+    choice, whose seed makes rules dead, is not kept)."""
     rng = random.Random(seed)
     text, db = random_linear_program(rng)
     warm = parse_program(text)
     edb = db.interned() if seed % 2 else db
     nodes = sorted({value for pred in db for row in db.facts(pred)
                     for value in row})
-    seen = set()
+    kept = set()
     for _ in range(8):
         query = _random_query(rng, warm, nodes)
         pattern = (query.pred, adornment_of(query))
         hot = choose_plan(warm, edb, query=query)
         cold = choose_plan(Program(warm.rules), edb, query=query)
-        assert hot.reused == (pattern in seen)
-        seen.add(pattern)
+        assert hot.reused == (pattern in kept)
+        if prepared(warm, edb, query).plan is not None:
+            kept.add(pattern)
         assert (hot.label, hot.cost, hot.fingerprint, hot.table,
                 str(hot.program)) == (cold.label, cold.cost,
                                       cold.fingerprint, cold.table,

@@ -409,14 +409,57 @@ def test_single_column_tail_probes_the_projection_index():
     assert "islice" not in source and "del " not in source
 
 
-def test_intermediate_levels_are_sliced_and_freed():
+def test_intermediate_levels_are_clauses_of_one_comprehension():
     _interned, kernel = _kernel(
         "r0: t(X, W) :- edge(X, Y), edge(Y, Z), edge(Z, W).",
         _edges((1, 2)))
     source = kernel.generated.source
-    assert f"s0 = list(islice(rest, {codegen.SLICE_ROWS}))" in source
-    assert "n1 += len(lvl1)" in source and "out += [" in source
-    assert source.index("out += [") < source.index("del lvl1")
+    # One comprehension, no level list: nothing to slice or free.
+    assert source.count(" = [") == 1 and "out = [(r0[0], v2,) " in source
+    assert "lvl" not in source and "islice" not in source \
+        and "del " not in source
+    # The middle level's rows are its probe buckets' lengths, added
+    # once per binding that probes, not counted row by row.
+    assert ("for b1 in (g1(r0[1], E),) if (n1 := n1 + len(b1)) >= 0 "
+            "for r1 in b1 for v2 in g2(r1[1], E)]") in source
+    assert source.endswith("return out, 1 + n0 + n1, n0 + n1 + len(out), "
+                           "0, 0")
+
+
+#: The recursive TC kernel verbatim: two atoms, the first counted by
+#: its length and the last by ``len(out)``, so no counter is needed.
+TC_RECURSIVE_KERNEL = """\
+def _kernel(a0, a1):
+    g1 = a1.get
+    s0 = a0
+    n0 = len(s0)
+    out = [(r0[0], v1,) for r0 in s0 for v1 in g1(r0[1], E)]
+    return out, 1 + n0, n0 + len(out), 0, 0"""
+
+
+def test_the_tc_recursive_kernel_text_is_pinned():
+    (rule,) = parse_program("r1: reach(X, Y) :- reach(X, Z), edge(Z, Y).")
+    for symbols in (None, Database().interned().symbols):
+        kernel = compile_rule(rule, lambda atom, index: 0, symbols=symbols)
+        assert kernel.generated.source == TC_RECURSIVE_KERNEL
+
+
+def test_a_projection_beside_head_arithmetic_keeps_the_row():
+    # The head reads two columns of the last atom, one of them inside
+    # arithmetic: the projection index would drop the other column.
+    program = parse_program("r0: p(Y, Z + 1) :- a(X), b(X, Z, Y).")
+    edb = Database()
+    edb.add_fact("a", 1)
+    edb.add_fact("b", 1, 5, 7)
+    for interning in ("off", "on"):
+        for executor in ("compiled", "interpreted"):
+            result = evaluate(program, edb, interning=interning,
+                              executor=executor)
+            assert result.facts("p") == {(7, 6)}
+    (rule,) = program
+    kernel = compile_rule(rule, lambda atom, index: 0, keep_atom_order=True)
+    assert "proj" not in [spec[0] for spec in
+                          kernel.generated.form(False).resolvers]
 
 
 def test_hook_gets_a_second_text_with_one_closing_filter():
@@ -490,14 +533,14 @@ def test_explain_kernels_prints_the_generated_source_per_rule():
 
 
 # ---------------------------------------------------------------------------
-# Slices
+# A wide frontier
 # ---------------------------------------------------------------------------
 
 
-def test_slice_boundary_rows_and_counters_match_the_interpreter():
-    # An outermost frontier of three full slices plus one row, behind a
-    # body that exercises all four kernel counters.
-    width = 3 * codegen.SLICE_ROWS + 1
+def test_wide_frontier_rows_and_counters_match_the_interpreter():
+    # An outermost frontier of 6145 rows behind a body that exercises
+    # all four kernel counters, with a filter between two atoms.
+    width = 6145
     program = parse_program("""
         r0: t(X, W) :- a(X, Y), b(Y, Z), Z > 1, not c(Z, X), b(Z, W).
     """)
@@ -522,7 +565,12 @@ def test_slice_boundary_rows_and_counters_match_the_interpreter():
     (rule,) = program
     kernel = compile_rule(rule, lambda atom, index: 0,
                           keep_atom_order=True)
-    assert "islice" in kernel.generated.source
+    source = kernel.generated.source
+    # One pass over the whole source: the survivors of each filter are
+    # counted in the comprehension itself.
+    assert source.count(" = [") == 1 and "islice" not in source
+    assert "if r1[1] in a2 if (n2 := n2 + 1) " \
+        "if (r1[1], r0[0],) not in a3 if (n3 := n3 + 1) " in source
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,6 @@ from repro.datalog.program import Program
 from repro.datalog.rules import Rule
 from repro.datalog.terms import ArithExpr, Constant, Variable
 from repro.engine import EvalStats, evaluate, seminaive_evaluate
-from repro.engine import codegen
 from repro.engine.compile import compile_rule
 from repro.errors import EvaluationError
 from repro.facts import Database
@@ -219,8 +218,8 @@ def _veto(rule, binding, round_index):
                for value in binding.values()) % 4 != 0
 
 
-def test_hooked_body_across_the_slice_boundary():
-    width = 2 * codegen.SLICE_ROWS + 1
+def test_hooked_wide_body_matches_the_interpreter():
+    width = 4097
     program = parse_program("""
         r0: t(X, W) :- a(X, Y), b(Y, Z), Z > 1, not c(Z, X), b(Z, W).
     """)
@@ -242,7 +241,47 @@ def test_hooked_body_across_the_slice_boundary():
                           keep_atom_order=True)
     kernel.execute(lambda atom, index: edb.relation(atom.pred),
                    EvalStats(), hook=_always)
-    assert "islice" in kernel.generated.form(True).source
+    # One comprehension; the hook is its last clause, after the last
+    # atom's rows are counted.
+    source = kernel.generated.form(True).source
+    (line,) = [line for line in source.splitlines() if " = [" in line]
+    assert "if (n4 := n4 + len(b2)) >= 0 for r2 in b2 if a5(R, {" in line
+    assert line.endswith(", a6)]") and "islice" not in source
+
+
+# ---------------------------------------------------------------------------
+# A long body
+# ---------------------------------------------------------------------------
+
+#: Twelve chained atoms, a comparison after the sixth, a negation over
+#: two far-apart slots and an arithmetic bind read by the head.
+CHAIN_12 = """
+    r0: walk(X0, N) :- e(X0, X1), e(X1, X2), e(X2, X3), e(X3, X4),
+        e(X4, X5), e(X5, X6), X6 > 8, e(X6, X7), e(X7, X8),
+        not blocked(X2, X8), e(X8, X9), e(X9, X10), e(X10, X11),
+        e(X11, X12), N = X12 - X0.
+"""
+
+
+def test_a_twelve_atom_chain_matches_the_interpreter():
+    program = parse_program(CHAIN_12)
+    edb = Database()
+    for n in range(30):
+        edb.add_fact("e", n, n + 1)
+        if n % 3 == 0:
+            edb.add_fact("e", n, n + 2)
+    for n in range(0, 30, 4):
+        edb.add_fact("blocked", n, n + 6)
+    facts, stats = _matches_interpreter(program, edb,
+                                        hooks=(None, _always, _veto))
+    assert facts["walk"]
+    assert stats["comparisons_checked"] and stats["negation_checks"]
+    (rule,) = program
+    kernel = compile_rule(rule, lambda atom, index: 0,
+                          keep_atom_order=True)
+    source = kernel.generated.source
+    assert source.count(" = [") == 1 and source.count(" for r") == 11
+    assert "lvl" not in source and "del " not in source
 
 
 WORKLOADS = {

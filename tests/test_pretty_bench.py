@@ -1,7 +1,9 @@
 """Tests for pretty printing, the benchmark harness and the
 reproduction experiments E1..E10."""
 
+import csv
 from functools import lru_cache
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -232,6 +234,53 @@ class TestFastExperiments:
         # The redundancy is cross-instance: minimization finds none.
         assert ratio["minimization only"] == 100.0
         assert ratio["rule-level baseline"] == 100.0
+
+
+#: The committed record of ``repro experiments --csv-dir results``.
+RESULTS = Path(__file__).resolve().parent.parent / "results"
+
+
+def _csv_rows(text):
+    return list(csv.reader(line for line in text.splitlines()
+                           if not line.startswith("#")))
+
+
+def _counter_part(header, cell):
+    """``cell`` without its timing: None for a timing column, the count
+    of a "<time> <count>" cell ("t/rows", "t/lookups", "t/checks"), else
+    the cell itself."""
+    if header.endswith(" ms") or "total" in header:
+        return None
+    if "t/" in header:
+        return cell.split()[-1]
+    return cell
+
+
+class TestRecordedCounters:
+    """The paper's counter record: re-running each experiment at its
+    default sizes reproduces every non-timing cell of ``results/E*.csv``
+    — the rows, lookups and residue checks each engine configuration
+    spends, so a kernel that miscounts shows here."""
+
+    @pytest.mark.parametrize("name", list(experiments.ALL_EXPERIMENTS))
+    def test_counter_cells_equal_the_record(self, name, tmp_path):
+        table, _ = _run(name)
+        path = tmp_path / f"{name}.csv"
+        table.to_csv(path)
+        fresh = _csv_rows(path.read_text(encoding="utf-8"))
+        recorded = _csv_rows(
+            (RESULTS / f"{name}.csv").read_text(encoding="utf-8"))
+        headers = recorded[0]
+        assert fresh[0] == headers and len(fresh) == len(recorded)
+        counted = 0
+        for fresh_row, recorded_row in zip(fresh[1:], recorded[1:]):
+            for header, new, old in zip(headers, fresh_row, recorded_row):
+                part = _counter_part(header, old)
+                if part is not None:
+                    assert _counter_part(header, new) == part, \
+                        (name, header, recorded_row[0])
+                    counted += 1
+        assert counted
 
 
 class TestTableCSV:
