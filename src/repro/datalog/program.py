@@ -12,6 +12,7 @@ demand, the analyses the paper's assumptions rest on:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 
 import networkx as nx
@@ -88,6 +89,12 @@ class Program:
             self._by_head.setdefault(r.head.pred, ())
             self._by_head[r.head.pred] += (r,)
         self._recursion: RecursionInfo | None = None
+        self._arities: Mapping[str, int] | None = None
+        # The evaluation strata, filled by ``engine.stratify.stratify``.
+        self._strata: tuple[frozenset[str], ...] | None = None
+        # The serving tier's digest of the rules, filled by
+        # ``serving.views.program_fingerprint``.
+        self._fingerprint: str | None = None
         # Algorithm 3.1's results on this program, filled by
         # ``core.residues.generate_residues``: (pred, id(ic),
         # useful_only, max_extend) -> (ic, residues).
@@ -165,6 +172,28 @@ class Program:
 
     def add_rules(self, *rules: Rule) -> "Program":
         return Program(self._rules + tuple(rules), edb_hint=self._edb_hint)
+
+    def with_fact(self, old: Rule, new: Rule) -> "Program":
+        """This program with the fact ``old`` swapped for ``new``.
+
+        ``new`` is a fact of ``old``'s predicate and arity, so no
+        predicate, edge or arity changes: the recursion analysis, the
+        arities and the strata of this program carry over instead of
+        being recomputed (a magic seed swapped per bound query).
+        """
+        if old.body or new.body or old.head.pred != new.head.pred \
+                or old.head.arity != new.head.arity \
+                or not any(rule is old for rule in self._rules):
+            raise ProgramError(
+                f"cannot swap {old} for {new}: both must be facts of "
+                "one predicate and arity, the first in the program")
+        swapped = Program([new if rule is old else rule
+                           for rule in self._rules],
+                          edb_hint=self._edb_hint)
+        swapped._recursion = self._recursion
+        swapped._arities = self._arities
+        swapped._strata = self._strata
+        return swapped
 
     def replace_rule(self, label: str, *replacements: Rule) -> "Program":
         """Replace the rule with ``label`` by ``replacements`` (in place)."""
@@ -271,7 +300,12 @@ class Program:
                     f"{r.count_occurrences(pred)} occurrences")
 
     def predicate_arities(self) -> Mapping[str, int]:
-        """Map every predicate to its arity; inconsistent use is an error."""
+        """Map every predicate to its arity; inconsistent use is an error.
+
+        Computed once per program; the mapping is read-only.
+        """
+        if self._arities is not None:
+            return self._arities
         arities: dict[str, int] = {}
 
         def note(pred: str, arity: int) -> None:
@@ -287,4 +321,5 @@ class Program:
                     note(lit.pred, lit.arity)
                 elif isinstance(lit, Negation):
                     note(lit.atom.pred, lit.atom.arity)
-        return arities
+        self._arities = MappingProxyType(arities)
+        return self._arities

@@ -35,6 +35,22 @@ class Rule:
     label: str | None = field(default=None, compare=False)
     span: Span | None = field(default=None, compare=False, repr=False)
 
+    def __hash__(self) -> int:
+        # Kernel caches hash a rule per firing, and the generated hash
+        # would walk head and body every time: the rule is immutable,
+        # so its hash is computed once.  Equality stays field-wise.
+        found = self.__dict__.get("_hash")
+        if found is None:
+            found = hash((self.head, self.body))
+            object.__setattr__(self, "_hash", found)
+        return found
+
+    def __getstate__(self) -> dict[str, object]:
+        # A string's hash is per process: a pickled rule recomputes it.
+        state = dict(self.__dict__)
+        state.pop("_hash", None)
+        return state
+
     def __str__(self) -> str:
         if not self.body:
             return f"{self.head}."

@@ -26,9 +26,11 @@ comprehension** over the whole delta frontier of a firing —
 Every step program has a generated form.  Arithmetic computes in the
 value domain — ``A(op, ...)`` over decoded operands — and re-interns
 its result for storage; an arithmetic ``=`` bind is one
-``for bN in (expr,)`` clause.  An empty or bind-only body is a
-degenerate frontier of one.  A constant with no faithful literal
-(``inf``, ``nan``) is passed as an argument instead of embedded.  A
+``for bN in (expr,)`` clause.  A bind-only body is a degenerate
+frontier of one (so is a fact's empty one, though the engines insert a
+fact's head row without generating code for it).  A constant with no
+faithful literal (``inf``, ``nan``) is passed as an argument instead
+of embedded.  A
 derivation hook gets a second text of the same program
 (``hooked=True``) whose last clause filters each solution through
 ``hook(rule, binding, round)`` before its head row is built, so the
@@ -65,8 +67,9 @@ __all__ = ["GeneratedKernel", "PredicateCache", "MAX_CACHED_KERNELS"]
 
 #: Entry cap of the process-wide generated-text cache.  Keys embed
 #: interned constant codes, so a long-lived process that keeps seeing
-#: new programs or bound-query constants would otherwise grow it
-#: forever; at the cap the cache is cleared wholesale and refills.
+#: new programs would otherwise grow it forever; at the cap the cache
+#: is cleared wholesale and refills.  (A bound query's constants reach
+#: no key: its magic seed is a fact, which no kernel is generated for.)
 MAX_CACHED_KERNELS = 1024
 
 

@@ -23,7 +23,9 @@ The step program is the only description of the body, and it has one
 back end: :mod:`repro.engine.codegen` lowers it into a **generated
 function** — the whole body as one list comprehension that processes
 a firing's entire frontier with no per-row Python call,
-interned or raw, arithmetic and empty bodies included.  When a
+interned or raw, arithmetic and bind-only bodies included (the engines
+compile no fact: :class:`~repro.engine.fire.Firer` inserts its head
+row).  When a
 derivation hook is installed the same program is generated a second
 time with one closing filter that shows the hook each solution's
 ``Binding`` before the head row is built.  Either way the derived head
@@ -317,13 +319,11 @@ class KernelCache:
             kernel: CompiledKernel) -> CompiledKernel:
         """Keep ``kernel`` for ``(rule, variant)``; returns it.
 
-        A body-less rule's kernel is not kept, and is compiled again at
-        each firing: a fact's constants are its whole key, so a cache
-        shared by a stream of bound queries would otherwise keep every
-        query's magic seed.
+        Facts never get here: the :class:`~repro.engine.fire.Firer`
+        inserts a fact's head row without a kernel, so a cache shared by
+        a stream of bound queries holds no query's magic seed.
         """
-        if rule.body:
-            self._kernels[rule, variant] = kernel
+        self._kernels[rule, variant] = kernel
         return kernel
 
 

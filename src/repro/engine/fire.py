@@ -93,8 +93,8 @@ class Firer:
     :class:`~repro.engine.compile.KernelCache` — ``kernels`` when the
     caller keeps one across runs, which must be compiled against the
     same ``symbols`` — and plans a kernel once, at its first firing
-    (:func:`compile_firing`; a fact's at every firing, see
-    :meth:`~repro.engine.compile.KernelCache.put`); ``"interpreted"`` runs the oracle, which
+    (:func:`compile_firing`), while a fact needs none: its firing is its
+    head row; ``"interpreted"`` runs the oracle, which
     re-plans greedily every firing (in rule order under ``"source"``)
     and takes no ``kernels``.
 
@@ -157,6 +157,8 @@ class Firer:
         stats.rules_fired += 1
         kernels = self.kernels
         if kernels is not None:
+            if rule.is_fact:
+                return self._fact(rule, round_index)
             kernel = kernels.get(rule, variant)
             if kernel is None:
                 kernel = kernels.put(rule, variant, compile_firing(
@@ -173,6 +175,18 @@ class Firer:
         if self.symbols is not None:
             return list(map(self.symbols.intern_row, derived))
         return derived
+
+    def _fact(self, rule: Rule, round_index: int) -> list[Row]:
+        """A fact's firing: its head row, shown to the hook with the
+        empty binding as the interpreter shows it.  No kernel is
+        compiled: a magic seed's constants are the whole fact, and a
+        stream of bound queries would compile one per query."""
+        if self.hook is not None and not self.hook(rule, {}, round_index):
+            return []
+        row = instantiate_head(rule, {})
+        if self.symbols is not None:
+            row = self.symbols.intern_row(row)
+        return [row]
 
     def merge(self, derived: Collection[Row], target: Relation,
               last_round: int = 0) -> Collection[Row]:

@@ -148,12 +148,12 @@ def reseed(rewritten: MagicProgram, query: Atom) -> MagicProgram:
 
     Equal to ``magic_rewrite`` of that query under the same adornment:
     every rule but the seed depends on the pattern only, so the seed is
-    swapped for ``query``'s and the rest is kept.
+    swapped for ``query``'s and the rest is kept — with the program's
+    arities, recursion analysis and strata, which a fact swap leaves
+    as they were.
     """
     seed = magic_seed(query, rewritten.adornment)
-    rules = [seed if rule is rewritten.seed else rule
-             for rule in rewritten.program]
-    return MagicProgram(rewritten.program.with_rules(rules),
+    return MagicProgram(rewritten.program.with_fact(rewritten.seed, seed),
                         rewritten.query_pred, seed)
 
 

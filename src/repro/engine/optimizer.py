@@ -752,8 +752,10 @@ def cbo_evaluate(program: Program, edb: Database,
     the compiled executor runs with the prepared entry's
     :class:`~repro.engine.compile.KernelCache`, so a kernel is planned
     from the statistics of the first query of the pattern that fires it
-    and reused by every later one until the EDB's stamp moves (a magic
-    seed, a fact, is compiled per query and never kept).
+    and reused by every later one until the EDB's stamp moves.  A magic
+    seed, a fact, gets no kernel: its firing inserts its head row, and
+    the re-seeded program keeps the strata of the kept one, so a query
+    of a prepared pattern generates no code and stratifies nothing.
     """
     from ..facts.symbols import validate_interning
     from .compile import validate_executor

@@ -120,6 +120,10 @@ def plan_rule(rule: Rule, program: Program, edb: Database,
     kernel's ``member`` test); each atom's size is read through the same
     ``fetch``.
     """
+    if rule.is_fact:
+        # A fact fires as its head row: there is nothing to plan.
+        validate_planner(planner)
+        return RulePlan(rule, (), planner=planner)
     fetch, kernel = _round0_kernel(rule, program, edb, idb, planner)
     kinds = {source[0]: source[3] for source in kernel.sources}
     bound: set[Variable] = set()
@@ -194,9 +198,14 @@ def explain_kernels(program: Program, edb: Database,
     runs as, compiled against the same size estimates :func:`plan_rule`
     uses (including, under ``planner="adaptive"``, the
     statistics-estimated rows per probe) and against the EDB's symbol
-    table when it is interned.
+    table when it is interned.  A fact has no kernel: the engines
+    insert its head row as it stands, and it is rendered as such.
     """
     def describe(rule: Rule) -> str:
+        if rule.is_fact:
+            validate_planner(planner)
+            return (f"{rule.label or '?'}: {rule} "
+                    "[fact: its head row is inserted, no kernel]")
         _fetch, kernel = _round0_kernel(rule, program, edb, idb, planner,
                                         edb.symbols)
         return kernel.describe()

@@ -25,7 +25,21 @@ def stratify(program: Program) -> list[frozenset[str]]:
     Returns a list of predicate sets; stratum ``i`` may depend positively
     on strata ``<= i`` and negatively only on strata ``< i``.  Raises
     :class:`EvaluationError` for non-stratifiable programs.
+
+    The strata are computed once per program and kept on it
+    (``Program._strata``); a program whose magic seed is swapped for
+    another query's (:meth:`Program.with_fact
+    <repro.datalog.program.Program.with_fact>`) keeps them too.
     """
+    strata = program._strata
+    if strata is None:
+        strata = program._strata = _condense(program)
+    return list(strata)
+
+
+def _condense(program: Program) -> tuple[frozenset[str], ...]:
+    """The strata of ``program``: the dependency graph's condensation in
+    topological order, restricted to the IDB."""
     graph = program.dependency_graph()
     condensation = nx.condensation(graph)
     # Check for negative edges inside a component.
@@ -42,7 +56,7 @@ def stratify(program: Program) -> list[frozenset[str]]:
         members = frozenset(condensation.nodes[node]["members"]) & idb
         if members:
             strata.append(members)
-    return strata
+    return tuple(strata)
 
 
 def is_recursive_stratum(stratum: frozenset[str],

@@ -31,9 +31,12 @@ from __future__ import annotations
 import time
 from typing import Optional
 
+from ..datalog.atoms import Atom
 from ..datalog.parser import parse_query
 from ..datalog.program import Program
+from ..datalog.terms import Constant, Variable
 from ..engine.bindings import EvalStats
+from ..engine.engine import select_answers
 from ..engine.seminaive import answers
 from ..facts.database import Database
 
@@ -82,13 +85,40 @@ class Snapshot:
 
         Each call uses its own :class:`EvalStats` unless one is passed,
         so concurrent readers never share a mutable counter object.
+
+        A single positive atom over constants and variables is answered
+        by :func:`~repro.engine.engine.select_answers` — one bound-column
+        lookup — and projected onto its variables, counted as the
+        interpreter counts it (one atom lookup, one matched row per
+        selected row); any other query runs through the interpreter.
         """
         if isinstance(text_or_literals, str):
             literals = parse_query(text_or_literals).literals
         else:
             literals = tuple(text_or_literals)
-        return answers(literals, self.program, self.edb, self.idb,
-                       stats if stats is not None else EvalStats())
+        stats = stats if stats is not None else EvalStats()
+        if len(literals) == 1 and isinstance(literals[0], Atom) \
+                and all(isinstance(arg, (Constant, Variable))
+                        for arg in literals[0].args):
+            return self._select(literals[0], stats)
+        return answers(literals, self.program, self.edb, self.idb, stats)
+
+    def _select(self, query: Atom, stats: EvalStats) -> set[tuple]:
+        """``query``'s rows projected onto its variables (in order of
+        first appearance)."""
+        source = self.idb if query.pred in self.program.idb_predicates \
+            else self.edb
+        rows = select_answers(source, query)
+        stats.atom_lookups += 1
+        stats.rows_matched += len(rows)
+        columns: dict[Variable, int] = {}
+        for column, arg in enumerate(query.args):
+            if isinstance(arg, Variable):
+                columns.setdefault(arg, column)
+        picked = tuple(columns.values())
+        if picked == tuple(range(query.arity)):
+            return set(rows)
+        return {tuple(row[column] for column in picked) for row in rows}
 
     def facts(self, pred: str) -> frozenset[tuple]:
         return self.idb.facts(pred)

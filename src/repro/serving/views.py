@@ -61,9 +61,17 @@ from .snapshots import Snapshot
 
 
 def program_fingerprint(program: Program) -> str:
-    """A stable 16-hex-digit digest of the program's rules, in order."""
-    text = "\n".join(str(rule) for rule in program)
-    return hashlib.sha256(text.encode()).hexdigest()[:16]
+    """A stable 16-hex-digit digest of the program's rules, in order.
+
+    Computed once per program (a read keys its view by it) and kept on
+    the immutable :class:`Program`.
+    """
+    found = program._fingerprint
+    if found is None:
+        text = "\n".join(str(rule) for rule in program)
+        found = program._fingerprint = \
+            hashlib.sha256(text.encode()).hexdigest()[:16]
+    return found
 
 
 def relation_fingerprint(db: Database) -> str:

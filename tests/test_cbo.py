@@ -17,6 +17,7 @@ import pytest
 
 import repro.analysis.dataflow as dataflow_module
 import repro.constraints.checker as checker_module
+import repro.engine.codegen as codegen_module
 import repro.engine.fire as fire_module
 import repro.engine.optimizer as optimizer_module
 from repro.analysis.dataflow import analyze_dataflow
@@ -203,9 +204,27 @@ class TestCostModel:
         assert first.label == second.label
         assert first.cost == second.cost
 
-    def test_enumeration_stays_under_budget(self):
-        choice = choose_plan(TC, digraph(300, 900), query=BOUND)
-        assert choice.enumeration_seconds < 0.050
+    def test_enumeration_analyzes_each_group_at_most_once(self,
+                                                           monkeypatch):
+        """The enumeration's work, counted rather than timed: at most
+        one dataflow analysis per candidate group (the program's own
+        for the identity, one per rewrite), and none at all for the
+        pattern's next query, which reuses the choice."""
+        analyzed = []
+        analyze = dataflow_module.analyze_dataflow
+
+        def counting(program, *args, **kwargs):
+            analyzed.append(program)
+            return analyze(program, *args, **kwargs)
+
+        monkeypatch.setattr(dataflow_module, "analyze_dataflow", counting)
+        program, db = Program(TC.rules), digraph(300, 900)
+        first = choose_plan(program, db, query=BOUND)
+        assert not first.reused and first.groups > 1
+        assert 0 < len(analyzed) <= first.groups
+        analyzed.clear()
+        second = choose_plan(program, db, query=_bound("n1"))
+        assert second.reused and analyzed == []
 
     def test_estimate_skips_fact_rules(self):
         program = parse_program("f0: p(a).\nr0: q(X) :- p(X).")
@@ -400,8 +419,8 @@ class TestPreparedQueries:
         """The benchmark's path per query — analyze, plan with that
         analysis, answer under that plan — over one program and EDB: one
         enumeration, every analysis (the program's and each candidate's)
-        during the first query, and after the first query one kernel
-        per query, the magic seed's."""
+        and every kernel during the first query, and none after it (the
+        magic seed, a fact, is inserted without a kernel)."""
         program = Program(TC.rules)
         db = digraph(150, 450)
         edb = db.interned()
@@ -422,10 +441,44 @@ class TestPreparedQueries:
         assert analyzed[0] >= 1
         assert analyzed[1:] == [0] * 19
         assert compiled[0] > 1
-        assert all(count <= 1 for count in compiled[1:])
+        assert compiled[1:] == [0] * 19
         assert all(choice.magic is not None for choice in choices)
         assert [choice.reused for choice in choices] \
             == [False] + [True] * 19
+
+    def test_a_bf_stream_generates_no_code_and_builds_no_strata(
+            self, monkeypatch):
+        """Fifty bf queries of one pattern along the benchmark's path:
+        after the first, no query adds generated kernel text (its seed
+        is inserted as a row) or builds a dependency graph (the strata
+        carry over the seed swap, so stratification never reruns), and
+        every query answers like ``magic_answers``."""
+        graphs = []
+        build = Program.dependency_graph
+
+        def counting(program):
+            graphs.append(program)
+            return build(program)
+
+        monkeypatch.setattr(Program, "dependency_graph", counting)
+        program = Program(TC.rules)
+        db = digraph(150, 450)
+        edb = db.interned()
+        texts, built = [], []
+        for number in range(50):
+            query = _bound(f"n{number}")
+            texts_before, built_before = len(codegen_module._CACHE), \
+                len(graphs)
+            flow = analyze_dataflow(program, edb=edb, query=query)
+            choice = choose_plan(program, edb, query=query, dataflow=flow)
+            answers = cbo_answers(program, edb, query, choice=choice,
+                                  interning="on")
+            texts.append(len(codegen_module._CACHE) - texts_before)
+            built.append(len(graphs) - built_before)
+            assert choice.magic is not None
+            assert answers == magic_answers(program, db, query)
+        assert texts[1:] == [0] * 49
+        assert built[1:] == [0] * 49
 
     def test_describe_says_the_plan_was_reused(self):
         program, db = Program(TC.rules), digraph()

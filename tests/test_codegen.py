@@ -22,7 +22,7 @@ import pytest
 
 from repro.datalog import parse_program
 from repro.engine import (EvalProfile, EvalStats, evaluate,
-                          evaluate_with_magic, explain_kernels)
+                          evaluate_with_magic, explain_kernels, plan_rule)
 from repro.engine import codegen
 from repro.engine.codegen import PredicateCache
 from repro.engine.compile import KernelCache, compile_rule
@@ -530,6 +530,23 @@ def test_explain_kernels_prints_the_generated_source_per_rule():
         assert text.count("generated function:") == 2
         assert text.count("def _kernel(") == 2 and " != " in text
         assert "A('+', " in text and "row chain" not in text
+
+
+def test_explain_kernels_shows_a_fact_without_a_kernel():
+    """A fact fires as its head row, so explain renders no generated
+    function and no plan steps for it."""
+    program = parse_program("""
+        r0: reach(X, Y) :- edge(X, Y).
+        s0: reach(a, z).
+    """)
+    edb = Database()
+    edb.add_fact("edge", "a", "b")
+    for db in (edb, edb.interned()):
+        text = explain_kernels(program, db)
+        assert text.count("def _kernel(") == 1
+        assert "s0: reach(a, z). [fact: its head row is inserted, " \
+            "no kernel]" in text
+        assert plan_rule(program.rule("s0"), program, db).steps == ()
 
 
 # ---------------------------------------------------------------------------

@@ -33,11 +33,22 @@ COMBOS = [(executor, planner, interning)
 #: closed back into the recursion (so it also fires on deltas).  The
 #: compiled executor runs such a rule as a set union unless a hook, a
 #: chaos plan or a counter limit has to see each row — which the cells
-#: below alternate.
+#: below alternate.  ``filter`` adds a recursive rule whose comparison
+#: sits between its two atoms, so the count of the filter's survivors
+#: feeds the next atom's lookups in the middle of the body; ``fact``
+#: adds a ground fact to the recursive stratum, whose firing inserts
+#: its head row without a kernel and which the recursion then extends
+#: (the veto hook below vetoes it: its empty binding sums to 0).
 COPY_RULES = {
     "copy": "c0: c(X, Y) :- p(X, Y).\n",
     "copy-loop": "c0: c(X, Y) :- p(X, Y).\nc1: p(X, Y) :- c(X, Y).\n",
+    "filter": "f0: p(X, Z) :- p(X, Y), X < Y, e0(Y, Z).\n",
+    "fact": "s0: p(n0, n99).\n",
 }
+
+#: The draws of the matrix tests: eight plain ones and one per flavor.
+DRAWS = (*range(8), (2, "copy"), (6, "copy-loop"), (1, "filter"),
+         (4, "fact"))
 
 
 def draw(seed):
@@ -56,7 +67,7 @@ def fingerprint(result):
         for pred in result.program.idb_predicates))
 
 
-@pytest.mark.parametrize("seed", (*range(8), (2, "copy"), (6, "copy-loop")))
+@pytest.mark.parametrize("seed", DRAWS)
 def test_all_combos_derive_identical_facts(seed):
     text, edb = draw(seed)
     program = parse_program(text)
@@ -80,7 +91,7 @@ def test_all_combos_derive_identical_facts(seed):
         f"seed {seed}: semantic counters diverge: {counts}"
 
 
-@pytest.mark.parametrize("seed", (*range(8), (2, "copy"), (6, "copy-loop")))
+@pytest.mark.parametrize("seed", DRAWS)
 def test_full_counters_match_wherever_join_orders_coincide(seed):
     """The whole ``EvalStats`` dict, not just the derivation totals.
 
@@ -128,7 +139,7 @@ def test_full_counters_match_wherever_join_orders_coincide(seed):
         assert vetoed(interning=interning) == reference
 
 
-@pytest.mark.parametrize("seed", (3, 11, (3, "copy-loop")))
+@pytest.mark.parametrize("seed", (3, 11, (3, "copy-loop"), (3, "fact")))
 def test_budget_exhaustion_payloads_match_across_combos(seed):
     text, edb = draw(seed)
     program = parse_program(text)
@@ -146,7 +157,7 @@ def test_budget_exhaustion_payloads_match_across_combos(seed):
     assert len(payloads) == 1, payloads
 
 
-@pytest.mark.parametrize("seed", (5, (5, "copy-loop")))
+@pytest.mark.parametrize("seed", (5, (5, "copy-loop"), (5, "fact")))
 def test_chaos_fault_ordinals_match_across_combos(seed):
     text, edb = draw(seed)
     program = parse_program(text)

@@ -6,6 +6,7 @@ from repro.datalog import parse_program
 from repro.datalog.atoms import atom
 from repro.datalog.program import Program
 from repro.datalog.rules import rule
+from repro.engine.stratify import stratify
 from repro.errors import ProgramError
 
 
@@ -123,11 +124,51 @@ class TestTransformHelpers:
         assert len(grown) == 3
         assert len(tc_program) == 2  # original untouched
 
+    def test_with_fact_swaps_and_keeps_the_shape_analyses(self):
+        program = parse_program(
+            "r0: reach(X, Y) :- seed(X), edge(X, Y).\n"
+            "r1: reach(X, Y) :- reach(X, Z), edge(Z, Y).\n"
+            "s0: seed(a).")
+        strata = stratify(program)
+        info, arities = program.recursion_info(), \
+            program.predicate_arities()
+        old = program.rule("s0")
+        new = rule(atom("seed", "b"), label="s0")
+        swapped = program.with_fact(old, new)
+        assert [str(r) for r in swapped] == [
+            str(program.rule("r0")), str(program.rule("r1")), "seed(b)."]
+        assert swapped.recursion_info() is info
+        assert swapped.predicate_arities() is arities
+        assert stratify(swapped) == strata
+        assert swapped._strata is program._strata
+        assert str(program.rule("s0")) == "seed(a)."  # original untouched
+
+    @pytest.mark.parametrize("new", [
+        rule(atom("seed", "b", "c"), label="s0"),
+        rule(atom("other", "b"), label="s0"),
+        rule(atom("seed", "X"), atom("edge", "X", "X"), label="s0")])
+    def test_with_fact_rejects_a_change_of_shape(self, new):
+        program = parse_program("r0: p(X) :- seed(X).\ns0: seed(a).")
+        with pytest.raises(ProgramError):
+            program.with_fact(program.rule("s0"), new)
+
+    def test_with_fact_rejects_a_fact_outside_the_program(self):
+        program = parse_program("r0: p(X) :- seed(X).\ns0: seed(a).")
+        with pytest.raises(ProgramError):
+            program.with_fact(rule(atom("seed", "a"), label="s0"),
+                              rule(atom("seed", "b"), label="s0"))
+
 
 class TestArities:
     def test_consistent(self, tc_program):
         arities = tc_program.predicate_arities()
         assert arities["reach"] == 2 and arities["edge"] == 2
+
+    def test_computed_once_and_read_only(self, tc_program):
+        arities = tc_program.predicate_arities()
+        assert tc_program.predicate_arities() is arities
+        with pytest.raises(TypeError):
+            arities["reach"] = 3  # type: ignore[index]
 
     def test_inconsistent_rejected(self):
         program = parse_program("p(X) :- e(X). q(X) :- e(X, X).")

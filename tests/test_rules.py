@@ -1,5 +1,7 @@
 """Unit tests for repro.datalog.rules."""
 
+import pickle
+
 import pytest
 
 from repro.datalog.atoms import Negation, atom, comparison
@@ -25,6 +27,22 @@ class TestRuleBasics:
     def test_is_fact(self, anc_rule):
         assert rule(atom("p", "a")).is_fact
         assert not anc_rule.is_fact
+
+    def test_hash_is_kept_and_equality_ignores_labels(self, anc_rule):
+        twin = rule(atom("anc", "X", "Y"),
+                    atom("anc", "X", "Z"), atom("par", "Z", "Y"),
+                    label="other")
+        assert hash(anc_rule) == hash(anc_rule) \
+            == hash((anc_rule.head, anc_rule.body)) == hash(twin)
+        assert anc_rule == twin and {anc_rule: 1}[twin] == 1
+        assert anc_rule != anc_rule.with_head(atom("anc", "Y", "X"))
+
+    def test_a_pickled_rule_drops_its_kept_hash(self, anc_rule):
+        hash(anc_rule)
+        copied = pickle.loads(pickle.dumps(anc_rule))
+        assert "_hash" not in copied.__dict__
+        assert copied == anc_rule and copied.label == "r1"
+        assert hash(copied) == hash(anc_rule)
 
     def test_constructor_validates_head(self):
         with pytest.raises(TypeError):

@@ -14,6 +14,7 @@ import random
 import pytest
 
 from repro.datalog import parse_program
+from repro.datalog.rules import Rule
 from repro.engine.seminaive import seminaive_evaluate
 from repro.errors import (BudgetExceededError, EvaluationError,
                           ServingUnavailable)
@@ -24,7 +25,7 @@ from repro.runtime.budget import Budget
 from repro.runtime.chaos import ChaosPlan
 from repro.runtime.retry import CircuitBreaker, HealthState, RetryPolicy
 from repro.serving import (Snapshot, StalenessBound, ThreadedServer,
-                           relation_fingerprint)
+                           program_fingerprint, relation_fingerprint)
 from repro.serving.threaded import MAX_QUEUE
 from tests.helpers import state_at
 
@@ -89,6 +90,31 @@ def test_snapshot_fingerprint_matches_state_at_version():
         historical = state_at(server.source, snapshot.version)
         expected = seminaive_evaluate(program, historical)
         assert snapshot.fingerprint() == relation_fingerprint(expected)
+
+
+def test_a_program_is_fingerprinted_once(monkeypatch):
+    """Every read keys its view by the program's fingerprint: the rules
+    are rendered once per program, and equal programs share a view."""
+    program = parse_program(TC)
+    rendered = []
+    render = Rule.__str__
+
+    def counting(rule):
+        rendered.append(rule)
+        return render(rule)
+
+    monkeypatch.setattr(Rule, "__str__", counting)
+    server = ThreadedServer(db=_chain_db(3))
+    first = server.read(program, "reach(n0, X)")
+    assert len(rendered) == len(program)
+    for _ in range(3):
+        assert server.read(program, "reach(n0, X)").rows == first.rows
+    assert len(rendered) == len(program)
+    twin = parse_program(TC)
+    assert program_fingerprint(twin) == program_fingerprint(program)
+    assert server.view(twin) is server.view(program)
+    other = parse_program(NONREC)
+    assert program_fingerprint(other) != program_fingerprint(program)
 
 
 def test_staleness_bound_axes():

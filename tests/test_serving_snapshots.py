@@ -22,7 +22,9 @@ from hypothesis.stateful import (RuleBasedStateMachine, initialize,
                                  invariant, rule)
 
 from repro.datalog import parse_program
-from repro.engine.seminaive import seminaive_evaluate
+from repro.datalog.parser import parse_query
+from repro.engine.bindings import EvalStats
+from repro.engine.seminaive import answers, seminaive_evaluate
 from repro.facts import (Changeset, Database, Relation, SymbolTable,
                          VersionedDatabase)
 from repro.facts.relation import PatchedRelation, PatchLog
@@ -618,6 +620,33 @@ def test_changeset_brings_a_new_edb_predicate(interned):
     server.source.apply(Changeset.from_text("-link(m0, n0). +link(m0, m1)."))
     assert view.refresh() == "incremental"
     _assert_consistent(program, server, view.snapshot)
+
+
+@pytest.mark.parametrize("interned", [False, True])
+def test_a_snapshot_read_selects_and_counts_like_the_interpreter(interned):
+    """A single-atom read goes through the one answer selection: its
+    answers and its whole ``EvalStats`` equal the interpreter's for a
+    bound, a free, a repeated-variable, an all-bound and an unknown
+    atom; a conjunction still runs through the interpreter."""
+    program = parse_program(TC)
+    server = ThreadedServer(db=_chain_db(12, interned))
+    server.source.apply(Changeset.from_text("+edge(n3, n3)."))
+    view = server.view(program)
+    view.refresh()
+    snapshot = view.snapshot
+    for text in ("reach(n0, X)", "reach(X, n5)", "reach(X, X)",
+                 "reach(X, Y)", "reach(Y, X)", "reach(n2, n7)",
+                 "reach(n7, n2)", "edge(X, n4)", "nope(X, n1)",
+                 "reach(n0, X), edge(X, n5)"):
+        literals = parse_query(text).literals
+        expected = EvalStats()
+        rows = answers(literals, program, snapshot.edb, snapshot.idb,
+                       expected)
+        counted = EvalStats()
+        assert snapshot.query(text, counted) == rows, text
+        assert counted.as_dict() == expected.as_dict(), text
+    assert snapshot.query("reach(X, X)") == {("n3",)}
+    assert snapshot.query("reach(n2, n7)") == {()}
 
 
 # -- readers build indexes on what the writer is patching --------------------
