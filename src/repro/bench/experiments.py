@@ -68,8 +68,8 @@ def experiment_e1(sizes: tuple[int, ...] = (20, 40, 80),
     pushed_program = SemanticOptimizer(
         example.program, [ic1], pred="eval").optimize().optimized
     automaton_program = SemanticOptimizer(
-        example.program, [ic1], pred="eval", compilation="automaton",
-        collapse=False).optimize().optimized
+        example.program, [ic1], pred="eval",
+        compilation="automaton").optimize().optimized
     rule_level = optimize_rule_level(
         example.program, [ic1], pred="eval").optimized
 
@@ -101,7 +101,7 @@ def experiment_e1(sizes: tuple[int, ...] = (20, 40, 80),
                       "yes" if check_same_answers(rows) else "NO")
     table.note("rule-level baseline cannot see the r1 r1 residue, so its "
                "program (and cost) equals plain")
-    table.note("'automaton' is the uncollapsed Algorithm 4.1 output — "
+    table.note("'automaton' is Algorithm 4.1's isolated output — "
                "the ablation justifying the periodic compilation")
     return table
 
@@ -551,10 +551,9 @@ def experiment_e10(size: int = 40, repeats: int = 2,
     compile time and evaluation work.
 
     Expected shape: the default (periodic compilation + chase guard) is
-    the only configuration that both beats plain and is guard-verified;
-    dropping the guard saves compile time but gives up the soundness
-    net; the automaton forms lose at run time; minimization alone finds
-    nothing (the redundancy lives across rule instances).
+    the only configuration that beats plain; the automaton form loses at
+    run time; minimization alone finds nothing (the redundancy lives
+    across rule instances).
     """
     from ..core.minimize import minimize_program
 
@@ -576,14 +575,9 @@ def experiment_e10(size: int = 40, repeats: int = 2,
     configurations = [
         ("periodic + chase guard (default)", lambda p: SemanticOptimizer(
             p, [ic1], pred="eval").optimize().optimized),
-        ("periodic, guard=none", lambda p: SemanticOptimizer(
-            p, [ic1], pred="eval", guard="none").optimize().optimized),
-        ("automaton + collapse", lambda p: SemanticOptimizer(
-            p, [ic1], pred="eval",
-            compilation="automaton").optimize().optimized),
         ("automaton raw", lambda p: SemanticOptimizer(
             p, [ic1], pred="eval",
-            compilation="automaton", collapse=False).optimize().optimized),
+            compilation="automaton").optimize().optimized),
         ("rule-level baseline", lambda p: optimize_rule_level(
             p, [ic1], pred="eval").optimized),
         ("minimization only", lambda p: minimize_program(

@@ -119,7 +119,7 @@ def _add_budget_flags(parser: argparse.ArgumentParser) -> None:
 
 def _evaluate_cbo(args: argparse.Namespace, program, db: Database) -> int:
     """``evaluate --planner cbo --query Q``: enumerate the rewrite space
-    (magic per adornment, residue pushing, linearization, fusion), run
+    (magic per adornment, residue pushing, linearization), run
     the cheapest candidate, and answer the query from whatever shape the
     chosen plan materialized.  ``--stats`` appends the candidate table.
     """
@@ -134,7 +134,7 @@ def _evaluate_cbo(args: argparse.Namespace, program, db: Database) -> int:
     idb_atoms = [lit for lit in literals
                  if isinstance(lit, Atom) and lit.pred in idb_preds]
     # Magic specializes exactly one IDB predicate; a query touching
-    # several keeps the identity/linearize/fuse space only.
+    # several keeps the identity/linearize space only.
     seed = idb_atoms[0] if len(idb_atoms) == 1 else None
     result = cbo_evaluate(program, db, query=seed,
                           budget=_budget_from_args(args),
@@ -238,8 +238,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
             small_relations=set(args.small or ()))
     else:
         report = SemanticOptimizer(
-            program, ics, pred=args.pred, guard=args.guard,
-            compilation=args.compilation,
+            program, ics, pred=args.pred, compilation=args.compilation,
             small_relations=set(args.small or ())).optimize(
                 budget=_budget_from_args(args), verify=args.verify)
     print(report.summary())
@@ -593,7 +592,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "statistics-driven, planned once per rule "
                              "(adaptive), rule order (source); or cbo, "
                              "which needs --query: enumerate magic/"
-                             "residue/linearization/fusion rewrites "
+                             "residue/linearization rewrites "
                              "and run the cheapest with adaptive")
     p_eval.add_argument("--executor", default="compiled",
                         choices=["compiled", "interpreted"],
@@ -644,8 +643,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_opt.add_argument("--ics", required=True)
     p_opt.add_argument("--pred", help="recursive predicate (inferred "
                                       "when unique)")
-    p_opt.add_argument("--guard", default="chase",
-                       choices=["chase", "none"])
     p_opt.add_argument("--compilation", default="periodic",
                        choices=["periodic", "automaton"])
     p_opt.add_argument("--small", nargs="*",

@@ -24,8 +24,8 @@ direction is trivial (``C`` has more conjuncts).  The other —
 Atom introduction is the same test with the roles swapped (``C`` is
 contained in ``C + A``), and subtree pruning asks the chase of ``C`` for
 a contradiction.  The paper applies the edits directly from useful
-residues; the optimizer runs these checks first (they accept all the
-paper's examples) unless it is run with ``guard="none"``.
+residues; the optimizer runs these checks first on every edit (they
+accept all the paper's examples).
 """
 
 from __future__ import annotations

@@ -36,11 +36,10 @@ from ..datalog.program import Program
 from ..errors import ProgramError
 from ..runtime import chaos
 from ..runtime.budget import Budget
-from .collapse import inline_auxiliaries
 from .isolate import Isolation, isolate
 from .periodic import periodic_applicable, push_periodic_group
-from .push import (Edit, GuardMode, PushOutcome, apply_elimination,
-                   apply_introduction, apply_pruning, validate_edit)
+from .push import (Edit, PushOutcome, apply_elimination, apply_introduction,
+                   apply_pruning, validate_edit)
 from .residues import (SequenceResidue, generate_residues,
                        generate_residues_exhaustive,
                        rule_level_residues)
@@ -191,12 +190,9 @@ class SemanticOptimizer:
         ics: the integrity constraints (EDB-only).
         pred: the recursive predicate to optimize; defaults to the single
             recursive predicate of the program.
-        guard: ``"chase"`` (default) validates every edit with the
-            containment test; ``"none"`` reproduces the paper verbatim.
         small_relations: EDB predicates worth *introducing* as semijoin
             reducers (the paper's "small relation" criterion is a
             physical-design judgement the optimizer cannot make alone).
-        collapse: inline the auxiliary predicates the pushes introduce.
         compilation: ``"periodic"`` (default) composes multi-level
             residues over one recursive rule into a depth-class
             compilation; ``"automaton"`` isolates each sequence alone.
@@ -205,22 +201,15 @@ class SemanticOptimizer:
     def __init__(self, program: Program,
                  ics: Iterable[IntegrityConstraint],
                  pred: str | None = None,
-                 guard: GuardMode = "chase",
                  small_relations: Iterable[str] = (),
-                 collapse: bool = True,
                  compilation: str = "periodic") -> None:
         if compilation not in ("periodic", "automaton"):
             raise ValueError(
                 f"compilation must be 'periodic' or 'automaton', "
                 f"got {compilation!r}")
-        if guard not in ("chase", "none"):
-            raise ValueError(
-                f"guard must be 'chase' or 'none', got {guard!r}")
         self.program = program
         self.ics = list(ics)
-        self.guard: GuardMode = guard
         self.small_relations = frozenset(small_relations)
-        self.collapse = collapse
         self.compilation = compilation
         self.pred = pred or self._single_recursive_pred(program)
 
@@ -272,8 +261,7 @@ class SemanticOptimizer:
         def prove(item: SequenceResidue, action: str) -> Edit | PushOutcome:
             key = (id(item), action)
             if key not in verdicts:
-                verdicts[key] = validate_edit(item, action, self.ics,
-                                              self.guard)
+                verdicts[key] = validate_edit(item, action, self.ics)
             return verdicts[key]
         return prove
 
@@ -343,7 +331,7 @@ class SemanticOptimizer:
 
     def _phase1_periodic(self, current: Program,
                          residues: Sequence[SequenceResidue],
-                         report: OptimizationReport, preserved: set[str],
+                         report: OptimizationReport,
                          budget: Budget | None, prove: Prover
                          ) -> tuple[Program, bool, set[int]]:
         """Phase 1 — periodic super-groups: all multi-level residues over
@@ -398,14 +386,13 @@ class SemanticOptimizer:
                     PushOutcome(action, True) if isinstance(verdict, Edit)
                     else verdict))
             current = outcome.program
-            preserved |= outcome.preserved_preds
             multi_level_done = True
         return current, multi_level_done, handled
 
     def _phase2_push(self, current: Program,
                      residues: Sequence[SequenceResidue],
                      handled: set[int], multi_level_done: bool,
-                     report: OptimizationReport, preserved: set[str],
+                     report: OptimizationReport,
                      budget: Budget | None, prove: Prover) -> Program:
         """Phase 2 — Algorithm 4.1 for the remaining residues, per
         (pred, sequence) group.
@@ -457,7 +444,6 @@ class SemanticOptimizer:
                 if outcome.applied and outcome.program is not None:
                     current = outcome.program
                     group_changed = True
-                    preserved |= outcome.preserved_preds
                     if isolation is not None:
                         # Re-anchor the isolation on the updated program
                         # so later residues of the group see earlier
@@ -470,22 +456,16 @@ class SemanticOptimizer:
                 multi_level_done = True
         return current
 
-    def _collapse_stage(self, current: Program,
-                        preserved: set[str]) -> Program:
-        auxiliaries = (current.idb_predicates
-                       - self.program.idb_predicates - preserved)
-        return inline_auxiliaries(current, auxiliaries)
-
     def optimize(self, budget: Budget | None = None,
                  verify: str = "none") -> OptimizationReport:
         """Run the pipeline (see the module docstring for the policy).
 
         Every stage — residue generation, periodic compilation, per-group
-        pushing, auxiliary collapse — runs with exception capture.  A
-        failing stage (or residue group, or single IC) is *dropped* and
-        recorded in :attr:`OptimizationReport.failures`; the pipeline
-        continues from the last sound program, degrading in the worst
-        case to the original program itself.  Dropping work is always
+        pushing — runs with exception capture.  A failing stage (or
+        residue group, or single IC) is *dropped* and recorded in
+        :attr:`OptimizationReport.failures`; the pipeline continues from
+        the last sound program, degrading in the worst case to the
+        original program itself.  Dropping work is always
         sound: the optimized program differs from the source only by
         guard-validated edits, so any prefix of the edit sequence
         preserves answers (Theorem 4.1; see ``docs/robustness.md``).
@@ -507,7 +487,6 @@ class SemanticOptimizer:
             budget.start()
         report = OptimizationReport(self.program, self.program)
         residues = self._residues_stage(report, budget)
-        preserved: set[str] = set()
 
         # Stage-level capture backstops the per-group capture inside each
         # phase; when a phase dies outside a group, its partial steps are
@@ -519,7 +498,7 @@ class SemanticOptimizer:
         marker = len(report.steps)
         try:
             current, multi_level_done, handled = self._phase1_periodic(
-                current, residues, report, preserved, budget, prove)
+                current, residues, report, budget, prove)
         except Exception as error:
             report.record_failure("periodic", error)
             del report.steps[marker:]
@@ -528,19 +507,10 @@ class SemanticOptimizer:
         try:
             current = self._phase2_push(
                 current, residues, handled, multi_level_done, report,
-                preserved, budget, prove)
+                budget, prove)
         except Exception as error:
             report.record_failure("push", error)
             del report.steps[marker:]
-
-        if self.collapse:
-            try:
-                _enter("collapse", budget)
-                current = self._collapse_stage(current, preserved)
-            except Exception as error:
-                # Collapse is cosmetic (inlining auxiliaries); keep the
-                # uncollapsed — still sound — program.
-                report.record_failure("collapse", error)
         report.optimized = current
 
         if verify == "sample" and report.applied_steps:
@@ -624,7 +594,6 @@ def _ic_label(item: SequenceResidue) -> str:
 
 def optimize_all_predicates(program: Program,
                             ics: Sequence[IntegrityConstraint],
-                            guard: GuardMode = "chase",
                             small_relations: Iterable[str] = (),
                             compilation: str = "periodic"
                             ) -> OptimizationReport:
@@ -648,8 +617,7 @@ def optimize_all_predicates(program: Program,
                             f"{pred} is not linear recursion")))
             continue
         report = SemanticOptimizer(
-            current, ics, pred=pred, guard=guard,
-            small_relations=small_relations,
+            current, ics, pred=pred, small_relations=small_relations,
             compilation=compilation).optimize()
         combined.steps.extend(report.steps)
         combined.failures.extend(report.failures)
@@ -657,8 +625,7 @@ def optimize_all_predicates(program: Program,
     # A non-recursive program still gets its rule-level residues.
     if not info.recursive_predicates:
         report = SemanticOptimizer(
-            current, ics, guard=guard,
-            small_relations=small_relations,
+            current, ics, small_relations=small_relations,
             compilation=compilation).optimize()
         combined.steps.extend(report.steps)
         combined.failures.extend(report.failures)

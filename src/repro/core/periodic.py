@@ -206,6 +206,5 @@ def push_periodic_group(program: Program, pred: str,
     untouched = [r for r in program if r.head.pred != pred]
     transformed = Program(untouched + new_rules,
                           edb_hint=tuple(program.edb_predicates))
-    preserved = frozenset(class_names) | {deep_name}
     return PushOutcome("group", True, edited_rule=label,
-                       program=transformed, preserved_preds=preserved)
+                       program=transformed)

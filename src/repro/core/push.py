@@ -2,13 +2,12 @@
 
 One residue's edit is proved once and installed by one of two back ends.
 :func:`validate_edit` is the only validator: it derives the residue's
-condition and edit target from the residue's own sequence clause and,
-unless ``guard="none"`` (paper-fidelity mode), runs that action's guard
-from :mod:`repro.core.containment` on it.  An edit that cannot be proven
-answer-preserving is reported rather than returned.  A validated
-:class:`Edit` goes either to the depth-class compilation
-(:func:`repro.core.periodic.push_periodic_group`) or into an Algorithm
-4.1 isolation, where one of three functions installs it:
+condition and edit target from the residue's own sequence clause and
+runs that action's guard from :mod:`repro.core.containment` on it.  An
+edit that cannot be proven answer-preserving is reported rather than
+returned.  A validated :class:`Edit` goes either to the depth-class
+compilation (:func:`repro.core.periodic.push_periodic_group`) or into an
+Algorithm 4.1 isolation, where one of three functions installs it:
 
 - **atom elimination** (fact residue whose head lands on a sequence
   atom): delete that atom from the corresponding alpha-rule; for a
@@ -30,7 +29,6 @@ evaluable, so complements are comparisons again — no negation needed).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Literal as TypingLiteral
 
 from ..datalog.analysis import is_safe
 from ..datalog.atoms import Atom, Comparison
@@ -43,9 +41,6 @@ from .isolate import Isolation, _rename_call
 from .residues import SequenceResidue
 from .sequences import ProvenancedLiteral
 
-GuardMode = TypingLiteral["chase", "none"]
-
-
 @dataclass(frozen=True)
 class PushOutcome:
     """What happened to one residue push attempt."""
@@ -55,10 +50,6 @@ class PushOutcome:
     reason: str = ""
     edited_rule: str | None = None   # label of the alpha-rule edited
     program: Program | None = field(default=None, repr=False)
-    #: Auxiliary predicates the collapse pass must leave alone (used by
-    #: the periodic depth-class compilation, whose classes are
-    #: load-bearing).
-    preserved_preds: frozenset[str] = frozenset()
 
 
 def _complement_copies(rule: Rule, condition: tuple[Comparison, ...],
@@ -253,17 +244,13 @@ class Edit:
     introduced: Atom | Comparison | None = None
 
 
-def validate_edit(item: SequenceResidue, action: str, ics,
-                  guard: GuardMode = "chase") -> Edit | PushOutcome:
+def validate_edit(item: SequenceResidue, action: str,
+                  ics) -> Edit | PushOutcome:
     """Build ``item``'s ``action`` edit and prove it, or say why it
     cannot be pushed.
 
-    With ``guard="chase"`` the action's guard runs once, on the
-    residue's own sequence clause; ``"none"`` trusts the residue.
+    The action's guard runs once, on the residue's own sequence clause.
     """
-    if guard not in ("chase", "none"):
-        raise ValueError(f"guard must be 'chase' or 'none', got {guard!r}")
-    check = guard == "chase"
     clause = item.clause
     residue = item.residue
     if action == "eliminate":
@@ -279,7 +266,7 @@ def validate_edit(item: SequenceResidue, action: str, ics,
                 f"residue head {head} does not occur in the sequence "
                 "(not useful for elimination)")
         literals = clause.literals()
-        if check and not elimination_is_sound(
+        if not elimination_is_sound(
                 clause.head, literals, literals.index(head), ics,
                 condition):
             return PushOutcome(
@@ -294,7 +281,7 @@ def validate_edit(item: SequenceResidue, action: str, ics,
         if introduced is None:
             return PushOutcome("introduce", False, "null residues cannot "
                                "introduce atoms")
-        if check and not introduction_is_sound(
+        if not introduction_is_sound(
                 clause.head, clause.literals(), introduced, ics,
                 condition):
             return PushOutcome(
@@ -307,8 +294,7 @@ def validate_edit(item: SequenceResidue, action: str, ics,
             return PushOutcome("prune", False,
                                "only null residues prune subtrees")
         condition = _residue_condition(residue)
-        if check and not pruning_is_sound(clause.literals(), ics,
-                                          condition):
+        if not pruning_is_sound(clause.literals(), ics, condition):
             return PushOutcome(
                 "prune", False,
                 "chase guard could not derive a contradiction from the "

@@ -89,8 +89,8 @@ def evaluate(program: Program, edb: Database, method: str = "seminaive",
             atoms in rule order
             (the fixed join orders the paper's era assumed; used by
             experiment E2).  The cost-based enumerating optimizer
-            (magic per adornment, residue pushing, linearization,
-            fusion) is not a planner: it chooses a whole program at the
+            (magic per adornment, residue pushing, linearization) is
+            not a planner: it chooses a whole program at the
             query-bearing entry points
             :func:`repro.engine.optimizer.cbo_evaluate` /
             :func:`repro.engine.optimizer.cbo_answers`.

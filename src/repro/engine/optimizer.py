@@ -10,9 +10,8 @@ Wang et al.'s FGH rule does (arXiv:2202.10390):
 
 1. **Enumerate** a bounded rewrite space per program: residue pushing
    on/off per integrity constraint, magic sets with a per-adornment
-   choice (each bound query position may be kept or weakened), left/right
-   linearization of transitive-closure-shaped linear rules, and rule
-   fusion (unfolding single-definition non-recursive auxiliaries).
+   choice (each bound query position may be kept or weakened), and
+   left/right linearization of transitive-closure-shaped linear rules.
    Candidates live in a :class:`Memo`: groups are keyed by program
    fingerprint, so transform paths that converge on the same program
    share one group and are costed once (group-level deduplication).
@@ -31,7 +30,7 @@ Wang et al.'s FGH rule does (arXiv:2202.10390):
 
 The optimizer is reached only through the query-bearing entry points
 (:func:`cbo_evaluate`, :func:`cbo_answers`): its rewrites preserve the
-*answer* but not the full IDB trace (magic, linearization, fusion) or
+*answer* but not the full IDB trace (magic, linearization) or
 rely on IC-consistency (residue pushing).  Whole-program evaluation
 (:func:`repro.engine.evaluate`) has one candidate, the identity program,
 so it takes a join planner instead.
@@ -64,8 +63,8 @@ if TYPE_CHECKING:
 INF = math.inf
 
 #: Enumeration ceiling — the rewrite space is bounded by construction
-#: (per-IC on/off, per-adornment weakening, per-pred linearization,
-#: one fusion pass) but the cross product is still capped outright.
+#: (per-IC on/off, per-adornment weakening, per-pred linearization)
+#: but the cross product is still capped outright.
 MAX_CANDIDATES = 32
 
 #: Cost estimate used for predicates the model knows nothing about
@@ -277,39 +276,6 @@ def _swap_linear(pred: str, base: Rule,
     return None
 
 
-def _fusion_variant(program: Program,
-                    keep: str | None) -> Program | None:
-    """Unfold single-definition, EDB-only auxiliaries into consumers.
-
-    Classical rule fusion (Tamaki-Sato unfold, the same transformation
-    :mod:`repro.core.collapse` applies to isolation chains): an IDB
-    predicate with exactly one defining rule whose body is EDB-only is
-    resolved away, trading one materialized intermediate for a wider
-    join the planner can order freely.  ``keep`` (the query predicate)
-    is never fused away.
-    """
-    from ..core.collapse import inline_auxiliaries
-
-    fusible = set()
-    for pred in program.idb_predicates:
-        if pred == keep:
-            continue
-        rules = program.rules_for(pred)
-        if len(rules) != 1 or rules[0].is_fact:
-            continue
-        if any(isinstance(lit, Negation) for lit in rules[0].body):
-            continue
-        if all(program.is_edb(lit.pred) for lit in rules[0].body
-               if isinstance(lit, Atom)):
-            fusible.add(pred)
-    if not fusible:
-        return None
-    fused = inline_auxiliaries(program, fusible)
-    if fused == program:
-        return None
-    return fused
-
-
 def _adornment_choices(query: Atom) -> list[str]:
     """Weakenings of the query's natural adornment (all-free excluded).
 
@@ -370,12 +336,6 @@ def _enumerate(program: Program, query: Atom | None, ics: tuple,
             for variant, label in _linearizations(candidate.program):
                 base.append(PlanCandidate(
                     variant, candidate.transforms + (label,)))
-        # Rule fusion (unfold EDB-only single-definition auxiliaries).
-        for candidate in list(base):
-            fused = _fusion_variant(candidate.program, query.pred)
-            if fused is not None:
-                base.append(PlanCandidate(
-                    fused, candidate.transforms + ("fuse",)))
 
     out = list(base)
     if query is not None and query.pred in program.idb_predicates:
@@ -740,9 +700,9 @@ def cbo_evaluate(program: Program, edb: Database,
                  ) -> "EvaluationResult":
     """Evaluate ``program`` under the plan the enumerating optimizer picks.
 
-    The whole rewrite space engages here (magic, residues, linearization,
-    fusion — see :func:`enumerate_candidates`); the chosen candidate then
-    runs semi-naively with ``planner="adaptive"``.  The result's ``choice``
+    The whole rewrite space engages here (magic, residues and
+    linearization — see :func:`enumerate_candidates`); the chosen
+    candidate then runs semi-naively with ``planner="adaptive"``.  The result's ``choice``
     attribute carries the :class:`ChosenPlan`; when magic was chosen the
     result's ``magic`` field is set and answers should be read through
     :func:`cbo_answers`.  ``budget`` covers enumeration *and*

@@ -1,7 +1,7 @@
 """The cost-based enumerating optimizer (``cbo_evaluate`` / ``cbo_answers``).
 
 Covers the bounded rewrite space (residue pushing per IC, magic sets
-per adornment weakening, left/right linearization, rule fusion), the
+per adornment weakening, left/right linearization), the
 memo's group-level deduplication, the unified cost model over dataflow
 size bounds, the adaptive planner it runs its choice with (hooked and
 unhooked kernels count alike), the equivalence discipline — every
@@ -30,6 +30,7 @@ from repro.engine import (ChosenPlan, cbo_answers, cbo_evaluate,
                           choose_plan, enumerate_candidates, evaluate,
                           evaluate_with_magic, explain, explain_kernels, explain_plan, magic_answers,
                           naive_evaluate, plan_rule, seminaive_evaluate)
+from repro.engine.engine import select_answers
 from repro.engine.magic import adornment_of, magic_rewrite
 from repro.engine.prepared import prepared
 from repro.engine.optimizer import (MAX_CANDIDATES, Memo, PlanCandidate,
@@ -41,6 +42,7 @@ from repro.incremental import maintain
 from repro.runtime.chaos import ChaosPlan
 from repro.serving import MaterializedView, ThreadedServer
 from repro.workloads import load
+from repro.workloads.genealogy import GenealogyParams, generate_genealogy
 from repro.workloads.generators import (random_digraph,
                                         random_linear_program,
                                         transitive_closure_program)
@@ -57,6 +59,22 @@ AUX = parse_program("""
     r0: tc2(X, Y) :- link(X, Y).
     r1: tc2(X, Z) :- tc2(X, Y), link(Y, Z).
 """)
+
+#: An auxiliary read twice in one body, and one read under ``not``:
+#: rule fusion unfolded only the first positive ``aux`` atom of a body,
+#: then dropped ``aux``'s rule, so both lost or gained answers.
+TWICE = parse_program("""
+    q(X, Z) :- aux(X, Y), aux(Y, Z).
+    aux(X, Y) :- e(X, Y), f(Y).
+""")
+
+NEGATED = parse_program("""
+    q(X, Y) :- e(X, Y), not aux(Y).
+    aux(Y) :- f(Y, Z).
+""")
+
+Q_FREE = Atom("q", (Variable("X"), Variable("Z")))
+Q_BOUND = Atom("q", (Constant(4), Variable("Z")))
 
 
 def chain_db(n=30):
@@ -109,12 +127,19 @@ class TestEnumeration:
         assert any(label.startswith("residues[") for label in
                    labels(memo))
 
-    def test_fusion_unfolds_edb_only_auxiliary(self):
-        query = Atom("tc2", (Constant("n0"), Variable("Y")))
-        memo = enumerate_candidates(AUX, query=query)
-        fused = [g for g in memo if "fuse" in g.candidate.transforms]
-        assert fused
-        assert "link" not in fused[0].candidate.program.idb_predicates
+    @pytest.mark.parametrize("program, query", [
+        (AUX, Atom("tc2", (Constant("n0"), Variable("Y")))),
+        (TWICE, Q_FREE), (TWICE, Q_BOUND),
+        (NEGATED, Q_FREE), (NEGATED, Q_BOUND),
+    ], ids=["aux", "twice-free", "twice-bound", "negated-free",
+            "negated-bound"])
+    def test_no_candidate_fuses_rules(self, program, query):
+        """Rule fusion is not in the rewrite space: it had no verifier
+        and dropped an auxiliary's rule while a consumer still read it."""
+        memo = enumerate_candidates(program, query=query)
+        assert len(memo) >= 1
+        for group in memo:
+            assert "fuse" not in group.candidate.transforms
 
     def test_memo_dedups_by_program_fingerprint(self):
         memo = Memo()
@@ -740,3 +765,106 @@ class TestViolatedIcs:
         choice = choose_plan(program, db, ics=example.ics)
         assert calls == ["ic1", "ic1"]
         assert choice.dropped == ("ic1",)
+
+
+# ---------------------------------------------------------------------------
+# every enumerated candidate answers like the interpreter
+# ---------------------------------------------------------------------------
+
+def _aux_db(f_arity, seed=1, nodes=40, edges=160):
+    """Integer ``e`` edges and an ``f`` over about half the nodes, for
+    :data:`TWICE` (unary ``f``) and :data:`NEGATED` (binary ``f``)."""
+    rng = random.Random(seed)
+    db = Database()
+    db.ensure("e", 2)
+    db.ensure("f", f_arity)
+    for _ in range(edges):
+        db.add_fact("e", rng.randrange(nodes), rng.randrange(nodes))
+    for node in range(nodes):
+        if rng.random() < 0.5:
+            db.add_fact("f", *((node,) if f_arity == 1
+                               else (node, rng.randrange(nodes))))
+    return db
+
+
+def _sg_db(seed=3, people=60):
+    """A random forest over ``people``: each has at most one parent."""
+    rng = random.Random(seed)
+    db = Database()
+    for child in range(people):
+        db.add_fact("person", f"p{child}")
+        if child and rng.random() < 0.8:
+            db.add_fact("par", f"p{child}", f"p{rng.randrange(child)}")
+    return db
+
+
+def _oracle(program, db, query):
+    result = evaluate(program, db, executor="interpreted")
+    return select_answers(result.idb, query)
+
+
+class TestFusionCounterexamples:
+    """The two programs rule fusion answered wrongly: the chosen plan
+    answers like the source program."""
+
+    @pytest.mark.parametrize("query", [Q_FREE, Q_BOUND],
+                             ids=["free", "bound"])
+    @pytest.mark.parametrize("program, f_arity", [(TWICE, 1),
+                                                  (NEGATED, 2)],
+                             ids=["twice", "negated"])
+    def test_cbo_answers_equal_the_source_answers(self, program, f_arity,
+                                                  query):
+        db = _aux_db(f_arity)
+        expected = _oracle(program, db, query)
+        assert expected
+        assert cbo_answers(program, db, query) == expected
+
+
+def _oracle_cases():
+    genealogy = load("example_4_3")
+    genealogy_db = generate_genealogy(GenealogyParams(generations=6,
+                                                      width=6),
+                                      random.Random(17))
+    youngest = sorted(row[0] for row in genealogy_db.facts("par")
+                      if row[0].startswith("g5_"))[0]
+    anc_bound = Atom("anc", (Constant(youngest), Variable("Xa"),
+                             Variable("Y"), Variable("Ya")))
+    sg_bound = Atom("sg", (Constant("p7"), Variable("Y")))
+    sg_free = Atom("sg", (Variable("X"), Variable("Y")))
+    tc2_bound = Atom("tc2", (Constant("n0"), Variable("Y")))
+    return [
+        ("tc-bound", TC, digraph(), BOUND, ()),
+        ("tc-free", TC, digraph(), FREE, ()),
+        ("sg-bound", SG, _sg_db(), sg_bound, ()),
+        ("sg-free", SG, _sg_db(), sg_free, ()),
+        ("aux-bound", AUX, digraph(), tc2_bound, ()),
+        ("twice-free", TWICE, _aux_db(1), Q_FREE, ()),
+        ("twice-bound", TWICE, _aux_db(1), Q_BOUND, ()),
+        ("negated-free", NEGATED, _aux_db(2), Q_FREE, ()),
+        ("negated-bound", NEGATED, _aux_db(2), Q_BOUND, ()),
+        ("genealogy-free", genealogy.program, genealogy_db, ANC,
+         genealogy.ics),
+        ("genealogy-bound", genealogy.program, genealogy_db, anc_bound,
+         genealogy.ics),
+    ]
+
+
+@pytest.mark.parametrize("case", _oracle_cases(), ids=lambda c: c[0])
+def test_every_candidate_answers_like_the_interpreter(case):
+    """Each memo group of the rewrite space — not only the chosen one —
+    run as the plan, answers the query exactly like the interpreted
+    evaluation of the source program."""
+    _, program, db, query, ics = case
+    expected = _oracle(program, db, query)
+    assert expected
+    labels_seen = []
+    for group in enumerate_candidates(program, query, ics=ics):
+        candidate = group.candidate
+        plan = ChosenPlan(program=candidate.program,
+                          transforms=candidate.transforms, cost=0.0,
+                          fingerprint=group.fingerprint,
+                          magic=candidate.magic)
+        labels_seen.append(candidate.label)
+        assert cbo_answers(program, db, query, ics=ics, choice=plan) \
+            == expected, candidate.label
+    assert labels_seen[0] == "identity"

@@ -138,6 +138,16 @@ class TestOptimize:
                      "--compilation", "automaton"])
         assert code == 0
 
+    def test_guard_is_not_an_option(self, files, capsys):
+        """The chase guard proves every edit; there is no switch to
+        ship an unproved one."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(["optimize", files["program"], "--ics", files["ics"],
+                  "--guard", "none"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --guard" \
+            in capsys.readouterr().err
+
     def test_invalid_program_rejected(self, tmp_path, files, capsys):
         bad = tmp_path / "bad.dl"
         bad.write_text("p(X, Z) :- e(X).")

@@ -54,30 +54,36 @@ anc_from_deep: anc(X, Xa, Y, Ya) :- anc__deep(X, Xa, Y, Ya)."""
                               group_by_head=True) == expected
 
     def test_example_4_1_threaded(self, ex41):
+        """Algorithm 4.1's isolated program: the rank test sits on the
+        level-3 alpha-rule, and its ``= executive`` verdict climbs the
+        duplicated ``_e`` chain to the level-0 rule, which alone drops
+        its ``experienced`` atom."""
         report = _optimize(ex41, compilation="automaton")
-        text = format_program(report.optimized, group_by_head=True)
-        lines = text.splitlines()
-        # The executive-guarded chain drops exactly the level-0
-        # experienced atom (3 remain of the pattern's 4); the
-        # not-executive chain keeps all 4.
-        executive = [l for l in lines if "= executive" in l
-                     and "!=" not in l]
-        not_executive = [l for l in lines if "!= executive" in l]
-        assert len(executive) == 1 and len(not_executive) == 1
-        assert executive[0].count("experienced") == 3
-        assert not_executive[0].count("experienced") == 4
-
-    def test_example_3_2_automaton_collapsed(self, ex32):
-        report = SemanticOptimizer(
-            ex32.program, [ex32.ic("ic1")], pred="eval",
-            compilation="automaton").optimize()
-        assert report.failures == []
         expected = """\
-r2: eval_support(P, S, T, M) :- eval(P, S, T), pays(M, G, S, T).
+triple__alpha1: triple(E1, E2, E3) :- boss(U, E3, R), experienced(U), triple__p1(U, E1, E2).
+triple__alpha1_e: triple(E1, E2, E3) :- boss(U, E3, R), triple__p1_e(U, E1, E2).
+triple__beta1: triple(E1, E2, E3) :- boss(U, E3, R), experienced(U), triple__q1(U, E1, E2).
+r1: triple(E1, E2, E3) :- same_level(E1, E2, E3).
 
-eval__alpha1_e+eval__alpha2: eval(P, S, T) :- works_with(P, P0), works_with(P0, P0_3_3), eval(P0_3_3, S, T), expert(P0, F_1_1), field(T, F_1_1), field(T, F).
-eval__beta1+eval__gamma2_r0: eval(P, S, T) :- works_with(P, P0), super(P0, S, T), expert(P, F), field(T, F).
-r0: eval(P, S, T) :- super(P, S, T)."""
+triple__alpha2: triple__p1(U, E1, E2) :- boss(U_5, E2, R_4), experienced(U_5), triple__p2(U_5, U, E1).
+triple__beta2: triple__p1(U, E1, E2) :- boss(U_5, E2, R_4), experienced(U_5), triple__q2(U_5, U, E1).
+
+triple__alpha2_e: triple__p1_e(U, E1, E2) :- boss(U_5, E2, R_4), experienced(U_5), triple__p2_e(U_5, U, E1).
+
+triple__alpha3: triple__p2(U_5, U, E1) :- boss(U_10, E1, R_9), experienced(U_10), triple__p3(U_10, U_5, U).
+triple__beta3: triple__p2(U_5, U, E1) :- boss(U_10, E1, R_9), experienced(U_10), triple__q3(U_10, U_5, U).
+
+triple__alpha3_e: triple__p2_e(U_5, U, E1) :- boss(U_10, E1, R_9), experienced(U_10), triple__p3_e(U_10, U_5, U).
+
+triple__alpha4_e: triple__p3_e(U_10, U_5, U) :- boss(U_15, U, R_14), experienced(U_15), triple(U_15, U_10, U_5), R_14 = executive.
+
+triple__alpha4_n: triple__p3(U_10, U_5, U) :- boss(U_15, U, R_14), experienced(U_15), triple(U_15, U_10, U_5), R_14 != executive.
+
+triple__gamma2_r1: triple__q1(U, E1, E2) :- same_level(U, E1, E2).
+
+triple__gamma3_r1: triple__q2(U_5, U, E1) :- same_level(U_5, U, E1).
+
+triple__gamma4_r1: triple__q3(U_10, U_5, U) :- same_level(U_10, U_5, U)."""
         assert format_program(report.optimized,
                               group_by_head=True) == expected
 

@@ -2,11 +2,12 @@
 
 Every edit the optimizer pushes is proved by one validator,
 ``repro.core.push.validate_edit``, which runs one guard per action from
-``repro.core.containment``.  The matrix below runs each paper example
-with each IC alone and with all its ICs, under both compilations, with
-and without the guard, and with and without the ICs' head relations
-declared small (which turns fact residues into introductions).  For each
-case ``data/guard_matrix.json`` holds:
+``repro.core.containment``; there is no unguarded mode.  The matrix
+below runs each paper example with each IC alone and with all its ICs,
+under both compilations, and with and without the ICs' head relations
+declared small (which turns fact residues into introductions).  A case's
+id names the guard it runs, ``chase``.  For each case
+``data/guard_matrix.json`` holds:
 
 - the optimized program's text;
 - each step's (IC label, sequence, action, applied, reason);
@@ -15,8 +16,8 @@ case ``data/guard_matrix.json`` holds:
 A change to any of them is a change to what the optimizer emits or how
 much proving it does, and must be explained with the new record.  Each
 case also checks that one ``optimize()`` never runs a guard twice on the
-same arguments, and every guarded case that its optimized program keeps
-the source's answers on IC-consistent databases.
+same arguments, and that its optimized program keeps the source's
+answers on IC-consistent databases.
 """
 
 from __future__ import annotations
@@ -51,14 +52,13 @@ def _cases():
         smalls = [()] + ([tuple(heads)] if heads else [])
         for subset in subsets:
             for compilation in ("periodic", "automaton"):
-                for guard in ("chase", "none"):
-                    for small in smalls:
-                        key = "|".join([
-                            factory.__name__, "+".join(subset) or "-",
-                            compilation, guard,
-                            "small" if small else "plain"])
-                        yield pytest.param(factory, subset, compilation,
-                                           guard, small, id=key)
+                for small in smalls:
+                    key = "|".join([
+                        factory.__name__, "+".join(subset) or "-",
+                        compilation, "chase",
+                        "small" if small else "plain"])
+                    yield pytest.param(factory, subset, compilation,
+                                       small, id=key)
 
 
 CASES = list(_cases())
@@ -82,10 +82,9 @@ def test_the_matrix_is_the_record():
     assert sorted(case.id for case in CASES) == sorted(RECORD)
 
 
-@pytest.mark.parametrize("factory,subset,compilation,guard,small", CASES)
+@pytest.mark.parametrize("factory,subset,compilation,small", CASES)
 def test_optimizer_output_and_chase_runs(factory, subset, compilation,
-                                         guard, small, monkeypatch,
-                                         request):
+                                         small, monkeypatch, request):
     example = factory()
     runs = []
     proofs = []
@@ -104,7 +103,7 @@ def test_optimizer_output_and_chase_runs(factory, subset, compilation,
                             recording(proofs, guard_name))
     report = SemanticOptimizer(
         example.program, [example.ic(label) for label in subset],
-        pred=example.pred, guard=guard, small_relations=small,
+        pred=example.pred, small_relations=small,
         compilation=compilation).optimize()
     expected = RECORD[request.node.callspec.id]
     assert report.failures == []
@@ -140,16 +139,14 @@ def _consistent_dbs(example, ics, rng, count=5):
     return dbs
 
 
-@pytest.mark.parametrize(
-    "factory,subset,compilation,guard,small",
-    [case for case in CASES if case.values[3] == "chase"])
+@pytest.mark.parametrize("factory,subset,compilation,small", CASES)
 def test_guarded_output_keeps_the_answers(factory, subset, compilation,
-                                          guard, small):
+                                          small):
     example = factory()
     ics = [example.ic(label) for label in subset]
     report = SemanticOptimizer(
-        example.program, ics, pred=example.pred, guard=guard,
-        small_relations=small, compilation=compilation).optimize()
+        example.program, ics, pred=example.pred, small_relations=small,
+        compilation=compilation).optimize()
     dbs = _consistent_dbs(example, ics, random.Random(0xC0FFEE))
     assert check_equivalent(example.program, report.optimized,
                             example.pred, dbs) is None

@@ -96,16 +96,6 @@ class TestPolicies:
         assert not report.changed
         assert any("small" in s.outcome.reason for s in report.steps)
 
-    def test_guard_none_mode(self, ex41):
-        report = SemanticOptimizer(ex41.program, [ex41.ic("ic1")],
-                                   pred="triple", guard="none").optimize()
-        assert report.failures == []
-        # Paper mode applies more (including the loose rule-level one).
-        guarded = SemanticOptimizer(ex41.program, [ex41.ic("ic1")],
-                                    pred="triple").optimize()
-        assert guarded.failures == []
-        assert len(report.applied_steps) >= len(guarded.applied_steps)
-
     def test_automaton_compilation_mode(self, ex32, rng):
         report = SemanticOptimizer(ex32.program, [ex32.ic("ic1")],
                                    pred="eval",
@@ -118,19 +108,14 @@ class TestPolicies:
         assert check_equivalent(ex32.program, report.optimized, "eval",
                                 dbs) is None
 
-    def test_collapse_off_keeps_chain(self, ex32):
-        report = SemanticOptimizer(ex32.program, [ex32.ic("ic1")],
-                                   pred="eval", compilation="automaton",
-                                   collapse=False).optimize()
-        assert report.failures == []
-        assert "eval__p1" in report.optimized.idb_predicates
-
-    def test_collapse_on_inlines_chain(self, ex32):
+    def test_automaton_keeps_chain(self, ex32):
+        """Algorithm 4.1's isolation chain is the output: no stage
+        inlines its auxiliary predicates away."""
         report = SemanticOptimizer(ex32.program, [ex32.ic("ic1")],
                                    pred="eval",
                                    compilation="automaton").optimize()
         assert report.failures == []
-        assert "eval__p1" not in report.optimized.idb_predicates
+        assert "eval__p1" in report.optimized.idb_predicates
 
     def test_unknown_compilation_rejected(self, ex32):
         with pytest.raises(ValueError):
@@ -184,14 +169,18 @@ class TestPolicies:
 def _removed_knob_calls():
     """Each removed setting of Algorithms 3.1/4.1, passed by keyword.
 
-    They are module constants now: ``sdgraph.MAX_HOPS``,
-    ``collapse.RULE_BUDGET`` and ``containment.CHASE_ROUNDS``; the
-    sequence and SD-graph filters and the group compiler's guard have
-    no replacement (every caller used the default)."""
-    from repro.core import (build_sd_graph, chase, contained_under,
-                            detect_sequences, enumerate_sequences, freeze,
-                            generate_residues, unfold)
-    from repro.core.collapse import inline_auxiliaries
+    The hop and round bounds are module constants now:
+    ``sdgraph.MAX_HOPS`` and ``containment.CHASE_ROUNDS``; the sequence
+    and SD-graph filters and the group compiler's guard have no
+    replacement (every caller used the default).  The chase guard is
+    the only validation and the isolation chain the only output form,
+    so the optimizer, the validator and ``optimize_all_predicates``
+    take no ``guard=`` and the optimizer no ``collapse=``."""
+    from repro.core import (SemanticOptimizer, build_sd_graph, chase,
+                            contained_under, detect_sequences,
+                            enumerate_sequences, freeze,
+                            generate_residues, optimize_all_predicates,
+                            unfold, validate_edit)
     from repro.core.periodic import push_periodic_group
     from repro.workloads import example_4_3
 
@@ -200,6 +189,8 @@ def _removed_knob_calls():
     clause = unfold(program, "anc", ("r1", "r1"))
     instance, supply = freeze(clause.literals())
     node = next(iter(build_sd_graph(program, "anc").ap.subgoals))
+    residue = next(item for item in generate_residues(program, "anc", ic)
+                   if item.residue.is_null)
     return {
         "build_sd_graph.max_hops":
             lambda: build_sd_graph(program, "anc", max_hops=4),
@@ -207,8 +198,6 @@ def _removed_knob_calls():
             lambda: detect_sequences(program, "anc", ic, max_hops=4),
         "generate_residues.max_hops":
             lambda: generate_residues(program, "anc", ic, max_hops=4),
-        "inline_auxiliaries.rule_budget":
-            lambda: inline_auxiliaries(program, (), rule_budget=1),
         "chase.max_rounds":
             lambda: chase(instance, [ic], supply, max_rounds=1),
         "contained_under.max_rounds":
@@ -225,6 +214,14 @@ def _removed_knob_calls():
                 node, include_undirected=False)),
         "push_periodic_group.guard":
             lambda: push_periodic_group(program, "anc", [], guard="none"),
+        "SemanticOptimizer.collapse":
+            lambda: SemanticOptimizer(program, [ic], collapse=False),
+        "SemanticOptimizer.guard":
+            lambda: SemanticOptimizer(program, [ic], guard="none"),
+        "optimize_all_predicates.guard":
+            lambda: optimize_all_predicates(program, [ic], guard="chase"),
+        "validate_edit.guard":
+            lambda: validate_edit(residue, "prune", [ic], guard="none"),
     }
 
 
@@ -232,12 +229,6 @@ def _removed_knob_calls():
 def test_removed_knobs_raise(knob):
     with pytest.raises(TypeError, match="unexpected keyword"):
         _removed_knob_calls()[knob]()
-
-
-def test_misspelled_guard_raises(ex41):
-    """Any guard but "chase" used to run no chase at all."""
-    with pytest.raises(ValueError, match="guard"):
-        SemanticOptimizer(ex41.program, list(ex41.ics), guard="Chase")
 
 
 class TestResidueListing:

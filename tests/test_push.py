@@ -25,9 +25,9 @@ _INSTALL = {"eliminate": apply_elimination,
             "introduce": apply_introduction, "prune": apply_pruning}
 
 
-def _push(isolation, item, action, ics, guard="chase"):
+def _push(isolation, item, action, ics):
     """Prove ``item``'s edit, then install it in ``isolation``."""
-    verdict = validate_edit(item, action, ics, guard)
+    verdict = validate_edit(item, action, ics)
     if isinstance(verdict, PushOutcome):
         return verdict
     return _INSTALL[action](isolation, verdict)
@@ -85,16 +85,6 @@ class TestElimination:
         outcome = _push(isolation, loose, "eliminate", [ex41.ic("ic1")])
         assert not outcome.applied
         assert "chase guard" in outcome.reason
-
-    def test_paper_mode_skips_guard(self, ex41):
-        """guard="none" reproduces the paper verbatim — including its
-        unsound corner, which is exactly why the guard exists."""
-        items = generate_residues(ex41.program, "triple", ex41.ic("ic1"))
-        loose = _find(items, sequence=("r2",))
-        isolation = isolate(ex41.program, "triple", ("r2",))
-        outcome = _push(isolation, loose, "eliminate", [ex41.ic("ic1")],
-                        guard="none")
-        assert outcome.applied
 
     def test_null_residue_rejected(self, ex43):
         items = generate_residues(ex43.program, "anc", ex43.ic("ic1"))
@@ -187,15 +177,6 @@ class TestPruning:
 
 
 class TestValidator:
-    def test_misspelled_guard_raises(self, ex41):
-        """Only "chase" and "none" exist; any other spelling used to
-        switch the chase off."""
-        items = generate_residues(ex41.program, "triple", ex41.ic("ic1"))
-        loose = _find(items, sequence=("r2",))
-        with pytest.raises(ValueError, match="guard"):
-            validate_edit(loose, "eliminate", [ex41.ic("ic1")],
-                          guard="Chase")
-
     def test_edit_proved_on_another_clause_is_refused(self, ex43):
         items = generate_residues(ex43.program, "anc", ex43.ic("ic1"))
         item = _find(items, sequence=("r1", "r1", "r1"))
@@ -213,8 +194,8 @@ class TestValidator:
         items = generate_residues(ex43.program, "anc", ex43.ic("ic1"))
         item = _find(items, sequence=("r1", "r1", "r1"))
         isolation = isolate(ex43.program, "anc", item.sequence)
-        edit = validate_edit(item, "prune", [ex43.ic("ic1")],
-                             guard="none")
+        edit = validate_edit(item, "prune", [ex43.ic("ic1")])
+        assert not isinstance(edit, PushOutcome)
         with pytest.raises(TypeError, match="unexpected keyword"):
             _INSTALL[action](isolation, edit, guard="none")
         with pytest.raises(TypeError):

@@ -254,12 +254,12 @@ class TestOncePerProgram:
 
     def test_e10_times_one_cold_computation_per_configuration(self,
                                                               counted):
-        """The four SemanticOptimizer configurations each pay for their
+        """The two SemanticOptimizer configurations each pay for their
         own Algorithm 3.1 run on a program of their own."""
         computations, _ = counted
         experiment_e10(size=6, repeats=1)
-        assert len(computations) == 4
-        assert len({program for program, _ in computations}) == 4
+        assert len(computations) == 2
+        assert len({program for program, _ in computations}) == 2
 
 
 class TestMemoSemantics:

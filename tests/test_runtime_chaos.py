@@ -161,8 +161,7 @@ class TestOptimizeSafeDegradation:
     def test_every_stage_failing_returns_original(self, program, ics):
         plan = ChaosPlan()
         for stage in ("residues", "residues:ic1", "periodic:anc/r1",
-                      "push:anc/r1 r1 r1", "push:anc/r1 r1 r0",
-                      "collapse"):
+                      "push:anc/r1 r1 r1", "push:anc/r1 r1 r0"):
             plan.fail_stage(stage)
         with plan.active():
             report = SemanticOptimizer(program, ics).optimize()
@@ -222,14 +221,14 @@ class TestSampledVerification:
         the spot-check and quarantined back to the source program."""
 
         class BuggyOptimizer(SemanticOptimizer):
-            def _collapse_stage(self, current, preserved):
-                collapsed = super()._collapse_stage(current, preserved)
+            def _phase2_push(self, *args, **kwargs):
+                pushed = super()._phase2_push(*args, **kwargs)
                 # Simulate a miscompiled stage: silently lose the rule
                 # publishing depth-1 answers into anc.
                 from repro.datalog.program import Program
                 return Program(
-                    [r for r in collapsed if r.label != "anc_from_d0"],
-                    edb_hint=tuple(collapsed.edb_predicates))
+                    [r for r in pushed if r.label != "anc_from_d0"],
+                    edb_hint=tuple(pushed.edb_predicates))
 
         report = BuggyOptimizer(program, ics).optimize(
             verify="sample")
