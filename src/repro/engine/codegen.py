@@ -18,6 +18,14 @@ comprehension** over the whole delta frontier of a firing —
   the probe is replaced by a :meth:`Relation.projection_index` lookup
   and the clause iterates projected values directly, never touching a
   row tuple;
+- an **existential** atom — probed on at least one bound column, no
+  variable repeated within it, and no slot it writes read by a later
+  step or the head (``field(T, F)`` of Example 3.2's pushed recursive
+  rule) — is one probe, not a loop:
+  ``if (w2 := len(g2(key, E))) and (n2 := n2 + w2)``.  A binding whose
+  bucket is empty stops; any other goes on once, standing for as many
+  solutions as its bucket holds, and the running product of those
+  bucket lengths (the latest ``wN``) weights every later count;
 - comparisons against a constant are evaluated **per column, not per
   row**: a :class:`PredicateCache` memoizes the set of column values
   passing the check, so each distinct value is compared once per
@@ -31,11 +39,14 @@ frontier of one (so is a fact's empty one, though the engines insert a
 fact's head row without generating code for it).  A constant with no
 faithful literal (``inf``, ``nan``) is passed as an argument instead
 of embedded.  A
-derivation hook gets a second text of the same program
+derivation hook gets another text of the same program
 (``hooked=True``) whose last clause filters each solution through
 ``hook(rule, binding, round)`` before its head row is built, so the
 hook sees each solution's value-domain ``Binding`` exactly once and
-vetoed rows compute nothing.
+vetoed rows compute nothing.  That text walks every existential
+bucket, and so does a third, unhooked one (``fold=False``) that runs
+when a chaos plan or a counter limit must see each solution as a row
+of its own; a program with no existential step has no third text.
 
 Statistics parity is exact: the generated function returns, alongside
 the derived head rows, counter sums (lookups per step entry, rows per
@@ -47,8 +58,12 @@ length once per binding that probes it
 (``for b1 in (g1(k, E),) if (n1 := n1 + len(b1)) >= 0 for r1 in b1``),
 a filter in the middle of the body counts its survivors
 (``if (n2 := n2 + 1)``), the first source's count is its length and
-the last step's is ``len(out)``.  The differential fuzz matrix pins
-the counters to the interpreter's, hooked and not.
+the last step's is ``len(out)``.  After an existential step each of
+those counts is weighted (``n2 + w1``, ``len(b3) * w1``), the last
+step gets a counter of its own, and the function returns a sixth sum:
+the solutions its head rows stand for beyond themselves, which the
+caller counts as duplicate derivations.  The differential fuzz matrix
+pins the counters to the interpreter's, hooked and not.
 """
 
 from __future__ import annotations
@@ -58,7 +73,7 @@ import types
 from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
 from ..errors import EvaluationError
-from ..facts.relation import Relation, Row
+from ..facts.relation import Relation
 from ..facts.symbols import SymbolTable
 from . import builtins
 from .bindings import Fetch
@@ -221,8 +236,10 @@ Source = tuple[int, Any, tuple[int, ...], str]
 class _Form(NamedTuple):
     """One generated text of a step program."""
 
-    #: ``fn(*args) -> (head_rows, lookups, rows, cmps, negs)``.
-    fn: Callable[..., tuple[list[Row], int, int, int, int]]
+    #: ``fn(*args) -> (head_rows, lookups, rows, cmps, negs)``; a
+    #: folding text appends the solutions its rows stand for beyond
+    #: themselves.
+    fn: Callable[..., tuple[Any, ...]]
     #: What each argument of ``fn`` is resolved from, per firing.
     resolvers: tuple[Any, ...]
     #: The generated code, for introspection (``explain --kernels``).
@@ -232,44 +249,53 @@ class _Form(NamedTuple):
 class GeneratedKernel:
     """The generated whole-frontier function of one step program.
 
-    A program has two texts (:meth:`form`): the one that
-    runs without a derivation hook, generated with the kernel, and the
-    hooked one, generated the first time a hook is passed.
+    A program has up to three texts (:meth:`form`): the folding one,
+    generated with the kernel, which probes each existential step
+    instead of walking its bucket; the walking one, generated the first
+    time every solution must come out as a row of its own (it is the
+    folding one when the program has no existential step); and the
+    hooked one, which walks too, generated the first time a hook is
+    passed.
 
     ``rule`` and ``slot_vars`` (the body's variables by slot number)
     are what a derivation hook is shown; they are bound into the
     function's globals, never into its text.
     """
 
-    __slots__ = ("_program", "_forms")
+    __slots__ = ("_program", "_forms", "_folds")
 
     def __init__(self, steps: tuple[Any, ...], head: tuple[Any, ...],
                  symbols: SymbolTable | None,
                  rule: object = None,
                  slot_vars: tuple[Any, ...] = ()) -> None:
         self._program = (steps, head, symbols, rule, slot_vars)
-        self._forms: dict[bool, _Form] = {}
-        self.form(False)
+        self._forms: dict[tuple[bool, bool], _Form] = {}
+        folding, self._folds = _instantiate(*self._program, False, True)
+        self._forms[False, self._folds] = folding
 
-    def form(self, hooked: bool) -> _Form:
-        """The text that runs with (``hooked``) or without a hook."""
-        found = self._forms.get(hooked)
+    def form(self, hooked: bool, fold: bool = True) -> _Form:
+        """The text that runs with (``hooked``) or without a hook,
+        folding existential steps (``fold``) or walking them.  Without
+        an existential step the walking text is the folding one."""
+        key = (hooked, fold and not hooked and self._folds)
+        found = self._forms.get(key)
         if found is None:
-            found = self._forms[hooked] = _instantiate(*self._program,
-                                                       hooked=hooked)
+            found = self._forms[key] = _instantiate(*self._program,
+                                                    *key)[0]
         return found
 
     @property
     def source(self) -> str:
-        """The generated code of the unhooked text."""
+        """The generated code of the unhooked, folding text."""
         return self.form(False).source
 
     def run(self, sources: Sequence[Source], fetch: Fetch,
             predicates: PredicateCache,
-            hook: Callable[..., bool] | None = None, round_index: int = 0
-            ) -> tuple[list[Row], int, int, int, int]:
-        """Resolve this firing's arguments and call the function."""
-        fn, resolvers, _source = self.form(hook is not None)
+            hook: Callable[..., bool] | None = None, round_index: int = 0,
+            fold: bool = False) -> tuple[Any, ...]:
+        """Resolve this firing's arguments and call the function of the
+        text :meth:`form` picks for ``hook`` and ``fold``."""
+        fn, resolvers, _source = self.form(hook is not None, fold)
         fetched: dict[int, Relation] = {}
 
         def rel(src: int) -> Relation:
@@ -327,8 +353,8 @@ def _eq_const_codes(steps: tuple[Any, ...],
     return tuple(codes)
 
 
-#: ``(steps, head, interned, eq-codes, hooked)`` ->
-#: ``(source, specs, bytecode)``; ``steps`` and ``head`` go through
+#: ``(steps, head, interned, eq-codes, hooked, fold)`` ->
+#: ``(source, specs, bytecode, folds)``; ``steps`` and ``head`` go through
 #: :func:`_faithful`, so same-shape rules that differ in a constant's
 #: type never share text.
 #: The generated text is a pure function of this key, so repeat
@@ -336,25 +362,27 @@ def _eq_const_codes(steps: tuple[Any, ...],
 #: benchmark repeat) skip both the string assembly and ``compile`` —
 #: only the per-table ``exec`` instantiation remains.
 _CACHE: dict[tuple[Any, ...],
-             tuple[str, tuple[Any, ...], types.CodeType]] = {}
+             tuple[str, tuple[Any, ...], types.CodeType, bool]] = {}
 
 
 def _instantiate(steps: tuple[Any, ...], head: tuple[Any, ...],
                  symbols: SymbolTable | None,
                  rule: object, slot_vars: tuple[Any, ...],
-                 hooked: bool) -> _Form:
-    """One text of a step program (cached), bound to this kernel."""
+                 hooked: bool, fold: bool) -> tuple[_Form, bool]:
+    """One text of a step program (cached), bound to this kernel, and
+    whether it folds an existential step."""
     key = (_faithful(steps), _faithful(head), symbols is not None,
-           _eq_const_codes(steps, symbols), hooked)
+           _eq_const_codes(steps, symbols), hooked, fold)
     cached = _CACHE.get(key)
     if cached is None:
         if len(_CACHE) >= MAX_CACHED_KERNELS:
             _CACHE.clear()
-        source_text, specs = _emit(steps, head, symbols, hooked)
+        source_text, specs, folds = _emit(steps, head, symbols, hooked,
+                                          fold)
         cached = (source_text, specs,
-                  compile(source_text, "<generated-kernel>", "exec"))
+                  compile(source_text, "<generated-kernel>", "exec"), folds)
         _CACHE[key] = cached
-    source_text, specs, code = cached
+    source_text, specs, code, folds = cached
     namespace: dict[str, Any] = {}
     # The globals cannot be cached alongside the bytecode: ``V``/``I``
     # bind *this* kernel's symbol table, ``R``/``K`` its rule and
@@ -367,7 +395,7 @@ def _instantiate(steps: tuple[Any, ...], head: tuple[Any, ...],
           "I": symbols.intern if symbols is not None else None,
           "R": rule, "K": slot_vars},
          namespace)
-    return _Form(namespace["_kernel"], specs, source_text)
+    return _Form(namespace["_kernel"], specs, source_text), folds
 
 
 def _slots_in(sym: tuple[Any, ...]) -> set[int]:
@@ -379,19 +407,62 @@ def _slots_in(sym: tuple[Any, ...]) -> set[int]:
     return set()
 
 
+def _existential_steps(steps: tuple[Any, ...],
+                      head: tuple[Any, ...]) -> frozenset[int]:
+    """The positions of the existential atom steps of a step program.
+
+    An atom step is existential when it probes on at least one bound
+    column, repeats no variable within the atom, and writes no slot
+    that a later step or the head reads: all it asks of its bucket is
+    whether it is empty.
+    """
+    read: set[int] = set()
+    for sym in head:
+        read |= _slots_in(sym)
+    found: list[int] = []
+    for pos in range(len(steps) - 1, -1, -1):
+        step = steps[pos]
+        tag = step[0]
+        if tag == "atom":
+            _tag, _src, cols, keys, writes, checks = step
+            if cols and not checks \
+                    and read.isdisjoint(slot for _col, slot in writes):
+                found.append(pos)
+            syms = keys
+        elif tag in ("member", "neg"):
+            syms = step[2]
+        elif tag == "check":
+            syms = step[2:]
+        else:  # bind
+            syms = (step[2],)
+        for sym in syms:
+            read |= _slots_in(sym)
+    return frozenset(found)
+
+
 def _emit(steps: tuple[Any, ...], head: tuple[Any, ...],
-          symbols: SymbolTable | None,
-          hooked: bool) -> tuple[str, tuple[Any, ...]]:
-    """The generated source text and resolver specs of a step program."""
+          symbols: SymbolTable | None, hooked: bool,
+          fold: bool) -> tuple[str, tuple[Any, ...], bool]:
+    """The generated source text and resolver specs of a step program,
+    and whether the text folds an existential step.
+
+    ``fold`` probes every existential step instead of walking its
+    bucket (a hooked text always walks)."""
     interned = symbols is not None
+    folded = _existential_steps(steps, head) \
+        if fold and not hooked else frozenset()
 
     # Every step but a bind can change how many bindings there are.
-    # Without a hook, the bindings the last such step leaves are the
-    # head rows, so its count is ``len(out)``; a hook filters after it,
-    # so then every count is a counter of its own.
-    final = -1 if hooked else max(
+    # The last such step is where a head-only form (a verbatim copy, a
+    # projection) can apply, unless a hook has to see every slot.
+    last = -1 if hooked else max(
         (pos for pos, step in enumerate(steps) if step[0] != "bind"),
         default=-1)
+    # Without a hook or a fold, the bindings the last step leaves are
+    # the head rows, so its count is ``len(out)``; a hook filters after
+    # it, and a folded binding stands for several rows, so then every
+    # count is a counter of its own.
+    final = -1 if folded else last
 
     specs: list[tuple[Any, ...]] = []
     spec_idx: dict[tuple[Any, ...], int] = {}
@@ -421,6 +492,10 @@ def _emit(steps: tuple[Any, ...], head: tuple[Any, ...],
     #: How many bindings reach the next clause (before the first
     #: ``for``, a degenerate frontier of one).
     count = "1"
+    #: How many solutions each binding stands for: the register of the
+    #: last folded probe (which carries the product of every folded
+    #: bucket length so far), or None before the first one.
+    weight: str | None = None
     #: The whole right-hand side of ``out``, when it is not the
     #: comprehension (a head that copies its only source verbatim).
     whole: str | None = None
@@ -466,7 +541,7 @@ def _emit(steps: tuple[Any, ...], head: tuple[Any, ...],
             return "len(out)"
         name = f"n{pos}"
         counters.append(name)
-        clauses.append(f"if ({name} := {name} + 1)")
+        clauses.append(f"if ({name} := {name} + {weight or 1})")
         return name
 
     def atom_source(src: int, cols: tuple[int, ...],
@@ -573,7 +648,22 @@ def _emit(steps: tuple[Any, ...], head: tuple[Any, ...],
             origins[slot_no] = (src, col)
         conds = "".join(f" if {rname}[{col}] == {reg_exprs[slot_no]}"
                         for col, slot_no in checks)
-        if pos != final:
+        if pos in folded:
+            # An existential step is one probe: a binding whose bucket
+            # is empty stops, any other goes on once, standing for as
+            # many solutions as its bucket holds.  Its rows are counted
+            # as the walk would count them.
+            wname = f"w{pos}"
+            grow = f"len({atom_source(src, cols, keys)})"
+            count = f"n{pos}"
+            counters.append(count)
+            clauses.append(
+                f"if ({wname} := {grow}{f' * {weight}' if weight else ''})"
+                f" and ({count} := {count} + {wname})")
+            weight = wname
+            rm.append(count)
+            continue
+        if pos != last:
             source = atom_source(src, cols, keys)
             if checks:
                 clauses.append(f"for {rname} in {source}{conds}")
@@ -590,19 +680,21 @@ def _emit(steps: tuple[Any, ...], head: tuple[Any, ...],
                 count = f"n{pos}"
                 counters.append(count)
                 bname = f"b{rname[1:]}"
+                grow = f"len({bname}) * {weight}" if weight \
+                    else f"len({bname})"
                 clauses.append(
                     f"for {bname} in ({source},) "
-                    f"if ({count} := {count} + len({bname})) >= 0 "
+                    f"if ({count} := {count} + {grow}) >= 0 "
                     f"for {rname} in {bname}")
             rm.append(count)
             continue
         # The last step that changes the count: the head rows follow.
-        count = "len(out)"
-        rm.append(count)
         if not clauses and not cols and not checks \
                 and pos == len(steps) - 1 \
                 and head == tuple(("slot", slot) for _col, slot in writes):
             # The head is the row verbatim: one C-level list copy.
+            count = "len(out)"
+            rm.append(count)
             whole = f"list({atom_source(src, cols, keys)})"
             continue
         if len(cols) == 1 and not checks:
@@ -620,9 +712,13 @@ def _emit(steps: tuple[Any, ...], head: tuple[Any, ...],
                 reg_exprs[val_slot] = vname
                 clauses.append(
                     f"for {vname} in g{j}({storage(keys[0])}, E)")
+                count = survivors(pos)
+                rm.append(count)
                 continue
         clauses.append(f"for {rname} in {atom_source(src, cols, keys)}"
                        f"{conds}")
+        count = survivors(pos)
+        rm.append(count)
 
     if hooked:
         # Every slot is bound, so the hook is shown the whole
@@ -654,6 +750,9 @@ def _emit(steps: tuple[Any, ...], head: tuple[Any, ...],
     if counters:
         body.append(f"    {' = '.join(counters)} = 0")
     body.append(f"    out = {whole}")
+    # A folding text also returns how many solutions its rows stand
+    # for beyond themselves.
+    repeats = f", {count} - len(out)" if folded else ""
     body.append(f"    return out, {total(lk)}, {total(rm)}, "
-                f"{total(cc)}, {total(nc)}")
-    return "\n".join(body), tuple(specs)
+                f"{total(cc)}, {total(nc)}{repeats}")
+    return "\n".join(body), tuple(specs), bool(folded)

@@ -77,6 +77,19 @@ EXECUTORS = ("compiled", "interpreted")
 Hook = Callable[[Rule, Binding, int], bool]
 
 
+class FoldedRows(list):
+    """Head rows that stand for more solutions than they hold.
+
+    A folding kernel text runs an existential atom as one probe, so a
+    binding whose bucket holds ``m`` rows yields its head row once for
+    ``m`` solutions.  ``repeats`` counts the folded copies, each of
+    which would have derived a row already in the list again.
+    """
+
+    __slots__ = ("repeats",)
+    repeats: int
+
+
 def validate_executor(executor: str) -> None:
     if executor not in EXECUTORS:
         raise EvaluationError(
@@ -250,7 +263,7 @@ class CompiledKernel:
     # -- execution -----------------------------------------------------------
     def execute(self, fetch: Fetch, stats: EvalStats,
                 hook: Optional[Hook] = None,
-                round_index: int = 0) -> list[Row]:
+                round_index: int = 0, fold: bool = False) -> list[Row]:
         """Run the kernel and return the derived head rows (buffered).
 
         ``fetch`` resolves each atom occurrence to its relation exactly
@@ -262,13 +275,22 @@ class CompiledKernel:
 
         A ``hook`` is shown each solution's value-domain ``Binding``
         once, after the body's last step, and may veto the row.
+
+        Otherwise the list holds one row per solution, unless ``fold``
+        lets existential steps run as probes: then a solution that
+        repeats a row of its binding is counted in the returned
+        :class:`FoldedRows`' ``repeats`` instead.  The counters are the
+        same either way.
         """
-        out, lookups, rows, cmps, negs = self.generated.run(
-            self.sources, fetch, self._predicates, hook, round_index)
+        out, lookups, rows, cmps, negs, *folded = self.generated.run(
+            self.sources, fetch, self._predicates, hook, round_index, fold)
         stats.atom_lookups += lookups
         stats.rows_matched += rows
         stats.comparisons_checked += cmps
         stats.negation_checks += negs
+        if folded and folded[0]:
+            out = FoldedRows(out)
+            out.repeats = folded[0]
         return out
 
     # -- introspection -------------------------------------------------------

@@ -26,7 +26,8 @@ from .bindings import (Cost, EvalStats, Fetch, Sizes, anchor_cost,
                        anchor_sizes, instantiate_head, solve_body,
                        validate_planner)
 from .codegen import PredicateCache
-from .compile import CompiledKernel, Hook, KernelCache, validate_executor
+from .compile import (CompiledKernel, FoldedRows, Hook, KernelCache,
+                      validate_executor)
 
 
 def estimators(fetch: Fetch, frontier: Collection[int], planner: str,
@@ -148,10 +149,13 @@ class Firer:
         The list is in the storage domain (codes when interned) and
         carries *multiplicity* — one entry per body solution the hook
         let through — which :meth:`merge` counts as duplicate
-        derivations.  ``variant`` keys
-        the kernel (one per delta-redirected occurrence or maintenance
-        pass) and is planned at its first firing only; ``frontier`` and
-        ``ranked`` are as in :func:`estimators`.
+        derivations.  When nothing has to see each solution
+        (:attr:`whole_sets`) a kernel folds its existential steps, and
+        the solutions that only repeat a row come back as the
+        :class:`~repro.engine.compile.FoldedRows`' ``repeats``.
+        ``variant`` keys the kernel (one per delta-redirected occurrence
+        or maintenance pass) and is planned at its first firing only;
+        ``frontier`` and ``ranked`` are as in :func:`estimators`.
         """
         stats = self.stats
         stats.rules_fired += 1
@@ -165,7 +169,8 @@ class Firer:
                     rule, fetch, frontier, self.planner, ranked,
                     kernels.symbols, kernels.predicates))
             return kernel.execute(fetch, stats, hook=self.hook,
-                                  round_index=round_index)
+                                  round_index=round_index,
+                                  fold=self.whole_sets)
         hook = self.hook
         derived = [instantiate_head(rule, binding)
                    for binding in solve_body(
@@ -200,7 +205,11 @@ class Firer:
         row.  ``derivations`` and ``duplicate_derivations`` total what a
         row-at-a-time insert would count.  Under a chaos plan the rows
         do go in one at a time: fault ordinals are per derivation event.
+        A :class:`~repro.engine.compile.FoldedRows`' repeats are
+        duplicate derivations.
         """
+        if type(derived) is FoldedRows:
+            self.stats.duplicate_derivations += derived.repeats
         budget = self.budget
         if self.chaos_plan is not None:
             return self._merge_rows(derived, target, last_round)

@@ -189,12 +189,14 @@ def _rewrite_rule(program: Program, rule: Rule, adornment: Adornment,
                     or (isinstance(arg, Variable) and arg in bound))
             else "f" for arg in lit.args)
         pending.append((lit.pred, sub_adornment))
+        magic_atom = Atom(_magic(lit.pred, sub_adornment),
+                          _bound_args(lit, sub_adornment))
         magic_body = [magic_head] + list(prefix)
-        magic_rules.append(Rule(
-            Atom(_magic(lit.pred, sub_adornment),
-                 _bound_args(lit, sub_adornment)),
-            tuple(magic_body),
-            label=None))
+        # A magic rule whose head is one of its body atoms
+        # (``m_reach__bf(X) :- m_reach__bf(X).``) derives nothing.
+        if magic_atom not in magic_body:
+            magic_rules.append(Rule(magic_atom, tuple(magic_body),
+                                    label=None))
         adorned_atom = Atom(_adorned(lit.pred, sub_adornment), lit.args)
         new_body.append(adorned_atom)
         prefix.append(adorned_atom)

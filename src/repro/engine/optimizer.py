@@ -406,9 +406,15 @@ def _rule_cost(rule: Rule, estimator: _Estimator) -> float:
     """Estimated join work of one rule over the whole fixpoint.
 
     Semi-naive evaluation pushes every derived tuple through each rule
-    body about once, so a single pass priced at full relation sizes
-    approximates the total: walk the planner's join order, charging one
-    probe per intermediate row plus the rows each probe returns.
+    body about once, entering a recursive rule through the delta of an
+    occurrence of its head predicate, so a single pass priced at full
+    relation sizes and anchored at that occurrence approximates the
+    total: walk the planner's join order, charging one probe per
+    intermediate row plus the rows each probe returns.  An existential
+    atom — probed on a bound column, no variable repeated in it, none
+    of its new variables read later or in the head — runs as one probe
+    per row (:mod:`repro.engine.codegen`): it returns no rows to walk
+    and can only shrink the frontier.
     """
 
     def sizes(atom: Atom, index: int) -> int:
@@ -417,13 +423,16 @@ def _rule_cost(rule: Rule, estimator: _Estimator) -> float:
 
     def cost(atom: Atom, index: int,
              bound_cols: tuple[int, ...]) -> float:
+        if atom.pred == rule.head.pred and not bound_cols:
+            return 0.0  # the anchor: scanned first
         return estimator(atom.pred, atom.arity, bound_cols)
 
     order = plan_body(rule, sizes, cost=cost)
+    head_vars = rule.head.variable_set()
     bound: set[Variable] = set()
     frontier = 1.0
     work = 0.0
-    for position in order:
+    for step_no, position in enumerate(order):
         literal = rule.body[position]
         if isinstance(literal, Comparison):
             work += frontier * 0.1
@@ -437,8 +446,17 @@ def _rule_cost(rule: Rule, estimator: _Estimator) -> float:
             if isinstance(arg, Constant)
             or (isinstance(arg, Variable) and arg in bound))
         step = estimator(atom.pred, atom.arity, bound_cols)
-        work += frontier * (1.0 + step)
-        frontier = _saturating_mul(frontier, max(step, 0.01))
+        new = [arg for arg in atom.args
+               if isinstance(arg, Variable) and arg not in bound]
+        if bound_cols and new and len(set(new)) == len(new) \
+                and head_vars.isdisjoint(new) \
+                and not any(rule.body[later].variable_set().intersection(new)
+                            for later in order[step_no + 1:]):
+            work += frontier
+            frontier = _saturating_mul(frontier, min(step, 1.0))
+        else:
+            work += frontier * (1.0 + step)
+            frontier = _saturating_mul(frontier, max(step, 0.01))
         bound.update(arg for arg in atom.args
                      if isinstance(arg, Variable))
         if work == INF:

@@ -245,9 +245,12 @@ def _evaluate_stratum(program: Program, stratum: frozenset[str],
                                last_round=max(round_index - 1, 0))
         if profile is not None:
             done = perf_counter()
+            # Solutions, counting the ones a folding kernel returned as
+            # repeats of its rows.
             profile.record_fire(
                 key if variant is None else f"{key}@d{variant}",
-                merge_start - fire_start, done - merge_start, len(derived))
+                merge_start - fire_start, done - merge_start,
+                len(derived) + getattr(derived, "repeats", 0))
         return new_rows
 
     def initialization_round() -> dict[str, Relation]:

@@ -34,7 +34,10 @@ the methods below, which keep every live index current:
   saves a 1-tuple allocation and hash per probe on the single-column
   joins that dominate recursive workloads; a multi-column index by the
   tuple of values.  The interpreter, ``lookup``, snapshot reads and the
-  generated kernels all probe the same index;
+  generated kernels all probe the same index.  ``lookup`` scans instead
+  on its first probe of a column set that has no index, and builds the
+  index from the second: a relation read once (the answer relation of
+  a bound query) is never indexed;
 - ``proj_indexes`` — projection indexes mapping a bare key-column value
   to the list of *another column's* entries for matching rows
   (``projection_index``), so a final join level can emit projected
@@ -186,7 +189,7 @@ class Relation:
     """A set of fixed-arity ground tuples with on-demand hash indexes."""
 
     __slots__ = ("name", "arity", "symbols", "_rows", "indexes",
-                 "proj_indexes", "uid", "version", "_profile")
+                 "proj_indexes", "uid", "version", "_profile", "_scanned")
 
     def __init__(self, name: str, arity: int,
                  rows: Iterable[Row] | None = None,
@@ -206,6 +209,8 @@ class Relation:
         self.version = 0
         #: ``(version built at, profile)``; see :meth:`profile`.
         self._profile: Optional[tuple[int, RelationProfile]] = None
+        #: Column sets :meth:`lookup` has scanned once, without an index.
+        self._scanned: tuple[tuple[int, ...], ...] = ()
         if rows:
             self.add_all(rows)
 
@@ -473,21 +478,37 @@ class Relation:
         matching rows are decoded into a fresh list (bucket order
         preserved); a pattern mentioning a never-interned value matches
         nothing.
+
+        The first probe of a column set without an index scans the rows
+        instead; the second builds the index.
         """
-        bucket = self._probe(bound)
+        return self._decoded(self._probe(bound, scan_once=True))
+
+    def _decoded(self, bucket: Collection[Row]) -> Collection[Row]:
+        """Storage-domain ``bucket`` as :meth:`lookup` returns it."""
         if self.symbols is None or not bucket:
             return bucket
         return list(_decoder(self.arity)(bucket, self.symbols.values))
 
-    def _probe(self, bound: Bound) -> Collection[Row]:
+    def _probe(self, bound: Bound, scan_once: bool) -> Collection[Row]:
         """:meth:`lookup` before the decode: the matching storage-domain
-        rows, as the internal container."""
+        rows, as the internal container.  ``scan_once`` scans the first
+        probe of a column set without an index instead of building it."""
         if not bound:
             return self._rows
         probe = self._key(bound)
         if probe is None:
             return ()
-        return self.index_for(probe[0]).get(probe[1], ())
+        columns, key = probe
+        index = self.indexes.get(columns)
+        if index is None:
+            if scan_once and columns not in self._scanned:
+                self._scanned += (columns,)
+                # A one-key set matches as the index's dict would.
+                key_of, wanted = itemgetter(*columns), {key}
+                return [row for row in self._rows if key_of(row) in wanted]
+            index = self._build_index(columns)
+        return index.get(key, ())
 
     def _key(self, bound: Bound) -> Optional[tuple[tuple[int, ...], object]]:
         """A non-empty pattern as ``(columns, storage-domain key)``, the
@@ -810,7 +831,10 @@ class PatchedRelation:
         stamped present, then one decode."""
         at = self.at
         if not at:
-            return self.base.lookup(bound)
+            # Every reader of the snapshots shares the base, so it is
+            # indexed on the first probe.
+            base = self.base
+            return base._decoded(base._probe(bound, scan_once=False))
         if not bound:
             kept: Collection[Row] = list(self._raw_iter())
         else:

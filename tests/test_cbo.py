@@ -258,6 +258,39 @@ class TestCostModel:
         assert cost > 0.0
         assert "r0" in detail
 
+    def test_an_existential_atom_is_priced_as_one_probe(self):
+        # q holds 10 rows and r six per q value: read for its Y, the
+        # probe walks 6 rows per q row; asked only whether a Y exists,
+        # it is one probe that cannot widen the frontier.
+        db = Database({"q": [(x,) for x in range(10)],
+                       "r": [(x, y) for x in range(10) for y in range(6)],
+                       "s": [(x, y, y % 2) for x in range(10)
+                             for y in range(6)]})
+
+        def cost(text):
+            return estimate_program_cost(
+                PlanCandidate(parse_program(text), ()), db)[0]
+
+        assert cost("p(X, Y) :- q(X), r(X, Y).") == 11 + 10 * (1 + 6)
+        assert cost("p(X) :- q(X), r(X, Y).") == 11 + 10
+        # A repeated new variable is an in-atom check: rows are walked.
+        assert cost("p(X) :- q(X), s(X, Y, Y).") == 11 + 10 * (1 + 6)
+
+    def test_example_3_2_prices_the_elimination_below_the_source(self):
+        """E1's push matches 12.9x fewer rows than the source program on
+        this EDB; the estimator must rank it first too."""
+        from repro.workloads import (UniversityParams, example_3_2,
+                                     generate_university)
+
+        example = example_3_2()
+        ic1 = [ic for ic in example.ics if ic.label == "ic1"]
+        db = generate_university(UniversityParams(professors=300),
+                                 random.Random(7))
+        choice = choose_plan(Program(example.program.rules), db, ics=ic1)
+        assert choice.label == "residues[ic1]", choice.describe()
+        pushed = evaluate(choice.program, db).stats.rows_matched
+        assert pushed * 10 < evaluate(example.program, db).stats.rows_matched
+
     def test_describe_marks_the_winner(self):
         choice = choose_plan(TC, digraph(), query=BOUND)
         text = choice.describe()

@@ -284,6 +284,75 @@ def test_a_twelve_atom_chain_matches_the_interpreter():
     assert "lvl" not in source and "del " not in source
 
 
+# ---------------------------------------------------------------------------
+# Existential steps
+# ---------------------------------------------------------------------------
+
+
+def _pushed_example_3_2():
+    """Example 3.2 with ``ic1`` pushed, and an EDB whose theses have
+    three fields each (so every ``field(T, F)`` bucket holds three)."""
+    from repro import SemanticOptimizer
+
+    example = example_3_2()
+    ic1 = [ic for ic in example.ics if ic.label == "ic1"]
+    pushed = SemanticOptimizer(example.program, ic1).optimize().optimized
+    edb = generate_university(
+        UniversityParams(professors=40, theses=8, fields=6,
+                         fields_per_thesis=3, payments=0),
+        random.Random(7))
+    return pushed, edb
+
+
+def test_example_3_2_pushed_step_probes_field_without_walking_it():
+    """``r1_deep_step`` reads ``field(T, F)`` only to know that thesis
+    ``T`` has a field: the unhooked text probes it once per binding, the
+    walking text (what a hook, a chaos plan or a counter limit runs)
+    visits each ``F``, and both count as the interpreter does."""
+    pushed, edb = _pushed_example_3_2()
+    rule = next(r for r in pushed if r.label == "r1_deep_step")
+    assert str(rule.body[-1]) == "field(T, F)"
+    kernel = compile_rule(rule, lambda atom, index: 0,
+                          keep_atom_order=True)
+    (field_arg,) = [
+        j for j, spec in enumerate(kernel.generated.form(False).resolvers)
+        if spec[0] == "probe1"
+        and kernel.sources[spec[1]][1].pred == "field"]
+    source = kernel.generated.source
+    assert f"len(g{field_arg}(" in source
+    assert f" in g{field_arg}(" not in source \
+        and f" in (g{field_arg}(" not in source
+    walking = kernel.generated.form(False, fold=False).source
+    assert f" in g{field_arg}(" in walking
+    _matches_interpreter(pushed, edb, hooks=(None, _always, _veto))
+
+
+def test_a_hook_is_still_shown_each_field():
+    pushed, edb = _pushed_example_3_2()
+
+    def solutions(executor):
+        seen = []
+
+        def hook(rule, binding, round_index):
+            if rule.label == "r1_deep_step":
+                seen.append(tuple(sorted((str(var), value)
+                                         for var, value in binding.items())))
+            return True
+
+        evaluate(pushed, edb, planner="source", executor=executor,
+                 hook=hook)
+        return sorted(seen)
+
+    compiled = solutions("compiled")
+    assert compiled == solutions("interpreted")
+    fields_per_head: dict[tuple, set] = {}
+    for binding in compiled:
+        values = dict(binding)
+        fields_per_head.setdefault(
+            (values["P"], values["S"], values["T"]), set()).add(values["F"])
+    assert {len(fields) for fields in fields_per_head.values()} == {3}
+
+
 WORKLOADS = {
     "university": lambda: (
         example_3_2(), "eval",

@@ -313,6 +313,20 @@ class TestAnswerSelection:
         assert answers == {(f"n{i}", "n30") for i in range(30)}
         assert "reach" not in scans
 
+    def test_an_answer_relation_read_once_is_not_indexed(self,
+                                                          tc_program):
+        """A bound query's adorned relation is read once, by the answer
+        selection: it is scanned, and no index is built on it."""
+        db = self._long_chain()
+        query = atom("reach", "n3", "Y")
+        result = evaluate_with_magic(tc_program, db, query)
+        answers = select_answers(result.idb, query, pred="reach__bf")
+        assert answers == {("n3", f"n{i}") for i in range(4, 31)}
+        assert result.idb.relation("reach__bf").indexes == {}
+        assert select_answers(result.idb, query, pred="reach__bf") \
+            == answers
+        assert list(result.idb.relation("reach__bf").indexes) == [(0,)]
+
     def test_count_is_a_len(self, tc_program, scans):
         result = evaluate(tc_program, self._long_chain())
         assert result.count("reach") == 31 * 30 // 2
@@ -365,3 +379,43 @@ class TestMagicSets:
         program = parse_program("p(X) :- node(X), not q(X). q(X) :- e(X).")
         with pytest.raises(TransformError):
             magic_answers(program, chain_db, atom("p", "a"))
+
+    SG = """
+        s0: sg(X, X) :- node(X).
+        s1: sg(X, Y) :- par(X, Xp), sg(Xp, Yp), par(Y, Yp).
+    """
+
+    @pytest.mark.parametrize("case", [
+        "tc-bf", "tc-fb", "sg-bf", "sg-fb",
+        *(f"draw{seed}-{pattern}" for seed in (0, 1, 4, 6)
+          for pattern in ("bf", "fb"))])
+    def test_no_magic_rule_derives_itself(self, tc_program, rng, case):
+        """``m_p__bf(X) :- m_p__bf(X).`` adds a stratum and derives
+        nothing: no rewrite keeps a rule whose head is in its body, and
+        the answers stay the plain evaluation's."""
+        from repro.engine.magic import magic_rewrite
+        from repro.workloads import random_linear_program
+
+        name, pattern = case.split("-")
+        if name == "tc":
+            program, pred = tc_program, "reach"
+            db = Database({"edge": [(f"n{rng.randrange(12)}",
+                                     f"n{rng.randrange(12)}")
+                                    for _ in range(30)]})
+        elif name == "sg":
+            program, pred = parse_program(self.SG), "sg"
+            db = Database({"node": [(f"n{i}",) for i in range(12)],
+                           "par": [(f"n{i}", f"n{i // 2}")
+                                   for i in range(1, 12)]})
+        else:
+            text, db = random_linear_program(random.Random(int(name[4:])))
+            program, pred = parse_program(text), "p"
+        constant = min((row[0] for pred in db.predicates()
+                        for row in db.facts(pred)), key=repr)
+        args = (constant, "Y") if pattern == "bf" else ("X", constant)
+        query = atom(pred, *args)
+        rewritten = magic_rewrite(program, query)
+        assert not [rule for rule in rewritten.program
+                    if rule.head in rule.body]
+        assert magic_answers(program, db, query) == \
+            select_answers(evaluate(program, db).idb, query)

@@ -46,9 +46,22 @@ class TestRelation:
 
     def test_index_sees_later_inserts(self):
         rel = Relation("r", 2, [("a", 1)])
-        list(rel.lookup(((0, "a"),)))  # build the index
+        rel.index_for((0,))
         rel.add(("a", 2))
         assert set(rel.lookup(((0, "a"),))) == {("a", 1), ("a", 2)}
+
+    def test_lookup_scans_once_and_indexes_from_the_second_probe(self):
+        rows = [("a", 1, "x"), ("a", 2, "x"), ("b", 1, "y")]
+        for symbols in (None, SymbolTable()):
+            rel = Relation("r", 3, symbols=symbols)
+            rel.add_all(rows)
+            assert set(rel.lookup(((0, "a"),))) == set(rows[:2])
+            assert set(rel.lookup(((0, "a"), (2, "x")))) == set(rows[:2])
+            assert rel.indexes == {}
+            assert set(rel.lookup(((0, "b"),))) == {rows[2]}
+            assert list(rel.indexes) == [(0,)]
+            assert set(rel.lookup(((0, "c"),))) == set()
+            assert list(rel.indexes) == [(0,)]
 
     def test_lookup_matches_filter_scan(self):
         rows = [(i % 3, i % 5) for i in range(30)]

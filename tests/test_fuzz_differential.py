@@ -39,16 +39,23 @@ COMBOS = [(executor, planner, interning)
 #: adds a ground fact to the recursive stratum, whose firing inserts
 #: its head row without a kernel and which the recursion then extends
 #: (the veto hook below vetoes it: its empty binding sums to 0).
+#: ``exists`` adds two recursive rules with atoms whose new variable
+#: nothing reads, two in the middle of one body and one last in the
+#: other: a kernel probes such an atom instead of walking its bucket,
+#: and weights every later count by the product of the bucket lengths.
 COPY_RULES = {
     "copy": "c0: c(X, Y) :- p(X, Y).\n",
     "copy-loop": "c0: c(X, Y) :- p(X, Y).\nc1: p(X, Y) :- c(X, Y).\n",
     "filter": "f0: p(X, Z) :- p(X, Y), X < Y, e0(Y, Z).\n",
     "fact": "s0: p(n0, n99).\n",
+    "exists": "x0: p(X, Z) :- p(X, Y), e0(Y, W), e1(Y, U), e0(U, V), "
+              "e1(U, Z).\n"
+              "x1: p(X, Z) :- p(X, Y), e1(Y, Z), e0(Z, W).\n",
 }
 
 #: The draws of the matrix tests: eight plain ones and one per flavor.
 DRAWS = (*range(8), (2, "copy"), (6, "copy-loop"), (1, "filter"),
-         (4, "fact"))
+         (4, "fact"), (0, "exists"))
 
 
 def draw(seed):
@@ -139,7 +146,8 @@ def test_full_counters_match_wherever_join_orders_coincide(seed):
         assert vetoed(interning=interning) == reference
 
 
-@pytest.mark.parametrize("seed", (3, 11, (3, "copy-loop"), (3, "fact")))
+@pytest.mark.parametrize("seed", (3, 11, (3, "copy-loop"), (3, "fact"),
+                                  (3, "exists")))
 def test_budget_exhaustion_payloads_match_across_combos(seed):
     text, edb = draw(seed)
     program = parse_program(text)
@@ -157,7 +165,8 @@ def test_budget_exhaustion_payloads_match_across_combos(seed):
     assert len(payloads) == 1, payloads
 
 
-@pytest.mark.parametrize("seed", (5, (5, "copy-loop"), (5, "fact")))
+@pytest.mark.parametrize("seed", (5, (5, "copy-loop"), (5, "fact"),
+                                  (5, "exists")))
 def test_chaos_fault_ordinals_match_across_combos(seed):
     text, edb = draw(seed)
     program = parse_program(text)
