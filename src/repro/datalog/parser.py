@@ -24,6 +24,7 @@ head (a denial): ``a(X), X > 5 -> .`` or equivalently ``... -> false.``
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Iterator, Union
 
@@ -34,8 +35,6 @@ from .program import Program
 from .spans import Span, caret_excerpt
 from .terms import ArithExpr, Constant, Term, Variable
 
-_PUNCT = (":-", "?-", "->", "<=", ">=", "!=", "=<", "=>",
-          "(", ")", ",", ".", "<", ">", "=", "+", "-", "*", "/", ":")
 _OP_NORMALIZE = {"=<": "<=", "=>": ">="}
 
 
@@ -62,93 +61,74 @@ def _excerpt(text: str, line: int, column: int, width: int = 1) -> str:
     return caret_excerpt(text, Span(line, column, line, column + width))
 
 
+#: One token (or skipped stretch) of the notation, tried in this order
+#: at each position.  A number's ``.`` must be followed by a digit, or
+#: it ends the statement (``p(3).``); a string runs to its closing
+#: quote on the same line, a backslash escaping the next character
+#: (newline included); punctuation lists two-character operators
+#: first.
+_TOKEN = re.compile(r"""
+      (?P<newline>\n)
+    | (?P<space>[ \t\r]+)
+    | (?P<comment>%[^\n]*)
+    | (?P<number>\d+(?:\.\d+)*)
+    | (?P<word>[^\W\d]\w*)
+    | (?P<string>'(?:[^'\\\n]|\\[\s\S])*'|"(?:[^"\\\n]|\\[\s\S])*")
+    | (?P<punct>:-|\?-|->|<=|>=|!=|=<|=>|[(),.<>=+\-*/:])
+""", re.VERBOSE)
+_ESCAPE = re.compile(r"\\([\s\S])")
+
+
 def tokenize(text: str) -> Iterator[Token]:
-    """Yield tokens; raises :class:`ParseError` on unknown characters."""
+    """Yield tokens; raises :class:`ParseError` on unknown characters.
+
+    Columns advance one per character consumed, except inside a
+    comment (the next token is on a new line, or is the end of input
+    at the comment's column); a string's token starts at its opening
+    quote, ends after its closing one and holds the unescaped text.
+    """
     line, column = 1, 1
     index = 0
     length = len(text)
+    match = _TOKEN.match
     while index < length:
-        ch = text[index]
-        if ch == "\n":
+        found = match(text, index)
+        if found is None or (found.lastgroup == "word"
+                             and not (text[index].isalpha()
+                                      or text[index] == "_")):
+            # (A word starts with a letter or ``_``: ``\w`` also holds
+            # numeric characters that are not decimal digits.)
+            if text[index] in "'\"":
+                raise ParseError("unterminated string", line, column,
+                                 excerpt=_excerpt(text, line, column))
+            raise ParseError(f"unexpected character {text[index]!r}",
+                             line, column,
+                             excerpt=_excerpt(text, line, column))
+        kind = found.lastgroup
+        lexeme = found.group()
+        index = found.end()
+        if kind == "newline":
             line += 1
             column = 1
-            index += 1
             continue
-        if ch in " \t\r":
-            index += 1
-            column += 1
+        if kind == "comment":
             continue
-        if ch == "%":
-            while index < length and text[index] != "\n":
-                index += 1
-            continue
-        if ch.isdigit():
-            start = index
-            while index < length and (text[index].isdigit()
-                                      or text[index] == "."):
-                # A '.' is part of the number only when followed by a digit;
-                # otherwise it terminates the statement.
-                if text[index] == ".":
-                    if index + 1 < length and text[index + 1].isdigit():
-                        index += 1
-                    else:
-                        break
-                index += 1
-            lexeme = text[start:index]
+        if kind == "punct":
+            yield Token("PUNCT", _OP_NORMALIZE.get(lexeme, lexeme),
+                        line, column)
+        elif kind == "word":
+            first = lexeme[0]
+            yield Token("VAR" if first.isupper() or first == "_"
+                        else "IDENT", lexeme, line, column)
+        elif kind == "number":
             yield Token("NUMBER", lexeme, line, column)
-            column += index - start
-            continue
-        if ch.isalpha() or ch == "_":
-            start = index
-            while index < length and (text[index].isalnum()
-                                      or text[index] == "_"):
-                index += 1
-            lexeme = text[start:index]
-            kind = "VAR" if (lexeme[0].isupper() or lexeme[0] == "_") \
-                else "IDENT"
-            yield Token(kind, lexeme, line, column)
-            column += index - start
-            continue
-        if ch in "'\"":
-            quote = ch
-            start_line, start_col = line, column
-            index += 1
-            column += 1
-            chars: list[str] = []
-            while index < length and text[index] != quote:
-                if text[index] == "\\" and index + 1 < length:
-                    chars.append(text[index + 1])
-                    index += 2
-                    column += 2
-                    continue
-                if text[index] == "\n":
-                    raise ParseError("unterminated string",
-                                     start_line, start_col,
-                                     excerpt=_excerpt(text, start_line,
-                                                      start_col))
-                chars.append(text[index])
-                index += 1
-                column += 1
-            if index >= length:
-                raise ParseError("unterminated string",
-                                 start_line, start_col,
-                                 excerpt=_excerpt(text, start_line,
-                                                  start_col))
-            index += 1
-            column += 1
-            yield Token("STRING", "".join(chars), start_line, start_col,
-                        end_column=column)
-            continue
-        for punct in _PUNCT:
-            if text.startswith(punct, index):
-                yield Token("PUNCT", _OP_NORMALIZE.get(punct, punct),
-                            line, column)
-                index += len(punct)
-                column += len(punct)
-                break
-        else:
-            raise ParseError(f"unexpected character {ch!r}", line, column,
-                             excerpt=_excerpt(text, line, column))
+        elif kind == "string":
+            body = lexeme[1:-1]
+            if "\\" in body:
+                body = _ESCAPE.sub(r"\1", body)
+            yield Token("STRING", body, line, column,
+                        end_column=column + len(lexeme))
+        column += len(lexeme)
     yield Token("EOF", "", line, column)
 
 
@@ -179,12 +159,14 @@ class _Parser:
     def __init__(self, text: str) -> None:
         self._text = text
         self._tokens = list(tokenize(text))
+        # A second EOF: the parser looks one token past the current one
+        # at most, and never moves past the first EOF.
+        self._tokens.append(self._tokens[-1])
         self._pos = 0
 
     # -- token plumbing -----------------------------------------------------
     def _peek(self, offset: int = 0) -> Token:
-        index = min(self._pos + offset, len(self._tokens) - 1)
-        return self._tokens[index]
+        return self._tokens[self._pos + offset]
 
     def _next(self) -> Token:
         token = self._tokens[self._pos]
@@ -216,7 +198,7 @@ class _Parser:
         return self._next()
 
     def _at_punct(self, text: str, offset: int = 0) -> bool:
-        token = self._peek(offset)
+        token = self._tokens[self._pos + offset]
         return token.kind == "PUNCT" and token.text == text
 
     # -- grammar -------------------------------------------------------------

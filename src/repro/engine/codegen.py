@@ -26,6 +26,18 @@ comprehension** over the whole delta frontier of a firing —
   bucket is empty stops; any other goes on once, standing for as many
   solutions as its bucket holds, and the running product of those
   bucket lengths (the latest ``wN``) weights every later count;
+- an atom whose **one new slot only membership tests read** — probed
+  on at least one bound column, every other column bound, no variable
+  repeated, the slot reaching no head term, check or other atom
+  (``field(T, F)`` / ``expert(P, F)`` of Example 3.2's plain recursive
+  rule) — folds into those tests.  Its bucket's values of the slot are
+  distinct, so the text takes them once as a set
+  (:meth:`Relation.set_index`), ``len(x1 := g1(key, E))``, weighting
+  the steps up to the first test by that size; each test becomes one
+  intersection with the same kind of set of its own relation, keyed by
+  its other columns, ``len(x1.intersection(g3(key, E)))``, whose size
+  weights what follows.  Neither side may read the relation the rule
+  derives: its set index would be kept current on every derived row;
 - comparisons against a constant are evaluated **per column, not per
   row**: a :class:`PredicateCache` memoizes the set of column values
   passing the check, so each distinct value is compared once per
@@ -44,9 +56,10 @@ derivation hook gets another text of the same program
 ``hook(rule, binding, round)`` before its head row is built, so the
 hook sees each solution's value-domain ``Binding`` exactly once and
 vetoed rows compute nothing.  That text walks every existential
-bucket, and so does a third, unhooked one (``fold=False``) that runs
-when a chaos plan or a counter limit must see each solution as a row
-of its own; a program with no existential step has no third text.
+bucket and member group, and so does a third, unhooked one
+(``fold=False``) that runs when a chaos plan or a counter limit must
+see each solution as a row of its own; a program with no fold has no
+third text.
 
 Statistics parity is exact: the generated function returns, alongside
 the derived head rows, counter sums (lookups per step entry, rows per
@@ -62,8 +75,10 @@ the last step's is ``len(out)``.  After an existential step each of
 those counts is weighted (``n2 + w1``, ``len(b3) * w1``), the last
 step gets a counter of its own, and the function returns a sixth sum:
 the solutions its head rows stand for beyond themselves, which the
-caller counts as duplicate derivations.  The differential fuzz matrix
-pins the counters to the interpreter's, hooked and not.
+caller counts as duplicate derivations.  A member group's atom counts
+its set's size as the rows it matched, and each of its tests the
+intersection's size as the bindings that passed.  The differential
+fuzz matrix pins the counters to the interpreter's, hooked and not.
 """
 
 from __future__ import annotations
@@ -72,6 +87,7 @@ import math
 import types
 from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
+from ..datalog.rules import Rule
 from ..errors import EvaluationError
 from ..facts.relation import Relation
 from ..facts.symbols import SymbolTable
@@ -251,32 +267,43 @@ class GeneratedKernel:
 
     A program has up to three texts (:meth:`form`): the folding one,
     generated with the kernel, which probes each existential step
-    instead of walking its bucket; the walking one, generated the first
-    time every solution must come out as a row of its own (it is the
-    folding one when the program has no existential step); and the
+    instead of walking its bucket and intersects each member group's
+    sets instead of testing each value; the walking one, generated the
+    first time every solution must come out as a row of its own (it is
+    the folding one when the program has nothing to fold); and the
     hooked one, which walks too, generated the first time a hook is
     passed.
 
-    ``rule`` and ``slot_vars`` (the body's variables by slot number)
-    are what a derivation hook is shown; they are bound into the
-    function's globals, never into its text.
+    ``sources`` are the program's relation-touching steps, as
+    ``CompiledKernel.sources`` lists them; each firing resolves them
+    through its ``fetch``, and no member group reads one whose atom is
+    the rule head's predicate (see :func:`_folds`).  ``rule`` and
+    ``slot_vars`` (the body's variables by slot number) are what a
+    derivation hook is shown; they are bound into the function's
+    globals, never into its text.
     """
 
-    __slots__ = ("_program", "_forms", "_folds")
+    __slots__ = ("_program", "_forms", "_folds", "_sources")
 
     def __init__(self, steps: tuple[Any, ...], head: tuple[Any, ...],
                  symbols: SymbolTable | None,
-                 rule: object = None,
+                 sources: Sequence[Source],
+                 rule: Rule | None = None,
                  slot_vars: tuple[Any, ...] = ()) -> None:
-        self._program = (steps, head, symbols, rule, slot_vars)
+        self._sources = sources
+        derived = frozenset(
+            src for src, (_index, atom, _cols, _kind) in enumerate(sources)
+            if rule is not None and atom.pred == rule.head.pred)
+        self._program = (steps, head, symbols, rule, slot_vars, derived)
         self._forms: dict[tuple[bool, bool], _Form] = {}
         folding, self._folds = _instantiate(*self._program, False, True)
         self._forms[False, self._folds] = folding
 
     def form(self, hooked: bool, fold: bool = True) -> _Form:
         """The text that runs with (``hooked``) or without a hook,
-        folding existential steps (``fold``) or walking them.  Without
-        an existential step the walking text is the folding one."""
+        folding existential steps and member groups (``fold``) or
+        walking them.  Without a fold the walking text is the folding
+        one."""
         key = (hooked, fold and not hooked and self._folds)
         found = self._forms.get(key)
         if found is None:
@@ -289,13 +316,13 @@ class GeneratedKernel:
         """The generated code of the unhooked, folding text."""
         return self.form(False).source
 
-    def run(self, sources: Sequence[Source], fetch: Fetch,
-            predicates: PredicateCache,
+    def run(self, fetch: Fetch, predicates: PredicateCache,
             hook: Callable[..., bool] | None = None, round_index: int = 0,
             fold: bool = False) -> tuple[Any, ...]:
         """Resolve this firing's arguments and call the function of the
         text :meth:`form` picks for ``hook`` and ``fold``."""
         fn, resolvers, _source = self.form(hook is not None, fold)
+        sources = self._sources
         fetched: dict[int, Relation] = {}
 
         def rel(src: int) -> Relation:
@@ -318,6 +345,8 @@ class GeneratedKernel:
             elif tag == "proj":
                 args.append(rel(spec[1]).projection_index(spec[2],
                                                           spec[3]))
+            elif tag == "sets":
+                args.append(rel(spec[1]).set_index(spec[2]))
             elif tag == "pcache":
                 _tag, src, column, op, const, slot_left = spec
                 args.append(predicates.passing(rel(src), column, op,
@@ -353,7 +382,7 @@ def _eq_const_codes(steps: tuple[Any, ...],
     return tuple(codes)
 
 
-#: ``(steps, head, interned, eq-codes, hooked, fold)`` ->
+#: ``(steps, head, interned, eq-codes, derived, hooked, fold)`` ->
 #: ``(source, specs, bytecode, folds)``; ``steps`` and ``head`` go through
 #: :func:`_faithful`, so same-shape rules that differ in a constant's
 #: type never share text.
@@ -367,18 +396,19 @@ _CACHE: dict[tuple[Any, ...],
 
 def _instantiate(steps: tuple[Any, ...], head: tuple[Any, ...],
                  symbols: SymbolTable | None,
-                 rule: object, slot_vars: tuple[Any, ...],
+                 rule: Rule | None, slot_vars: tuple[Any, ...],
+                 derived: frozenset[int],
                  hooked: bool, fold: bool) -> tuple[_Form, bool]:
     """One text of a step program (cached), bound to this kernel, and
-    whether it folds an existential step."""
+    whether it folds a step."""
     key = (_faithful(steps), _faithful(head), symbols is not None,
-           _eq_const_codes(steps, symbols), hooked, fold)
+           _eq_const_codes(steps, symbols), derived, hooked, fold)
     cached = _CACHE.get(key)
     if cached is None:
         if len(_CACHE) >= MAX_CACHED_KERNELS:
             _CACHE.clear()
-        source_text, specs, folds = _emit(steps, head, symbols, hooked,
-                                          fold)
+        source_text, specs, folds = _emit(steps, head, symbols, derived,
+                                          hooked, fold)
         cached = (source_text, specs,
                   compile(source_text, "<generated-kernel>", "exec"), folds)
         _CACHE[key] = cached
@@ -407,6 +437,18 @@ def _slots_in(sym: tuple[Any, ...]) -> set[int]:
     return set()
 
 
+def _reads(step: tuple[Any, ...]) -> tuple[Any, ...]:
+    """The terms a step reads."""
+    tag = step[0]
+    if tag == "atom":
+        return step[3]
+    if tag in ("member", "neg"):
+        return step[2]
+    if tag == "check":
+        return step[2:]
+    return (step[2],)  # bind
+
+
 def _existential_steps(steps: tuple[Any, ...],
                       head: tuple[Any, ...]) -> frozenset[int]:
     """The positions of the existential atom steps of a step program.
@@ -422,35 +464,104 @@ def _existential_steps(steps: tuple[Any, ...],
     found: list[int] = []
     for pos in range(len(steps) - 1, -1, -1):
         step = steps[pos]
-        tag = step[0]
-        if tag == "atom":
-            _tag, _src, cols, keys, writes, checks = step
+        if step[0] == "atom":
+            _tag, _src, cols, _keys, writes, checks = step
             if cols and not checks \
                     and read.isdisjoint(slot for _col, slot in writes):
                 found.append(pos)
-            syms = keys
-        elif tag in ("member", "neg"):
-            syms = step[2]
-        elif tag == "check":
-            syms = step[2:]
-        else:  # bind
-            syms = (step[2],)
-        for sym in syms:
+        for sym in _reads(step):
             read |= _slots_in(sym)
     return frozenset(found)
 
 
+def _member_groups(steps: tuple[Any, ...], head: tuple[Any, ...]
+                   ) -> dict[int, tuple[int, ...]]:
+    """Atom steps whose one new slot only membership tests read.
+
+    Maps the position of such an atom A to the positions of the
+    ``member`` steps M that read its slot X.  A probes on at least one
+    bound column, repeats no variable and writes only X, so the X
+    values of one bucket are distinct; X reaches no head term and no
+    step but the Ms, each of which reads it once.  A is then one probe
+    for its set of X values and each M one intersection with it.
+    """
+    read: set[int] = set()
+    for sym in head:
+        read |= _slots_in(sym)
+    groups: dict[int, tuple[int, ...]] = {}
+    for pos, step in enumerate(steps):
+        if step[0] != "atom":
+            continue
+        _tag, _src, cols, _keys, writes, checks = step
+        if not cols or checks or len(writes) != 1:
+            continue
+        ((_col, slot),) = writes
+        if slot in read:
+            continue
+        readers: list[int] = []
+        for later in range(pos + 1, len(steps)):
+            reads = sum(slot in _slots_in(sym)
+                        for sym in _reads(steps[later]))
+            if not reads:
+                continue
+            if steps[later][0] != "member" or reads != 1:
+                break
+            readers.append(later)
+        else:
+            if readers:
+                groups[pos] = tuple(readers)
+    return groups
+
+
+def _folds(steps: tuple[Any, ...], head: tuple[Any, ...],
+           derived: frozenset[int]
+           ) -> tuple[frozenset[int], dict[int, tuple[int, ...]]]:
+    """The existential steps and the member groups a folding text runs
+    as probes, taken left to right: a fold that starts inside a group
+    (between its atom and its last member test) walks, so each count
+    is weighted by one running product.
+
+    No group reads a source in ``derived`` (the relation the rule
+    derives): a set index over it would be kept current on every row
+    the rule adds, which the walk never pays — DRed's rederivation of
+    ``reach(X, Y) :- reach(X, Z), edge(Z, Y)`` tests ``reach(X, Z)``
+    for each ``Z`` of ``edge(Z, Y)``, and folding it indexes the whole
+    closure.
+    """
+    existential = _existential_steps(steps, head)
+    groups = {a: ms for a, ms in _member_groups(steps, head).items()
+              if derived.isdisjoint(steps[pos][1] for pos in (a, *ms))}
+    kept: list[int] = []
+    taken: dict[int, tuple[int, ...]] = {}
+    until = -1
+    for pos in sorted(existential | groups.keys()):
+        if pos <= until:
+            continue
+        if pos in groups:
+            taken[pos] = groups[pos]
+            until = groups[pos][-1]
+        else:
+            kept.append(pos)
+    return frozenset(kept), taken
+
+
 def _emit(steps: tuple[Any, ...], head: tuple[Any, ...],
-          symbols: SymbolTable | None, hooked: bool,
-          fold: bool) -> tuple[str, tuple[Any, ...], bool]:
+          symbols: SymbolTable | None, derived: frozenset[int],
+          hooked: bool, fold: bool) -> tuple[str, tuple[Any, ...], bool]:
     """The generated source text and resolver specs of a step program,
-    and whether the text folds an existential step.
+    and whether the text folds a step.
 
     ``fold`` probes every existential step instead of walking its
-    bucket (a hooked text always walks)."""
+    bucket, and every member group's atom for its set of values, which
+    its membership tests intersect (a hooked text always walks)."""
     interned = symbols is not None
-    folded = _existential_steps(steps, head) \
-        if fold and not hooked else frozenset()
+    folded, groups = _folds(steps, head, derived) if fold and not hooked \
+        else (frozenset(), {})
+    #: member step -> its group's atom; atom -> (its slot, the register
+    #: holding the set of the slot's values still in play, the weight
+    #: before the atom).
+    tested = {m: a for a, ms in groups.items() for m in ms}
+    in_play: dict[int, tuple[int, str, str | None]] = {}
 
     # Every step but a bind can change how many bindings there are.
     # The last such step is where a head-only form (a verbatim copy, a
@@ -462,7 +573,7 @@ def _emit(steps: tuple[Any, ...], head: tuple[Any, ...],
     # the head rows, so its count is ``len(out)``; a hook filters after
     # it, and a folded binding stands for several rows, so then every
     # count is a counter of its own.
-    final = -1 if folded else last
+    final = -1 if folded or groups else last
 
     specs: list[tuple[Any, ...]] = []
     spec_idx: dict[tuple[Any, ...], int] = {}
@@ -493,8 +604,8 @@ def _emit(steps: tuple[Any, ...], head: tuple[Any, ...],
     #: ``for``, a degenerate frontier of one).
     count = "1"
     #: How many solutions each binding stands for: the register of the
-    #: last folded probe (which carries the product of every folded
-    #: bucket length so far), or None before the first one.
+    #: last fold (which carries the product of every folded bucket
+    #: length or intersection size so far), or None before the first.
     weight: str | None = None
     #: The whole right-hand side of ``out``, when it is not the
     #: comprehension (a head that copies its only source verbatim).
@@ -534,6 +645,15 @@ def _emit(steps: tuple[Any, ...], head: tuple[Any, ...],
     def tup(parts: Sequence[str]) -> str:
         return "(" + ", ".join(parts) + ",)" if parts else "()"
 
+    def times(factor: str | None) -> str:
+        return f" * {factor}" if factor else ""
+
+    def key_of(syms: Sequence[tuple[Any, ...]]) -> str:
+        """A probe key: the bare term for one column, else a tuple."""
+        if len(syms) == 1:
+            return storage(syms[0])
+        return tup([storage(sym) for sym in syms])
+
     def survivors(pos: int) -> str:
         """The count of bindings leaving step ``pos``: ``len(out)`` for
         the last one, else a counter bumped once per binding."""
@@ -548,11 +668,9 @@ def _emit(steps: tuple[Any, ...], head: tuple[Any, ...],
                     keys: tuple[Any, ...]) -> str:
         if not cols:
             return f"a{arg_of(('rows', src))}"
-        if len(cols) == 1:
-            j = arg_of(("probe1", src, cols[0]))
-            return f"g{j}({storage(keys[0])}, E)"
-        j = arg_of(("probeN", src, cols))
-        return f"g{j}({tup([storage(k) for k in keys])}, E)"
+        j = arg_of(("probe1", src, cols[0]) if len(cols) == 1
+                   else ("probeN", src, cols))
+        return f"g{j}({key_of(keys)}, E)"
 
     def membership_cond(src: int, syms: tuple[Any, ...],
                         positive: bool) -> str:
@@ -607,6 +725,17 @@ def _emit(steps: tuple[Any, ...], head: tuple[Any, ...],
                     rval if slot_left else lval, slot_left))
         return f"{reg_exprs[slot_no]} in a{j}"
 
+    def fold_clause(pos: int, size: str, factor: str | None) -> str:
+        """Step ``pos`` as one fold: a binding goes on once when
+        ``size`` is not 0, standing for ``size * factor`` solutions;
+        the step's count adds them."""
+        nonlocal count, weight
+        weight, count = f"w{pos}", f"n{pos}"
+        counters.append(count)
+        rm.append(count)
+        return (f"if ({weight} := {size}{times(factor)})"
+                f" and ({count} := {count} + {weight})")
+
     for pos, step in enumerate(steps):
         tag = step[0]
         if tag == "bind":
@@ -629,6 +758,24 @@ def _emit(steps: tuple[Any, ...], head: tuple[Any, ...],
                 clauses.append(f"if {cond}")
                 count = survivors(pos)
             continue
+        if pos in tested:
+            # A member test of a group: the values of its atom's slot
+            # that pass are one intersection with the set index keyed
+            # by the test's other columns.
+            _tag, src, syms = step
+            lk.append(count)
+            slot_no, values, outer = in_play[tested[pos]]
+            column = syms.index(("slot", slot_no))
+            j = arg_of(("sets", src, column))
+            passing = (f"{values}.intersection("
+                       f"g{j}({key_of(syms[:column] + syms[column + 1:])}"
+                       f", E))")
+            if pos != groups[tested[pos]][-1]:
+                # A later test of the group narrows what passes here.
+                in_play[tested[pos]] = (slot_no, f"x{pos}", outer)
+                passing = f"(x{pos} := {passing})"
+            clauses.append(fold_clause(pos, f"len({passing})", outer))
+            continue
         if tag in ("member", "neg"):
             _tag, src, syms = step
             positive = tag == "member"
@@ -641,6 +788,17 @@ def _emit(steps: tuple[Any, ...], head: tuple[Any, ...],
         # tag == "atom"
         _tag, src, cols, keys, writes, checks = step
         lk.append(count)
+        if pos in groups:
+            # The atom of a member group is one probe for the set of
+            # its slot's values (distinct: every other column is
+            # bound); its member tests intersect that set.  Its slot
+            # gets no register.
+            ((col, slot_no),) = writes
+            j = arg_of(("sets", src, col))
+            in_play[pos] = (slot_no, f"x{pos}", weight)
+            clauses.append(fold_clause(
+                pos, f"len(x{pos} := g{j}({key_of(keys)}, E))", weight))
+            continue
         rname = f"r{registers}"
         registers += 1
         for col, slot_no in writes:
@@ -653,15 +811,8 @@ def _emit(steps: tuple[Any, ...], head: tuple[Any, ...],
             # is empty stops, any other goes on once, standing for as
             # many solutions as its bucket holds.  Its rows are counted
             # as the walk would count them.
-            wname = f"w{pos}"
-            grow = f"len({atom_source(src, cols, keys)})"
-            count = f"n{pos}"
-            counters.append(count)
-            clauses.append(
-                f"if ({wname} := {grow}{f' * {weight}' if weight else ''})"
-                f" and ({count} := {count} + {wname})")
-            weight = wname
-            rm.append(count)
+            clauses.append(fold_clause(
+                pos, f"len({atom_source(src, cols, keys)})", weight))
             continue
         if pos != last:
             source = atom_source(src, cols, keys)
@@ -742,7 +893,7 @@ def _emit(steps: tuple[Any, ...], head: tuple[Any, ...],
     params = ", ".join(f"a{i}" for i in range(len(specs)))
     body = [f"def _kernel({params}):"]
     body.extend(f"    g{i} = a{i}.get" for i, spec in enumerate(specs)
-                if spec[0] in ("probe1", "probeN", "proj"))
+                if spec[0] in ("probe1", "probeN", "proj", "sets"))
     if hooked:
         body.extend(f"    k{slot_no} = K[{slot_no}]"
                     for slot_no in sorted(reg_exprs))
@@ -752,7 +903,7 @@ def _emit(steps: tuple[Any, ...], head: tuple[Any, ...],
     body.append(f"    out = {whole}")
     # A folding text also returns how many solutions its rows stand
     # for beyond themselves.
-    repeats = f", {count} - len(out)" if folded else ""
+    repeats = f", {count} - len(out)" if folded or groups else ""
     body.append(f"    return out, {total(lk)}, {total(rm)}, "
                 f"{total(cc)}, {total(nc)}{repeats}")
-    return "\n".join(body), tuple(specs), bool(folded)
+    return "\n".join(body), tuple(specs), bool(folded or groups)

@@ -82,8 +82,10 @@ class FoldedRows(list):
 
     A folding kernel text runs an existential atom as one probe, so a
     binding whose bucket holds ``m`` rows yields its head row once for
-    ``m`` solutions.  ``repeats`` counts the folded copies, each of
-    which would have derived a row already in the list again.
+    ``m`` solutions (and a member group as one intersection, standing
+    for as many solutions as it holds values).  ``repeats`` counts the
+    folded copies, each of which would have derived a row already in
+    the list again.
     """
 
     __slots__ = ("repeats",)
@@ -253,7 +255,8 @@ class CompiledKernel:
         self.head = tuple(sym(arg, True) for arg in rule.head.args)
         self.n_slots = len(slot_of)
         self.generated = GeneratedKernel(self.steps, self.head, symbols,
-                                         rule, tuple(slot_of))
+                                         self.sources, rule,
+                                         tuple(slot_of))
 
     @property
     def interned(self) -> bool:
@@ -277,13 +280,14 @@ class CompiledKernel:
         once, after the body's last step, and may veto the row.
 
         Otherwise the list holds one row per solution, unless ``fold``
-        lets existential steps run as probes: then a solution that
+        lets existential steps and member groups run as probes (see
+        :mod:`repro.engine.codegen`): then a solution that
         repeats a row of its binding is counted in the returned
         :class:`FoldedRows`' ``repeats`` instead.  The counters are the
         same either way.
         """
         out, lookups, rows, cmps, negs, *folded = self.generated.run(
-            self.sources, fetch, self._predicates, hook, round_index, fold)
+            fetch, self._predicates, hook, round_index, fold)
         stats.atom_lookups += lookups
         stats.rows_matched += rows
         stats.comparisons_checked += cmps

@@ -150,7 +150,8 @@ class Firer:
         carries *multiplicity* — one entry per body solution the hook
         let through — which :meth:`merge` counts as duplicate
         derivations.  When nothing has to see each solution
-        (:attr:`whole_sets`) a kernel folds its existential steps, and
+        (:attr:`whole_sets`) a kernel folds its existential steps and
+        member groups, and
         the solutions that only repeat a row come back as the
         :class:`~repro.engine.compile.FoldedRows`' ``repeats``.
         ``variant`` keys the kernel (one per delta-redirected occurrence

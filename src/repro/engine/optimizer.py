@@ -402,6 +402,35 @@ def _saturating_mul(a: float, b: float) -> float:
     return INF if a == INF or b == INF else a * b
 
 
+def _member_group(rule: Rule, order: list[int], step_no: int,
+                  bound: set[Variable]) -> tuple[Variable, list[int]] | None:
+    """The new variable X of the atom at ``order[step_no]`` and the
+    later steps that read it, when the kernel folds them as a member
+    group (:mod:`repro.engine.codegen`): the atom probes a bound
+    column, every other column bound but X's, X read by no head term
+    and by nothing after it but atoms that bind nothing new, each
+    reading X once; neither side reads the head's predicate."""
+    atom = rule.body[order[step_no]]
+    new = [arg for arg in atom.args
+           if isinstance(arg, Variable) and arg not in bound]
+    if len(new) != 1 or atom.pred == rule.head.pred \
+            or new[0] in rule.head.variable_set():
+        return None
+    (x,) = new
+    seen = bound | {x}
+    readers: list[int] = []
+    for later in order[step_no + 1:]:
+        literal = rule.body[later]
+        if x in literal.variable_set():
+            if not isinstance(literal, Atom) or literal.args.count(x) != 1 \
+                    or literal.pred == rule.head.pred \
+                    or not literal.variable_set() <= seen:
+                return None
+            readers.append(later)
+        seen |= literal.variable_set()
+    return (x, readers) if readers else None
+
+
 def _rule_cost(rule: Rule, estimator: _Estimator) -> float:
     """Estimated join work of one rule over the whole fixpoint.
 
@@ -410,11 +439,16 @@ def _rule_cost(rule: Rule, estimator: _Estimator) -> float:
     occurrence of its head predicate, so a single pass priced at full
     relation sizes and anchored at that occurrence approximates the
     total: walk the planner's join order, charging one probe per
-    intermediate row plus the rows each probe returns.  An existential
-    atom — probed on a bound column, no variable repeated in it, none
-    of its new variables read later or in the head — runs as one probe
-    per row (:mod:`repro.engine.codegen`): it returns no rows to walk
-    and can only shrink the frontier.
+    intermediate row plus the rows each probe returns.  The kernel's
+    folds are priced as it runs them (:mod:`repro.engine.codegen`).
+    An existential atom — probed on a bound column, no variable
+    repeated in it, none of its new variables read later or in the
+    head — is one probe per row: it returns no rows to walk and can
+    only shrink the frontier.  The atom of a member group is one probe
+    for its set of values, which the frontier does not multiply, and
+    each membership test reading them one intersection, charged the
+    smaller of the two sets; the last one keeps the rows whose
+    intersection is not empty.
     """
 
     def sizes(atom: Atom, index: int) -> int:
@@ -432,6 +466,9 @@ def _rule_cost(rule: Rule, estimator: _Estimator) -> float:
     bound: set[Variable] = set()
     frontier = 1.0
     work = 0.0
+    #: The open member group: its variable, the expected size of its
+    #: set of values and the membership tests still to come.
+    group: tuple[Variable, float, list[int]] | None = None
     for step_no, position in enumerate(order):
         literal = rule.body[position]
         if isinstance(literal, Comparison):
@@ -448,7 +485,24 @@ def _rule_cost(rule: Rule, estimator: _Estimator) -> float:
         step = estimator(atom.pred, atom.arity, bound_cols)
         new = [arg for arg in atom.args
                if isinstance(arg, Variable) and arg not in bound]
-        if bound_cols and new and len(set(new)) == len(new) \
+        opened = _member_group(rule, order, step_no, bound) \
+            if group is None and bound_cols else None
+        if group is not None and position in group[2]:
+            x, values, readers = group
+            keyed = estimator(atom.pred, atom.arity, tuple(
+                column for column, arg in enumerate(atom.args)
+                if arg != x))
+            work += frontier * (1.0 + min(values, keyed))
+            values *= min(step, 1.0)
+            group = (x, values, readers[1:]) if readers[1:] else None
+            if group is None:
+                frontier = _saturating_mul(frontier,
+                                           max(min(values, 1.0), 0.01))
+        elif opened is not None:
+            work += frontier
+            group = (opened[0], step, opened[1])
+        elif group is None and bound_cols and new \
+                and len(set(new)) == len(new) \
                 and head_vars.isdisjoint(new) \
                 and not any(rule.body[later].variable_set().intersection(new)
                             for later in order[step_no + 1:]):

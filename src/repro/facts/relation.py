@@ -25,7 +25,7 @@ kernels — never pay an encode/decode per probe.
 
 The relation is also the physical store: a ``set`` of storage-domain
 rows (:meth:`raw_rows`; the kernels' scans and negation membership
-tests probe it directly) plus two families of on-demand ``dict``
+tests probe it directly) plus three families of on-demand ``dict``
 indexes, all read-only to callers — every **mutation** goes through
 the methods below, which keep every live index current:
 
@@ -41,7 +41,13 @@ the methods below, which keep every live index current:
 - ``proj_indexes`` — projection indexes mapping a bare key-column value
   to the list of *another column's* entries for matching rows
   (``projection_index``), so a final join level can emit projected
-  values without touching row tuples at all.
+  values without touching row tuples at all;
+- ``set_indexes`` — set indexes mapping the key of every column but
+  one (shaped as in ``indexes``: bare for one column, a tuple for
+  several, ``()`` for none) to the *set* of that column's values
+  (``set_index``).  Every row is one (key, value) pair, so the sets are
+  exact; a kernel intersects two of them where a walk would test each
+  value's membership.
 
 Every relation carries a ``(uid, version)`` identity: ``uid`` is unique
 per relation object and ``version`` bumps on every mutation that
@@ -170,6 +176,31 @@ def _key_of(row: Row, columns: tuple[int, ...]) -> object:
     return tuple(row[c] for c in columns)
 
 
+def _set_key(arity: int, column: int) -> Callable[[Row], object]:
+    """The key function of the set index over ``column``: every other
+    column's value, shaped as :func:`_key_of` shapes it (``()`` for a
+    unary relation)."""
+    others = [c for c in range(arity) if c != column]
+    if not others:
+        return lambda row: ()
+    return itemgetter(*others)
+
+
+def _set_rows(set_indexes: dict[int, dict[object, set[ConstValue]]],
+              arity: int, rows: Collection[Row]) -> None:
+    """Add each of ``rows`` to every set index of ``set_indexes``."""
+    for column, sindex in set_indexes.items():
+        key_of = _set_key(arity, column)
+        get = sindex.get
+        for row in rows:
+            key = key_of(row)
+            members = get(key)
+            if members is None:
+                sindex[key] = {row[column]}
+            else:
+                members.add(row[column])
+
+
 def _index_rows(index: Index, columns: tuple[int, ...],
                 rows: Iterable[Row]) -> None:
     """Append each of ``rows`` to its bucket of the index over ``columns``
@@ -189,7 +220,8 @@ class Relation:
     """A set of fixed-arity ground tuples with on-demand hash indexes."""
 
     __slots__ = ("name", "arity", "symbols", "_rows", "indexes",
-                 "proj_indexes", "uid", "version", "_profile", "_scanned")
+                 "proj_indexes", "set_indexes", "uid", "version",
+                 "_profile", "_scanned")
 
     def __init__(self, name: str, arity: int,
                  rows: Iterable[Row] | None = None,
@@ -204,6 +236,7 @@ class Relation:
         self.indexes: dict[tuple[int, ...], Index] = {}
         self.proj_indexes: dict[tuple[int, int],
                                 dict[ConstValue, list[ConstValue]]] = {}
+        self.set_indexes: dict[int, dict[object, set[ConstValue]]] = {}
         self.uid = next(_uids)
         #: Bumps on every content change (see the module docstring).
         self.version = 0
@@ -270,6 +303,8 @@ class Relation:
             index.setdefault(_key_of(row, columns), []).append(row)
         for (kcol, vcol), pindex in self.proj_indexes.items():
             pindex.setdefault(row[kcol], []).append(row[vcol])
+        if self.set_indexes:
+            _set_rows(self.set_indexes, self.arity, (row,))
         self.version += 1
         return True
 
@@ -383,6 +418,12 @@ class Relation:
                 values.remove(row[vcol])
                 if not values:
                     del pindex[row[kcol]]
+        for column, sindex in self.set_indexes.items():
+            key = _set_key(self.arity, column)(row)
+            members = sindex[key]
+            members.remove(row[column])
+            if not members:
+                del sindex[key]
         self.version += 1
         return True
 
@@ -394,6 +435,7 @@ class Relation:
         self._rows.clear()
         self.indexes.clear()
         self.proj_indexes.clear()
+        self.set_indexes.clear()
         self.version += 1
 
     # -- statistics ------------------------------------------------------------
@@ -539,6 +581,8 @@ class Relation:
                     pindex[code] = [row[vcol]]
                 else:
                     values.append(row[vcol])
+        if self.set_indexes:
+            _set_rows(self.set_indexes, self.arity, new_rows)
         self.version += 1
 
     def index_for(self, columns: tuple[int, ...]) -> Index:
@@ -590,6 +634,24 @@ class Relation:
             self.proj_indexes[key] = proj
         return proj
 
+    def set_index(self, column: int) -> dict[object, set[ConstValue]]:
+        """Key of every other column -> set of ``column``'s values (live).
+
+        The key is shaped as :meth:`index_for` shapes it over the other
+        columns (``()`` for a unary relation).  A row is one (key,
+        value) pair, so each set holds exactly the values its rows
+        carry, with no duplicates to count: a generated kernel
+        intersects one bucket with another (an atom whose one new
+        variable only membership tests read) instead of testing each
+        value in turn.
+        """
+        sindex = self.set_indexes.get(column)
+        if sindex is None:
+            sindex = {}
+            _set_rows({column: sindex}, self.arity, self._rows)
+            self.set_indexes[column] = sindex
+        return sindex
+
     def build_indexes_like(self, other: "Relation") -> None:
         """Build every index column set ``other`` holds and this lacks.
 
@@ -603,6 +665,8 @@ class Relation:
             self.index_for(columns)
         for key_column, value_column in list(other.proj_indexes):
             self.projection_index(key_column, value_column)
+        for column in list(other.set_indexes):
+            self.set_index(column)
 
     # -- lifecycle -------------------------------------------------------------
     def copy(self) -> "Relation":

@@ -9,23 +9,28 @@ under ``planner="source"``, where the two run the same join order.
 
 import math
 import random
+from pathlib import Path
 
 import pytest
 
 from repro.baselines import ResidueGuidedEngine
 from repro.datalog import parse_program
+from repro.datalog.parser import parse_atom
 from repro.datalog.atoms import Atom, Comparison
 from repro.datalog.program import Program
 from repro.datalog.rules import Rule
 from repro.datalog.terms import ArithExpr, Constant, Variable
 from repro.engine import EvalStats, evaluate, seminaive_evaluate
-from repro.engine.compile import compile_rule
+from repro.engine.compile import KernelCache, compile_rule
 from repro.errors import EvaluationError
 from repro.facts import Database
 from repro.workloads import (ALL_EXAMPLES, GenealogyParams,
                              UniversityParams, example_3_2, example_4_3,
                              generate_genealogy, generate_university,
                              random_digraph, random_linear_program)
+
+
+DATA = Path(__file__).parent / "data"
 
 
 def _snapshot(result):
@@ -351,6 +356,179 @@ def test_a_hook_is_still_shown_each_field():
         fields_per_head.setdefault(
             (values["P"], values["S"], values["T"]), set()).add(values["F"])
     assert {len(fields) for fields in fields_per_head.values()} == {3}
+
+
+# ---------------------------------------------------------------------------
+# Member groups: an atom whose one new slot only membership tests read
+# ---------------------------------------------------------------------------
+
+
+def _plain_example_3_2():
+    """Example 3.2 as written, on an EDB whose theses have three fields
+    each and whose professors know several."""
+    example = example_3_2()
+    edb = generate_university(
+        UniversityParams(professors=40, theses=8, fields=6,
+                         fields_per_thesis=3, expert_seed_fraction=0.7,
+                         payments=0),
+        random.Random(7))
+    return example.program, edb
+
+
+def _specs(kernel, pred):
+    """The resolver tags of ``kernel``'s folding text that read
+    ``pred``."""
+    return sorted(spec[0] for spec in kernel.generated.form(False).resolvers
+                  if spec[0] not in ("const", "hook", "round")
+                  and kernel.sources[spec[1]][1].pred == pred)
+
+
+def test_plain_example_3_2_intersects_field_with_expert():
+    """The recursive rule's delta kernel, as the adaptive planner orders
+    it (``eval`` delta, ``field(T, F)``, ``works_with``, then the member
+    test ``expert(P, F)``): ``F`` is read by that test alone, so the
+    text takes ``field``'s set of ``F`` once per thesis and intersects
+    it with ``expert``'s set for ``P`` — no loop over ``field``, no
+    membership test per ``F`` — while the walking text does both."""
+    program, edb = _plain_example_3_2()
+    cache = KernelCache(symbols=None)
+    seminaive_evaluate(program, edb, EvalStats(), planner="adaptive",
+                       kernels=cache)
+    rule = next(r for r in program if r.label == "r1")
+    kernel = cache.get(rule, 1)
+    assert [kernel.rule.body[i].pred for i in kernel.order] \
+        == ["eval", "field", "works_with", "expert"]
+    assert _specs(kernel, "field") == ["sets"]
+    assert _specs(kernel, "expert") == ["sets"]
+    source = kernel.generated.source
+    assert source.count(".intersection(") == 1
+    assert " in a" not in source  # no per-row membership test
+    walking = kernel.generated.form(False, fold=False)
+    assert {spec[0] for spec in walking.resolvers} \
+        == {"rows", "probe1"}
+    assert " in a" in walking.source
+    # ``works_with`` runs between the pair, its count weighted by the
+    # size of each thesis's set of fields; the hooked text walks them.
+    assert evaluate(program, edb, planner="adaptive").stats \
+        == evaluate(program, edb, planner="adaptive", hook=_always).stats
+
+
+def test_plain_example_3_2_counts_as_the_interpreter_does():
+    """Under the source planner the pair is ``expert(P, F)`` probed on
+    ``P`` and the member test ``field(T, F)``: every counter equals the
+    interpreter's, with no hook, an always-true one and a veto."""
+    program, edb = _plain_example_3_2()
+    rule = next(r for r in program if r.label == "r1")
+    kernel = compile_rule(rule, lambda atom, index: 0,
+                          keep_atom_order=True)
+    assert _specs(kernel, "expert") == ["sets"]
+    assert _specs(kernel, "field") == ["sets"]
+    facts, stats = _matches_interpreter(program, edb,
+                                        hooks=(None, _always, _veto))
+    assert facts["eval"] and stats["duplicate_derivations"]
+
+
+#: Rules whose new slot ``W`` some member test reads, each with the
+#: resolver tags its kernel's (source-order) text reads ``f``/``f3``
+#: through: ``sets`` when the atom folds into its tests, a probe when it
+#: must walk.  ``W`` read by two tests, one of them unary and one keyed
+#: by two columns, with an atom walked before them, still folds; ``W``
+#: also read by a comparison, an atom
+#: with a third, unbound column (its values per bucket are a multiset)
+#: and a test under ``not`` walk.
+GROUP_CASES = {
+    "two tests": ("r: p(X, Z) :- p(X, Y), f(Y, W), e(Y, Z), u(W), "
+                  "t(X, W, Z).", ["sets"]),
+    "comparison": ("r: p(X, Z) :- p(X, Y), e(Y, Z), f(Y, W), g(Z, W), "
+                   "W != n3.", ["probe1"]),
+    "third column": ("r: p(X, Z) :- p(X, Y), e(Y, Z), f3(Y, W, V), "
+                     "g(Z, W).", ["probe1"]),
+    "negated test": ("r: p(X, Z) :- p(X, Y), e(Y, Z), f(Y, W), "
+                     "not g(Z, W).", ["probe1"]),
+}
+
+
+def _group_edb():
+    rng = random.Random(11)
+    edb = Database()
+    nodes = [f"n{i}" for i in range(9)]
+    for pred, count in (("e", 20), ("f", 24), ("g", 30)):
+        for _ in range(count):
+            edb.add_fact(pred, rng.choice(nodes), rng.choice(nodes))
+    for _ in range(40):
+        edb.add_fact("f3", rng.choice(nodes), rng.choice(nodes),
+                     rng.choice(nodes[:2]))
+    for _ in range(300):
+        edb.add_fact("t", *(rng.choice(nodes) for _ in range(3)))
+    for node in nodes[::2]:
+        edb.add_fact("u", node)
+    return edb
+
+
+@pytest.mark.parametrize("case", sorted(GROUP_CASES))
+def test_member_groups_fold_only_where_the_slot_is_tested(case):
+    text, tags = GROUP_CASES[case]
+    program = parse_program("b: p(X, Y) :- e(X, Y).\n" + text)
+    rule = next(r for r in program if r.label == "r")
+    kernel = compile_rule(rule, lambda atom, index: 0,
+                          keep_atom_order=True)
+    pred = "f3" if "f3" in text else "f"
+    assert _specs(kernel, pred) == tags
+    edb = _group_edb()
+    facts, _stats = _matches_interpreter(program, edb,
+                                         hooks=(None, _always, _veto))
+    assert len(facts["p"]) > len(edb.facts("e"))  # ``r`` derives rows
+
+
+def _tc_kernel_texts():
+    """Every kernel text the transitive closure generates where the
+    benchmark runs it: a whole closure (DAG and cyclic), bound queries
+    of both patterns, and a served view's maintenance passes."""
+    from repro.engine import codegen
+    from repro.engine.optimizer import cbo_answers
+    from repro.facts.changelog import Changeset
+    from repro.serving import StalenessBound, ThreadedServer
+
+    tc = parse_program("r0: reach(X, Y) :- edge(X, Y).\n"
+                       "r1: reach(X, Y) :- reach(X, Z), edge(Z, Y).\n")
+    saved = dict(codegen._CACHE)
+    codegen._CACHE.clear()
+    try:
+        for acyclic in (True, False):
+            graph = random_digraph(60, 180, random.Random(3),
+                                   acyclic=acyclic)
+            evaluate(tc, graph, planner="adaptive", interning="on")
+        edb = random_digraph(60, 180, random.Random(3)).interned()
+        for query in ("reach(n0, Y)", "reach(Y, n59)"):
+            cbo_answers(tc, edb, parse_atom(query), interning="on")
+        server = ThreadedServer(db=random_digraph(
+            60, 180, random.Random(3)).interned(),
+            staleness=StalenessBound(max_lag=0))
+        server.read(tc, "reach(n0, Y)", planner="adaptive",
+                    executor="compiled")
+        edges = sorted(server.source.db.facts("edge"))
+        # Two deletions the planner orders differently: the first's
+        # rederivation probes ``edge`` on ``Y`` and tests ``reach(X, Z)``.
+        for gone in (edges[0], edges[len(edges) // 2]):
+            changes = Changeset()
+            changes.insert("edge", ("n0", "n59"))
+            changes.delete("edge", gone)
+            server.update(changes)
+            server.read(tc, "reach(n0, Y)", planner="adaptive",
+                        executor="compiled")
+        return sorted(text for text, *_rest in codegen._CACHE.values())
+    finally:
+        codegen._CACHE.clear()
+        codegen._CACHE.update(saved)
+
+
+def test_transitive_closure_texts_are_unchanged():
+    """No TC kernel has a member group — the DRed rederivation's
+    ``edge(Z, Y)`` / ``reach(X, Z)`` pair reads the relation it derives
+    — so every text the closure, bound-query and served-view runs
+    generate is the one recorded before member groups folded."""
+    recorded = (DATA / "tc_kernel_texts.txt").read_text()
+    assert _tc_kernel_texts() == recorded.split("\n=====\n")[:-1]
 
 
 WORKLOADS = {

@@ -43,6 +43,12 @@ COMBOS = [(executor, planner, interning)
 #: nothing reads, two in the middle of one body and one last in the
 #: other: a kernel probes such an atom instead of walking its bucket,
 #: and weights every later count by the product of the bucket lengths.
+#: ``member`` adds two recursive rules with an atom whose new variable
+#: only membership tests read, one test (after an atom that walks) in
+#: one body and two in the other: a kernel takes that atom's set of
+#: values once, weights the steps up to the first test by its size and
+#: intersects it with each test's, weighting later counts by what
+#: passes.
 COPY_RULES = {
     "copy": "c0: c(X, Y) :- p(X, Y).\n",
     "copy-loop": "c0: c(X, Y) :- p(X, Y).\nc1: p(X, Y) :- c(X, Y).\n",
@@ -51,11 +57,14 @@ COPY_RULES = {
     "exists": "x0: p(X, Z) :- p(X, Y), e0(Y, W), e1(Y, U), e0(U, V), "
               "e1(U, Z).\n"
               "x1: p(X, Z) :- p(X, Y), e1(Y, Z), e0(Z, W).\n",
+    "member": "m0: p(X, Z) :- p(X, Y), e1(Y, W), e0(Y, Z), e0(Z, W).\n"
+              "m1: p(X, Z) :- p(X, Y), e1(Y, Z), e0(Y, W), e0(Z, W), "
+              "e1(X, W).\n",
 }
 
 #: The draws of the matrix tests: eight plain ones and one per flavor.
 DRAWS = (*range(8), (2, "copy"), (6, "copy-loop"), (1, "filter"),
-         (4, "fact"), (0, "exists"))
+         (4, "fact"), (0, "exists"), (8, "member"))
 
 
 def draw(seed):
@@ -147,7 +156,7 @@ def test_full_counters_match_wherever_join_orders_coincide(seed):
 
 
 @pytest.mark.parametrize("seed", (3, 11, (3, "copy-loop"), (3, "fact"),
-                                  (3, "exists")))
+                                  (3, "exists"), (3, "member")))
 def test_budget_exhaustion_payloads_match_across_combos(seed):
     text, edb = draw(seed)
     program = parse_program(text)
@@ -166,7 +175,7 @@ def test_budget_exhaustion_payloads_match_across_combos(seed):
 
 
 @pytest.mark.parametrize("seed", (5, (5, "copy-loop"), (5, "fact"),
-                                  (5, "exists")))
+                                  (5, "exists"), (5, "member")))
 def test_chaos_fault_ordinals_match_across_combos(seed):
     text, edb = draw(seed)
     program = parse_program(text)

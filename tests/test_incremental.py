@@ -586,7 +586,10 @@ def _indexes_matching_rows(db):
         for key, index in live.proj_indexes.items():
             assert multisets(index) \
                 == multisets(rebuilt.projection_index(*key))
-        checked += len(live.indexes) + len(live.proj_indexes)
+        for column, index in live.set_indexes.items():
+            assert index == rebuilt.set_index(column)
+        checked += len(live.indexes) + len(live.proj_indexes) \
+            + len(live.set_indexes)
     return checked
 
 

@@ -155,6 +155,42 @@ class TestLiveIndexMaintenance:
         _assert_indexes_consistent(rel)
         assert len(rel.index_for((0,))) == 1
 
+    def test_set_indexes_follow_every_mutation(self, rel):
+        """``set_index(c)`` maps the other columns' key to the set of
+        column ``c``'s values, through every insert and delete path."""
+        def rebuilt(column):
+            expected: dict = {}
+            for row in rel.raw_rows():
+                others = tuple(v for i, v in enumerate(row) if i != column)
+                expected.setdefault(others[0] if len(others) == 1
+                                    else others, set()).add(row[column])
+            return expected
+
+        rel.add_all([("a", 1, "x"), ("a", 2, "x"), ("b", 1, "y")])
+        for column in (0, 2):
+            assert rel.set_index(column) == rebuilt(column)
+        rel.add(("a", 1, "y"))
+        rel.raw_merge_new({rel.symbols.intern_row(("c", 3, "z"))
+                           if rel.symbols else ("c", 3, "z")})
+        rel.discard(("a", 2, "x"))
+        rel.discard(("b", 1, "y"))
+        for column in (0, 2):
+            assert rel.set_index(column) == rebuilt(column)
+        copy = Relation("r2", 3, symbols=rel.symbols)
+        copy.raw_merge(set(rel.raw_rows()))
+        copy.build_indexes_like(rel)
+        assert sorted(copy.set_indexes) == [0, 2]
+        rel.clear()
+        assert rel.set_indexes == {} and rel.set_index(1) == {}
+
+    def test_a_unary_set_index_has_one_empty_key(self):
+        unary = Relation("u", 1)
+        unary.add_all([("a",), ("b",)])
+        assert unary.set_index(0) == {(): {"a", "b"}}
+        unary.discard(("a",))
+        unary.discard(("b",))
+        assert unary.set_index(0) == {}
+
     def test_index_buckets_are_read_only_views(self, rel):
         """Mutating a returned bucket must not corrupt the relation."""
         rel.add_all([("a", 1, "x"), ("a", 2, "y")])

@@ -52,6 +52,66 @@ class TestTokenizer:
         assert b_token.line == 2
 
 
+#: Every token field of tricky inputs, as the per-character scanner the
+#: compiled pattern replaced produced them: a number's ``.`` before the
+#: end of a statement, ``1.5``, escapes (an escaped newline continues
+#: the string without starting a line), a comment (columns stop in it),
+#: the Prolog-style operators and spans over several lines.
+TOKEN_PINS = [
+    ("p(3). q(1.5).",
+     [("IDENT", "p", 1, 1, 2), ("PUNCT", "(", 1, 2, 3),
+      ("NUMBER", "3", 1, 3, 4), ("PUNCT", ")", 1, 4, 5),
+      ("PUNCT", ".", 1, 5, 6), ("IDENT", "q", 1, 7, 8),
+      ("PUNCT", "(", 1, 8, 9), ("NUMBER", "1.5", 1, 9, 12),
+      ("PUNCT", ")", 1, 12, 13), ("PUNCT", ".", 1, 13, 14),
+      ("EOF", "", 1, 14, 14)]),
+    ("'it\\'s' \"a\\\\b\" 'tab\\\tx'",
+     [("STRING", "it's", 1, 1, 8), ("STRING", "a\\b", 1, 9, 15),
+      ("STRING", "tab\tx", 1, 16, 24), ("EOF", "", 1, 24, 24)]),
+    ("p(X) % comment\n  :- q(X).",
+     [("IDENT", "p", 1, 1, 2), ("PUNCT", "(", 1, 2, 3),
+      ("VAR", "X", 1, 3, 4), ("PUNCT", ")", 1, 4, 5),
+      ("PUNCT", ":-", 2, 3, 5), ("IDENT", "q", 2, 6, 7),
+      ("PUNCT", "(", 2, 7, 8), ("VAR", "X", 2, 8, 9),
+      ("PUNCT", ")", 2, 9, 10), ("PUNCT", ".", 2, 10, 11),
+      ("EOF", "", 2, 11, 11)]),
+    ("X =< Y, Y => Z, X != 2",
+     [("VAR", "X", 1, 1, 2), ("PUNCT", "<=", 1, 3, 5),
+      ("VAR", "Y", 1, 6, 7), ("PUNCT", ",", 1, 7, 8),
+      ("VAR", "Y", 1, 9, 10), ("PUNCT", ">=", 1, 11, 13),
+      ("VAR", "Z", 1, 14, 15), ("PUNCT", ",", 1, 15, 16),
+      ("VAR", "X", 1, 17, 18), ("PUNCT", "!=", 1, 19, 21),
+      ("NUMBER", "2", 1, 22, 23), ("EOF", "", 1, 23, 23)]),
+    ("r0: p(X, Y) :-\n    q(X, 'two\\\nlines'),\n\tY >= 1.2.3 . % end",
+     [("IDENT", "r0", 1, 1, 3), ("PUNCT", ":", 1, 3, 4),
+      ("IDENT", "p", 1, 5, 6), ("PUNCT", "(", 1, 6, 7),
+      ("VAR", "X", 1, 7, 8), ("PUNCT", ",", 1, 8, 9),
+      ("VAR", "Y", 1, 10, 11), ("PUNCT", ")", 1, 11, 12),
+      ("PUNCT", ":-", 1, 13, 15), ("IDENT", "q", 2, 5, 6),
+      ("PUNCT", "(", 2, 6, 7), ("VAR", "X", 2, 7, 8),
+      ("PUNCT", ",", 2, 8, 9), ("STRING", "two\nlines", 2, 10, 22),
+      ("PUNCT", ")", 2, 22, 23), ("PUNCT", ",", 2, 23, 24),
+      ("VAR", "Y", 3, 2, 3), ("PUNCT", ">=", 3, 4, 6),
+      ("NUMBER", "1.2.3", 3, 7, 12), ("PUNCT", ".", 3, 13, 14),
+      ("EOF", "", 3, 15, 15)]),
+]
+
+
+@pytest.mark.parametrize("text, expected", TOKEN_PINS)
+def test_every_token_field_is_pinned(text, expected):
+    assert [(t.kind, t.text, t.line, t.column, t.end)
+            for t in tokenize(text)] == expected
+
+
+def test_a_numeric_character_that_is_no_digit_is_a_parse_error():
+    """``\u00b2`` (superscript two) is a digit to ``str.isdigit`` but
+    no decimal: it is refused where it stands, not read as a number
+    that ``int`` cannot convert."""
+    with pytest.raises(ParseError) as err:
+        parse_program("p(\u00b2).")
+    assert (err.value.line, err.value.column) == (1, 3)
+
+
 class TestRuleParsing:
     def test_simple_rule(self):
         r = parse_rule("anc(X, Y) :- par(X, Y).")
