@@ -8,9 +8,9 @@ One abstract-interpretation engine powers four analyses:
    and joined across rule heads to a fixpoint (with interval widening,
    so head arithmetic such as ``p(X + 1) :- p(X)`` terminates).
 2. **Binding-pattern (adornment) analysis** — bound/free patterns are
-   propagated from the query atom through rule bodies left to right
-   (``=`` binds), enumerating the adornments each IDB predicate is
-   called with.
+   propagated from the query atom through rule bodies in the magic
+   rewrite's max-bound order (``=`` binds), enumerating the adornments
+   each IDB predicate is called with.
 3. **Constant propagation + unsatisfiability** — comparisons are
    evaluated against the inferred domains; a comparison that is false
    for every possible value kills its rule, and a predicate with no
@@ -48,6 +48,7 @@ the engine's existing behavioral envelope.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from ..datalog.atoms import Atom, Comparison, Negation
@@ -56,6 +57,7 @@ from ..datalog.rules import Rule
 from ..datalog.terms import Constant, ConstValue, Term, Variable
 from ..engine.bindings import check_edb_arities
 from ..engine.builtins import compare_values
+from ..engine.magic import bound_pattern, sips_order
 from ..engine.prepared import prepared
 from ..errors import EvaluationError
 from ..facts.relation import PROFILE_VALUES, ColumnProfile
@@ -77,6 +79,10 @@ WIDEN_AFTER = 8
 #: How many distinct adornment patterns the worklist will enumerate
 #: before giving up (the analysis stays sound; the listing truncates).
 MAX_ADORNMENTS = 128
+
+#: The value a seed read by :func:`analyze_seeded` holds: unknown, and
+#: equal to no constant of the program.
+_UNKNOWN = object()
 
 NUMBER = "number"
 STRING = "string"
@@ -561,7 +567,9 @@ class DataflowResult:
     All data is keyed by predicate name (and rule object for the
     per-rule facts).  ``counts`` maps ``(pred, column)`` to an upper
     bound on the column's distinct values; ``bounds`` maps predicates
-    to cardinality upper bounds; both may be ``inf``.
+    to cardinality upper bounds; both may be ``inf``.  The binding
+    patterns (``adornments``, ``adorned_bounds``) are worked out from
+    ``query`` on first read: plan choice never reads them.
     """
 
     program: Program
@@ -569,14 +577,36 @@ class DataflowResult:
     empty: frozenset[str]
     counts: dict[tuple[str, int], float]
     bounds: dict[str, float]
-    adornments: dict[str, tuple[str, ...]]
-    adorned_bounds: dict[tuple[str, str], float]
     dead_rules: dict[Rule, str]
     true_checks: dict[Rule, frozenset[int]]
     unsat: tuple[UnsatComparison, ...]
     head_kinds: dict[tuple[str, int],
                      tuple[tuple[str, frozenset[str]], ...]]
     converged: bool = True
+    query: Atom | None = None
+
+    @cached_property
+    def adornments(self) -> dict[str, tuple[str, ...]]:
+        """The binding patterns each IDB predicate is called with."""
+        return _adornments(self.program, self.query)
+
+    @cached_property
+    def adorned_bounds(self) -> dict[tuple[str, str], float]:
+        """A bound on the distinct bound-argument tuples per
+        ``(pred, adornment)``: the product of the free columns'
+        distinct counts, capped by the predicate's size bound."""
+        bounds: dict[tuple[str, str], float] = {}
+        for pred, patterns in self.adornments.items():
+            for pattern in patterns:
+                free_product = 1.0
+                for column, mark in enumerate(pattern):
+                    if mark == "f":
+                        free_product = _mul_bound(
+                            free_product,
+                            self.counts.get((pred, column), INF))
+                bounds[(pred, pattern)] = min(
+                    self.bounds.get(pred, INF), free_product)
+        return bounds
 
     def is_dead(self, rule: Rule) -> bool:
         return rule in self.dead_rules
@@ -686,9 +716,27 @@ def analyze_dataflow(program: Program, edb: "Database | None" = None,
     return entry.dataflow
 
 
+def analyze_seeded(program: Program, edb: "Database", seed: Rule,
+                   columns: Sequence[Domain]) -> DataflowResult:
+    """The analysis of a magic rewrite for every query of its pattern.
+
+    ``seed``, the rewrite's one fact, is read as one row of unknown
+    value: its column ``i`` may hold any value of ``columns[i]`` (the
+    domain of the query predicate's bound column it stands for) and
+    counts one distinct value, whatever the query's constant is.  So
+    every seed of a pattern gets the same result.  Nothing is kept.
+    """
+    check_edb_arities(program, edb)
+    return _analyze(program, edb, None, (seed, tuple(columns)))
+
+
 def _analyze(program: Program, edb: "Database | None",
-             query: Atom | None) -> DataflowResult:
-    """The analysis itself: one fixpoint, nothing kept."""
+             query: Atom | None,
+             seed: "tuple[Rule, tuple[Domain, ...]] | None" = None,
+             ) -> DataflowResult:
+    """The analysis itself: one fixpoint, nothing kept.  ``seed`` is a
+    fact read as one row of unknown value in the given domains (see
+    :func:`analyze_seeded`)."""
     arities = dict(program.predicate_arities())
     state: dict[str, PredState] = {}
     distinct: dict[tuple[str, int], float] = {}
@@ -712,6 +760,9 @@ def _analyze(program: Program, edb: "Database | None",
         arity = arities.get(pred, 0)
         state[pred] = PredState(False, (BOTTOM,) * arity)
 
+    seed_rule = None if seed is None else seed[0]
+    seed_facts = RuleFacts(alive=True, head=() if seed is None else seed[1])
+
     # -- domain / emptiness fixpoint ------------------------------------
     widen_hits: dict[tuple[str, int], int] = {}
     column_count = sum(arities.get(pred, 0) for pred in state) + 1
@@ -720,7 +771,8 @@ def _analyze(program: Program, edb: "Database | None",
     for _ in range(max_rounds):
         changed = False
         for rule in program:
-            facts = _eval_rule(rule, state)
+            facts = seed_facts if rule is seed_rule \
+                else _eval_rule(rule, state)
             if not facts.alive:
                 continue
             pred = rule.head.pred
@@ -765,7 +817,8 @@ def _analyze(program: Program, edb: "Database | None",
     head_kinds: dict[tuple[str, int],
                      list[tuple[str, frozenset[str]]]] = {}
     for rule in program:
-        facts = _eval_rule(rule, state)
+        facts = seed_facts if rule is seed_rule \
+            else _eval_rule(rule, state)
         if not facts.alive:
             dead_rules[rule] = facts.reason
             unsat.extend(facts.unsat)
@@ -782,21 +835,10 @@ def _analyze(program: Program, edb: "Database | None",
     empty = frozenset(pred for pred, pred_state in state.items()
                       if not pred_state.nonempty)
 
-    counts = _distinct_counts(program, state, dead_rules, distinct)
+    counts = _distinct_counts(program, state, dead_rules, distinct,
+                              seed_rule)
     bounds = _size_bounds(program, state, dead_rules, counts,
                           edb_sizes, arities)
-    adornments = _adornments(program, query)
-    adorned_bounds: dict[tuple[str, str], float] = {}
-    for pred, patterns in adornments.items():
-        for pattern in patterns:
-            free_product = 1.0
-            for column, mark in enumerate(pattern):
-                if mark == "f":
-                    free_product = _mul_bound(
-                        free_product, counts.get((pred, column), INF))
-            adorned_bounds[(pred, pattern)] = min(
-                bounds.get(pred, INF), free_product)
-
     return DataflowResult(
         program=program,
         columns={pred: pred_state.columns
@@ -804,14 +846,12 @@ def _analyze(program: Program, edb: "Database | None",
         empty=empty,
         counts=counts,
         bounds=bounds,
-        adornments=adornments,
-        adorned_bounds=adorned_bounds,
         dead_rules=dead_rules,
         true_checks=true_checks,
         unsat=tuple(unsat),
         head_kinds={key: tuple(entries)
                     for key, entries in head_kinds.items()},
-        converged=converged)
+        converged=converged, query=query)
 
 
 def _mul_bound(a: float, b: float) -> float:
@@ -827,6 +867,7 @@ def _mul_bound(a: float, b: float) -> float:
 def _distinct_counts(program: Program, state: Mapping[str, PredState],
                      dead_rules: Mapping[Rule, str],
                      edb_distinct: Mapping[tuple[str, int], float],
+                     seed: Rule | None,
                      ) -> dict[tuple[str, int], float]:
     """Upper-bound the distinct values per ``(pred, column)``.
 
@@ -838,9 +879,10 @@ def _distinct_counts(program: Program, state: Mapping[str, PredState],
     exact distinct counts (plus the constants).  Summing over a set of
     source columns — rather than per-rule contributions — keeps the
     bound finite under recursion: a recursive rule adds no new source.
+    ``seed``'s constants count as one value none of the others equals.
     """
     sources: dict[tuple[str, int], set[tuple[str, int]]] = {}
-    consts: dict[tuple[str, int], set[ConstValue]] = {}
+    consts: dict[tuple[str, int], set[object]] = {}
     unbounded: set[tuple[str, int]] = set()
     edges: list[tuple[tuple[str, int], tuple[str, int]]] = []
 
@@ -861,7 +903,8 @@ def _distinct_counts(program: Program, state: Mapping[str, PredState],
         for column, arg in enumerate(rule.head.args):
             node = (pred, column)
             if isinstance(arg, Constant):
-                consts.setdefault(node, set()).add(arg.value)
+                consts.setdefault(node, set()).add(
+                    _UNKNOWN if rule is seed else arg.value)
             elif isinstance(arg, Variable):
                 source = first_occurrence.get(arg)
                 if source is None:
@@ -963,7 +1006,8 @@ def _adornments(program: Program,
 
     Seeded from the query atom (constants bound) when given, else from
     the all-free pattern of every IDB predicate; propagated through
-    rule bodies left to right with ``=`` binding new variables.
+    rule bodies in the magic rewrite's order
+    (:func:`~repro.engine.magic.sips_order`).
     """
     idb = program.idb_predicates
     seen: dict[str, set[str]] = {pred: set() for pred in idb}
@@ -991,30 +1035,10 @@ def _adornments(program: Program,
     while worklist:
         pred, pattern = worklist.pop()
         for rule in program.rules_for(pred):
-            bound: set[Variable] = set()
-            for column, mark in enumerate(pattern):
-                if mark == "b" and column < len(rule.head.args):
-                    arg = rule.head.args[column]
-                    if isinstance(arg, Variable):
-                        bound.add(arg)
-            for literal in rule.body:
-                if isinstance(literal, Comparison):
-                    if literal.op == "=":
-                        variables = literal.variable_set()
-                        if len(variables - bound) <= 1:
-                            bound.update(variables)
-                    continue
-                if isinstance(literal, Negation):
-                    continue
-                if isinstance(literal, Atom):
-                    if literal.pred in idb:
-                        body_pattern = "".join(
-                            "b" if (isinstance(arg, Constant)
-                                    or (isinstance(arg, Variable)
-                                        and arg in bound))
-                            else "f"
-                            for arg in literal.args)
-                        enqueue(literal.pred, body_pattern)
-                    bound.update(literal.variable_set())
+            bound = {arg for arg, mark in zip(rule.head.args, pattern)
+                     if mark == "b" and isinstance(arg, Variable)}
+            for literal in sips_order(rule.body, bound):
+                if isinstance(literal, Atom) and literal.pred in idb:
+                    enqueue(literal.pred, bound_pattern(literal, bound))
     return {pred: tuple(sorted(patterns))
             for pred, patterns in seen.items()}

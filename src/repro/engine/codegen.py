@@ -167,6 +167,11 @@ class _CheckedColumn:
 #: Filters kept per cached predicate (see :class:`PredicateCache`).
 _SLOTS = 2
 
+#: What a text run on an empty leading scan gets for every other
+#: argument: its prologue reads ``.get`` of each index, and nothing
+#: reads the rest.
+_NOTHING = types.MappingProxyType({})
+
 
 class PredicateCache:
     """Memoized column-level predicate filters.
@@ -320,7 +325,12 @@ class GeneratedKernel:
             hook: Callable[..., bool] | None = None, round_index: int = 0,
             fold: bool = False) -> tuple[Any, ...]:
         """Resolve this firing's arguments and call the function of the
-        text :meth:`form` picks for ``hook`` and ``fold``."""
+        text :meth:`form` picks for ``hook`` and ``fold``.
+
+        A text whose first argument is the rows its outer loop scans
+        reads nothing else when they are empty, but for its ``.get``
+        prologue: it then runs on those rows and empty stand-ins, and no
+        index, set or predicate cache of a later step is resolved."""
         fn, resolvers, _source = self.form(hook is not None, fold)
         sources = self._sources
         fetched: dict[int, Relation] = {}
@@ -332,6 +342,11 @@ class GeneratedKernel:
                 relation = fetch(atom, body_index)
                 fetched[src] = relation
             return relation
+
+        if resolvers and resolvers[0][0] == "rows":
+            rows = rel(resolvers[0][1]).raw_rows()
+            if not rows:
+                return fn(rows, *(_NOTHING,) * (len(resolvers) - 1))
 
         args: list[Any] = []
         for spec in resolvers:

@@ -4,31 +4,41 @@ Section 6 of the paper frames its contribution as the semantic analogue of
 magic sets: "just as the magic sets method pushes the goal selectivity of
 queries inside recursion, our approach tries to push the semantics (in
 ICs) inside the recursion."  We implement the classic supplementary-free
-magic-sets transformation (left-to-right sideways information passing)
-both as a substrate feature and for experiment E6, which composes magic
-sets *on top of* the semantic transformation to show the two
-optimizations are orthogonal.
+magic-sets transformation both as a substrate feature and for experiment
+E6, which composes magic sets *on top of* the semantic transformation to
+show the two optimizations are orthogonal.
+
+Bindings pass sideways in the max-bound order (:func:`sips_order`): each
+body takes next the atom with the most bound arguments, so a query's
+constant enters the recursive atom first whenever that atom binds the
+most.  The free-bound query ``reach(Y, c)`` of the right-linear closure
+becomes ``reach__fb(X, Y) :- m_reach__fb(Y), reach__fb(Z, Y), edge(X,
+Z)``: one backward search from ``c`` whose magic set is the seed alone,
+where a left-to-right order would adorn ``reach(Z, Y)`` ``bb`` and pair
+``c`` with every edge target.  Ties keep the source order, so a
+bound-free query of a left-linear rule keeps its text.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator, Sequence
 
-from ..datalog.atoms import Atom, Comparison, Literal, Negation
+from ..datalog.atoms import Atom, Comparison, Literal
 from ..datalog.program import Program
 from ..datalog.rules import Rule
 from ..datalog.terms import Constant, Term, Variable
 from ..errors import TransformError
 from ..runtime import chaos
 from ..runtime.budget import Budget, resolve_budget
+from .builtins import can_bind, can_check
 
 Adornment = str  # e.g. "bf" — one letter per argument position
 
 
 def adornment_of(query: Atom) -> Adornment:
     """Compute the binding pattern of a query atom: constants are bound."""
-    return "".join(
-        "b" if isinstance(arg, Constant) else "f" for arg in query.args)
+    return bound_pattern(query, set())
 
 
 def _adorned(pred: str, adornment: Adornment) -> str:
@@ -157,50 +167,79 @@ def reseed(rewritten: MagicProgram, query: Atom) -> MagicProgram:
                         rewritten.query_pred, seed)
 
 
+def sips_order(body: Sequence[Literal],
+               bound: set[Variable]) -> Iterator[Literal]:
+    """``body``'s literals in the max-bound sideways information passing
+    order, the only one the rewrite (and the dataflow analysis's
+    adornments) use.
+
+    The next atom is the one with the most bound argument positions
+    (constants and variables in ``bound``), the earliest in the source
+    on a tie; each comparison comes right after the step that binds its
+    last variable, a binding ``=`` binding its free side.  ``bound``
+    holds what is bound ahead of the body and grows by each literal's
+    variables once the caller has seen it.  Negated atoms bind nothing
+    and are left out; a comparison no step readies (an unsafe rule's)
+    comes last.  The order depends on the body and ``bound`` only.
+    """
+    atoms = [lit for lit in body if isinstance(lit, Atom)]
+    comparisons = [lit for lit in body if isinstance(lit, Comparison)]
+    while True:
+        ready = next((c for c in comparisons if can_check(c, bound)
+                      or can_bind(c, bound)), None) if comparisons else None
+        if ready is not None:
+            comparisons.remove(ready)
+            yield ready
+            bound.update(ready.variable_set())
+        elif atoms:
+            atom = atoms[0] if len(atoms) == 1 else max(
+                atoms, key=lambda atom: sum(
+                    1 for arg in atom.args
+                    if isinstance(arg, Constant) or arg in bound))
+            atoms.remove(atom)
+            yield atom
+            bound.update(arg for arg in atom.args
+                         if isinstance(arg, Variable))
+        else:
+            yield from comparisons  # an unsafe rule's unready checks
+            return
+
+
+def bound_pattern(atom: Atom, bound: set[Variable]) -> Adornment:
+    """The adornment of ``atom`` when ``bound`` is bound: constants and
+    those variables are ``b``."""
+    return "".join("b" if isinstance(arg, Constant) or arg in bound
+                   else "f" for arg in atom.args)
+
+
 def _rewrite_rule(program: Program, rule: Rule, adornment: Adornment,
                   pending: list[tuple[str, Adornment]]) -> list[Rule]:
-    """Produce the modified rule plus one magic rule per IDB body atom."""
-    head_bound = {
-        arg for arg, a in zip(rule.head.args, adornment)
-        if a == "b" and isinstance(arg, Variable)}
+    """Produce the modified rule plus one magic rule per IDB body atom.
+
+    The body runs in :func:`sips_order`; each IDB atom is adorned with
+    what its predecessors bind, and its magic rule's body is the magic
+    head plus those predecessors.
+    """
+    bound = {arg for arg, a in zip(rule.head.args, adornment)
+             if a == "b" and isinstance(arg, Variable)}
     magic_head = Atom(_magic(rule.head.pred, adornment),
                       _bound_args(rule.head, adornment))
-    bound: set[Variable] = set(head_bound)
     new_body: list[Literal] = [magic_head]
     magic_rules: list[Rule] = []
-    prefix: list[Literal] = []  # literals usable in magic-rule bodies
-
-    for lit in rule.body:
-        if isinstance(lit, Comparison):
+    for lit in sips_order(rule.body, bound):
+        if isinstance(lit, Comparison) or program.is_edb(lit.pred):
             new_body.append(lit)
-            if lit.variable_set() <= bound:
-                prefix.append(lit)
             continue
-        if isinstance(lit, Negation):  # pragma: no cover - guarded above
-            raise TransformError("negation in magic rewriting")
-        if program.is_edb(lit.pred):
-            new_body.append(lit)
-            prefix.append(lit)
-            bound.update(lit.variable_set())
-            continue
-        # IDB body atom: adorn by current boundness.
-        sub_adornment = "".join(
-            "b" if (isinstance(arg, Constant)
-                    or (isinstance(arg, Variable) and arg in bound))
-            else "f" for arg in lit.args)
+        sub_adornment = bound_pattern(lit, bound)
         pending.append((lit.pred, sub_adornment))
         magic_atom = Atom(_magic(lit.pred, sub_adornment),
                           _bound_args(lit, sub_adornment))
-        magic_body = [magic_head] + list(prefix)
         # A magic rule whose head is one of its body atoms
-        # (``m_reach__bf(X) :- m_reach__bf(X).``) derives nothing.
-        if magic_atom not in magic_body:
-            magic_rules.append(Rule(magic_atom, tuple(magic_body),
+        # (``m_reach__fb(Y) :- m_reach__fb(Y).``) derives nothing.
+        if magic_atom not in new_body:
+            magic_rules.append(Rule(magic_atom, tuple(new_body),
                                     label=None))
-        adorned_atom = Atom(_adorned(lit.pred, sub_adornment), lit.args)
-        new_body.append(adorned_atom)
-        prefix.append(adorned_atom)
-        bound.update(lit.variable_set())
+        new_body.append(Atom(_adorned(lit.pred, sub_adornment), lit.args))
 
     modified = Rule(Atom(_adorned(rule.head.pred, adornment),
                          rule.head.args),

@@ -20,10 +20,12 @@ Wang et al.'s FGH rule does (arXiv:2202.10390):
    rows, *cold* dataflow size bounds (:class:`DataflowResult`) everywhere
    else.  Each candidate is priced with the analysis of its *own*
    program, as Fejza & Genevès price each enumerated plan: a magic
-   candidate's analysis runs over the rewritten rules, seed included, so
-   its adorned and magic predicates get bounds of their own — what the
+   candidate's analysis runs over the rewritten rules, its seed read as
+   one row of unknown value in the query column's domain, so its
+   adorned and magic predicates get bounds of their own — what the
    magic restriction will let them materialize, not what the input
-   program's predicate would.
+   program's predicate would — and equal ones for every query of the
+   pattern.
 3. **Choose** the cheapest whole-program candidate *before the fixpoint
    starts* and execute it with ``planner="adaptive"`` (join orders from
    the statistics each kernel's first firing reads).
@@ -596,19 +598,12 @@ class PreparedPlan:
     """A choice kept for every query of one binding pattern.
 
     Nothing in a choice depends on the query's constants but the magic
-    seed: the seed is a fact rule, which the cost model skips and the
-    fingerprints leave out, and every other rewritten rule depends on
-    the adornment only.  So :meth:`choice_for` re-seeds the kept choice.
-    Only the costs read the seed: a magic candidate is priced with an
-    analysis of its program, seed included, and that analysis proves
-    the rules of a constant outside an EDB column's profiled domain
-    dead.  Such a choice is degenerate — it prices a query with no
-    answers — so :func:`choose_plan` returns it without keeping it, and
-    the pattern's next query enumerates afresh.  A kept choice was
-    therefore priced on constants inside those domains, and for every
-    query whose constants lie inside them too, label, cost,
-    fingerprint, table and program equal a cold choice for that query;
-    any other query gets the kept choice and its costs.
+    seed: the seed is a fact rule, which the cost model skips, the
+    fingerprints leave out and the pricing analysis reads as one row of
+    unknown value, and every other rewritten rule depends on the
+    adornment only.  So :meth:`choice_for` re-seeds the kept choice, and
+    label, cost, fingerprint, table and program equal a cold choice for
+    the query.
     """
 
     __slots__ = ("choice", "dataflow")
@@ -649,14 +644,25 @@ def _candidate_dataflow(candidate: PlanCandidate, edb: Database,
 
     Rewrites are analyzed with no query: the cost model reads sizes and
     distinct counts, not adornments, and a magic candidate's seed (in
-    its program) already says what is bound.  A candidate whose
-    analysis fails is priced with ``dataflow``.
+    its program) already says what is bound.  The seed is read as one
+    row of unknown value in the domain ``dataflow`` gives the query
+    column it binds (any value without one), so the price is the
+    pattern's, not the query's.  A candidate whose analysis fails is
+    priced with ``dataflow``.
     """
     if not candidate.transforms:
         return dataflow
-    from ..analysis.dataflow import analyze_dataflow
+    from ..analysis.dataflow import TOP, analyze_dataflow, analyze_seeded
+    magic = candidate.magic
     try:
-        return analyze_dataflow(candidate.program, edb=edb)
+        if magic is None:
+            return analyze_dataflow(candidate.program, edb=edb)
+        pred, _, adornment = magic.query_pred.rpartition("__")
+        columns = None if dataflow is None else dataflow.columns.get(pred)
+        return analyze_seeded(
+            candidate.program, edb, magic.seed,
+            [TOP if columns is None else columns[column]
+             for column, mark in enumerate(adornment) if mark == "b"])
     except ReproError:
         return dataflow
 
@@ -677,20 +683,17 @@ def choose_plan(program: Program, edb: Database,
     The choice depends on the query only through its predicate and
     adornment, so it is kept in the pattern's prepared entry
     (:mod:`repro.engine.prepared`) and later queries of the pattern get
-    it re-seeded with their constants (``reused``; see
-    :class:`PreparedPlan` for when that equals a fresh enumeration)
-    until the EDB's stamp moves.  A choice whose magic candidate's
-    analysis proves rules dead that the program's own analysis keeps
-    (a query constant outside a column's profiled domain) is returned
-    but not kept.  So the analyses below run once per pattern and
-    stamp, and once more per such query.
+    it re-seeded with their constants (``reused``, equal to a fresh
+    enumeration; see :class:`PreparedPlan`) until the EDB's stamp
+    moves.  So the analyses below run once per pattern and stamp.
 
     Every candidate is priced with a dataflow analysis of its own
     program: the identity candidate with ``dataflow``, which defaults
     to :func:`~repro.analysis.dataflow.analyze_dataflow`'s result
     (another analysis object is priced afresh and nothing is kept),
     every other with the analysis of its rewritten program, with no
-    query (a magic candidate's seed included).  A candidate whose
+    query (a magic candidate's seed read as one row of unknown value in
+    its column's domain).  A candidate whose
     analysis raises :class:`~repro.errors.ReproError` is priced with
     ``dataflow``.  The arity check and ``budget`` run on every call.  While a chaos plan is
     active nothing is reused or kept: its faults must reach every stage
@@ -730,13 +733,6 @@ def choose_plan(program: Program, edb: Database,
     table: list[tuple[str, str, float]] = []
     for index, group in enumerate(memo):
         flow = _candidate_dataflow(group.candidate, edb, dataflow)
-        if group.candidate.magic is not None and flow is not dataflow \
-                and flow is not None and flow.dead_rules \
-                and not (dataflow is not None and dataflow.dead_rules):
-            # The seed proved rules dead that the program's own analysis
-            # keeps: its constant lies outside a domain it meets, and
-            # these costs hold for this query only.
-            keep = False
         group.cost, group.detail = estimate_program_cost(
             group.candidate, edb, flow)
         table.append((group.fingerprint, group.candidate.label,

@@ -373,6 +373,17 @@ def test_the_chosen_candidate_is_within_regret_of_the_best(
     assert rows[chosen.label] <= 1.2 * min(rows.values()), rows
     if (shape, pattern) == ("left", "bf"):
         assert chosen.label == "magic[bf]"
+    if pattern == "fb":
+        # One backward search from the bound node: the right-linear
+        # rule (as written, or linearized to it) passes that node into
+        # ``reach`` first, so ``reach__fb`` is the only adorned
+        # predicate and no magic rule widens the seed.
+        assert chosen.label == ("magic[fb]" if shape == "right" else
+                                "linearize[reach:right] + magic[fb]")
+        assert {rule.head.pred for rule in chosen.program} \
+            == {"reach__fb", "m_reach__fb"}
+        assert [rule for rule in chosen.program
+                if rule.head.pred == "m_reach__fb"] == [chosen.magic.seed]
 
 
 def test_hooked_counters_equal_unhooked_counters():
@@ -548,25 +559,27 @@ class TestPreparedQueries:
         assert (second.fingerprint, second.table) \
             == (first.fingerprint, first.table)
 
-    def test_a_query_outside_the_profiled_domain_is_not_kept(self):
+    def test_a_query_outside_the_profiled_domain_is_priced_like_its_pattern(
+            self):
         """On an acyclic int digraph no edge leaves the last node, so
-        ``reach(149, Y)``'s seed makes the magic candidates' analyses
-        prove their rules dead.  That degenerate choice is answered but
-        not kept: the pattern's next query prices afresh, exactly as a
-        cold enumeration does, and that choice is kept."""
+        ``reach(149, Y)`` has no answers.  Its magic seed is still priced
+        as one row of unknown value in ``reach``'s first column, like
+        every query of the pattern: the choice is kept, the next query
+        reuses it, and both equal a cold enumeration."""
         db = Database()
         for source, target in digraph(150, 450).relation("edge"):
             db.add_fact("edge", int(source[1:]), int(target[1:]))
         program = Program(TC.rules)
-        degenerate = choose_plan(program, db, query=_bound(149))
+        outside = choose_plan(program, db, query=_bound(149))
         second = choose_plan(program, db, query=_bound(0))
-        cold = choose_plan(Program(TC.rules), db, query=_bound(0))
-        assert not second.reused
-        assert (second.label, second.cost, second.table) \
+        cold = choose_plan(Program(TC.rules), db, query=_bound(149))
+        assert not outside.reused and second.reused
+        assert (outside.label, outside.cost, outside.table) \
+            == (second.label, second.cost, second.table) \
             == (cold.label, cold.cost, cold.table)
-        assert second.table != degenerate.table
-        assert choose_plan(program, db, query=_bound(1)).reused
         assert cbo_answers(program, db, _bound(149)) == frozenset()
+        assert cbo_answers(program, db, _bound(0)) \
+            == _reachable(db, _bound(0))
 
     def test_a_write_to_a_read_relation_forces_one_replan(self, counted):
         program, db = Program(TC.rules), digraph()

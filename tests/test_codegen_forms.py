@@ -480,6 +480,54 @@ def test_member_groups_fold_only_where_the_slot_is_tested(case):
     assert len(facts["p"]) > len(edb.facts("e"))  # ``r`` derives rows
 
 
+def test_an_empty_leading_scan_resolves_no_index():
+    """Under the adaptive planner Example 3.2's ``r2`` scans the empty
+    ``pays`` first and would probe ``eval`` on ``(S, T)``: its firing
+    returns the text's zero-row result without building that index,
+    with the counters the hooked text (which walks) counts too."""
+    program, edb = _plain_example_3_2()
+    assert not edb.relation_or_empty("pays", 4)
+    rule = next(r for r in program if r.label == "r2")
+    for interning in ("on", "off"):
+        runs = [evaluate(program, edb, planner="adaptive",
+                         interning=interning, hook=hook)
+                for hook in (None, _always)]
+        assert runs[0].stats == runs[1].stats
+        for run in runs:
+            assert run.idb.relation("eval").indexes == {}
+            assert not run.facts("eval_support")
+    cache = KernelCache(symbols=None)
+    seminaive_evaluate(program, edb, EvalStats(), planner="adaptive",
+                       kernels=cache)
+    kernel = cache.get(rule, None)
+    first = kernel.generated.form(False).resolvers[0]
+    assert first[0] == "rows"
+    assert kernel.sources[first[1]][1].pred == "pays"
+    assert [spec[0] for spec in kernel.generated.form(False).resolvers] \
+        == ["rows", "probeN"]
+
+
+def test_an_empty_leading_scan_counts_as_the_interpreter_does():
+    """``r2`` written with ``pays`` first scans it first under the
+    source planner too: every counter and row equals the interpreter's,
+    with no hook, an always-true one and a veto, whether ``pays`` is
+    empty or not."""
+    program = parse_program("""
+        r0: eval(P, S, T) :- super(P, S, T).
+        r1: eval(P, S, T) :- works_with(P, P0), eval(P0, S, T),
+                             expert(P, F), field(T, F).
+        r2: eval_support(P, S, T, M) :- pays(M, G, S, T), eval(P, S, T).
+    """)
+    _program, edb = _plain_example_3_2()
+    facts, stats = _matches_interpreter(program, edb,
+                                        hooks=(None, _always, _veto))
+    assert facts["eval"] and not facts["eval_support"]
+    edb.add_fact("pays", 5000, "g0", *sorted(edb.facts("super"))[0][1:])
+    facts, _stats = _matches_interpreter(program, edb,
+                                         hooks=(None, _always, _veto))
+    assert facts["eval_support"]
+
+
 def _tc_kernel_texts():
     """Every kernel text the transitive closure generates where the
     benchmark runs it: a whole closure (DAG and cyclic), bound queries
@@ -526,7 +574,10 @@ def test_transitive_closure_texts_are_unchanged():
     """No TC kernel has a member group — the DRed rederivation's
     ``edge(Z, Y)`` / ``reach(X, Z)`` pair reads the relation it derives
     — so every text the closure, bound-query and served-view runs
-    generate is the one recorded before member groups folded."""
+    generate is the recorded one.  The fb query's are those of the
+    backward search ``reach__fb(X, Y) :- m_reach__fb(Y),
+    reach__fb(Z, Y), edge(X, Z)``; re-record the file only on
+    purpose."""
     recorded = (DATA / "tc_kernel_texts.txt").read_text()
     assert _tc_kernel_texts() == recorded.split("\n=====\n")[:-1]
 
